@@ -83,17 +83,24 @@ impl PointEngine {
 
     /// Inserts one point object with a caller-chosen id (the sharded
     /// serving layer routes arrivals by id). **Upsert**: when the id
-    /// is already live, the existing object is replaced — a retried
-    /// or duplicate arrival must not leave an unremovable orphan
-    /// behind a stale id→slot mapping.
+    /// is already live, the object is replaced in its slot (every
+    /// `Update::Move`, and a retried or duplicate arrival) — one index
+    /// removal and one insertion, no other object re-keyed, and the
+    /// table keeps its order, so a catalog whose slots are in id order
+    /// keeps answering without a sort however much it moves.
     pub fn insert_object(&mut self, object: PointObject) {
-        if self.slots.contains_key(&object.id) {
-            self.remove(object.id);
-        }
         self.next_id = self.next_id.max(object.id.0 + 1);
+        let extent = Rect::from_point(object.loc);
+        if let Some(&slot) = self.slots.get(&object.id) {
+            let old = std::mem::replace(&mut self.objects[slot as usize], object);
+            let removed = self.tree.remove(Rect::from_point(old.loc), slot);
+            assert!(removed, "object table and R-tree out of sync");
+            self.tree.insert(extent, slot);
+            return;
+        }
         let slot = self.objects.len() as u32;
         self.slots.insert(object.id, slot);
-        self.tree.insert(Rect::from_point(object.loc), slot);
+        self.tree.insert(extent, slot);
         self.objects.push(object);
     }
 
@@ -556,6 +563,14 @@ mod tests {
         // duplicating its id.
         engine.insert_object(PointObject::new(0u64, Point::new(500.0, 500.0)));
         assert_eq!(engine.len(), 2);
+        // In its slot: the table keeps its order, nothing was re-keyed.
+        let ids: Vec<u64> = engine.objects().iter().map(|o| o.id.0).collect();
+        assert_eq!(ids, [0, 1]);
+        let old_home = Issuer::uniform(Rect::centered(Point::new(10.0, 10.0), 2.0, 2.0));
+        assert!(engine
+            .ipq(&old_home, RangeSpec::square(3.0))
+            .results
+            .is_empty());
         let iss = Issuer::uniform(Rect::centered(Point::new(500.0, 500.0), 30.0, 30.0));
         let ans = engine.ipq(&iss, RangeSpec::square(40.0));
         assert_eq!(ans.results.len(), 1);

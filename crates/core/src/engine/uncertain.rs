@@ -81,36 +81,46 @@ impl UncertainEngine {
     }
 
     /// Inserts one uncertain object dynamically, maintaining both the
-    /// R-tree and the PTI. **Upsert**: when the id is already live,
-    /// the existing object is replaced — a retried or duplicate
-    /// arrival must not leave an unremovable orphan behind a stale
-    /// id→slot mapping.
+    /// R-tree and the PTI. **Upsert**: when the id is already live, the
+    /// object is replaced in its slot (every `Update::Move`, and a
+    /// retried or duplicate arrival) — one removal and one insertion
+    /// per index, no other object re-keyed, and the table keeps its
+    /// order, so a catalog whose slots are in id order keeps answering
+    /// without a sort however much it moves.
     ///
     /// # Panics
     ///
     /// Panics when the object's catalog levels differ from the
     /// engine's (the PTI needs one shared level table).
     pub fn insert(&mut self, object: UncertainObject) {
-        if self.slots.contains_key(&object.id) {
-            self.remove(object.id);
-        }
         let obj_levels: Vec<f64> = object.catalog().levels().collect();
         if self.objects.is_empty() {
             // First object fixes the level table.
             self.pti = Pti::bulk_load(obj_levels.clone(), Vec::new(), PtiParams::default());
         }
-        let engine_levels: Vec<f64> = self.pti.levels().to_vec();
         assert_eq!(
-            obj_levels, engine_levels,
+            obj_levels,
+            self.pti.levels(),
             "all objects must share the same catalog levels"
         );
-        let idx = self.objects.len() as u32;
-        self.slots.insert(object.id, idx);
-        self.tree.insert(object.region(), idx);
-        self.pti.insert(
-            object.catalog().bounds().iter().map(|b| b.rect).collect(),
-            idx,
-        );
+        let region = object.region();
+        let bounds = object.catalog().bounds().iter().map(|b| b.rect).collect();
+        if let Some(&slot) = self.slots.get(&object.id) {
+            let old = std::mem::replace(&mut self.objects[slot as usize], object);
+            let tree_removed = self.tree.remove(old.region(), slot);
+            let pti_removed = self.pti.remove(old.region(), slot);
+            assert!(
+                tree_removed && pti_removed,
+                "object table and indexes out of sync"
+            );
+            self.tree.insert(region, slot);
+            self.pti.insert(bounds, slot);
+            return;
+        }
+        let slot = self.objects.len() as u32;
+        self.slots.insert(object.id, slot);
+        self.tree.insert(region, slot);
+        self.pti.insert(bounds, slot);
         self.objects.push(object);
     }
 
@@ -550,8 +560,17 @@ mod tests {
             UniformPdf::new(Rect::centered(Point::new(500.0, 500.0), 10.0, 10.0)),
         ));
         assert_eq!(engine.len(), n);
+        // In its slot: the table keeps its order, nothing was re-keyed.
+        let ids: Vec<u64> = engine.objects().iter().map(|o| o.id.0).collect();
+        assert_eq!(ids, (0..n as u64).collect::<Vec<_>>());
         let ans = engine.iuq(&issuer(), RangeSpec::square(60.0));
         assert!(ans.probability_of(ObjectId(0)).is_some());
+        // Gone from where it was, in the R-tree and in the PTI.
+        let old_home = Issuer::uniform(Rect::centered(Point::new(50.0, 50.0), 5.0, 5.0));
+        for strategy in [CiuqStrategy::RTreeMinkowski, CiuqStrategy::PtiPExpanded] {
+            let ans = engine.ciuq(&old_home, RangeSpec::square(5.0), 0.0, strategy);
+            assert!(ans.probability_of(ObjectId(0)).is_none());
+        }
         // No orphan: the id is fully gone after one removal.
         assert!(engine.remove(ObjectId(0)));
         assert!(!engine.remove(ObjectId(0)));

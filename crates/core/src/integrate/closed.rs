@@ -100,22 +100,25 @@ impl AxisProfile {
         }
     }
 
-    /// `∫_{[d_lo, d_hi]} profile(x) dx`, bit-identical to
+    /// `∫_{[d_lo, d_hi]} profile(x) dx` for [`LANES`] clip intervals at
+    /// once, each lane bit-identical to
     /// [`OverlapProfile::integral_over`] but branchless: empty or
     /// zero-length clips select `+0.0` instead of early-returning, and
     /// `x + 0.0` preserves every non-negative total exactly.
     #[inline(always)]
-    fn integral(&self, d_lo: f64, d_hi: f64) -> f64 {
-        let i_lo = d_lo.max(self.sup_lo);
-        let i_hi = d_hi.min(self.sup_hi);
-        let mut total = 0.0;
+    fn integral_lanes(&self, d_lo: Lanes, d_hi: Lanes) -> Lanes {
+        let i_lo = lanes(|l| max(d_lo[l], self.sup_lo));
+        let i_hi = lanes(|l| min(d_hi[l], self.sup_hi));
+        let mut total = [0.0; LANES];
         for s in &self.segs {
-            let a = i_lo.max(s.x0);
-            let b = i_hi.min(s.x1);
-            let f_a = s.y0 + s.slope * (a - s.x0);
-            let f_b = s.y0 + s.slope * (b - s.x0);
-            let contrib = 0.5 * (f_a + f_b) * (b - a);
-            total += if b > a { contrib } else { 0.0 };
+            for l in 0..LANES {
+                let a = max(i_lo[l], s.x0);
+                let b = min(i_hi[l], s.x1);
+                let f_a = s.y0 + s.slope * (a - s.x0);
+                let f_b = s.y0 + s.slope * (b - s.x0);
+                let contrib = 0.5 * (f_a + f_b) * (b - a);
+                total[l] += if b > a { contrib } else { 0.0 };
+            }
         }
         total
     }
@@ -176,35 +179,80 @@ impl UniformHeader {
     }
 }
 
-/// One candidate of the batched uniform/uniform closed form —
+/// Objects per step of [`uniform_uniform_batch`]: the kernel's
+/// arithmetic runs on `[f64; LANES]` values, one lane per object, which
+/// the compiler turns into packed instructions (two SSE2 registers per
+/// value on the x86-64 baseline).
+const LANES: usize = 4;
+
+/// One value per object of a [`LANES`]-object step.
+type Lanes = [f64; LANES];
+
+/// `f` applied lane by lane.
+#[inline(always)]
+fn lanes(f: impl FnMut(usize) -> f64) -> Lanes {
+    std::array::from_fn(f)
+}
+
+/// `a > b ? a : b` — [`f64::max`] for the non-NaN operands the closed
+/// form sees, in the one-instruction shape packed hardware offers.
+#[inline(always)]
+fn max(a: f64, b: f64) -> f64 {
+    if a > b {
+        a
+    } else {
+        b
+    }
+}
+
+/// `a < b ? a : b`, the twin of [`max`].
+#[inline(always)]
+fn min(a: f64, b: f64) -> f64 {
+    if a < b {
+        a
+    } else {
+        b
+    }
+}
+
+/// [`LANES`] candidates of the batched uniform/uniform closed form —
 /// [`uniform_uniform`] restructured as straight-line selects over the
-/// hoisted [`UniformHeader`], bit-identical to the scalar path (see
-/// the `hoisted_kernels_match_scalar` test).
+/// hoisted [`UniformHeader`], every lane the scalar path's operations
+/// in the scalar path's order, so results are bit-identical to it (the
+/// `hoisted_kernels_match_scalar_bit_for_bit` test).
 ///
 /// The object area is re-derived from the corners: for the valid
 /// (`max >= min`) regions a candidate carries, `(hi−lo)·(hi−lo)` is the
 /// exact arithmetic of [`Rect::area`], and a zero-extent region lands
 /// in the same `area != 0.0 → 0.0` select either way.
 #[inline(always)]
-fn uniform_one(h: &UniformHeader, ui: &[f64; 4]) -> f64 {
-    let [lo_x, lo_y, hi_x, hi_y] = *ui;
-    let area = (hi_x - lo_x) * (hi_y - lo_y);
+fn uniform_lanes(h: &UniformHeader, rects: &[[f64; 4]; LANES]) -> Lanes {
+    // Transpose the packed corner quadruples to one value per corner.
+    let lo_x = lanes(|l| rects[l][0]);
+    let lo_y = lanes(|l| rects[l][1]);
+    let hi_x = lanes(|l| rects[l][2]);
+    let hi_y = lanes(|l| rects[l][3]);
+    let area = lanes(|l| (hi_x[l] - lo_x[l]) * (hi_y[l] - lo_y[l]));
     // Mirrors `ui.intersect(expanded)` (lo.max, hi.min per axis).
-    let d_lo_x = lo_x.max(h.expanded.min.x);
-    let d_hi_x = hi_x.min(h.expanded.max.x);
-    let d_lo_y = lo_y.max(h.expanded.min.y);
-    let d_hi_y = hi_y.min(h.expanded.max.y);
-    let ix = h.ox.integral(d_lo_x, d_hi_x);
-    let iy = h.oy.integral(d_lo_y, d_hi_y);
-    let v = (ix * iy) / (h.u0_area * area);
-    // The select replaces the scalar early return: an empty domain or
-    // zero-area object is exactly 0.0 (and guards the 0/0 NaN in `v`).
-    let nonempty = d_hi_x >= d_lo_x && d_hi_y >= d_lo_y;
-    if nonempty && area != 0.0 {
-        v.clamp(0.0, 1.0)
-    } else {
-        0.0
-    }
+    let d_lo_x = lanes(|l| max(lo_x[l], h.expanded.min.x));
+    let d_hi_x = lanes(|l| min(hi_x[l], h.expanded.max.x));
+    let d_lo_y = lanes(|l| max(lo_y[l], h.expanded.min.y));
+    let d_hi_y = lanes(|l| min(hi_y[l], h.expanded.max.y));
+    let ix = h.ox.integral_lanes(d_lo_x, d_hi_x);
+    let iy = h.oy.integral_lanes(d_lo_y, d_hi_y);
+    let v = lanes(|l| (ix[l] * iy[l]) / (h.u0_area * area[l]));
+    // `v.clamp(0.0, 1.0)`, then the select that replaces the scalar
+    // early return: an empty domain or zero-area object is exactly 0.0
+    // (the 0/0 NaN in `v` falls through the clamp and is dropped here).
+    let clamped = lanes(|l| min(max(v[l], 0.0), 1.0));
+    lanes(|l| {
+        let keep = (d_hi_x[l] >= d_lo_x[l]) & (d_hi_y[l] >= d_lo_y[l]) & (area[l] != 0.0);
+        if keep {
+            clamped[l]
+        } else {
+            0.0
+        }
+    })
 }
 
 /// Batched uniform/uniform closed form over a packed candidate lane —
@@ -215,9 +263,9 @@ fn uniform_one(h: &UniformHeader, ui: &[f64; 4]) -> f64 {
 /// The packed (AoS) layout is deliberate: the gather loop that feeds
 /// this kernel is bound by random object-table reads, and a single
 /// 32-byte push per candidate keeps it short enough to overlap those
-/// misses. The default build is a branchless scalar loop; the `simd`
-/// feature routes through an explicit SSE2 kernel on x86-64 that
-/// transposes pairs of quadruples in registers.
+/// misses. The kernel transposes [`LANES`] quadruples at a time and
+/// evaluates them as fixed-size lane arrays; a ragged tail is padded
+/// with zero rectangles whose results are dropped.
 pub fn uniform_uniform_batch(h: &UniformHeader, rects: &[[f64; 4]], out: &mut [f64]) {
     assert_eq!(
         rects.len(),
@@ -228,14 +276,15 @@ pub fn uniform_uniform_batch(h: &UniformHeader, rects: &[[f64; 4]], out: &mut [f
         out.fill(0.0);
         return;
     }
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        simd::uniform_uniform_batch(h, rects, out);
-        return;
+    let (rect_steps, rect_tail) = rects.as_chunks::<LANES>();
+    let (out_steps, out_tail) = out.as_chunks_mut::<LANES>();
+    for (pi, ui) in out_steps.iter_mut().zip(rect_steps) {
+        *pi = uniform_lanes(h, ui);
     }
-    #[allow(unreachable_code)]
-    for (pi, ui) in out.iter_mut().zip(rects) {
-        *pi = uniform_one(h, ui);
+    if !rect_tail.is_empty() {
+        let mut padded = [[0.0; 4]; LANES];
+        padded[..rect_tail.len()].copy_from_slice(rect_tail);
+        out_tail.copy_from_slice(&uniform_lanes(h, &padded)[..rect_tail.len()]);
     }
 }
 
@@ -276,121 +325,6 @@ fn hoisted_profile_marginal<P: LocationPdf + ?Sized>(
         acc += pdf.linear_marginal_integral(axis, clip, s.c0, s.slope)?;
     }
     Some(acc)
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[allow(unsafe_code)]
-mod simd {
-    //! Explicit two-wide SSE2 kernel for the uniform lane.
-    //!
-    //! Every operation maps one-to-one onto the scalar kernel with the
-    //! same order and associativity — `maxpd`/`minpd`/`mulpd`/`addpd`/
-    //! `divpd` only, **no FMA** — so per-lane results carry the exact
-    //! IEEE rounding of the scalar path for the finite, non-signed-zero
-    //! coordinates real workloads produce. Selects are implemented with
-    //! compare masks and bitwise blends.
-
-    use super::{AxisProfile, UniformHeader};
-
-    #[cfg(target_arch = "x86_64")]
-    use core::arch::x86_64::*;
-
-    /// Safe entry point: SSE2 is unconditionally part of the x86-64
-    /// baseline, so no runtime feature detection is needed.
-    pub fn uniform_uniform_batch(h: &UniformHeader, rects: &[[f64; 4]], out: &mut [f64]) {
-        unsafe { uniform_uniform_batch_sse2(h, rects, out) }
-    }
-
-    /// `or(and(mask, a), andnot(mask, b))` — lanewise `mask ? a : b`.
-    #[inline(always)]
-    unsafe fn select(mask: __m128d, a: __m128d, b: __m128d) -> __m128d {
-        _mm_or_pd(_mm_and_pd(mask, a), _mm_andnot_pd(mask, b))
-    }
-
-    /// Two-candidate [`AxisProfile::integral`].
-    #[inline(always)]
-    unsafe fn axis_integral_pd(p: &AxisProfile, d_lo: __m128d, d_hi: __m128d) -> __m128d {
-        let i_lo = _mm_max_pd(d_lo, _mm_set1_pd(p.sup_lo));
-        let i_hi = _mm_min_pd(d_hi, _mm_set1_pd(p.sup_hi));
-        let mut total = _mm_setzero_pd();
-        for s in &p.segs {
-            let a = _mm_max_pd(i_lo, _mm_set1_pd(s.x0));
-            let b = _mm_min_pd(i_hi, _mm_set1_pd(s.x1));
-            let x0 = _mm_set1_pd(s.x0);
-            let y0 = _mm_set1_pd(s.y0);
-            let slope = _mm_set1_pd(s.slope);
-            let f_a = _mm_add_pd(y0, _mm_mul_pd(slope, _mm_sub_pd(a, x0)));
-            let f_b = _mm_add_pd(y0, _mm_mul_pd(slope, _mm_sub_pd(b, x0)));
-            let contrib = _mm_mul_pd(
-                _mm_mul_pd(_mm_set1_pd(0.5), _mm_add_pd(f_a, f_b)),
-                _mm_sub_pd(b, a),
-            );
-            total = _mm_add_pd(total, _mm_and_pd(_mm_cmpgt_pd(b, a), contrib));
-        }
-        total
-    }
-
-    /// Two-wide body of [`super::uniform_uniform_batch`]; the odd tail
-    /// candidate falls back to the scalar kernel.
-    ///
-    /// Pairs of packed `[lo_x, lo_y, hi_x, hi_y]` quadruples are
-    /// transposed to lane registers with `unpcklpd`/`unpckhpd`, and the
-    /// object areas are rebuilt in-register (`mulpd` of the two corner
-    /// `subpd`s — the exact arithmetic of [`iloc_geometry::Rect::area`]
-    /// for the valid regions candidates carry).
-    ///
-    /// # Safety
-    ///
-    /// SSE2 is unconditionally available on `x86_64`; lane lengths are
-    /// checked by the caller.
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn uniform_uniform_batch_sse2(
-        h: &UniformHeader,
-        rects: &[[f64; 4]],
-        out: &mut [f64],
-    ) {
-        let n = out.len();
-        let e_lo_x = _mm_set1_pd(h.expanded.min.x);
-        let e_hi_x = _mm_set1_pd(h.expanded.max.x);
-        let e_lo_y = _mm_set1_pd(h.expanded.min.y);
-        let e_hi_y = _mm_set1_pd(h.expanded.max.y);
-        let u0_area = _mm_set1_pd(h.u0_area);
-        let zero = _mm_setzero_pd();
-        let one = _mm_set1_pd(1.0);
-        let mut k = 0;
-        while k + 2 <= n {
-            let a_lo = _mm_loadu_pd(rects[k].as_ptr()); // [lo_x₀, lo_y₀]
-            let a_hi = _mm_loadu_pd(rects[k].as_ptr().add(2)); // [hi_x₀, hi_y₀]
-            let b_lo = _mm_loadu_pd(rects[k + 1].as_ptr());
-            let b_hi = _mm_loadu_pd(rects[k + 1].as_ptr().add(2));
-            let lo_x = _mm_unpacklo_pd(a_lo, b_lo);
-            let lo_y = _mm_unpackhi_pd(a_lo, b_lo);
-            let hi_x = _mm_unpacklo_pd(a_hi, b_hi);
-            let hi_y = _mm_unpackhi_pd(a_hi, b_hi);
-            let area = _mm_mul_pd(_mm_sub_pd(hi_x, lo_x), _mm_sub_pd(hi_y, lo_y));
-            let d_lo_x = _mm_max_pd(lo_x, e_lo_x);
-            let d_hi_x = _mm_min_pd(hi_x, e_hi_x);
-            let d_lo_y = _mm_max_pd(lo_y, e_lo_y);
-            let d_hi_y = _mm_min_pd(hi_y, e_hi_y);
-            let ix = axis_integral_pd(&h.ox, d_lo_x, d_hi_x);
-            let iy = axis_integral_pd(&h.oy, d_lo_y, d_hi_y);
-            let v = _mm_div_pd(_mm_mul_pd(ix, iy), _mm_mul_pd(u0_area, area));
-            // `f64::clamp(0.0, 1.0)` as nested selects.
-            let clamped = select(
-                _mm_cmplt_pd(v, zero),
-                zero,
-                select(_mm_cmpgt_pd(v, one), one, v),
-            );
-            let nonempty = _mm_and_pd(_mm_cmpge_pd(d_hi_x, d_lo_x), _mm_cmpge_pd(d_hi_y, d_lo_y));
-            let ok = _mm_and_pd(nonempty, _mm_cmpneq_pd(area, zero));
-            _mm_storeu_pd(out.as_mut_ptr().add(k), _mm_and_pd(ok, clamped));
-            k += 2;
-        }
-        while k < n {
-            out[k] = super::uniform_one(h, &rects[k]);
-            k += 1;
-        }
-    }
 }
 
 /// Exact IUQ qualification probability for a uniform issuer on `u0` and
@@ -475,6 +409,45 @@ mod tests {
     use super::*;
     use iloc_geometry::minkowski::expand_query;
     use iloc_geometry::Point;
+
+    impl AxisProfile {
+        /// One lane of [`AxisProfile::integral_lanes`], spelled with
+        /// the std `max`/`min` the scalar path uses.
+        fn integral(&self, d_lo: f64, d_hi: f64) -> f64 {
+            let i_lo = d_lo.max(self.sup_lo);
+            let i_hi = d_hi.min(self.sup_hi);
+            let mut total = 0.0;
+            for s in &self.segs {
+                let a = i_lo.max(s.x0);
+                let b = i_hi.min(s.x1);
+                let f_a = s.y0 + s.slope * (a - s.x0);
+                let f_b = s.y0 + s.slope * (b - s.x0);
+                let contrib = 0.5 * (f_a + f_b) * (b - a);
+                total += if b > a { contrib } else { 0.0 };
+            }
+            total
+        }
+    }
+
+    /// The scalar reference of the lane kernel: one candidate of
+    /// [`uniform_lanes`] with std `max`/`min`/`clamp`.
+    fn uniform_one(h: &UniformHeader, ui: &[f64; 4]) -> f64 {
+        let [lo_x, lo_y, hi_x, hi_y] = *ui;
+        let area = (hi_x - lo_x) * (hi_y - lo_y);
+        let d_lo_x = lo_x.max(h.expanded.min.x);
+        let d_hi_x = hi_x.min(h.expanded.max.x);
+        let d_lo_y = lo_y.max(h.expanded.min.y);
+        let d_hi_y = hi_y.min(h.expanded.max.y);
+        let ix = h.ox.integral(d_lo_x, d_hi_x);
+        let iy = h.oy.integral(d_lo_y, d_hi_y);
+        let v = (ix * iy) / (h.u0_area * area);
+        let nonempty = d_hi_x >= d_lo_x && d_hi_y >= d_lo_y;
+        if nonempty && area != 0.0 {
+            v.clamp(0.0, 1.0)
+        } else {
+            0.0
+        }
+    }
 
     fn expanded(u0: Rect, range: RangeSpec) -> Rect {
         expand_query(u0, range.w, range.h)
@@ -623,40 +596,72 @@ mod tests {
         );
     }
 
+    /// Candidate regions that reach every select of the kernel: inside
+    /// the issuer, straddling `expanded`, outside it, grazing a corner,
+    /// zero width, zero height, a point, and covering the issuer.
+    fn kernel_candidates() -> [Rect; 8] {
+        [
+            Rect::from_coords(10.0, 5.0, 30.0, 15.0),
+            Rect::from_coords(40.0, 20.0, 90.0, 60.0),
+            Rect::from_coords(500.0, 500.0, 510.0, 510.0),
+            Rect::from_coords(46.0, 25.5, 80.0, 60.0),
+            Rect::from_coords(5.0, 5.0, 5.0, 9.0),
+            Rect::from_coords(12.0, 7.0, 20.0, 7.0),
+            Rect::from_coords(3.0, 3.0, 3.0, 3.0),
+            Rect::from_coords(-20.0, -20.0, 60.0, 40.0),
+        ]
+    }
+
     #[test]
     fn hoisted_kernels_match_scalar_bit_for_bit() {
         // The batch kernel must reproduce `uniform_uniform` exactly —
         // including empty domains, zero-area objects, grazing touches
-        // and the degenerate-profile case — and the hoisted separable
-        // path must reproduce `uniform_separable`.
+        // and the degenerate-issuer case — at every lane length: the
+        // ragged tails 0..=9 and a long lane, each candidate visiting
+        // every position of a step. `uniform_one` is the same formula
+        // one candidate at a time. The hoisted separable path must
+        // reproduce `uniform_separable`.
         use iloc_uncertainty::TruncatedGaussianPdf;
-        let u0 = Rect::from_coords(0.0, 0.0, 37.0, 21.0);
         let range = RangeSpec::new(9.0, 4.5);
+        let candidates = kernel_candidates();
+        for u0 in [
+            Rect::from_coords(0.0, 0.0, 37.0, 21.0),
+            Rect::from_coords(5.0, 5.0, 5.0, 9.0), // degenerate issuer
+        ] {
+            let e = expanded(Rect::from_coords(0.0, 0.0, 37.0, 21.0), range);
+            let header = UniformHeader::new(u0, range, e);
+            // A zero-area issuer builds no profile: the scalar path
+            // returns 0.0 before touching one, the kernel fills zeros.
+            assert_eq!(header.degenerate, u0.area() == 0.0);
+            for n in (0..=9).chain([4_096]) {
+                for shift in 0..candidates.len().min(n.max(1)) {
+                    let lane: Vec<Rect> = (0..n)
+                        .map(|k| candidates[(k + shift) % candidates.len()])
+                        .collect();
+                    let rects: Vec<[f64; 4]> = lane
+                        .iter()
+                        .map(|r| [r.min.x, r.min.y, r.max.x, r.max.y])
+                        .collect();
+                    let mut out = vec![f64::NAN; n];
+                    uniform_uniform_batch(&header, &rects, &mut out);
+                    for (k, ui) in lane.iter().enumerate() {
+                        let scalar = uniform_uniform(u0, *ui, range, e);
+                        assert_eq!(
+                            out[k].to_bits(),
+                            scalar.to_bits(),
+                            "n {n}, candidate {k}: batch {} vs scalar {scalar}",
+                            out[k]
+                        );
+                        if !header.degenerate {
+                            assert_eq!(uniform_one(&header, &rects[k]).to_bits(), scalar.to_bits());
+                        }
+                    }
+                }
+            }
+        }
+        let u0 = Rect::from_coords(0.0, 0.0, 37.0, 21.0);
         let e = expanded(u0, range);
         let header = UniformHeader::new(u0, range, e);
-        let candidates = [
-            Rect::from_coords(10.0, 5.0, 30.0, 15.0),      // inside
-            Rect::from_coords(40.0, 20.0, 90.0, 60.0),     // straddles edge
-            Rect::from_coords(500.0, 500.0, 510.0, 510.0), // far away
-            Rect::from_coords(46.0, 25.5, 80.0, 60.0),     // corner graze
-            Rect::from_coords(5.0, 5.0, 5.0, 9.0),         // zero width
-            Rect::from_coords(-20.0, -20.0, 60.0, 40.0),   // covers U0
-        ];
-        let rects: Vec<[f64; 4]> = candidates
-            .iter()
-            .map(|r| [r.min.x, r.min.y, r.max.x, r.max.y])
-            .collect();
-        let mut out = vec![f64::NAN; candidates.len()];
-        uniform_uniform_batch(&header, &rects, &mut out);
-        for (k, ui) in candidates.iter().enumerate() {
-            let scalar = uniform_uniform(u0, *ui, range, e);
-            assert_eq!(
-                out[k].to_bits(),
-                scalar.to_bits(),
-                "candidate {k}: batch {} vs scalar {scalar}",
-                out[k]
-            );
-        }
         for ui in [
             Rect::from_coords(10.0, 5.0, 30.0, 15.0),
             Rect::from_coords(44.0, 20.0, 90.0, 60.0),
@@ -667,30 +672,6 @@ mod tests {
             let hoisted = uniform_separable_hoisted(&header, &g).unwrap();
             assert_eq!(hoisted.to_bits(), scalar.to_bits(), "gaussian on {ui:?}");
         }
-    }
-
-    #[test]
-    fn degenerate_issuer_header_is_all_zero() {
-        // Zero-area issuer: the scalar path returns 0.0 before building
-        // a profile; the header marks itself degenerate and the kernel
-        // fills zeros.
-        let u0 = Rect::from_coords(5.0, 5.0, 5.0, 9.0);
-        let range = RangeSpec::square(3.0);
-        let e = expanded(Rect::from_coords(0.0, 0.0, 10.0, 10.0), range);
-        let header = UniformHeader::new(u0, range, e);
-        assert!(header.degenerate);
-        let ui = Rect::from_coords(4.0, 4.0, 8.0, 8.0);
-        let mut out = [f64::NAN];
-        uniform_uniform_batch(
-            &header,
-            &[[ui.min.x, ui.min.y, ui.max.x, ui.max.y]],
-            &mut out,
-        );
-        assert_eq!(
-            out[0].to_bits(),
-            uniform_uniform(u0, ui, range, e).to_bits()
-        );
-        assert_eq!(out[0], 0.0);
     }
 
     #[test]

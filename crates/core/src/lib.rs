@@ -47,11 +47,7 @@
 //!   commit's dirty region stabs their envelope, and answering with
 //!   deltas instead of full results.
 
-// The workspace is unsafe-free except for the feature-gated SIMD
-// refine kernels (`integrate::closed::simd`), which carry the only
-// scoped `allow`.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod continuous;

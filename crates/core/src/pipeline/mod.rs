@@ -114,10 +114,10 @@ pub struct QueryScratch {
     pub(crate) probs: Vec<f64>,
     /// SoA lane buffers of the batched refine stage.
     pub(crate) lanes: refine::RefineLanes,
-    /// Per-shard partial answer reused by the sharded fan-out (taken
+    /// Per-shard partial answers reused by the sharded fan-out (taken
     /// out of the scratch for the duration of the fan-out so the
     /// per-shard executions can borrow the context mutably).
-    pub(crate) shard_partial: crate::result::QueryAnswer,
+    pub(crate) shard_partials: Vec<crate::result::QueryAnswer>,
 }
 
 /// Sorts candidate slots with an LSD radix sort through a caller-owned
@@ -362,21 +362,28 @@ impl<O: PipelineObject, F: FilterStage, E: ProbabilityEvaluator<O>> QueryPipelin
         // refine stage sees it at once (SoA lanes, hoisted per-query
         // invariants). Pruning draws no randomness, so the two-pass
         // order leaves the RNG stream — and hence every Monte-Carlo
-        // refinement — bit-identical to the interleaved loop.
-        let mut survivors = std::mem::take(&mut ctx.scratch.survivors);
-        survivors.clear();
-        for &slot in &candidates {
-            let object = &self.objects[slot as usize];
-            if !self.prune.try_prune(&self.query, object, &mut ctx.stats) {
-                survivors.push(slot);
+        // refinement — bit-identical to the interleaved loop. A plan
+        // without pruning (IPQ, IUQ, the Minkowski baselines) refines
+        // the candidates as they are.
+        let mut kept = std::mem::take(&mut ctx.scratch.survivors);
+        let survivors: &[u32] = if self.prune.is_empty() {
+            &candidates
+        } else {
+            kept.clear();
+            for &slot in &candidates {
+                let object = &self.objects[slot as usize];
+                if !self.prune.try_prune(&self.query, object, &mut ctx.stats) {
+                    kept.push(slot);
+                }
             }
-        }
+            &kept
+        };
         let prune_done = Instant::now();
         ctx.stats.refine_batches[crate::stats::refine_batch_bucket(survivors.len())] += 1;
         // Refine pass: one batched call over the survivors.
         let mut probs = std::mem::take(&mut ctx.scratch.probs);
         self.refine
-            .probabilities(&self.query, self.objects, &survivors, ctx, &mut probs);
+            .probabilities(&self.query, self.objects, survivors, ctx, &mut probs);
         let refine_done = Instant::now();
         // One up-front growth instead of geometric doubling while the
         // accept loop stages (first batch through a cold answer would
@@ -396,7 +403,7 @@ impl<O: PipelineObject, F: FilterStage, E: ProbabilityEvaluator<O>> QueryPipelin
         ctx.stats.prune_nanos = (prune_done - filter_done).as_nanos() as u64;
         ctx.stats.refine_nanos = (refine_done - prune_done).as_nanos() as u64;
         ctx.scratch.candidates = candidates;
-        ctx.scratch.survivors = survivors;
+        ctx.scratch.survivors = kept;
         ctx.scratch.probs = probs;
         answer.stats = std::mem::take(&mut ctx.stats);
         crate::result::sort_matches(&mut answer.results);

@@ -3,6 +3,7 @@
 //! snapshot-consistency invariant.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
@@ -10,7 +11,7 @@ use iloc_geometry::Rect;
 
 use crate::integrate::Integrator;
 use crate::pipeline::{execute_batch, BatchEngine, ExecutionContext};
-use crate::result::QueryAnswer;
+use crate::result::{merge_partials_into, QueryAnswer};
 use crate::stats::QueryStats;
 
 use super::{shard_of, ServeEngine, Update};
@@ -79,29 +80,29 @@ impl<E: ServeEngine> Snapshot<E> {
     }
 
     /// The shared fan-out/fan-in: runs `request` on every shard
-    /// through `ctx`, merging per-shard matches (disjoint id sets,
-    /// each already id-sorted) into `answer` in global id order via
-    /// [`crate::result::sort_matches`] — the same public merge
-    /// discipline the cluster router applies to per-node answers, so
-    /// remote scatter-gather stays bit-identical to this in-process
-    /// path — and summing the cost counters. `partial` is the caller's
-    /// reusable per-shard answer buffer.
+    /// through `ctx`, each shard writing its matches (disjoint id sets,
+    /// each in id order) into its own warm buffer of `partials`, then
+    /// merges those runs into `answer` in global id order with
+    /// [`merge_partials_into`] — the same fan-in the cluster router
+    /// applies to per-node answers, so remote scatter-gather stays
+    /// bit-identical to this in-process path — and sums the cost
+    /// counters. `partials` is the caller's reusable per-shard answer
+    /// buffers (resized to the shard count here).
     fn fan_out_into(
         &self,
         request: &E::Request,
         ctx: &mut ExecutionContext,
-        partial: &mut QueryAnswer,
+        partials: &mut Vec<QueryAnswer>,
         answer: &mut QueryAnswer,
     ) {
         let start = Instant::now();
-        answer.results.clear();
+        partials.resize_with(self.shards.len(), QueryAnswer::default);
         let mut stats = QueryStats::new();
-        for shard in self.shards.iter() {
+        for (shard, partial) in self.shards.iter().zip(partials.iter_mut()) {
             shard.execute_one_into(request, ctx, partial);
-            answer.results.extend_from_slice(&partial.results);
             stats.absorb(&partial.stats);
         }
-        crate::result::sort_matches(&mut answer.results);
+        merge_partials_into(answer, partials.iter().map(|p| p.results.as_slice()));
         answer.stats = stats;
         answer.stats.elapsed = start.elapsed();
     }
@@ -116,18 +117,18 @@ impl<E: ServeEngine> BatchEngine for Snapshot<E> {
         ctx: &mut ExecutionContext,
         answer: &mut QueryAnswer,
     ) {
-        // The per-shard partial lives in the context's scratch so a
-        // warm worker reuses it across its whole chunk; it is taken
-        // out for the duration of the fan-out because the per-shard
-        // executions need the context mutably.
-        let mut partial = std::mem::take(&mut ctx.scratch.shard_partial);
-        self.fan_out_into(request, ctx, &mut partial, answer);
-        ctx.scratch.shard_partial = partial;
+        // The per-shard partials live in the context's scratch so a
+        // warm worker reuses them across its whole chunk; they are
+        // taken out for the duration of the fan-out because the
+        // per-shard executions need the context mutably.
+        let mut partials = std::mem::take(&mut ctx.scratch.shard_partials);
+        self.fan_out_into(request, ctx, &mut partials, answer);
+        ctx.scratch.shard_partials = partials;
     }
 }
 
 /// A per-worker serving loop bound to one snapshot: owns a long-lived
-/// context and per-shard answer buffer, so a steady-state query
+/// context and per-shard answer buffers, so a steady-state query
 /// through a warm server performs **no heap allocation** (the same
 /// invariant the single-engine hot path has; the throughput bench's
 /// `mixed` scenario runs on this).
@@ -135,7 +136,7 @@ impl<E: ServeEngine> BatchEngine for Snapshot<E> {
 pub struct ShardServer<E: ServeEngine> {
     snapshot: Snapshot<E>,
     ctx: ExecutionContext,
-    partial: QueryAnswer,
+    partials: Vec<QueryAnswer>,
 }
 
 impl<E: ServeEngine> ShardServer<E> {
@@ -144,7 +145,7 @@ impl<E: ServeEngine> ShardServer<E> {
         ShardServer {
             snapshot,
             ctx: ExecutionContext::new(Integrator::Auto),
-            partial: QueryAnswer::default(),
+            partials: Vec::new(),
         }
     }
 
@@ -162,7 +163,7 @@ impl<E: ServeEngine> ShardServer<E> {
     /// allocation-free once buffers have grown to workload size.
     pub fn execute_into(&mut self, request: &E::Request, answer: &mut QueryAnswer) {
         self.snapshot
-            .fan_out_into(request, &mut self.ctx, &mut self.partial, answer);
+            .fan_out_into(request, &mut self.ctx, &mut self.partials, answer);
     }
 }
 
@@ -234,6 +235,11 @@ pub struct ShardedEngine<E: ServeEngine> {
     /// The current epoch, swapped wholesale at commit (the lock guards
     /// only the pointer swap / clone, never query execution).
     current: RwLock<Snapshot<E>>,
+    /// `current`'s epoch, stored (Release) after each snapshot swap so
+    /// [`ShardedEngine::epoch`] is one Acquire load: a reader that sees
+    /// epoch `e` here gets a snapshot of epoch `>= e` from
+    /// [`ShardedEngine::snapshot`].
+    epoch: AtomicU64,
     /// Updates buffered for the next epoch.
     pending: Mutex<Vec<Update<E::Object>>>,
     /// The previous commit's drained update buffer, kept so repeated
@@ -281,6 +287,7 @@ impl<E: ServeEngine> ShardedEngine<E> {
                 epoch,
                 shards: Arc::new(shards),
             }),
+            epoch: AtomicU64::new(epoch),
             pending: Mutex::new(Vec::new()),
             pending_spare: Mutex::new(Vec::new()),
             commit_lock: Mutex::new(()),
@@ -294,9 +301,10 @@ impl<E: ServeEngine> ShardedEngine<E> {
         self.current.read().expect("snapshot lock poisoned").clone()
     }
 
-    /// The current epoch number.
+    /// The current epoch number: one atomic load, cheap enough to poll
+    /// per request or per connection per tick.
     pub fn epoch(&self) -> u64 {
-        self.snapshot().epoch
+        self.epoch.load(Ordering::Acquire)
     }
 
     /// Live objects in the current epoch.
@@ -353,7 +361,7 @@ impl<E: ServeEngine> ShardedEngine<E> {
             // commit on a timer, which often fires with nothing
             // pending).
             return CommitReport {
-                epoch: self.current.read().expect("snapshot lock poisoned").epoch,
+                epoch: self.epoch(),
                 ..CommitReport::default()
             };
         }
@@ -410,6 +418,7 @@ impl<E: ServeEngine> ShardedEngine<E> {
             epoch: report.epoch,
             shards: Arc::new(shards),
         };
+        self.epoch.store(report.epoch, Ordering::Release);
         {
             let mut recent = self.recent_dirt.lock().expect("dirt lock poisoned");
             if recent.len() == DIRT_HISTORY {
@@ -479,7 +488,8 @@ mod tests {
     fn sharded_answers_match_single_engine() {
         let objects = grid_objects(20);
         let single = PointEngine::from_objects(objects.clone());
-        for shards in [1usize, 2, 8] {
+        // 3 and 5: merge trees with a run left over at a level.
+        for shards in [1usize, 2, 3, 5, 8] {
             let sharded: ShardedEngine<PointEngine> = ShardedEngine::build(objects.clone(), shards);
             assert_eq!(sharded.len(), objects.len());
             let snapshot = sharded.snapshot();

@@ -77,7 +77,7 @@ use crate::pipeline::{
     PruneChain, QueryPipeline, UncertainRequest,
 };
 use crate::query::{CipqStrategy, CiuqStrategy};
-use crate::result::{Match, QueryAnswer};
+use crate::result::{merge_partials_into, Match, QueryAnswer};
 use crate::serve::{ServeEngine, Snapshot};
 
 /// An object a cached safe envelope can re-filter: its membership in a
@@ -419,25 +419,29 @@ impl AnswerDelta {
 }
 
 /// Re-evaluates one subscription's cached candidates over its pinned
-/// snapshot: per-shard pipeline execution with the cached filter,
-/// fan-in merged in id order — the cache-hit twin of
-/// [`Snapshot::execute_one`].
+/// snapshot: per-shard pipeline execution with the cached filter, each
+/// shard into its own buffer of `partials`, fan-in merged in id order
+/// — the cache-hit twin of [`Snapshot::execute_one`].
 pub(crate) fn eval_from_cache<E: ContinuousEngine>(
     snapshot: &Snapshot<E>,
     request: &E::Request,
     cached: &[Vec<u32>],
     ctx: &mut ExecutionContext,
-    partial: &mut QueryAnswer,
+    partials: &mut Vec<QueryAnswer>,
     answer: &mut QueryAnswer,
 ) {
-    answer.results.clear();
+    partials.resize_with(cached.len(), QueryAnswer::default);
     let mut stats = crate::stats::QueryStats::new();
-    for (shard, cached) in snapshot.shards().iter().zip(cached) {
+    for ((shard, cached), partial) in snapshot
+        .shards()
+        .iter()
+        .zip(cached)
+        .zip(partials.iter_mut())
+    {
         shard.evaluate_cached_into(request, cached, ctx, partial);
-        answer.results.extend_from_slice(&partial.results);
         stats.absorb(&partial.stats);
     }
-    crate::result::sort_matches(&mut answer.results);
+    merge_partials_into(answer, partials.iter().map(|p| p.results.as_slice()));
     answer.stats = stats;
 }
 

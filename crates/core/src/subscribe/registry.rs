@@ -134,7 +134,7 @@ pub struct SubscriptionRegistry<E: ContinuousEngine> {
     seen_epoch: u64,
     live: usize,
     ctx: ExecutionContext,
-    partial: QueryAnswer,
+    partials: Vec<QueryAnswer>,
     fresh: QueryAnswer,
     delta: AnswerDelta,
     dirt: Vec<EpochDirt>,
@@ -159,7 +159,7 @@ impl<E: ContinuousEngine> SubscriptionRegistry<E> {
             seen_epoch: 0,
             live: 0,
             ctx: ExecutionContext::new(Integrator::Auto),
-            partial: QueryAnswer::default(),
+            partials: Vec::new(),
             fresh: QueryAnswer::default(),
             delta: AnswerDelta::new(),
             dirt: Vec::new(),
@@ -248,7 +248,7 @@ impl<E: ContinuousEngine> SubscriptionRegistry<E> {
             &sub.request,
             &sub.cached,
             &mut self.ctx,
-            &mut self.partial,
+            &mut self.partials,
             &mut self.fresh,
         );
         sub.last.extend_from_slice(&self.fresh.results);
@@ -331,7 +331,7 @@ impl<E: ContinuousEngine> SubscriptionRegistry<E> {
             &sub.request,
             &sub.cached,
             &mut self.ctx,
-            &mut self.partial,
+            &mut self.partials,
             &mut self.fresh,
         );
         AnswerDelta::diff_into(&sub.last, &self.fresh.results, &mut self.delta);
@@ -436,7 +436,7 @@ impl<E: ContinuousEngine> SubscriptionRegistry<E> {
                 &sub.request,
                 &sub.cached,
                 &mut self.ctx,
-                &mut self.partial,
+                &mut self.partials,
                 &mut self.fresh,
             );
             AnswerDelta::diff_into(&sub.last, &self.fresh.results, &mut self.delta);

@@ -15,13 +15,13 @@
 //!
 //! * **Queries** scatter to every node (one pipelined burst: all sends
 //!   first, then all receives) and fan in with
-//!   [`iloc_core::merge_partials_into`] — the identical concatenate-
-//!   then-[`iloc_core::sort_matches`] discipline the sharded engine's
-//!   own fan-in uses. Disjoint id partitions plus a deterministic sort
-//!   make the merged answer bit-identical. The steady-state path is
-//!   **allocation-free once warm**: the forwarded frame, the per-node
-//!   partial answers, and the merged answer all live in reusable
-//!   loop-owned buffers.
+//!   [`iloc_core::merge_partials_into`] — the same k-way merge of
+//!   id-sorted runs the sharded engine's own fan-in uses; each node's
+//!   answer frame is one run, decoded into that node's buffer. Disjoint
+//!   id partitions, each in id order, make the merged answer
+//!   bit-identical. The steady-state path is **allocation-free once
+//!   warm**: the forwarded frame, the per-node partial answers, and
+//!   the merged answer all live in reusable loop-owned buffers.
 //! * **Updates** split by `shard_of(id, nodes)` so node order *is*
 //!   shard order; **commits** fan out to every node, and the router
 //!   publishes its own **cluster epoch** only after every node
@@ -169,7 +169,8 @@ struct WritePlane {
     deltas: HashMap<u64, AnswerDelta>,
     tick_delta: AnswerDelta,
     note: Notification,
-    sub_partial: QueryAnswer,
+    /// One SUB_ACK answer per node, fanned into `sub_merged`.
+    sub_partials: Vec<QueryAnswer>,
     sub_merged: QueryAnswer,
 }
 
@@ -424,7 +425,7 @@ impl Router {
                 deltas: HashMap::new(),
                 tick_delta: AnswerDelta::default(),
                 note: Notification::default(),
-                sub_partial: QueryAnswer::default(),
+                sub_partials: (0..n).map(|_| QueryAnswer::default()).collect(),
                 sub_merged: QueryAnswer::default(),
             }),
             commit_gate: RwLock::new(()),
@@ -1197,19 +1198,14 @@ impl LoopState {
             .unwrap_or_else(|e| e.into_inner());
         let wp = &mut *wp;
         let n = wp.clients.len();
-        wp.sub_merged.results.clear();
-        wp.sub_merged.stats = Default::default();
         let mut acks: Vec<u64> = Vec::with_capacity(n);
         let mut fail: Option<(ErrorCode, String)> = None;
         for i in 0..n {
             self.shared.nodes[i].routed.fetch_add(1, Ordering::Relaxed);
-            match wp.clients[i].forward_subscribe_into(frame, &mut wp.sub_partial) {
+            match wp.clients[i].forward_subscribe_into(frame, &mut wp.sub_partials[i]) {
                 Ok((ack_target, node_sub, _epoch, _recovered)) => {
                     debug_assert_eq!(ack_target, target);
                     self.shared.nodes[i].merged.fetch_add(1, Ordering::Relaxed);
-                    wp.sub_merged
-                        .results
-                        .extend_from_slice(&wp.sub_partial.results);
                     acks.push(node_sub);
                 }
                 Err(e) => {
@@ -1236,7 +1232,10 @@ impl LoopState {
             protocol::encode_error(out, code, &message);
             return;
         }
-        sort_matches(&mut wp.sub_merged.results);
+        merge_partials_into(
+            &mut wp.sub_merged,
+            wp.sub_partials.iter().map(|a| a.results.as_slice()),
+        );
         let rsub = wp.next_sub_id;
         wp.next_sub_id += 1;
         let tag = cat as u8;

@@ -1342,9 +1342,8 @@ fn handle_frame(
         opcode::POINT_QUERY => {
             match protocol::decode_point_query_into(payload, &mut state.point_req) {
                 Ok(()) => {
-                    let snapshot = shared.engines.point.snapshot();
-                    if snapshot.epoch() != state.point.snapshot().epoch() {
-                        state.point.rebind(snapshot);
+                    if shared.engines.point.epoch() != state.point.snapshot().epoch() {
+                        state.point.rebind(shared.engines.point.snapshot());
                     }
                     state
                         .point
@@ -1358,9 +1357,8 @@ fn handle_frame(
         opcode::UNCERTAIN_QUERY => {
             match protocol::decode_uncertain_query_into(payload, &mut state.uncertain_req) {
                 Ok(()) => {
-                    let snapshot = shared.engines.uncertain.snapshot();
-                    if snapshot.epoch() != state.uncertain.snapshot().epoch() {
-                        state.uncertain.rebind(snapshot);
+                    if shared.engines.uncertain.epoch() != state.uncertain.snapshot().epoch() {
+                        state.uncertain.rebind(shared.engines.uncertain.snapshot());
                     }
                     state
                         .uncertain

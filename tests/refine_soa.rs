@@ -140,11 +140,59 @@ fn soa_matches_scalar_on_each_kind_alone() {
 
 #[test]
 fn ragged_tails_match_scalar() {
-    // Uniform-only batches of every length 1..=9 exercise the SIMD
-    // kernel's two-wide body plus every scalar tail shape.
-    for n in 1..=9usize {
+    // Uniform-only batches of every length 0..=9, and a long one,
+    // exercise the lane kernel's full steps plus every padded tail
+    // shape. (Zero-area objects and a zero-area issuer cannot be built
+    // through the object API; `integrate::closed`'s own
+    // `hoisted_kernels_match_scalar_bit_for_bit` feeds them to the
+    // kernel directly.)
+    for n in (0..=9usize).chain([4_096]) {
         let objects = uniform_objects(n);
         assert_batch_matches_scalar(&objects, &test_issuer(), RangeSpec::square(70.0));
+    }
+}
+
+#[test]
+fn objects_outside_the_expanded_query_refine_to_zero_in_every_lane() {
+    // A survivor list is whatever the caller hands over: objects the
+    // filter would have dropped must come out as exact zeros wherever
+    // they sit in a step, beside objects that do qualify.
+    let issuer = test_issuer();
+    let range = RangeSpec::square(20.0);
+    for n in 1..=9usize {
+        for far in 0..n {
+            let mut objects = uniform_objects(n);
+            objects[far] = UncertainObject::new(
+                far as u64,
+                UniformPdf::new(Rect::centered(Point::new(5_000.0, 5_000.0), 14.0, 10.0)),
+            );
+            assert_batch_matches_scalar(&objects, &issuer, range);
+            let query = PreparedQuery::new(&issuer, range);
+            let survivors: Vec<u32> = (0..n as u32).collect();
+            let mut out = Vec::new();
+            DualityEvaluator.probabilities(
+                &query,
+                &objects,
+                &survivors,
+                &mut ExecutionContext::new(Integrator::Auto),
+                &mut out,
+            );
+            assert_eq!(out[far].to_bits(), 0.0f64.to_bits());
+        }
+    }
+}
+
+#[test]
+fn mixed_kind_batches_of_every_length_scatter_identically() {
+    // A batch with any non-uniform candidate sends the uniform lane's
+    // output through `uni_out` and scatters it between the other
+    // lanes' positions: every ragged length, every rotation of the
+    // kinds.
+    for n in 0..=9usize {
+        for rotate in 0..4usize {
+            let objects: Vec<UncertainObject> = mixed_objects(n + rotate).split_off(rotate);
+            assert_batch_matches_scalar(&objects, &test_issuer(), RangeSpec::new(60.0, 55.0));
+        }
     }
 }
 
