@@ -23,8 +23,7 @@
 //!                   default 512 quick / 10,000 full, clamped to the
 //!                   fd budget and the server's connection capacity)
 //! --shards N        shards per catalog           (in-process only)
-//! --event-loops N   server event-loop threads    (in-process only;
-//!                   --workers is accepted as a legacy alias)
+//! --event-loops N   server event-loop threads    (in-process only)
 //! --queries N       queries (ticks) per client in the mixed window
 //! --rounds N        update batches during the window
 //! --updates N       updates per batch
@@ -107,7 +106,7 @@ fn main() {
     };
     cfg.clients = number("--clients", cfg.clients);
     cfg.shards = number("--shards", cfg.shards);
-    cfg.event_loops = number("--event-loops", number("--workers", cfg.event_loops));
+    cfg.event_loops = number("--event-loops", cfg.event_loops);
     cfg.points = number("--points", cfg.points);
     cfg.uncertain = number("--uncertain", cfg.uncertain);
     cfg.queries_per_client = number("--queries", cfg.queries_per_client);
@@ -212,7 +211,7 @@ fn run_cluster(
     cfg.nodes = number("--nodes", cfg.nodes);
     cfg.net.clients = number("--clients", cfg.net.clients);
     cfg.net.shards = number("--shards", cfg.net.shards);
-    cfg.net.event_loops = number("--event-loops", number("--workers", cfg.net.event_loops));
+    cfg.net.event_loops = number("--event-loops", cfg.net.event_loops);
     cfg.net.points = number("--points", cfg.net.points);
     cfg.net.uncertain = number("--uncertain", cfg.net.uncertain);
     cfg.net.queries_per_client = number("--queries", cfg.net.queries_per_client);
@@ -319,7 +318,7 @@ fn run_subscribers(
     };
     cfg.subscribers = number("--clients", cfg.subscribers);
     cfg.shards = number("--shards", cfg.shards);
-    cfg.event_loops = number("--event-loops", number("--workers", cfg.event_loops));
+    cfg.event_loops = number("--event-loops", cfg.event_loops);
     cfg.points = number("--points", cfg.points);
     cfg.ticks_per_sub = number("--queries", cfg.ticks_per_sub);
     cfg.update_rounds = number("--rounds", cfg.update_rounds);
@@ -418,7 +417,7 @@ fn run_c10k(
     cfg.herd = number("--herd", cfg.herd);
     cfg.active = number("--clients", cfg.active);
     cfg.shards = number("--shards", cfg.shards);
-    cfg.event_loops = number("--event-loops", number("--workers", cfg.event_loops));
+    cfg.event_loops = number("--event-loops", cfg.event_loops);
     cfg.points = number("--points", cfg.points);
     cfg.ticks_per_active = number("--queries", cfg.ticks_per_active);
     cfg.update_rounds = number("--rounds", cfg.update_rounds);

@@ -1,12 +1,15 @@
-//! Bit-exact binary encoding of catalog objects and updates — the
-//! same discipline as the wire protocol (little-endian integers,
-//! `f64`s as raw IEEE-754 bit patterns), re-stated here because the
-//! core crate sits below the server crate in the dependency graph.
+//! The one bit-exact binary encoding of catalog objects and updates,
+//! shared by the durable store (WAL records, checkpoints) and the
+//! wire protocol (`iloc-server`'s `protocol` module): little-endian
+//! integers, `f64`s as raw IEEE-754 bit patterns. A wire update is
+//! byte-for-byte one catalog-target byte followed by [`put_update`]'s
+//! output, so neither format can drift from the other.
 //!
 //! Every decoder validates the preconditions of the constructor it is
 //! about to call, so adversarial or corrupt bytes surface as a
-//! [`StoreError::Corrupt`], never a panic — mirroring the wire
-//! protocol's malformed-frame handling.
+//! [`CodecError`], never a panic. The two callers map it onto their
+//! own error types: [`StoreError`] here, `WireError` in the server
+//! crate.
 
 use iloc_geometry::{Point, Rect};
 use iloc_uncertainty::{
@@ -17,8 +20,30 @@ use iloc_uncertainty::{
 use super::StoreError;
 use crate::serve::Update;
 
-/// A bounds-checked reader over one record payload (the durable twin
-/// of the wire protocol's `Reader`).
+/// Why an encode or decode failed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CodecError {
+    /// Bytes ended early, carried a trailing remainder, or held an
+    /// out-of-range value; the message names the offending field.
+    Malformed(&'static str),
+    /// The pdf is a [`PdfKind::Shared`] handle, which has no binary
+    /// form.
+    UnsupportedPdf,
+}
+
+impl From<CodecError> for StoreError {
+    fn from(e: CodecError) -> StoreError {
+        match e {
+            CodecError::Malformed(what) => StoreError::Corrupt(what),
+            CodecError::UnsupportedPdf => StoreError::Unsupported("shared pdf handle"),
+        }
+    }
+}
+
+/// A bounds-checked reader over one record or frame payload. Its
+/// methods and the `put_*` integer writers are `#[inline]`: the wire
+/// protocol calls them from another crate, twice per match of every
+/// answer it encodes or decodes.
 #[derive(Debug)]
 pub struct Cursor<'a> {
     buf: &'a [u8],
@@ -27,98 +52,133 @@ pub struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     /// A cursor at the start of `buf`.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Cursor<'a> {
         Cursor { buf, pos: 0 }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        if self.buf.len() - self.pos < n {
-            return Err(StoreError::Corrupt("truncated record payload"));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
+    /// Next `n` raw bytes.
+    #[inline]
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&e| e <= self.buf.len())
+            .ok_or(CodecError::Malformed("payload truncated"))?;
+        let s = &self.buf[self.pos..end];
+        self.pos = end;
         Ok(s)
     }
 
     /// Next byte.
-    pub fn u8(&mut self) -> Result<u8, StoreError> {
-        Ok(self.take(1)?[0])
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8, CodecError> {
+        Ok(self.bytes(1)?[0])
+    }
+
+    /// Next little-endian `u16`.
+    #[inline]
+    pub fn u16(&mut self) -> Result<u16, CodecError> {
+        Ok(u16::from_le_bytes(
+            self.bytes(2)?.try_into().expect("2 bytes"),
+        ))
     }
 
     /// Next little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, StoreError> {
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32, CodecError> {
         Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
+            self.bytes(4)?.try_into().expect("4 bytes"),
         ))
     }
 
     /// Next little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, StoreError> {
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, CodecError> {
         Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
+            self.bytes(8)?.try_into().expect("8 bytes"),
         ))
     }
 
-    /// Next `f64`, decoded from its raw bit pattern (bit-exact).
-    pub fn f64(&mut self) -> Result<f64, StoreError> {
+    /// Next `f64`, decoded from its raw bit pattern (bit-exact; NaN
+    /// and infinities pass through — use [`Cursor::finite`] where
+    /// finiteness matters).
+    #[inline]
+    pub fn f64(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.u64()?))
     }
 
     /// Next `f64`, rejected unless finite.
-    pub fn finite(&mut self, what: &'static str) -> Result<f64, StoreError> {
+    #[inline]
+    pub fn finite(&mut self, what: &'static str) -> Result<f64, CodecError> {
         let v = self.f64()?;
         if v.is_finite() {
             Ok(v)
         } else {
-            Err(StoreError::Corrupt(what))
+            Err(CodecError::Malformed(what))
         }
     }
 
     /// Errors unless the payload was consumed exactly.
-    pub fn done(&self) -> Result<(), StoreError> {
+    #[inline]
+    pub fn done(&self) -> Result<(), CodecError> {
         if self.pos == self.buf.len() {
             Ok(())
         } else {
-            Err(StoreError::Corrupt("trailing bytes in record"))
+            Err(CodecError::Malformed("trailing bytes"))
         }
     }
 }
 
-pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
+/// Appends a little-endian `u16`.
+#[inline]
+pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
+/// Appends a little-endian `u32`.
+#[inline]
+pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn put_f64(buf: &mut Vec<u8>, v: f64) {
+/// Appends a little-endian `u64`.
+#[inline]
+pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends an `f64` as its raw bit pattern.
+#[inline]
+pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
     put_u64(buf, v.to_bits());
 }
 
-fn put_rect(buf: &mut Vec<u8>, r: Rect) {
+/// Appends a rectangle (min.x, min.y, max.x, max.y).
+pub fn put_rect(buf: &mut Vec<u8>, r: Rect) {
     put_f64(buf, r.min.x);
     put_f64(buf, r.min.y);
     put_f64(buf, r.max.x);
     put_f64(buf, r.max.y);
 }
 
-fn read_rect(c: &mut Cursor<'_>) -> Result<Rect, StoreError> {
+/// Reads a rectangle with finite coordinates and `min ≤ max`.
+pub fn read_rect(c: &mut Cursor<'_>) -> Result<Rect, CodecError> {
     let (x0, y0) = (c.finite("rect min.x")?, c.finite("rect min.y")?);
     let (x1, y1) = (c.finite("rect max.x")?, c.finite("rect max.y")?);
     if x0 > x1 || y0 > y1 {
-        return Err(StoreError::Corrupt("rect min exceeds max"));
+        return Err(CodecError::Malformed("rect min exceeds max"));
     }
     Ok(Rect::from_coords(x0, y0, x1, y1))
 }
 
-// Same tags the wire protocol assigns, so a hexdump of either reads
-// the same.
 const PDF_UNIFORM: u8 = 0;
 const PDF_GAUSSIAN: u8 = 1;
 const PDF_DISC: u8 = 2;
 
-fn put_pdf(buf: &mut Vec<u8>, pdf: &PdfKind) -> Result<(), StoreError> {
+/// Appends one pdf. Only the concrete kinds have a binary form;
+/// `Shared` handles are rejected with [`CodecError::UnsupportedPdf`].
+pub fn put_pdf(buf: &mut Vec<u8>, pdf: &PdfKind) -> Result<(), CodecError> {
     match pdf {
         PdfKind::Uniform(u) => {
             buf.push(PDF_UNIFORM);
@@ -139,17 +199,18 @@ fn put_pdf(buf: &mut Vec<u8>, pdf: &PdfKind) -> Result<(), StoreError> {
             put_f64(buf, c.center.y);
             put_f64(buf, c.radius);
         }
-        PdfKind::Shared(_) => return Err(StoreError::Unsupported("shared pdf handle")),
+        PdfKind::Shared(_) => return Err(CodecError::UnsupportedPdf),
     }
     Ok(())
 }
 
-fn read_pdf(c: &mut Cursor<'_>) -> Result<PdfKind, StoreError> {
+/// Reads one pdf, validating every constructor precondition.
+pub fn read_pdf(c: &mut Cursor<'_>) -> Result<PdfKind, CodecError> {
     match c.u8()? {
         PDF_UNIFORM => {
             let region = read_rect(c)?;
             if region.area() <= 0.0 {
-                return Err(StoreError::Corrupt("uniform pdf region has zero area"));
+                return Err(CodecError::Malformed("uniform pdf region has zero area"));
             }
             Ok(PdfKind::Uniform(UniformPdf::new(region)))
         }
@@ -158,13 +219,15 @@ fn read_pdf(c: &mut Cursor<'_>) -> Result<PdfKind, StoreError> {
             let mean = Point::new(c.finite("gaussian mean.x")?, c.finite("gaussian mean.y")?);
             let (sx, sy) = (c.finite("gaussian sigma.x")?, c.finite("gaussian sigma.y")?);
             if region.area() <= 0.0 {
-                return Err(StoreError::Corrupt("gaussian region has zero area"));
+                return Err(CodecError::Malformed("gaussian region has zero area"));
             }
             if sx <= 0.0 || sy <= 0.0 {
-                return Err(StoreError::Corrupt("gaussian sigma must be positive"));
+                return Err(CodecError::Malformed("gaussian sigma must be positive"));
             }
+            // A mean inside the region guarantees the truncation keeps
+            // positive mass on both axes (the constructor asserts it).
             if !region.contains_point(mean) {
-                return Err(StoreError::Corrupt("gaussian mean outside its region"));
+                return Err(CodecError::Malformed("gaussian mean outside its region"));
             }
             Ok(PdfKind::Gaussian(TruncatedGaussianPdf::new(
                 region, mean, sx, sy,
@@ -174,37 +237,37 @@ fn read_pdf(c: &mut Cursor<'_>) -> Result<PdfKind, StoreError> {
             let center = Point::new(c.finite("disc center.x")?, c.finite("disc center.y")?);
             let radius = c.finite("disc radius")?;
             if radius <= 0.0 {
-                return Err(StoreError::Corrupt("disc radius must be positive"));
+                return Err(CodecError::Malformed("disc radius must be positive"));
             }
             Ok(PdfKind::Disc(DiscPdf::new(center, radius)))
         }
-        _ => Err(StoreError::Corrupt("unknown pdf tag")),
+        _ => Err(CodecError::Malformed("unknown pdf tag")),
     }
 }
 
-/// A catalog object the durable store can encode bit-exactly and
-/// decode back with full validation. Implemented for the two object
+/// A catalog object with a bit-exact binary form that decodes back
+/// with full validation. Implemented for the two object
 /// types the serving layer catalogs.
 pub trait DurableObject: Clone + Send + Sync {
     /// Appends this object's binary form (including its id).
     ///
-    /// Fails only for state with no on-disk representation (a
+    /// Fails only for state with no binary form (a
     /// [`PdfKind::Shared`] handle).
-    fn encode(&self, buf: &mut Vec<u8>) -> Result<(), StoreError>;
+    fn encode(&self, buf: &mut Vec<u8>) -> Result<(), CodecError>;
 
     /// Decodes one object, validating every constructor precondition.
-    fn decode(c: &mut Cursor<'_>) -> Result<Self, StoreError>;
+    fn decode(c: &mut Cursor<'_>) -> Result<Self, CodecError>;
 }
 
 impl DurableObject for PointObject {
-    fn encode(&self, buf: &mut Vec<u8>) -> Result<(), StoreError> {
+    fn encode(&self, buf: &mut Vec<u8>) -> Result<(), CodecError> {
         put_u64(buf, self.id.0);
         put_f64(buf, self.loc.x);
         put_f64(buf, self.loc.y);
         Ok(())
     }
 
-    fn decode(c: &mut Cursor<'_>) -> Result<PointObject, StoreError> {
+    fn decode(c: &mut Cursor<'_>) -> Result<PointObject, CodecError> {
         let id = c.u64()?;
         let x = c.finite("point object x")?;
         let y = c.finite("point object y")?;
@@ -213,28 +276,27 @@ impl DurableObject for PointObject {
 }
 
 impl DurableObject for UncertainObject {
-    fn encode(&self, buf: &mut Vec<u8>) -> Result<(), StoreError> {
+    fn encode(&self, buf: &mut Vec<u8>) -> Result<(), CodecError> {
         put_u64(buf, self.id.0);
         put_pdf(buf, self.pdf())
     }
 
-    fn decode(c: &mut Cursor<'_>) -> Result<UncertainObject, StoreError> {
+    fn decode(c: &mut Cursor<'_>) -> Result<UncertainObject, CodecError> {
         let id = c.u64()?;
         let pdf = read_pdf(c)?;
         Ok(UncertainObject::new(id, pdf))
     }
 }
 
-// Same tags as the wire protocol's update encoding.
 const UPDATE_ARRIVE: u8 = 0;
 const UPDATE_DEPART: u8 = 1;
 const UPDATE_MOVE: u8 = 2;
 
 /// Appends one update's binary form.
-pub(crate) fn put_update<O: DurableObject>(
+pub fn put_update<O: DurableObject>(
     buf: &mut Vec<u8>,
     update: &Update<O>,
-) -> Result<(), StoreError> {
+) -> Result<(), CodecError> {
     match update {
         Update::Arrive(o) => {
             buf.push(UPDATE_ARRIVE);
@@ -253,12 +315,12 @@ pub(crate) fn put_update<O: DurableObject>(
 }
 
 /// Decodes one update.
-pub(crate) fn read_update<O: DurableObject>(c: &mut Cursor<'_>) -> Result<Update<O>, StoreError> {
+pub fn read_update<O: DurableObject>(c: &mut Cursor<'_>) -> Result<Update<O>, CodecError> {
     match c.u8()? {
         UPDATE_ARRIVE => Ok(Update::Arrive(O::decode(c)?)),
         UPDATE_DEPART => Ok(Update::Depart(ObjectId(c.u64()?))),
         UPDATE_MOVE => Ok(Update::Move(O::decode(c)?)),
-        _ => Err(StoreError::Corrupt("unknown update tag")),
+        _ => Err(CodecError::Malformed("unknown update tag")),
     }
 }
 
@@ -306,35 +368,6 @@ mod tests {
             assert_eq!(back.id, o.id);
             assert_eq!(back.region(), o.region());
         }
-    }
-
-    #[test]
-    fn corrupt_pdf_bytes_error_instead_of_panicking() {
-        // Non-finite coordinate.
-        let mut buf = Vec::new();
-        buf.push(PDF_UNIFORM);
-        put_f64(&mut buf, f64::NAN);
-        put_f64(&mut buf, 0.0);
-        put_f64(&mut buf, 1.0);
-        put_f64(&mut buf, 1.0);
-        assert!(read_pdf(&mut Cursor::new(&buf)).is_err());
-
-        // Unknown tag.
-        assert!(read_pdf(&mut Cursor::new(&[9])).is_err());
-
-        // Truncated payload.
-        let mut buf = Vec::new();
-        buf.push(PDF_DISC);
-        put_f64(&mut buf, 1.0);
-        assert!(read_pdf(&mut Cursor::new(&buf)).is_err());
-
-        // Negative radius would violate the constructor precondition.
-        let mut buf = Vec::new();
-        buf.push(PDF_DISC);
-        put_f64(&mut buf, 1.0);
-        put_f64(&mut buf, 1.0);
-        put_f64(&mut buf, -3.0);
-        assert!(read_pdf(&mut Cursor::new(&buf)).is_err());
     }
 
     #[test]

@@ -21,22 +21,22 @@
 //!   (dynamic == rebuild, bit for bit), a recovered catalog answers
 //!   every query bit-identically to one that never crashed.
 //!
-//! All on-disk encoding follows the wire protocol's discipline:
-//! little-endian integers and `f64`s as raw IEEE-754 bit patterns
-//! ([`f64::to_bits`] / [`f64::from_bits`]), with every decoder
-//! validating constructor preconditions so adversarial bytes surface
-//! as a [`StoreError`], never a panic.
+//! Objects and updates are encoded by [`codec`], the one object codec
+//! the wire protocol uses too: little-endian integers and `f64`s as
+//! raw IEEE-754 bit patterns ([`f64::to_bits`] / [`f64::from_bits`]),
+//! with every decoder validating constructor preconditions so
+//! adversarial bytes surface as a [`StoreError`], never a panic.
 //!
 //! See `docs/DURABILITY.md` for the record formats, the recovery
 //! algorithm, and the crash-consistency guarantees.
 
 mod catalog;
 mod checkpoint;
-mod codec;
+pub mod codec;
 mod wal;
 
 pub use catalog::{CatalogRecovery, DurableCatalog, StoreConfig};
-pub use codec::{Cursor, DurableObject};
+pub use codec::{CodecError, Cursor, DurableObject};
 
 use std::fmt;
 use std::io;

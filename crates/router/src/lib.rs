@@ -36,10 +36,18 @@
 //!   merged id-sorted per standing query, stamped with the cluster
 //!   epoch, and delivered as a single push stream per subscription.
 //!
-//! The event loop reuses [`iloc_server::poll`] — the same epoll /
-//! `poll(2)` substrate as the server — and the upstream sockets are
-//! dialed concurrently with [`iloc_server::poll::connect_nonblocking`]
-//! so router startup pays one connect round trip, not N.
+//! Downstream, the router is a frame [`Handler`] over
+//! [`iloc_server::conn`] — the same connection core as the server, so
+//! sockets, reassembly, backpressure, push accounting and their
+//! guarantees are that module's, stated there once. The core hands the
+//! handler each whole frame borrowed from the read buffer, which is
+//! what gets forwarded upstream verbatim. A commit's merged NOTIFYs
+//! reach their subscribers through [`Remote::deposit`], *before* the
+//! COMMIT_DONE is written — the core's deposit-ordering guarantee then
+//! puts each NOTIFY ahead of anything its subscriber asks for after
+//! seeing the commit acknowledged. The upstream sockets are dialed
+//! concurrently with [`iloc_server::poll::connect_nonblocking`] so
+//! router startup pays one connect round trip, not N.
 //!
 //! ## Known limitations (documented trade-offs)
 //!
@@ -53,36 +61,32 @@
 //! * Strict bit-identity with an N-shard oracle requires nodes run
 //!   with `--shards 1` — otherwise ids are hashed twice (router then
 //!   node) and per-shard counts no longer line up.
+//! * No idle reaper and no `SO_SNDBUF` override: the router runs the
+//!   core with `idle_timeout: None` / `send_buffer: None`. The core can
+//!   do both; [`RouterConfig`] exposes neither yet.
 
 #![warn(missing_docs)]
 
-use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::HashMap;
+use std::io;
+use std::net::{SocketAddr, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use iloc_core::serve::{shard_of, CommitReport, Update};
 use iloc_core::subscribe::AnswerDelta;
 use iloc_core::{merge_partials_into, sort_matches, QueryAnswer};
 use iloc_server::client::{Client, ClientError};
-use iloc_server::poll::{self, Event, Interest, Poller, WakeReceiver, Waker};
+use iloc_server::conn::{self, ConnId, Core, Handler, Remote};
+use iloc_server::poll::{self, Interest, Poller};
 use iloc_server::protocol::{
-    self, opcode, CommitTarget, ErrorCode, HelloAck, NodeHealth, Notification, NotifyCause, Role,
-    StatsReport, WireError, WireUpdate, PROTOCOL_VERSION,
+    self, opcode, wire_error, CommitTarget, ErrorCode, HelloAck, NodeHealth, Notification,
+    NotifyCause, Role, StatsReport, WireError, WireUpdate,
 };
 use iloc_server::{alloc_count, MAX_SUBSCRIPTIONS};
 use iloc_uncertainty::ObjectId;
-
-/// Token reserved for the wake pipe in each loop's poller.
-const WAKE_TOKEN: u64 = u64::MAX;
-/// Minimum read size per `read(2)` on a downstream connection.
-const READ_CHUNK: usize = 4096;
 
 /// How a [`Router`] listens and reaches its nodes.
 #[derive(Debug, Clone)]
@@ -143,8 +147,7 @@ struct NodeState {
 struct SubEntry {
     target: CommitTarget,
     node_ids: Vec<u64>,
-    owner_loop: usize,
-    owner_conn: u64,
+    owner_conn: ConnId,
 }
 
 /// The serialized write plane: one upstream client per node carrying
@@ -174,18 +177,6 @@ struct WritePlane {
     sub_merged: QueryAnswer,
 }
 
-/// Cross-loop push delivery: a commit handled on one loop deposits
-/// encoded NOTIFY frames here for connections owned by another loop,
-/// then wakes it. Deposits are drained at the top of every loop
-/// iteration, which (together with the deposit happening *before* the
-/// COMMIT_DONE is written) preserves the protocol's push-ordering
-/// guarantee: a client that saw a commit acknowledged and then pings a
-/// subscriber connection finds the NOTIFY ahead of the PONG.
-struct Mailbox {
-    deposits: Mutex<Vec<(u64, Vec<u8>)>>,
-    waker: Waker,
-}
-
 struct Shared {
     nodes: Vec<NodeState>,
     /// Per-node `(point, uncertain)` shard counts from the HELLO
@@ -205,76 +196,33 @@ struct Shared {
     /// Queries hold this shared; a commit holds it exclusive while the
     /// epoch turns over, so no query ever observes half a commit.
     commit_gate: RwLock<()>,
-    mailboxes: Vec<Mailbox>,
-    requests_served: AtomicU64,
-    connections: AtomicU64,
-    dropped_pushes: AtomicU64,
-    shutdown: AtomicBool,
-    capacity: usize,
-    event_loops: u32,
-    max_frame_len: u32,
-    push_backlog: usize,
-    idle_poll: Duration,
-}
-
-impl Shared {
-    fn deposit(&self, loop_idx: usize, conn_id: u64, frame: Vec<u8>) {
-        let mailbox = &self.mailboxes[loop_idx];
-        mailbox
-            .deposits
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push((conn_id, frame));
-        mailbox.waker.wake();
-    }
 }
 
 /// The router. Construct nothing; call [`Router::start`].
 #[derive(Debug)]
 pub struct Router;
 
-/// A running router: address, shutdown, join.
+/// A running router: address and shutdown. Dropping it stops it.
 pub struct RouterHandle {
-    addr: SocketAddr,
-    shared: Arc<Shared>,
-    threads: Vec<JoinHandle<()>>,
+    core: Core,
+    nodes: usize,
 }
 
 impl RouterHandle {
     /// The bound listening address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.core.addr()
     }
 
     /// How many upstream nodes the router serves.
     pub fn node_count(&self) -> usize {
-        self.shared.nodes.len()
+        self.nodes
     }
 
     /// Stops the listener and every event loop, closes all
     /// connections, and joins the threads.
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        if self.shared.shutdown.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        for mailbox in &self.shared.mailboxes {
-            mailbox.waker.wake();
-        }
-        // Unblock the accept loop.
-        let _ = TcpStream::connect(self.addr);
-        for thread in self.threads.drain(..) {
-            let _ = thread.join();
-        }
-    }
-}
-
-impl Drop for RouterHandle {
-    fn drop(&mut self) {
-        self.stop();
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
@@ -393,20 +341,6 @@ impl Router {
             });
         }
 
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-
-        let mut mailboxes = Vec::with_capacity(loops);
-        let mut wake_rxs = Vec::with_capacity(loops);
-        for _ in 0..loops {
-            let (waker, wake_rx) = poll::waker()?;
-            mailboxes.push(Mailbox {
-                deposits: Mutex::new(Vec::new()),
-                waker,
-            });
-            wake_rxs.push(wake_rx);
-        }
-
         let shared = Arc::new(Shared {
             nodes,
             node_shards,
@@ -429,266 +363,108 @@ impl Router {
                 sub_merged: QueryAnswer::default(),
             }),
             commit_gate: RwLock::new(()),
-            mailboxes,
-            requests_served: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
-            dropped_pushes: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-            capacity: config.max_connections,
-            event_loops: loops as u32,
-            max_frame_len: config.max_frame_len,
-            push_backlog: config.push_backlog,
-            idle_poll: config.idle_poll,
         });
 
-        let mut threads = Vec::with_capacity(loops + 1);
-        let mut conn_txs = Vec::with_capacity(loops);
-        for (k, wake_rx) in wake_rxs.into_iter().enumerate() {
+        let core_config = conn::Config {
+            addr: config.addr.clone(),
+            event_loops: loops,
+            max_connections: config.max_connections,
+            max_frame_len: config.max_frame_len,
+            idle_poll: config.idle_poll,
+            idle_timeout: None,
+            push_backlog: config.push_backlog,
+            send_buffer: None,
+        };
+        let core = conn::start(&core_config, |_, remote| {
             let upstream = handshake(fleets.next().expect("query fleet"))?;
-            let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
-            conn_txs.push(conn_tx);
-            let state = LoopState::new(Arc::clone(&shared), k, upstream);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("iloc-router-loop-{k}"))
-                    .spawn(move || state.run(conn_rx, wake_rx))?,
-            );
-        }
-        {
-            let shared = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("iloc-router-accept".to_string())
-                    .spawn(move || listener_loop(listener, shared, conn_txs))?,
-            );
-        }
-
-        Ok(RouterHandle {
-            addr,
-            shared,
-            threads,
-        })
+            Ok(RouterHandler::new(
+                Arc::clone(&shared),
+                remote.clone(),
+                upstream,
+            ))
+        })?;
+        Ok(RouterHandle { core, nodes: n })
     }
 }
 
-fn listener_loop(listener: TcpListener, shared: Arc<Shared>, conn_txs: Vec<Sender<TcpStream>>) {
-    let mut k = 0usize;
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                let live = shared.connections.fetch_add(1, Ordering::SeqCst);
-                if live >= shared.capacity as u64 {
-                    shared.connections.fetch_sub(1, Ordering::SeqCst);
-                    continue; // over capacity: close before any frame
-                }
-                let _ = stream.set_nodelay(true);
-                if stream.set_nonblocking(true).is_err() {
-                    shared.connections.fetch_sub(1, Ordering::SeqCst);
-                    continue;
-                }
-                let idx = k % conn_txs.len();
-                k += 1;
-                if conn_txs[idx].send(stream).is_ok() {
-                    shared.mailboxes[idx].waker.wake();
-                } else {
-                    shared.connections.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-    }
-}
-
-/// Why a downstream connection is being torn down.
-enum Close {
-    /// Peer gone or stream unusable.
-    Gone,
-}
-
-/// One downstream connection's reassembly and output state.
-struct Conn {
-    stream: TcpStream,
-    id: u64,
-    in_buf: Vec<u8>,
-    in_len: usize,
-    parsed: usize,
-    out: Vec<u8>,
-    out_at: usize,
-    /// End offsets (into `out`) of buffered push frames, so a close
-    /// can count the pushes that never fully left.
-    push_ends: VecDeque<usize>,
-    /// Standing-query counts per catalog (router-side cap, and a fast
-    /// "does close need upstream cleanup" check).
-    subs: [u32; 2],
-    want_read: bool,
-    want_write: bool,
-    close_after_flush: bool,
-}
-
-impl Conn {
-    fn pending_out(&self) -> usize {
-        self.out.len() - self.out_at
-    }
-}
-
-/// One event loop: a poller over this loop's downstream connections,
-/// its own upstream query clients (so loops never contend on reads),
-/// and warm scratch buffers for the allocation-free steady state.
-struct LoopState {
+/// The router's frame handler, one per event loop: its own upstream
+/// query clients (so loops never contend on reads) and warm scratch
+/// buffers for the allocation-free steady state.
+struct RouterHandler {
     shared: Arc<Shared>,
-    loop_idx: usize,
+    remote: Remote,
     upstream: Vec<Client>,
-    poller: Poller,
-    conns: Vec<Option<Conn>>,
-    free: Vec<usize>,
-    next_conn_id: u64,
-    frame: Vec<u8>,
     partials: Vec<QueryAnswer>,
     merged: QueryAnswer,
     node_stats: Vec<StatsReport>,
     merged_stats: StatsReport,
-    deposits_scratch: Vec<(u64, Vec<u8>)>,
 }
 
-impl LoopState {
-    fn new(shared: Arc<Shared>, loop_idx: usize, upstream: Vec<Client>) -> LoopState {
+impl Handler for RouterHandler {
+    /// Standing-query counts per catalog (the router-side cap, and a
+    /// fast "does close need upstream cleanup" check).
+    type Conn = [u32; 2];
+
+    fn hello_ack(&self) -> HelloAck {
+        HelloAck {
+            role: Role::Router,
+            flags: 0,
+            point_epoch: self.shared.epochs[0].load(Ordering::SeqCst),
+            uncertain_epoch: self.shared.epochs[1].load(Ordering::SeqCst),
+            point_recovered: 0,
+            uncertain_recovered: 0,
+            point_shards: self.shared.shard_totals.0,
+            uncertain_shards: self.shared.shard_totals.1,
+        }
+    }
+
+    fn frame(&mut self, frame: &[u8], id: ConnId, subs: &mut [u32; 2], out: &mut Vec<u8>) {
+        let payload = &frame[6..];
+        match frame[5] {
+            opcode::POINT_QUERY => self.scatter_query(out, frame, 0),
+            opcode::UNCERTAIN_QUERY => self.scatter_query(out, frame, 1),
+            opcode::UPDATE_BATCH => self.handle_updates(out, payload),
+            opcode::COMMIT => self.handle_commit(out, payload),
+            opcode::STATS => self.handle_stats(out),
+            opcode::PING => protocol::encode_empty(out, opcode::PONG),
+            opcode::SUBSCRIBE => self.handle_subscribe(out, frame, id, subs),
+            opcode::UNSUBSCRIBE => self.handle_unsubscribe(out, payload, id, subs),
+            opcode::TICK => self.handle_tick(out, payload, id),
+            _ => protocol::encode_error(out, ErrorCode::BadOpcode, "unknown request opcode"),
+        }
+    }
+
+    fn closed(&mut self, id: ConnId, subs: [u32; 2]) {
+        if subs != [0, 0] {
+            self.cleanup_subs(id);
+        }
+    }
+
+    /// Router state may be torn mid-operation: fail safe by poisoning
+    /// both catalogs rather than serving from it.
+    fn quarantine(&mut self) {
+        self.shared.poison[0].store(true, Ordering::SeqCst);
+        self.shared.poison[1].store(true, Ordering::SeqCst);
+    }
+}
+
+impl RouterHandler {
+    fn new(shared: Arc<Shared>, remote: Remote, upstream: Vec<Client>) -> RouterHandler {
         let n = upstream.len();
-        LoopState {
+        RouterHandler {
             shared,
-            loop_idx,
+            remote,
             upstream,
-            poller: Poller::new().expect("poller"),
-            conns: Vec::new(),
-            free: Vec::new(),
-            next_conn_id: 1,
-            frame: Vec::new(),
             partials: (0..n).map(|_| QueryAnswer::default()).collect(),
             merged: QueryAnswer::default(),
             node_stats: (0..n).map(|_| StatsReport::default()).collect(),
             merged_stats: StatsReport::default(),
-            deposits_scratch: Vec::new(),
-        }
-    }
-
-    fn run(mut self, conn_rx: Receiver<TcpStream>, wake_rx: WakeReceiver) {
-        if self
-            .poller
-            .register(wake_rx.raw_fd(), WAKE_TOKEN, Interest::READ)
-            .is_err()
-        {
-            return;
-        }
-        let mut events: Vec<Event> = Vec::new();
-        let idle = self.shared.idle_poll;
-        loop {
-            if self.poller.wait(&mut events, Some(idle)).is_err() {
-                std::thread::sleep(Duration::from_millis(5));
-                continue;
-            }
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            // Pushed NOTIFY deposits go out before any frame handled
-            // this iteration — see [`Mailbox`] for why that order is
-            // what keeps cross-connection subscribers coherent.
-            self.drain_mailbox();
-            for ev in &events {
-                if ev.token == WAKE_TOKEN {
-                    wake_rx.drain();
-                    continue;
-                }
-                self.conn_ready(ev.token as usize, *ev);
-            }
-            // Adopt after event processing so a token freed this
-            // iteration is not reused while its events are in flight.
-            for stream in conn_rx.try_iter() {
-                self.adopt(stream);
-            }
-        }
-        for idx in 0..self.conns.len() {
-            if self.conns[idx].is_some() {
-                self.close(idx);
-            }
-        }
-    }
-
-    fn adopt(&mut self, stream: TcpStream) {
-        let id = self.next_conn_id;
-        self.next_conn_id += 1;
-        let conn = Conn {
-            stream,
-            id,
-            in_buf: Vec::new(),
-            in_len: 0,
-            parsed: 0,
-            out: Vec::new(),
-            out_at: 0,
-            push_ends: VecDeque::new(),
-            subs: [0, 0],
-            want_read: true,
-            want_write: false,
-            close_after_flush: false,
-        };
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.conns[i] = Some(conn);
-                i
-            }
-            None => {
-                self.conns.push(Some(conn));
-                self.conns.len() - 1
-            }
-        };
-        let fd = self.conns[idx]
-            .as_ref()
-            .expect("just adopted")
-            .stream
-            .as_raw_fd();
-        if self
-            .poller
-            .register(fd, idx as u64, Interest::READ)
-            .is_err()
-        {
-            self.conns[idx] = None;
-            self.free.push(idx);
-            self.shared.connections.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-
-    fn close(&mut self, idx: usize) {
-        let Some(conn) = self.conns[idx].take() else {
-            return;
-        };
-        let undelivered = conn
-            .push_ends
-            .iter()
-            .filter(|&&end| end > conn.out_at)
-            .count() as u64;
-        if undelivered > 0 {
-            self.shared
-                .dropped_pushes
-                .fetch_add(undelivered, Ordering::Relaxed);
-        }
-        let _ = self.poller.deregister(conn.stream.as_raw_fd());
-        self.shared.connections.fetch_sub(1, Ordering::SeqCst);
-        self.free.push(idx);
-        if conn.subs[0] > 0 || conn.subs[1] > 0 {
-            self.cleanup_subs(conn.id);
         }
     }
 
     /// Unsubscribes every standing query a departed connection owned,
     /// on every node.
-    fn cleanup_subs(&mut self, conn_id: u64) {
+    fn cleanup_subs(&mut self, conn: ConnId) {
         let mut wp = self
             .shared
             .write_plane
@@ -698,7 +474,7 @@ impl LoopState {
         let dead: Vec<u64> = wp
             .subs
             .iter()
-            .filter(|(_, e)| e.owner_loop == self.loop_idx && e.owner_conn == conn_id)
+            .filter(|(_, e)| e.owner_conn == conn)
             .map(|(&k, _)| k)
             .collect();
         for rsub in dead {
@@ -709,205 +485,6 @@ impl LoopState {
                 let _ = wp.clients[i].unsubscribe(entry.target, sid);
             }
         }
-    }
-
-    fn conn_ready(&mut self, idx: usize, ev: Event) {
-        if self.conns.get(idx).is_none_or(Option::is_none) {
-            return;
-        }
-        let result = (|| -> Result<(), Close> {
-            if ev.hangup && !ev.readable {
-                return Err(Close::Gone);
-            }
-            if ev.readable {
-                self.read_and_serve(idx)?;
-            }
-            self.flush(idx)?;
-            self.settle(idx)
-        })();
-        if result.is_err() {
-            self.close(idx);
-        }
-    }
-
-    fn read_and_serve(&mut self, idx: usize) -> Result<(), Close> {
-        loop {
-            let conn = self.conns[idx].as_mut().expect("live conn");
-            if conn.close_after_flush {
-                return Ok(());
-            }
-            if conn.pending_out() > self.shared.push_backlog {
-                return Ok(()); // flow control: stop reading until drained
-            }
-            if conn.parsed > 0 {
-                conn.in_buf.copy_within(conn.parsed..conn.in_len, 0);
-                conn.in_len -= conn.parsed;
-                conn.parsed = 0;
-            }
-            let needed = if conn.in_len >= 4 {
-                let len_bytes: [u8; 4] = conn.in_buf[0..4].try_into().expect("4 bytes");
-                let len = u32::from_le_bytes(len_bytes).min(self.shared.max_frame_len) as usize;
-                (len + 4).saturating_sub(conn.in_len).max(READ_CHUNK)
-            } else {
-                READ_CHUNK
-            };
-            if conn.in_buf.len() < conn.in_len + needed {
-                conn.in_buf.resize(conn.in_len + needed, 0);
-            }
-            let at = conn.in_len;
-            match conn.stream.read(&mut conn.in_buf[at..]) {
-                Ok(0) => {
-                    conn.close_after_flush = true;
-                    return Ok(());
-                }
-                Ok(n) => {
-                    conn.in_len += n;
-                    self.serve_parsed(idx);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return Err(Close::Gone),
-            }
-        }
-    }
-
-    fn serve_parsed(&mut self, idx: usize) {
-        loop {
-            let conn = self.conns[idx].as_mut().expect("live conn");
-            if conn.close_after_flush {
-                return;
-            }
-            let avail = conn.in_len - conn.parsed;
-            if avail < 4 {
-                return;
-            }
-            let len_bytes: [u8; 4] = conn.in_buf[conn.parsed..conn.parsed + 4]
-                .try_into()
-                .expect("4 bytes");
-            let len = u32::from_le_bytes(len_bytes);
-            if len < 2 || len > self.shared.max_frame_len {
-                protocol::encode_error(
-                    &mut conn.out,
-                    ErrorCode::TooLarge,
-                    "frame length out of bounds",
-                );
-                conn.close_after_flush = true;
-                return;
-            }
-            if avail - 4 < len as usize {
-                return; // tail still en route
-            }
-            let frame_end = conn.parsed + 4 + len as usize;
-            // Copy the whole frame — length prefix included — into the
-            // loop's scratch: forwarded upstream verbatim, and it
-            // frees the connection's buffers for re-borrowing.
-            let mut frame = std::mem::take(&mut self.frame);
-            frame.clear();
-            frame.extend_from_slice(&conn.in_buf[conn.parsed..frame_end]);
-            conn.parsed = frame_end;
-            self.shared.requests_served.fetch_add(1, Ordering::Relaxed);
-            self.serve_frame(idx, &frame);
-            self.frame = frame;
-        }
-    }
-
-    fn serve_frame(&mut self, idx: usize, frame: &[u8]) {
-        let version = frame[4];
-        let op = frame[5];
-        if op == opcode::HELLO {
-            let mut out = self.take_out(idx);
-            let close = self.handle_hello(&mut out, frame);
-            self.put_out(idx, out, close);
-            return;
-        }
-        if version != PROTOCOL_VERSION {
-            let conn = self.conns[idx].as_mut().expect("live conn");
-            protocol::encode_error(
-                &mut conn.out,
-                ErrorCode::BadVersion,
-                "protocol version mismatch",
-            );
-            conn.close_after_flush = true;
-            return;
-        }
-        let mut out = self.take_out(idx);
-        let panicked = {
-            let this = &mut *self;
-            let out = &mut out;
-            std::panic::catch_unwind(AssertUnwindSafe(|| {
-                let payload = &frame[6..];
-                match op {
-                    opcode::POINT_QUERY => this.scatter_query(out, frame, 0),
-                    opcode::UNCERTAIN_QUERY => this.scatter_query(out, frame, 1),
-                    opcode::UPDATE_BATCH => this.handle_updates(out, payload),
-                    opcode::COMMIT => this.handle_commit(out, payload),
-                    opcode::STATS => this.handle_stats(out),
-                    opcode::PING => protocol::encode_empty(out, opcode::PONG),
-                    opcode::SUBSCRIBE => this.handle_subscribe(out, frame, idx),
-                    opcode::UNSUBSCRIBE => this.handle_unsubscribe(out, payload, idx),
-                    opcode::TICK => this.handle_tick(out, payload, idx),
-                    _ => {
-                        protocol::encode_error(out, ErrorCode::BadOpcode, "unknown request opcode")
-                    }
-                }
-            }))
-            .is_err()
-        };
-        if panicked {
-            // Router state may be torn mid-operation: fail safe by
-            // poisoning both catalogs rather than serving from it.
-            self.shared.poison[0].store(true, Ordering::SeqCst);
-            self.shared.poison[1].store(true, Ordering::SeqCst);
-            protocol::encode_error(&mut out, ErrorCode::Internal, "router handler panicked");
-            self.put_out(idx, out, true);
-            return;
-        }
-        self.put_out(idx, out, false);
-    }
-
-    fn take_out(&mut self, idx: usize) -> Vec<u8> {
-        std::mem::take(&mut self.conns[idx].as_mut().expect("live conn").out)
-    }
-
-    fn put_out(&mut self, idx: usize, out: Vec<u8>, close: bool) {
-        let conn = self.conns[idx].as_mut().expect("live conn");
-        conn.out = out;
-        if close {
-            conn.close_after_flush = true;
-        }
-    }
-
-    fn handle_hello(&self, out: &mut Vec<u8>, frame: &[u8]) -> bool {
-        let version = frame[4];
-        let payload = &frame[6..];
-        let peer = protocol::hello_peer_version(payload).unwrap_or(version);
-        if version != PROTOCOL_VERSION || peer != PROTOCOL_VERSION {
-            protocol::encode_error(
-                out,
-                ErrorCode::BadVersion,
-                &format!(
-                    "unsupported protocol version {peer}; this router speaks v{PROTOCOL_VERSION}"
-                ),
-            );
-            return true;
-        }
-        match protocol::decode_hello(payload) {
-            Ok((_, _role, _flags)) => {
-                let ack = HelloAck {
-                    role: Role::Router,
-                    flags: 0,
-                    point_epoch: self.shared.epochs[0].load(Ordering::SeqCst),
-                    uncertain_epoch: self.shared.epochs[1].load(Ordering::SeqCst),
-                    point_recovered: 0,
-                    uncertain_recovered: 0,
-                    point_shards: self.shared.shard_totals.0,
-                    uncertain_shards: self.shared.shard_totals.1,
-                };
-                protocol::encode_hello_ack(out, &ack);
-            }
-            Err(e) => wire_error(out, e),
-        }
-        false
     }
 
     /// The hot path: scatter the frame to every node in one pipelined
@@ -1154,7 +731,7 @@ impl LoopState {
             }
         }
         if wp.subs.values().any(|e| e.target == target) {
-            if let Some(message) = gather_deltas(wp, &self.shared, target, epoch) {
+            if let Some(message) = gather_deltas(wp, &self.shared, &self.remote, target, epoch) {
                 // The commit applied everywhere, but subscriber deltas
                 // can no longer be collected coherently — poisoning
                 // beats silently dropping a delta from the stream.
@@ -1166,7 +743,13 @@ impl LoopState {
         protocol::encode_commit_done(out, &merged);
     }
 
-    fn handle_subscribe(&mut self, out: &mut Vec<u8>, frame: &[u8], idx: usize) {
+    fn handle_subscribe(
+        &mut self,
+        out: &mut Vec<u8>,
+        frame: &[u8],
+        owner_conn: ConnId,
+        subs: &mut [u32; 2],
+    ) {
         let payload = &frame[6..];
         let mut r = protocol::Reader::new(payload);
         let (target, _slack) = match protocol::decode_subscribe_header(&mut r) {
@@ -1181,8 +764,7 @@ impl LoopState {
             encode_poisoned(out);
             return;
         }
-        let conn = self.conns[idx].as_ref().expect("live conn");
-        if conn.subs[cat] as usize >= MAX_SUBSCRIPTIONS {
+        if subs[cat] as usize >= MAX_SUBSCRIPTIONS {
             protocol::encode_error(
                 out,
                 ErrorCode::TooManySubscriptions,
@@ -1190,7 +772,6 @@ impl LoopState {
             );
             return;
         }
-        let (owner_loop, owner_conn) = (self.loop_idx, conn.id);
         let mut wp = self
             .shared
             .write_plane
@@ -1247,16 +828,21 @@ impl LoopState {
             SubEntry {
                 target,
                 node_ids: acks,
-                owner_loop,
                 owner_conn,
             },
         );
         let epoch = self.shared.epochs[cat].load(Ordering::SeqCst);
         protocol::encode_sub_ack(out, target, rsub, epoch, 0, &wp.sub_merged.results);
-        self.conns[idx].as_mut().expect("live conn").subs[cat] += 1;
+        subs[cat] += 1;
     }
 
-    fn handle_unsubscribe(&mut self, out: &mut Vec<u8>, payload: &[u8], idx: usize) {
+    fn handle_unsubscribe(
+        &mut self,
+        out: &mut Vec<u8>,
+        payload: &[u8],
+        conn: ConnId,
+        subs: &mut [u32; 2],
+    ) {
         let (target, rsub) = match protocol::decode_unsubscribe(payload) {
             Ok(req) => req,
             Err(e) => {
@@ -1265,16 +851,16 @@ impl LoopState {
             }
         };
         let cat = cat_of(target);
-        let conn_id = self.conns[idx].as_ref().expect("live conn").id;
         let mut wp = self
             .shared
             .write_plane
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         let wp = &mut *wp;
-        let known = wp.subs.get(&rsub).is_some_and(|e| {
-            e.target == target && e.owner_loop == self.loop_idx && e.owner_conn == conn_id
-        });
+        let known = wp
+            .subs
+            .get(&rsub)
+            .is_some_and(|e| e.target == target && e.owner_conn == conn);
         if !known {
             protocol::encode_unsub_done(out, false);
             return;
@@ -1298,11 +884,10 @@ impl LoopState {
             }
         }
         protocol::encode_unsub_done(out, true);
-        let conn = self.conns[idx].as_mut().expect("live conn");
-        conn.subs[cat] = conn.subs[cat].saturating_sub(1);
+        subs[cat] = subs[cat].saturating_sub(1);
     }
 
-    fn handle_tick(&mut self, out: &mut Vec<u8>, payload: &[u8], idx: usize) {
+    fn handle_tick(&mut self, out: &mut Vec<u8>, payload: &[u8], conn: ConnId) {
         let (target, rsub, pdf) = match protocol::decode_tick(payload) {
             Ok(req) => req,
             Err(e) => {
@@ -1315,16 +900,16 @@ impl LoopState {
             encode_poisoned(out);
             return;
         }
-        let conn_id = self.conns[idx].as_ref().expect("live conn").id;
         let mut wp = self
             .shared
             .write_plane
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         let wp = &mut *wp;
-        let known = wp.subs.get(&rsub).is_some_and(|e| {
-            e.target == target && e.owner_loop == self.loop_idx && e.owner_conn == conn_id
-        });
+        let known = wp
+            .subs
+            .get(&rsub)
+            .is_some_and(|e| e.target == target && e.owner_conn == conn);
         if !known {
             wire_error(out, WireError::Malformed("unknown subscription id"));
             return;
@@ -1385,11 +970,12 @@ impl LoopState {
         let m = &mut self.merged_stats;
         m.alloc_counting = alloc_count::counting_installed();
         m.allocations = allocations;
-        m.requests_served = self.shared.requests_served.load(Ordering::Relaxed);
-        m.capacity = self.shared.capacity as u32;
-        m.event_loops = self.shared.event_loops;
-        m.connections = self.shared.connections.load(Ordering::SeqCst);
-        m.dropped_pushes = self.shared.dropped_pushes.load(Ordering::Relaxed);
+        let core = self.remote.counters();
+        m.requests_served = core.requests_served;
+        m.capacity = core.capacity;
+        m.event_loops = core.event_loops;
+        m.connections = core.connections;
+        m.dropped_pushes = core.dropped_pushes;
         m.point.epoch = self.shared.epochs[0].load(Ordering::SeqCst);
         m.point.len = 0;
         m.point.pending = 0;
@@ -1446,117 +1032,19 @@ impl LoopState {
         }
         protocol::encode_stats_report_from(out, m);
     }
-
-    /// Delivers deposited NOTIFY frames to the connections of this
-    /// loop. A deposit whose connection is gone counts as a dropped
-    /// push, matching the server's accounting.
-    fn drain_mailbox(&mut self) {
-        {
-            let mut deposits = self.shared.mailboxes[self.loop_idx]
-                .deposits
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            if deposits.is_empty() {
-                return;
-            }
-            std::mem::swap(&mut *deposits, &mut self.deposits_scratch);
-        }
-        let mut deposits = std::mem::take(&mut self.deposits_scratch);
-        for (conn_id, frame) in deposits.drain(..) {
-            let found = self
-                .conns
-                .iter()
-                .position(|c| c.as_ref().is_some_and(|c| c.id == conn_id));
-            let Some(idx) = found else {
-                self.shared.dropped_pushes.fetch_add(1, Ordering::Relaxed);
-                continue;
-            };
-            let conn = self.conns[idx].as_mut().expect("found above");
-            if conn.close_after_flush {
-                self.shared.dropped_pushes.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            conn.out.extend_from_slice(&frame);
-            conn.push_ends.push_back(conn.out.len());
-            if conn.pending_out() > self.shared.push_backlog {
-                self.close(idx); // push backpressure overflow
-                continue;
-            }
-            if self.flush(idx).is_err() || self.settle(idx).is_err() {
-                self.close(idx);
-            }
-        }
-        self.deposits_scratch = deposits;
-    }
-
-    fn flush(&mut self, idx: usize) -> Result<(), Close> {
-        let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-            return Ok(());
-        };
-        while conn.out_at < conn.out.len() {
-            match conn.stream.write(&conn.out[conn.out_at..]) {
-                Ok(0) => return Err(Close::Gone),
-                Ok(n) => conn.out_at += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return Err(Close::Gone),
-            }
-        }
-        if conn.out_at == conn.out.len() {
-            conn.out.clear();
-            conn.out_at = 0;
-            conn.push_ends.clear();
-        } else {
-            while conn
-                .push_ends
-                .front()
-                .is_some_and(|&end| end <= conn.out_at)
-            {
-                conn.push_ends.pop_front();
-            }
-        }
-        Ok(())
-    }
-
-    fn settle(&mut self, idx: usize) -> Result<(), Close> {
-        let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-            return Ok(());
-        };
-        let pending = conn.pending_out();
-        if conn.close_after_flush && pending == 0 {
-            return Err(Close::Gone);
-        }
-        let want_read = !conn.close_after_flush && pending <= self.shared.push_backlog;
-        let want_write = pending > 0;
-        if want_read != conn.want_read || want_write != conn.want_write {
-            let interest = Interest {
-                readable: want_read,
-                writable: want_write,
-            };
-            if self
-                .poller
-                .modify(conn.stream.as_raw_fd(), idx as u64, interest)
-                .is_err()
-            {
-                return Err(Close::Gone);
-            }
-            conn.want_read = want_read;
-            conn.want_write = want_write;
-        }
-        Ok(())
-    }
 }
 
 /// Collects the commit's pushed deltas from every node behind a PING
 /// barrier, merges them per router subscription (disjoint id
 /// partitions: concatenate, sort), stamps the cluster epoch, and
-/// deposits one NOTIFY per touched subscription into the owner loop's
-/// mailbox — all *before* the caller writes its COMMIT_DONE, so a
+/// deposits one NOTIFY per touched subscription with the owner's loop
+/// — all *before* the caller writes its COMMIT_DONE, so a
 /// subscriber never observes an acknowledged commit without its delta
 /// en route. Returns an error message if a node could not be drained.
 fn gather_deltas(
     wp: &mut WritePlane,
     shared: &Shared,
+    remote: &Remote,
     target: CommitTarget,
     epoch: u64,
 ) -> Option<String> {
@@ -1601,7 +1089,7 @@ fn gather_deltas(
             NotifyCause::Commit,
             &delta,
         );
-        shared.deposit(entry.owner_loop, entry.owner_conn, push);
+        remote.deposit(entry.owner_conn, push);
     }
     None
 }
@@ -1637,12 +1125,4 @@ fn encode_poisoned(out: &mut Vec<u8>) {
         ErrorCode::Unavailable,
         "catalog poisoned by a failed cluster operation; restart the router",
     );
-}
-
-fn wire_error(buf: &mut Vec<u8>, e: WireError) {
-    let message = match e {
-        WireError::Malformed(what) => what,
-        WireError::UnsupportedPdf => "pdf kind not encodable on the wire",
-    };
-    protocol::encode_error(buf, e.into(), message);
 }

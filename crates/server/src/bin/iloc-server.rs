@@ -8,8 +8,7 @@
 //! --uncertain N      uncertain catalog   (default 53,145 — Long Beach)
 //! --shards N         shards per catalog  (default 4)
 //! --event-loops N    event-loop threads, each multiplexing many
-//!                    connections (default 2; --workers is accepted
-//!                    as a legacy alias)
+//!                    connections (default 2)
 //! --max-connections N  connection capacity across all loops
 //!                    (default 16,384; the process raises its own
 //!                    RLIMIT_NOFILE toward this before binding)
@@ -113,9 +112,7 @@ fn main() {
         },
     );
     let shards = number("--shards", 4);
-    // `--workers` is the pre-event-loop spelling; still honored so
-    // existing wrappers keep working.
-    let event_loops = number("--event-loops", number("--workers", 2));
+    let event_loops = number("--event-loops", 2);
     let max_connections = number("--max-connections", 16_384);
     let push_backlog = number("--push-backlog", 1 << 20);
     let seed = number("--seed", 2007) as u64;

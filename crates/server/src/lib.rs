@@ -18,7 +18,7 @@
 //! applies catalog updates, preserving the [`iloc_core::serve`]
 //! snapshot-consistency invariant end to end.
 //!
-//! ## The four pieces
+//! ## The five pieces
 //!
 //! * [`protocol`] — versioned, length-prefixed frames encoding the
 //!   paper's four query types (IPQ / C-IPQ / IUQ / C-IUQ), catalog
@@ -31,12 +31,16 @@
 //!   wrapper over `extern "C"` libc symbols (std links libc; no crate
 //!   needed), plus a `UnixStream`-pair waker and rlimit/sockopt
 //!   helpers. The only module in the crate allowed `unsafe`.
+//! * [`conn`] — the connection core: listener, event loops,
+//!   per-connection frame reassembly, buffered output and push queues
+//!   with **explicit backpressure**, idle reaping — generic over a
+//!   [`conn::Handler`]. The one socket state machine; `iloc-router`
+//!   runs on it too.
 //! * [`server`] — [`server::QueryServer`]: owns a
 //!   [`iloc_core::serve::ShardedEngine`] per catalog (point and
-//!   uncertain); every event loop holds a long-lived
-//!   [`iloc_core::serve::ShardServer`] plus per-connection frame
-//!   reassembly and buffered push queues with **explicit
-//!   backpressure**, so a **steady-state query performs zero heap
+//!   uncertain) and serves them as a handler over the core; every
+//!   event loop holds a long-lived [`iloc_core::serve::ShardServer`],
+//!   so a **steady-state query performs zero heap
 //!   allocations** from the moment the request bytes arrive to the
 //!   moment the answer bytes are written back. Reads run against the
 //!   loop's pinned epoch snapshot; updates and commits route through
@@ -77,6 +81,7 @@
 
 pub mod alloc_count;
 pub mod client;
+pub mod conn;
 pub mod poll;
 pub mod protocol;
 pub mod server;

@@ -35,40 +35,22 @@
 //!   [`ErrorCode::BadVersion`] so incompatible ends fail loudly, not
 //!   subtly.
 
+use iloc_core::durable::codec::{
+    self, put_f64, put_pdf, put_rect, put_u16, put_u32, put_u64, read_pdf, read_rect, CodecError,
+};
 use iloc_core::pipeline::{PointConstraint, PointRequest, UncertainConstraint, UncertainRequest};
 use iloc_core::serve::{CommitReport, ServeEngine, Snapshot, Update};
 use iloc_core::stats::REFINE_BATCH_BUCKETS;
 use iloc_core::subscribe::AnswerDelta;
 use iloc_core::{CipqStrategy, CiuqStrategy, Integrator, QueryAnswer, RangeSpec};
-use iloc_geometry::{Point, Rect};
-use iloc_uncertainty::{
-    DiscPdf, LocationPdf, ObjectId, PdfKind, PointObject, TruncatedGaussianPdf, UncertainObject,
-    UniformPdf,
-};
+use iloc_uncertainty::{ObjectId, PdfKind, PointObject, UncertainObject};
 
-/// The protocol version this build speaks (frame byte 4). Version 2
-/// added the subscription frames (SUBSCRIBE / UNSUBSCRIBE / TICK /
-/// SUB_ACK / NOTIFY / UNSUB_DONE) and extended the COMMIT_DONE payload
-/// with per-shard applied counts and the merged dirty rectangle.
-/// Version 3 extended the STATS_REPORT payload with per-stage pipeline
-/// timings (filter / prune / refine nanoseconds) and the refine-batch
-/// size histogram.
-/// Version 4 extended the SUB_ACK payload with the server's recovered
-/// epoch (the engine epoch at process start — non-zero after a crash
-/// recovery), so a reconnecting subscriber can detect a restart and
-/// re-issue its SUBSCRIBE frames.
-/// Version 5 (the event-driven connection core) replaced the
-/// STATS_REPORT worker-pool field with the connection **capacity**,
-/// and added the event-loop count, the live-connection gauge and the
-/// server-wide dropped-push counter (pushes a backpressure close never
-/// delivered).
-/// Version 6 (cluster serving) added the HELLO / HELLO_ACK handshake
-/// (version negotiation plus node-role and epoch/shard introspection,
-/// sent by [`Client`](crate::Client) on connect), appended a per-node
-/// health section to STATS_REPORT (empty on a plain server, one entry
-/// per upstream node on a router), and added
-/// [`ErrorCode::Unavailable`] for cluster nodes that cannot be
-/// reached.
+/// A bounds-checked cursor over one frame's payload — the object
+/// codec's cursor, so frame decoders and object decoders share one.
+pub use iloc_core::durable::codec::Cursor as Reader;
+
+/// The protocol version this build speaks (frame byte 4) — the only
+/// one it accepts. `docs/PROTOCOL.md` has the versioning rules.
 pub const PROTOCOL_VERSION: u8 = 6;
 
 /// Hard ceiling on one frame's `len` field; larger frames are rejected
@@ -204,6 +186,16 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+/// The wire's reading of an object-codec failure.
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> WireError {
+        match e {
+            CodecError::Malformed(what) => WireError::Malformed(what),
+            CodecError::UnsupportedPdf => WireError::UnsupportedPdf,
+        }
+    }
+}
 
 /// The error code a failed decode maps to on the wire.
 impl From<WireError> for ErrorCode {
@@ -418,192 +410,6 @@ pub fn finish_frame(buf: &mut [u8], at: usize) {
     buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
-/// A bounds-checked cursor over one frame's payload.
-#[derive(Debug)]
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    /// A reader over `payload`.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or(WireError::Malformed("payload truncated"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    /// Next byte.
-    pub fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Next little-endian u16.
-    pub fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len")))
-    }
-
-    /// Next little-endian u32.
-    pub fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len")))
-    }
-
-    /// Next little-endian u64.
-    pub fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len")))
-    }
-
-    /// Next f64 (bit pattern; NaN/inf pass through — validate where
-    /// finiteness matters).
-    pub fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Next f64, required finite.
-    pub fn finite(&mut self, what: &'static str) -> Result<f64, WireError> {
-        let v = self.f64()?;
-        if v.is_finite() {
-            Ok(v)
-        } else {
-            Err(WireError::Malformed(what))
-        }
-    }
-
-    /// Next `n` raw bytes.
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        self.take(n)
-    }
-
-    /// Errors unless the payload was consumed exactly.
-    pub fn done(&self) -> Result<(), WireError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(WireError::Malformed("trailing bytes"))
-        }
-    }
-}
-
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    put_u64(buf, v.to_bits());
-}
-
-fn put_rect(buf: &mut Vec<u8>, r: Rect) {
-    put_f64(buf, r.min.x);
-    put_f64(buf, r.min.y);
-    put_f64(buf, r.max.x);
-    put_f64(buf, r.max.y);
-}
-
-/// Reads a rectangle with finite coordinates and `min ≤ max`.
-fn read_rect(r: &mut Reader<'_>) -> Result<Rect, WireError> {
-    let (x0, y0) = (r.finite("rect min.x")?, r.finite("rect min.y")?);
-    let (x1, y1) = (r.finite("rect max.x")?, r.finite("rect max.y")?);
-    if x0 > x1 || y0 > y1 {
-        return Err(WireError::Malformed("rect min exceeds max"));
-    }
-    Ok(Rect::from_coords(x0, y0, x1, y1))
-}
-
-// ---------------------------------------------------------------------------
-// Pdfs
-// ---------------------------------------------------------------------------
-
-const PDF_UNIFORM: u8 = 0;
-const PDF_GAUSSIAN: u8 = 1;
-const PDF_DISC: u8 = 2;
-
-/// Appends one pdf. Only the concrete kinds travel on the wire;
-/// `Shared` handles are rejected with [`WireError::UnsupportedPdf`].
-pub fn put_pdf(buf: &mut Vec<u8>, pdf: &PdfKind) -> Result<(), WireError> {
-    match pdf {
-        PdfKind::Uniform(u) => {
-            buf.push(PDF_UNIFORM);
-            put_rect(buf, u.region());
-        }
-        PdfKind::Gaussian(g) => {
-            buf.push(PDF_GAUSSIAN);
-            put_rect(buf, g.region());
-            put_f64(buf, g.mean().x);
-            put_f64(buf, g.mean().y);
-            put_f64(buf, g.sigma().0);
-            put_f64(buf, g.sigma().1);
-        }
-        PdfKind::Disc(d) => {
-            buf.push(PDF_DISC);
-            let c = d.disc();
-            put_f64(buf, c.center.x);
-            put_f64(buf, c.center.y);
-            put_f64(buf, c.radius);
-        }
-        PdfKind::Shared(_) => return Err(WireError::UnsupportedPdf),
-    }
-    Ok(())
-}
-
-/// Reads one pdf, validating every constructor precondition so
-/// adversarial bytes produce an error frame rather than a panic.
-pub fn read_pdf(r: &mut Reader<'_>) -> Result<PdfKind, WireError> {
-    match r.u8()? {
-        PDF_UNIFORM => {
-            let region = read_rect(r)?;
-            if region.area() <= 0.0 {
-                return Err(WireError::Malformed("uniform pdf region has zero area"));
-            }
-            Ok(PdfKind::Uniform(UniformPdf::new(region)))
-        }
-        PDF_GAUSSIAN => {
-            let region = read_rect(r)?;
-            let mean = Point::new(r.finite("gaussian mean.x")?, r.finite("gaussian mean.y")?);
-            let (sx, sy) = (r.finite("gaussian sigma.x")?, r.finite("gaussian sigma.y")?);
-            if region.area() <= 0.0 {
-                return Err(WireError::Malformed("gaussian region has zero area"));
-            }
-            if sx <= 0.0 || sy <= 0.0 {
-                return Err(WireError::Malformed("gaussian sigma must be positive"));
-            }
-            // A mean inside the region guarantees the truncation keeps
-            // positive mass on both axes (the constructor asserts it).
-            if !region.contains_point(mean) {
-                return Err(WireError::Malformed("gaussian mean outside its region"));
-            }
-            Ok(PdfKind::Gaussian(TruncatedGaussianPdf::new(
-                region, mean, sx, sy,
-            )))
-        }
-        PDF_DISC => {
-            let center = Point::new(r.finite("disc center.x")?, r.finite("disc center.y")?);
-            let radius = r.finite("disc radius")?;
-            if radius <= 0.0 {
-                return Err(WireError::Malformed("disc radius must be positive"));
-            }
-            Ok(PdfKind::Disc(DiscPdf::new(center, radius)))
-        }
-        _ => Err(WireError::Malformed("unknown pdf tag")),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Integrators, ranges, constraints
 // ---------------------------------------------------------------------------
@@ -796,7 +602,7 @@ pub fn decode_point_query_into(
 ) -> Result<(), WireError> {
     let mut r = Reader::new(payload);
     read_point_query_body(&mut r, request)?;
-    r.done()
+    Ok(r.done()?)
 }
 
 /// Appends an [`opcode::UNCERTAIN_QUERY`] frame for `request`.
@@ -822,7 +628,7 @@ pub fn decode_uncertain_query_into(
 ) -> Result<(), WireError> {
     let mut r = Reader::new(payload);
     read_uncertain_query_body(&mut r, request)?;
-    r.done()
+    Ok(r.done()?)
 }
 
 // ---------------------------------------------------------------------------
@@ -937,7 +743,7 @@ pub fn decode_subscribe_point_body(
     request: &mut PointRequest,
 ) -> Result<(), WireError> {
     read_point_query_body(r, request)?;
-    r.done()
+    Ok(r.done()?)
 }
 
 /// Decodes the uncertain-query body of a [`opcode::SUBSCRIBE`] payload
@@ -947,7 +753,7 @@ pub fn decode_subscribe_uncertain_body(
     request: &mut UncertainRequest,
 ) -> Result<(), WireError> {
     read_uncertain_query_body(r, request)?;
-    r.done()
+    Ok(r.done()?)
 }
 
 /// Appends an [`opcode::UNSUBSCRIBE`] frame.
@@ -998,10 +804,9 @@ pub fn encode_tick(
     let at = begin_frame(buf, opcode::TICK);
     put_target(buf, target);
     put_u64(buf, sub_id);
-    let result = put_pdf(buf, pdf);
-    if result.is_err() {
+    if let Err(e) = put_pdf(buf, pdf) {
         buf.truncate(at);
-        return result;
+        return Err(e.into());
     }
     finish_frame(buf, at);
     Ok(())
@@ -1120,7 +925,7 @@ pub fn decode_notify_into(payload: &[u8], out: &mut Notification) -> Result<(), 
     for _ in 0..removals {
         out.delta.removals.push(ObjectId(r.u64()?));
     }
-    r.done()
+    Ok(r.done()?)
 }
 
 // ---------------------------------------------------------------------------
@@ -1129,10 +934,6 @@ pub fn decode_notify_into(payload: &[u8], out: &mut Notification) -> Result<(), 
 
 const TARGET_POINT: u8 = 0;
 const TARGET_UNCERTAIN: u8 = 1;
-
-const UPDATE_ARRIVE: u8 = 0;
-const UPDATE_DEPART: u8 = 1;
-const UPDATE_MOVE: u8 = 2;
 
 fn put_target(buf: &mut Vec<u8>, target: CommitTarget) {
     buf.push(match target {
@@ -1164,44 +965,17 @@ pub fn encode_update_batch(buf: &mut Vec<u8>, updates: &[WireUpdate]) -> Result<
     Ok(())
 }
 
+/// One wire update is its catalog-target byte followed by the object
+/// codec's update encoding — byte-for-byte what the WAL appends.
 fn put_update(buf: &mut Vec<u8>, update: &WireUpdate) -> Result<(), WireError> {
     match update {
         WireUpdate::Point(u) => {
-            buf.push(TARGET_POINT);
-            match u {
-                Update::Arrive(o) | Update::Move(o) => {
-                    buf.push(if matches!(u, Update::Arrive(_)) {
-                        UPDATE_ARRIVE
-                    } else {
-                        UPDATE_MOVE
-                    });
-                    put_u64(buf, o.id.0);
-                    put_f64(buf, o.loc.x);
-                    put_f64(buf, o.loc.y);
-                }
-                Update::Depart(id) => {
-                    buf.push(UPDATE_DEPART);
-                    put_u64(buf, id.0);
-                }
-            }
+            put_target(buf, CommitTarget::Point);
+            codec::put_update(buf, u)?;
         }
         WireUpdate::Uncertain(u) => {
-            buf.push(TARGET_UNCERTAIN);
-            match u {
-                Update::Arrive(o) | Update::Move(o) => {
-                    buf.push(if matches!(u, Update::Arrive(_)) {
-                        UPDATE_ARRIVE
-                    } else {
-                        UPDATE_MOVE
-                    });
-                    put_u64(buf, o.id.0);
-                    put_pdf(buf, o.pdf())?;
-                }
-                Update::Depart(id) => {
-                    buf.push(UPDATE_DEPART);
-                    put_u64(buf, id.0);
-                }
-            }
+            put_target(buf, CommitTarget::Uncertain);
+            codec::put_update(buf, u)?;
         }
     }
     Ok(())
@@ -1217,38 +991,12 @@ pub fn decode_update_batch(payload: &[u8], out: &mut Vec<WireUpdate>) -> Result<
     let mut r = Reader::new(payload);
     let count = r.u32()?;
     for _ in 0..count {
-        let target = read_target(&mut r)?;
-        let kind = r.u8()?;
-        let id = r.u64()?;
-        let update = match (target, kind) {
-            (CommitTarget::Point, UPDATE_DEPART) => WireUpdate::Point(Update::Depart(ObjectId(id))),
-            (CommitTarget::Point, UPDATE_ARRIVE | UPDATE_MOVE) => {
-                let x = r.finite("point loc.x")?;
-                let y = r.finite("point loc.y")?;
-                let object = PointObject::new(id, Point::new(x, y));
-                WireUpdate::Point(if kind == UPDATE_ARRIVE {
-                    Update::Arrive(object)
-                } else {
-                    Update::Move(object)
-                })
-            }
-            (CommitTarget::Uncertain, UPDATE_DEPART) => {
-                WireUpdate::Uncertain(Update::Depart(ObjectId(id)))
-            }
-            (CommitTarget::Uncertain, UPDATE_ARRIVE | UPDATE_MOVE) => {
-                let pdf = read_pdf(&mut r)?;
-                let object = UncertainObject::new(id, pdf);
-                WireUpdate::Uncertain(if kind == UPDATE_ARRIVE {
-                    Update::Arrive(object)
-                } else {
-                    Update::Move(object)
-                })
-            }
-            _ => return Err(WireError::Malformed("unknown update kind")),
-        };
-        out.push(update);
+        out.push(match read_target(&mut r)? {
+            CommitTarget::Point => WireUpdate::Point(codec::read_update(&mut r)?),
+            CommitTarget::Uncertain => WireUpdate::Uncertain(codec::read_update(&mut r)?),
+        });
     }
-    r.done()
+    Ok(r.done()?)
 }
 
 /// Appends an [`opcode::COMMIT`] frame for one catalog.
@@ -1372,7 +1120,7 @@ pub fn decode_answer_into(payload: &[u8], answer: &mut QueryAnswer) -> Result<()
         let probability = f64::from_bits(r.u64()?);
         answer.results.push(iloc_core::Match { id, probability });
     }
-    r.done()
+    Ok(r.done()?)
 }
 
 /// Appends an [`opcode::UPDATE_ACK`] frame.
@@ -1560,7 +1308,7 @@ pub fn decode_stats_report_into(payload: &[u8], out: &mut StatsReport) -> Result
             merged: r.u64()?,
         });
     }
-    r.done()
+    Ok(r.done()?)
 }
 
 /// Appends an [`opcode::ERROR`] frame.
@@ -1572,6 +1320,17 @@ pub fn encode_error(buf: &mut Vec<u8>, code: ErrorCode, message: &str) {
     put_u16(buf, n as u16);
     buf.extend_from_slice(&bytes[..n]);
     finish_frame(buf, at);
+}
+
+/// Appends the [`opcode::ERROR`] frame that answers a decode failure,
+/// without allocating (the message is the static string the decoder
+/// produced).
+pub fn wire_error(buf: &mut Vec<u8>, e: WireError) {
+    let message = match e {
+        WireError::Malformed(what) => what,
+        WireError::UnsupportedPdf => "pdf kind not encodable on the wire",
+    };
+    encode_error(buf, e.into(), message);
 }
 
 /// Decodes an [`opcode::ERROR`] payload into `(code, message)`.
@@ -1588,6 +1347,8 @@ pub fn decode_error(payload: &[u8]) -> Result<(u8, String), WireError> {
 mod tests {
     use super::*;
     use iloc_core::Issuer;
+    use iloc_geometry::{Point, Rect};
+    use iloc_uncertainty::{DiscPdf, LocationPdf, TruncatedGaussianPdf, UniformPdf};
 
     fn frame_payload(buf: &[u8]) -> (u8, &[u8]) {
         let len = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
@@ -1858,48 +1619,6 @@ mod tests {
             decode_point_query_into(&long, &mut slot),
             Err(WireError::Malformed("trailing bytes"))
         );
-
-        // Adversarial values: NaN rect, inverted rect, zero-area
-        // region, bad tags.
-        let bad_pdf = |bytes: &[u8]| {
-            let mut r = Reader::new(bytes);
-            read_pdf(&mut r).unwrap_err()
-        };
-        let mut nan_rect = vec![PDF_UNIFORM];
-        nan_rect.extend_from_slice(&f64::NAN.to_bits().to_le_bytes());
-        nan_rect.extend_from_slice(&[0u8; 24]);
-        bad_pdf(&nan_rect);
-
-        let mut inverted = vec![PDF_UNIFORM];
-        for v in [5.0f64, 5.0, 1.0, 9.0] {
-            inverted.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        assert_eq!(
-            bad_pdf(&inverted),
-            WireError::Malformed("rect min exceeds max")
-        );
-
-        let mut flat = vec![PDF_UNIFORM];
-        for v in [5.0f64, 5.0, 5.0, 9.0] {
-            flat.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        assert_eq!(
-            bad_pdf(&flat),
-            WireError::Malformed("uniform pdf region has zero area")
-        );
-
-        assert_eq!(bad_pdf(&[9]), WireError::Malformed("unknown pdf tag"));
-
-        // A gaussian whose mean is outside its region would assert in
-        // the constructor; the decoder rejects it first.
-        let mut far_mean = vec![PDF_GAUSSIAN];
-        for v in [0.0f64, 0.0, 1.0, 1.0, 50.0, 50.0, 0.001, 0.001] {
-            far_mean.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        assert_eq!(
-            bad_pdf(&far_mean),
-            WireError::Malformed("gaussian mean outside its region")
-        );
     }
 
     #[test]
@@ -2063,7 +1782,7 @@ mod tests {
         let at = begin_frame(&mut buf, opcode::UPDATE_BATCH);
         put_u32(&mut buf, 100);
         buf.push(TARGET_POINT);
-        buf.push(UPDATE_DEPART);
+        buf.push(1); // the object codec's depart tag
         put_u64(&mut buf, 1);
         finish_frame(&mut buf, at);
         let (_, payload) = frame_payload(&buf);

@@ -9,6 +9,8 @@
 //! a node crash mid-commit surfaces as a typed `Unavailable` error and
 //! never as a torn epoch.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 
 use iloc::core::pipeline::{PointRequest, UncertainRequest};
@@ -16,7 +18,9 @@ use iloc::core::serve::{shard_of, Update};
 use iloc::core::{CipqStrategy, CiuqStrategy, Issuer, RangeSpec};
 use iloc::geometry::{Point, Rect};
 use iloc::router::{Router, RouterConfig, RouterHandle};
-use iloc::server::protocol::{CommitTarget, ErrorCode, NotifyCause, Role, WireUpdate};
+use iloc::server::protocol::{
+    self, opcode, CommitTarget, ErrorCode, NotifyCause, Role, WireUpdate,
+};
 use iloc::server::server::{QueryServer, ServerConfig};
 use iloc::server::{Client, ClientError, ServerHandle};
 use iloc::uncertainty::{ObjectId, PointObject, UncertainObject, UniformPdf};
@@ -53,6 +57,11 @@ impl Cluster {
     /// scene the N-shard oracle assigns to the same index — node order
     /// is shard order, so every per-shard observable lines up.
     fn start(n: usize) -> Cluster {
+        Cluster::start_with(n, |_| {})
+    }
+
+    /// [`Cluster::start`] with the router's config adjusted by `tune`.
+    fn start_with(n: usize, tune: impl FnOnce(&mut RouterConfig)) -> Cluster {
         let (points, uncertain) = scene();
         let mut node_points: Vec<Vec<PointObject>> = (0..n).map(|_| Vec::new()).collect();
         let mut node_uncertain: Vec<Vec<UncertainObject>> = (0..n).map(|_| Vec::new()).collect();
@@ -77,7 +86,9 @@ impl Cluster {
             servers.push(server);
             handles.push(Some(handle));
         }
-        let router = Router::start(&RouterConfig::loopback(addrs)).expect("start router");
+        let mut config = RouterConfig::loopback(addrs);
+        tune(&mut config);
+        let router = Router::start(&config).expect("start router");
         Cluster {
             _servers: servers,
             handles,
@@ -462,4 +473,116 @@ fn node_crash_mid_commit_is_a_typed_error_never_a_torn_epoch() {
         other => panic!("expected Unavailable, got {other:?}"),
     }
     client.ping().expect("connection still alive at the end");
+}
+
+#[test]
+fn overflowing_slow_subscriber_is_closed_and_drops_are_counted_by_the_router() {
+    // The router twin of the server's push-backpressure contract: a
+    // subscriber that stops reading while commits keep changing its
+    // answer is CLOSED once its queued pushes outgrow `push_backlog`,
+    // every undelivered push is counted in the *router's* stats, and
+    // nobody else notices.
+    let cluster = Cluster::start_with(2, |config| {
+        config.event_loops = 1;
+        config.push_backlog = 128 * 1024;
+    });
+    let addr = cluster.router.as_ref().expect("router up").addr();
+    let mut writer = cluster.client();
+    let mut control = cluster.client();
+
+    // A raw subscriber that never reads past the SUB_ACK.
+    let mut stalled = TcpStream::connect(addr).expect("connect stalled");
+    let request = PointRequest::ipq(
+        Issuer::uniform(Rect::centered(Point::new(260.0, 260.0), 50.0, 50.0)),
+        RangeSpec::square(80.0),
+    );
+    let mut sub = Vec::new();
+    protocol::encode_subscribe_point(&mut sub, 120.0, &request).unwrap();
+    stalled.write_all(&sub).expect("subscribe");
+    let mut len_buf = [0u8; 4];
+    stalled.read_exact(&mut len_buf).expect("ack length");
+    let mut ack = vec![0u8; u32::from_le_bytes(len_buf) as usize];
+    stalled.read_exact(&mut ack).expect("ack frame");
+    assert_eq!(ack[1], opcode::SUB_ACK);
+
+    // Every commit flips 4,000 objects in or out of the standing
+    // query's qualifying region, so every commit owes the subscriber
+    // one ~64 KB NOTIFY. The kernel absorbs a bounded amount (the
+    // router's send buffer grows to a few MB — `RouterConfig` has no
+    // `SO_SNDBUF` override); after that the router's per-connection
+    // queue passes `push_backlog`.
+    let churn = |round: u64| -> Vec<WireUpdate> {
+        (0..4_000u64)
+            .map(|j| {
+                let id = 50_000 + j;
+                if round.is_multiple_of(2) {
+                    WireUpdate::Point(Update::Arrive(PointObject::new(
+                        id,
+                        Point::new(140.0 + (j % 80) as f64 * 3.0, 160.0 + (j / 80) as f64 * 4.0),
+                    )))
+                } else {
+                    WireUpdate::Point(Update::Depart(ObjectId(id)))
+                }
+            })
+            .collect()
+    };
+    let mut dropped = 0u64;
+    for round in 0..400u64 {
+        writer.submit(&churn(round)).expect("submit");
+        writer.commit(CommitTarget::Point).expect("commit");
+        dropped = control.stats().expect("stats").dropped_pushes;
+        if dropped > 0 {
+            break;
+        }
+    }
+    assert!(
+        dropped > 0,
+        "a subscriber that never reads must eventually be closed with its drops counted"
+    );
+
+    // What did reach the socket is a clean prefix of the push stream:
+    // complete NOTIFY frames with strictly increasing cluster epochs.
+    // The last frame may be cut where the router closed.
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut bytes = Vec::new();
+    let mut chunk = [0u8; 4_096];
+    loop {
+        match stalled.read(&mut chunk) {
+            Ok(0) => break, // the EOF the subscriber must observe
+            Ok(n) => bytes.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => break,
+            Err(e) => panic!("reading the closed subscriber: {e}"),
+        }
+    }
+    let mut note = iloc::server::Notification::default();
+    let mut at = 0usize;
+    let mut prev_epoch = 0u64;
+    while bytes.len() - at >= 4 {
+        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        if bytes.len() - at - 4 < len {
+            break; // cut mid-frame by the close
+        }
+        let frame = &bytes[at + 4..at + 4 + len];
+        assert_eq!(frame[0], protocol::PROTOCOL_VERSION);
+        assert_eq!(frame[1], opcode::NOTIFY, "only pushes on this stream");
+        protocol::decode_notify_into(&frame[2..], &mut note).expect("complete pushes decode");
+        assert!(note.epoch > prev_epoch, "no duplicated or reordered push");
+        prev_epoch = note.epoch;
+        at += 4 + len;
+    }
+    assert!(
+        prev_epoch > 0,
+        "some pushes were delivered before the close"
+    );
+
+    // The router is unharmed: its other connections keep serving, and
+    // the dead subscriber's standing query was released upstream.
+    control.ping().expect("router healthy after the close");
+    writer
+        .point_query(&request)
+        .expect("queries still route after the close");
+    let stats = control.stats().expect("stats");
+    assert!(stats.nodes.iter().all(|n| n.connected));
 }

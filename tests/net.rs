@@ -6,7 +6,8 @@
 //! epoch — under concurrency, under an interleaved update/commit
 //! stream, and regardless of pipelining. Plus: malformed and truncated
 //! frames are rejected with error frames (never a crash) and do not
-//! disturb other connections.
+//! disturb other connections — the framing half of that against both
+//! front ends of the connection core, server and router.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -17,6 +18,7 @@ use iloc::core::pipeline::{PointRequest, UncertainRequest};
 use iloc::core::serve::Update;
 use iloc::core::{CipqStrategy, CiuqStrategy, Issuer, RangeSpec};
 use iloc::geometry::{Point, Rect};
+use iloc::router::{Router, RouterConfig};
 use iloc::server::protocol::{self, opcode, CommitTarget, ErrorCode, WireUpdate};
 use iloc::server::server::{QueryServer, ServerConfig};
 use iloc::server::{Client, ClientError};
@@ -287,31 +289,160 @@ fn stats_frame_reports_epochs_sizes_and_shards() {
     handle.shutdown();
 }
 
-/// Writes raw bytes and returns the first response frame, if any.
-fn raw_exchange(addr: std::net::SocketAddr, bytes: &[u8]) -> Option<(u8, u8, Vec<u8>)> {
-    let mut stream = TcpStream::connect(addr).expect("connect raw");
-    stream.set_nodelay(true).ok()?;
-    stream.set_read_timeout(Some(Duration::from_secs(5))).ok()?;
-    stream.write_all(bytes).expect("write raw");
+/// Reads one whole frame: `(version, opcode, payload)`.
+fn read_frame(stream: &mut TcpStream) -> (u8, u8, Vec<u8>) {
     let mut len_buf = [0u8; 4];
-    stream.read_exact(&mut len_buf).ok()?;
-    let len = u32::from_le_bytes(len_buf) as usize;
-    let mut frame = vec![0u8; len];
-    stream.read_exact(&mut frame).ok()?;
-    Some((frame[0], frame[1], frame[2..].to_vec()))
+    stream.read_exact(&mut len_buf).expect("frame length");
+    let mut frame = vec![0u8; u32::from_le_bytes(len_buf) as usize];
+    stream.read_exact(&mut frame).expect("frame body");
+    (frame[0], frame[1], frame[2..].to_vec())
+}
+
+/// Writes raw bytes on a fresh connection and returns the first
+/// response frame.
+fn raw_exchange(addr: std::net::SocketAddr, bytes: &[u8]) -> (u8, u8, Vec<u8>) {
+    let mut stream = TcpStream::connect(addr).expect("connect raw");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    stream.write_all(bytes).expect("write raw");
+    read_frame(&mut stream)
+}
+
+fn assert_closed(stream: &mut TcpStream, what: &str) {
+    match stream.read(&mut [0u8; 4]) {
+        Ok(0) | Err(_) => {} // closed (FIN or RST) — both fine
+        Ok(n) => panic!("{what}: peer kept talking ({n} bytes) after refusing the stream"),
+    }
+}
+
+/// The framing contract belongs to the connection core, so it must
+/// read the same through either front end built on it: a plain server,
+/// and a router over one node.
+#[test]
+fn framing_contract_holds_on_server_and_router() {
+    let (_server, server) = start_server(2, 3);
+    let (_node, node) = start_server(1, 2);
+    let router = Router::start(&RouterConfig::loopback(vec![node.addr()])).expect("start router");
+    let max = protocol::MAX_FRAME_LEN;
+
+    for (who, addr) in [("server", server.addr()), ("router", router.addr())] {
+        let connect = || {
+            let stream = TcpStream::connect(addr).expect("connect raw");
+            stream.set_nodelay(true).expect("nodelay");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .expect("read timeout");
+            stream
+        };
+
+        // Streams that cannot be delimited, or speak another version:
+        // a typed error frame, then the connection closes.
+        let refused: [(&str, Vec<u8>, ErrorCode); 5] = [
+            ("len 0", 0u32.to_le_bytes().to_vec(), ErrorCode::TooLarge),
+            ("len 1", 1u32.to_le_bytes().to_vec(), ErrorCode::TooLarge),
+            (
+                "len > max_frame_len",
+                (max + 1).to_le_bytes().to_vec(),
+                ErrorCode::TooLarge,
+            ),
+            (
+                "wrong version on a PING",
+                [&2u32.to_le_bytes()[..], &[99, opcode::PING]].concat(),
+                ErrorCode::BadVersion,
+            ),
+            (
+                "HELLO from version 9",
+                [&6u32.to_le_bytes()[..], &[9, opcode::HELLO, 9, 0, 0, 0]].concat(),
+                ErrorCode::BadVersion,
+            ),
+        ];
+        for (what, bytes, code) in refused {
+            let mut stream = connect();
+            stream.write_all(&bytes).expect("write raw");
+            let (_, op, payload) = read_frame(&mut stream);
+            assert_eq!(op, opcode::ERROR, "{who}: {what}");
+            assert_eq!(payload[0], code as u8, "{who}: {what}");
+            if what.starts_with("HELLO") {
+                // A typed refusal naming both versions.
+                let (_, message) = protocol::decode_error(&payload).expect("error payload");
+                assert!(
+                    message.contains("version 9")
+                        && message.contains(&format!("v{}", protocol::PROTOCOL_VERSION)),
+                    "{who}: {message}"
+                );
+            }
+            assert_closed(&mut stream, what);
+        }
+
+        // Reassembly: however the bytes are cut, the same answers come
+        // back in the same order.
+        let mut ping = Vec::new();
+        protocol::encode_empty(&mut ping, opcode::PING);
+        let mut query = Vec::new();
+        protocol::encode_point_query(&mut query, &point_requests(1, 5)[0]).unwrap();
+        let mut stream = connect();
+
+        stream.write_all(&query[..2]).unwrap(); // a split length prefix
+        std::thread::sleep(Duration::from_millis(20));
+        stream.write_all(&query[2..]).unwrap();
+        let (_, op, whole) = read_frame(&mut stream);
+        assert_eq!(op, opcode::ANSWER, "{who}: split prefix");
+
+        for byte in &query {
+            stream.write_all(std::slice::from_ref(byte)).unwrap(); // dripped
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let (_, op, dripped) = read_frame(&mut stream);
+        assert_eq!(op, opcode::ANSWER, "{who}: dripped frame");
+        assert_eq!(dripped, whole, "{who}: dripped frame");
+
+        let burst = [&ping[..], &query, &ping, &query, &ping].concat();
+        stream.write_all(&burst).unwrap(); // five pipelined frames, one write
+        for (k, want) in [
+            opcode::PONG,
+            opcode::ANSWER,
+            opcode::PONG,
+            opcode::ANSWER,
+            opcode::PONG,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let (_, op, payload) = read_frame(&mut stream);
+            assert_eq!(op, want, "{who}: pipelined frame {k}");
+            if op == opcode::ANSWER {
+                assert_eq!(payload, whole, "{who}: pipelined frame {k}");
+            }
+        }
+
+        // Half-close after a request: the response still arrives.
+        stream.write_all(&query).unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let (_, op, payload) = read_frame(&mut stream);
+        assert_eq!(op, opcode::ANSWER, "{who}: half-close");
+        assert_eq!(payload, whole, "{who}: half-close");
+        assert_closed(&mut stream, "half-close");
+
+        // Half a frame then disconnect: shrugged off.
+        let mut stream = connect();
+        stream.write_all(&100u32.to_le_bytes()).unwrap();
+        stream.write_all(&[1, 2, 3]).unwrap();
+        drop(stream);
+        Client::connect(addr)
+            .expect("connect after a mid-frame hangup")
+            .ping()
+            .expect("front end survived a hangup mid-frame");
+    }
+    router.shutdown();
+    node.shutdown();
+    server.shutdown();
 }
 
 #[test]
-fn malformed_and_truncated_frames_are_rejected() {
+fn malformed_payloads_are_rejected_and_the_connection_survives() {
     let (_server, handle) = start_server(2, 3);
     let addr = handle.addr();
-
-    // Wrong version: error frame, code BadVersion.
-    let mut frame = 2u32.to_le_bytes().to_vec();
-    frame.extend_from_slice(&[99, opcode::PING]);
-    let (_, op, payload) = raw_exchange(addr, &frame).expect("response");
-    assert_eq!(op, opcode::ERROR);
-    assert_eq!(payload[0], ErrorCode::BadVersion as u8);
 
     // Unknown opcode: error frame, connection stays usable.
     {
@@ -352,40 +483,11 @@ fn malformed_and_truncated_frames_are_rejected() {
         let chopped_payload_len = (good.len() - 6) / 2;
         let mut truncated = ((chopped_payload_len + 2) as u32).to_le_bytes().to_vec();
         truncated.extend_from_slice(&good[4..6 + chopped_payload_len]);
-        let (_, op, payload) = raw_exchange(addr, &truncated).expect("response");
+        let (_, op, payload) = raw_exchange(addr, &truncated);
         assert_eq!(op, opcode::ERROR);
         assert_eq!(payload[0], ErrorCode::Malformed as u8);
         // Other connections were never disturbed.
         client.ping().expect("ping");
-    }
-
-    // A wild length prefix: TooLarge, then the server closes.
-    {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .write_all(&u32::MAX.to_le_bytes())
-            .expect("write length");
-        let mut len_buf = [0u8; 4];
-        stream.read_exact(&mut len_buf).unwrap();
-        let mut frame = vec![0u8; u32::from_le_bytes(len_buf) as usize];
-        stream.read_exact(&mut frame).unwrap();
-        assert_eq!(frame[1], opcode::ERROR);
-        assert_eq!(frame[2], ErrorCode::TooLarge as u8);
-        match stream.read(&mut len_buf) {
-            Ok(0) | Err(_) => {} // closed (FIN or RST) — both fine
-            Ok(n) => panic!("server kept talking ({n} bytes) after an undelimitable frame"),
-        }
-    }
-
-    // Half a frame then disconnect: the server must shrug it off and
-    // keep serving new connections.
-    {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(&100u32.to_le_bytes()).unwrap();
-        stream.write_all(&[1, 2, 3]).unwrap();
-        drop(stream);
-        let mut client = Client::connect(addr).unwrap();
-        client.ping().expect("server survived a hangup mid-frame");
     }
 
     // Unencodable request: rejected client-side, nothing sent.
