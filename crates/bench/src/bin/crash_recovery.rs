@@ -51,25 +51,18 @@ use std::path::PathBuf;
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, SystemTime};
 
+use iloc_bench::args::Args;
+use iloc_bench::loadgen::{catalogs, point_pool, to_wire, uncertain_pool};
 use iloc_bench::ResilientClient;
-use iloc_core::pipeline::{PointRequest, UncertainRequest};
-use iloc_core::serve::Update;
-use iloc_core::{CipqStrategy, Issuer, QueryAnswer, RangeSpec};
-use iloc_datagen::{
-    california_points, long_beach_rects, uniform_objects, PointUpdate, PointUpdateGen, UpdateMix,
-    WorkloadGen,
-};
+use iloc_core::QueryAnswer;
+use iloc_datagen::{PointUpdate, PointUpdateGen, UpdateMix};
 use iloc_server::client::Client;
-use iloc_server::protocol::{CommitTarget, WireUpdate};
+use iloc_server::protocol::CommitTarget;
 use iloc_server::server::{QueryServer, ServerConfig};
-use iloc_uncertainty::{ObjectId, PointObject};
 
-/// Paper Table 2 defaults shared with the loadgen scenarios.
-const U: f64 = 250.0;
-const W: f64 = 500.0;
-
-/// Distinct requests in the comparison pool.
-const POOL: usize = 48;
+/// Uncertain requests compared (the head of the loadgen pool): IUQ and
+/// C-IUQ refine an order of magnitude slower than the point queries.
+const UNCERTAIN_COMPARED: usize = 12;
 
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(60);
 
@@ -88,26 +81,32 @@ struct Config {
 }
 
 fn parse_config() -> Config {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let number = |name: &str, default: usize| -> usize {
-        value(name)
-            .map(|v| v.parse().unwrap_or_else(|_| die(name)))
-            .unwrap_or(default)
-    };
-    let server_bin = value("--server").map(PathBuf::from).unwrap_or_else(|| {
-        std::env::current_exe()
-            .expect("current exe")
-            .parent()
-            .expect("exe dir")
-            .join("iloc-server")
-    });
-    let (data_dir, ephemeral_dir) = match value("--data-dir") {
+    let args = Args::from_env(
+        &[],
+        &[
+            "--server",
+            "--data-dir",
+            "--points",
+            "--uncertain",
+            "--shards",
+            "--batch",
+            "--max-batches",
+            "--kill-after-ms",
+            "--fsync",
+            "--seed",
+        ],
+    );
+    let server_bin = args
+        .value("--server")
+        .map(PathBuf::from)
+        .unwrap_or_else(|| {
+            std::env::current_exe()
+                .expect("current exe")
+                .parent()
+                .expect("exe dir")
+                .join("iloc-server")
+        });
+    let (data_dir, ephemeral_dir) = match args.value("--data-dir") {
         Some(dir) => (PathBuf::from(dir), false),
         None => {
             let nanos = SystemTime::now()
@@ -125,20 +124,15 @@ fn parse_config() -> Config {
         server_bin,
         data_dir,
         ephemeral_dir,
-        points: number("--points", 6_200),
-        uncertain: number("--uncertain", 5_300),
-        shards: number("--shards", 4),
-        batch: number("--batch", 64),
-        max_batches: number("--max-batches", 4_096),
-        kill_after: Duration::from_millis(number("--kill-after-ms", 500) as u64),
-        fsync: value("--fsync").unwrap_or_else(|| "always".to_string()),
-        seed: number("--seed", 2007) as u64,
+        points: args.parsed("--points", 6_200),
+        uncertain: args.parsed("--uncertain", 5_300),
+        shards: args.parsed("--shards", 4),
+        batch: args.parsed("--batch", 64),
+        max_batches: args.parsed("--max-batches", 4_096),
+        kill_after: Duration::from_millis(args.parsed("--kill-after-ms", 500)),
+        fsync: args.value("--fsync").unwrap_or("always").to_string(),
+        seed: args.parsed("--seed", 2007),
     }
-}
-
-fn die(name: &str) -> ! {
-    eprintln!("invalid value for {name}");
-    std::process::exit(2);
 }
 
 /// Spawns the server binary and blocks until it announces its bound
@@ -195,40 +189,6 @@ fn make_batches(cfg: &Config) -> Vec<Vec<PointUpdate>> {
     let (_, mut gen) = PointUpdateGen::over_california(cfg.points, cfg.seed, UpdateMix::balanced());
     (0..cfg.max_batches)
         .map(|_| gen.stream(cfg.batch))
-        .collect()
-}
-
-fn to_wire(batch: &[PointUpdate]) -> Vec<WireUpdate> {
-    batch
-        .iter()
-        .map(|u| {
-            WireUpdate::Point(match *u {
-                PointUpdate::Arrive { id, loc } => Update::Arrive(PointObject::new(id, loc)),
-                PointUpdate::Depart { id } => Update::Depart(ObjectId(id)),
-                PointUpdate::Move { id, to } => Update::Move(PointObject::new(id, to)),
-            })
-        })
-        .collect()
-}
-
-fn point_pool(seed: u64) -> Vec<PointRequest> {
-    let mut gen = WorkloadGen::new(seed);
-    (0..POOL)
-        .map(|k| {
-            let issuer = Issuer::uniform(gen.issuer_region(U));
-            if k % 5 == 3 {
-                PointRequest::cipq(issuer, RangeSpec::square(W), 0.3, CipqStrategy::PExpanded)
-            } else {
-                PointRequest::ipq(issuer, RangeSpec::square(W))
-            }
-        })
-        .collect()
-}
-
-fn uncertain_pool(seed: u64) -> Vec<UncertainRequest> {
-    let mut gen = WorkloadGen::new(seed);
-    (0..POOL / 4)
-        .map(|_| UncertainRequest::iuq(Issuer::uniform(gen.issuer_region(U)), RangeSpec::square(W)))
         .collect()
 }
 
@@ -330,12 +290,7 @@ fn main() {
 
     // --- Phase 4: bit-identical comparison against a clean rebuild ---
     let reference = {
-        let points: Vec<PointObject> = california_points(cfg.points, cfg.seed)
-            .into_iter()
-            .enumerate()
-            .map(|(k, p)| PointObject::new(k as u64, p))
-            .collect();
-        let uncertain = uniform_objects(&long_beach_rects(cfg.uncertain, cfg.seed + 1));
+        let (points, uncertain) = catalogs(cfg.points, cfg.uncertain, cfg.seed, 1).remove(0);
         QueryServer::new(points, uncertain, cfg.shards)
     };
     let ref_handle = reference
@@ -368,7 +323,7 @@ fn main() {
             );
         }
     }
-    for req in &uncertain_pool(cfg.seed + 13) {
+    for req in &uncertain_pool(cfg.seed + 13)[..UNCERTAIN_COMPARED] {
         live.uncertain_query_into(req, &mut got)
             .expect("recovered query");
         ref_client

@@ -13,23 +13,26 @@
 //! Absolute milliseconds differ from the paper's 2007 SunFire numbers;
 //! the *shapes* — who wins, by what factor, where the curves bend — are
 //! what EXPERIMENTS.md records and compares.
+//!
+//! Beside the paper harness sits the serving stack's smoke driver: the
+//! [`loadgen`] module and binary (one data-described scenario driven
+//! against real `iloc-server` / `iloc-router` processes in CI, gating
+//! zero steady-state allocations, node health, dropped pushes and a
+//! p99 ceiling; `tests/zero_alloc.rs` runs the same gate in process
+//! under `cargo test`) and the `crash_recovery` binary. Serving
+//! *numbers* come from neither: the repo benchmark under `benchmark/`
+//! is the one instrument claims are measured with.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod c10k;
-pub mod cluster;
+pub mod args;
 pub mod config;
 pub mod experiments;
 pub mod harness;
-pub mod net;
+pub mod loadgen;
 pub mod resilient;
-pub mod subscribers;
 
-pub use c10k::{C10kConfig, C10kReport};
-pub use cluster::{ClusterConfig, ClusterReport};
 pub use config::{Scale, TestBed};
 pub use harness::{Row, Summary};
-pub use net::{NetConfig, NetReport};
 pub use resilient::ResilientClient;
-pub use subscribers::{SubscribersConfig, SubscribersReport};

@@ -51,14 +51,19 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The next draw of the stream as a fraction in `[0, 1)` — also what
+/// the load driver scatters its walks and herd positions with.
+pub(crate) fn unit(state: &mut u64) -> f64 {
+    (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
+}
+
 /// `base/2 + base/2 * frac` where `frac` is drawn from the client's
 /// jitter stream: equal-height decorrelation (half deterministic floor,
 /// half uniform), so the mean stays at 3/4 of the nominal backoff and
 /// the floor guarantees the listener is never spun on.
 fn jittered(base: Duration, state: &mut u64) -> Duration {
     let half = base / 2;
-    let frac = (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64;
-    half + Duration::from_secs_f64(half.as_secs_f64() * frac)
+    half + Duration::from_secs_f64(half.as_secs_f64() * unit(state))
 }
 
 /// One standing point query the client re-subscribes after

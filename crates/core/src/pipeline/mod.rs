@@ -32,9 +32,9 @@
 //! [`iloc_uncertainty::PdfKind`] pdfs). The batched refine stage's SoA
 //! lane buffers (survivors, probabilities, per-`PdfKind` lanes) live in
 //! the same scratch under the same cleared-never-shrunk discipline.
-//! CI enforces this with the
-//! throughput bench's `--check-allocs` gate; treat an allocation on
-//! this path as a regression.
+//! `loadgen --check-allocs` (the CI smoke jobs, over a real socket) and
+//! `crates/bench/tests/zero_alloc.rs` (under `cargo test`) hold this at
+//! exactly zero; treat an allocation on this path as a regression.
 //!
 //! ## Batching
 //!
@@ -337,8 +337,8 @@ impl<O: PipelineObject, F: FilterStage, E: ProbabilityEvaluator<O>> QueryPipelin
     /// workload size — performs **zero heap allocations**: candidates
     /// land in the context's [`QueryScratch`], the index probe runs on
     /// the scratch traversal stack, and matches stage directly into
-    /// the reused `answer.results`. The throughput bench's CI gate
-    /// (`throughput --check-allocs`) pins this invariant.
+    /// the reused `answer.results`. `loadgen --check-allocs` and
+    /// `crates/bench/tests/zero_alloc.rs` pin this invariant.
     pub fn execute_into(&self, ctx: &mut ExecutionContext, answer: &mut QueryAnswer) {
         let start = Instant::now();
         ctx.reset();

@@ -130,8 +130,9 @@ impl<E: ServeEngine> BatchEngine for Snapshot<E> {
 /// A per-worker serving loop bound to one snapshot: owns a long-lived
 /// context and per-shard answer buffers, so a steady-state query
 /// through a warm server performs **no heap allocation** (the same
-/// invariant the single-engine hot path has; the throughput bench's
-/// `mixed` scenario runs on this).
+/// invariant the single-engine hot path has; every server event loop
+/// answers queries through one of these, which is where
+/// `loadgen --check-allocs` and `tests/zero_alloc.rs` measure it).
 #[derive(Debug)]
 pub struct ShardServer<E: ServeEngine> {
     snapshot: Snapshot<E>,

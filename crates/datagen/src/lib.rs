@@ -19,7 +19,8 @@
 //!
 //! Beyond the static sets, [`updates`] generates seeded
 //! arrival/departure/move streams over them — the churn workload the
-//! sharded serving layer and the `mixed` throughput scenario consume.
+//! sharded serving layer, the `loadgen` updater and the repo benchmark's
+//! write stream consume.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

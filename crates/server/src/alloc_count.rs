@@ -2,12 +2,13 @@
 //!
 //! The workspace's perf contract is "zero heap allocations on the
 //! steady-state query path", and the way it is enforced is by counting
-//! every allocation the process performs. The throughput benchmark
-//! introduced the counter; the server binary registers the same
-//! allocator so the **stats frame can report server-side allocation
-//! counts over the wire**, letting a remote load generator gate on
-//! "allocations per request" without sharing an address space with the
-//! server (the CI smoke job does exactly this).
+//! every allocation the process performs. The server and router
+//! binaries register this allocator so the **stats frame can report
+//! their allocation counts over the wire**, letting a remote load
+//! generator gate on "allocations per request" without sharing an
+//! address space with them (`loadgen --check-allocs` in the CI smoke
+//! jobs does exactly this; `crates/bench/tests/zero_alloc.rs` registers
+//! it too and runs the same gate in one process under `cargo test`).
 //!
 //! Registering the allocator is the binary's choice (a library must
 //! not impose a global allocator); call [`mark_installed`] from `main`
