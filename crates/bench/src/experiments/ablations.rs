@@ -2,7 +2,7 @@
 //!
 //! * integrator trade-off (exact / grid / Monte-Carlo) for IUQ;
 //! * U-catalog size vs pruning power for C-IPQ;
-//! * filter index choice (naive scan / grid file / R-tree) for IPQ;
+//! * filter index choice (naive scan / R-tree) for IPQ;
 //! * the three C-IUQ pruning strategies, individually and combined.
 
 use iloc_core::eval::constrained::{
@@ -13,7 +13,7 @@ use iloc_core::{CipqStrategy, ContinuousIpq, Integrator, Issuer, RangeSpec};
 use iloc_datagen::{california_points, point_objects, WorkloadGen};
 use iloc_geometry::Point;
 use iloc_geometry::Rect;
-use iloc_index::{AccessStats, GridFile, NaiveIndex, RTree, RTreeParams, RangeIndex};
+use iloc_index::{AccessStats, NaiveIndex, RTree, RTreeParams, RangeIndex};
 use iloc_uncertainty::{LocationPdf, UniformPdf};
 
 use crate::config::{TestBed, DEFAULT_U, DEFAULT_W};
@@ -89,8 +89,8 @@ pub fn catalog_sizes(bed: &TestBed) -> Vec<Row> {
 }
 
 /// Index ablation: the same Minkowski-sum filter answered by a naive
-/// scan, a grid file, and the R-tree (plus duality refinement), on the
-/// point database.
+/// scan and by the R-tree (plus duality refinement), on the point
+/// database.
 pub fn index_choice(bed: &TestBed) -> Vec<Row> {
     // Rebuild raw indexes over the same points the testbed uses.
     let pts = california_points(bed.scale.point_count, bed.scale.seed);
@@ -101,7 +101,6 @@ pub fn index_choice(bed: &TestBed) -> Vec<Row> {
         .map(|(k, o)| (Rect::from_point(o.loc), k as u32))
         .collect();
     let naive = NaiveIndex::new(entries.clone());
-    let grid = GridFile::new(iloc_datagen::SPACE, 64, 64, entries.clone());
     let rtree = RTree::bulk_load(entries, RTreeParams::default());
 
     let range = RangeSpec::square(DEFAULT_W);
@@ -139,7 +138,6 @@ pub fn index_choice(bed: &TestBed) -> Vec<Row> {
         });
     };
     run_index("naive scan", &naive);
-    run_index("grid file 64x64", &grid);
     run_index("r-tree", &rtree);
     print_table(
         "Ablation: filter index choice (IPQ, California)",

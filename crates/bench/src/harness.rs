@@ -43,8 +43,7 @@ impl Summary {
             avg_ms: elapsed.as_secs_f64() * 1_000.0 / n,
             avg_candidates: total.access.candidates as f64 / n,
             avg_prob_evals: total.prob_evals as f64 / n,
-            avg_node_accesses: (total.access.nodes_visited + total.access.buckets_visited) as f64
-                / n,
+            avg_node_accesses: total.access.nodes_visited as f64 / n,
             avg_results: results as f64 / n,
             avg_pruned: (
                 total.pruned_s1 as f64 / n,

@@ -5,13 +5,13 @@
 //! the catalog and every standing query. This module makes the
 //! mutation stream durable without touching the query hot path:
 //!
-//! * **Write-ahead log** ([`wal`]) — every non-empty `Update` batch is
+//! * **Write-ahead log** (`wal`) — every non-empty `Update` batch is
 //!   encoded and appended *before* [`crate::serve::ShardedEngine::commit`]
 //!   publishes the epoch it will commit as, fsync'd per
 //!   [`FsyncPolicy`]. Records are length-prefixed and CRC-checksummed,
 //!   so a torn tail (the process died mid-append) is **detected and
 //!   truncated**, never misread.
-//! * **Checkpoints** ([`checkpoint`]) — periodic binary snapshots of
+//! * **Checkpoints** (`checkpoint`) — periodic binary snapshots of
 //!   per-shard object state, written to a temp file and renamed in
 //!   atomically, so the log never has to be replayed from epoch 0.
 //! * **Recovery** ([`DurableCatalog::open`]) — loads the newest valid

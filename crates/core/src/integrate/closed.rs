@@ -24,7 +24,7 @@ use crate::query::RangeSpec;
 /// One linear segment of a hoisted overlap profile, with the slope and
 /// the `c0 + c1·x` coefficients precomputed once per query (the scalar
 /// path recomputes them per candidate inside
-/// [`profile_against_marginal`]).
+/// `profile_against_marginal`).
 ///
 /// Zero-width padding segments (`x0 == x1`) are valid and contribute
 /// exactly `+0.0` to every integral, which lets [`AxisProfile`] hold a
@@ -263,7 +263,7 @@ fn uniform_lanes(h: &UniformHeader, rects: &[[f64; 4]; LANES]) -> Lanes {
 /// The packed (AoS) layout is deliberate: the gather loop that feeds
 /// this kernel is bound by random object-table reads, and a single
 /// 32-byte push per candidate keeps it short enough to overlap those
-/// misses. The kernel transposes [`LANES`] quadruples at a time and
+/// misses. The kernel transposes `LANES` quadruples at a time and
 /// evaluates them as fixed-size lane arrays; a ragged tail is padded
 /// with zero rectangles whose results are dropped.
 pub fn uniform_uniform_batch(h: &UniformHeader, rects: &[[f64; 4]], out: &mut [f64]) {

@@ -4,8 +4,8 @@
 //!
 //! * [`RectFilter`] — one rectangle (the Minkowski sum `R ⊕ U0` of
 //!   Lemma 1 or a `p`-expanded query of Lemma 5) probed against **any**
-//!   [`RangeIndex`] backend: `RTree`, `GridFile`, `NaiveIndex`, or a
-//!   `Pti` used as a plain R-tree.
+//!   [`RangeIndex`] backend: `RTree`, `NaiveIndex`, or a `Pti` used
+//!   as a plain R-tree.
 //! * [`PtiFilter`] — the PTI's threshold-aware probe (Section 5.3),
 //!   which prunes whole subtrees with node-level Strategy 1/2 tests.
 

@@ -12,7 +12,7 @@
 //!
 //! | Stage | Type | Paper |
 //! |-------|------|-------|
-//! | **Filter** | [`FilterStage`]: [`RectFilter`] over any [`iloc_index::RangeIndex`] backend (R-tree, grid file, naive scan) probed with the Minkowski sum `R ⊕ U0` (Lemma 1, Section 4.1) or a `p`-expanded query (Definition 7 + Lemma 5); [`PtiFilter`] for the PTI's node-level pruning (Section 5.3) | 4.1, 5.1, 5.3 |
+//! | **Filter** | [`FilterStage`]: [`RectFilter`] over any [`iloc_index::RangeIndex`] backend (R-tree, naive scan) probed with the Minkowski sum `R ⊕ U0` (Lemma 1, Section 4.1) or a `p`-expanded query (Definition 7 + Lemma 5); [`PtiFilter`] for the PTI's node-level pruning (Section 5.3) | 4.1, 5.1, 5.3 |
 //! | **Prune** | [`PruneChain`] of trait-object [`PruneStage`]s — the three object-level pruning strategies for constrained queries, each recording its eliminations in [`QueryStats`] (`pruned_s1`/`s2`/`s3`) | 5.2 |
 //! | **Refine** | [`EvaluatorKind`] (static dispatch over the two [`ProbabilityEvaluator`]s): [`DualityEvaluator`] computes qualification probabilities through the query–data duality closed/numeric forms (Lemmas 2–4) via the context's [`Integrator`]; [`BasicEvaluator`] is the Section 3.3 baseline that integrates over the issuer region (Eq. 2 / Eq. 4) | 3.3, 4.2 |
 //!
@@ -189,13 +189,11 @@ impl QueryScratch {
 /// the reusable [`QueryScratch`] buffers.
 ///
 /// One context serves one query execution *at a time* and is designed
-/// to be **reused**: every execution starts by [`reset`]ting the
+/// to be **reused**: every execution starts by resetting the
 /// context (zeroed stats, reseeded RNG), so answers through a reused
 /// context are bit-identical to answers through a fresh one, while the
 /// scratch buffers keep their capacity. Batch execution keeps one
 /// long-lived context per worker.
-///
-/// [`reset`]: ExecutionContext::reset
 #[derive(Debug, Clone)]
 pub struct ExecutionContext {
     /// Strategy for the refine stage's probability integrals.

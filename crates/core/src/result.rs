@@ -247,7 +247,7 @@ fn total_len(runs: &[&[Match]]) -> usize {
 /// subscription's cached per-shard candidates, remote cluster nodes
 /// behind a router — so a merged answer is bit-identical to a
 /// single-partition evaluation. Nothing is compared twice: the runs
-/// merge pairwise, level by level ([`merge_two`]), the first level
+/// merge pairwise, level by level (`merge_two`), the first level
 /// reading the partials where they lie and the last writing
 /// `out.results`; the levels in between alternate between the vector's
 /// first `n` slots and `n` slots of scratch behind them, cut off
@@ -257,7 +257,7 @@ fn total_len(runs: &[&[Match]]) -> usize {
 /// allocation-free once it has grown to workload size (twice the
 /// answer, for three runs or more) — the property both the sharded
 /// engine and the cluster router's scatter-gather hot path are gated
-/// on. A fan-in of more than [`INLINE_RUNS`] runs keeps its run table
+/// on. A fan-in of more than `INLINE_RUNS` runs keeps its run table
 /// on the heap.
 pub fn merge_partials_into<'a, I>(out: &mut QueryAnswer, partials: I)
 where

@@ -7,7 +7,7 @@
 //! churn. [`crate::continuous::ContinuousIpq`] evaluates that workload
 //! in process against a borrowed, static [`crate::PointEngine`]; this
 //! module is the serving-scale form — **snapshot-owning** standing
-//! queries over [`ShardedEngine`] epochs, built so that millions of
+//! queries over [`crate::serve::ShardedEngine`] epochs, built so that millions of
 //! subscriptions can be held server-side and only the ones a commit
 //! actually touched ever do work.
 //!

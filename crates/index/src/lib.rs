@@ -3,35 +3,33 @@
 //! Spatial access methods built from scratch for the `iloc` workspace,
 //! replacing the Spatial Index Library the paper used:
 //!
-//! * [`rtree`] — a Guttman R-tree with quadratic node splitting and
-//!   Sort-Tile-Recursive (STR) bulk loading; the paper's default index
-//!   (Section 4.3).
-//! * [`gridfile`] — a grid file (Nievergelt et al.), the alternative
-//!   index the paper mentions; used by the index ablation experiment.
+//! * [`rtree`] — a Guttman R-tree with quadratic node splitting,
+//!   CondenseTree deletion and Sort-Tile-Recursive (STR) bulk loading;
+//!   the paper's default index (Section 4.3) and the crate's one tree
+//!   implementation, generic over what an entry carries as its bound.
 //! * [`pti`] — the **Probability Threshold Index** of Cheng et al.
-//!   (VLDB'04) as summarised in Section 5.3: an R-tree whose internal
-//!   entries additionally store one merged MBR per U-catalog level so
-//!   that constrained queries (C-IUQ) prune whole subtrees.
+//!   (VLDB'04) as summarised in Section 5.3: that same R-tree with one
+//!   merged MBR per U-catalog level as its entry bound, plus the
+//!   threshold probe that lets constrained queries (C-IUQ) prune whole
+//!   subtrees.
 //! * [`naive`] — a linear-scan baseline that higher-level tests and
 //!   experiments compare the indexes against.
 //!
-//! All indexes count node/bucket accesses through [`AccessStats`],
+//! All indexes count node accesses through [`AccessStats`],
 //! giving the experiments a machine-independent I/O metric alongside
 //! wall-clock time.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod gridfile;
 pub mod naive;
 pub mod pti;
 pub mod rtree;
 pub mod stats;
 pub mod traits;
 
-pub use gridfile::GridFile;
 pub use naive::NaiveIndex;
 pub use pti::{Pti, PtiParams, PtiQuery};
-pub use rtree::{RTree, RTreeParams, SplitPolicy};
+pub use rtree::{RTree, RTreeParams};
 pub use stats::AccessStats;
 pub use traits::{RangeIndex, TraversalScratch};

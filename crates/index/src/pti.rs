@@ -18,10 +18,20 @@
 //! Strategy 3 (the `qmin · dmin` product rule) needs the *issuer's*
 //! catalog and is applied per candidate by the query engine, above the
 //! index.
+//!
+//! **Shared with the R-tree:** everything structural. A [`Pti`] *is*
+//! an [`RTree`] whose entry [`Bound`] is the per-level rectangle list —
+//! keyed on the 0-bound, merged level-wise — so the arena, ChooseSubtree,
+//! the quadratic split, STR packing, CondenseTree removal and the
+//! invariant walk are the R-tree's own, and a PTI fed the same regions
+//! in the same order has the same shape as a plain R-tree over them.
+//! **PTI-specific**, and all this module holds: the level table and its
+//! validation, the threshold probe, and the [`RangeIndex`] view at
+//! threshold 0.
 
 use iloc_geometry::Rect;
 
-use crate::rtree::RTreeParams;
+use crate::rtree::{Bound, Node, RTree, RTreeParams};
 use crate::stats::AccessStats;
 use crate::traits::{RangeIndex, TraversalScratch};
 
@@ -32,30 +42,20 @@ pub struct PtiParams {
     pub rtree: RTreeParams,
 }
 
-/// One leaf entry: the object's per-level p-bound rectangles plus its
-/// payload. `bounds[0]` is the uncertainty region (0-bound).
-#[derive(Debug, Clone)]
-struct LeafEntry<T> {
-    bounds: Vec<Rect>,
-    item: T,
-}
+/// The PTI's entry bound: one rectangle per catalog level, `self[0]`
+/// the uncertainty region (0-bound) for an object and `MBR(m)` per
+/// level for a subtree.
+impl Bound for Vec<Rect> {
+    #[inline]
+    fn key(&self) -> Rect {
+        self[0]
+    }
 
-/// One internal entry: per-level merged MBRs plus the child index.
-#[derive(Debug, Clone)]
-struct ChildEntry {
-    bounds: Vec<Rect>,
-    child: usize,
-}
-
-#[derive(Debug, Clone)]
-enum PtiNodeKind<T> {
-    Leaf(Vec<LeafEntry<T>>),
-    Internal(Vec<ChildEntry>),
-}
-
-#[derive(Debug, Clone)]
-struct PtiNode<T> {
-    kind: PtiNodeKind<T>,
+    fn merge(&mut self, other: &Self) {
+        for (m, b) in self.iter_mut().zip(other) {
+            *m = m.hull(*b);
+        }
+    }
 }
 
 /// The pruning inputs of one constrained query.
@@ -81,16 +81,12 @@ pub struct PtiQuery {
 #[derive(Debug, Clone)]
 pub struct Pti<T> {
     levels: Vec<f64>,
-    nodes: Vec<PtiNode<T>>,
-    root: usize,
-    len: usize,
-    params: PtiParams,
-    /// Arena slots released by removals, reused by inserts.
-    free: Vec<usize>,
+    tree: RTree<T, Vec<Rect>>,
 }
 
 impl<T: Copy> Pti<T> {
-    /// Bulk loads a PTI.
+    /// Bulk loads a PTI (STR packing on the 0-bound centres, like the
+    /// plain R-tree).
     ///
     /// `levels` are the shared catalog levels (ascending, starting at
     /// 0); each object supplies one rectangle per level
@@ -99,8 +95,8 @@ impl<T: Copy> Pti<T> {
     /// # Panics
     ///
     /// Panics when `levels` is empty, does not start at 0, is not
-    /// strictly increasing, or an object's bound count differs from
-    /// `levels.len()`.
+    /// strictly increasing, when an object's bound count differs from
+    /// `levels.len()`, or when its 0-bound is empty or non-finite.
     pub fn bulk_load(levels: Vec<f64>, objects: Vec<(Vec<Rect>, T)>, params: PtiParams) -> Self {
         assert!(!levels.is_empty(), "levels must be non-empty");
         assert_eq!(levels[0], 0.0, "levels must start at 0");
@@ -115,197 +111,27 @@ impl<T: Copy> Pti<T> {
                 "each object needs one bound per level"
             );
         }
-        let len = objects.len();
-        let mut pti = Pti {
+        Pti {
             levels,
-            nodes: Vec::new(),
-            root: 0,
-            len,
-            params,
-            free: Vec::new(),
-        };
-        if len == 0 {
-            pti.nodes.push(PtiNode {
-                kind: PtiNodeKind::Leaf(Vec::new()),
-            });
-            return pti;
+            tree: RTree::bulk_load(objects, params.rtree),
         }
-
-        // STR-pack on the 0-bound centres, like the plain R-tree.
-        let cap = params.rtree.max_entries;
-        let leaf_groups = str_pack(
-            objects
-                .into_iter()
-                .map(|(bounds, item)| LeafEntry { bounds, item })
-                .collect(),
-            cap,
-            |e| e.bounds[0],
-        );
-        let mut level_entries: Vec<ChildEntry> = leaf_groups
-            .into_iter()
-            .map(|group| {
-                let bounds = merge_bounds(group.iter().map(|e| e.bounds.as_slice()));
-                pti.nodes.push(PtiNode {
-                    kind: PtiNodeKind::Leaf(group),
-                });
-                ChildEntry {
-                    bounds,
-                    child: pti.nodes.len() - 1,
-                }
-            })
-            .collect();
-
-        while level_entries.len() > 1 {
-            let groups = str_pack(level_entries, cap, |e| e.bounds[0]);
-            level_entries = groups
-                .into_iter()
-                .map(|group| {
-                    let bounds = merge_bounds(group.iter().map(|e| e.bounds.as_slice()));
-                    pti.nodes.push(PtiNode {
-                        kind: PtiNodeKind::Internal(group),
-                    });
-                    ChildEntry {
-                        bounds,
-                        child: pti.nodes.len() - 1,
-                    }
-                })
-                .collect();
-        }
-        pti.root = level_entries[0].child;
-        pti
     }
 
     /// Inserts one object dynamically: `bounds[k]` is its p-bound at
-    /// `levels()[k]` (with `bounds[0]` the uncertainty region).
-    ///
-    /// Uses Guttman-style ChooseSubtree / quadratic split keyed on the
-    /// 0-bounds; merged per-level MBRs are maintained along the
-    /// insertion path.
+    /// `levels()[k]` (with `bounds[0]` the uncertainty region). The
+    /// merged per-level MBRs grow along the insertion path.
     ///
     /// # Panics
     ///
-    /// Panics when the bound count does not match the catalog levels.
+    /// Panics when the bound count does not match the catalog levels,
+    /// or when the 0-bound is empty or non-finite.
     pub fn insert(&mut self, bounds: Vec<Rect>, item: T) {
         assert_eq!(
             bounds.len(),
             self.levels.len(),
             "each object needs one bound per level"
         );
-        let entry = LeafEntry { bounds, item };
-        if let Some((b1, n1, b2, n2)) = self.insert_rec(self.root, entry) {
-            let new_root = self.alloc(PtiNode {
-                kind: PtiNodeKind::Internal(vec![
-                    ChildEntry {
-                        bounds: b1,
-                        child: n1,
-                    },
-                    ChildEntry {
-                        bounds: b2,
-                        child: n2,
-                    },
-                ]),
-            });
-            self.root = new_root;
-        }
-        self.len += 1;
-    }
-
-    fn alloc(&mut self, node: PtiNode<T>) -> usize {
-        if let Some(idx) = self.free.pop() {
-            self.nodes[idx] = node;
-            idx
-        } else {
-            self.nodes.push(node);
-            self.nodes.len() - 1
-        }
-    }
-
-    /// Puts an arena slot on the free list.
-    fn release(&mut self, idx: usize) {
-        debug_assert_ne!(idx, self.root, "cannot release the root");
-        self.nodes[idx].kind = PtiNodeKind::Leaf(Vec::new());
-        self.free.push(idx);
-    }
-
-    /// Recursive insert; on overflow returns `(bounds1, idx1, bounds2,
-    /// idx2)` where `idx1` reuses the original node.
-    fn insert_rec(
-        &mut self,
-        node_idx: usize,
-        entry: LeafEntry<T>,
-    ) -> Option<(Vec<Rect>, usize, Vec<Rect>, usize)> {
-        let max = self.params.rtree.max_entries;
-        let min = self.params.rtree.min_entries;
-        match &mut self.nodes[node_idx].kind {
-            PtiNodeKind::Leaf(entries) => {
-                entries.push(entry);
-                if entries.len() <= max {
-                    return None;
-                }
-                let full = std::mem::take(entries);
-                let (a, b) = quadratic_split_by(full, min, |e: &LeafEntry<T>| e.bounds[0]);
-                let ba = merge_bounds(a.iter().map(|e| e.bounds.as_slice()));
-                let bb = merge_bounds(b.iter().map(|e| e.bounds.as_slice()));
-                self.nodes[node_idx].kind = PtiNodeKind::Leaf(a);
-                let sibling = self.alloc(PtiNode {
-                    kind: PtiNodeKind::Leaf(b),
-                });
-                Some((ba, node_idx, bb, sibling))
-            }
-            PtiNodeKind::Internal(children) => {
-                // ChooseSubtree on 0-bound enlargement.
-                let extent = entry.bounds[0];
-                let mut best = 0usize;
-                let mut best_enl = f64::INFINITY;
-                let mut best_area = f64::INFINITY;
-                for (i, c) in children.iter().enumerate() {
-                    let mbr = c.bounds[0];
-                    let area = mbr.area();
-                    let enl = mbr.hull(extent).area() - area;
-                    if enl < best_enl || (enl == best_enl && area < best_area) {
-                        best = i;
-                        best_enl = enl;
-                        best_area = area;
-                    }
-                }
-                let entry_bounds = entry.bounds.clone();
-                let child_idx = children[best].child;
-                let split_result = self.insert_rec(child_idx, entry);
-                let PtiNodeKind::Internal(children) = &mut self.nodes[node_idx].kind else {
-                    unreachable!("node kind cannot change during insert");
-                };
-                match split_result {
-                    None => {
-                        for (m, b) in children[best].bounds.iter_mut().zip(&entry_bounds) {
-                            *m = m.hull(*b);
-                        }
-                        None
-                    }
-                    Some((b1, n1, b2, n2)) => {
-                        children[best] = ChildEntry {
-                            bounds: b1,
-                            child: n1,
-                        };
-                        children.push(ChildEntry {
-                            bounds: b2,
-                            child: n2,
-                        });
-                        if children.len() <= max {
-                            return None;
-                        }
-                        let full = std::mem::take(children);
-                        let (a, b) = quadratic_split_by(full, min, |c: &ChildEntry| c.bounds[0]);
-                        let ba = merge_bounds(a.iter().map(|c| c.bounds.as_slice()));
-                        let bb = merge_bounds(b.iter().map(|c| c.bounds.as_slice()));
-                        self.nodes[node_idx].kind = PtiNodeKind::Internal(a);
-                        let sibling = self.alloc(PtiNode {
-                            kind: PtiNodeKind::Internal(b),
-                        });
-                        Some((ba, node_idx, bb, sibling))
-                    }
-                }
-            }
-        }
+        self.tree.insert(bounds, item);
     }
 
     /// Removes one stored object whose **0-bound** (uncertainty
@@ -313,172 +139,31 @@ impl<T: Copy> Pti<T> {
     /// `true` when found. When several identical entries exist, one of
     /// them is removed.
     ///
-    /// This is the PTI's *constrained-rectangle repair*: every
-    /// ancestor's per-level merged MBRs are recomputed exactly from
-    /// its surviving children along the removal path (a hull can only
-    /// shrink on removal, so in-place shrinking is not possible — the
-    /// merge must be redone). Emptied nodes are dissolved and their
-    /// arena slots go to the free list; a single-child internal root
-    /// is demoted so repeated insert/remove churn cannot grow the
-    /// height without bound.
+    /// Every ancestor's per-level merged MBRs are recomputed exactly
+    /// from its surviving children along the removal path, and
+    /// under-filled nodes are condensed as in the R-tree.
     pub fn remove(&mut self, region: Rect, item: T) -> bool
     where
         T: PartialEq,
     {
-        if self.len == 0 || !self.remove_rec(self.root, region, item) {
-            return false;
-        }
-        self.len -= 1;
-        // Demote the root while it is an internal node with one child.
-        loop {
-            let promote = match &self.nodes[self.root].kind {
-                PtiNodeKind::Internal(children) if children.len() == 1 => Some(children[0].child),
-                _ => None,
-            };
-            match promote {
-                Some(child) => {
-                    let old = self.root;
-                    self.root = child;
-                    self.release(old);
-                }
-                None => break,
-            }
-        }
-        if self.len == 0 {
-            self.nodes[self.root].kind = PtiNodeKind::Leaf(Vec::new());
-        }
-        true
+        self.tree.remove(region, item)
     }
 
-    /// Depth-first search and removal; returns `true` once removed.
-    fn remove_rec(&mut self, node_idx: usize, region: Rect, item: T) -> bool
-    where
-        T: PartialEq,
-    {
-        // Leaf: remove in place.
-        if let PtiNodeKind::Leaf(entries) = &mut self.nodes[node_idx].kind {
-            let Some(pos) = entries
-                .iter()
-                .position(|e| e.bounds[0] == region && e.item == item)
-            else {
-                return false;
-            };
-            entries.swap_remove(pos);
-            return true;
-        }
-        // Internal: collect candidate children (their 0-bound must
-        // cover the object's region), then recurse without holding a
-        // borrow on this node.
-        let candidates: Vec<(usize, usize)> = match &self.nodes[node_idx].kind {
-            PtiNodeKind::Internal(children) => children
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.bounds[0].contains_rect(region))
-                .map(|(i, c)| (i, c.child))
-                .collect(),
-            PtiNodeKind::Leaf(_) => unreachable!("handled above"),
-        };
-        for (i, child_idx) in candidates {
-            if !self.remove_rec(child_idx, region, item) {
-                continue;
-            }
-            if self.node_entry_count(child_idx) == 0 {
-                // Dissolve the emptied child.
-                let PtiNodeKind::Internal(children) = &mut self.nodes[node_idx].kind else {
-                    unreachable!("node kind is stable");
-                };
-                children.swap_remove(i);
-                self.release(child_idx);
-            } else {
-                // Exact repair: re-merge the child's per-level bounds.
-                let bounds = self.node_bounds(child_idx);
-                let PtiNodeKind::Internal(children) = &mut self.nodes[node_idx].kind else {
-                    unreachable!("node kind is stable");
-                };
-                children[i].bounds = bounds;
-            }
-            return true;
-        }
-        false
-    }
-
-    /// Number of entries directly stored in a node.
-    fn node_entry_count(&self, idx: usize) -> usize {
-        match &self.nodes[idx].kind {
-            PtiNodeKind::Leaf(entries) => entries.len(),
-            PtiNodeKind::Internal(children) => children.len(),
-        }
-    }
-
-    /// Exact per-level merged MBRs of a node's entries.
-    fn node_bounds(&self, idx: usize) -> Vec<Rect> {
-        match &self.nodes[idx].kind {
-            PtiNodeKind::Leaf(entries) => merge_bounds(entries.iter().map(|e| e.bounds.as_slice())),
-            PtiNodeKind::Internal(children) => {
-                merge_bounds(children.iter().map(|c| c.bounds.as_slice()))
-            }
-        }
-    }
-
-    /// Validates structural invariants (tests): every internal entry's
-    /// per-level bounds equal the hull of its subtree's bounds; all
-    /// leaves at one depth; item count consistent. Bulk-loaded trees
-    /// may under-fill trailing nodes, so fill factors are not checked.
+    /// Validates structural invariants (tests): the R-tree's, with
+    /// "cached bound is exact" holding at every catalog level. Returns
+    /// the number of stored objects.
     pub fn check_invariants(&self) -> usize {
-        fn walk<T: Copy>(
-            pti: &Pti<T>,
-            idx: usize,
-            depth: usize,
-            leaf_depth: &mut Option<usize>,
-        ) -> (usize, Vec<Rect>) {
-            match &pti.nodes[idx].kind {
-                PtiNodeKind::Leaf(entries) => {
-                    match leaf_depth {
-                        None => *leaf_depth = Some(depth),
-                        Some(d) => assert_eq!(*d, depth, "leaves at different depths"),
-                    }
-                    (
-                        entries.len(),
-                        merge_bounds(entries.iter().map(|e| e.bounds.as_slice())),
-                    )
-                }
-                PtiNodeKind::Internal(children) => {
-                    assert!(!children.is_empty());
-                    let mut count = 0;
-                    let mut all: Vec<Rect> = Vec::new();
-                    for c in children {
-                        let (n, actual) = walk(pti, c.child, depth + 1, leaf_depth);
-                        assert_eq!(
-                            c.bounds, actual,
-                            "cached per-level bounds out of date at node {idx}"
-                        );
-                        count += n;
-                        if all.is_empty() {
-                            all = actual;
-                        } else {
-                            for (m, b) in all.iter_mut().zip(&actual) {
-                                *m = m.hull(*b);
-                            }
-                        }
-                    }
-                    (count, all)
-                }
-            }
-        }
-        let mut leaf_depth = None;
-        let (n, _) = walk(self, self.root, 0, &mut leaf_depth);
-        assert_eq!(n, self.len, "len out of sync");
-        n
+        self.tree.check_invariants()
     }
 
     /// Number of stored objects.
     pub fn len(&self) -> usize {
-        self.len
+        self.tree.len()
     }
 
     /// `true` when nothing is stored.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.tree.is_empty()
     }
 
     /// The shared catalog levels.
@@ -519,7 +204,7 @@ impl<T: Copy> Pti<T> {
         scratch: &mut TraversalScratch,
         out: &mut Vec<T>,
     ) {
-        if self.len == 0 {
+        if self.tree.is_empty() {
             return;
         }
         debug_assert!(
@@ -527,34 +212,31 @@ impl<T: Copy> Pti<T> {
             "p-expanded query must be inside the expanded query"
         );
         let k = self.level_floor(q.threshold);
+        // Strategy 2, then Strategy 1 at level `k`.
+        let survives = |bounds: &[Rect]| {
+            bounds[0].overlaps(q.p_expanded)
+                && !(k > 0 && Self::strategy1_prunes(q.expanded, bounds[k]))
+        };
         let stack = &mut scratch.stack;
         stack.clear();
-        stack.push(self.root);
+        stack.push(self.tree.root_index());
         while let Some(idx) = stack.pop() {
             stats.nodes_visited += 1;
-            match &self.nodes[idx].kind {
-                PtiNodeKind::Leaf(entries) => {
-                    for e in entries {
+            match self.tree.node(idx) {
+                Node::Leaf(entries) => {
+                    for (bounds, item) in entries {
                         stats.items_tested += 1;
-                        if !e.bounds[0].overlaps(q.p_expanded) {
-                            continue; // Strategy 2
+                        if survives(bounds) {
+                            stats.candidates += 1;
+                            out.push(*item);
                         }
-                        if k > 0 && Self::strategy1_prunes(q.expanded, e.bounds[k]) {
-                            continue; // Strategy 1
-                        }
-                        stats.candidates += 1;
-                        out.push(e.item);
                     }
                 }
-                PtiNodeKind::Internal(children) => {
-                    for c in children {
-                        if !c.bounds[0].overlaps(q.p_expanded) {
-                            continue;
+                Node::Internal(children) => {
+                    for (bounds, child) in children {
+                        if survives(bounds) {
+                            stack.push(*child);
                         }
-                        if k > 0 && Self::strategy1_prunes(q.expanded, c.bounds[k]) {
-                            continue;
-                        }
-                        stack.push(c.child);
                     }
                 }
             }
@@ -578,14 +260,10 @@ impl<T: Copy> Pti<T> {
 /// `RangeIndex` conformance suite alongside the other backends.
 impl<T: Copy> RangeIndex<T> for Pti<T> {
     fn len(&self) -> usize {
-        self.len
+        Pti::len(self)
     }
 
     fn insert(&mut self, extent: Rect, item: T) {
-        assert!(
-            extent.is_finite() && !extent.is_empty(),
-            "extent must be finite and non-empty"
-        );
         Pti::insert(self, vec![extent; self.levels.len()], item);
     }
 
@@ -597,15 +275,7 @@ impl<T: Copy> RangeIndex<T> for Pti<T> {
     }
 
     fn query_range_into(&self, query: Rect, stats: &mut AccessStats, out: &mut Vec<T>) {
-        self.query_into(
-            &PtiQuery {
-                expanded: query,
-                p_expanded: query,
-                threshold: 0.0,
-            },
-            stats,
-            out,
-        );
+        self.query_range_scratch(query, stats, &mut TraversalScratch::new(), out);
     }
 
     fn query_range_scratch(
@@ -626,151 +296,6 @@ impl<T: Copy> RangeIndex<T> for Pti<T> {
             out,
         );
     }
-}
-
-/// Merges per-level bounds of a group: `MBR(m)` is the hull of the
-/// members' `m`-bounds, kept per level.
-fn merge_bounds<'a>(groups: impl Iterator<Item = &'a [Rect]>) -> Vec<Rect> {
-    let mut merged: Vec<Rect> = Vec::new();
-    for bounds in groups {
-        if merged.is_empty() {
-            merged = bounds.to_vec();
-        } else {
-            for (m, b) in merged.iter_mut().zip(bounds) {
-                *m = m.hull(*b);
-            }
-        }
-    }
-    merged
-}
-
-/// Guttman quadratic split for non-`Copy` entries, keyed by a
-/// rectangle accessor (the 0-bound). Mirrors
-/// `rtree::split::quadratic_split` but moves entries instead of
-/// copying them.
-fn quadratic_split_by<E>(
-    entries: Vec<E>,
-    min: usize,
-    key: impl Fn(&E) -> Rect,
-) -> (Vec<E>, Vec<E>) {
-    debug_assert!(entries.len() >= 2 * min);
-    let rects: Vec<Rect> = entries.iter().map(&key).collect();
-    let n = rects.len();
-
-    // PickSeeds.
-    let (mut s1, mut s2) = (0usize, 1usize);
-    let mut worst = f64::NEG_INFINITY;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let d = rects[i].hull(rects[j]).area() - rects[i].area() - rects[j].area();
-            if d > worst {
-                worst = d;
-                s1 = i;
-                s2 = j;
-            }
-        }
-    }
-
-    // Greedy assignment of the remaining indices.
-    let mut assign = vec![0u8; n];
-    assign[s1] = 1;
-    assign[s2] = 2;
-    let mut mbr1 = rects[s1];
-    let mut mbr2 = rects[s2];
-    let mut n1 = 1usize;
-    let mut n2 = 1usize;
-    let mut rest: Vec<usize> = (0..n).filter(|&i| i != s1 && i != s2).collect();
-    while !rest.is_empty() {
-        let remaining = rest.len();
-        if n1 + remaining == min {
-            for i in rest.drain(..) {
-                assign[i] = 1;
-                mbr1 = mbr1.hull(rects[i]);
-            }
-            break;
-        }
-        if n2 + remaining == min {
-            for i in rest.drain(..) {
-                assign[i] = 2;
-                mbr2 = mbr2.hull(rects[i]);
-            }
-            break;
-        }
-        // PickNext.
-        let mut pick = 0usize;
-        let mut pick_diff = f64::NEG_INFINITY;
-        for (k, &i) in rest.iter().enumerate() {
-            let d1 = mbr1.hull(rects[i]).area() - mbr1.area();
-            let d2 = mbr2.hull(rects[i]).area() - mbr2.area();
-            if (d1 - d2).abs() > pick_diff {
-                pick_diff = (d1 - d2).abs();
-                pick = k;
-            }
-        }
-        let i = rest.swap_remove(pick);
-        let d1 = mbr1.hull(rects[i]).area() - mbr1.area();
-        let d2 = mbr2.hull(rects[i]).area() - mbr2.area();
-        let to_g1 = d1 < d2
-            || (d1 == d2
-                && (mbr1.area() < mbr2.area() || (mbr1.area() == mbr2.area() && n1 <= n2)));
-        if to_g1 {
-            assign[i] = 1;
-            mbr1 = mbr1.hull(rects[i]);
-            n1 += 1;
-        } else {
-            assign[i] = 2;
-            mbr2 = mbr2.hull(rects[i]);
-            n2 += 1;
-        }
-    }
-
-    let mut g1 = Vec::with_capacity(n1);
-    let mut g2 = Vec::with_capacity(n2);
-    for (i, e) in entries.into_iter().enumerate() {
-        if assign[i] == 1 {
-            g1.push(e);
-        } else {
-            g2.push(e);
-        }
-    }
-    debug_assert!(g1.len() >= min && g2.len() >= min);
-    (g1, g2)
-}
-
-/// STR tiling of arbitrary entries keyed by a rectangle accessor.
-fn str_pack<E>(mut entries: Vec<E>, cap: usize, key: impl Fn(&E) -> Rect) -> Vec<Vec<E>> {
-    let n = entries.len();
-    if n <= cap {
-        return vec![entries];
-    }
-    let node_count = n.div_ceil(cap);
-    let slice_count = (node_count as f64).sqrt().ceil() as usize;
-    let slice_size = slice_count.max(1) * cap;
-    entries.sort_by(|a, b| {
-        key(a)
-            .center()
-            .x
-            .partial_cmp(&key(b).center().x)
-            .expect("finite coordinates")
-    });
-    let mut groups = Vec::with_capacity(node_count);
-    let mut rest = entries;
-    while !rest.is_empty() {
-        let take = slice_size.min(rest.len());
-        let mut slice: Vec<E> = rest.drain(..take).collect();
-        slice.sort_by(|a, b| {
-            key(a)
-                .center()
-                .y
-                .partial_cmp(&key(b).center().y)
-                .expect("finite coordinates")
-        });
-        while !slice.is_empty() {
-            let take = cap.min(slice.len());
-            groups.push(slice.drain(..take).collect());
-        }
-    }
-    groups
 }
 
 #[cfg(test)]
@@ -1093,7 +618,7 @@ mod tests {
                 let r = Rect::from_coords(x, y, x + 8.0, y + 8.0);
                 pti.insert(uniform_bounds(r, &lv), k);
             }
-            let nodes = pti.nodes.len();
+            let nodes = pti.tree.node_count();
             for k in 0..300usize {
                 let x = (k % 30) as f64 * 30.0;
                 let y = (k / 30) as f64 * 90.0;
@@ -1103,7 +628,7 @@ mod tests {
             assert!(pti.is_empty());
             // Dissolved slots are reused, so the arena stays bounded
             // across churn rounds.
-            assert!(pti.nodes.len() <= nodes);
+            assert!(pti.tree.node_count() <= nodes);
         }
         pti.check_invariants();
     }
@@ -1113,6 +638,18 @@ mod tests {
     fn insert_rejects_wrong_bound_count() {
         let mut pti: Pti<usize> = Pti::bulk_load(levels(), Vec::new(), PtiParams::default());
         pti.insert(vec![Rect::from_coords(0.0, 0.0, 1.0, 1.0)], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "extent must be finite and non-empty")]
+    fn rejects_non_finite_region() {
+        // Used to get as far as STR's sort comparator.
+        let region = Rect::from_coords(0.0, 0.0, f64::NAN, 1.0);
+        let _: Pti<usize> = Pti::bulk_load(
+            vec![0.0, 0.1],
+            vec![(vec![region; 2], 1)],
+            PtiParams::default(),
+        );
     }
 
     #[test]

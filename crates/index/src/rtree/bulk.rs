@@ -6,16 +6,13 @@
 //! root remains. Produces near-100 % fill and well-clustered pages —
 //! the right way to load the 53 K / 62 K object experiment datasets.
 
-use iloc_geometry::Rect;
+use super::node::{hull, Bound, Node};
+use super::{assert_key, RTree, RTreeParams};
 
-use super::node::Node;
-use super::split::entries_mbr;
-use super::{RTree, RTreeParams};
-
-/// Builds an [`RTree`] by STR packing.
-pub fn str_bulk_load<T: Copy>(items: Vec<(Rect, T)>, params: RTreeParams) -> RTree<T> {
-    for (r, _) in &items {
-        assert!(r.is_finite(), "extent must be finite");
+/// Builds an [`RTree`] by STR packing on the entries' keys.
+pub fn str_bulk_load<T, B: Bound>(items: Vec<(B, T)>, params: RTreeParams) -> RTree<T, B> {
+    for (bound, _) in &items {
+        assert_key(bound);
     }
     let len = items.len();
     if len == 0 {
@@ -31,12 +28,12 @@ pub fn str_bulk_load<T: Copy>(items: Vec<(Rect, T)>, params: RTreeParams) -> RTr
     };
 
     // Pack the leaf level.
-    let mut level: Vec<(Rect, usize)> = pack_level(items, params.max_entries)
+    let mut level: Vec<(B, usize)> = pack_level(items, params.max_entries)
         .into_iter()
         .map(|entries| {
-            let mbr = entries_mbr(&entries);
-            tree.nodes.push(Node::new_leaf_with(entries));
-            (mbr, tree.nodes.len() - 1)
+            let bound = hull(&entries);
+            tree.nodes.push(Node::Leaf(entries));
+            (bound, tree.nodes.len() - 1)
         })
         .collect();
 
@@ -45,9 +42,9 @@ pub fn str_bulk_load<T: Copy>(items: Vec<(Rect, T)>, params: RTreeParams) -> RTr
         level = pack_level(level, params.max_entries)
             .into_iter()
             .map(|children| {
-                let mbr = entries_mbr(&children);
-                tree.nodes.push(Node::new_internal(children));
-                (mbr, tree.nodes.len() - 1)
+                let bound = hull(&children);
+                tree.nodes.push(Node::Internal(children));
+                (bound, tree.nodes.len() - 1)
             })
             .collect();
     }
@@ -56,7 +53,7 @@ pub fn str_bulk_load<T: Copy>(items: Vec<(Rect, T)>, params: RTreeParams) -> RTr
 }
 
 /// Tiles one level's entries into groups of at most `cap`, STR-style.
-fn pack_level<E: Copy>(mut entries: Vec<(Rect, E)>, cap: usize) -> Vec<Vec<(Rect, E)>> {
+fn pack_level<B: Bound, E>(mut entries: Vec<(B, E)>, cap: usize) -> Vec<Vec<(B, E)>> {
     let n = entries.len();
     if n <= cap {
         return vec![entries];
@@ -66,23 +63,22 @@ fn pack_level<E: Copy>(mut entries: Vec<(Rect, E)>, cap: usize) -> Vec<Vec<(Rect
     let slice_size = slice_count.max(1) * cap;
 
     entries.sort_by(|a, b| {
-        a.0.center()
-            .x
-            .partial_cmp(&b.0.center().x)
-            .expect("finite coordinates")
+        let (a, b) = (a.0.key().center().x, b.0.key().center().x);
+        a.partial_cmp(&b).expect("finite coordinates")
     });
-
-    let mut groups = Vec::with_capacity(node_count);
     for slice in entries.chunks_mut(slice_size) {
         slice.sort_by(|a, b| {
-            a.0.center()
-                .y
-                .partial_cmp(&b.0.center().y)
-                .expect("finite coordinates")
+            let (a, b) = (a.0.key().center().y, b.0.key().center().y);
+            a.partial_cmp(&b).expect("finite coordinates")
         });
-        for chunk in slice.chunks(cap) {
-            groups.push(chunk.to_vec());
-        }
+    }
+
+    // A slice is a whole number of node-loads, so cutting the sorted
+    // run every `cap` entries never straddles two slices.
+    let mut groups = Vec::with_capacity(node_count);
+    let mut entries = entries.into_iter();
+    for _ in 0..node_count {
+        groups.push(entries.by_ref().take(cap).collect());
     }
     groups
 }
@@ -90,6 +86,7 @@ fn pack_level<E: Copy>(mut entries: Vec<(Rect, E)>, cap: usize) -> Vec<Vec<(Rect
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iloc_geometry::Rect;
 
     #[test]
     fn pack_level_sizes() {

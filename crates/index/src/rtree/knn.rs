@@ -11,7 +11,7 @@ use std::collections::BinaryHeap;
 
 use iloc_geometry::Point;
 
-use super::{NodeKind, RTree};
+use super::{Node, RTree};
 use crate::stats::AccessStats;
 
 /// Priority-queue element: min-heap on distance via reversed ordering.
@@ -52,7 +52,6 @@ impl<T: Copy> RTree<T> {
     /// their extents), closest first, with their distances. Returns
     /// fewer than `k` when the tree is smaller.
     pub fn nearest_neighbors(&self, q: Point, k: usize, stats: &mut AccessStats) -> Vec<(T, f64)> {
-        use crate::traits::RangeIndex as _;
         let mut out = Vec::with_capacity(k.min(self.len()));
         if k == 0 || self.is_empty() {
             return out;
@@ -72,8 +71,8 @@ impl<T: Copy> RTree<T> {
                 }
                 QueueKind::Node(idx) => {
                     stats.nodes_visited += 1;
-                    match self.node_kind(idx) {
-                        NodeKind::Leaf(entries) => {
+                    match self.node(idx) {
+                        Node::Leaf(entries) => {
                             for &(extent, item) in entries {
                                 stats.items_tested += 1;
                                 heap.push(HeapItem {
@@ -82,7 +81,7 @@ impl<T: Copy> RTree<T> {
                                 });
                             }
                         }
-                        NodeKind::Internal(children) => {
+                        Node::Internal(children) => {
                             for &(mbr, child) in children {
                                 heap.push(HeapItem {
                                     dist: mbr.min_distance(q),

@@ -1,25 +1,32 @@
-//! A Guttman R-tree (SIGMOD'84) built from scratch.
+//! A Guttman R-tree (SIGMOD'84) built from scratch — the one tree
+//! implementation of this crate.
 //!
 //! * dynamic insertion with the **quadratic split** heuristic;
+//! * deletion with **CondenseTree** (under-filled nodes dissolved,
+//!   their items re-inserted);
 //! * **Sort-Tile-Recursive** bulk loading for the experiment datasets;
 //! * range queries with logical node-access counting.
 //!
-//! Nodes live in an arena (`Vec<Node<T>>`); parents reference children
-//! by index, and each parent entry caches the child's MBR — the classic
-//! disk layout transplanted to memory. The default fanout models the
-//! paper's 4 KB pages: an entry is ~40 bytes (4 × f64 MBR + id), so
-//! ~100 entries fit; we default to 64/26 to stay comparable while
-//! keeping splits cheap.
+//! The tree is generic over what an entry carries as its bound
+//! ([`Bound`]): `RTree<T>` stores a plain [`Rect`] per entry; the
+//! [PTI](crate::pti) is the same tree storing one rectangle per
+//! U-catalog level, keyed on the 0-bound. Arena, ChooseSubtree, split,
+//! packing, removal and the invariant walk exist once, here.
+//!
+//! Nodes live in an arena (`Vec<Node<T, B>>`); parents reference
+//! children by index, and each parent entry caches the child's bound —
+//! the classic disk layout transplanted to memory. The default fanout
+//! models the paper's 4 KB pages: an entry is ~40 bytes (4 × f64 MBR +
+//! id), so ~100 entries fit; we default to 64/26 to stay comparable
+//! while keeping splits cheap.
 
 mod bulk;
 mod knn;
 mod node;
 mod remove;
-mod rstar;
 mod split;
 
-pub use node::{Node, NodeKind};
-pub use rstar::SplitPolicy;
+pub use node::{Bound, Node};
 
 use iloc_geometry::Rect;
 
@@ -33,13 +40,10 @@ pub struct RTreeParams {
     pub max_entries: usize,
     /// Minimum entries per node after a split (`m ≤ M/2`).
     pub min_entries: usize,
-    /// Node-splitting heuristic (quadratic by default, as in the
-    /// paper; see [`SplitPolicy::RStar`]).
-    pub split: SplitPolicy,
 }
 
 impl RTreeParams {
-    /// Creates a parameter set with the quadratic split.
+    /// Creates a parameter set.
     ///
     /// # Panics
     ///
@@ -53,14 +57,7 @@ impl RTreeParams {
         RTreeParams {
             max_entries,
             min_entries,
-            split: SplitPolicy::Quadratic,
         }
-    }
-
-    /// Selects a different split heuristic.
-    pub fn with_split(mut self, split: SplitPolicy) -> Self {
-        self.split = split;
-        self
     }
 }
 
@@ -71,29 +68,39 @@ impl Default for RTreeParams {
     }
 }
 
-/// An R-tree storing items of type `T` under rectangular extents.
+/// An R-tree storing items of type `T` under bounds of type `B` — by
+/// default rectangular extents.
 #[derive(Debug, Clone)]
-pub struct RTree<T> {
+pub struct RTree<T, B = Rect> {
     params: RTreeParams,
-    nodes: Vec<Node<T>>,
+    nodes: Vec<Node<T, B>>,
     root: usize,
     len: usize,
     /// Arena slots released by removals, reused by inserts.
     free: Vec<usize>,
 }
 
-impl<T: Copy> Default for RTree<T> {
+impl<T> Default for RTree<T> {
     fn default() -> Self {
         RTree::new(RTreeParams::default())
     }
 }
 
-impl<T: Copy> RTree<T> {
+/// The check every entry passes on its way into a tree.
+fn assert_key(bound: &impl Bound) {
+    let key = bound.key();
+    assert!(
+        key.is_finite() && !key.is_empty(),
+        "extent must be finite and non-empty"
+    );
+}
+
+impl<T, B: Bound> RTree<T, B> {
     /// Creates an empty tree.
     pub fn new(params: RTreeParams) -> Self {
         RTree {
             params,
-            nodes: vec![Node::new_leaf()],
+            nodes: vec![Node::Leaf(Vec::new())],
             root: 0,
             len: 0,
             free: Vec::new(),
@@ -101,8 +108,22 @@ impl<T: Copy> RTree<T> {
     }
 
     /// Bulk loads a tree with Sort-Tile-Recursive packing.
-    pub fn bulk_load(items: Vec<(Rect, T)>, params: RTreeParams) -> Self {
+    ///
+    /// # Panics
+    ///
+    /// Panics when an item's extent is empty or non-finite.
+    pub fn bulk_load(items: Vec<(B, T)>, params: RTreeParams) -> Self {
         bulk::str_bulk_load(items, params)
+    }
+
+    /// Number of stored items.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when the tree stores nothing.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
     /// The fanout configuration.
@@ -115,9 +136,9 @@ impl<T: Copy> RTree<T> {
         let mut h = 1;
         let mut idx = self.root;
         loop {
-            match &self.nodes[idx].kind {
-                NodeKind::Leaf(_) => return h,
-                NodeKind::Internal(children) => {
+            match &self.nodes[idx] {
+                Node::Leaf(_) => return h,
+                Node::Internal(children) => {
                     idx = children[0].1;
                     h += 1;
                 }
@@ -127,7 +148,10 @@ impl<T: Copy> RTree<T> {
 
     /// MBR of the whole tree ([`Rect::EMPTY`] when empty).
     pub fn mbr(&self) -> Rect {
-        self.node_mbr(self.root)
+        if self.len == 0 {
+            return Rect::EMPTY;
+        }
+        self.nodes[self.root].bound().key()
     }
 
     /// Total number of allocated nodes (diagnostics; includes nodes on
@@ -136,166 +160,156 @@ impl<T: Copy> RTree<T> {
         self.nodes.len()
     }
 
-    /// Arena index of the root (internal; used by the kNN module).
+    /// Arena index of the root (internal; for the probes that live
+    /// outside this module: kNN and the PTI's threshold probe).
     pub(crate) fn root_index(&self) -> usize {
         self.root
     }
 
-    /// Node payload accessor (internal; used by the kNN module).
-    pub(crate) fn node_kind(&self, idx: usize) -> &NodeKind<T> {
-        &self.nodes[idx].kind
+    /// Node accessor (internal; see [`RTree::root_index`]).
+    pub(crate) fn node(&self, idx: usize) -> &Node<T, B> {
+        &self.nodes[idx]
     }
 
-    fn node_mbr(&self, idx: usize) -> Rect {
-        self.nodes[idx].mbr()
-    }
-
-    /// Inserts an item with the given extent.
-    pub fn insert(&mut self, extent: Rect, item: T) {
-        assert!(
-            extent.is_finite() && !extent.is_empty(),
-            "extent must be finite and non-empty"
-        );
-        if let Some((r1, n1, r2, n2)) = self.insert_rec(self.root, extent, item) {
+    /// Inserts an item under the given bound.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the bound's extent is empty or non-finite.
+    pub fn insert(&mut self, bound: B, item: T) {
+        assert_key(&bound);
+        if let Some(halves) = self.insert_rec(self.root, bound, item) {
             // Root split: grow the tree by one level.
-            let new_root = self.alloc(Node::new_internal(vec![(r1, n1), (r2, n2)]));
-            self.root = new_root;
+            self.root = self.alloc(Node::Internal(halves.into()));
         }
         self.len += 1;
     }
 
-    fn alloc(&mut self, node: Node<T>) -> usize {
-        self.alloc_node(node)
-    }
-
     /// Recursive insert; on overflow returns the two halves of the split
-    /// node as `(mbr1, idx1, mbr2, idx2)` where `idx1` is the original
-    /// node index (reused) and `idx2` a fresh sibling.
-    fn insert_rec(
-        &mut self,
-        node_idx: usize,
-        extent: Rect,
-        item: T,
-    ) -> Option<(Rect, usize, Rect, usize)> {
+    /// node as `[(bound1, idx1), (bound2, idx2)]` where `idx1` is the
+    /// original node index (reused) and `idx2` a fresh sibling.
+    fn insert_rec(&mut self, node_idx: usize, bound: B, item: T) -> Option<[(B, usize); 2]> {
         let max = self.params.max_entries;
         let min = self.params.min_entries;
-        match &mut self.nodes[node_idx].kind {
-            NodeKind::Leaf(entries) => {
-                entries.push((extent, item));
+        let (bound_a, bound_b, sibling) = match &mut self.nodes[node_idx] {
+            Node::Leaf(entries) => {
+                entries.push((bound, item));
                 if entries.len() <= max {
                     return None;
                 }
-                let full = std::mem::take(entries);
-                let (a, b) = rstar::split_with(self.params.split, full, min);
-                let (ra, rb) = (split::entries_mbr(&a), split::entries_mbr(&b));
-                self.nodes[node_idx].kind = NodeKind::Leaf(a);
-                let sibling = self.alloc(Node::new_leaf_with(b));
-                Some((ra, node_idx, rb, sibling))
+                let (bound_a, bound_b, b) = split_in_place(entries, min);
+                (bound_a, bound_b, Node::Leaf(b))
             }
-            NodeKind::Internal(children) => {
+            Node::Internal(children) => {
                 // ChooseSubtree: least enlargement, ties by smaller area.
+                let key = bound.key();
                 let mut best = 0usize;
                 let mut best_enl = f64::INFINITY;
                 let mut best_area = f64::INFINITY;
-                for (i, &(mbr, _)) in children.iter().enumerate() {
+                for (i, (child, _)) in children.iter().enumerate() {
+                    let mbr = child.key();
                     let area = mbr.area();
-                    let enl = mbr.hull(extent).area() - area;
+                    let enl = mbr.hull(key).area() - area;
                     if enl < best_enl || (enl == best_enl && area < best_area) {
                         best = i;
                         best_enl = enl;
                         best_area = area;
                     }
                 }
+                // Grow the chosen entry on the way down; a split below
+                // replaces it with exact halves anyway.
+                children[best].0.merge(&bound);
                 let child_idx = children[best].1;
-                let split_result = self.insert_rec(child_idx, extent, item);
-                // Re-borrow after recursion.
-                let NodeKind::Internal(children) = &mut self.nodes[node_idx].kind else {
+                let [half1, half2] = self.insert_rec(child_idx, bound, item)?;
+                let Node::Internal(children) = &mut self.nodes[node_idx] else {
                     unreachable!("node kind cannot change during insert");
                 };
-                match split_result {
-                    None => {
-                        children[best].0 = children[best].0.hull(extent);
-                        None
-                    }
-                    Some((r1, n1, r2, n2)) => {
-                        children[best] = (r1, n1);
-                        children.push((r2, n2));
-                        if children.len() <= max {
-                            return None;
-                        }
-                        let full = std::mem::take(children);
-                        let (a, b) = rstar::split_with(self.params.split, full, min);
-                        let (ra, rb) = (split::entries_mbr(&a), split::entries_mbr(&b));
-                        self.nodes[node_idx].kind = NodeKind::Internal(a);
-                        let sibling = self.alloc(Node::new_internal(b));
-                        Some((ra, node_idx, rb, sibling))
-                    }
+                children[best] = half1;
+                children.push(half2);
+                if children.len() <= max {
+                    return None;
                 }
+                let (bound_a, bound_b, b) = split_in_place(children, min);
+                (bound_a, bound_b, Node::Internal(b))
             }
-        }
+        };
+        let sibling = self.alloc(sibling);
+        Some([(bound_a, node_idx), (bound_b, sibling)])
     }
 
     /// Validates structural invariants; used by tests. Returns the
     /// number of items reachable from the root.
     ///
-    /// Checked invariants: cached child MBRs match the child's actual
-    /// MBR; every non-root node respects the fill factor; all leaves sit
-    /// at the same depth.
+    /// Checked invariants: cached child bounds equal the child's actual
+    /// bound (for a PTI: at every level); every non-root node respects
+    /// the fill factor; all leaves sit at the same depth.
     pub fn check_invariants(&self) -> usize {
-        fn walk<T: Copy>(
-            tree: &RTree<T>,
-            idx: usize,
-            is_root: bool,
-            depth: usize,
-            leaf_depth: &mut Option<usize>,
-        ) -> usize {
-            let node = &tree.nodes[idx];
-            match &node.kind {
-                NodeKind::Leaf(entries) => {
-                    if !is_root {
-                        assert!(
-                            entries.len() >= tree.params.min_entries
-                                && entries.len() <= tree.params.max_entries,
-                            "leaf fill factor violated: {}",
-                            entries.len()
-                        );
-                    }
-                    match leaf_depth {
-                        None => *leaf_depth = Some(depth),
-                        Some(d) => assert_eq!(*d, depth, "leaves at different depths"),
-                    }
-                    entries.len()
-                }
-                NodeKind::Internal(children) => {
-                    assert!(!children.is_empty(), "empty internal node");
-                    if !is_root {
-                        assert!(
-                            children.len() >= tree.params.min_entries
-                                && children.len() <= tree.params.max_entries,
-                            "internal fill factor violated: {}",
-                            children.len()
-                        );
-                    }
-                    let mut count = 0;
-                    for &(mbr, child) in children {
-                        let actual = tree.node_mbr(child);
-                        assert_eq!(mbr, actual, "cached child MBR out of date");
-                        count += walk(tree, child, false, depth + 1, leaf_depth);
-                    }
-                    count
-                }
-            }
-        }
+        self.check_invariants_filled(self.params.min_entries)
+    }
+
+    /// [`RTree::check_invariants`] with `min_fill` in place of the
+    /// configured minimum: STR packing may leave the last node of a
+    /// slice under-filled, so a freshly bulk-loaded tree is checked
+    /// against 1.
+    pub(crate) fn check_invariants_filled(&self, min_fill: usize) -> usize {
         let mut leaf_depth = None;
-        let n = walk(self, self.root, true, 0, &mut leaf_depth);
+        let n = self.check_node(self.root, 0, min_fill, &mut leaf_depth);
         assert_eq!(n, self.len, "len out of sync with reachable items");
         n
     }
+
+    fn check_node(
+        &self,
+        idx: usize,
+        depth: usize,
+        min_fill: usize,
+        leaf_depth: &mut Option<usize>,
+    ) -> usize {
+        let node = &self.nodes[idx];
+        let fill = node.entry_count();
+        if idx != self.root {
+            assert!(
+                (min_fill..=self.params.max_entries).contains(&fill),
+                "fill factor violated: {fill}"
+            );
+        }
+        match node {
+            Node::Leaf(entries) => {
+                match leaf_depth {
+                    None => *leaf_depth = Some(depth),
+                    Some(d) => assert_eq!(*d, depth, "leaves at different depths"),
+                }
+                entries.len()
+            }
+            Node::Internal(children) => {
+                assert!(!children.is_empty(), "empty internal node");
+                let mut count = 0;
+                for (cached, child) in children {
+                    assert_eq!(
+                        *cached,
+                        self.nodes[*child].bound(),
+                        "cached child bound out of date"
+                    );
+                    count += self.check_node(*child, depth + 1, min_fill, leaf_depth);
+                }
+                count
+            }
+        }
+    }
+}
+
+/// Splits an overflowing node's entries, leaving the first group in
+/// place; returns both groups' bounds and the second group.
+fn split_in_place<B: Bound, E>(entries: &mut Vec<(B, E)>, min: usize) -> (B, B, Vec<(B, E)>) {
+    let [a, b] = split::quadratic_split(std::mem::take(entries), min);
+    let bounds = (node::hull(&a), node::hull(&b));
+    *entries = a;
+    (bounds.0, bounds.1, b)
 }
 
 impl<T: Copy> RangeIndex<T> for RTree<T> {
     fn len(&self) -> usize {
-        self.len
+        RTree::len(self)
     }
 
     fn insert(&mut self, extent: Rect, item: T) {
@@ -328,8 +342,8 @@ impl<T: Copy> RangeIndex<T> for RTree<T> {
         stack.push(self.root);
         while let Some(idx) = stack.pop() {
             stats.nodes_visited += 1;
-            match &self.nodes[idx].kind {
-                NodeKind::Leaf(entries) => {
+            match &self.nodes[idx] {
+                Node::Leaf(entries) => {
                     for &(extent, item) in entries {
                         stats.items_tested += 1;
                         if extent.overlaps(query) {
@@ -338,7 +352,7 @@ impl<T: Copy> RangeIndex<T> for RTree<T> {
                         }
                     }
                 }
-                NodeKind::Internal(children) => {
+                Node::Internal(children) => {
                     for &(mbr, child) in children {
                         if mbr.overlaps(query) {
                             stack.push(child);

@@ -1,52 +1,50 @@
-//! Deletion with tree condensation (Guttman's `Delete`/`CondenseTree`).
+//! Deletion with tree condensation (Guttman's `Delete`/`CondenseTree`)
+//! and the arena's slot management.
 //!
 //! Removing an entry may under-fill its leaf; under-filled nodes are
 //! dissolved and their surviving items re-inserted from the top, which
-//! keeps the tree within its fill-factor invariants. Dissolved arena
-//! slots go onto a free list that `insert` reuses, so long
+//! keeps the tree within its fill-factor invariants. Along the removal
+//! path every ancestor's cached bound is recomputed exactly from its
+//! surviving entries (a hull cannot be shrunk in place). Dissolved
+//! arena slots go onto a free list that `insert` reuses, so long
 //! insert/delete workloads do not leak arena space.
 
 use iloc_geometry::Rect;
 
-use super::{Node, NodeKind, RTree};
+use super::node::{Bound, Node};
+use super::RTree;
 
-impl<T: Copy + PartialEq> RTree<T> {
-    /// Removes one stored entry matching `(extent, item)` exactly.
-    /// Returns `true` when an entry was found and removed.
+impl<T: Copy + PartialEq, B: Bound> RTree<T, B> {
+    /// Removes one stored entry whose [key](Bound::key) is `key` and
+    /// whose item equals `item`. Returns `true` when an entry was found
+    /// and removed.
     ///
     /// When several identical entries exist, one of them is removed.
-    pub fn remove(&mut self, extent: Rect, item: T) -> bool {
-        let mut orphans: Vec<(Rect, T)> = Vec::new();
-        if !self.remove_rec(self.root, extent, item, &mut orphans) {
+    pub fn remove(&mut self, key: Rect, item: T) -> bool {
+        let mut orphans: Vec<(B, T)> = Vec::new();
+        if !self.remove_rec(self.root, key, item, &mut orphans) {
             return false;
         }
         self.len -= 1;
 
         // Shrink the root while it is an internal node with one child.
-        loop {
-            let promote = match &self.nodes[self.root].kind {
-                NodeKind::Internal(children) if children.len() == 1 => Some(children[0].1),
-                _ => None,
+        while let Node::Internal(children) = &self.nodes[self.root] {
+            let &[(_, child)] = children.as_slice() else {
+                break;
             };
-            match promote {
-                Some(child) => {
-                    let old = self.root;
-                    self.root = child;
-                    self.release(old);
-                }
-                None => break,
-            }
+            let old = std::mem::replace(&mut self.root, child);
+            self.release(old);
         }
         // An emptied internal root degenerates to an empty leaf.
         if self.len == 0 {
-            self.nodes[self.root].kind = NodeKind::Leaf(Vec::new());
+            self.nodes[self.root] = Node::Leaf(Vec::new());
         }
 
         // Re-insert orphaned items (they are still counted in `len`;
         // `insert` increments, so compensate first).
-        for (r, it) in orphans {
+        for (bound, it) in orphans {
             self.len -= 1;
-            self.insert(r, it);
+            self.insert(bound, it);
         }
         true
     }
@@ -55,16 +53,16 @@ impl<T: Copy + PartialEq> RTree<T> {
     fn remove_rec(
         &mut self,
         node_idx: usize,
-        extent: Rect,
+        key: Rect,
         item: T,
-        orphans: &mut Vec<(Rect, T)>,
+        orphans: &mut Vec<(B, T)>,
     ) -> bool {
         let min = self.params.min_entries;
         // Leaf: remove in place.
-        if let NodeKind::Leaf(entries) = &mut self.nodes[node_idx].kind {
+        if let Node::Leaf(entries) = &mut self.nodes[node_idx] {
             let Some(pos) = entries
                 .iter()
-                .position(|&(r, it)| r == extent && it == item)
+                .position(|(b, it)| b.key() == key && *it == item)
             else {
                 return false;
             };
@@ -73,34 +71,34 @@ impl<T: Copy + PartialEq> RTree<T> {
         }
         // Internal: collect candidate children first, then recurse
         // without holding a borrow on this node.
-        let candidates: Vec<(usize, usize)> = match &self.nodes[node_idx].kind {
-            NodeKind::Internal(children) => children
+        let candidates: Vec<(usize, usize)> = match &self.nodes[node_idx] {
+            Node::Internal(children) => children
                 .iter()
                 .enumerate()
-                .filter(|(_, &(mbr, _))| mbr.contains_rect(extent))
+                .filter(|(_, (bound, _))| bound.key().contains_rect(key))
                 .map(|(i, &(_, child))| (i, child))
                 .collect(),
-            NodeKind::Leaf(_) => unreachable!("handled above"),
+            Node::Leaf(_) => unreachable!("handled above"),
         };
         for (i, child_idx) in candidates {
-            if !self.remove_rec(child_idx, extent, item, orphans) {
+            if !self.remove_rec(child_idx, key, item, orphans) {
                 continue;
             }
-            let child_count = self.nodes[child_idx].entry_count();
-            if child_count < min {
+            if self.nodes[child_idx].entry_count() < min {
                 // Dissolve the under-filled child: orphan its items
                 // and drop the entry.
-                let NodeKind::Internal(children) = &mut self.nodes[node_idx].kind else {
+                let Node::Internal(children) = &mut self.nodes[node_idx] else {
                     unreachable!("node kind is stable");
                 };
                 children.swap_remove(i);
                 self.drain_subtree(child_idx, orphans);
             } else {
-                let mbr = self.nodes[child_idx].mbr();
-                let NodeKind::Internal(children) = &mut self.nodes[node_idx].kind else {
+                // Exact repair: re-merge the child's bound.
+                let bound = self.nodes[child_idx].bound();
+                let Node::Internal(children) = &mut self.nodes[node_idx] else {
                     unreachable!("node kind is stable");
                 };
-                children[i].0 = mbr;
+                children[i].0 = bound;
             }
             return true;
         }
@@ -109,10 +107,10 @@ impl<T: Copy + PartialEq> RTree<T> {
 
     /// Moves every leaf item under `idx` into `orphans` and releases
     /// the subtree's arena slots.
-    fn drain_subtree(&mut self, idx: usize, orphans: &mut Vec<(Rect, T)>) {
-        match std::mem::replace(&mut self.nodes[idx].kind, NodeKind::Leaf(Vec::new())) {
-            NodeKind::Leaf(entries) => orphans.extend(entries),
-            NodeKind::Internal(children) => {
+    fn drain_subtree(&mut self, idx: usize, orphans: &mut Vec<(B, T)>) {
+        match std::mem::replace(&mut self.nodes[idx], Node::Leaf(Vec::new())) {
+            Node::Leaf(entries) => orphans.extend(entries),
+            Node::Internal(children) => {
                 for (_, child) in children {
                     self.drain_subtree(child, orphans);
                 }
@@ -120,18 +118,11 @@ impl<T: Copy + PartialEq> RTree<T> {
         }
         self.release(idx);
     }
-
-    /// Puts an arena slot on the free list.
-    fn release(&mut self, idx: usize) {
-        debug_assert_ne!(idx, self.root, "cannot release the root");
-        self.nodes[idx].kind = NodeKind::Leaf(Vec::new());
-        self.free.push(idx);
-    }
 }
 
-impl<T: Copy> RTree<T> {
+impl<T, B> RTree<T, B> {
     /// Allocates a node, reusing freed slots when available.
-    pub(super) fn alloc_node(&mut self, node: Node<T>) -> usize {
+    pub(super) fn alloc(&mut self, node: Node<T, B>) -> usize {
         if let Some(idx) = self.free.pop() {
             self.nodes[idx] = node;
             idx
@@ -139,6 +130,13 @@ impl<T: Copy> RTree<T> {
             self.nodes.push(node);
             self.nodes.len() - 1
         }
+    }
+
+    /// Puts an arena slot on the free list.
+    fn release(&mut self, idx: usize) {
+        debug_assert_ne!(idx, self.root, "cannot release the root");
+        self.nodes[idx] = Node::Leaf(Vec::new());
+        self.free.push(idx);
     }
 }
 

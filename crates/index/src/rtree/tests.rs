@@ -94,7 +94,8 @@ fn bulk_load_matches_oracle() {
     let tree = RTree::bulk_load(items.clone(), RTreeParams::default());
     let oracle = NaiveIndex::new(items);
     assert_eq!(tree.len(), 2000);
-    tree.check_invariants_bulk();
+    // STR may leave the last node of a slice under-filled.
+    tree.check_invariants_filled(1);
 
     let mut rng = StdRng::seed_from_u64(4);
     for _ in 0..100 {
@@ -166,78 +167,4 @@ fn query_visits_fraction_of_nodes_on_clustered_data() {
 #[should_panic(expected = "min_entries")]
 fn params_reject_bad_fill() {
     let _ = RTreeParams::new(8, 5);
-}
-
-#[test]
-fn rstar_split_policy_matches_oracle_and_improves_io() {
-    use super::SplitPolicy;
-    let items = random_rects(3_000, 21);
-    let mut quad = RTree::new(RTreeParams::new(16, 6));
-    let mut rstar = RTree::new(RTreeParams::new(16, 6).with_split(SplitPolicy::RStar));
-    let oracle = NaiveIndex::new(items.clone());
-    for &(r, k) in &items {
-        quad.insert(r, k);
-        rstar.insert(r, k);
-    }
-    quad.check_invariants();
-    rstar.check_invariants();
-
-    let mut rng = StdRng::seed_from_u64(22);
-    let mut quad_io = 0u64;
-    let mut rstar_io = 0u64;
-    for _ in 0..200 {
-        let x = rng.gen_range(0.0..1000.0);
-        let y = rng.gen_range(0.0..1000.0);
-        let q = Rect::centered(Point::new(x, y), 60.0, 60.0);
-        let mut s_q = AccessStats::new();
-        let mut s_r = AccessStats::new();
-        let mut s_o = AccessStats::new();
-        let want = sorted(oracle.query_range(q, &mut s_o));
-        assert_eq!(sorted(quad.query_range(q, &mut s_q)), want);
-        assert_eq!(sorted(rstar.query_range(q, &mut s_r)), want);
-        quad_io += s_q.nodes_visited;
-        rstar_io += s_r.nodes_visited;
-    }
-    // The R* split should not do meaningfully worse on I/O than the
-    // quadratic split on clustered data (it usually does better).
-    assert!(
-        (rstar_io as f64) <= 1.1 * quad_io as f64,
-        "R* io {rstar_io} vs quadratic io {quad_io}"
-    );
-}
-
-impl<T: Copy> RTree<T> {
-    /// Bulk-loaded trees may have one under-filled trailing node per
-    /// level, so the dynamic fill-factor check does not apply; verify
-    /// the remaining invariants (MBR caching, uniform leaf depth,
-    /// reachability).
-    fn check_invariants_bulk(&self) {
-        use super::NodeKind;
-        fn walk<T: Copy>(
-            tree: &RTree<T>,
-            idx: usize,
-            depth: usize,
-            leaf_depth: &mut Option<usize>,
-        ) -> usize {
-            match &tree.nodes[idx].kind {
-                NodeKind::Leaf(entries) => {
-                    match leaf_depth {
-                        None => *leaf_depth = Some(depth),
-                        Some(d) => assert_eq!(*d, depth),
-                    }
-                    entries.len()
-                }
-                NodeKind::Internal(children) => children
-                    .iter()
-                    .map(|&(mbr, child)| {
-                        assert_eq!(mbr, tree.nodes[child].mbr());
-                        walk(tree, child, depth + 1, leaf_depth)
-                    })
-                    .sum(),
-            }
-        }
-        let mut leaf_depth = None;
-        let n = walk(self, self.root, 0, &mut leaf_depth);
-        assert_eq!(n, self.len());
-    }
 }

@@ -9,8 +9,6 @@
 pub struct AccessStats {
     /// R-tree / PTI nodes visited (each visit models one page read).
     pub nodes_visited: u64,
-    /// Grid-file buckets (directory cells) visited.
-    pub buckets_visited: u64,
     /// Leaf entries / items whose MBR was tested against the query.
     pub items_tested: u64,
     /// Items that passed the geometric filter and were returned as
@@ -28,7 +26,6 @@ impl AccessStats {
     /// issues several index probes).
     pub fn absorb(&mut self, other: AccessStats) {
         self.nodes_visited += other.nodes_visited;
-        self.buckets_visited += other.buckets_visited;
         self.items_tested += other.items_tested;
         self.candidates += other.candidates;
     }
@@ -42,13 +39,11 @@ mod tests {
     fn absorb_adds_fields() {
         let mut a = AccessStats {
             nodes_visited: 1,
-            buckets_visited: 2,
             items_tested: 3,
             candidates: 4,
         };
         a.absorb(AccessStats {
             nodes_visited: 10,
-            buckets_visited: 20,
             items_tested: 30,
             candidates: 40,
         });
@@ -56,7 +51,6 @@ mod tests {
             a,
             AccessStats {
                 nodes_visited: 11,
-                buckets_visited: 22,
                 items_tested: 33,
                 candidates: 44,
             }

@@ -4,59 +4,24 @@ use iloc_geometry::Rect;
 
 use crate::stats::AccessStats;
 
-/// Reusable index-probe state: the DFS stack of node indices plus an
-/// epoch-marked dedup table.
+/// Reusable index-probe state: the DFS stack of node indices.
 ///
 /// Hierarchical indexes (`RTree`, `Pti`) need a stack of pending nodes
-/// per probe, and the grid file needs a per-entry "already reported"
-/// table; allocating either anew for every query shows up directly in
+/// per probe; allocating it anew for every query shows up directly in
 /// the hot path. Callers that probe repeatedly keep one
 /// `TraversalScratch` alive and pass it to
 /// [`RangeIndex::query_range_scratch`] — after warm-up the probe then
-/// performs no heap allocation. Backends that need neither ignore it.
+/// performs no heap allocation. Backends that need no stack ignore it.
 #[derive(Debug, Clone, Default)]
 pub struct TraversalScratch {
     /// Pending node arena indices (empty between probes).
     pub(crate) stack: Vec<usize>,
-    /// Epoch-stamped dedup marks (`marks[e] == epoch` means entry `e`
-    /// was already reported this probe); stamping a new epoch clears
-    /// the whole table in O(1).
-    pub(crate) marks: Vec<u64>,
-    /// The current probe's epoch.
-    pub(crate) epoch: u64,
 }
 
 impl TraversalScratch {
     /// A scratch with no retained capacity.
     pub fn new() -> Self {
         TraversalScratch::default()
-    }
-
-    /// Starts a new dedup epoch covering entry indices `0..n`,
-    /// growing the mark table as needed (the only allocation, and only
-    /// when `n` exceeds every previous probe's).
-    pub(crate) fn begin_dedup(&mut self, n: usize) {
-        if self.marks.len() < n {
-            self.marks.resize(n, 0);
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // One wraparound every 2^64 probes: reset stale stamps.
-            self.marks.fill(0);
-            self.epoch = 1;
-        }
-    }
-
-    /// Marks entry `e`; returns `true` the first time it is seen in
-    /// the current epoch.
-    #[inline]
-    pub(crate) fn mark(&mut self, e: usize) -> bool {
-        if self.marks[e] == self.epoch {
-            false
-        } else {
-            self.marks[e] = self.epoch;
-            true
-        }
     }
 }
 
@@ -72,7 +37,7 @@ impl TraversalScratch {
 /// arrival/departure/move streams without a rebuild. Every backend
 /// must answer queries identically (up to candidate order) to a
 /// from-scratch rebuild on the same live set — the conformance suite
-/// in `tests/conformance.rs` enforces this for all four backends.
+/// in `tests/conformance.rs` enforces this for all three backends.
 pub trait RangeIndex<T: Copy> {
     /// Number of stored items.
     fn len(&self) -> usize;

@@ -1,7 +1,7 @@
 //! Shared `RangeIndex` conformance suite.
 //!
 //! One generic scenario is run against every backend — `RTree`, `Pti`,
-//! `GridFile`, `NaiveIndex` — and checked against an independent
+//! `NaiveIndex` — and checked against an independent
 //! brute-force oracle (a plain `Vec`, *not* `NaiveIndex`, which is
 //! itself under test). Covered per backend:
 //!
@@ -18,9 +18,7 @@
 
 use iloc_geometry::{Point, Rect};
 use iloc_index::rtree::RTreeParams;
-use iloc_index::{
-    AccessStats, GridFile, NaiveIndex, Pti, PtiParams, RTree, RangeIndex, TraversalScratch,
-};
+use iloc_index::{AccessStats, NaiveIndex, Pti, PtiParams, RTree, RangeIndex, TraversalScratch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -218,20 +216,6 @@ fn pti_multi_level_conforms() {
             entries.into_iter().map(|(r, t)| (vec![r; 3], t)).collect(),
             PtiParams::default(),
         )
-    });
-}
-
-#[test]
-fn gridfile_conforms() {
-    // The grid space deliberately does NOT cover the scenario's
-    // straddling extents, exercising the border-cell clamping.
-    conformance("gridfile", |entries| GridFile::new(SPACE, 16, 16, entries));
-}
-
-#[test]
-fn gridfile_coarse_conforms() {
-    conformance("gridfile(1x1)", |entries| {
-        GridFile::new(SPACE, 1, 1, entries)
     });
 }
 

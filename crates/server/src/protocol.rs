@@ -22,7 +22,7 @@
 //! * **Allocation-free on the query path.** Encoders append to a
 //!   caller-owned `Vec<u8>` and decoders overwrite caller-owned
 //!   values in place ([`decode_point_query_into`] rebuilds the
-//!   issuer's U-catalog through [`Issuer::set_pdf`] without
+//!   issuer's U-catalog through [`iloc_core::Issuer::set_pdf`] without
 //!   allocating), so a warm client or server worker touches no heap.
 //! * **Malformed input is an error frame, never a panic.** Every
 //!   decoder validates geometry (finite coordinates, positive areas,

@@ -6,7 +6,7 @@
 //! set. Pinned here at three layers:
 //!
 //! * index level — the same `QueryPipeline` over a dynamically
-//!   maintained `RTree` / `Pti` / `GridFile` / `NaiveIndex` vs a
+//!   maintained `RTree` / `Pti` / `NaiveIndex` vs a
 //!   rebuilt one;
 //! * engine level — `PointEngine` / `UncertainEngine` under an
 //!   arrival/departure/move stream vs `from_objects` / `build` on the
@@ -32,7 +32,7 @@ use iloc::core::pipeline::{
 use iloc::core::pipeline::{PointRequest, UncertainRequest};
 use iloc::core::serve::{ShardedEngine, Update};
 use iloc::datagen::{PointUpdate, PointUpdateGen, RectUpdate, RectUpdateGen, UpdateMix};
-use iloc::index::{GridFile, NaiveIndex, Pti, PtiParams, RTree, RTreeParams, RangeIndex};
+use iloc::index::{NaiveIndex, Pti, PtiParams, RTree, RTreeParams, RangeIndex};
 use iloc::prelude::*;
 use iloc::uncertainty::{PointObject, UncertainObject, UniformPdf};
 use rand::rngs::StdRng;
@@ -129,18 +129,6 @@ fn pti_dynamic_equals_rebuild() {
             vec![0.0],
             entries.into_iter().map(|(r, t)| (vec![r], t)).collect(),
             PtiParams::default(),
-        )
-    });
-}
-
-#[test]
-fn gridfile_dynamic_equals_rebuild() {
-    index_dynamic_equals_rebuild("gridfile", |entries| {
-        GridFile::new(
-            Rect::from_coords(0.0, 0.0, 2_000.0, 2_000.0),
-            12,
-            12,
-            entries,
         )
     });
 }
