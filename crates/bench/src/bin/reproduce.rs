@@ -94,7 +94,7 @@ fn main() {
     let t0 = Instant::now();
     let bed = TestBed::build(scale);
     println!(
-        "testbed built in {:.1}s (California R-tree + Long Beach R-tree/PTI with U-catalogs)",
+        "testbed built in {:.1}s (California R-tree + Long Beach PTI with U-catalogs)",
         t0.elapsed().as_secs_f64()
     );
 

@@ -286,15 +286,16 @@ pub fn pruning_strategies(bed: &TestBed) -> Vec<Row> {
                 .raw_candidates(expanded, &mut answer.stats.access);
             for idx in candidates {
                 let obj = &bed.long_beach.objects()[idx as usize];
-                if s1 && strategy1_prunes(obj, &ctx) {
+                let bounds = bed.long_beach.bounds(idx);
+                if s1 && strategy1_prunes(&bounds, &ctx) {
                     answer.stats.pruned_s1 += 1;
                     continue;
                 }
-                if s2 && strategy2_prunes(obj, &ctx) {
+                if s2 && strategy2_prunes(&bounds, &ctx) {
                     answer.stats.pruned_s2 += 1;
                     continue;
                 }
-                if s3 && strategy3_prunes(obj, &ctx) {
+                if s3 && strategy3_prunes(&bounds, &ctx) {
                     answer.stats.pruned_s3 += 1;
                     continue;
                 }

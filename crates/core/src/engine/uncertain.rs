@@ -1,72 +1,75 @@
 //! Engine for uncertain-object databases (IUQ / C-IUQ) — a thin facade
-//! over [`crate::pipeline::QueryPipeline`]: it owns the object table,
-//! the R-tree and the PTI, and assembles one pipeline per query.
+//! over [`crate::pipeline::QueryPipeline`]: it owns the object table
+//! and **one** index, the PTI, and assembles one pipeline per query.
+//!
+//! The PTI is also where the objects' U-catalogs live: an object is
+//! its id and pdf, and its six default-level p-bounds are computed
+//! once, on the way in (bulk build or insert), into the PTI's
+//! level-major table. Everything that needs a bound reads it there —
+//! the PTI's own threshold probe and the Section-5.2 object-level
+//! tests ([`UncertainEngine::bounds`]). IUQ and the Minkowski baseline probe the
+//! same tree at threshold 0, where it is the plain R-tree over the
+//! uncertainty regions.
 
 use std::collections::HashMap;
 
-use iloc_index::{Pti, PtiParams, PtiQuery, RTree, RTreeParams, RangeIndex};
-use iloc_uncertainty::{ObjectId, UncertainObject};
+use iloc_geometry::Rect;
+use iloc_index::{LevelRow, Pti, PtiParams, PtiQuery, RangeIndex};
+use iloc_uncertainty::catalog::{default_bounds, DEFAULT_LEVELS};
+use iloc_uncertainty::{ObjectId, PdfKind, UncertainObject};
 
 use crate::eval::constrained::PruneContext;
 use crate::expand::p_expanded_query;
 use crate::integrate::Integrator;
 use crate::pipeline::{
     execute_batch, AcceptPolicy, BatchEngine, EvaluatorKind, ExecutionContext, PreparedQuery,
-    PruneChain, PtiFilter, QueryPipeline, RectFilter, UncertainRequest,
+    PruneChain, PtiFilter, QueryPipeline, RectFilter, StoredBounds, UncertainRequest,
 };
 use crate::query::{CiuqStrategy, Issuer, RangeSpec};
 use crate::result::QueryAnswer;
 
-/// An uncertain-object database with both a plain R-tree and a PTI,
-/// answering IUQ and C-IUQ.
+/// An uncertain-object database over a PTI, answering IUQ and C-IUQ.
 ///
 /// Object ids are expected to be unique within one engine (the
 /// serving layer routes updates by id).
 #[derive(Debug, Clone)]
 pub struct UncertainEngine {
     objects: Vec<UncertainObject>,
-    tree: RTree<u32>,
     pti: Pti<u32>,
+    /// Object slot → row of the PTI's bound table.
+    rows: Vec<u32>,
     /// Id → object-table slot, maintained by every insert/remove so
     /// departures resolve in O(1).
     slots: HashMap<ObjectId, u32>,
 }
 
+/// The rows one pdf occupies in the table: its [`DEFAULT_LEVELS`]
+/// p-bounds.
+fn p_bounds(pdf: &PdfKind) -> [Rect; DEFAULT_LEVELS.len()] {
+    default_bounds(pdf).map(|b| b.rect)
+}
+
 impl UncertainEngine {
-    /// Builds the engine: bulk loads an R-tree on the uncertainty
-    /// regions and a PTI on the objects' U-catalogs.
-    ///
-    /// # Panics
-    ///
-    /// Panics when objects disagree on their catalog levels (the PTI
-    /// requires a shared level table, as in the paper).
+    /// Builds the engine: computes every object's U-catalog into the
+    /// level table and bulk loads the PTI over it. Object `k` sits in
+    /// slot `k` and holds table row `k`.
     pub fn build(objects: Vec<UncertainObject>) -> Self {
-        let entries = objects
+        let n = u32::try_from(objects.len()).expect("object slots are 32-bit");
+        let mut columns: Vec<Vec<Rect>> = DEFAULT_LEVELS
             .iter()
-            .enumerate()
-            .map(|(k, o)| (o.region(), k as u32))
+            .map(|_| Vec::with_capacity(objects.len()))
             .collect();
-        let tree = RTree::bulk_load(entries, RTreeParams::default());
-
-        let levels: Vec<f64> = objects
-            .first()
-            .map(|o| o.catalog().levels().collect())
-            .unwrap_or_else(|| vec![0.0]);
-        let pti_objects = objects
-            .iter()
-            .enumerate()
-            .map(|(k, o)| {
-                let obj_levels: Vec<f64> = o.catalog().levels().collect();
-                assert_eq!(
-                    obj_levels, levels,
-                    "all objects must share the same catalog levels"
-                );
-                let bounds = o.catalog().bounds().iter().map(|b| b.rect).collect();
-                (bounds, k as u32)
-            })
-            .collect();
-        let pti = Pti::bulk_load(levels, pti_objects, PtiParams::default());
-
+        for object in &objects {
+            for (column, b) in columns.iter_mut().zip(p_bounds(object.pdf())) {
+                column.push(b);
+            }
+        }
+        let pti = Pti::bulk_load_columns(
+            DEFAULT_LEVELS.to_vec(),
+            columns,
+            (0..n).collect(),
+            PtiParams::default(),
+        );
         let slots = objects
             .iter()
             .enumerate()
@@ -74,98 +77,81 @@ impl UncertainEngine {
             .collect();
         UncertainEngine {
             objects,
-            tree,
             pti,
+            rows: (0..n).collect(),
             slots,
         }
     }
 
-    /// Inserts one uncertain object dynamically, maintaining both the
-    /// R-tree and the PTI. **Upsert**: when the id is already live, the
-    /// object is replaced in its slot (every `Update::Move`, and a
-    /// retried or duplicate arrival) — one removal and one insertion
-    /// per index, no other object re-keyed, and the table keeps its
-    /// order, so a catalog whose slots are in id order keeps answering
-    /// without a sort however much it moves.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the object's catalog levels differ from the
-    /// engine's (the PTI needs one shared level table).
+    /// Inserts one uncertain object dynamically: its p-bounds are
+    /// computed here, straight into a row of the PTI's table.
+    /// **Upsert**: when the id is already live, the object is replaced
+    /// in its slot (every `Update::Move`, and a retried or duplicate
+    /// arrival) — one removal and one insertion in the index, no other
+    /// object re-keyed, and the table keeps its order, so a catalog
+    /// whose slots are in id order keeps answering without a sort
+    /// however much it moves.
     pub fn insert(&mut self, object: UncertainObject) {
-        let obj_levels: Vec<f64> = object.catalog().levels().collect();
-        if self.objects.is_empty() {
-            // First object fixes the level table.
-            self.pti = Pti::bulk_load(obj_levels.clone(), Vec::new(), PtiParams::default());
-        }
-        assert_eq!(
-            obj_levels,
-            self.pti.levels(),
-            "all objects must share the same catalog levels"
-        );
-        let region = object.region();
-        let bounds = object.catalog().bounds().iter().map(|b| b.rect).collect();
+        let bounds = p_bounds(object.pdf());
         if let Some(&slot) = self.slots.get(&object.id) {
             let old = std::mem::replace(&mut self.objects[slot as usize], object);
-            let tree_removed = self.tree.remove(old.region(), slot);
-            let pti_removed = self.pti.remove(old.region(), slot);
             assert!(
-                tree_removed && pti_removed,
-                "object table and indexes out of sync"
+                self.pti.remove(old.region(), slot),
+                "object table and index out of sync"
             );
-            self.tree.insert(region, slot);
-            self.pti.insert(bounds, slot);
+            self.rows[slot as usize] = self.pti.insert(bounds, slot);
             return;
         }
-        let slot = self.objects.len() as u32;
+        let slot = u32::try_from(self.objects.len()).expect("object slots are 32-bit");
         self.slots.insert(object.id, slot);
-        self.tree.insert(region, slot);
-        self.pti.insert(bounds, slot);
+        self.rows.push(self.pti.insert(bounds, slot));
         self.objects.push(object);
     }
 
-    /// Removes the object with the given id, maintaining **both**
-    /// indexes incrementally — Guttman condense-tree on the R-tree and
-    /// constrained-rectangle repair on the PTI; returns `true` when
-    /// present.
+    /// Removes the object with the given id, maintaining the index
+    /// incrementally (Guttman condense-tree, exact per-level repair of
+    /// the merged bounds); returns `true` when present.
     ///
     /// The object table is kept dense: the last object is swapped into
-    /// the vacated slot and both index entries are re-keyed.
-    pub fn remove(&mut self, id: iloc_uncertainty::ObjectId) -> bool {
-        let Some(slot_u32) = self.slots.remove(&id) else {
+    /// the vacated slot and its index entry re-keyed — its table row
+    /// stays where it is.
+    pub fn remove(&mut self, id: ObjectId) -> bool {
+        let Some(slot) = self.slots.remove(&id) else {
             return false;
         };
-        let slot = slot_u32 as usize;
-        let region = self.objects[slot].region();
-        let tree_removed = self.tree.remove(region, slot_u32);
-        let pti_removed = self.pti.remove(region, slot_u32);
+        let removed = self.objects.swap_remove(slot as usize);
+        self.rows.swap_remove(slot as usize);
         assert!(
-            tree_removed && pti_removed,
-            "object table and indexes out of sync"
+            self.pti.remove(removed.region(), slot),
+            "object table and index out of sync"
         );
-        let last = self.objects.len() - 1;
-        if slot != last {
-            let moved_region = self.objects[last].region();
-            let tree_rekeyed = self.tree.remove(moved_region, last as u32);
-            let pti_rekeyed = self.pti.remove(moved_region, last as u32);
+        if let Some(moved) = self.objects.get(slot as usize) {
+            let last = self.objects.len() as u32;
             assert!(
-                tree_rekeyed && pti_rekeyed,
-                "object table and indexes out of sync"
+                self.pti.rekey(moved.region(), last, slot),
+                "object table and index out of sync"
             );
-            self.tree.insert(moved_region, slot_u32);
-            self.pti.insert(
-                self.objects[last]
-                    .catalog()
-                    .bounds()
-                    .iter()
-                    .map(|b| b.rect)
-                    .collect(),
-                slot_u32,
-            );
-            self.slots.insert(self.objects[last].id, slot_u32);
+            self.slots.insert(moved.id, slot);
         }
-        self.objects.swap_remove(slot);
         true
+    }
+
+    /// Validates the engine's invariants (tests): the PTI's own, and
+    /// that the object table, the id map and the slot → row map all
+    /// describe the same live set.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first violation.
+    pub fn check_invariants(&self) {
+        let n = self.objects.len();
+        assert_eq!(self.pti.check_invariants(), n, "index size");
+        assert_eq!(self.rows.len(), n, "row map size");
+        assert_eq!(self.slots.len(), n, "id map size");
+        for (slot, object) in self.objects.iter().enumerate() {
+            assert_eq!(self.slots.get(&object.id), Some(&(slot as u32)), "id map");
+            assert_eq!(self.bounds(slot as u32).rect(0), object.region(), "row map");
+        }
     }
 
     /// Number of stored objects.
@@ -178,7 +164,7 @@ impl UncertainEngine {
         self.objects.is_empty()
     }
 
-    /// The stored objects.
+    /// The stored objects, by slot.
     pub fn objects(&self) -> &[UncertainObject] {
         &self.objects
     }
@@ -201,7 +187,7 @@ impl UncertainEngine {
         scratch: &mut iloc_index::TraversalScratch,
         out: &mut Vec<u32>,
     ) {
-        self.tree.query_range_scratch(filter, stats, scratch, out);
+        self.pti.query_range_scratch(filter, stats, scratch, out);
     }
 
     /// Raw R-tree filter results — indices into [`Self::objects`] whose
@@ -212,12 +198,29 @@ impl UncertainEngine {
         filter: iloc_geometry::Rect,
         stats: &mut iloc_index::AccessStats,
     ) -> Vec<u32> {
-        self.tree.query_range(filter, stats)
+        self.pti.query_range(filter, stats)
     }
 
-    /// Assembles and runs one R-tree-filtered pipeline through the
-    /// caller's context (the Minkowski plans share this; the PTI plan
-    /// builds its own filter + pruning chain in [`Self::ciuq_into`]).
+    /// The stored p-bounds of every object slot (what the Section-5.2
+    /// pruning chain reads).
+    pub fn stored_bounds(&self) -> StoredBounds<'_> {
+        StoredBounds {
+            index: &self.pti,
+            rows: &self.rows,
+        }
+    }
+
+    /// The stored p-bounds of the object in `slot` — its
+    /// [`DEFAULT_LEVELS`] U-catalog, read in place from the PTI's
+    /// table.
+    pub fn bounds(&self, slot: u32) -> LevelRow<'_> {
+        self.stored_bounds().of(slot)
+    }
+
+    /// Runs one Minkowski-filtered pipeline — the PTI probed at
+    /// threshold 0, no pruning — through the caller's context (IUQ and
+    /// the C-IUQ baseline share this; the PTI plan builds its own
+    /// filter + pruning chain in [`Self::ciuq_into`]).
     fn run_rtree_into(
         &self,
         query: PreparedQuery<'_>,
@@ -230,7 +233,7 @@ impl UncertainEngine {
             query,
             objects: &self.objects,
             filter: RectFilter {
-                index: &self.tree,
+                index: &self.pti,
                 query: query.expanded,
             },
             prune: PruneChain::none(),
@@ -342,8 +345,9 @@ impl UncertainEngine {
         assert!((0.0..=1.0).contains(&qp), "threshold must be in [0, 1]");
         let query = PreparedQuery::new(issuer, range);
         match strategy {
-            // The paper's baseline: plain R-tree + Minkowski filter,
-            // no pruning — every candidate is refined.
+            // The paper's baseline: Minkowski filter on the plain
+            // R-tree (the PTI at threshold 0), no pruning — every
+            // candidate is refined.
             CiuqStrategy::RTreeMinkowski => self.run_rtree_into(
                 query,
                 EvaluatorKind::Duality,
@@ -357,13 +361,16 @@ impl UncertainEngine {
             CiuqStrategy::PtiPExpanded => {
                 let (_, p_expanded) = p_expanded_query(issuer, range, qp);
                 let prune = if qp > 0.0 {
-                    PruneChain::section_5_2(PruneContext {
-                        qp,
-                        expanded: query.expanded,
-                        p_expanded,
-                        issuer,
-                        range,
-                    })
+                    PruneChain::section_5_2(
+                        PruneContext {
+                            qp,
+                            expanded: query.expanded,
+                            p_expanded,
+                            issuer,
+                            range,
+                        },
+                        self.stored_bounds(),
+                    )
                 } else {
                     PruneChain::none()
                 };
@@ -553,8 +560,8 @@ mod tests {
         use iloc_uncertainty::ObjectId;
         let mut engine = UncertainEngine::build(grid_objects());
         let n = engine.len();
-        // A duplicate arrival replaces the live object in the table,
-        // the R-tree and the PTI.
+        // A duplicate arrival replaces the live object in the table and
+        // in the index.
         engine.insert(UncertainObject::new(
             0u64,
             UniformPdf::new(Rect::centered(Point::new(500.0, 500.0), 10.0, 10.0)),
@@ -565,7 +572,8 @@ mod tests {
         assert_eq!(ids, (0..n as u64).collect::<Vec<_>>());
         let ans = engine.iuq(&issuer(), RangeSpec::square(60.0));
         assert!(ans.probability_of(ObjectId(0)).is_some());
-        // Gone from where it was, in the R-tree and in the PTI.
+        // Gone from where it was, at threshold 0 and through the
+        // threshold probe.
         let old_home = Issuer::uniform(Rect::centered(Point::new(50.0, 50.0), 5.0, 5.0));
         for strategy in [CiuqStrategy::RTreeMinkowski, CiuqStrategy::PtiPExpanded] {
             let ans = engine.ciuq(&old_home, RangeSpec::square(5.0), 0.0, strategy);

@@ -15,9 +15,16 @@
 //!   find the smallest stored `dmin ≥ Qp` whose tail test passes and
 //!   the smallest stored `qmin ≥ Qp` whose expanded-query test passes;
 //!   then `pi ≤ qmin · dmin`, so if `qmin · dmin < Qp`: prune.
+//!
+//! The tests read a candidate's p-bounds through [`PBounds`]: for a
+//! stored object that is a row of the PTI's level table
+//! ([`iloc_index::LevelRow`], handed out by
+//! [`crate::UncertainEngine::bounds`]); for a free-standing object, the
+//! catalog [`iloc_uncertainty::UncertainObject::catalog`] computes.
 
 use iloc_geometry::Rect;
-use iloc_uncertainty::UncertainObject;
+use iloc_index::LevelRow;
+use iloc_uncertainty::UCatalog;
 
 use crate::expand::p_expanded_from_bound;
 use crate::query::{Issuer, RangeSpec};
@@ -50,6 +57,50 @@ pub enum PruneOutcome {
     Keep,
 }
 
+/// One object's stored p-bounds, ascending in `p` from the 0-bound
+/// (the uncertainty region `Ui`).
+pub trait PBounds {
+    /// Number of stored levels (at least one: level 0).
+    fn levels(&self) -> usize;
+
+    /// The `k`-th stored tail mass.
+    fn p(&self, k: usize) -> f64;
+
+    /// The `k`-th stored bound; `rect(0)` is `Ui`.
+    fn rect(&self, k: usize) -> Rect;
+}
+
+impl PBounds for LevelRow<'_> {
+    #[inline]
+    fn levels(&self) -> usize {
+        LevelRow::levels(self).len()
+    }
+
+    #[inline]
+    fn p(&self, k: usize) -> f64 {
+        LevelRow::levels(self)[k]
+    }
+
+    #[inline]
+    fn rect(&self, k: usize) -> Rect {
+        LevelRow::rect(self, k)
+    }
+}
+
+impl PBounds for UCatalog {
+    fn levels(&self) -> usize {
+        self.len()
+    }
+
+    fn p(&self, k: usize) -> f64 {
+        self.bounds()[k].p
+    }
+
+    fn rect(&self, k: usize) -> Rect {
+        self.bounds()[k].rect
+    }
+}
+
 /// `true` when `region` lies entirely in one of `bound`'s four tails
 /// (the side tests shared by Strategies 1 and 3 and by the PTI).
 #[inline]
@@ -63,33 +114,35 @@ fn in_tail(region: Rect, bound: Rect) -> bool {
 /// Strategy 1 in isolation: the possible-qualification region
 /// `Ui ∩ (R ⊕ U0)` lies in a `≤ Qp` tail of the object's own pdf
 /// (or is empty, in which case Lemma 1 already rules the object out).
-pub fn strategy1_prunes(object: &UncertainObject, ctx: &PruneContext<'_>) -> bool {
-    let overlap = object.region().intersect(ctx.expanded);
+pub fn strategy1_prunes(bounds: &impl PBounds, ctx: &PruneContext<'_>) -> bool {
+    let overlap = bounds.rect(0).intersect(ctx.expanded);
     if overlap.is_empty() {
         return true;
     }
-    let own = object.catalog().best_at_most(ctx.qp);
-    own.p > 0.0 && in_tail(overlap, own.rect)
+    // The largest stored level `≤ Qp`; level 0 says nothing.
+    let own = (1..bounds.levels())
+        .take_while(|&k| bounds.p(k) <= ctx.qp)
+        .last();
+    own.is_some_and(|k| in_tail(overlap, bounds.rect(k)))
 }
 
 /// Strategy 2 in isolation: `Ui` lies completely outside the issuer's
 /// conservative `M`-expanded query.
-pub fn strategy2_prunes(object: &UncertainObject, ctx: &PruneContext<'_>) -> bool {
-    !object.region().overlaps(ctx.p_expanded)
+pub fn strategy2_prunes(bounds: &impl PBounds, ctx: &PruneContext<'_>) -> bool {
+    !bounds.rect(0).overlaps(ctx.p_expanded)
 }
 
 /// Strategy 3 in isolation: the `qmin · dmin < Qp` product rule.
-pub fn strategy3_prunes(object: &UncertainObject, ctx: &PruneContext<'_>) -> bool {
-    let ui = object.region();
+pub fn strategy3_prunes(bounds: &impl PBounds, ctx: &PruneContext<'_>) -> bool {
+    let ui = bounds.rect(0);
     let overlap = ui.intersect(ctx.expanded);
     if overlap.is_empty() {
         return false; // attributed to Strategy 1
     }
-    let dmin = object
-        .catalog()
-        .at_least(ctx.qp)
-        .find(|b| in_tail(overlap, b.rect))
-        .map(|b| b.p);
+    let dmin = (0..bounds.levels())
+        .skip_while(|&k| bounds.p(k) < ctx.qp)
+        .find(|&k| in_tail(overlap, bounds.rect(k)))
+        .map(|k| bounds.p(k));
     let qmin = ctx
         .issuer
         .catalog()
@@ -101,14 +154,14 @@ pub fn strategy3_prunes(object: &UncertainObject, ctx: &PruneContext<'_>) -> boo
 
 /// Applies Strategies 1–3 in the paper's order (cheapest test first)
 /// and reports which one, if any, eliminated the candidate.
-pub fn try_prune(object: &UncertainObject, ctx: &PruneContext<'_>) -> PruneOutcome {
-    if strategy2_prunes(object, ctx) {
+pub fn try_prune(bounds: &impl PBounds, ctx: &PruneContext<'_>) -> PruneOutcome {
+    if strategy2_prunes(bounds, ctx) {
         return PruneOutcome::Strategy2;
     }
-    if strategy1_prunes(object, ctx) {
+    if strategy1_prunes(bounds, ctx) {
         return PruneOutcome::Strategy1;
     }
-    if strategy3_prunes(object, ctx) {
+    if strategy3_prunes(bounds, ctx) {
         return PruneOutcome::Strategy3;
     }
     PruneOutcome::Keep
@@ -155,7 +208,7 @@ mod tests {
             o.region().overlaps(c.expanded),
             "test setup: in Minkowski sum"
         );
-        assert_eq!(try_prune(&o, &c), PruneOutcome::Strategy2);
+        assert_eq!(try_prune(&o.catalog(), &c), PruneOutcome::Strategy2);
     }
 
     #[test]
@@ -170,7 +223,7 @@ mod tests {
         // query is [-20, 120]², the overlap is [80, 120] × [40, 60],
         // and l(0.3) = 80 + 0.3·300 = 170 > 120 → left-tail prune.
         let o = obj(Rect::from_coords(80.0, 40.0, 380.0, 60.0));
-        assert_eq!(try_prune(&o, &c), PruneOutcome::Strategy1);
+        assert_eq!(try_prune(&o.catalog(), &c), PruneOutcome::Strategy1);
     }
 
     #[test]
@@ -180,7 +233,7 @@ mod tests {
         let c = ctx(&issuer, range, 0.2);
         // Object dead-centre on the issuer: certainly not prunable.
         let o = obj(Rect::from_coords(40.0, 40.0, 60.0, 60.0));
-        assert_eq!(try_prune(&o, &c), PruneOutcome::Keep);
+        assert_eq!(try_prune(&o.catalog(), &c), PruneOutcome::Keep);
     }
 
     #[test]
@@ -204,7 +257,7 @@ mod tests {
                 rng.gen_range(5.0..200.0),
                 rng.gen_range(5.0..200.0),
             ));
-            let outcome = try_prune(&o, &c);
+            let outcome = try_prune(&o.catalog(), &c);
             if outcome != PruneOutcome::Keep {
                 pruned += 1;
                 let mut stats = QueryStats::new();
@@ -259,6 +312,6 @@ mod tests {
         // l(0.4)=112. Overlap=[72,110]: crosses 102, under 112. ✓
         // y: keep trivially overlapping (object y = issuer y range).
         let o = obj(Rect::from_coords(72.0, 0.0, 172.0, 100.0));
-        assert_eq!(try_prune(&o, &c), PruneOutcome::Strategy3);
+        assert_eq!(try_prune(&o.catalog(), &c), PruneOutcome::Strategy3);
     }
 }

@@ -71,7 +71,7 @@ pub use batch::{
     UncertainConstraint, UncertainRequest,
 };
 pub use filter::{FilterStage, PtiFilter, RectFilter};
-pub use prune::{PruneChain, PruneStage};
+pub use prune::{PruneChain, PruneStage, StoredBounds};
 pub use refine::{
     BasicEvaluator, DualityEvaluator, EvaluatorKind, PipelineObject, ProbabilityEvaluator,
 };
@@ -370,7 +370,10 @@ impl<O: PipelineObject, F: FilterStage, E: ProbabilityEvaluator<O>> QueryPipelin
             kept.clear();
             for &slot in &candidates {
                 let object = &self.objects[slot as usize];
-                if !self.prune.try_prune(&self.query, object, &mut ctx.stats) {
+                if !self
+                    .prune
+                    .try_prune(&self.query, slot, object, &mut ctx.stats)
+                {
                     kept.push(slot);
                 }
             }

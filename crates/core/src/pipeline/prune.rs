@@ -1,18 +1,19 @@
 //! The **Prune** stage: object-level elimination before any
 //! probability integral (paper Section 5.2).
 //!
-//! The paper's three strategies are applied through
-//! [`super::PipelineObject::try_section_5_2`] (the single
-//! implementation of the stack), each elimination attributed to its
-//! own [`QueryStats`] counter — that is how the experiments report
-//! pruning power per strategy (Figure 12's discussion). Custom boxed
-//! [`PruneStage`]s can be appended for experimental plans.
+//! The paper's three strategies are applied in their published order,
+//! each elimination attributed to its own [`QueryStats`] counter — that
+//! is how the experiments report pruning power per strategy (Figure
+//! 12's discussion). They read a candidate's p-bounds where the engine
+//! keeps them — in the PTI's level table, through [`StoredBounds`].
+//! Custom boxed [`PruneStage`]s can be appended for experimental plans.
 
 use std::fmt;
 
+use iloc_index::{LevelRow, Pti};
 use iloc_uncertainty::UncertainObject;
 
-use crate::eval::constrained::PruneContext;
+use crate::eval::constrained::{try_prune, PruneContext, PruneOutcome};
 use crate::stats::QueryStats;
 
 use super::PreparedQuery;
@@ -30,23 +31,41 @@ pub trait PruneStage<O>: fmt::Debug + Sync {
     fn try_prune(&self, query: &PreparedQuery<'_>, object: &O, stats: &mut QueryStats) -> bool;
 }
 
+/// The stored p-bounds of an engine's object slots: the PTI's level
+/// table, reached through the engine's slot → row map.
+#[derive(Debug, Clone, Copy)]
+pub struct StoredBounds<'a> {
+    /// The index holding the level table.
+    pub index: &'a Pti<u32>,
+    /// Object slot → table row.
+    pub rows: &'a [u32],
+}
+
+impl<'a> StoredBounds<'a> {
+    /// The bounds of the object in `slot`.
+    #[inline]
+    pub fn of(&self, slot: u32) -> LevelRow<'a> {
+        self.index.row(self.rows[slot as usize])
+    }
+}
+
 /// An ordered chain of pruning stages; the first stage that fires
 /// eliminates the candidate (cheapest-first, as in the paper).
 ///
 /// The paper's Section-5.2 stack is held **inline** (one copied
-/// [`PruneContext`]) rather than as boxed trait objects, so assembling
-/// a constrained plan performs no heap allocation — part of the query
-/// hot path's zero-allocation invariant. Custom boxed stages can still
-/// be appended via [`PruneChain::new`] for experimental plans.
+/// [`PruneContext`] and the bounds it reads) rather than as boxed trait
+/// objects, so assembling a constrained plan performs no heap
+/// allocation — part of the query hot path's zero-allocation
+/// invariant. Custom boxed stages can still be appended via
+/// [`PruneChain::new`] for experimental plans.
 pub struct PruneChain<'p, O> {
-    /// The built-in Section-5.2 stack, applied first (via
-    /// [`super::PipelineObject::try_section_5_2`]).
-    section52: Option<PruneContext<'p>>,
+    /// The built-in Section-5.2 stack, applied first.
+    section52: Option<(PruneContext<'p>, StoredBounds<'p>)>,
     /// Extension point: additional stages applied in order.
     custom: Vec<Box<dyn PruneStage<O> + 'p>>,
 }
 
-impl<'p, O: super::PipelineObject> PruneChain<'p, O> {
+impl<'p, O> PruneChain<'p, O> {
     /// The empty chain (unconstrained queries, and the paper's R-tree
     /// baseline which refines every candidate).
     pub fn none() -> Self {
@@ -75,27 +94,44 @@ impl<'p, O: super::PipelineObject> PruneChain<'p, O> {
         self.len() == 0
     }
 
-    /// Runs the chain; `true` eliminates the candidate.
+    /// Runs the chain on the candidate in `slot`; `true` eliminates
+    /// it.
     #[inline]
-    pub fn try_prune(&self, query: &PreparedQuery<'_>, object: &O, stats: &mut QueryStats) -> bool {
-        if let Some(ctx) = &self.section52 {
-            if object.try_section_5_2(ctx, stats) {
-                return true;
-            }
+    pub fn try_prune(
+        &self,
+        query: &PreparedQuery<'_>,
+        slot: u32,
+        object: &O,
+        stats: &mut QueryStats,
+    ) -> bool {
+        let builtin = self
+            .section52
+            .as_ref()
+            .map_or(PruneOutcome::Keep, |(ctx, stored)| {
+                try_prune(&stored.of(slot), ctx)
+            });
+        match builtin {
+            PruneOutcome::Strategy1 => stats.pruned_s1 += 1,
+            PruneOutcome::Strategy2 => stats.pruned_s2 += 1,
+            PruneOutcome::Strategy3 => stats.pruned_s3 += 1,
+            PruneOutcome::Keep => {}
         }
-        self.custom
-            .iter()
-            .any(|stage| stage.try_prune(query, object, stats))
+        builtin != PruneOutcome::Keep
+            || self
+                .custom
+                .iter()
+                .any(|stage| stage.try_prune(query, object, stats))
     }
 }
 
 impl<'p> PruneChain<'p, UncertainObject> {
     /// The paper's Section 5.2 stack in its published order —
     /// Strategy 2 (cheapest), then Strategy 1, then the Strategy 3
-    /// product rule. Allocation-free: the chain is the copied context.
-    pub fn section_5_2(ctx: PruneContext<'p>) -> Self {
+    /// product rule — over the candidates' stored `bounds`.
+    /// Allocation-free: the chain is the copied context.
+    pub fn section_5_2(ctx: PruneContext<'p>, bounds: StoredBounds<'p>) -> Self {
         PruneChain {
-            section52: Some(ctx),
+            section52: Some((ctx, bounds)),
             custom: Vec::new(),
         }
     }
@@ -129,7 +165,6 @@ mod tests {
 
     #[test]
     fn chain_matches_legacy_try_prune_order_and_counters() {
-        use crate::eval::constrained::{try_prune, PruneOutcome};
         let issuer = Issuer::uniform(Rect::from_coords(0.0, 0.0, 100.0, 100.0));
         let range = RangeSpec::square(20.0);
         let qp = 0.5;
@@ -142,27 +177,31 @@ mod tests {
             issuer: &issuer,
             range,
         };
-        let chain = PruneChain::section_5_2(ctx);
+        // Sweep a small object across the space; the chain, reading
+        // the engine's stored bounds, must agree with the legacy
+        // combined test over each object's own catalog everywhere, with
+        // counters attributing each elimination to the same strategy.
+        let objects: Vec<UncertainObject> = (0..1600u64)
+            .map(|k| {
+                let c = iloc_geometry::Point::new((k / 40) as f64 * 5.0, (k % 40) as f64 * 5.0);
+                UncertainObject::new(k, UniformPdf::new(Rect::centered(c, 8.0, 8.0)))
+            })
+            .collect();
+        let engine = crate::UncertainEngine::build(objects);
+        let chain = PruneChain::section_5_2(ctx, engine.stored_bounds());
         assert_eq!(chain.len(), 3);
         let query = PreparedQuery::new(&issuer, range);
-        // Sweep a small object across the space; the chain must agree
-        // with the legacy combined test everywhere, with counters
-        // attributing each elimination to the same strategy.
-        for i in 0..40 {
-            for j in 0..40 {
-                let c = iloc_geometry::Point::new(i as f64 * 5.0, j as f64 * 5.0);
-                let o = UncertainObject::new(0u64, UniformPdf::new(Rect::centered(c, 8.0, 8.0)));
-                let mut stats = QueryStats::new();
-                let chained = chain.try_prune(&query, &o, &mut stats);
-                let legacy = try_prune(&o, &ctx);
-                assert_eq!(chained, legacy != PruneOutcome::Keep, "at {c}");
-                match legacy {
-                    PruneOutcome::Strategy1 => assert_eq!(stats.pruned_s1, 1),
-                    PruneOutcome::Strategy2 => assert_eq!(stats.pruned_s2, 1),
-                    PruneOutcome::Strategy3 => assert_eq!(stats.pruned_s3, 1),
-                    PruneOutcome::Keep => {
-                        assert_eq!(stats.pruned_s1 + stats.pruned_s2 + stats.pruned_s3, 0)
-                    }
+        for (slot, o) in engine.objects().iter().enumerate() {
+            let mut stats = QueryStats::new();
+            let chained = chain.try_prune(&query, slot as u32, o, &mut stats);
+            let legacy = try_prune(&o.catalog(), &ctx);
+            assert_eq!(chained, legacy != PruneOutcome::Keep, "at {:?}", o.region());
+            match legacy {
+                PruneOutcome::Strategy1 => assert_eq!(stats.pruned_s1, 1),
+                PruneOutcome::Strategy2 => assert_eq!(stats.pruned_s2, 1),
+                PruneOutcome::Strategy3 => assert_eq!(stats.pruned_s3, 1),
+                PruneOutcome::Keep => {
+                    assert_eq!(stats.pruned_s1 + stats.pruned_s2 + stats.pruned_s3, 0)
                 }
             }
         }
@@ -179,6 +218,6 @@ mod tests {
             UniformPdf::new(Rect::from_coords(900.0, 900.0, 910.0, 910.0)),
         );
         let mut stats = QueryStats::new();
-        assert!(!chain.try_prune(&query, &far, &mut stats));
+        assert!(!chain.try_prune(&query, 0, &far, &mut stats));
     }
 }

@@ -14,11 +14,7 @@ use iloc_geometry::Point;
 use iloc_uncertainty::{LocationPdf, ObjectId, PdfKind, PointObject, UncertainObject};
 
 use crate::eval::basic;
-use crate::eval::constrained::{
-    strategy1_prunes, strategy2_prunes, strategy3_prunes, PruneContext,
-};
 use crate::integrate::{closed, Integrator};
-use crate::stats::QueryStats;
 
 use super::{ExecutionContext, PreparedQuery};
 
@@ -69,16 +65,6 @@ impl RefineLanes {
 pub trait PipelineObject: Sync {
     /// The object's identifier as reported in [`crate::result::Match`].
     fn object_id(&self) -> ObjectId;
-
-    /// Applies the built-in Section-5.2 pruning tests to this object,
-    /// recording any elimination in `stats`. The default keeps the
-    /// object — only objects with U-catalogs (uncertain objects) can be
-    /// pruned without an integral.
-    #[inline]
-    fn try_section_5_2(&self, ctx: &PruneContext<'_>, stats: &mut QueryStats) -> bool {
-        let _ = (ctx, stats);
-        false
-    }
 }
 
 impl PipelineObject for PointObject {
@@ -90,26 +76,6 @@ impl PipelineObject for PointObject {
 impl PipelineObject for UncertainObject {
     fn object_id(&self) -> ObjectId {
         self.id
-    }
-
-    /// The paper's Section 5.2 stack in its published order —
-    /// Strategy 2 (cheapest), then Strategy 1, then the Strategy 3
-    /// product rule — with per-strategy elimination counters.
-    #[inline]
-    fn try_section_5_2(&self, ctx: &PruneContext<'_>, stats: &mut QueryStats) -> bool {
-        if strategy2_prunes(self, ctx) {
-            stats.pruned_s2 += 1;
-            return true;
-        }
-        if strategy1_prunes(self, ctx) {
-            stats.pruned_s1 += 1;
-            return true;
-        }
-        if strategy3_prunes(self, ctx) {
-            stats.pruned_s3 += 1;
-            return true;
-        }
-        false
     }
 }
 

@@ -13,7 +13,8 @@ pub fn point_objects(points: &[Point]) -> Vec<PointObject> {
 }
 
 /// Wraps rectangles as uniform-pdf [`UncertainObject`]s (the paper's
-/// default model) with sequential ids and default U-catalogs.
+/// default model) with sequential ids. Their U-catalogs are computed
+/// by the engine that takes them in.
 pub fn uniform_objects(regions: &[Rect]) -> Vec<UncertainObject> {
     regions
         .iter()

@@ -9,9 +9,10 @@
 //!   implementation, generic over what an entry carries as its bound.
 //! * [`pti`] — the **Probability Threshold Index** of Cheng et al.
 //!   (VLDB'04) as summarised in Section 5.3: that same R-tree with one
-//!   merged MBR per U-catalog level as its entry bound, plus the
-//!   threshold probe that lets constrained queries (C-IUQ) prune whole
-//!   subtrees.
+//!   merged MBR per U-catalog level in its parent entries, the
+//!   level-major table that stores every object's p-bounds (once —
+//!   the PTI is the U-catalog store), and the threshold probe that
+//!   lets constrained queries (C-IUQ) prune whole subtrees.
 //! * [`naive`] — a linear-scan baseline that higher-level tests and
 //!   experiments compare the indexes against.
 //!
@@ -29,7 +30,7 @@ pub mod stats;
 pub mod traits;
 
 pub use naive::NaiveIndex;
-pub use pti::{Pti, PtiParams, PtiQuery};
+pub use pti::{LevelRow, Pti, PtiParams, PtiQuery};
 pub use rtree::{RTree, RTreeParams};
 pub use stats::AccessStats;
 pub use traits::{RangeIndex, TraversalScratch};

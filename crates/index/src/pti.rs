@@ -19,9 +19,24 @@
 //! catalog and is applied per candidate by the query engine, above the
 //! index.
 //!
+//! **The PTI is the U-catalog store.** The p-bounds of the stored
+//! objects live here and nowhere else, in one level-major table: a
+//! dense column of rectangles per catalog level, a row per object.
+//! Rows are handed out from a free list (bulk loading assigns row =
+//! input position) and read back through [`Pti::row`] — the engine's
+//! object-level pruning reads them in place.
+//!
+//! **Leaf vs parent bounds.** A leaf entry is the R-tree's own
+//! `(key, payload)` — the 0-bound plus the caller's item, with the
+//! `u32` row handle riding in the payload's padding: 40 bytes for a
+//! `u32` item, no pointer. A parent entry caches one merged rectangle
+//! per level with `MBR(0)` inline, so a threshold-0 probe reads what a
+//! plain R-tree probe reads, and a threshold probe reads exactly one
+//! column at the leaves.
+//!
 //! **Shared with the R-tree:** everything structural. A [`Pti`] *is*
-//! an [`RTree`] whose entry [`Bound`] is the per-level rectangle list —
-//! keyed on the 0-bound, merged level-wise — so the arena, ChooseSubtree,
+//! an [`RTree`] whose parent [`Bound`] is the per-level rectangle list,
+//! derived from the table — so the arena, ChooseSubtree,
 //! the quadratic split, STR packing, CondenseTree removal and the
 //! invariant walk are the R-tree's own, and a PTI fed the same regions
 //! in the same order has the same shape as a plain R-tree over them.
@@ -31,7 +46,7 @@
 
 use iloc_geometry::Rect;
 
-use crate::rtree::{Bound, Node, RTree, RTreeParams};
+use crate::rtree::{Bound, LeafBounds, Node, RTree, RTreeParams};
 use crate::stats::AccessStats;
 use crate::traits::{RangeIndex, TraversalScratch};
 
@@ -42,19 +57,128 @@ pub struct PtiParams {
     pub rtree: RTreeParams,
 }
 
-/// The PTI's entry bound: one rectangle per catalog level, `self[0]`
-/// the uncertainty region (0-bound) for an object and `MBR(m)` per
-/// level for a subtree.
-impl Bound for Vec<Rect> {
+/// The level-major bound table: `columns[k][row]` is the
+/// `levels[k]`-bound of the object holding `row`.
+#[derive(Debug, Clone)]
+struct LevelTable {
+    levels: Vec<f64>,
+    columns: Vec<Vec<Rect>>,
+    /// Rows released by removals, reused by inserts.
+    free: Vec<u32>,
+}
+
+impl LevelTable {
+    /// # Panics
+    ///
+    /// Panics when `levels` is empty, does not start at 0 or is not
+    /// strictly increasing, or when `columns` is not one equally long
+    /// column per level.
+    fn new(levels: Vec<f64>, columns: Vec<Vec<Rect>>) -> Self {
+        assert!(!levels.is_empty(), "levels must be non-empty");
+        assert_eq!(levels[0], 0.0, "levels must start at 0");
+        assert!(
+            levels.windows(2).all(|w| w[0] < w[1]),
+            "levels must be strictly increasing"
+        );
+        assert!(
+            columns.len() == levels.len() && columns.iter().all(|c| c.len() == columns[0].len()),
+            "each object needs one bound per level"
+        );
+        assert!(
+            u32::try_from(columns[0].len()).is_ok(),
+            "row handles are 32-bit"
+        );
+        LevelTable {
+            levels,
+            columns,
+            free: Vec::new(),
+        }
+    }
+
+    /// Writes one object's bounds into a free row and returns it.
+    fn write_row(&mut self, bounds: &[Rect]) -> u32 {
+        assert_eq!(
+            bounds.len(),
+            self.levels.len(),
+            "each object needs one bound per level"
+        );
+        let row = self.free.pop().unwrap_or_else(|| {
+            let row = u32::try_from(self.columns[0].len()).expect("row handles are 32-bit");
+            for column in &mut self.columns {
+                column.push(Rect::EMPTY);
+            }
+            row
+        });
+        for (column, &b) in self.columns.iter_mut().zip(bounds) {
+            column[row as usize] = b;
+        }
+        row
+    }
+}
+
+/// What a PTI parent entry caches: `MBR(m)` per catalog level, the
+/// 0-level inline (it is the tree's key) and the rest in one block.
+#[derive(Debug, Clone, PartialEq)]
+struct LevelMbrs {
+    key: Rect,
+    /// `upper[k - 1]` is `MBR(levels[k])`.
+    upper: Box<[Rect]>,
+}
+
+impl Bound for LevelMbrs {
     #[inline]
     fn key(&self) -> Rect {
-        self[0]
+        self.key
     }
 
     fn merge(&mut self, other: &Self) {
-        for (m, b) in self.iter_mut().zip(other) {
+        self.key = self.key.hull(other.key);
+        for (m, b) in self.upper.iter_mut().zip(other.upper.iter()) {
             *m = m.hull(*b);
         }
+    }
+}
+
+/// Leaf payloads are `(item, row)`; the levels above 0 are looked up
+/// in the table.
+impl<T> LeafBounds<(T, u32)> for LevelTable {
+    type Parent = LevelMbrs;
+
+    fn lift(&self, key: Rect, &(_, row): &(T, u32)) -> LevelMbrs {
+        LevelMbrs {
+            key,
+            upper: self.columns[1..].iter().map(|c| c[row as usize]).collect(),
+        }
+    }
+
+    fn absorb(&self, parent: &mut LevelMbrs, key: Rect, &(_, row): &(T, u32)) {
+        parent.key = parent.key.hull(key);
+        for (m, c) in parent.upper.iter_mut().zip(&self.columns[1..]) {
+            *m = m.hull(c[row as usize]);
+        }
+    }
+}
+
+/// One stored object's p-bounds, read in place from the level table
+/// (see [`Pti::row`]).
+#[derive(Debug, Clone, Copy)]
+pub struct LevelRow<'a> {
+    table: &'a LevelTable,
+    row: usize,
+}
+
+impl<'a> LevelRow<'a> {
+    /// The catalog levels, ascending from 0.
+    #[inline]
+    pub fn levels(&self) -> &'a [f64] {
+        &self.table.levels
+    }
+
+    /// The object's `levels()[k]`-bound; `rect(0)` is its uncertainty
+    /// region.
+    #[inline]
+    pub fn rect(&self, k: usize) -> Rect {
+        self.table.columns[k][self.row]
     }
 }
 
@@ -76,15 +200,17 @@ pub struct PtiQuery {
 ///
 /// Built by bulk loading (the experiments index static snapshots, as in
 /// the paper) and maintained incrementally via [`Pti::insert`] /
-/// [`Pti::remove`]; all stored objects must share the same catalog
-/// levels.
+/// [`Pti::remove`]; all stored objects share the same catalog levels.
 #[derive(Debug, Clone)]
 pub struct Pti<T> {
-    levels: Vec<f64>,
-    tree: RTree<T, Vec<Rect>>,
+    tree: RTree<(T, u32), LevelTable>,
 }
 
 impl<T: Copy> Pti<T> {
+    /// Bytes of one leaf entry: the 0-bound, the item and the row
+    /// handle (40 for a `u32` item — the plain R-tree's entry size).
+    pub const LEAF_ENTRY_BYTES: usize = std::mem::size_of::<(Rect, (T, u32))>();
+
     /// Bulk loads a PTI (STR packing on the 0-bound centres, like the
     /// plain R-tree).
     ///
@@ -98,46 +224,78 @@ impl<T: Copy> Pti<T> {
     /// strictly increasing, when an object's bound count differs from
     /// `levels.len()`, or when its 0-bound is empty or non-finite.
     pub fn bulk_load(levels: Vec<f64>, objects: Vec<(Vec<Rect>, T)>, params: PtiParams) -> Self {
-        assert!(!levels.is_empty(), "levels must be non-empty");
-        assert_eq!(levels[0], 0.0, "levels must start at 0");
-        assert!(
-            levels.windows(2).all(|w| w[0] < w[1]),
-            "levels must be strictly increasing"
-        );
-        for (bounds, _) in &objects {
+        let mut columns: Vec<Vec<Rect>> = levels
+            .iter()
+            .map(|_| Vec::with_capacity(objects.len()))
+            .collect();
+        let mut items = Vec::with_capacity(objects.len());
+        for (bounds, item) in objects {
             assert_eq!(
                 bounds.len(),
                 levels.len(),
                 "each object needs one bound per level"
             );
+            for (column, b) in columns.iter_mut().zip(bounds) {
+                column.push(b);
+            }
+            items.push(item);
         }
+        Pti::bulk_load_columns(levels, columns, items, params)
+    }
+
+    /// [`Pti::bulk_load`] from the table's own layout: `columns[k][i]`
+    /// is the `levels[k]`-bound of the object carrying `items[i]`. The
+    /// columns become the table as they are, and object `i` holds row
+    /// `i`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Pti::bulk_load`], and when `columns` is not one column per
+    /// level, each as long as `items`.
+    pub fn bulk_load_columns(
+        levels: Vec<f64>,
+        columns: Vec<Vec<Rect>>,
+        items: Vec<T>,
+        params: PtiParams,
+    ) -> Self {
+        let table = LevelTable::new(levels, columns);
+        assert_eq!(
+            table.columns[0].len(),
+            items.len(),
+            "each object needs one bound per level"
+        );
+        let entries = table.columns[0]
+            .iter()
+            .zip(items)
+            .enumerate()
+            .map(|(row, (&key, item))| (key, (item, row as u32)))
+            .collect();
         Pti {
-            levels,
-            tree: RTree::bulk_load(objects, params.rtree),
+            tree: RTree::bulk_load_with(entries, params.rtree, table),
         }
     }
 
     /// Inserts one object dynamically: `bounds[k]` is its p-bound at
     /// `levels()[k]` (with `bounds[0]` the uncertainty region). The
-    /// merged per-level MBRs grow along the insertion path.
+    /// bounds are written into a free table row, whose handle is
+    /// returned; the merged per-level MBRs grow along the insertion
+    /// path.
     ///
     /// # Panics
     ///
     /// Panics when the bound count does not match the catalog levels,
     /// or when the 0-bound is empty or non-finite.
-    pub fn insert(&mut self, bounds: Vec<Rect>, item: T) {
-        assert_eq!(
-            bounds.len(),
-            self.levels.len(),
-            "each object needs one bound per level"
-        );
-        self.tree.insert(bounds, item);
+    pub fn insert(&mut self, bounds: impl AsRef<[Rect]>, item: T) -> u32 {
+        let bounds = bounds.as_ref();
+        let row = self.tree.source_mut().write_row(bounds);
+        self.tree.insert(bounds[0], (item, row));
+        row
     }
 
     /// Removes one stored object whose **0-bound** (uncertainty
-    /// region) is `region` and whose payload equals `item`; returns
-    /// `true` when found. When several identical entries exist, one of
-    /// them is removed.
+    /// region) is `region` and whose payload equals `item`, releasing
+    /// its table row; returns `true` when found. When several
+    /// identical entries exist, one of them is removed.
     ///
     /// Every ancestor's per-level merged MBRs are recomputed exactly
     /// from its surviving children along the removal path, and
@@ -146,14 +304,58 @@ impl<T: Copy> Pti<T> {
     where
         T: PartialEq,
     {
-        self.tree.remove(region, item)
+        let Some((_, row)) = self.tree.remove_where(region, |&(it, _)| it == item) else {
+            return false;
+        };
+        self.tree.source_mut().free.push(row);
+        true
+    }
+
+    /// Replaces the payload of one stored object (found as by
+    /// [`Pti::remove`]) with `new_item`; its table row stays where it
+    /// is. The tree is left exactly as a removal followed by an
+    /// insertion of the same bounds leaves it. Returns `true` when
+    /// found.
+    pub fn rekey(&mut self, region: Rect, item: T, new_item: T) -> bool
+    where
+        T: PartialEq,
+    {
+        let Some((_, row)) = self.tree.remove_where(region, |&(it, _)| it == item) else {
+            return false;
+        };
+        self.tree.insert(region, (new_item, row));
+        true
     }
 
     /// Validates structural invariants (tests): the R-tree's, with
-    /// "cached bound is exact" holding at every catalog level. Returns
-    /// the number of stored objects.
+    /// "cached bound is exact" holding at every catalog level, and the
+    /// table's — every stored entry holds a row of its own whose
+    /// 0-bound is the entry's key, and every other row is on the free
+    /// list. Returns the number of stored objects.
     pub fn check_invariants(&self) -> usize {
-        self.tree.check_invariants()
+        let n = self.tree.check_invariants();
+        let table = self.tree.source();
+        let rows = table.columns[0].len();
+        assert!(
+            table.columns.iter().all(|c| c.len() == rows),
+            "columns differ in length"
+        );
+        let mut held = vec![false; rows];
+        for &(key, (_, row)) in self.tree.entries() {
+            assert_eq!(table.columns[0][row as usize], key, "row 0-bound drifted");
+            assert!(
+                !std::mem::replace(&mut held[row as usize], true),
+                "row held twice"
+            );
+        }
+        for &row in &table.free {
+            assert!(
+                !std::mem::replace(&mut held[row as usize], true),
+                "free row in use"
+            );
+        }
+        assert!(held.iter().all(|&h| h), "row leaked");
+        n
     }
 
     /// Number of stored objects.
@@ -168,13 +370,32 @@ impl<T: Copy> Pti<T> {
 
     /// The shared catalog levels.
     pub fn levels(&self) -> &[f64] {
-        &self.levels
+        &self.tree.source().levels
+    }
+
+    /// The dense column of every row's `levels()[level]`-bound,
+    /// indexed by row handle. Rows on the free list hold whatever their
+    /// last owner left there.
+    fn column(&self, level: usize) -> &[Rect] {
+        &self.tree.source().columns[level]
+    }
+
+    /// The stored bounds of the object holding `row` (as returned by
+    /// [`Pti::insert`], or its position for a bulk-loaded object).
+    #[inline]
+    pub fn row(&self, row: u32) -> LevelRow<'_> {
+        LevelRow {
+            table: self.tree.source(),
+            row: row as usize,
+        }
     }
 
     /// Index of the largest stored level `≤ qp` (always exists because
     /// level 0 is mandatory).
     fn level_floor(&self, qp: f64) -> usize {
-        self.levels.partition_point(|&l| l <= qp).saturating_sub(1)
+        self.levels()
+            .partition_point(|&l| l <= qp)
+            .saturating_sub(1)
     }
 
     /// Returns `true` when the Strategy-1 side test prunes an entry
@@ -211,12 +432,39 @@ impl<T: Copy> Pti<T> {
             q.expanded.contains_rect(q.p_expanded),
             "p-expanded query must be inside the expanded query"
         );
-        let k = self.level_floor(q.threshold);
-        // Strategy 2, then Strategy 1 at level `k`.
-        let survives = |bounds: &[Rect]| {
-            bounds[0].overlaps(q.p_expanded)
-                && !(k > 0 && Self::strategy1_prunes(q.expanded, bounds[k]))
-        };
+        // Strategy 2 on the 0-bound, then Strategy 1 at level `k`: a
+        // parent's `MBR(k)` sits in its entry, an object's k-bound in
+        // column `k` of the table. At level 0 there is no Strategy 1,
+        // and the walk compiles to the plain R-tree's.
+        match self.level_floor(q.threshold) {
+            0 => self.walk(q.p_expanded, |_| false, |_| false, stats, scratch, out),
+            k => {
+                let column = self.column(k);
+                self.walk(
+                    q.p_expanded,
+                    |mbrs| Self::strategy1_prunes(q.expanded, mbrs.upper[k - 1]),
+                    |row| Self::strategy1_prunes(q.expanded, column[row as usize]),
+                    stats,
+                    scratch,
+                    out,
+                )
+            }
+        }
+    }
+
+    /// Depth-first walk pushing the item of every entry whose 0-bound
+    /// overlaps `window` and that neither test prunes — `prunes_parent`
+    /// on a subtree's merged bounds, `prunes_row` on an object's table
+    /// row.
+    fn walk(
+        &self,
+        window: Rect,
+        prunes_parent: impl Fn(&LevelMbrs) -> bool,
+        prunes_row: impl Fn(u32) -> bool,
+        stats: &mut AccessStats,
+        scratch: &mut TraversalScratch,
+        out: &mut Vec<T>,
+    ) {
         let stack = &mut scratch.stack;
         stack.clear();
         stack.push(self.tree.root_index());
@@ -224,17 +472,17 @@ impl<T: Copy> Pti<T> {
             stats.nodes_visited += 1;
             match self.tree.node(idx) {
                 Node::Leaf(entries) => {
-                    for (bounds, item) in entries {
+                    for &(key, (item, row)) in entries {
                         stats.items_tested += 1;
-                        if survives(bounds) {
+                        if key.overlaps(window) && !prunes_row(row) {
                             stats.candidates += 1;
-                            out.push(*item);
+                            out.push(item);
                         }
                     }
                 }
                 Node::Internal(children) => {
-                    for (bounds, child) in children {
-                        if survives(bounds) {
+                    for (mbrs, child) in children {
+                        if mbrs.key.overlaps(window) && !prunes_parent(mbrs) {
                             stack.push(*child);
                         }
                     }
@@ -264,7 +512,7 @@ impl<T: Copy> RangeIndex<T> for Pti<T> {
     }
 
     fn insert(&mut self, extent: Rect, item: T) {
-        Pti::insert(self, vec![extent; self.levels.len()], item);
+        Pti::insert(self, vec![extent; self.levels().len()], item);
     }
 
     fn remove(&mut self, extent: Rect, item: T) -> bool
@@ -631,6 +879,51 @@ mod tests {
             assert!(pti.tree.node_count() <= nodes);
         }
         pti.check_invariants();
+    }
+
+    #[test]
+    fn rows_are_input_positions_then_recycled() {
+        let (mut pti, regions) = build(100, 8);
+        let lv = levels();
+        for (k, &r) in regions.iter().enumerate() {
+            let row = pti.row(k as u32);
+            assert_eq!(row.levels(), &lv[..]);
+            for (level, want) in uniform_bounds(r, &lv).into_iter().enumerate() {
+                assert_eq!(row.rect(level), want);
+            }
+        }
+        // A removal frees its row; the next insert takes it.
+        assert!(pti.remove(regions[7], 7));
+        let r = Rect::from_coords(1.0, 1.0, 9.0, 9.0);
+        assert_eq!(pti.insert(uniform_bounds(r, &lv), 500), 7);
+        assert_eq!(pti.column(0)[7], r);
+        assert_eq!(pti.column(5)[7], uniform_bounds(r, &lv)[5]);
+        // With no row free the table grows.
+        assert_eq!(pti.insert(uniform_bounds(r, &lv), 501), 100);
+        assert_eq!(pti.check_invariants(), 101);
+    }
+
+    #[test]
+    fn rekey_changes_the_item_and_keeps_the_row() {
+        let (mut pti, regions) = build(200, 9);
+        assert!(pti.rekey(regions[5], 5, 900));
+        assert!(!pti.rekey(regions[5], 5, 901), "the old item is gone");
+        assert_eq!(pti.row(5).rect(0), regions[5]);
+        assert_eq!(pti.check_invariants(), 200);
+        let mut stats = AccessStats::new();
+        let hits = pti.query_range(regions[5], &mut stats);
+        assert!(hits.contains(&900) && !hits.contains(&5));
+        assert!(pti.remove(regions[5], 900));
+        assert_eq!(pti.check_invariants(), 199);
+    }
+
+    #[test]
+    fn a_leaf_entry_is_the_r_trees() {
+        assert_eq!(Pti::<u32>::LEAF_ENTRY_BYTES, 40);
+        assert_eq!(
+            Pti::<u32>::LEAF_ENTRY_BYTES,
+            std::mem::size_of::<(Rect, u32)>()
+        );
     }
 
     #[test]

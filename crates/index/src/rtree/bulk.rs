@@ -6,17 +6,24 @@
 //! root remains. Produces near-100 % fill and well-clustered pages —
 //! the right way to load the 53 K / 62 K object experiment datasets.
 
-use super::node::{hull, Bound, Node};
+use iloc_geometry::Rect;
+
+use super::node::{hull, leaf_hull, Bound, LeafBounds, Node};
 use super::{assert_key, RTree, RTreeParams};
 
-/// Builds an [`RTree`] by STR packing on the entries' keys.
-pub fn str_bulk_load<T, B: Bound>(items: Vec<(B, T)>, params: RTreeParams) -> RTree<T, B> {
-    for (bound, _) in &items {
-        assert_key(bound);
+/// Builds an [`RTree`] by STR packing on the entries' keys; `source`
+/// resolves what the parents cache about the leaf entries.
+pub fn str_bulk_load<T, S: LeafBounds<T>>(
+    items: Vec<(Rect, T)>,
+    params: RTreeParams,
+    source: S,
+) -> RTree<T, S> {
+    for &(key, _) in &items {
+        assert_key(key);
     }
     let len = items.len();
     if len == 0 {
-        return RTree::new(params);
+        return RTree::with_source(params, source);
     }
 
     let mut tree = RTree {
@@ -25,13 +32,15 @@ pub fn str_bulk_load<T, B: Bound>(items: Vec<(B, T)>, params: RTreeParams) -> RT
         root: 0,
         len,
         free: Vec::new(),
+        packed: true,
+        source,
     };
 
     // Pack the leaf level.
-    let mut level: Vec<(B, usize)> = pack_level(items, params.max_entries)
+    let mut level: Vec<(S::Parent, usize)> = pack_level(items, params.max_entries)
         .into_iter()
         .map(|entries| {
-            let bound = hull(&entries);
+            let bound = leaf_hull(&tree.source, &entries);
             tree.nodes.push(Node::Leaf(entries));
             (bound, tree.nodes.len() - 1)
         })
@@ -86,7 +95,6 @@ fn pack_level<B: Bound, E>(mut entries: Vec<(B, E)>, cap: usize) -> Vec<Vec<(B, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iloc_geometry::Rect;
 
     #[test]
     fn pack_level_sizes() {

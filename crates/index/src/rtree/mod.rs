@@ -7,11 +7,14 @@
 //! * **Sort-Tile-Recursive** bulk loading for the experiment datasets;
 //! * range queries with logical node-access counting.
 //!
-//! The tree is generic over what an entry carries as its bound
-//! ([`Bound`]): `RTree<T>` stores a plain [`Rect`] per entry; the
-//! [PTI](crate::pti) is the same tree storing one rectangle per
-//! U-catalog level, keyed on the 0-bound. Arena, ChooseSubtree, split,
-//! packing, removal and the invariant walk exist once, here.
+//! A leaf entry is always `(key rectangle, item)`. What a *parent*
+//! entry caches for its subtree is generic ([`Bound`]), derived from
+//! the leaf entries through the tree's [`LeafBounds`] source:
+//! `RTree<T>` caches the plain hull of the keys; the
+//! [PTI](crate::pti) is the same tree caching one merged rectangle per
+//! U-catalog level, looked up in its level table. Arena,
+//! ChooseSubtree, split, packing, removal and the invariant walk exist
+//! once, here.
 //!
 //! Nodes live in an arena (`Vec<Node<T, B>>`); parents reference
 //! children by index, and each parent entry caches the child's bound —
@@ -26,7 +29,7 @@ mod node;
 mod remove;
 mod split;
 
-pub use node::{Bound, Node};
+pub use node::{Bound, LeafBounds, Node};
 
 use iloc_geometry::Rect;
 
@@ -68,16 +71,22 @@ impl Default for RTreeParams {
     }
 }
 
-/// An R-tree storing items of type `T` under bounds of type `B` — by
-/// default rectangular extents.
+/// An R-tree storing items of type `T` under rectangular extents; `S`
+/// is where parent bounds come from — by default the hull of the
+/// extents.
 #[derive(Debug, Clone)]
-pub struct RTree<T, B = Rect> {
+pub struct RTree<T, S: LeafBounds<T> = ()> {
     params: RTreeParams,
-    nodes: Vec<Node<T, B>>,
+    nodes: Vec<Node<T, S::Parent>>,
     root: usize,
     len: usize,
     /// Arena slots released by removals, reused by inserts.
     free: Vec<usize>,
+    /// Built by STR packing, which may leave the last node of a level
+    /// under-filled: the invariant walk then holds the fill factor to
+    /// one entry.
+    packed: bool,
+    source: S,
 }
 
 impl<T> Default for RTree<T> {
@@ -87,24 +96,17 @@ impl<T> Default for RTree<T> {
 }
 
 /// The check every entry passes on its way into a tree.
-fn assert_key(bound: &impl Bound) {
-    let key = bound.key();
+fn assert_key(key: Rect) {
     assert!(
         key.is_finite() && !key.is_empty(),
         "extent must be finite and non-empty"
     );
 }
 
-impl<T, B: Bound> RTree<T, B> {
+impl<T> RTree<T> {
     /// Creates an empty tree.
     pub fn new(params: RTreeParams) -> Self {
-        RTree {
-            params,
-            nodes: vec![Node::Leaf(Vec::new())],
-            root: 0,
-            len: 0,
-            free: Vec::new(),
-        }
+        RTree::with_source(params, ())
     }
 
     /// Bulk loads a tree with Sort-Tile-Recursive packing.
@@ -112,8 +114,39 @@ impl<T, B: Bound> RTree<T, B> {
     /// # Panics
     ///
     /// Panics when an item's extent is empty or non-finite.
-    pub fn bulk_load(items: Vec<(B, T)>, params: RTreeParams) -> Self {
-        bulk::str_bulk_load(items, params)
+    pub fn bulk_load(items: Vec<(Rect, T)>, params: RTreeParams) -> Self {
+        bulk::str_bulk_load(items, params, ())
+    }
+}
+
+impl<T, S: LeafBounds<T>> RTree<T, S> {
+    /// An empty tree whose parent bounds come from `source`.
+    pub(crate) fn with_source(params: RTreeParams, source: S) -> Self {
+        RTree {
+            params,
+            nodes: vec![Node::Leaf(Vec::new())],
+            root: 0,
+            len: 0,
+            free: Vec::new(),
+            packed: false,
+            source,
+        }
+    }
+
+    /// [`RTree::bulk_load`] with parent bounds from `source`.
+    pub(crate) fn bulk_load_with(items: Vec<(Rect, T)>, params: RTreeParams, source: S) -> Self {
+        bulk::str_bulk_load(items, params, source)
+    }
+
+    /// Where parent bounds come from.
+    pub(crate) fn source(&self) -> &S {
+        &self.source
+    }
+
+    /// Mutable access to the bound source. Changing what it reports
+    /// for a *stored* entry would leave cached parent bounds stale.
+    pub(crate) fn source_mut(&mut self) -> &mut S {
+        &mut self.source
     }
 
     /// Number of stored items.
@@ -151,7 +184,7 @@ impl<T, B: Bound> RTree<T, B> {
         if self.len == 0 {
             return Rect::EMPTY;
         }
-        self.nodes[self.root].bound().key()
+        self.nodes[self.root].bound(&self.source).key()
     }
 
     /// Total number of allocated nodes (diagnostics; includes nodes on
@@ -167,18 +200,28 @@ impl<T, B: Bound> RTree<T, B> {
     }
 
     /// Node accessor (internal; see [`RTree::root_index`]).
-    pub(crate) fn node(&self, idx: usize) -> &Node<T, B> {
+    pub(crate) fn node(&self, idx: usize) -> &Node<T, S::Parent> {
         &self.nodes[idx]
     }
 
-    /// Inserts an item under the given bound.
+    /// Every stored `(key, item)` entry, in arena order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = &(Rect, T)> {
+        // Released arena slots are empty leaves, so this is exactly
+        // the reachable set.
+        self.nodes.iter().flat_map(|node| match node {
+            Node::Leaf(entries) => entries.as_slice(),
+            Node::Internal(_) => &[],
+        })
+    }
+
+    /// Inserts an item with the given extent.
     ///
     /// # Panics
     ///
-    /// Panics when the bound's extent is empty or non-finite.
-    pub fn insert(&mut self, bound: B, item: T) {
-        assert_key(&bound);
-        if let Some(halves) = self.insert_rec(self.root, bound, item) {
+    /// Panics when the extent is empty or non-finite.
+    pub fn insert(&mut self, key: Rect, item: T) {
+        assert_key(key);
+        if let Some(halves) = self.insert_rec(self.root, key, item) {
             // Root split: grow the tree by one level.
             self.root = self.alloc(Node::Internal(halves.into()));
         }
@@ -188,21 +231,30 @@ impl<T, B: Bound> RTree<T, B> {
     /// Recursive insert; on overflow returns the two halves of the split
     /// node as `[(bound1, idx1), (bound2, idx2)]` where `idx1` is the
     /// original node index (reused) and `idx2` a fresh sibling.
-    fn insert_rec(&mut self, node_idx: usize, bound: B, item: T) -> Option<[(B, usize); 2]> {
+    fn insert_rec(
+        &mut self,
+        node_idx: usize,
+        key: Rect,
+        item: T,
+    ) -> Option<[(S::Parent, usize); 2]> {
         let max = self.params.max_entries;
         let min = self.params.min_entries;
         let (bound_a, bound_b, sibling) = match &mut self.nodes[node_idx] {
             Node::Leaf(entries) => {
-                entries.push((bound, item));
+                entries.push((key, item));
                 if entries.len() <= max {
                     return None;
                 }
-                let (bound_a, bound_b, b) = split_in_place(entries, min);
-                (bound_a, bound_b, Node::Leaf(b))
+                let [a, b] = split::quadratic_split(std::mem::take(entries), min);
+                let bounds = (
+                    node::leaf_hull(&self.source, &a),
+                    node::leaf_hull(&self.source, &b),
+                );
+                *entries = a;
+                (bounds.0, bounds.1, Node::Leaf(b))
             }
             Node::Internal(children) => {
                 // ChooseSubtree: least enlargement, ties by smaller area.
-                let key = bound.key();
                 let mut best = 0usize;
                 let mut best_enl = f64::INFINITY;
                 let mut best_area = f64::INFINITY;
@@ -218,9 +270,9 @@ impl<T, B: Bound> RTree<T, B> {
                 }
                 // Grow the chosen entry on the way down; a split below
                 // replaces it with exact halves anyway.
-                children[best].0.merge(&bound);
+                self.source.absorb(&mut children[best].0, key, &item);
                 let child_idx = children[best].1;
-                let [half1, half2] = self.insert_rec(child_idx, bound, item)?;
+                let [half1, half2] = self.insert_rec(child_idx, key, item)?;
                 let Node::Internal(children) = &mut self.nodes[node_idx] else {
                     unreachable!("node kind cannot change during insert");
                 };
@@ -229,8 +281,10 @@ impl<T, B: Bound> RTree<T, B> {
                 if children.len() <= max {
                     return None;
                 }
-                let (bound_a, bound_b, b) = split_in_place(children, min);
-                (bound_a, bound_b, Node::Internal(b))
+                let [a, b] = split::quadratic_split(std::mem::take(children), min);
+                let bounds = (node::hull(&a), node::hull(&b));
+                *children = a;
+                (bounds.0, bounds.1, Node::Internal(b))
             }
         };
         let sibling = self.alloc(sibling);
@@ -242,16 +296,14 @@ impl<T, B: Bound> RTree<T, B> {
     ///
     /// Checked invariants: cached child bounds equal the child's actual
     /// bound (for a PTI: at every level); every non-root node respects
-    /// the fill factor; all leaves sit at the same depth.
+    /// the fill factor (one entry for a tree that was bulk loaded); all
+    /// leaves sit at the same depth.
     pub fn check_invariants(&self) -> usize {
-        self.check_invariants_filled(self.params.min_entries)
-    }
-
-    /// [`RTree::check_invariants`] with `min_fill` in place of the
-    /// configured minimum: STR packing may leave the last node of a
-    /// slice under-filled, so a freshly bulk-loaded tree is checked
-    /// against 1.
-    pub(crate) fn check_invariants_filled(&self, min_fill: usize) -> usize {
+        let min_fill = if self.packed {
+            1
+        } else {
+            self.params.min_entries
+        };
         let mut leaf_depth = None;
         let n = self.check_node(self.root, 0, min_fill, &mut leaf_depth);
         assert_eq!(n, self.len, "len out of sync with reachable items");
@@ -287,7 +339,7 @@ impl<T, B: Bound> RTree<T, B> {
                 for (cached, child) in children {
                     assert_eq!(
                         *cached,
-                        self.nodes[*child].bound(),
+                        self.nodes[*child].bound(&self.source),
                         "cached child bound out of date"
                     );
                     count += self.check_node(*child, depth + 1, min_fill, leaf_depth);
@@ -296,15 +348,6 @@ impl<T, B: Bound> RTree<T, B> {
             }
         }
     }
-}
-
-/// Splits an overflowing node's entries, leaving the first group in
-/// place; returns both groups' bounds and the second group.
-fn split_in_place<B: Bound, E>(entries: &mut Vec<(B, E)>, min: usize) -> (B, B, Vec<(B, E)>) {
-    let [a, b] = split::quadratic_split(std::mem::take(entries), min);
-    let bounds = (node::hull(&a), node::hull(&b));
-    *entries = a;
-    (bounds.0, bounds.1, b)
 }
 
 impl<T: Copy> RangeIndex<T> for RTree<T> {

@@ -1,12 +1,14 @@
-//! R-tree node representation, generic over what an entry carries as
-//! its bound.
+//! R-tree node representation: leaf entries are always a key rectangle
+//! plus the payload; what a *parent* entry caches for the subtree below
+//! it is generic.
 
 use std::fmt::Debug;
 
 use iloc_geometry::Rect;
 
-/// What a tree entry carries as its bound: a plain [`Rect`] for the
-/// R-tree, one rectangle per U-catalog level for the PTI.
+/// What a parent entry caches for the subtree below it: a plain
+/// [`Rect`] for the R-tree, one merged rectangle per U-catalog level
+/// for the PTI.
 ///
 /// The tree reads only the [`key`](Bound::key) for its structural
 /// decisions (ChooseSubtree, the split, STR packing, removal's
@@ -34,25 +36,59 @@ impl Bound for Rect {
     }
 }
 
+/// How a tree derives a parent's [`Bound`] from the leaf entries below
+/// it. A leaf entry is only `(key, item)`; anything more a parent
+/// caches about it is looked up here, so leaf entries stay 40 bytes
+/// whatever the parents hold.
+///
+/// The plain R-tree's source is `()` — a parent caches the hull of the
+/// keys. The PTI's is its level table, addressed by the row handle
+/// that rides in the item.
+pub trait LeafBounds<T>: Clone + Debug {
+    /// What parent entries cache.
+    type Parent: Bound;
+
+    /// The parent bound covering exactly one leaf entry.
+    fn lift(&self, key: Rect, item: &T) -> Self::Parent;
+
+    /// Grows `parent` to also cover one leaf entry (no allocation).
+    fn absorb(&self, parent: &mut Self::Parent, key: Rect, item: &T);
+}
+
+impl<T> LeafBounds<T> for () {
+    type Parent = Rect;
+
+    #[inline]
+    fn lift(&self, key: Rect, _: &T) -> Rect {
+        key
+    }
+
+    #[inline]
+    fn absorb(&self, parent: &mut Rect, key: Rect, _: &T) {
+        *parent = parent.hull(key);
+    }
+}
+
 /// One arena node: either item entries (leaf) or child references with
 /// cached child bounds (internal).
 #[derive(Debug, Clone)]
 pub enum Node<T, B = Rect> {
-    /// Leaf node: `(item bound, item)` pairs.
-    Leaf(Vec<(B, T)>),
+    /// Leaf node: `(item key, item)` pairs.
+    Leaf(Vec<(Rect, T)>),
     /// Internal node: `(child bound, child arena index)` pairs.
     Internal(Vec<(B, usize)>),
 }
 
 impl<T, B: Bound> Node<T, B> {
-    /// Exact bound over all entries.
+    /// Exact bound over all entries, leaf entries resolved through
+    /// `source`.
     ///
     /// # Panics
     ///
     /// Panics on a node without entries (only an empty tree's root).
-    pub fn bound(&self) -> B {
+    pub fn bound(&self, source: &impl LeafBounds<T, Parent = B>) -> B {
         match self {
-            Node::Leaf(entries) => hull(entries),
+            Node::Leaf(entries) => leaf_hull(source, entries),
             Node::Internal(children) => hull(children),
         }
     }
@@ -66,12 +102,22 @@ impl<T, B: Bound> Node<T, B> {
     }
 }
 
-/// Merged bound over a non-empty slice of entries.
+/// Merged bound over a non-empty slice of parent entries.
 pub(super) fn hull<B: Bound, E>(entries: &[(B, E)]) -> B {
     let (first, rest) = entries.split_first().expect("hull of a node with entries");
     let mut bound = first.0.clone();
     for (b, _) in rest {
         bound.merge(b);
+    }
+    bound
+}
+
+/// Parent bound over a non-empty slice of leaf entries.
+pub(super) fn leaf_hull<T, S: LeafBounds<T>>(source: &S, entries: &[(Rect, T)]) -> S::Parent {
+    let ((key, item), rest) = entries.split_first().expect("hull of a node with entries");
+    let mut bound = source.lift(*key, item);
+    for (key, item) in rest {
+        source.absorb(&mut bound, *key, item);
     }
     bound
 }

@@ -11,20 +11,27 @@
 
 use iloc_geometry::Rect;
 
-use super::node::{Bound, Node};
+use super::node::{Bound, LeafBounds, Node};
 use super::RTree;
 
-impl<T: Copy + PartialEq, B: Bound> RTree<T, B> {
-    /// Removes one stored entry whose [key](Bound::key) is `key` and
-    /// whose item equals `item`. Returns `true` when an entry was found
-    /// and removed.
+impl<T: Copy + PartialEq> RTree<T> {
+    /// Removes one stored entry whose extent is `key` and whose item
+    /// equals `item`. Returns `true` when an entry was found and
+    /// removed.
     ///
     /// When several identical entries exist, one of them is removed.
     pub fn remove(&mut self, key: Rect, item: T) -> bool {
-        let mut orphans: Vec<(B, T)> = Vec::new();
-        if !self.remove_rec(self.root, key, item, &mut orphans) {
-            return false;
-        }
+        self.remove_where(key, |it| *it == item).is_some()
+    }
+}
+
+impl<T, S: LeafBounds<T>> RTree<T, S> {
+    /// Removes one stored entry whose key is `key` and whose item
+    /// satisfies `is_item`, returning the item. When several entries
+    /// match, one of them is removed.
+    pub(crate) fn remove_where(&mut self, key: Rect, is_item: impl Fn(&T) -> bool) -> Option<T> {
+        let mut orphans: Vec<(Rect, T)> = Vec::new();
+        let removed = self.remove_rec(self.root, key, &is_item, &mut orphans)?;
         self.len -= 1;
 
         // Shrink the root while it is an internal node with one child.
@@ -42,32 +49,28 @@ impl<T: Copy + PartialEq, B: Bound> RTree<T, B> {
 
         // Re-insert orphaned items (they are still counted in `len`;
         // `insert` increments, so compensate first).
-        for (bound, it) in orphans {
+        for (key, it) in orphans {
             self.len -= 1;
-            self.insert(bound, it);
+            self.insert(key, it);
         }
-        true
+        Some(removed)
     }
 
-    /// Depth-first search and removal; returns `true` once removed.
+    /// Depth-first search and removal; returns the item once removed.
     fn remove_rec(
         &mut self,
         node_idx: usize,
         key: Rect,
-        item: T,
-        orphans: &mut Vec<(B, T)>,
-    ) -> bool {
+        is_item: &impl Fn(&T) -> bool,
+        orphans: &mut Vec<(Rect, T)>,
+    ) -> Option<T> {
         let min = self.params.min_entries;
         // Leaf: remove in place.
         if let Node::Leaf(entries) = &mut self.nodes[node_idx] {
-            let Some(pos) = entries
+            let pos = entries
                 .iter()
-                .position(|(b, it)| b.key() == key && *it == item)
-            else {
-                return false;
-            };
-            entries.swap_remove(pos);
-            return true;
+                .position(|(k, it)| *k == key && is_item(it))?;
+            return Some(entries.swap_remove(pos).1);
         }
         // Internal: collect candidate children first, then recurse
         // without holding a borrow on this node.
@@ -81,9 +84,9 @@ impl<T: Copy + PartialEq, B: Bound> RTree<T, B> {
             Node::Leaf(_) => unreachable!("handled above"),
         };
         for (i, child_idx) in candidates {
-            if !self.remove_rec(child_idx, key, item, orphans) {
+            let Some(removed) = self.remove_rec(child_idx, key, is_item, orphans) else {
                 continue;
-            }
+            };
             if self.nodes[child_idx].entry_count() < min {
                 // Dissolve the under-filled child: orphan its items
                 // and drop the entry.
@@ -94,20 +97,20 @@ impl<T: Copy + PartialEq, B: Bound> RTree<T, B> {
                 self.drain_subtree(child_idx, orphans);
             } else {
                 // Exact repair: re-merge the child's bound.
-                let bound = self.nodes[child_idx].bound();
+                let bound = self.nodes[child_idx].bound(&self.source);
                 let Node::Internal(children) = &mut self.nodes[node_idx] else {
                     unreachable!("node kind is stable");
                 };
                 children[i].0 = bound;
             }
-            return true;
+            return Some(removed);
         }
-        false
+        None
     }
 
     /// Moves every leaf item under `idx` into `orphans` and releases
     /// the subtree's arena slots.
-    fn drain_subtree(&mut self, idx: usize, orphans: &mut Vec<(B, T)>) {
+    fn drain_subtree(&mut self, idx: usize, orphans: &mut Vec<(Rect, T)>) {
         match std::mem::replace(&mut self.nodes[idx], Node::Leaf(Vec::new())) {
             Node::Leaf(entries) => orphans.extend(entries),
             Node::Internal(children) => {
@@ -118,11 +121,9 @@ impl<T: Copy + PartialEq, B: Bound> RTree<T, B> {
         }
         self.release(idx);
     }
-}
 
-impl<T, B> RTree<T, B> {
     /// Allocates a node, reusing freed slots when available.
-    pub(super) fn alloc(&mut self, node: Node<T, B>) -> usize {
+    pub(super) fn alloc(&mut self, node: Node<T, S::Parent>) -> usize {
         if let Some(idx) = self.free.pop() {
             self.nodes[idx] = node;
             idx

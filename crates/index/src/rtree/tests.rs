@@ -94,8 +94,7 @@ fn bulk_load_matches_oracle() {
     let tree = RTree::bulk_load(items.clone(), RTreeParams::default());
     let oracle = NaiveIndex::new(items);
     assert_eq!(tree.len(), 2000);
-    // STR may leave the last node of a slice under-filled.
-    tree.check_invariants_filled(1);
+    tree.check_invariants();
 
     let mut rng = StdRng::seed_from_u64(4);
     for _ in 0..100 {

@@ -50,6 +50,15 @@
 //!   un-flushed output exceeds the backlog budget the loop stops
 //!   *reading* from it, so a client that pipelines requests without
 //!   draining responses cannot balloon memory.
+//! * **Large answers leave as they are produced, and a connection gets
+//!   one turn per readiness event.** Once 32 KiB of output is pending
+//!   it is written out before the next buffered frame is handled, not
+//!   when the read pass ends. A pass that has written answers out
+//!   serves the frames it already holds and goes back to the readiness
+//!   wait: what the socket holds by then may be the peer's reply to
+//!   those answers, and reading on would let one fast, pipelining peer
+//!   keep the loop from every other connection (measured: a commit on
+//!   the writer connection waited 300 ms instead of 4).
 //! * **Push ordering.** A handler's own pushes ([`Handler::pump`]) are
 //!   queued *before* the frame that follows them is handled, so a
 //!   NOTIFY always precedes the response to a later request on the
@@ -510,6 +519,27 @@ impl<S> Conn<S> {
     fn pending_out(&self) -> usize {
         self.out.len() - self.out_at
     }
+
+    /// Writes buffered output until it is gone or the socket would
+    /// block; `true` when it is gone. A drained buffer is reset, and
+    /// gives back what one burst grew it past `keep` bytes — it would
+    /// otherwise hold that for the life of the connection.
+    fn write_pending(&mut self, keep: usize) -> Result<bool, Gone> {
+        while self.out_at < self.out.len() {
+            match self.stream.write(&self.out[self.out_at..]) {
+                Ok(0) => return Err(Gone),
+                Ok(n) => self.out_at += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return Err(Gone),
+            }
+        }
+        self.out.clear();
+        self.out.shrink_to(keep);
+        self.out_at = 0;
+        self.push_ends.clear();
+        Ok(true)
+    }
 }
 
 struct Slot<S> {
@@ -529,6 +559,12 @@ const WAKE_TOKEN: u64 = u64::MAX;
 
 /// Granularity of inbound reads before a frame's length is known.
 const READ_CHUNK: usize = 4 * 1024;
+
+/// Pending output at which a response is written out as soon as its
+/// frame is handled, instead of when the read batch ends: a read of
+/// pipelined requests with large answers would otherwise park every
+/// answer in user space before the kernel sees a byte.
+const FLUSH_AT: usize = 32 * 1024;
 
 struct EventLoop<H: Handler> {
     index: u32,
@@ -731,7 +767,15 @@ impl<H: Handler> EventLoop<H> {
                 }
                 Ok(n) => {
                     conn.in_len += n;
-                    self.serve_parsed(idx, now)?;
+                    // Once answers of this pass have gone out, what the
+                    // socket holds next may be the peer's reply to them:
+                    // that is the next readiness event's, in turn with
+                    // every other connection's. Reading on would let a
+                    // peer that answers fast enough keep the loop to
+                    // itself.
+                    if self.serve_parsed(idx, now)? {
+                        return Ok(());
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -740,8 +784,9 @@ impl<H: Handler> EventLoop<H> {
         }
     }
 
-    /// Serves every complete frame currently buffered on `idx`.
-    fn serve_parsed(&mut self, idx: usize, now: Instant) -> Result<(), Gone> {
+    /// Serves every complete frame currently buffered on `idx`; `true`
+    /// when some of the output was written out on the way.
+    fn serve_parsed(&mut self, idx: usize, now: Instant) -> Result<bool, Gone> {
         let id = self.id_of(idx);
         let EventLoop {
             shared,
@@ -756,7 +801,13 @@ impl<H: Handler> EventLoop<H> {
             protocol::encode_error(&mut conn.out, code, message);
             conn.close_after_flush = true;
         };
+        let mut flushed = false;
         while !conn.close_after_flush {
+            // A short write here is left to `flush_and_settle`.
+            if conn.pending_out() >= FLUSH_AT {
+                conn.write_pending(shared.config.push_backlog)?;
+                flushed = true;
+            }
             let avail = conn.in_len - conn.parsed;
             if avail < 4 {
                 break;
@@ -811,7 +862,7 @@ impl<H: Handler> EventLoop<H> {
                 handler.quarantine();
             }
         }
-        Ok(())
+        Ok(flushed)
     }
 
     /// Writes as much buffered output as the socket takes, then
@@ -822,19 +873,7 @@ impl<H: Handler> EventLoop<H> {
         let backlog = self.shared.config.push_backlog;
         let settled = outcome.and_then(|()| {
             let conn = self.slots[idx].conn.as_mut().expect("live conn");
-            while conn.out_at < conn.out.len() {
-                match conn.stream.write(&conn.out[conn.out_at..]) {
-                    Ok(0) => return Err(Gone),
-                    Ok(n) => conn.out_at += n,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => return Err(Gone),
-                }
-            }
-            if conn.out_at == conn.out.len() {
-                conn.out.clear();
-                conn.out_at = 0;
-                conn.push_ends.clear();
+            if conn.write_pending(backlog)? {
                 if conn.close_after_flush {
                     return Err(Gone);
                 }
@@ -1141,6 +1180,163 @@ mod tests {
             assert_eq!(read_frame(&mut stream), request);
         }
         writer.join().unwrap();
+    }
+
+    #[test]
+    fn an_answer_is_flushed_when_written_not_when_the_batch_ends() {
+        // Two pipelined echoes above `FLUSH_AT`, both in the kernel
+        // before the first is handled, so one read batch serves both.
+        // The second frame's handler waits for the peer to have seen
+        // the first bytes of the first answer: they can only arrive if
+        // that answer was written when it was produced. Nothing here
+        // depends on how fast either side runs — a core that flushes at
+        // the end of the batch times the wait out at any pace.
+        struct Paced {
+            /// The peer has written both requests.
+            written: mpsc::Receiver<()>,
+            /// The peer has read the head of an answer.
+            answered: mpsc::Receiver<()>,
+            frames: usize,
+            flushed_early: mpsc::Sender<bool>,
+        }
+        impl Handler for Paced {
+            type Conn = ();
+
+            fn hello_ack(&self) -> HelloAck {
+                HelloAck::default()
+            }
+
+            fn frame(&mut self, frame: &[u8], _: ConnId, _: &mut (), out: &mut Vec<u8>) {
+                let wait = Duration::from_secs(5);
+                match self.frames {
+                    0 => self.written.recv_timeout(wait).expect("both requests sent"),
+                    _ => {
+                        let _ = self
+                            .flushed_early
+                            .send(self.answered.recv_timeout(wait).is_ok());
+                    }
+                }
+                self.frames += 1;
+                out.extend_from_slice(frame);
+            }
+
+            fn quarantine(&mut self) {}
+        }
+
+        let (written_tx, written) = mpsc::channel();
+        let (answered_tx, answered) = mpsc::channel();
+        let (flushed_early_tx, flushed_early) = mpsc::channel();
+        let mut handler = Some(Paced {
+            written,
+            answered,
+            frames: 0,
+            flushed_early: flushed_early_tx,
+        });
+        let core = start(&one_loop(), |_, _| Ok(handler.take().expect("one loop")))
+            .expect("bind loopback");
+        let mut stream = TcpStream::connect(core.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+
+        let request = frame(0x01, &[0xCD; FLUSH_AT + 1024]);
+        stream.write_all(&request.repeat(2)).unwrap();
+        written_tx.send(()).unwrap();
+        let mut head = [0u8; 4];
+        stream.read_exact(&mut head).expect("frame length");
+        answered_tx.send(()).unwrap();
+        assert!(
+            flushed_early.recv().unwrap(),
+            "the first answer was still unwritten when the second frame was handled"
+        );
+        let mut rest = vec![0u8; 2 * request.len() - head.len()];
+        stream.read_exact(&mut rest).expect("both answers");
+        assert_eq!([&head[..], &rest[..]].concat(), request.repeat(2));
+    }
+
+    #[test]
+    fn a_peer_that_keeps_its_pipeline_full_does_not_keep_the_loop() {
+        // A greedy peer streams echoes above `FLUSH_AT` and drains the
+        // answers as they come, so its socket never runs dry; a second
+        // connection then sends one small frame. The handler counts the
+        // greedy frames it serves from the moment that frame is in the
+        // kernel until it is handled: one pass and one turn at most. A
+        // loop that reads on after writing answers out serves the rest
+        // of the greedy stream first.
+        const GREEDY: u8 = 0x01;
+        const FRAMES: usize = 400;
+        struct Turns {
+            waiting: Arc<AtomicBool>,
+            greedy_while_waiting: usize,
+            report: mpsc::Sender<usize>,
+        }
+        impl Handler for Turns {
+            type Conn = ();
+
+            fn hello_ack(&self) -> HelloAck {
+                HelloAck::default()
+            }
+
+            fn frame(&mut self, frame: &[u8], _: ConnId, _: &mut (), out: &mut Vec<u8>) {
+                if frame[5] != GREEDY {
+                    let _ = self.report.send(self.greedy_while_waiting);
+                } else if self.waiting.load(Ordering::SeqCst) {
+                    self.greedy_while_waiting += 1;
+                }
+                out.extend_from_slice(frame);
+            }
+
+            fn quarantine(&mut self) {}
+        }
+
+        let waiting = Arc::new(AtomicBool::new(false));
+        let (report_tx, report) = mpsc::channel();
+        let mut handler = Some(Turns {
+            waiting: Arc::clone(&waiting),
+            greedy_while_waiting: 0,
+            report: report_tx,
+        });
+        let core = start(&one_loop(), |_, _| Ok(handler.take().expect("one loop")))
+            .expect("bind loopback");
+        let mut patient = TcpStream::connect(core.addr()).expect("connect");
+        let greedy = TcpStream::connect(core.addr()).expect("connect");
+        let request = frame(GREEDY, &[0xEE; FLUSH_AT + 1024]);
+        let writer = {
+            let (mut stream, request) = (greedy.try_clone().unwrap(), request.clone());
+            thread::spawn(move || {
+                for _ in 0..FRAMES {
+                    stream.write_all(&request).unwrap();
+                }
+            })
+        };
+        let (streaming_tx, streaming) = mpsc::channel();
+        let reader = {
+            let (mut stream, len) = (greedy, request.len());
+            thread::spawn(move || {
+                let mut answer = vec![0u8; len];
+                for k in 0..FRAMES {
+                    stream.read_exact(&mut answer).expect("greedy answer");
+                    if k == 20 {
+                        streaming_tx.send(()).unwrap();
+                    }
+                }
+            })
+        };
+
+        streaming.recv().expect("the greedy stream is flowing");
+        let small = frame(0x02, b"my turn");
+        patient.write_all(&small).unwrap();
+        waiting.store(true, Ordering::SeqCst);
+        let served_first = report.recv().expect("the small frame is handled");
+        assert!(
+            served_first <= 8,
+            "{served_first} frames of one connection served while another waited"
+        );
+        let mut answer = vec![0u8; small.len()];
+        patient.read_exact(&mut answer).expect("small answer");
+        assert_eq!(answer, small);
+        writer.join().unwrap();
+        reader.join().unwrap();
     }
 
     #[test]

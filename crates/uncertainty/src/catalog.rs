@@ -7,6 +7,13 @@
 //! M-expanded-query must also be pruned by the Qp-expanded-query"), or
 //! for Strategy 3 the smallest stored value ≥ `Qp` satisfying a
 //! geometric test.
+//!
+//! [`UCatalog`] is the catalog of **one** pdf as a value: what a query
+//! issuer carries (rebuilt in place per request), and what
+//! [`crate::UncertainObject::catalog`] computes on demand for a
+//! free-standing object. The catalogs of *stored* objects are not
+//! `UCatalog`s: the engine computes their [`DEFAULT_LEVELS`] bounds at
+//! insert and keeps them, level-major, in the PTI.
 
 use crate::pbound::PBound;
 use crate::pdf::LocationPdf;
@@ -15,6 +22,13 @@ use crate::pdf::LocationPdf;
 /// (Section 5.2: "we store six probability values and their p-bounds");
 /// p-bounds are defined for `p ∈ [0, 0.5]`, giving `{0, 0.1, …, 0.5}`.
 pub const DEFAULT_LEVELS: [f64; 6] = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5];
+
+/// The [`DEFAULT_LEVELS`] p-bounds of `pdf`, by value — what a default
+/// catalog holds, and what the engine writes into the PTI's table for
+/// a stored object.
+pub fn default_bounds(pdf: &dyn LocationPdf) -> [PBound; DEFAULT_LEVELS.len()] {
+    DEFAULT_LEVELS.map(|p| PBound::compute(pdf, p))
+}
 
 /// A sorted table of pre-computed [`PBound`]s for one object.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,8 +74,7 @@ impl UCatalog {
         self.bounds.clear();
         // DEFAULT_LEVELS is sorted, deduplicated and anchored at 0, so
         // the result matches `build_default` entry for entry.
-        self.bounds
-            .extend(DEFAULT_LEVELS.iter().map(|&p| PBound::compute(pdf, p)));
+        self.bounds.extend(default_bounds(pdf));
     }
 
     /// All stored bounds, ascending in `p`.

@@ -1,4 +1,11 @@
 //! Database object types: point objects `Si` and uncertain objects `Oi`.
+//!
+//! An [`UncertainObject`] is its id and its pdf — nothing else, and no
+//! heap block of its own (for the concrete pdfs). The Section-5
+//! U-catalog of a *stored* object is not kept here: the engine computes
+//! the p-bounds once, when the object is inserted, and the PTI's level
+//! table is their only home. [`UncertainObject::catalog`] still answers,
+//! by computing the default catalog from the pdf on the spot.
 
 use std::fmt;
 
@@ -44,50 +51,30 @@ impl PointObject {
 /// An **uncertain object** `Oi`: an uncertainty region plus pdf
 /// (a moving vehicle, a privacy-cloaked user). Queried by IUQ / C-IUQ.
 ///
-/// Each object carries its pre-computed [`UCatalog`] (paper Section 5);
-/// building it is part of data ingestion, not of query execution,
-/// matching the paper's cost model.
+/// Building its U-catalog (paper Section 5) is part of data ingestion,
+/// not of query execution, matching the paper's cost model — and
+/// ingestion is the engine's insert, not this constructor.
 #[derive(Debug, Clone)]
 pub struct UncertainObject {
     /// Identifier.
     pub id: ObjectId,
     pdf: PdfKind,
-    catalog: UCatalog,
 }
 
 impl UncertainObject {
-    /// Creates an uncertain object with the paper's default six-level
-    /// U-catalog. Accepts any workspace pdf type, a [`PdfKind`], or a
-    /// [`SharedPdf`]; wrap other [`LocationPdf`] implementations with
-    /// [`PdfKind::shared`].
+    /// Creates an uncertain object. Accepts any workspace pdf type, a
+    /// [`PdfKind`], or a [`SharedPdf`]; wrap other [`LocationPdf`]
+    /// implementations with [`PdfKind::shared`].
     pub fn new(id: impl Into<ObjectId>, pdf: impl Into<PdfKind>) -> Self {
-        let pdf = pdf.into();
-        let catalog = UCatalog::build_default(&pdf);
         UncertainObject {
             id: id.into(),
-            pdf,
-            catalog,
+            pdf: pdf.into(),
         }
     }
 
     /// Creates an uncertain object from an already-shared pdf.
     pub fn from_shared(id: impl Into<ObjectId>, pdf: SharedPdf) -> Self {
         UncertainObject::new(id, PdfKind::from(pdf))
-    }
-
-    /// Creates an uncertain object with custom catalog levels.
-    pub fn with_catalog_levels(
-        id: impl Into<ObjectId>,
-        pdf: impl Into<PdfKind>,
-        levels: &[f64],
-    ) -> Self {
-        let pdf = pdf.into();
-        let catalog = UCatalog::build(&pdf, levels);
-        UncertainObject {
-            id: id.into(),
-            pdf,
-            catalog,
-        }
     }
 
     /// The uncertainty pdf `fi`, statically dispatched over the
@@ -101,9 +88,11 @@ impl UncertainObject {
         self.pdf.region()
     }
 
-    /// The pre-computed U-catalog.
-    pub fn catalog(&self) -> &UCatalog {
-        &self.catalog
+    /// The paper's default six-level U-catalog of this object's pdf,
+    /// computed on every call (a stored object's bounds are read from
+    /// the engine instead).
+    pub fn catalog(&self) -> UCatalog {
+        UCatalog::build_default(&self.pdf)
     }
 }
 
@@ -123,19 +112,14 @@ mod tests {
     #[test]
     fn uncertain_object_builds_default_catalog() {
         let o = UncertainObject::new(1u64, UniformPdf::new(Rect::from_coords(0.0, 0.0, 4.0, 4.0)));
+        assert_eq!(o.catalog(), UCatalog::build_default(o.pdf()));
         assert_eq!(o.catalog().len(), 6);
         assert_eq!(o.region(), Rect::from_coords(0.0, 0.0, 4.0, 4.0));
     }
 
     #[test]
-    fn custom_catalog_levels() {
-        let o = UncertainObject::with_catalog_levels(
-            2u64,
-            UniformPdf::new(Rect::from_coords(0.0, 0.0, 4.0, 4.0)),
-            &[0.25],
-        );
-        let levels: Vec<f64> = o.catalog().levels().collect();
-        assert_eq!(levels, vec![0.0, 0.25]);
+    fn uncertain_object_owns_no_catalog() {
+        assert!(std::mem::size_of::<UncertainObject>() <= 96);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   rebuilt one;
 //! * engine level — `PointEngine` / `UncertainEngine` under an
 //!   arrival/departure/move stream vs `from_objects` / `build` on the
-//!   survivors;
+//!   survivors; for the uncertain engine also over mixed pdf kinds,
+//!   with the PTI's bound table held to the pdfs it was computed from;
 //! * serving level — `ShardedEngine` snapshots across shard counts
 //!   1/2/8, committed in batches, vs a rebuilt single engine;
 //! * durability level — a `DurableCatalog` whose process is "killed"
@@ -34,7 +35,9 @@ use iloc::core::serve::{ShardedEngine, Update};
 use iloc::datagen::{PointUpdate, PointUpdateGen, RectUpdate, RectUpdateGen, UpdateMix};
 use iloc::index::{NaiveIndex, Pti, PtiParams, RTree, RTreeParams, RangeIndex};
 use iloc::prelude::*;
-use iloc::uncertainty::{PointObject, UncertainObject, UniformPdf};
+use iloc::uncertainty::{
+    DiscPdf, ObjectId, PointObject, TruncatedGaussianPdf, UCatalog, UncertainObject, UniformPdf,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -327,6 +330,105 @@ fn uncertain_stream_equals_rebuild_across_shard_counts() {
 }
 
 // --- Durability oracle -----------------------------------------------
+
+/// A seeded object of the pdf kind `kind % 3` selects, somewhere in a
+/// 2000 × 2000 space.
+fn mixed_object(id: u64, kind: u64, rng: &mut StdRng) -> UncertainObject {
+    let c = Point::new(rng.gen_range(100.0..1_900.0), rng.gen_range(100.0..1_900.0));
+    let (w, h) = (rng.gen_range(10.0..60.0), rng.gen_range(10.0..60.0));
+    match kind % 3 {
+        0 => UncertainObject::new(id, UniformPdf::new(Rect::centered(c, w, h))),
+        1 => UncertainObject::new(
+            id,
+            TruncatedGaussianPdf::paper_default(Rect::centered(c, w, h)),
+        ),
+        _ => UncertainObject::new(id, DiscPdf::new(c, w)),
+    }
+}
+
+/// The engine's invariants hold, every live slot's stored bounds are
+/// the catalog of the pdf in that slot, and the engine answers IUQ and
+/// both C-IUQ plans bit-identically to one freshly built over the same
+/// objects.
+fn assert_no_drift(phase: &str, engine: &UncertainEngine, ctx: &mut ExecutionContext) {
+    engine.check_invariants();
+    for (slot, object) in engine.objects().iter().enumerate() {
+        let want = UCatalog::build_default(object.pdf());
+        let got = engine.bounds(slot as u32);
+        assert_eq!(
+            got.levels(),
+            want.levels().collect::<Vec<_>>(),
+            "{phase}: levels"
+        );
+        for (k, bound) in want.bounds().iter().enumerate() {
+            assert_eq!(got.rect(k), bound.rect, "{phase}: slot {slot} level {k}");
+        }
+    }
+
+    let rebuilt = UncertainEngine::build(engine.objects().to_vec());
+    let mut rng = StdRng::seed_from_u64(0x20_D21F);
+    let mut matched = 0;
+    for q in 0..6 {
+        let c = Point::new(rng.gen_range(300.0..1_700.0), rng.gen_range(300.0..1_700.0));
+        let issuer = Issuer::uniform(Rect::centered(c, 120.0, 90.0));
+        let range = RangeSpec::square(250.0);
+        let mut requests = vec![UncertainRequest::iuq(issuer.clone(), range)];
+        for strategy in [CiuqStrategy::RTreeMinkowski, CiuqStrategy::PtiPExpanded] {
+            for qp in [0.0, 0.3, 0.7] {
+                requests.push(UncertainRequest::ciuq(issuer.clone(), range, qp, strategy));
+            }
+        }
+        for (k, request) in requests.iter().enumerate() {
+            let want = rebuilt.execute_one(request);
+            let mut got = QueryAnswer::default();
+            engine.execute_one_into(request, ctx, &mut got);
+            assert!(
+                got.same_matches(&want),
+                "{phase}: query {q} request {k}: dynamic != rebuild"
+            );
+            matched += got.results.len();
+        }
+    }
+    assert!(matched > 0, "{phase}: degenerate scenario, nothing matched");
+}
+
+#[test]
+fn bound_table_never_drifts_from_the_pdfs() {
+    const N: u64 = 450;
+    let mut rng = StdRng::seed_from_u64(0x7AB1E);
+    let mut ctx = ExecutionContext::new(Integrator::Auto);
+    let mut live: Vec<u64> = (0..N).collect();
+    let mut engine =
+        UncertainEngine::build((0..N).map(|id| mixed_object(id, id, &mut rng)).collect());
+    assert_no_drift("built", &engine, &mut ctx);
+
+    for id in N..N + 150 {
+        engine.insert(mixed_object(id, id, &mut rng));
+        live.push(id);
+    }
+    assert_no_drift("arrived", &engine, &mut ctx);
+
+    // Every object moves twice; a move may change its pdf kind.
+    for round in 0..2 {
+        for &id in &live {
+            engine.insert(mixed_object(id, id + round + rng.gen_range(0..2), &mut rng));
+        }
+    }
+    assert_no_drift("moved", &engine, &mut ctx);
+
+    while live.len() > (N as usize + 150) / 10 {
+        let id = live.swap_remove(rng.gen_range(0..live.len()));
+        assert!(engine.remove(ObjectId(id)));
+    }
+    assert_no_drift("departed", &engine, &mut ctx);
+
+    // Arrivals reuse the freed table rows: the slot → row map is by
+    // now a shuffle.
+    for id in 1_000..1_300 {
+        engine.insert(mixed_object(id, id, &mut rng));
+    }
+    assert_no_drift("refilled", &engine, &mut ctx);
+}
 
 /// A unique scratch directory under the system temp dir.
 fn temp_store(tag: &str) -> std::path::PathBuf {

@@ -161,7 +161,7 @@ proptest! {
         let expanded = minkowski_query(&issuer, r);
         let (_, p_expanded) = p_expanded_query(&issuer, r, qp);
         let ctx = PruneContext { qp, expanded, p_expanded, issuer: &issuer, range: r };
-        if try_prune(&object, &ctx) != PruneOutcome::Keep {
+        if try_prune(&object.catalog(), &ctx) != PruneOutcome::Keep {
             let mut stats = QueryStats::new();
             let mut rng = StdRng::seed_from_u64(1);
             let pi = Integrator::Exact.object_probability(
