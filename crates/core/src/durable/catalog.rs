@@ -68,9 +68,6 @@ struct DurableState<O> {
     staged: Vec<Update<O>>,
     staged_spare: Vec<Update<O>>,
     last_checkpoint_epoch: u64,
-    /// Reusable checkpoint encode buffer (checkpoints run off the
-    /// commit path, but reuse keeps them from churning the allocator).
-    ckpt_buf: Vec<u8>,
 }
 
 /// A sharded catalog whose commit path is (optionally) durable.
@@ -172,7 +169,6 @@ where
                 staged: Vec::new(),
                 staged_spare: Vec::new(),
                 last_checkpoint_epoch: base_epoch,
-                ckpt_buf: Vec::new(),
             })),
         };
         if fresh {
@@ -274,19 +270,16 @@ where
         };
         let snapshot = self.engine.snapshot();
         let epoch = snapshot.epoch();
-        let (dir, mut buf) = {
-            let mut st = d.lock().expect("store lock poisoned");
+        let dir = {
+            let st = d.lock().expect("store lock poisoned");
             if st.last_checkpoint_epoch >= epoch && epoch != 0 {
                 return Ok(None);
             }
-            (st.dir.clone(), std::mem::take(&mut st.ckpt_buf))
+            st.dir.clone()
         };
-        let shard_slices: Vec<&[E::Object]> =
-            snapshot.shards().iter().map(|s| s.objects()).collect();
-        let written = checkpoint::write_checkpoint(&dir, epoch, &shard_slices, &mut buf);
+        let shards: Vec<_> = snapshot.shards().iter().map(|s| s.objects()).collect();
+        checkpoint::write_checkpoint(&dir, epoch, &shards)?;
         let mut st = d.lock().expect("store lock poisoned");
-        st.ckpt_buf = buf;
-        written?;
         if st.last_checkpoint_epoch < epoch || epoch == 0 {
             st.last_checkpoint_epoch = epoch;
             // Future records land in a fresh segment; everything the

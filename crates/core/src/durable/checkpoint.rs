@@ -13,11 +13,16 @@
 //! failing any record checksum, or disagreeing with its own header) is
 //! skipped and recovery falls back to the next-older one. Files are
 //! written to a temp name, fsync'd, then renamed in — a crash mid-write
-//! leaves only a temp file the next startup sweeps away.
+//! leaves only a temp file the next startup sweeps away. The writer
+//! encodes one record at a time through a buffer the size of the
+//! largest shard and drops it with the call: a checkpoint leaves no
+//! copy of the file in memory.
 
 use std::fs::{self, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+
+use iloc_index::Pages;
 
 use super::codec::{put_u32, put_u64, Cursor, DurableObject};
 use super::wal::sync_dir;
@@ -70,39 +75,31 @@ impl<O> CheckpointScan<O> {
     }
 }
 
-/// Writes a checkpoint of `shards` (per-shard object slices, in shard
+/// Frames what `fill` encodes as one record and writes it out through
+/// `buf` (cleared first, so one buffer serves every record of a file).
+fn write_record(
+    file: &mut fs::File,
+    buf: &mut Vec<u8>,
+    fill: impl FnOnce(&mut Vec<u8>) -> Result<(), StoreError>,
+) -> Result<(), StoreError> {
+    buf.clear();
+    let at = begin_record(buf);
+    fill(buf)?;
+    finish_record(buf, at);
+    Ok(file.write_all(buf)?)
+}
+
+/// Writes a checkpoint of `shards` (per-shard object tables, in shard
 /// order) taken at `epoch`, atomically: temp file, fsync, rename,
 /// directory fsync. Also sweeps any stale temp file a crashed writer
 /// left behind.
 pub(crate) fn write_checkpoint<O: DurableObject>(
     dir: &Path,
     epoch: u64,
-    shards: &[&[O]],
-    buf: &mut Vec<u8>,
+    shards: &[&Pages<O>],
 ) -> Result<PathBuf, StoreError> {
     fs::create_dir_all(dir)?;
     let total: u64 = shards.iter().map(|s| s.len() as u64).sum();
-
-    buf.clear();
-    let at = begin_record(buf);
-    buf.extend_from_slice(HEADER_MAGIC);
-    put_u64(buf, epoch);
-    put_u32(buf, shards.len() as u32);
-    put_u64(buf, total);
-    finish_record(buf, at);
-    for (k, shard) in shards.iter().enumerate() {
-        let at = begin_record(buf);
-        put_u32(buf, k as u32);
-        put_u32(buf, shard.len() as u32);
-        for o in shard.iter() {
-            o.encode(buf)?;
-        }
-        finish_record(buf, at);
-    }
-    let at = begin_record(buf);
-    buf.extend_from_slice(FOOTER_MAGIC);
-    put_u64(buf, epoch);
-    finish_record(buf, at);
 
     let path = dir.join(checkpoint_name(epoch));
     let tmp = dir.join(format!("{}.tmp", checkpoint_name(epoch)));
@@ -112,7 +109,29 @@ pub(crate) fn write_checkpoint<O: DurableObject>(
             .write(true)
             .truncate(true)
             .open(&tmp)?;
-        f.write_all(buf)?;
+        let mut buf = Vec::new();
+        write_record(&mut f, &mut buf, |buf| {
+            buf.extend_from_slice(HEADER_MAGIC);
+            put_u64(buf, epoch);
+            put_u32(buf, shards.len() as u32);
+            put_u64(buf, total);
+            Ok(())
+        })?;
+        for (k, shard) in shards.iter().enumerate() {
+            write_record(&mut f, &mut buf, |buf| {
+                put_u32(buf, k as u32);
+                put_u32(buf, shard.len() as u32);
+                for o in shard.iter() {
+                    o.encode(buf)?;
+                }
+                Ok(())
+            })?;
+        }
+        write_record(&mut f, &mut buf, |buf| {
+            buf.extend_from_slice(FOOTER_MAGIC);
+            put_u64(buf, epoch);
+            Ok(())
+        })?;
         f.sync_all()?;
     }
     fs::rename(&tmp, &path)?;

@@ -2,9 +2,11 @@
 //! four query types (the Section 4.3 / 5.3 filter-and-refine pipeline).
 
 mod point;
+mod table;
 mod uncertain;
 
 pub use point::PointEngine;
+pub(crate) use table::mix_id;
 pub use uncertain::UncertainEngine;
 
 /// Seed used to derive the per-query RNG when the caller does not

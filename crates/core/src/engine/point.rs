@@ -1,11 +1,14 @@
 //! Engine for point-object databases (IPQ / C-IPQ) — a thin facade
 //! over [`crate::pipeline::QueryPipeline`]: it owns the object table
 //! and the R-tree and assembles one pipeline per query.
-
-use std::collections::HashMap;
+//!
+//! Table, id map and tree are all copy-on-write (paged, sub-mapped,
+//! node by node): `clone()` copies three spines, and an update to the
+//! clone copies the object page, the id sub-maps and the tree path it
+//! touches — see [`super::table`] and [`iloc_index::rtree`].
 
 use iloc_geometry::{Point, Rect};
-use iloc_index::{RTree, RTreeParams, RangeIndex, TraversalScratch};
+use iloc_index::{Pages, RTree, RTreeParams, RangeIndex, TraversalScratch};
 use iloc_uncertainty::{ObjectId, PointObject};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -19,6 +22,7 @@ use crate::pipeline::{
 use crate::query::{CipqStrategy, Issuer, RangeSpec};
 use crate::result::{Match, QueryAnswer};
 
+use super::table::ObjectTable;
 use super::DEFAULT_QUERY_SEED;
 
 /// A point-object database with its R-tree, answering IPQ and C-IPQ.
@@ -28,12 +32,10 @@ use super::DEFAULT_QUERY_SEED;
 /// allocates collision-free ids automatically.
 #[derive(Debug, Clone)]
 pub struct PointEngine {
-    objects: Vec<PointObject>,
+    /// The objects by slot and the id → slot map over them; tree items
+    /// are slots.
+    table: ObjectTable<PointObject>,
     tree: RTree<u32>,
-    /// Id → object-table slot, maintained by every insert/remove so
-    /// departures resolve in O(1) (removal under churn would
-    /// otherwise scan the table per update).
-    slots: HashMap<ObjectId, u32>,
     /// Next id handed out by [`PointEngine::insert`]; kept strictly
     /// above every stored id so departures can never make a later
     /// arrival collide with a live object.
@@ -60,16 +62,10 @@ impl PointEngine {
             .map(|(k, o)| (Rect::from_point(o.loc), k as u32))
             .collect();
         let tree = RTree::bulk_load(entries, RTreeParams::default());
-        let slots = objects
-            .iter()
-            .enumerate()
-            .map(|(k, o)| (o.id, k as u32))
-            .collect();
         let next_id = objects.iter().map(|o| o.id.0 + 1).max().unwrap_or(0);
         PointEngine {
-            objects,
+            table: ObjectTable::build(objects),
             tree,
-            slots,
             next_id,
         }
     }
@@ -91,17 +87,12 @@ impl PointEngine {
     pub fn insert_object(&mut self, object: PointObject) {
         self.next_id = self.next_id.max(object.id.0 + 1);
         let extent = Rect::from_point(object.loc);
-        if let Some(&slot) = self.slots.get(&object.id) {
-            let old = std::mem::replace(&mut self.objects[slot as usize], object);
+        let (slot, replaced) = self.table.upsert(object);
+        if let Some(old) = replaced {
             let removed = self.tree.remove(Rect::from_point(old.loc), slot);
             assert!(removed, "object table and R-tree out of sync");
-            self.tree.insert(extent, slot);
-            return;
         }
-        let slot = self.objects.len() as u32;
-        self.slots.insert(object.id, slot);
         self.tree.insert(extent, slot);
-        self.objects.push(object);
     }
 
     /// Removes the object with the given id, maintaining the R-tree
@@ -110,47 +101,64 @@ impl PointEngine {
     /// The object table is kept dense: the last object is swapped into
     /// the vacated slot and its index entry is re-keyed accordingly.
     pub fn remove(&mut self, id: iloc_uncertainty::ObjectId) -> bool {
-        let Some(slot) = self.slots.remove(&id) else {
+        let Some((slot, removed)) = self.table.remove(id) else {
             return false;
         };
-        let removed = self
-            .tree
-            .remove(Rect::from_point(self.objects[slot as usize].loc), slot);
-        assert!(removed, "object table and R-tree out of sync");
-        let last = self.objects.len() - 1;
-        if slot as usize != last {
-            let moved = self.objects[last];
-            let rekeyed = self.tree.remove(Rect::from_point(moved.loc), last as u32);
+        let unindexed = self.tree.remove(Rect::from_point(removed.loc), slot);
+        assert!(unindexed, "object table and R-tree out of sync");
+        if let Some(moved) = self.table.objects().get(slot as usize) {
+            let key = Rect::from_point(moved.loc);
+            let rekeyed = self.tree.remove(key, self.table.len() as u32);
             assert!(rekeyed, "object table and R-tree out of sync");
-            self.tree.insert(Rect::from_point(moved.loc), slot);
-            self.slots.insert(moved.id, slot);
+            self.tree.insert(key, slot);
         }
-        self.objects.swap_remove(slot as usize);
         true
+    }
+
+    /// Validates the engine's invariants (tests): the R-tree's, and
+    /// that the object table and the id map describe the same live
+    /// set.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first violation.
+    pub fn check_invariants(&self) {
+        assert_eq!(self.tree.check_invariants(), self.len(), "index size");
+        self.table.check_invariants();
+    }
+
+    /// `(shared, total)`: how many of this engine's pages — tree
+    /// nodes, object pages, id sub-maps — are the very allocations
+    /// `other` holds.
+    #[doc(hidden)]
+    pub fn shared_pages_with(&self, other: &Self) -> (usize, usize) {
+        let (a, b) = (
+            self.table.shared_pages_with(&other.table),
+            self.tree.shared_pages_with(&other.tree),
+        );
+        (a.0 + b.0, a.1 + b.1)
     }
 
     /// Number of stored objects.
     pub fn len(&self) -> usize {
-        self.objects.len()
+        self.table.len()
     }
 
     /// `true` when the database is empty.
     pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
+        self.table.len() == 0
     }
 
-    /// The stored objects.
-    pub fn objects(&self) -> &[PointObject] {
-        &self.objects
+    /// The stored objects, by slot.
+    pub fn objects(&self) -> &Pages<PointObject> {
+        self.table.objects()
     }
 
-    /// Looks up the live object with this id in O(1), if present (the
-    /// serving layer uses this to compute a commit's dirty region from
-    /// the *pre-update* locations of departing and moving objects).
+    /// Looks up the live object with this id, if present (the serving
+    /// layer uses this to compute a commit's dirty region from the
+    /// *pre-update* locations of departing and moving objects).
     pub fn find(&self, id: ObjectId) -> Option<&PointObject> {
-        self.slots
-            .get(&id)
-            .map(|&slot| &self.objects[slot as usize])
+        self.table.find(id)
     }
 
     /// Raw R-tree filter results — indices into [`Self::objects`] whose
@@ -186,7 +194,7 @@ impl PointEngine {
     ) {
         QueryPipeline {
             query,
-            objects: &self.objects,
+            objects: self.objects(),
             filter: RectFilter {
                 index: &self.tree,
                 query: filter,
@@ -274,7 +282,7 @@ impl PointEngine {
         let start = std::time::Instant::now();
         let mut answer = QueryAnswer::default();
         let mut rng = StdRng::seed_from_u64(DEFAULT_QUERY_SEED);
-        let locs: Vec<Point> = self.objects.iter().map(|o| o.loc).collect();
+        let locs: Vec<Point> = self.objects().iter().map(|o| o.loc).collect();
         let candidates = crate::eval::nn::nn_candidates(issuer.region(), &locs, |r| {
             self.tree.query_range(r, &mut answer.stats.access)
         });
@@ -288,7 +296,7 @@ impl PointEngine {
             &mut answer.stats,
         ) {
             answer.results.push(Match {
-                id: self.objects[idx as usize].id,
+                id: self.objects()[idx as usize].id,
                 probability: p,
             });
         }

@@ -10,11 +10,14 @@
 //! tests ([`UncertainEngine::bounds`]). IUQ and the Minkowski baseline probe the
 //! same tree at threshold 0, where it is the plain R-tree over the
 //! uncertainty regions.
-
-use std::collections::HashMap;
+//!
+//! Object table, slot → row map, id map, bound table and tree are all
+//! copy-on-write: `clone()` copies spines, and an update to the clone
+//! copies the pages, sub-maps and tree path it touches — see
+//! [`super::table`] and [`iloc_index::pti`].
 
 use iloc_geometry::Rect;
-use iloc_index::{LevelRow, Pti, PtiParams, PtiQuery, RangeIndex};
+use iloc_index::{LevelRow, Pages, Pti, PtiParams, PtiQuery, RangeIndex};
 use iloc_uncertainty::catalog::{default_bounds, DEFAULT_LEVELS};
 use iloc_uncertainty::{ObjectId, PdfKind, UncertainObject};
 
@@ -28,19 +31,20 @@ use crate::pipeline::{
 use crate::query::{CiuqStrategy, Issuer, RangeSpec};
 use crate::result::QueryAnswer;
 
+use super::table::ObjectTable;
+
 /// An uncertain-object database over a PTI, answering IUQ and C-IUQ.
 ///
 /// Object ids are expected to be unique within one engine (the
 /// serving layer routes updates by id).
 #[derive(Debug, Clone)]
 pub struct UncertainEngine {
-    objects: Vec<UncertainObject>,
+    /// The objects by slot and the id → slot map over them; PTI items
+    /// are slots.
+    table: ObjectTable<UncertainObject>,
     pti: Pti<u32>,
     /// Object slot → row of the PTI's bound table.
-    rows: Vec<u32>,
-    /// Id → object-table slot, maintained by every insert/remove so
-    /// departures resolve in O(1).
-    slots: HashMap<ObjectId, u32>,
+    rows: Pages<u32>,
 }
 
 /// The rows one pdf occupies in the table: its [`DEFAULT_LEVELS`]
@@ -70,16 +74,10 @@ impl UncertainEngine {
             (0..n).collect(),
             PtiParams::default(),
         );
-        let slots = objects
-            .iter()
-            .enumerate()
-            .map(|(k, o)| (o.id, k as u32))
-            .collect();
         UncertainEngine {
-            objects,
+            table: ObjectTable::build(objects),
             pti,
             rows: (0..n).collect(),
-            slots,
         }
     }
 
@@ -93,19 +91,19 @@ impl UncertainEngine {
     /// however much it moves.
     pub fn insert(&mut self, object: UncertainObject) {
         let bounds = p_bounds(object.pdf());
-        if let Some(&slot) = self.slots.get(&object.id) {
-            let old = std::mem::replace(&mut self.objects[slot as usize], object);
-            assert!(
-                self.pti.remove(old.region(), slot),
-                "object table and index out of sync"
-            );
-            self.rows[slot as usize] = self.pti.insert(bounds, slot);
+        let (slot, replaced) = self.table.upsert(object);
+        let Some(old) = replaced else {
+            self.rows.push(self.pti.insert(bounds, slot));
             return;
-        }
-        let slot = u32::try_from(self.objects.len()).expect("object slots are 32-bit");
-        self.slots.insert(object.id, slot);
-        self.rows.push(self.pti.insert(bounds, slot));
-        self.objects.push(object);
+        };
+        assert!(
+            self.pti.remove(old.region(), slot),
+            "object table and index out of sync"
+        );
+        *self
+            .rows
+            .get_mut(slot as usize)
+            .expect("a live slot has a row") = self.pti.insert(bounds, slot);
     }
 
     /// Removes the object with the given id, maintaining the index
@@ -116,22 +114,20 @@ impl UncertainEngine {
     /// the vacated slot and its index entry re-keyed — its table row
     /// stays where it is.
     pub fn remove(&mut self, id: ObjectId) -> bool {
-        let Some(slot) = self.slots.remove(&id) else {
+        let Some((slot, removed)) = self.table.remove(id) else {
             return false;
         };
-        let removed = self.objects.swap_remove(slot as usize);
         self.rows.swap_remove(slot as usize);
         assert!(
             self.pti.remove(removed.region(), slot),
             "object table and index out of sync"
         );
-        if let Some(moved) = self.objects.get(slot as usize) {
-            let last = self.objects.len() as u32;
+        if let Some(moved) = self.table.objects().get(slot as usize) {
+            let last = self.table.len() as u32;
             assert!(
                 self.pti.rekey(moved.region(), last, slot),
                 "object table and index out of sync"
             );
-            self.slots.insert(moved.id, slot);
         }
         true
     }
@@ -144,38 +140,49 @@ impl UncertainEngine {
     ///
     /// Panics on the first violation.
     pub fn check_invariants(&self) {
-        let n = self.objects.len();
+        let n = self.len();
         assert_eq!(self.pti.check_invariants(), n, "index size");
         assert_eq!(self.rows.len(), n, "row map size");
-        assert_eq!(self.slots.len(), n, "id map size");
-        for (slot, object) in self.objects.iter().enumerate() {
-            assert_eq!(self.slots.get(&object.id), Some(&(slot as u32)), "id map");
+        self.table.check_invariants();
+        for (slot, object) in self.objects().iter().enumerate() {
             assert_eq!(self.bounds(slot as u32).rect(0), object.region(), "row map");
         }
     }
 
+    /// `(shared, total)`: how many of this engine's pages — tree
+    /// nodes, object and row pages, bound-table pages, id sub-maps —
+    /// are the very allocations `other` holds.
+    #[doc(hidden)]
+    pub fn shared_pages_with(&self, other: &Self) -> (usize, usize) {
+        [
+            self.table.shared_pages_with(&other.table),
+            self.rows.shared_pages_with(&other.rows),
+            self.pti.shared_pages_with(&other.pti),
+        ]
+        .iter()
+        .fold((0, 0), |acc, c| (acc.0 + c.0, acc.1 + c.1))
+    }
+
     /// Number of stored objects.
     pub fn len(&self) -> usize {
-        self.objects.len()
+        self.table.len()
     }
 
     /// `true` when the database is empty.
     pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
+        self.table.len() == 0
     }
 
     /// The stored objects, by slot.
-    pub fn objects(&self) -> &[UncertainObject] {
-        &self.objects
+    pub fn objects(&self) -> &Pages<UncertainObject> {
+        self.table.objects()
     }
 
-    /// Looks up the live object with this id in O(1), if present (the
-    /// serving layer uses this to compute a commit's dirty region from
-    /// the *pre-update* regions of departing and moving objects).
+    /// Looks up the live object with this id, if present (the serving
+    /// layer uses this to compute a commit's dirty region from the
+    /// *pre-update* regions of departing and moving objects).
     pub fn find(&self, id: ObjectId) -> Option<&UncertainObject> {
-        self.slots
-            .get(&id)
-            .map(|&slot| &self.objects[slot as usize])
+        self.table.find(id)
     }
 
     /// Allocation-free variant of [`Self::raw_candidates`]: candidates
@@ -231,7 +238,7 @@ impl UncertainEngine {
     ) {
         QueryPipeline {
             query,
-            objects: &self.objects,
+            objects: self.objects(),
             filter: RectFilter {
                 index: &self.pti,
                 query: query.expanded,
@@ -376,7 +383,7 @@ impl UncertainEngine {
                 };
                 QueryPipeline {
                     query,
-                    objects: &self.objects,
+                    objects: self.objects(),
                     filter: PtiFilter {
                         index: &self.pti,
                         query: PtiQuery {

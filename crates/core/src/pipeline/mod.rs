@@ -79,7 +79,7 @@ pub use refine::{
 use std::time::Instant;
 
 use iloc_geometry::Rect;
-use iloc_index::TraversalScratch;
+use iloc_index::{Pages, TraversalScratch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -304,7 +304,9 @@ pub struct QueryPipeline<'p, O, F, E = EvaluatorKind> {
     /// The prepared query shared by every stage.
     pub query: PreparedQuery<'p>,
     /// The engine's object table; filter output indexes into it.
-    pub objects: &'p [O],
+    /// Candidates are refined in slot order, so the pages are read in
+    /// order too.
+    pub objects: &'p Pages<O>,
     /// Filter stage: index probe producing candidate slots.
     pub filter: F,
     /// Prune stage: object-level elimination before any integral.
@@ -419,13 +421,13 @@ mod tests {
     use iloc_index::NaiveIndex;
     use iloc_uncertainty::PointObject;
 
-    fn objects() -> Vec<PointObject> {
+    fn objects() -> Pages<PointObject> {
         (0..10)
             .map(|k| PointObject::new(k as u64, Point::new(k as f64 * 10.0, 50.0)))
             .collect()
     }
 
-    fn naive_index(objs: &[PointObject]) -> NaiveIndex<u32> {
+    fn naive_index(objs: &Pages<PointObject>) -> NaiveIndex<u32> {
         NaiveIndex::new(
             objs.iter()
                 .enumerate()

@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use iloc_index::{LevelRow, Pti};
+use iloc_index::{LevelRow, Pages, Pti};
 use iloc_uncertainty::UncertainObject;
 
 use crate::eval::constrained::{try_prune, PruneContext, PruneOutcome};
@@ -38,7 +38,7 @@ pub struct StoredBounds<'a> {
     /// The index holding the level table.
     pub index: &'a Pti<u32>,
     /// Object slot → table row.
-    pub rows: &'a [u32],
+    pub rows: &'a Pages<u32>,
 }
 
 impl<'a> StoredBounds<'a> {

@@ -11,6 +11,7 @@
 //!   issuer region (Eq. 2 / Eq. 4) on a midpoint grid.
 
 use iloc_geometry::Point;
+use iloc_index::Pages;
 use iloc_uncertainty::{LocationPdf, ObjectId, PdfKind, PointObject, UncertainObject};
 
 use crate::eval::basic;
@@ -101,7 +102,7 @@ pub trait ProbabilityEvaluator<O>: Sync {
     fn probabilities(
         &self,
         query: &PreparedQuery<'_>,
-        objects: &[O],
+        objects: &Pages<O>,
         survivors: &[u32],
         ctx: &mut ExecutionContext,
         out: &mut Vec<f64>,
@@ -169,7 +170,7 @@ impl ProbabilityEvaluator<UncertainObject> for DualityEvaluator {
     fn probabilities(
         &self,
         query: &PreparedQuery<'_>,
-        objects: &[UncertainObject],
+        objects: &Pages<UncertainObject>,
         survivors: &[u32],
         ctx: &mut ExecutionContext,
         out: &mut Vec<f64>,
@@ -292,7 +293,7 @@ where
     fn probabilities(
         &self,
         query: &PreparedQuery<'_>,
-        objects: &[O],
+        objects: &Pages<O>,
         survivors: &[u32],
         ctx: &mut ExecutionContext,
         out: &mut Vec<f64>,
@@ -339,7 +340,7 @@ impl ProbabilityEvaluator<PointObject> for BasicEvaluator {
     fn probabilities(
         &self,
         query: &PreparedQuery<'_>,
-        objects: &[PointObject],
+        objects: &Pages<PointObject>,
         survivors: &[u32],
         ctx: &mut ExecutionContext,
         out: &mut Vec<f64>,
@@ -384,7 +385,7 @@ impl ProbabilityEvaluator<UncertainObject> for BasicEvaluator {
     fn probabilities(
         &self,
         query: &PreparedQuery<'_>,
-        objects: &[UncertainObject],
+        objects: &Pages<UncertainObject>,
         survivors: &[u32],
         ctx: &mut ExecutionContext,
         out: &mut Vec<f64>,

@@ -27,15 +27,25 @@
 //! The implementation makes the invariant structural rather than
 //! policed: a snapshot is an `Arc` of an immutable shard list,
 //! [`ShardedEngine::submit`] only buffers updates, and
-//! [`ShardedEngine::commit`] applies the buffer **copy-on-write** —
-//! affected shards are cloned, mutated incrementally (R-tree
-//! insert/condense, PTI constrained-rectangle repair; never a
-//! rebuild), and published as the next epoch by an atomic pointer
-//! swap. In-flight queries keep reading the epoch they started on;
-//! new queries pick up the new epoch with the next
-//! [`ShardedEngine::snapshot`] call. Readers never block writers and
-//! writers never block readers (the `RwLock` guards only the pointer
-//! swap itself, held for nanoseconds).
+//! [`ShardedEngine::commit`] applies the buffer **copy-on-write, page
+//! by page**. A shard's object table, bound table and id map live in
+//! reference-counted pages and sub-maps and its R-tree / PTI nodes in
+//! reference-counted entry blocks, so the `Arc::make_mut` that gives
+//! the commit its own copy of a touched shard copies spines — a
+//! pointer per page and per node, no object and no entry. Each update
+//! then copies the first time it writes them, and only then: the object
+//! page and id sub-maps it changes, one page per bound-table column,
+//! and the tree nodes on the root-to-leaf paths its incremental
+//! maintenance walks (R-tree insert/condense, PTI constrained-rectangle
+//! repair; never a rebuild). Everything else the new epoch shares with
+//! the old one, which is published by an atomic pointer swap. In-flight
+//! queries keep reading the epoch they started on; new queries pick up
+//! the new epoch with the next [`ShardedEngine::snapshot`] call; a
+//! snapshot someone keeps — a checkpointer, a slow subscriber, an idle
+//! serving loop — pins only the pages and nodes later epochs replaced,
+//! not a second catalog. Readers never block writers and writers never
+//! block readers (the `RwLock` guards only the pointer swap itself,
+//! held for nanoseconds).
 //!
 //! Determinism carries over from the pipeline: with closed-form
 //! integrators, answers through any shard count are **bit-identical**
@@ -77,6 +87,7 @@ mod sharded;
 pub use sharded::{CommitReport, EpochDirt, ShardServer, ShardedEngine, Snapshot, DIRT_HISTORY};
 
 use iloc_geometry::Rect;
+use iloc_index::Pages;
 use iloc_uncertainty::{ObjectId, PointObject, UncertainObject};
 
 use crate::engine::{PointEngine, UncertainEngine};
@@ -138,9 +149,11 @@ pub trait ServeEngine: BatchEngine + Clone + Send {
         self.len() == 0
     }
 
-    /// Every live object in this shard, in the engine's insertion
-    /// order. Checkpointing enumerates shard state through this.
-    fn objects(&self) -> &[Self::Object];
+    /// Every live object in this shard, by slot, in the engine's
+    /// copy-on-write pages. Checkpointing enumerates shard state
+    /// through this; a snapshot held for a checkpoint pins only the
+    /// pages later epochs replace.
+    fn objects(&self) -> &Pages<Self::Object>;
 }
 
 impl ServeEngine for PointEngine {
@@ -174,7 +187,7 @@ impl ServeEngine for PointEngine {
         PointEngine::len(self)
     }
 
-    fn objects(&self) -> &[PointObject] {
+    fn objects(&self) -> &Pages<PointObject> {
         PointEngine::objects(self)
     }
 }
@@ -210,7 +223,7 @@ impl ServeEngine for UncertainEngine {
         UncertainEngine::len(self)
     }
 
-    fn objects(&self) -> &[UncertainObject] {
+    fn objects(&self) -> &Pages<UncertainObject> {
         UncertainEngine::objects(self)
     }
 }
@@ -221,11 +234,7 @@ impl ServeEngine for UncertainEngine {
 /// striping them.
 pub fn shard_of(id: ObjectId, shard_count: usize) -> usize {
     debug_assert!(shard_count > 0);
-    let mut x = id.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    (x % shard_count as u64) as usize
+    (crate::engine::mix_id(id) % shard_count as u64) as usize
 }
 
 #[cfg(test)]

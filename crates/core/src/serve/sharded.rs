@@ -18,6 +18,14 @@ use super::{shard_of, ServeEngine, Update};
 
 /// One immutable epoch of the whole sharded catalog. Cloning is two
 /// atomic increments; every clone reads the same object set forever.
+///
+/// Consecutive epochs share what the commit between them did not
+/// write: an untouched shard is the same `Arc`, and a touched shard
+/// shares every table page and tree node its updates left alone. A
+/// snapshot held across later commits therefore keeps alive the shard
+/// spines of its epoch plus the pages and nodes since replaced — on
+/// the order of the updates committed meanwhile, not a copy of the
+/// catalog.
 #[derive(Debug, Clone)]
 pub struct Snapshot<E> {
     epoch: u64,
@@ -341,10 +349,16 @@ impl<E: ServeEngine> ShardedEngine<E> {
     }
 
     /// Applies every buffered update copy-on-write and publishes the
-    /// next epoch: affected shards are cloned once, mutated through
-    /// their incremental index maintenance, and swapped in atomically.
-    /// Outstanding snapshots keep reading their own epoch. Commits
-    /// serialize with each other; queries proceed throughout.
+    /// next epoch. The first update routed to a shard clones it
+    /// (`Arc::make_mut`) — spines only: one count per table page, id
+    /// sub-map and tree node, no object copied. The updates then go
+    /// through the shard's incremental index maintenance, which copies
+    /// a page, a sub-map or a node the first time this commit writes
+    /// it, so a batch of `b` updates copies O(`b`) pages and shares the
+    /// rest with the epoch it started from. The new shard list is
+    /// swapped in atomically. Outstanding snapshots keep reading their
+    /// own epoch. Commits serialize with each other; queries proceed
+    /// throughout.
     pub fn commit(&self) -> CommitReport {
         let _serialize = self.commit_lock.lock().expect("commit lock poisoned");
         // Swap the pending buffer out against the spare (empty, but

@@ -67,7 +67,7 @@ mod registry;
 pub use registry::{SubId, Subscription, SubscriptionRegistry};
 
 use iloc_geometry::Rect;
-use iloc_index::{AccessStats, TraversalScratch};
+use iloc_index::{AccessStats, Pages, TraversalScratch};
 use iloc_uncertainty::{ObjectId, PdfKind, PointObject, UncertainObject};
 
 use crate::engine::{PointEngine, UncertainEngine};
@@ -115,7 +115,7 @@ pub(crate) struct CachedFilter<'a, O> {
     /// Slot-sorted candidates of the current envelope.
     pub cached: &'a [u32],
     /// The engine's object table the slots index into.
-    pub objects: &'a [O],
+    pub objects: &'a Pages<O>,
     /// The current query's filter rectangle (`⊆` the envelope).
     pub filter: Rect,
 }
@@ -154,7 +154,7 @@ struct CachedPlan<'a> {
 /// impls share, so the point and uncertain subscription paths can
 /// never diverge.
 fn run_cached_pipeline<O>(
-    objects: &[O],
+    objects: &Pages<O>,
     plan: CachedPlan<'_>,
     cached: &[u32],
     ctx: &mut ExecutionContext,

@@ -13,6 +13,9 @@
 //!   level-major table that stores every object's p-bounds (once —
 //!   the PTI is the U-catalog store), and the threshold probe that
 //!   lets constrained queries (C-IUQ) prune whole subtrees.
+//! * [`cow`] — the paged copy-on-write vector the PTI's bound table
+//!   and the engines' object tables live in, so that a clone shares
+//!   every page its writer has not touched.
 //! * [`naive`] — a linear-scan baseline that higher-level tests and
 //!   experiments compare the indexes against.
 //!
@@ -23,12 +26,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cow;
 pub mod naive;
 pub mod pti;
 pub mod rtree;
 pub mod stats;
 pub mod traits;
 
+pub use cow::Pages;
 pub use naive::NaiveIndex;
 pub use pti::{LevelRow, Pti, PtiParams, PtiQuery};
 pub use rtree::{RTree, RTreeParams};

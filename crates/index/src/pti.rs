@@ -24,7 +24,11 @@
 //! dense column of rectangles per catalog level, a row per object.
 //! Rows are handed out from a free list (bulk loading assigns row =
 //! input position) and read back through [`Pti::row`] — the engine's
-//! object-level pruning reads them in place.
+//! object-level pruning reads them in place. Each column is a paged
+//! copy-on-write vector ([`Pages`]), and a parent entry's upper-level
+//! rectangles are one counted block, so a cloned PTI shares its whole
+//! table and every tree node with its parent and a write copies one
+//! page per column and the path it walks.
 //!
 //! **Leaf vs parent bounds.** A leaf entry is the R-tree's own
 //! `(key, payload)` — the 0-bound plus the caller's item, with the
@@ -44,8 +48,11 @@
 //! validation, the threshold probe, and the [`RangeIndex`] view at
 //! threshold 0.
 
+use std::sync::Arc;
+
 use iloc_geometry::Rect;
 
+use crate::cow::Pages;
 use crate::rtree::{Bound, LeafBounds, Node, RTree, RTreeParams};
 use crate::stats::AccessStats;
 use crate::traits::{RangeIndex, TraversalScratch};
@@ -62,7 +69,7 @@ pub struct PtiParams {
 #[derive(Debug, Clone)]
 struct LevelTable {
     levels: Vec<f64>,
-    columns: Vec<Vec<Rect>>,
+    columns: Vec<Pages<Rect>>,
     /// Rows released by removals, reused by inserts.
     free: Vec<u32>,
 }
@@ -90,7 +97,10 @@ impl LevelTable {
         );
         LevelTable {
             levels,
-            columns,
+            columns: columns
+                .into_iter()
+                .map(|column| column.into_iter().collect())
+                .collect(),
             free: Vec::new(),
         }
     }
@@ -110,7 +120,9 @@ impl LevelTable {
             row
         });
         for (column, &b) in self.columns.iter_mut().zip(bounds) {
-            column[row as usize] = b;
+            *column
+                .get_mut(row as usize)
+                .expect("a handed-out row exists") = b;
         }
         row
     }
@@ -121,8 +133,10 @@ impl LevelTable {
 #[derive(Debug, Clone, PartialEq)]
 struct LevelMbrs {
     key: Rect,
-    /// `upper[k - 1]` is `MBR(levels[k])`.
-    upper: Box<[Rect]>,
+    /// `upper[k - 1]` is `MBR(levels[k])`. Counted, so copying a
+    /// node's entry block copies no rectangle list; the first merge
+    /// into a shared one copies it.
+    upper: Arc<[Rect]>,
 }
 
 impl Bound for LevelMbrs {
@@ -133,7 +147,10 @@ impl Bound for LevelMbrs {
 
     fn merge(&mut self, other: &Self) {
         self.key = self.key.hull(other.key);
-        for (m, b) in self.upper.iter_mut().zip(other.upper.iter()) {
+        for (m, b) in Arc::make_mut(&mut self.upper)
+            .iter_mut()
+            .zip(other.upper.iter())
+        {
             *m = m.hull(*b);
         }
     }
@@ -153,7 +170,10 @@ impl<T> LeafBounds<(T, u32)> for LevelTable {
 
     fn absorb(&self, parent: &mut LevelMbrs, key: Rect, &(_, row): &(T, u32)) {
         parent.key = parent.key.hull(key);
-        for (m, c) in parent.upper.iter_mut().zip(&self.columns[1..]) {
+        for (m, c) in Arc::make_mut(&mut parent.upper)
+            .iter_mut()
+            .zip(&self.columns[1..])
+        {
             *m = m.hull(c[row as usize]);
         }
     }
@@ -358,6 +378,20 @@ impl<T: Copy> Pti<T> {
         n
     }
 
+    /// `(shared, total)`: how many of this index's tree nodes and
+    /// bound-table pages are the very allocations `other` holds.
+    #[doc(hidden)]
+    pub fn shared_pages_with(&self, other: &Self) -> (usize, usize) {
+        let mut count = self.tree.shared_pages_with(&other.tree);
+        let columns = self.tree.source().columns.iter();
+        for (ours, theirs) in columns.zip(&other.tree.source().columns) {
+            let (shared, total) = ours.shared_pages_with(theirs);
+            count.0 += shared;
+            count.1 += total;
+        }
+        count
+    }
+
     /// Number of stored objects.
     pub fn len(&self) -> usize {
         self.tree.len()
@@ -376,7 +410,7 @@ impl<T: Copy> Pti<T> {
     /// The dense column of every row's `levels()[level]`-bound,
     /// indexed by row handle. Rows on the free list hold whatever their
     /// last owner left there.
-    fn column(&self, level: usize) -> &[Rect] {
+    fn column(&self, level: usize) -> &Pages<Rect> {
         &self.tree.source().columns[level]
     }
 
@@ -472,7 +506,7 @@ impl<T: Copy> Pti<T> {
             stats.nodes_visited += 1;
             match self.tree.node(idx) {
                 Node::Leaf(entries) => {
-                    for &(key, (item, row)) in entries {
+                    for &(key, (item, row)) in entries.iter() {
                         stats.items_tested += 1;
                         if key.overlaps(window) && !prunes_row(row) {
                             stats.candidates += 1;
@@ -481,7 +515,7 @@ impl<T: Copy> Pti<T> {
                     }
                 }
                 Node::Internal(children) => {
-                    for (mbrs, child) in children {
+                    for (mbrs, child) in children.iter() {
                         if mbrs.key.overlaps(window) && !prunes_parent(mbrs) {
                             stack.push(*child);
                         }

@@ -6,6 +6,8 @@
 //! root remains. Produces near-100 % fill and well-clustered pages —
 //! the right way to load the 53 K / 62 K object experiment datasets.
 
+use std::sync::Arc;
+
 use iloc_geometry::Rect;
 
 use super::node::{hull, leaf_hull, Bound, LeafBounds, Node};
@@ -13,7 +15,7 @@ use super::{assert_key, RTree, RTreeParams};
 
 /// Builds an [`RTree`] by STR packing on the entries' keys; `source`
 /// resolves what the parents cache about the leaf entries.
-pub fn str_bulk_load<T, S: LeafBounds<T>>(
+pub fn str_bulk_load<T: Clone, S: LeafBounds<T>>(
     items: Vec<(Rect, T)>,
     params: RTreeParams,
     source: S,
@@ -61,11 +63,12 @@ pub fn str_bulk_load<T, S: LeafBounds<T>>(
     tree
 }
 
-/// Tiles one level's entries into groups of at most `cap`, STR-style.
-fn pack_level<B: Bound, E>(mut entries: Vec<(B, E)>, cap: usize) -> Vec<Vec<(B, E)>> {
+/// Tiles one level's entries into groups of at most `cap`, STR-style,
+/// each group already the entry block of its node.
+fn pack_level<B: Bound, E>(mut entries: Vec<(B, E)>, cap: usize) -> Vec<Arc<[(B, E)]>> {
     let n = entries.len();
     if n <= cap {
-        return vec![entries];
+        return vec![entries.into()];
     }
     let node_count = n.div_ceil(cap);
     let slice_count = (node_count as f64).sqrt().ceil() as usize;
@@ -106,7 +109,7 @@ mod tests {
             })
             .collect();
         let groups = pack_level(entries, 16);
-        assert_eq!(groups.iter().map(Vec::len).sum::<usize>(), 100);
+        assert_eq!(groups.iter().map(|g| g.len()).sum::<usize>(), 100);
         assert!(groups.iter().all(|g| g.len() <= 16));
         // ⌈100/16⌉ = 7 nodes.
         assert_eq!(groups.len(), 7);

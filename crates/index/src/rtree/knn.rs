@@ -73,7 +73,7 @@ impl<T: Copy> RTree<T> {
                     stats.nodes_visited += 1;
                     match self.node(idx) {
                         Node::Leaf(entries) => {
-                            for &(extent, item) in entries {
+                            for &(extent, item) in entries.iter() {
                                 stats.items_tested += 1;
                                 heap.push(HeapItem {
                                     dist: extent.min_distance(q),
@@ -82,7 +82,7 @@ impl<T: Copy> RTree<T> {
                             }
                         }
                         Node::Internal(children) => {
-                            for &(mbr, child) in children {
+                            for &(mbr, child) in children.iter() {
                                 heap.push(HeapItem {
                                     dist: mbr.min_distance(q),
                                     kind: QueueKind::Node(child),

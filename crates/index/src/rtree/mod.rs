@@ -18,10 +18,20 @@
 //!
 //! Nodes live in an arena (`Vec<Node<T, B>>`); parents reference
 //! children by index, and each parent entry caches the child's bound —
-//! the classic disk layout transplanted to memory. The default fanout
-//! models the paper's 4 KB pages: an entry is ~40 bytes (4 × f64 MBR +
-//! id), so ~100 entries fit; we default to 64/26 to stay comparable
-//! while keeping splits cheap.
+//! the classic disk layout transplanted to memory. An arena slot holds
+//! its node's entries as one reference-counted block (see `node.rs`'s
+//! module docs), so a node visit is `nodes[idx]` → one heap block, and
+//! **`clone()` copies the arena spine and takes one count per node —
+//! no entry**. The clone and its parent share every node until one of
+//! them writes it: an insert or a removal copies (or rebuilds) the
+//! blocks on its one root-to-leaf path, a split or a CondenseTree the
+//! nodes it rearranges, and nothing else. That is what a commit of the
+//! serving layer relies on: the next epoch's tree differs from the
+//! current one by the paths its batch walked, and a reader holding the
+//! old epoch pins only the blocks that were replaced. The default
+//! fanout models the paper's 4 KB pages: an entry is ~40 bytes
+//! (4 × f64 MBR + id), so ~100 entries fit; we default to 64/26 to
+//! stay comparable while keeping splits cheap.
 
 mod bulk;
 mod knn;
@@ -30,6 +40,8 @@ mod remove;
 mod split;
 
 pub use node::{Bound, LeafBounds, Node};
+
+use std::sync::Arc;
 
 use iloc_geometry::Rect;
 
@@ -89,7 +101,7 @@ pub struct RTree<T, S: LeafBounds<T> = ()> {
     source: S,
 }
 
-impl<T> Default for RTree<T> {
+impl<T: Clone> Default for RTree<T> {
     fn default() -> Self {
         RTree::new(RTreeParams::default())
     }
@@ -103,7 +115,7 @@ fn assert_key(key: Rect) {
     );
 }
 
-impl<T> RTree<T> {
+impl<T: Clone> RTree<T> {
     /// Creates an empty tree.
     pub fn new(params: RTreeParams) -> Self {
         RTree::with_source(params, ())
@@ -119,12 +131,12 @@ impl<T> RTree<T> {
     }
 }
 
-impl<T, S: LeafBounds<T>> RTree<T, S> {
+impl<T: Clone, S: LeafBounds<T>> RTree<T, S> {
     /// An empty tree whose parent bounds come from `source`.
     pub(crate) fn with_source(params: RTreeParams, source: S) -> Self {
         RTree {
             params,
-            nodes: vec![Node::Leaf(Vec::new())],
+            nodes: vec![Node::empty()],
             root: 0,
             len: 0,
             free: Vec::new(),
@@ -193,6 +205,29 @@ impl<T, S: LeafBounds<T>> RTree<T, S> {
         self.nodes.len()
     }
 
+    /// `(shared, total)`: how many of this tree's nodes are the very
+    /// entry blocks `other` holds in the same arena slot. Slots without
+    /// entries (released ones, an empty root) are not counted.
+    #[doc(hidden)]
+    pub fn shared_pages_with(&self, other: &Self) -> (usize, usize) {
+        let mut shared = 0;
+        let mut total = 0;
+        for (idx, node) in self.nodes.iter().enumerate() {
+            if node.entry_count() == 0 {
+                continue;
+            }
+            total += 1;
+            if other
+                .nodes
+                .get(idx)
+                .is_some_and(|o| node.shares_entries_with(o))
+            {
+                shared += 1;
+            }
+        }
+        (shared, total)
+    }
+
     /// Arena index of the root (internal; for the probes that live
     /// outside this module: kNN and the PTI's threshold probe).
     pub(crate) fn root_index(&self) -> usize {
@@ -209,7 +244,7 @@ impl<T, S: LeafBounds<T>> RTree<T, S> {
         // Released arena slots are empty leaves, so this is exactly
         // the reachable set.
         self.nodes.iter().flat_map(|node| match node {
-            Node::Leaf(entries) => entries.as_slice(),
+            Node::Leaf(entries) => &entries[..],
             Node::Internal(_) => &[],
         })
     }
@@ -223,7 +258,7 @@ impl<T, S: LeafBounds<T>> RTree<T, S> {
         assert_key(key);
         if let Some(halves) = self.insert_rec(self.root, key, item) {
             // Root split: grow the tree by one level.
-            self.root = self.alloc(Node::Internal(halves.into()));
+            self.root = self.alloc(Node::Internal(Arc::new(halves)));
         }
         self.len += 1;
     }
@@ -241,17 +276,19 @@ impl<T, S: LeafBounds<T>> RTree<T, S> {
         let min = self.params.min_entries;
         let (bound_a, bound_b, sibling) = match &mut self.nodes[node_idx] {
             Node::Leaf(entries) => {
-                entries.push((key, item));
-                if entries.len() <= max {
+                if entries.len() < max {
+                    *entries = node::pushed(entries, (key, item));
                     return None;
                 }
-                let [a, b] = split::quadratic_split(std::mem::take(entries), min);
+                let mut all = entries.to_vec();
+                all.push((key, item));
+                let [a, b] = split::quadratic_split(all, min);
                 let bounds = (
                     node::leaf_hull(&self.source, &a),
                     node::leaf_hull(&self.source, &b),
                 );
-                *entries = a;
-                (bounds.0, bounds.1, Node::Leaf(b))
+                *entries = a.into();
+                (bounds.0, bounds.1, Node::Leaf(b.into()))
             }
             Node::Internal(children) => {
                 // ChooseSubtree: least enlargement, ties by smaller area.
@@ -269,22 +306,26 @@ impl<T, S: LeafBounds<T>> RTree<T, S> {
                     }
                 }
                 // Grow the chosen entry on the way down; a split below
-                // replaces it with exact halves anyway.
-                self.source.absorb(&mut children[best].0, key, &item);
-                let child_idx = children[best].1;
+                // replaces it with exact halves anyway. The first
+                // write since this tree was cloned copies the block.
+                let chosen = &mut Arc::make_mut(children)[best];
+                self.source.absorb(&mut chosen.0, key, &item);
+                let child_idx = chosen.1;
                 let [half1, half2] = self.insert_rec(child_idx, key, item)?;
                 let Node::Internal(children) = &mut self.nodes[node_idx] else {
                     unreachable!("node kind cannot change during insert");
                 };
-                children[best] = half1;
-                children.push(half2);
-                if children.len() <= max {
+                let mut all = children.to_vec();
+                all[best] = half1;
+                all.push(half2);
+                if all.len() <= max {
+                    *children = all.into();
                     return None;
                 }
-                let [a, b] = split::quadratic_split(std::mem::take(children), min);
+                let [a, b] = split::quadratic_split(all, min);
                 let bounds = (node::hull(&a), node::hull(&b));
-                *children = a;
-                (bounds.0, bounds.1, Node::Internal(b))
+                *children = a.into();
+                (bounds.0, bounds.1, Node::Internal(b.into()))
             }
         };
         let sibling = self.alloc(sibling);
@@ -336,7 +377,7 @@ impl<T, S: LeafBounds<T>> RTree<T, S> {
             Node::Internal(children) => {
                 assert!(!children.is_empty(), "empty internal node");
                 let mut count = 0;
-                for (cached, child) in children {
+                for (cached, child) in children.iter() {
                     assert_eq!(
                         *cached,
                         self.nodes[*child].bound(&self.source),
@@ -387,7 +428,7 @@ impl<T: Copy> RangeIndex<T> for RTree<T> {
             stats.nodes_visited += 1;
             match &self.nodes[idx] {
                 Node::Leaf(entries) => {
-                    for &(extent, item) in entries {
+                    for &(extent, item) in entries.iter() {
                         stats.items_tested += 1;
                         if extent.overlaps(query) {
                             stats.candidates += 1;
@@ -396,7 +437,7 @@ impl<T: Copy> RangeIndex<T> for RTree<T> {
                     }
                 }
                 Node::Internal(children) => {
-                    for &(mbr, child) in children {
+                    for &(mbr, child) in children.iter() {
                         if mbr.overlaps(query) {
                             stack.push(child);
                         }

@@ -1,8 +1,19 @@
 //! R-tree node representation: leaf entries are always a key rectangle
 //! plus the payload; what a *parent* entry caches for the subtree below
 //! it is generic.
+//!
+//! A node's entries are one reference-counted block, `Arc<[entry]>`,
+//! held straight in the arena slot: a probe goes `nodes[idx]` → that
+//! one heap block, exactly as it did through a `Vec`, and cloning a
+//! tree clones no entry — only a count per node. A writer replaces or
+//! copies the block of a node it changes and leaves every other node
+//! shared with the tree it was cloned from: an entry is updated in
+//! place through [`Arc::make_mut`] (a copy the first time, while the
+//! block is still shared), and a change of length ([`pushed`],
+//! [`swap_removed`], a split) builds the new block outright.
 
 use std::fmt::Debug;
+use std::sync::Arc;
 
 use iloc_geometry::Rect;
 
@@ -71,12 +82,39 @@ impl<T> LeafBounds<T> for () {
 
 /// One arena node: either item entries (leaf) or child references with
 /// cached child bounds (internal).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum Node<T, B = Rect> {
     /// Leaf node: `(item key, item)` pairs.
-    Leaf(Vec<(Rect, T)>),
+    Leaf(Arc<[(Rect, T)]>),
     /// Internal node: `(child bound, child arena index)` pairs.
-    Internal(Vec<(B, usize)>),
+    Internal(Arc<[(B, usize)]>),
+}
+
+/// One count on the entry block; no entry is cloned.
+impl<T, B> Clone for Node<T, B> {
+    fn clone(&self) -> Self {
+        match self {
+            Node::Leaf(entries) => Node::Leaf(Arc::clone(entries)),
+            Node::Internal(children) => Node::Internal(Arc::clone(children)),
+        }
+    }
+}
+
+impl<T, B> Node<T, B> {
+    /// A leaf without entries: an empty tree's root, and what a
+    /// released arena slot holds. Allocates nothing.
+    pub(super) fn empty() -> Self {
+        Node::Leaf(Arc::default())
+    }
+
+    /// `true` when both nodes are the same entry block.
+    pub(super) fn shares_entries_with(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Node::Leaf(a), Node::Leaf(b)) => Arc::ptr_eq(a, b),
+            (Node::Internal(a), Node::Internal(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
 }
 
 impl<T, B: Bound> Node<T, B> {
@@ -100,6 +138,27 @@ impl<T, B: Bound> Node<T, B> {
             Node::Internal(children) => children.len(),
         }
     }
+}
+
+/// `entries` with `entry` appended, as a new block.
+pub(super) fn pushed<E: Clone>(entries: &[E], entry: E) -> Arc<[E]> {
+    entries
+        .iter()
+        .cloned()
+        .chain(std::iter::once(entry))
+        .collect()
+}
+
+/// `entries` without the one at `pos`, the last entry moved into its
+/// place (`Vec::swap_remove`'s order), as a new block.
+pub(super) fn swap_removed<E: Clone>(entries: &[E], pos: usize) -> Arc<[E]> {
+    let last = entries.len() - 1;
+    entries[..last]
+        .iter()
+        .enumerate()
+        .map(|(i, e)| if i == pos { &entries[last] } else { e })
+        .cloned()
+        .collect()
 }
 
 /// Merged bound over a non-empty slice of parent entries.

@@ -8,10 +8,17 @@
 //! surviving entries (a hull cannot be shrunk in place). Dissolved
 //! arena slots go onto a free list that `insert` reuses, so long
 //! insert/delete workloads do not leak arena space.
+//!
+//! The search only reads: a leaf whose bound covers the key but that
+//! does not hold the entry stays shared with the tree this one was
+//! cloned from. Blocks are written on the way back up the one path
+//! that found it.
+
+use std::sync::Arc;
 
 use iloc_geometry::Rect;
 
-use super::node::{Bound, LeafBounds, Node};
+use super::node::{swap_removed, Bound, LeafBounds, Node};
 use super::RTree;
 
 impl<T: Copy + PartialEq> RTree<T> {
@@ -25,7 +32,7 @@ impl<T: Copy + PartialEq> RTree<T> {
     }
 }
 
-impl<T, S: LeafBounds<T>> RTree<T, S> {
+impl<T: Clone, S: LeafBounds<T>> RTree<T, S> {
     /// Removes one stored entry whose key is `key` and whose item
     /// satisfies `is_item`, returning the item. When several entries
     /// match, one of them is removed.
@@ -36,15 +43,15 @@ impl<T, S: LeafBounds<T>> RTree<T, S> {
 
         // Shrink the root while it is an internal node with one child.
         while let Node::Internal(children) = &self.nodes[self.root] {
-            let &[(_, child)] = children.as_slice() else {
+            let [(_, child)] = &children[..] else {
                 break;
             };
-            let old = std::mem::replace(&mut self.root, child);
+            let old = std::mem::replace(&mut self.root, *child);
             self.release(old);
         }
         // An emptied internal root degenerates to an empty leaf.
         if self.len == 0 {
-            self.nodes[self.root] = Node::Leaf(Vec::new());
+            self.nodes[self.root] = Node::empty();
         }
 
         // Re-insert orphaned items (they are still counted in `len`;
@@ -65,25 +72,29 @@ impl<T, S: LeafBounds<T>> RTree<T, S> {
         orphans: &mut Vec<(Rect, T)>,
     ) -> Option<T> {
         let min = self.params.min_entries;
-        // Leaf: remove in place.
-        if let Node::Leaf(entries) = &mut self.nodes[node_idx] {
-            let pos = entries
-                .iter()
-                .position(|(k, it)| *k == key && is_item(it))?;
-            return Some(entries.swap_remove(pos).1);
-        }
-        // Internal: collect candidate children first, then recurse
-        // without holding a borrow on this node.
-        let candidates: Vec<(usize, usize)> = match &self.nodes[node_idx] {
-            Node::Internal(children) => children
-                .iter()
-                .enumerate()
-                .filter(|(_, (bound, _))| bound.key().contains_rect(key))
-                .map(|(i, &(_, child))| (i, child))
-                .collect(),
-            Node::Leaf(_) => unreachable!("handled above"),
+        let child_count = match &mut self.nodes[node_idx] {
+            Node::Leaf(entries) => {
+                let pos = entries
+                    .iter()
+                    .position(|(k, it)| *k == key && is_item(it))?;
+                let removed = entries[pos].1.clone();
+                *entries = swap_removed(entries, pos);
+                return Some(removed);
+            }
+            Node::Internal(children) => children.len(),
         };
-        for (i, child_idx) in candidates {
+        // Internal: try the children whose bound covers the key, in
+        // entry order. A failed descent changes nothing, so the entry
+        // list is as it was when the next child is looked up.
+        for i in 0..child_count {
+            let Node::Internal(children) = &self.nodes[node_idx] else {
+                unreachable!("node kind is stable");
+            };
+            let (bound, child_idx) = &children[i];
+            if !bound.key().contains_rect(key) {
+                continue;
+            }
+            let child_idx = *child_idx;
             let Some(removed) = self.remove_rec(child_idx, key, is_item, orphans) else {
                 continue;
             };
@@ -93,7 +104,7 @@ impl<T, S: LeafBounds<T>> RTree<T, S> {
                 let Node::Internal(children) = &mut self.nodes[node_idx] else {
                     unreachable!("node kind is stable");
                 };
-                children.swap_remove(i);
+                *children = swap_removed(children, i);
                 self.drain_subtree(child_idx, orphans);
             } else {
                 // Exact repair: re-merge the child's bound.
@@ -101,7 +112,7 @@ impl<T, S: LeafBounds<T>> RTree<T, S> {
                 let Node::Internal(children) = &mut self.nodes[node_idx] else {
                     unreachable!("node kind is stable");
                 };
-                children[i].0 = bound;
+                Arc::make_mut(children)[i].0 = bound;
             }
             return Some(removed);
         }
@@ -111,11 +122,11 @@ impl<T, S: LeafBounds<T>> RTree<T, S> {
     /// Moves every leaf item under `idx` into `orphans` and releases
     /// the subtree's arena slots.
     fn drain_subtree(&mut self, idx: usize, orphans: &mut Vec<(Rect, T)>) {
-        match std::mem::replace(&mut self.nodes[idx], Node::Leaf(Vec::new())) {
-            Node::Leaf(entries) => orphans.extend(entries),
+        match std::mem::replace(&mut self.nodes[idx], Node::empty()) {
+            Node::Leaf(entries) => orphans.extend(entries.iter().cloned()),
             Node::Internal(children) => {
-                for (_, child) in children {
-                    self.drain_subtree(child, orphans);
+                for (_, child) in children.iter() {
+                    self.drain_subtree(*child, orphans);
                 }
             }
         }
@@ -136,7 +147,7 @@ impl<T, S: LeafBounds<T>> RTree<T, S> {
     /// Puts an arena slot on the free list.
     fn release(&mut self, idx: usize) {
         debug_assert_ne!(idx, self.root, "cannot release the root");
-        self.nodes[idx] = Node::Leaf(Vec::new());
+        self.nodes[idx] = Node::empty();
         self.free.push(idx);
     }
 }

@@ -167,3 +167,35 @@ fn query_visits_fraction_of_nodes_on_clustered_data() {
 fn params_reject_bad_fill() {
     let _ = RTreeParams::new(8, 5);
 }
+
+#[test]
+fn a_clone_shares_every_node_and_a_write_copies_one_path() {
+    let items = random_rects(5_000, 21);
+    let parent = RTree::bulk_load(items.clone(), RTreeParams::default());
+    let probe = Rect::from_coords(100.0, 100.0, 700.0, 700.0);
+    let before = parent.query_range(probe, &mut AccessStats::new());
+    let nodes = parent.node_count();
+    let height = parent.height();
+
+    let mut child = parent.clone();
+    assert_eq!(child.shared_pages_with(&parent), (nodes, nodes));
+
+    // A failed removal reads leaves and writes none.
+    assert!(!child.remove(items[0].0, usize::MAX));
+    assert_eq!(child.shared_pages_with(&parent), (nodes, nodes));
+
+    // One removal, one insert: at most a root-to-leaf path each, plus
+    // the sibling a split of a packed leaf adds.
+    assert!(child.remove(items[7].0, items[7].1));
+    child.insert(Rect::from_coords(300.0, 300.0, 305.0, 305.0), 9_999);
+    let (shared, total) = child.shared_pages_with(&parent);
+    assert!(total - shared <= 2 * height + 1, "{shared} of {total}");
+    assert!(shared >= nodes - 2 * height, "{shared} of {nodes}");
+
+    // The parent still answers, in the same order, what it answered.
+    assert_eq!(parent.query_range(probe, &mut AccessStats::new()), before);
+    assert_eq!(parent.check_invariants(), items.len());
+    assert_eq!(child.check_invariants(), items.len());
+    let got = child.query_range(probe, &mut AccessStats::new());
+    assert!(got.contains(&9_999) && !got.contains(&items[7].1));
+}

@@ -183,6 +183,11 @@ pub trait Handler: Send + 'static {
     /// one frame; an error frame on failure) is appended to `out`.
     fn frame(&mut self, frame: &[u8], id: ConnId, conn: &mut Self::Conn, out: &mut Vec<u8>);
 
+    /// The loop is starting a sweep — on its cadence, and at once when
+    /// another thread wakes it. For what a handler holds on behalf of
+    /// no connection in particular.
+    fn sweeping(&mut self) {}
+
     /// Whether [`Handler::pump`] has pushes to queue for `conn` —
     /// checked before every frame and on every sweep, so it must be
     /// cheap.
@@ -943,6 +948,7 @@ impl<H: Handler> EventLoop<H> {
     /// The periodic pass over every connection: queue the pushes the
     /// handler owes, enforce the idle deadline.
     fn sweep(&mut self, now: Instant) {
+        self.handler.sweeping();
         for idx in 0..self.slots.len() {
             let Some(conn) = self.slots[idx].conn.as_mut() else {
                 continue;

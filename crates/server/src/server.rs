@@ -62,9 +62,11 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
-use iloc_core::durable::{CatalogRecovery, DurableCatalog, FsyncPolicy, StoreConfig, StoreError};
+use iloc_core::durable::{
+    CatalogRecovery, DurableCatalog, DurableObject, FsyncPolicy, StoreConfig, StoreError,
+};
 use iloc_core::pipeline::{PointRequest, UncertainRequest};
-use iloc_core::serve::{CommitReport, ShardServer, ShardedEngine};
+use iloc_core::serve::{CommitReport, ServeEngine, ShardServer, ShardedEngine};
 use iloc_core::stats::REFINE_BATCH_BUCKETS;
 use iloc_core::subscribe::{ContinuousEngine, SubscriptionRegistry};
 use iloc_core::{Issuer, PointEngine, QueryAnswer, QueryStats, RangeSpec, UncertainEngine};
@@ -135,18 +137,34 @@ pub struct RecoveryInfo {
     pub uncertain: CatalogRecovery,
 }
 
-/// What one catalog mutation request asks the writer thread to do.
-enum WriterMsg {
-    /// Buffer updates; reply with how many were accepted plus the
-    /// drained vector, so the loop's decode buffer keeps its capacity
-    /// across batches.
-    Submit(Vec<WireUpdate>, mpsc::SyncSender<(u32, Vec<WireUpdate>)>),
-    /// Commit one catalog; reply with the report (or the durable
-    /// store's failure — the epoch did not publish).
-    Commit(
-        CommitTarget,
-        mpsc::SyncSender<Result<CommitReport, StoreError>>,
-    ),
+/// What one catalog mutation request asks the writer thread to do;
+/// `from` is the event loop asking, and where the [`WriterReply`]
+/// goes.
+struct WriterMsg {
+    from: usize,
+    ask: WriterAsk,
+}
+
+enum WriterAsk {
+    /// Buffer updates.
+    Submit(Vec<WireUpdate>),
+    /// Commit one catalog.
+    Commit(CommitTarget),
+}
+
+/// The writer's answer to one [`WriterMsg`]. A loop blocks on its
+/// reply before it sends the next message, so each loop has at most
+/// one in flight and one channel per loop — made with the loop, its
+/// sending end owned by the writer — carries them all. Should the
+/// writer die mid-request its senders die with it and the waiting
+/// loops read a hang-up, not silence.
+enum WriterReply {
+    /// How many updates were accepted, plus the drained vector, so the
+    /// loop's decode buffer keeps its capacity across batches.
+    Submitted(u32, Vec<WireUpdate>),
+    /// The commit's report (or the durable store's failure — the epoch
+    /// did not publish).
+    Committed(Result<CommitReport, StoreError>),
 }
 
 /// Process-wide pipeline-stage accounting: every answered query's
@@ -292,11 +310,16 @@ impl QueryServer {
         // The writer exits when the last sender drops: the handlers
         // hold the only clones that outlive this function.
         let (writer_tx, writer_rx) = mpsc::channel::<WriterMsg>();
-        let core = conn::start(config, |_, remote| {
+        let mut reply_txs = Vec::with_capacity(config.event_loops);
+        let core = conn::start(config, |index, remote| {
+            let (reply_tx, reply_rx) = mpsc::sync_channel(1);
+            reply_txs.push(reply_tx);
             Ok(ServerHandler {
                 shared: Arc::clone(&shared),
                 remote: remote.clone(),
+                index,
                 writer_tx: writer_tx.clone(),
+                reply_rx,
                 state: LoopState::new(&shared.engines),
             })
         })?;
@@ -309,7 +332,7 @@ impl QueryServer {
             threads.push(
                 thread::Builder::new()
                     .name("iloc-writer".to_string())
-                    .spawn(move || writer_loop(engines, writer_rx, remote))?,
+                    .spawn(move || writer_loop(engines, writer_rx, reply_txs, remote))?,
             );
         }
         if self.checkpoint_every > 0 && self.engines.point.is_durable() {
@@ -395,10 +418,15 @@ impl Drop for ServerHandle {
     }
 }
 
-fn writer_loop(engines: Arc<Engines>, rx: mpsc::Receiver<WriterMsg>, remote: Remote) {
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            WriterMsg::Submit(mut updates, reply) => {
+fn writer_loop(
+    engines: Arc<Engines>,
+    rx: mpsc::Receiver<WriterMsg>,
+    replies: Vec<mpsc::SyncSender<WriterReply>>,
+    remote: Remote,
+) {
+    while let Ok(WriterMsg { from, ask }) = rx.recv() {
+        match ask {
+            WriterAsk::Submit(mut updates) => {
                 let n = updates.len() as u32;
                 for update in updates.drain(..) {
                     match update {
@@ -408,9 +436,9 @@ fn writer_loop(engines: Arc<Engines>, rx: mpsc::Receiver<WriterMsg>, remote: Rem
                 }
                 // Hand the drained vector back with the ack so the
                 // loop's decode buffer keeps its capacity.
-                let _ = reply.send((n, updates));
+                let _ = replies[from].send(WriterReply::Submitted(n, updates));
             }
-            WriterMsg::Commit(target, reply) => {
+            WriterAsk::Commit(target) => {
                 // On a durable catalog the commit appends and fsyncs
                 // the WAL record *before* the epoch publishes; an
                 // append failure leaves the epoch unpublished and is
@@ -419,10 +447,13 @@ fn writer_loop(engines: Arc<Engines>, rx: mpsc::Receiver<WriterMsg>, remote: Rem
                     CommitTarget::Point => engines.point.commit(),
                     CommitTarget::Uncertain => engines.uncertain.commit(),
                 };
-                let _ = reply.send(report);
+                let _ = replies[from].send(WriterReply::Committed(report));
                 // A published epoch may owe pushes to subscribers on
-                // any loop; wake them all so NOTIFY latency is bounded
-                // by scheduling, not by the sweep interval.
+                // any loop, and every loop still reads the epoch it
+                // replaced; wake them all so NOTIFY latency is bounded
+                // by scheduling, not by the sweep interval, and the
+                // old epoch's pages are let go whether or not a query
+                // comes.
                 remote.wake_all();
             }
         }
@@ -507,8 +538,24 @@ impl ConnSubs {
 struct ServerHandler {
     shared: Arc<Shared>,
     remote: Remote,
+    /// This loop's index: the `from` of its writer messages.
+    index: usize,
     writer_tx: mpsc::Sender<WriterMsg>,
+    /// Where the writer answers this loop (see [`WriterReply`]).
+    reply_rx: mpsc::Receiver<WriterReply>,
     state: LoopState,
+}
+
+/// Rebinds `server` when `catalog` has published a newer epoch than
+/// the one it reads: two atomic increments, no allocation — and the
+/// last reader to leave an epoch frees the pages only it still held.
+fn follow<E: ServeEngine>(server: &mut ShardServer<E>, catalog: &DurableCatalog<E>)
+where
+    E::Object: DurableObject,
+{
+    if catalog.epoch() != server.snapshot().epoch() {
+        server.rebind(catalog.snapshot());
+    }
 }
 
 impl Handler for ServerHandler {
@@ -532,6 +579,14 @@ impl Handler for ServerHandler {
 
     fn frame(&mut self, frame: &[u8], _id: ConnId, subs: &mut Self::Conn, out: &mut Vec<u8>) {
         self.handle_frame(frame[5], &frame[6..], subs, out);
+    }
+
+    /// A loop that is sent no query must not keep the epoch of its
+    /// last one alive: the writer wakes every loop after a commit, and
+    /// the sweep that wake starts follows both catalogs.
+    fn sweeping(&mut self) {
+        follow(&mut self.state.point, &self.shared.engines.point);
+        follow(&mut self.state.uncertain, &self.shared.engines.uncertain);
     }
 
     fn needs_pump(&self, subs: &Self::Conn) -> bool {
@@ -646,17 +701,23 @@ impl ServerHandler {
         let ServerHandler {
             shared,
             remote,
+            index,
             writer_tx,
+            reply_rx,
             state,
         } = self;
+        // The writer outlives the loops by construction; no reply
+        // means the server is tearing down.
+        let ask_writer = |ask| {
+            let sent = writer_tx.send(WriterMsg { from: *index, ask });
+            sent.ok().and_then(|()| reply_rx.recv().ok())
+        };
         let engines = &shared.engines;
         match op {
             opcode::POINT_QUERY => {
                 match protocol::decode_point_query_into(payload, &mut state.point_req) {
                     Ok(()) => {
-                        if shared.engines.point.epoch() != state.point.snapshot().epoch() {
-                            state.point.rebind(shared.engines.point.snapshot());
-                        }
+                        follow(&mut state.point, &engines.point);
                         state
                             .point
                             .execute_into(&state.point_req, &mut state.answer);
@@ -669,9 +730,7 @@ impl ServerHandler {
             opcode::UNCERTAIN_QUERY => {
                 match protocol::decode_uncertain_query_into(payload, &mut state.uncertain_req) {
                     Ok(()) => {
-                        if shared.engines.uncertain.epoch() != state.uncertain.snapshot().epoch() {
-                            state.uncertain.rebind(shared.engines.uncertain.snapshot());
-                        }
+                        follow(&mut state.uncertain, &engines.uncertain);
                         state
                             .uncertain
                             .execute_into(&state.uncertain_req, &mut state.answer);
@@ -685,16 +744,12 @@ impl ServerHandler {
                 match protocol::decode_update_batch(payload, &mut state.updates) {
                     Ok(()) => {
                         let updates = std::mem::take(&mut state.updates);
-                        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-                        // The writer outlives the loops by construction;
-                        // failures here mean the server is tearing down.
-                        let sent = writer_tx.send(WriterMsg::Submit(updates, reply_tx));
-                        match sent.ok().and_then(|()| reply_rx.recv().ok()) {
-                            Some((accepted, drained)) => {
+                        match ask_writer(WriterAsk::Submit(updates)) {
+                            Some(WriterReply::Submitted(accepted, drained)) => {
                                 state.updates = drained;
                                 protocol::encode_update_ack(out, accepted)
                             }
-                            None => protocol::encode_error(
+                            _ => protocol::encode_error(
                                 out,
                                 ErrorCode::Internal,
                                 "writer unavailable",
@@ -705,23 +760,17 @@ impl ServerHandler {
                 }
             }
             opcode::COMMIT => match protocol::decode_commit(payload) {
-                Ok(target) => {
-                    let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-                    let sent = writer_tx.send(WriterMsg::Commit(target, reply_tx));
-                    match sent.ok().and_then(|()| reply_rx.recv().ok()) {
-                        Some(Ok(report)) => {
-                            protocol::encode_commit_done(out, &report);
-                        }
-                        Some(Err(_)) => protocol::encode_error(
-                            out,
-                            ErrorCode::Internal,
-                            "durable commit failed; epoch not published",
-                        ),
-                        None => {
-                            protocol::encode_error(out, ErrorCode::Internal, "writer unavailable")
-                        }
+                Ok(target) => match ask_writer(WriterAsk::Commit(target)) {
+                    Some(WriterReply::Committed(Ok(report))) => {
+                        protocol::encode_commit_done(out, &report);
                     }
-                }
+                    Some(WriterReply::Committed(Err(_))) => protocol::encode_error(
+                        out,
+                        ErrorCode::Internal,
+                        "durable commit failed; epoch not published",
+                    ),
+                    _ => protocol::encode_error(out, ErrorCode::Internal, "writer unavailable"),
+                },
                 Err(e) => wire_error(out, e),
             },
             opcode::STATS => {

@@ -13,7 +13,10 @@
 //!   survivors; for the uncertain engine also over mixed pdf kinds,
 //!   with the PTI's bound table held to the pdfs it was computed from;
 //! * serving level — `ShardedEngine` snapshots across shard counts
-//!   1/2/8, committed in batches, vs a rebuilt single engine;
+//!   1/2/8, committed in batches, vs a rebuilt single engine; and, over
+//!   200 commits, snapshots held across later epochs (which share
+//!   their pages and tree nodes copy-on-write) against what they
+//!   answered when taken;
 //! * durability level — a `DurableCatalog` whose process is "killed"
 //!   at arbitrary WAL byte offsets (emulated by truncating the live
 //!   segment) recovers to a bit-identical prefix of the committed
@@ -31,9 +34,9 @@ use iloc::core::pipeline::{
     RectFilter,
 };
 use iloc::core::pipeline::{PointRequest, UncertainRequest};
-use iloc::core::serve::{ShardedEngine, Update};
+use iloc::core::serve::{ServeEngine, ShardedEngine, Snapshot, Update};
 use iloc::datagen::{PointUpdate, PointUpdateGen, RectUpdate, RectUpdateGen, UpdateMix};
-use iloc::index::{NaiveIndex, Pti, PtiParams, RTree, RTreeParams, RangeIndex};
+use iloc::index::{NaiveIndex, Pages, Pti, PtiParams, RTree, RTreeParams, RangeIndex};
 use iloc::prelude::*;
 use iloc::uncertainty::{
     DiscPdf, ObjectId, PointObject, TruncatedGaussianPdf, UCatalog, UncertainObject, UniformPdf,
@@ -45,7 +48,7 @@ use rand::{Rng, SeedableRng};
 /// arena through the caller's (dirty) context.
 fn pipeline_answer<I: RangeIndex<u32>>(
     index: &I,
-    objects: &[PointObject],
+    objects: &Pages<PointObject>,
     issuer: &Issuer,
     range: RangeSpec,
     ctx: &mut ExecutionContext,
@@ -73,7 +76,7 @@ fn index_dynamic_equals_rebuild<I: RangeIndex<u32>>(
 ) {
     let mut rng = StdRng::seed_from_u64(0xD11A);
     // Append-only object arena; the live set indexes into it.
-    let mut arena: Vec<PointObject> = Vec::new();
+    let mut arena: Pages<PointObject> = Pages::new();
     let mut live: Vec<(Rect, u32)> = Vec::new();
     let mut dynamic = build(Vec::new());
 
@@ -329,6 +332,173 @@ fn uncertain_stream_equals_rebuild_across_shard_counts() {
     }
 }
 
+// --- Held snapshots ----------------------------------------------------
+
+/// A snapshot kept alive past its epoch, with what it answered the day
+/// it was taken.
+struct Held<E: ServeEngine> {
+    snapshot: Snapshot<E>,
+    answers: Vec<QueryAnswer>,
+    release_at: usize,
+}
+
+/// The serving-level sharing property. An epoch shares with the next
+/// every page and tree node its commit did not write, so a bug in the
+/// copy-on-write would show as an *old* snapshot changing under a
+/// reader. Over `COMMITS` epochs at 1, 2 and 8 shards:
+///
+/// * snapshots taken at random epochs are held for random spans, and
+///   each answers `requests` bit-identically to what it answered when
+///   taken, at every epoch it is held for;
+/// * every epoch answers `requests` bit-identically to an engine
+///   rebuilt from scratch over that epoch's live set;
+/// * `check` (the engine's `check_invariants`) passes on every shard
+///   after every commit.
+///
+/// `next_epoch` yields each epoch's batch and the live set after it.
+fn held_snapshots_answer_as_taken<E: ServeEngine>(
+    base: Vec<E::Object>,
+    requests: &[E::Request],
+    mut next_epoch: impl FnMut() -> (Vec<Update<E::Object>>, Vec<E::Object>),
+    check: impl Fn(&E),
+) {
+    const COMMITS: usize = 200;
+    let answers = |snapshot: &Snapshot<E>| -> Vec<QueryAnswer> {
+        requests.iter().map(|r| snapshot.execute_one(r)).collect()
+    };
+    let same =
+        |a: &[QueryAnswer], b: &[QueryAnswer]| a.iter().zip(b).all(|(a, b)| a.same_matches(b));
+
+    let engines: Vec<ShardedEngine<E>> = [1usize, 2, 8]
+        .iter()
+        .map(|&n| ShardedEngine::build(base.clone(), n))
+        .collect();
+    let mut rng = StdRng::seed_from_u64(0x4E1D);
+    let mut held: Vec<Held<E>> = Vec::new();
+    let mut most_held = 0;
+
+    for epoch in 1..=COMMITS {
+        let (batch, live) = next_epoch();
+        let rebuilt = E::build_from(live);
+        let want: Vec<QueryAnswer> = requests.iter().map(|r| rebuilt.execute_one(r)).collect();
+        for engine in &engines {
+            engine.submit_all(batch.iter().cloned());
+            assert_eq!(engine.commit().epoch, epoch as u64);
+            let snapshot = engine.snapshot();
+            let shards = snapshot.shard_count();
+            snapshot.shards().iter().for_each(|shard| check(shard));
+            assert_eq!(snapshot.len(), rebuilt.len());
+            let got = answers(&snapshot);
+            assert!(
+                same(&got, &want),
+                "epoch {epoch}, {shards} shards != rebuild"
+            );
+            if rng.gen_bool(0.3) {
+                held.push(Held {
+                    snapshot,
+                    answers: got,
+                    release_at: epoch + rng.gen_range(1..40),
+                });
+            }
+        }
+        held.retain(|h| h.release_at > epoch);
+        most_held = most_held.max(held.len());
+        for h in &held {
+            assert!(
+                same(&answers(&h.snapshot), &h.answers),
+                "at epoch {epoch} the snapshot of epoch {} ({} shards) no longer answers \
+                 what it answered when taken",
+                h.snapshot.epoch(),
+                h.snapshot.shard_count()
+            );
+        }
+    }
+    assert!(most_held >= 8, "the schedule held only {most_held} at once");
+}
+
+#[test]
+fn held_point_snapshots_answer_as_taken_across_200_commits() {
+    let (base, mut gen) = PointUpdateGen::over_california(700, 5, UpdateMix::balanced());
+    let mut rng = StdRng::seed_from_u64(17);
+    let requests: Vec<PointRequest> = (0..6)
+        .map(|q| {
+            let c = Point::new(rng.gen_range(0.0..10_000.0), rng.gen_range(0.0..10_000.0));
+            let issuer = Issuer::uniform(Rect::centered(c, 400.0, 400.0));
+            if q % 2 == 0 {
+                PointRequest::ipq(issuer, RangeSpec::square(1_500.0))
+            } else {
+                PointRequest::cipq(
+                    issuer,
+                    RangeSpec::square(1_500.0),
+                    0.2,
+                    CipqStrategy::PExpanded,
+                )
+            }
+        })
+        .collect();
+    held_snapshots_answer_as_taken::<PointEngine>(
+        base.iter()
+            .enumerate()
+            .map(|(k, &p)| PointObject::new(k as u64, p))
+            .collect(),
+        &requests,
+        || {
+            let batch = gen
+                .stream(24)
+                .into_iter()
+                .map(|u| match u {
+                    PointUpdate::Arrive { id, loc } => Update::Arrive(PointObject::new(id, loc)),
+                    PointUpdate::Depart { id } => Update::Depart(ObjectId(id)),
+                    PointUpdate::Move { id, to } => Update::Move(PointObject::new(id, to)),
+                })
+                .collect();
+            let live = gen.live().iter().map(|&(id, p)| PointObject::new(id, p));
+            (batch, live.collect())
+        },
+        PointEngine::check_invariants,
+    );
+}
+
+#[test]
+fn held_uncertain_snapshots_answer_as_taken_across_200_commits() {
+    let uniform = |id: u64, region: Rect| UncertainObject::new(id, UniformPdf::new(region));
+    let (base, mut gen) = RectUpdateGen::over_long_beach(500, 6, UpdateMix::balanced());
+    let mut rng = StdRng::seed_from_u64(18);
+    let requests: Vec<UncertainRequest> = (0..6)
+        .map(|q| {
+            let c = Point::new(rng.gen_range(0.0..10_000.0), rng.gen_range(0.0..10_000.0));
+            let issuer = Issuer::uniform(Rect::centered(c, 400.0, 400.0));
+            let range = RangeSpec::square(1_500.0);
+            match q % 3 {
+                0 => UncertainRequest::iuq(issuer, range),
+                1 => UncertainRequest::ciuq(issuer, range, 0.25, CiuqStrategy::PtiPExpanded),
+                _ => UncertainRequest::ciuq(issuer, range, 0.25, CiuqStrategy::RTreeMinkowski),
+            }
+        })
+        .collect();
+    held_snapshots_answer_as_taken::<UncertainEngine>(
+        base.iter()
+            .enumerate()
+            .map(|(k, &r)| uniform(k as u64, r))
+            .collect(),
+        &requests,
+        || {
+            let batch = gen
+                .stream(24)
+                .into_iter()
+                .map(|u| match u {
+                    RectUpdate::Arrive { id, region } => Update::Arrive(uniform(id, region)),
+                    RectUpdate::Depart { id } => Update::Depart(ObjectId(id)),
+                    RectUpdate::Move { id, to } => Update::Move(uniform(id, to)),
+                })
+                .collect();
+            let live = gen.live().iter().map(|&(id, r)| uniform(id, r));
+            (batch, live.collect())
+        },
+        UncertainEngine::check_invariants,
+    );
+}
+
 // --- Durability oracle -----------------------------------------------
 
 /// A seeded object of the pdf kind `kind % 3` selects, somewhere in a
@@ -365,7 +535,7 @@ fn assert_no_drift(phase: &str, engine: &UncertainEngine, ctx: &mut ExecutionCon
         }
     }
 
-    let rebuilt = UncertainEngine::build(engine.objects().to_vec());
+    let rebuilt = UncertainEngine::build(engine.objects().iter().cloned().collect());
     let mut rng = StdRng::seed_from_u64(0x20_D21F);
     let mut matched = 0;
     for q in 0..6 {

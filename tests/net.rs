@@ -257,6 +257,44 @@ fn interleaved_updates_and_commits_stay_bit_identical() {
 }
 
 #[test]
+fn an_idle_loop_lets_go_of_the_epoch_a_commit_replaced() {
+    // Sweeps on cadence are an hour apart, so only the writer's
+    // post-commit wake can start the one that rebinds; and no query is
+    // ever sent, so no query path can.
+    let (points, uncertain) = scene();
+    let server = QueryServer::new(points, uncertain, 1);
+    let handle = server
+        .start(&ServerConfig {
+            event_loops: 2,
+            idle_poll: Duration::from_secs(3600),
+            ..ServerConfig::loopback()
+        })
+        .expect("bind loopback");
+    let engines = server.engines();
+    let epoch0_shard = Arc::downgrade(&engines.point.snapshot().shards()[0]);
+    assert!(epoch0_shard.upgrade().is_some(), "both loops read epoch 0");
+
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let accepted = client
+        .submit(&[WireUpdate::Point(Update::Depart(ObjectId(0)))])
+        .unwrap();
+    assert_eq!(accepted, 1);
+    assert_eq!(client.commit(CommitTarget::Point).unwrap().epoch, 1);
+
+    // The wake is asynchronous to the commit's reply: wait for both
+    // loops to have swept, within reason.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while epoch0_shard.upgrade().is_some() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "an event loop still reads epoch 0 with no query to move it"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    handle.shutdown();
+}
+
+#[test]
 fn stats_frame_reports_epochs_sizes_and_shards() {
     let (server, handle) = start_server(5, 2);
     let engines = server.engines();

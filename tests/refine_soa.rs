@@ -19,7 +19,7 @@ use iloc::core::pipeline::{
 use iloc::core::serve::{ShardedEngine, Update};
 use iloc::core::subscribe::SubscriptionRegistry;
 use iloc::core::{Integrator, Issuer, RangeSpec, UncertainEngine};
-use iloc::index::NaiveIndex;
+use iloc::index::{NaiveIndex, Pages};
 use iloc::prelude::*;
 use rand::RngCore;
 
@@ -74,6 +74,11 @@ fn uniform_objects(n: usize) -> Vec<UncertainObject> {
         .collect()
 }
 
+/// The engines' table layout over a test's object list.
+fn paged(objects: &[UncertainObject]) -> Pages<UncertainObject> {
+    objects.iter().cloned().collect()
+}
+
 /// Runs the SoA override and the scalar reference over the same
 /// survivor set through freshly seeded contexts and asserts bitwise
 /// probability equality, counter equality, and — via follow-up draws —
@@ -81,6 +86,7 @@ fn uniform_objects(n: usize) -> Vec<UncertainObject> {
 fn assert_batch_matches_scalar(objects: &[UncertainObject], issuer: &Issuer, range: RangeSpec) {
     let query = PreparedQuery::new(issuer, range);
     let survivors: Vec<u32> = (0..objects.len() as u32).collect();
+    let objects = &paged(objects);
 
     let mut soa_ctx = ExecutionContext::new(Integrator::Auto);
     let mut scalar_ctx = ExecutionContext::new(Integrator::Auto);
@@ -172,7 +178,7 @@ fn objects_outside_the_expanded_query_refine_to_zero_in_every_lane() {
             let mut out = Vec::new();
             DualityEvaluator.probabilities(
                 &query,
-                &objects,
+                &paged(&objects),
                 &survivors,
                 &mut ExecutionContext::new(Integrator::Auto),
                 &mut out,
@@ -210,7 +216,7 @@ fn non_auto_integrator_falls_back_to_scalar_identically() {
     // Explicit quadrature also opts out of the SoA lanes.
     let issuer = test_issuer();
     let query = PreparedQuery::new(&issuer, RangeSpec::square(70.0));
-    let objects = uniform_objects(7);
+    let objects = paged(&uniform_objects(7));
     let survivors: Vec<u32> = (0..objects.len() as u32).collect();
     let mut a_ctx = ExecutionContext::new(Integrator::Grid { per_axis: 40 });
     let mut b_ctx = ExecutionContext::new(Integrator::Grid { per_axis: 40 });
@@ -230,8 +236,8 @@ fn dirty_scratch_reuse_is_bit_identical() {
     // still agree with the scalar reference driven through the same
     // history, and — RNG-free workload — with a fresh context.
     let issuer = test_issuer();
-    let big = mixed_objects(48);
-    let small = uniform_objects(3);
+    let big = paged(&mixed_objects(48));
+    let small = paged(&uniform_objects(3));
     let query_big = PreparedQuery::new(&issuer, RangeSpec::new(60.0, 55.0));
     let query_small = PreparedQuery::new(&issuer, RangeSpec::square(70.0));
 
@@ -300,6 +306,7 @@ fn full_pipeline_answers_identical_under_both_evaluators() {
         .map(|(k, o)| (o.region(), k as u32))
         .collect();
     let index = NaiveIndex::new(entries);
+    let objects = paged(&objects);
     let prepared = PreparedQuery::new(&issuer, range);
 
     let duality = QueryPipeline {
