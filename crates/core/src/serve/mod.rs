@@ -84,7 +84,9 @@
 
 mod sharded;
 
-pub use sharded::{CommitReport, EpochDirt, ShardServer, ShardedEngine, Snapshot, DIRT_HISTORY};
+pub use sharded::{
+    CommitReport, EpochDirt, ShardServer, ShardedEngine, Snapshot, DIRT_HISTORY, TOUCHED_CAP,
+};
 
 use iloc_geometry::Rect;
 use iloc_index::Pages;

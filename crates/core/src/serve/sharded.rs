@@ -8,6 +8,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use iloc_geometry::Rect;
+use iloc_uncertainty::ObjectId;
 
 use crate::integrate::Integrator;
 use crate::pipeline::{execute_batch, BatchEngine, ExecutionContext};
@@ -193,12 +194,14 @@ pub struct CommitReport {
     /// commit). Sums to [`CommitReport::applied`].
     pub per_shard: Vec<usize>,
     /// The merged **dirty rectangle**: the hull of every footprint
-    /// this commit touched — arrival extents, the pre-update extents
-    /// of departures, and both the old and new extents of moves.
-    /// `None` when nothing spatial changed (an empty commit, or one of
-    /// missed departures only). Subscription wake-up stabs standing
-    /// queries with this: a safe envelope disjoint from it cannot have
-    /// had its answer changed by this epoch.
+    /// this commit touched — the extent an arrival or move lands on,
+    /// and the extent a departure, a move or an arrival over a live id
+    /// replaces. `None` when nothing spatial changed (an empty commit,
+    /// or one of missed departures only). Subscription wake-up stabs
+    /// standing queries with this: a safe envelope disjoint from it
+    /// cannot have had its answer changed by this epoch. The
+    /// footprints themselves are the epoch's touched set
+    /// ([`EpochDirt::touched`]).
     pub dirty: Option<Rect>,
 }
 
@@ -224,9 +227,15 @@ impl CommitReport {
 /// server never grows the history.
 pub const DIRT_HISTORY: usize = 64;
 
+/// The most `(id, extent)` pairs one epoch's touched set holds
+/// ([`EpochDirt::touched`]); a commit that touches more records none.
+/// Two pairs a move, so a 256-update batch always fits, and the whole
+/// history stays under `DIRT_HISTORY × TOUCHED_CAP × 40` bytes.
+pub const TOUCHED_CAP: usize = 512;
+
 /// One committed epoch's spatial footprint, as remembered by the
 /// engine's bounded dirt history.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpochDirt {
     /// The epoch this commit published.
     pub epoch: u64,
@@ -234,6 +243,17 @@ pub struct EpochDirt {
     pub dirty: Option<Rect>,
     /// Updates it applied.
     pub applied: usize,
+    /// The epoch's **touched set**: every footprint `dirty` is the hull
+    /// of, with the id it belongs to, in update order — the extent an
+    /// arrival or move lands on, and the extent a departure, a move or
+    /// an arrival over a live id replaces. An id updated twice appears
+    /// once per footprint. A standing query whose envelope none of
+    /// these extents meets kept its answer through this epoch; one
+    /// they do meet need only look at the ids listed. `None` when the
+    /// commit touched more than [`TOUCHED_CAP`] footprints: everything
+    /// under `dirty` must then be taken as changed. Shared, not
+    /// copied, by every [`ShardedEngine::dirt_since`] caller.
+    pub touched: Option<Arc<[(ObjectId, Rect)]>>,
 }
 
 /// A dynamic, hash-sharded serving engine. See the
@@ -255,8 +275,10 @@ pub struct ShardedEngine<E: ServeEngine> {
     /// submit/commit cycles stop re-growing `pending` from empty (the
     /// commit path's dominant steady-state allocation).
     pending_spare: Mutex<Vec<Update<E::Object>>>,
-    /// Serializes commits (readers are never blocked by it).
-    commit_lock: Mutex<()>,
+    /// Serializes commits (readers are never blocked by it). What it
+    /// guards is the buffer a commit collects its touched set in, kept
+    /// so that only the shared copy is allocated per commit.
+    commit_lock: Mutex<Vec<(ObjectId, Rect)>>,
     /// Bounded history of the last [`DIRT_HISTORY`] commits' spatial
     /// footprints, consumed by subscription wake-up.
     recent_dirt: Mutex<VecDeque<EpochDirt>>,
@@ -299,7 +321,7 @@ impl<E: ServeEngine> ShardedEngine<E> {
             epoch: AtomicU64::new(epoch),
             pending: Mutex::new(Vec::new()),
             pending_spare: Mutex::new(Vec::new()),
-            commit_lock: Mutex::new(()),
+            commit_lock: Mutex::new(Vec::new()),
             recent_dirt: Mutex::new(VecDeque::with_capacity(DIRT_HISTORY)),
         }
     }
@@ -359,8 +381,14 @@ impl<E: ServeEngine> ShardedEngine<E> {
     /// swapped in atomically. Outstanding snapshots keep reading their
     /// own epoch. Commits serialize with each other; queries proceed
     /// throughout.
+    ///
+    /// Every extent an update replaces or lands on is looked up here
+    /// anyway, for the dirty hull; the commit also keeps them, as the
+    /// epoch's touched set ([`EpochDirt::touched`], one allocation),
+    /// so that what the epoch costs a standing query is the updates
+    /// inside its expanded query, not a re-evaluation.
     pub fn commit(&self) -> CommitReport {
-        let _serialize = self.commit_lock.lock().expect("commit lock poisoned");
+        let mut touched = self.commit_lock.lock().expect("commit lock poisoned");
         // Swap the pending buffer out against the spare (empty, but
         // capacity-retaining) one instead of `mem::take`-ing it, so
         // submit/commit cycles reuse one allocation in steady state.
@@ -380,6 +408,7 @@ impl<E: ServeEngine> ShardedEngine<E> {
                 ..CommitReport::default()
             };
         }
+        touched.clear();
         let base = self.snapshot();
         let mut report = CommitReport {
             epoch: base.epoch,
@@ -388,13 +417,36 @@ impl<E: ServeEngine> ShardedEngine<E> {
         let shard_count = base.shards.len();
         report.per_shard = vec![0; shard_count];
         let mut shards: Vec<Arc<E>> = base.shards.as_ref().clone();
+        // One footprint: into the hull always, into the touched set
+        // until it holds one pair more than it may (which is how an
+        // overflow is told apart from a full set below).
+        let mut touch = |report: &mut CommitReport, id: ObjectId, extent: Rect| {
+            report.dirty_absorb(extent);
+            if touched.len() <= TOUCHED_CAP {
+                touched.push((id, extent));
+            }
+        };
         for update in updates.drain(..) {
+            let arrival = matches!(update, Update::Arrive(_));
             match update {
-                Update::Arrive(object) => {
-                    let s = shard_of(E::object_id(&object), shard_count);
-                    report.dirty_absorb(E::bounds_of(&object));
-                    Arc::make_mut(&mut shards[s]).insert_object(object);
-                    report.arrivals += 1;
+                Update::Arrive(object) | Update::Move(object) => {
+                    let id = E::object_id(&object);
+                    let s = shard_of(id, shard_count);
+                    let shard = Arc::make_mut(&mut shards[s]);
+                    // insert_object upserts, so a move replaces the
+                    // live object, a move of an unknown id arrives and
+                    // a retried arrival moves: all three dirty where
+                    // the object was, if it was, and where it lands.
+                    if let Some(old) = shard.object_bounds(id) {
+                        touch(&mut report, id, old);
+                    }
+                    touch(&mut report, id, E::bounds_of(&object));
+                    shard.insert_object(object);
+                    if arrival {
+                        report.arrivals += 1;
+                    } else {
+                        report.moves += 1;
+                    }
                     report.per_shard[s] += 1;
                 }
                 Update::Depart(id) => {
@@ -403,28 +455,13 @@ impl<E: ServeEngine> ShardedEngine<E> {
                     let old = shard.object_bounds(id);
                     if shard.remove_object(id) {
                         if let Some(old) = old {
-                            report.dirty_absorb(old);
+                            touch(&mut report, id, old);
                         }
                         report.departures += 1;
                         report.per_shard[s] += 1;
                     } else {
                         report.missed_departures += 1;
                     }
-                }
-                Update::Move(object) => {
-                    let s = shard_of(E::object_id(&object), shard_count);
-                    let shard = Arc::make_mut(&mut shards[s]);
-                    // A move dirties both footprints: where the object
-                    // was, and where it lands.
-                    if let Some(old) = shard.object_bounds(E::object_id(&object)) {
-                        report.dirty_absorb(old);
-                    }
-                    report.dirty_absorb(E::bounds_of(&object));
-                    // insert_object upserts, so a move replaces the
-                    // live object and a move of an unknown id arrives.
-                    shard.insert_object(object);
-                    report.moves += 1;
-                    report.per_shard[s] += 1;
                 }
             }
         }
@@ -434,16 +471,18 @@ impl<E: ServeEngine> ShardedEngine<E> {
             shards: Arc::new(shards),
         };
         self.epoch.store(report.epoch, Ordering::Release);
+        let dirt = EpochDirt {
+            epoch: report.epoch,
+            dirty: report.dirty,
+            applied: report.applied(),
+            touched: (touched.len() <= TOUCHED_CAP).then(|| Arc::from(touched.as_slice())),
+        };
         {
             let mut recent = self.recent_dirt.lock().expect("dirt lock poisoned");
             if recent.len() == DIRT_HISTORY {
                 recent.pop_front();
             }
-            recent.push_back(EpochDirt {
-                epoch: report.epoch,
-                dirty: report.dirty,
-                applied: report.applied(),
-            });
+            recent.push_back(dirt);
         }
         *self.pending_spare.lock().expect("spare poisoned") = updates;
         report
@@ -456,16 +495,16 @@ impl<E: ServeEngine> ShardedEngine<E> {
     /// (a commit that has published its snapshot but not yet logged its
     /// dirt is simply not returned; the next poll picks it up).
     /// `false` means the caller fell more than [`DIRT_HISTORY`]
-    /// commits behind and must treat **everything** as dirty.
+    /// commits behind and must treat **everything** as dirty. Each
+    /// entry shares its epoch's touched set with the history (a
+    /// reference count, no copy).
     pub fn dirt_since(&self, epoch: u64, out: &mut Vec<EpochDirt>) -> bool {
         let recent = self.recent_dirt.lock().expect("dirt lock poisoned");
         let Some(first) = recent.front() else {
             // Nothing logged yet: trivially gapless, nothing returned.
             return true;
         };
-        for dirt in recent.iter().filter(|d| d.epoch > epoch) {
-            out.push(*dirt);
-        }
+        out.extend(recent.iter().filter(|d| d.epoch > epoch).cloned());
         // Gapless iff the caller's watermark reaches into (or past)
         // the retained window.
         epoch + 1 >= first.epoch
@@ -649,6 +688,83 @@ mod tests {
 
         // Empty commits report empty per-shard counts.
         assert!(sharded.commit().per_shard.is_empty());
+    }
+
+    #[test]
+    fn dirt_carries_each_epochs_touched_set() {
+        fn at(x: f64, y: f64) -> Rect {
+            Rect::from_point(Point::new(x, y))
+        }
+        let sharded: ShardedEngine<PointEngine> = ShardedEngine::build(grid_objects(10), 4);
+        // Epoch 1: an arrival, a move (old and new), a departure, a
+        // missed departure (nothing), a move of an unknown id (new
+        // only), the same id moved again (from where the batch put
+        // it), and an arrival over a live id (old and new).
+        sharded.submit_all([
+            Update::Arrive(PointObject::new(777u64, Point::new(800.0, 20.0))),
+            Update::Move(PointObject::new(0u64, Point::new(5.0, 900.0))),
+            Update::Depart(ObjectId(11)),
+            Update::Depart(ObjectId(424_242)),
+            Update::Move(PointObject::new(5_000u64, Point::new(1.0, 2.0))),
+            Update::Move(PointObject::new(0u64, Point::new(6.0, 901.0))),
+            Update::Arrive(PointObject::new(12u64, Point::new(300.0, 300.0))),
+        ]);
+        let first = sharded.commit();
+        assert_eq!((first.arrivals, first.moves, first.departures), (2, 3, 1));
+        // Epoch 2: only a missed departure.
+        sharded.submit(Update::Depart(ObjectId(424_242)));
+        let second = sharded.commit();
+        // Epoch 3: over the cap.
+        sharded.submit_all(
+            (0..=TOUCHED_CAP as u64)
+                .map(|k| Update::Arrive(PointObject::new(10_000 + k, Point::new(k as f64, 7.0)))),
+        );
+        let third = sharded.commit();
+        // Epoch 4: exactly at it (each move of a live id is two).
+        sharded.submit_all(
+            (0..TOUCHED_CAP as u64 / 2)
+                .map(|k| Update::Move(PointObject::new(10_000 + k, Point::new(k as f64, 8.0)))),
+        );
+        sharded.commit();
+
+        let mut dirt = Vec::new();
+        assert!(sharded.dirt_since(0, &mut dirt));
+        assert_eq!(dirt.len(), 4);
+        let want = [
+            (777u64, at(800.0, 20.0)),
+            (0, at(0.0, 0.0)),
+            (0, at(5.0, 900.0)),
+            (11, at(50.0, 50.0)),
+            (5_000, at(1.0, 2.0)),
+            (0, at(5.0, 900.0)),
+            (0, at(6.0, 901.0)),
+            (12, at(100.0, 50.0)),
+            (12, at(300.0, 300.0)),
+        ]
+        .map(|(id, extent)| (ObjectId(id), extent));
+        assert_eq!(dirt[0].touched.as_deref(), Some(&want[..]));
+        // The dirty rectangle is the hull of exactly these.
+        let hull = want
+            .iter()
+            .map(|&(_, extent)| extent)
+            .reduce(Rect::hull)
+            .unwrap();
+        assert_eq!((dirt[0].dirty, first.dirty), (Some(hull), Some(hull)));
+
+        assert_eq!(dirt[1].touched.as_deref(), Some(&[][..]));
+        assert_eq!((dirt[1].dirty, second.dirty), (None, None));
+
+        assert_eq!(dirt[2].touched, None);
+        assert_eq!(dirt[2].dirty, third.dirty);
+        assert_eq!(third.dirty, Some(Rect::from_coords(0.0, 7.0, 512.0, 7.0)));
+
+        assert_eq!(dirt[3].touched.as_ref().map(|t| t.len()), Some(TOUCHED_CAP));
+
+        // A second reader shares the sets, it does not copy them.
+        let mut again = Vec::new();
+        sharded.dirt_since(0, &mut again);
+        let (a, b) = (dirt[0].touched.as_ref(), again[0].touched.as_ref());
+        assert!(Arc::ptr_eq(a.unwrap(), b.unwrap()));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! subscriptions can be held server-side and only the ones a commit
 //! actually touched ever do work.
 //!
-//! ## The three ideas
+//! ## The four ideas
 //!
 //! 1. **Safe envelope as the per-subscription cache.** Each
 //!    subscription probes the index once with its expanded query grown
@@ -31,29 +31,51 @@
 //!    stabbing index (an R-tree over envelope rectangles). When a
 //!    commit publishes, its merged **dirty rectangle**
 //!    ([`CommitReport::dirty`](crate::serve::CommitReport)) stabs that
-//!    index; only the hit subscriptions rebind to the new epoch,
-//!    re-probe, and re-evaluate. Everything else does *nothing* — not
-//!    even a per-subscription check.
+//!    index; only the hit subscriptions are woken. Everything else
+//!    does *nothing* — not even a per-subscription check.
+//! 4. **A commit is applied, not re-run.** The dirty rectangle of a
+//!    spread-out batch is the whole domain, so it wakes everyone; what
+//!    it must not do is cost everyone a re-evaluation. The commit
+//!    keeps the footprints that rectangle is the hull of, with their
+//!    ids — the epoch's **touched set**
+//!    ([`EpochDirt::touched`](crate::serve::EpochDirt)) — and a woken
+//!    subscription looks up and evaluates just the touched objects
+//!    whose footprint meets its expanded query, each on its own, and
+//!    patches the outcome into its last answer: an upsert, a removal,
+//!    or nothing. That costs the updates inside the query, not its
+//!    candidates. The subscription rebinds to the new epoch without
+//!    probing; its cached candidates are stale, and the first tick
+//!    that needs them probes once.
 //!
-//! Re-evaluation produces an [`AnswerDelta`] against the last answer
+//! Either way the result is an [`AnswerDelta`] against the last answer
 //! the subscriber saw: upserted matches (new or changed probability)
 //! plus removed ids. Applying the delta to the subscriber's copy
 //! reproduces the full fresh answer **bit-identically**
 //! (`tests/subscribe.rs` pins this after every commit and tick).
 //!
-//! ## Determinism fine print
+//! ## When an answer may be patched
 //!
 //! Every emitted state is bit-identical to
-//! [`Snapshot::execute_one`] of the subscription's request against its
-//! **pinned** snapshot. For the deterministic integrators (`Auto`,
-//! `Exact`, `Grid`) a per-object probability does not depend on the
-//! candidate sequence, so an unaffected subscription's cached answer
+//! [`Snapshot::execute_one`] of the subscription's request against the
+//! snapshot it is bound to. A patch gets there without running the
+//! query because, for the deterministic integrators (`Auto`'s closed
+//! forms, `Exact`, `Grid`), a probability is a function of the query
+//! and its one object: not of the other candidates, their order, or
+//! the epoch. For the same reason an unaffected subscription's answer
 //! is also bit-identical to evaluation at the *current* epoch.
-//! `MonteCarlo` refinement consumes the per-query RNG in candidate
-//! order, and object slots are renumbered across epochs — so for MC
-//! subscriptions the bit-exact reference is the pinned epoch (the
-//! result *set* still matches the current epoch whenever the envelope
-//! stayed clean).
+//!
+//! Monte-Carlo refinement (`MonteCarlo`, or `Auto` on a pdf pair with
+//! no closed form) consumes the per-query RNG in candidate order, and
+//! object slots are renumbered across epochs; there the only bit-exact
+//! reference is the full evaluation on the bound epoch. The registry
+//! decides by the evaluation's own counter, not by a flag: a
+//! subscription is patchable while its last full evaluation read
+//! `stats.mc_samples == 0`, and a patch in which a single object's
+//! evaluation draws a sample is abandoned — the subscription
+//! re-probes and re-runs in full, as every woken one did before
+//! touched sets. So do the ones woken by an epoch too large to keep a
+//! touched set, and all of them when the registry falls behind the
+//! engine's dirt history.
 //!
 //! Constrained subscriptions are **normalized to Minkowski-sum
 //! filtering** (`CipqStrategy::MinkowskiSum` /
@@ -64,7 +86,7 @@
 
 mod registry;
 
-pub use registry::{SubId, Subscription, SubscriptionRegistry};
+pub use registry::{PumpReport, SubId, Subscription, SubscriptionRegistry};
 
 use iloc_geometry::Rect;
 use iloc_index::{AccessStats, Pages, TraversalScratch};
@@ -147,6 +169,33 @@ struct CachedPlan<'a> {
     qp: Option<f64>,
 }
 
+impl<'a> CachedPlan<'a> {
+    fn of_point(request: &'a PointRequest) -> Self {
+        CachedPlan {
+            issuer: &request.issuer,
+            range: request.range,
+            integrator: request.integrator,
+            qp: request.constraint.map(|c| c.qp),
+        }
+    }
+
+    fn of_uncertain(request: &'a UncertainRequest) -> Self {
+        CachedPlan {
+            issuer: &request.issuer,
+            range: request.range,
+            integrator: request.integrator,
+            qp: request.constraint.map(|c| c.qp),
+        }
+    }
+
+    fn accept(&self) -> AcceptPolicy {
+        match self.qp {
+            None => AcceptPolicy::Positive,
+            Some(qp) => AcceptPolicy::AtLeast(qp),
+        }
+    }
+}
+
 /// Runs the normalized continuous plan over one shard's cached
 /// candidates: Minkowski filter re-check from the cache, no pruning,
 /// duality refinement, accept by the optional threshold — the one
@@ -165,10 +214,6 @@ fn run_cached_pipeline<O>(
 {
     ctx.prepare(plan.integrator);
     let query = PreparedQuery::new(plan.issuer, plan.range);
-    let accept = match plan.qp {
-        None => AcceptPolicy::Positive,
-        Some(qp) => AcceptPolicy::AtLeast(qp),
-    };
     QueryPipeline {
         query,
         objects,
@@ -179,9 +224,40 @@ fn run_cached_pipeline<O>(
         },
         prune: PruneChain::none(),
         refine: EvaluatorKind::Duality,
-        accept,
+        accept: plan.accept(),
     }
     .execute_into(ctx, answer);
+}
+
+/// What [`run_cached_pipeline`] makes of one object on its own: the
+/// filter's membership test, the duality refinement, the plan's accept
+/// policy — `Some` exactly when the object is in the plan's answer.
+/// The probability has the pipeline's bits as long as the evaluation
+/// draws no randomness (the caller checks `ctx.stats.mc_samples`,
+/// which this only ever adds to): a closed-form or grid integral is a
+/// function of the query and the object alone.
+fn run_cached_object<O>(
+    object: Option<&O>,
+    plan: CachedPlan<'_>,
+    ctx: &mut ExecutionContext,
+) -> Option<Match>
+where
+    O: crate::pipeline::PipelineObject + EnvelopeObject,
+    EvaluatorKind: crate::pipeline::ProbabilityEvaluator<O>,
+{
+    use crate::pipeline::ProbabilityEvaluator;
+
+    let object = object?;
+    ctx.prepare(plan.integrator);
+    let query = PreparedQuery::new(plan.issuer, plan.range);
+    if !object.within(query.expanded) {
+        return None;
+    }
+    let probability = EvaluatorKind::Duality.probability(&query, object, ctx);
+    plan.accept().accepts(probability).then(|| Match {
+        id: object.object_id(),
+        probability,
+    })
 }
 
 /// A shard engine the subscription layer can hold standing queries
@@ -224,6 +300,21 @@ pub trait ContinuousEngine: ServeEngine {
         ctx: &mut ExecutionContext,
         answer: &mut QueryAnswer,
     );
+
+    /// The request's match for the one object `id` of this shard, as
+    /// [`ContinuousEngine::evaluate_cached_into`] would report it with
+    /// the object among its candidates: `None` when the id is not
+    /// live here, lies outside the filter rectangle, or fails the
+    /// request's threshold. Adds to `ctx.stats` without resetting it,
+    /// so a caller can tell from `mc_samples` whether the evaluation
+    /// sampled — only one that did not is bit-identical to the cached
+    /// pipeline's.
+    fn evaluate_object(
+        &self,
+        request: &Self::Request,
+        id: ObjectId,
+        ctx: &mut ExecutionContext,
+    ) -> Option<Match>;
 }
 
 impl ContinuousEngine for PointEngine {
@@ -260,16 +351,20 @@ impl ContinuousEngine for PointEngine {
     ) {
         run_cached_pipeline(
             self.objects(),
-            CachedPlan {
-                issuer: &request.issuer,
-                range: request.range,
-                integrator: request.integrator,
-                qp: request.constraint.map(|c| c.qp),
-            },
+            CachedPlan::of_point(request),
             cached,
             ctx,
             answer,
         );
+    }
+
+    fn evaluate_object(
+        &self,
+        request: &PointRequest,
+        id: ObjectId,
+        ctx: &mut ExecutionContext,
+    ) -> Option<Match> {
+        run_cached_object(self.find(id), CachedPlan::of_point(request), ctx)
     }
 }
 
@@ -307,16 +402,20 @@ impl ContinuousEngine for UncertainEngine {
     ) {
         run_cached_pipeline(
             self.objects(),
-            CachedPlan {
-                issuer: &request.issuer,
-                range: request.range,
-                integrator: request.integrator,
-                qp: request.constraint.map(|c| c.qp),
-            },
+            CachedPlan::of_uncertain(request),
             cached,
             ctx,
             answer,
         );
+    }
+
+    fn evaluate_object(
+        &self,
+        request: &UncertainRequest,
+        id: ObjectId,
+        ctx: &mut ExecutionContext,
+    ) -> Option<Match> {
+        run_cached_object(self.find(id), CachedPlan::of_uncertain(request), ctx)
     }
 }
 
@@ -379,6 +478,15 @@ impl AnswerDelta {
         out.upserts.extend_from_slice(&next[j..]);
     }
 
+    /// Merges in `other`, the delta of the same standing query over a
+    /// disjoint set of ids (another node's share of the catalog): both
+    /// lists stay id-sorted, as concatenating and sorting would leave
+    /// them. In place, from the back; allocation-free once warm.
+    pub fn absorb(&mut self, other: &AnswerDelta) {
+        merge_sorted_into(&mut self.upserts, &other.upserts, |m| m.id);
+        merge_sorted_into(&mut self.removals, &other.removals, |&id| id);
+    }
+
     /// Applies the delta to an id-sorted match list in place
     /// (the subscriber-side half of the delta contract).
     pub fn apply(&self, results: &mut Vec<Match>) {
@@ -415,6 +523,23 @@ impl AnswerDelta {
                 results.push(p);
             }
         }
+    }
+}
+
+/// Merges the sorted `run` into the sorted `into`, filling the grown
+/// vector from its end so nothing is overwritten before it is read.
+fn merge_sorted_into<T: Copy, K: Ord>(into: &mut Vec<T>, run: &[T], key: impl Fn(&T) -> K) {
+    let mut unread = into.len();
+    into.extend_from_slice(run);
+    let mut at = into.len();
+    for item in run.iter().rev() {
+        while unread > 0 && key(&into[unread - 1]) > key(item) {
+            unread -= 1;
+            at -= 1;
+            into[at] = into[unread];
+        }
+        at -= 1;
+        into[at] = *item;
     }
 }
 
@@ -493,6 +618,32 @@ mod tests {
             AnswerDelta::diff_into(&next, &next, &mut delta);
             assert!(delta.is_empty());
         }
+    }
+
+    #[test]
+    fn absorbing_disjoint_deltas_equals_concatenate_and_sort() {
+        // Four "nodes" with disjoint ids, some runs empty.
+        let part = |upserts: &[(u64, f64)], removals: &[u64]| AnswerDelta {
+            upserts: matches(upserts),
+            removals: removals.iter().map(|&id| ObjectId(id)).collect(),
+        };
+        let parts = [
+            part(&[(3, 0.3), (9, 0.9), (12, 0.1)], &[5, 40]),
+            part(&[], &[1]),
+            part(&[(1, 0.1), (2, 0.2), (30, 0.5)], &[]),
+            part(&[(0, 0.7), (31, 0.2)], &[2, 6, 41]),
+        ];
+        let mut merged = AnswerDelta::new();
+        let mut want = AnswerDelta::new();
+        for part in &parts {
+            merged.absorb(part);
+            want.upserts.extend_from_slice(&part.upserts);
+            want.removals.extend_from_slice(&part.removals);
+        }
+        want.upserts.sort_by_key(|m| m.id);
+        want.removals.sort_unstable();
+        assert_eq!(merged, want);
+        assert_eq!(merged.upserts.len(), 8);
     }
 
     #[test]

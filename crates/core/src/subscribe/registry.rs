@@ -5,12 +5,13 @@ use std::collections::HashMap;
 
 use iloc_geometry::Rect;
 use iloc_index::{AccessStats, RTree, RTreeParams, RangeIndex};
-use iloc_uncertainty::PdfKind;
+use iloc_uncertainty::{ObjectId, PdfKind};
 
 use crate::integrate::Integrator;
 use crate::pipeline::ExecutionContext;
 use crate::result::{Match, QueryAnswer};
-use crate::serve::{EpochDirt, ShardedEngine, Snapshot};
+use crate::serve::{shard_of, EpochDirt, ShardedEngine, Snapshot};
+use crate::stats::QueryStats;
 
 use super::{eval_from_cache, AnswerDelta, ContinuousEngine};
 
@@ -30,8 +31,19 @@ pub struct Subscription<E: ContinuousEngine> {
     snapshot: Snapshot<E>,
     envelope: Rect,
     /// Slot-sorted envelope candidates, one list per shard of the
-    /// pinned snapshot (inner buffers reused across re-probes).
+    /// snapshot they were probed from (inner buffers reused across
+    /// re-probes).
     cached: Vec<Vec<u32>>,
+    /// `true` once the pump has carried the answer to a newer epoch
+    /// by patching it instead of re-probing: `cached` lists slots of
+    /// an epoch older than `snapshot`, and the next evaluation that
+    /// needs candidates probes for them first.
+    stale: bool,
+    /// Whether the last full evaluation drew no Monte-Carlo sample —
+    /// the condition under which every probability in `last` is a
+    /// function of the request and its object alone, so the pump may
+    /// patch the answer object by object (see the module docs).
+    patchable: bool,
     /// The last answer delivered (id-sorted): the base every delta is
     /// computed against.
     last: Vec<Match>,
@@ -52,7 +64,10 @@ impl<E: ContinuousEngine> Subscription<E> {
         self.envelope
     }
 
-    /// The epoch of the pinned snapshot the state reflects.
+    /// The epoch the state reflects: that of the snapshot the answer
+    /// was last evaluated on in full or patched up to. Older than the
+    /// engine's for as long as no commit's dirty rectangle has reached
+    /// the envelope — the answer is the current epoch's all the same.
     pub fn epoch(&self) -> u64 {
         self.snapshot.epoch()
     }
@@ -94,19 +109,143 @@ impl<E: ContinuousEngine> Subscription<E> {
             // candidate sort to its linear pre-check.
             cached.sort_unstable();
         }
+        self.stale = false;
         self.probes += 1;
+    }
+
+    /// The full evaluation: the cached candidates through the pipeline
+    /// on the pinned snapshot, the answer left in `buffers.fresh`.
+    fn evaluate(&mut self, buffers: &mut Buffers) {
+        debug_assert!(!self.stale, "evaluating from candidates of another epoch");
+        eval_from_cache(
+            &self.snapshot,
+            &self.request,
+            &self.cached,
+            &mut buffers.ctx,
+            &mut buffers.partials,
+            &mut buffers.fresh,
+        );
+        self.patchable = buffers.fresh.stats.mc_samples == 0;
+    }
+
+    /// Replaces the delivered answer with `buffers.fresh`, leaving the
+    /// difference in `buffers.delta`.
+    fn deliver(&mut self, buffers: &mut Buffers) {
+        AnswerDelta::diff_into(&self.last, &buffers.fresh.results, &mut buffers.delta);
+        if !buffers.delta.is_empty() {
+            self.last.clear();
+            self.last.extend_from_slice(&buffers.fresh.results);
+        }
+    }
+
+    /// Applies the epochs of `dirt` past the bound one to the delivered
+    /// answer without re-running the query: every touched id whose
+    /// footprint meets the filter rectangle is looked up in `current`
+    /// and evaluated on its own, and the outcome becomes an upsert, a
+    /// removal or nothing. `buffers.delta` and `last` end up as the
+    /// full evaluation on `current` and its diff would leave them, and
+    /// the subscription is rebound to `current` — which is all that
+    /// happens when no footprint meets the rectangle. Returns how
+    /// many objects were evaluated, or `None` with the subscription as
+    /// it was when the answer cannot be had this way: an epoch kept no
+    /// touched set, or an evaluation sampled.
+    ///
+    /// The candidates are not looked at and come out stale. (When
+    /// nothing touched the envelope they would still be right, for the
+    /// old snapshot. Staying bound to that to keep them holds every
+    /// page later commits replace: with 64 standing queries beside
+    /// 256-update commits, 2–5 MB for the few behind at any time.
+    /// Letting go costs a subscription that ticks one probe.)
+    fn patch(
+        &mut self,
+        current: &Snapshot<E>,
+        dirt: &[EpochDirt],
+        buffers: &mut Buffers,
+    ) -> Option<usize> {
+        let Buffers {
+            ctx,
+            fresh,
+            delta,
+            ids,
+            ..
+        } = buffers;
+        delta.clear();
+        ids.clear();
+        let filter = E::filter_rect(&self.request);
+        for epoch in dirt.iter().filter(|d| d.epoch > self.snapshot.epoch()) {
+            for &(id, extent) in epoch.touched.as_deref()? {
+                if filter.overlaps(extent) {
+                    ids.push(id);
+                }
+            }
+        }
+        ids.sort_unstable();
+        ids.dedup();
+
+        // One merge of `last` with the evaluated ids into the scratch
+        // answer; `last` is overwritten only once nothing has sampled.
+        let next = &mut fresh.results;
+        next.clear();
+        ctx.stats = QueryStats::new();
+        let shards = current.shards();
+        let mut rest = self.last.as_slice();
+        for &id in ids.iter() {
+            let (before, from) = rest.split_at(rest.partition_point(|m| m.id < id));
+            next.extend_from_slice(before);
+            let was = from.first().filter(|m| m.id == id);
+            rest = &from[was.is_some() as usize..];
+            let now = shards[shard_of(id, shards.len())].evaluate_object(&self.request, id, ctx);
+            match (was, now) {
+                (_, Some(now)) => {
+                    next.push(now);
+                    if was.is_none_or(|m| m.probability.to_bits() != now.probability.to_bits()) {
+                        delta.upserts.push(now);
+                    }
+                }
+                (Some(_), None) => delta.removals.push(id),
+                (None, None) => {}
+            }
+        }
+        if ctx.stats.mc_samples != 0 {
+            return None;
+        }
+        if !delta.is_empty() {
+            next.extend_from_slice(rest);
+            self.last.clear();
+            self.last.extend_from_slice(next);
+        }
+        self.snapshot = current.clone();
+        self.stale = true;
+        Some(ids.len())
     }
 }
 
 /// What one [`SubscriptionRegistry::pump`] did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PumpReport {
-    /// Subscriptions re-evaluated (their envelope intersected the
-    /// dirty region, or the registry fell behind the dirt history).
+    /// Subscriptions woken: their envelope intersected a new epoch's
+    /// dirty rectangle, or the registry fell behind the dirt history.
     pub woken: usize,
     /// Deltas emitted (woken subscriptions whose answer actually
     /// changed).
     pub notified: usize,
+    /// Woken subscriptions served from the epochs' touched sets, their
+    /// answer patched object by object. `woken - patched` re-ran the
+    /// query in full.
+    pub patched: usize,
+    /// Single objects the patches looked up and evaluated.
+    pub objects_evaluated: usize,
+}
+
+/// The registry's reusable evaluation state, apart from the
+/// subscriptions so that one of those can be borrowed beside it.
+struct Buffers {
+    ctx: ExecutionContext,
+    partials: Vec<QueryAnswer>,
+    fresh: QueryAnswer,
+    delta: AnswerDelta,
+    /// The touched ids one patch evaluates.
+    ids: Vec<ObjectId>,
 }
 
 /// A registry of standing continuous queries over one
@@ -118,8 +257,8 @@ pub struct PumpReport {
 /// the envelope, no intervening commit — performs **zero index probes
 /// and zero heap allocations**. Envelope rectangles live in an R-tree
 /// stabbing index; [`pump`](SubscriptionRegistry::pump) stabs it with
-/// the dirty rectangles of newly committed epochs and re-evaluates
-/// only the hits.
+/// the dirty rectangles of newly committed epochs and applies those
+/// epochs' touched sets to the hits, equally without allocating.
 ///
 /// A registry serves one consumer (the network layer keeps one per
 /// connection); it is `Send` but not shared.
@@ -133,10 +272,7 @@ pub struct SubscriptionRegistry<E: ContinuousEngine> {
     /// Epochs whose dirt has been fully processed.
     seen_epoch: u64,
     live: usize,
-    ctx: ExecutionContext,
-    partials: Vec<QueryAnswer>,
-    fresh: QueryAnswer,
-    delta: AnswerDelta,
+    buffers: Buffers,
     dirt: Vec<EpochDirt>,
     stab: Vec<u32>,
 }
@@ -144,6 +280,24 @@ pub struct SubscriptionRegistry<E: ContinuousEngine> {
 impl<E: ContinuousEngine> Default for SubscriptionRegistry<E> {
     fn default() -> Self {
         SubscriptionRegistry::new()
+    }
+}
+
+/// Re-probes `sub` on `snapshot`; the envelope re-centers on wherever
+/// the issuer has drifted to, and the stab index follows.
+fn reprobe_and_restab<E: ContinuousEngine>(
+    sub: &mut Subscription<E>,
+    slot: u32,
+    snapshot: &Snapshot<E>,
+    envelopes: &mut RTree<u32>,
+    ctx: &mut ExecutionContext,
+) {
+    let old = sub.envelope;
+    sub.reprobe(snapshot, ctx);
+    if sub.envelope != old {
+        let removed = envelopes.remove(old, slot);
+        debug_assert!(removed, "stab index out of sync");
+        envelopes.insert(sub.envelope, slot);
     }
 }
 
@@ -158,10 +312,13 @@ impl<E: ContinuousEngine> SubscriptionRegistry<E> {
             next_id: 1,
             seen_epoch: 0,
             live: 0,
-            ctx: ExecutionContext::new(Integrator::Auto),
-            partials: Vec::new(),
-            fresh: QueryAnswer::default(),
-            delta: AnswerDelta::new(),
+            buffers: Buffers {
+                ctx: ExecutionContext::new(Integrator::Auto),
+                partials: Vec::new(),
+                fresh: QueryAnswer::default(),
+                delta: AnswerDelta::new(),
+                ids: Vec::new(),
+            },
             dirt: Vec::new(),
             stab: Vec::new(),
         }
@@ -238,21 +395,17 @@ impl<E: ContinuousEngine> SubscriptionRegistry<E> {
             snapshot: snapshot.clone(),
             envelope: Rect::EMPTY,
             cached: Vec::new(),
+            stale: true,
+            patchable: false,
             last: Vec::new(),
             probes: 0,
             cache_hits: 0,
         };
-        sub.reprobe(&snapshot, &mut self.ctx);
-        eval_from_cache(
-            &snapshot,
-            &sub.request,
-            &sub.cached,
-            &mut self.ctx,
-            &mut self.partials,
-            &mut self.fresh,
-        );
-        sub.last.extend_from_slice(&self.fresh.results);
+        sub.reprobe(&snapshot, &mut self.buffers.ctx);
+        sub.evaluate(&mut self.buffers);
+        sub.last.extend_from_slice(&self.buffers.fresh.results);
 
+        let envelope = sub.envelope;
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.subs[slot as usize] = Some(sub);
@@ -263,10 +416,6 @@ impl<E: ContinuousEngine> SubscriptionRegistry<E> {
                 (self.subs.len() - 1) as u32
             }
         };
-        let envelope = self.subs[slot as usize]
-            .as_ref()
-            .expect("just stored")
-            .envelope;
         self.envelopes.insert(envelope, slot);
         self.by_id.insert(id, slot);
         self.live += 1;
@@ -304,9 +453,11 @@ impl<E: ContinuousEngine> SubscriptionRegistry<E> {
     ///
     /// A tick whose expanded query stays inside the safe envelope is
     /// served entirely from the cached candidates of the pinned
-    /// snapshot — zero index probes, zero heap allocations once warm.
-    /// Motion past the envelope rebinds to the engine's current epoch
-    /// and re-probes.
+    /// snapshot — zero index probes, zero heap allocations once warm —
+    /// unless a pump has woken the subscription since they were
+    /// probed: it patched the answer and left them stale, and the
+    /// first tick after it probes once. So does motion past the
+    /// envelope. Either rebinds to the engine's current epoch.
     pub fn tick(
         &mut self,
         engine: &ShardedEngine<E>,
@@ -317,37 +468,44 @@ impl<E: ContinuousEngine> SubscriptionRegistry<E> {
         let sub = self.subs[slot as usize].as_mut().expect("live slot");
         E::set_issuer_pdf(&mut sub.request, pdf);
         let expanded = E::filter_rect(&sub.request);
-        if sub.envelope.contains_rect(expanded) {
+        if !sub.stale && sub.envelope.contains_rect(expanded) {
             sub.cache_hits += 1;
         } else {
-            let old = sub.envelope;
-            sub.reprobe(&engine.snapshot(), &mut self.ctx);
-            let removed = self.envelopes.remove(old, slot);
-            debug_assert!(removed, "stab index out of sync");
-            self.envelopes.insert(sub.envelope, slot);
+            reprobe_and_restab(
+                sub,
+                slot,
+                &engine.snapshot(),
+                &mut self.envelopes,
+                &mut self.buffers.ctx,
+            );
         }
-        eval_from_cache(
-            &sub.snapshot,
-            &sub.request,
-            &sub.cached,
-            &mut self.ctx,
-            &mut self.partials,
-            &mut self.fresh,
-        );
-        AnswerDelta::diff_into(&sub.last, &self.fresh.results, &mut self.delta);
-        sub.last.clear();
-        sub.last.extend_from_slice(&self.fresh.results);
-        Some((sub.snapshot.epoch(), &self.delta))
+        sub.evaluate(&mut self.buffers);
+        sub.deliver(&mut self.buffers);
+        Some((sub.snapshot.epoch(), &self.buffers.delta))
     }
 
-    /// Processes every epoch committed since the last pump: the merged
-    /// dirty rectangle stabs the envelope index, the hit subscriptions
-    /// rebind to the current epoch and re-evaluate, and `emit` is
-    /// called with `(id, epoch, delta)` for each one whose answer
-    /// changed. Subscriptions the dirt missed do **no work at all**.
+    /// Processes every epoch committed since the last pump, calling
+    /// `emit` with `(id, epoch, delta)` for each subscription whose
+    /// answer changed. Each epoch's dirty rectangle stabs the envelope
+    /// index; subscriptions it misses do **no work at all**. A hit
+    /// subscription is **patched** from the epochs' touched sets
+    /// ([`EpochDirt::touched`]): each touched object whose footprint
+    /// meets the filter rectangle is looked up in the current epoch
+    /// and evaluated on its own, which costs the updates inside the
+    /// expanded query, not its candidates. The subscription rebinds to
+    /// the current epoch with its candidates marked stale (the next
+    /// tick probes for them).
+    ///
+    /// The delta and the delivered answer are bit for bit those of the
+    /// full re-evaluation, which is what runs instead — re-probe,
+    /// pipeline, diff, the code `tick` runs — where a patch cannot
+    /// have them: a subscription whose last full evaluation drew
+    /// Monte-Carlo samples, a patch in which a single evaluation does,
+    /// an epoch over [`TOUCHED_CAP`](crate::serve::TOUCHED_CAP), and a
+    /// pump racing a commit whose dirt is not logged yet.
     ///
     /// Falling more than the engine's dirt history behind degrades
-    /// gracefully: every subscription is re-evaluated.
+    /// gracefully: every subscription is re-evaluated in full.
     pub fn pump(
         &mut self,
         engine: &ShardedEngine<E>,
@@ -392,7 +550,7 @@ impl<E: ContinuousEngine> SubscriptionRegistry<E> {
                     self.envelopes.query_range_scratch(
                         d,
                         &mut stats,
-                        &mut self.ctx.scratch.traversal,
+                        &mut self.buffers.ctx.scratch.traversal,
                         &mut stab,
                     );
                 }
@@ -411,6 +569,11 @@ impl<E: ContinuousEngine> SubscriptionRegistry<E> {
             );
             current.epoch()
         };
+        // A patch reads objects from `current` and what changed from
+        // the dirt, so the two must end at the same epoch: one that
+        // has published but not logged its dirt yet would leave the
+        // subscription bound to an epoch only partly applied to it.
+        let dirt_complete = gapless && current.epoch() == covered;
 
         for &slot in &stab {
             let Some(sub) = self.subs[slot as usize].as_mut() else {
@@ -422,32 +585,36 @@ impl<E: ContinuousEngine> SubscriptionRegistry<E> {
                 continue;
             }
             report.woken += 1;
-            let old_envelope = sub.envelope;
-            sub.reprobe(&current, &mut self.ctx);
-            if sub.envelope != old_envelope {
-                // The envelope re-centers on wherever the issuer has
-                // drifted to; the stab index must follow.
-                let removed = self.envelopes.remove(old_envelope, slot);
-                debug_assert!(removed, "stab index out of sync");
-                self.envelopes.insert(sub.envelope, slot);
+            let patched = if dirt_complete && sub.patchable {
+                sub.patch(&current, &self.dirt, &mut self.buffers)
+            } else {
+                None
+            };
+            match patched {
+                Some(evaluated) => {
+                    report.patched += 1;
+                    report.objects_evaluated += evaluated;
+                }
+                None => {
+                    reprobe_and_restab(
+                        sub,
+                        slot,
+                        &current,
+                        &mut self.envelopes,
+                        &mut self.buffers.ctx,
+                    );
+                    sub.evaluate(&mut self.buffers);
+                    sub.deliver(&mut self.buffers);
+                }
             }
-            eval_from_cache(
-                &current,
-                &sub.request,
-                &sub.cached,
-                &mut self.ctx,
-                &mut self.partials,
-                &mut self.fresh,
-            );
-            AnswerDelta::diff_into(&sub.last, &self.fresh.results, &mut self.delta);
-            if !self.delta.is_empty() {
-                sub.last.clear();
-                sub.last.extend_from_slice(&self.fresh.results);
+            if !self.buffers.delta.is_empty() {
                 report.notified += 1;
-                emit(sub.id, current.epoch(), &self.delta);
+                emit(sub.id, current.epoch(), &self.buffers.delta);
             }
         }
         self.stab = stab;
+        // The touched sets are the engine's; keep none past its history.
+        self.dirt.clear();
         self.seen_epoch = covered;
         report
     }
@@ -482,20 +649,27 @@ mod tests {
         )
     }
 
+    fn assert_matches_fresh(
+        engine: &ShardedEngine<PointEngine>,
+        registry: &SubscriptionRegistry<PointEngine>,
+        id: SubId,
+    ) {
+        let sub = registry.get(id).unwrap();
+        let want = engine.snapshot().execute_one(sub.request());
+        assert_eq!(sub.last_answer().len(), want.results.len());
+        for (a, b) in sub.last_answer().iter().zip(&want.results) {
+            assert_eq!(a.id, b.id);
+            assert_eq!(a.probability.to_bits(), b.probability.to_bits());
+        }
+    }
+
     #[test]
     fn subscribe_answers_match_snapshot_execution() {
         let engine = engine(4);
         let mut registry: SubscriptionRegistry<PointEngine> = SubscriptionRegistry::new();
-        let request = request_at(500.0, 500.0);
-        let id = registry.subscribe(&engine, request.clone(), 100.0);
-        let want = engine.snapshot().execute_one(&request);
-        assert!(!want.results.is_empty());
-        let got = registry.get(id).unwrap().last_answer();
-        assert_eq!(got.len(), want.results.len());
-        for (a, b) in got.iter().zip(&want.results) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.probability.to_bits(), b.probability.to_bits());
-        }
+        let id = registry.subscribe(&engine, request_at(500.0, 500.0), 100.0);
+        assert!(!registry.get(id).unwrap().last_answer().is_empty());
+        assert_matches_fresh(&engine, &registry, id);
     }
 
     #[test]
@@ -580,14 +754,33 @@ mod tests {
         engine.submit(Update::Depart(ObjectId(399))); // (950, 950)
         engine.commit();
 
-        let report = registry.pump(&engine, |_, _, _| {});
+        let mut emitted = Vec::new();
+        let report = registry.pump(&engine, |id, epoch, delta| {
+            emitted.push((id, epoch, delta.clone()));
+        });
         assert_eq!(report.woken, 1, "only the corner subscription wakes");
         assert_eq!(
             registry.get(middle).unwrap().probes(),
             probes_before,
             "the middle subscription must not be woken by the hull of two corner commits"
         );
-        assert!(registry.get(corner).unwrap().probes() > 1);
+        // Waking is no probe any more: the corner's answer is patched
+        // from epoch 1's touched set — one object looked up, gone.
+        assert_eq!(
+            report,
+            PumpReport {
+                woken: 1,
+                notified: 1,
+                patched: 1,
+                objects_evaluated: 1,
+            }
+        );
+        assert_eq!(emitted.len(), 1);
+        let (id, epoch, delta) = &emitted[0];
+        assert_eq!((*id, *epoch), (corner, 2));
+        assert!(delta.upserts.is_empty());
+        assert_eq!(delta.removals, vec![ObjectId(0)]);
+        assert_eq!(registry.get(corner).unwrap().epoch(), 2);
         assert_eq!(registry.seen_epoch(), 2);
     }
 
@@ -610,6 +803,124 @@ mod tests {
         assert!(registry
             .tick(&engine, a, request_at(0.0, 0.0).issuer.pdf().clone())
             .is_none());
+    }
+
+    #[test]
+    fn a_patched_subscription_probes_once_on_its_next_tick() {
+        let engine = engine(2);
+        let mut registry: SubscriptionRegistry<PointEngine> = SubscriptionRegistry::new();
+        let request = request_at(500.0, 500.0);
+        let id = registry.subscribe(&engine, request.clone(), 100.0);
+
+        // Inside the envelope, outside the filter rectangle: nothing to
+        // evaluate, nothing to emit, but the candidates are stale.
+        engine.submit(Update::Arrive(PointObject::new(
+            9_000u64,
+            Point::new(690.0, 500.0),
+        )));
+        engine.commit();
+        let report = registry.pump(&engine, |_, _, _| panic!("the answer did not change"));
+        assert_eq!((report.woken, report.patched), (1, 1));
+        assert_eq!(report.objects_evaluated, 0);
+        assert_eq!(registry.get(id).unwrap().epoch(), 1);
+        assert_eq!(registry.get(id).unwrap().probes(), 1);
+
+        // The tick that needs them probes once, and sees the arrival
+        // when the query moves over it.
+        let moved = request_at(600.0, 500.0);
+        let (_, delta) = registry
+            .tick(&engine, id, moved.issuer.pdf().clone())
+            .unwrap();
+        assert!(delta.upserts.iter().any(|m| m.id == ObjectId(9_000)));
+        assert_eq!(registry.get(id).unwrap().probes(), 2);
+        assert_matches_fresh(&engine, &registry, id);
+        for _ in 0..5 {
+            registry
+                .tick(&engine, id, moved.issuer.pdf().clone())
+                .unwrap();
+        }
+        let sub = registry.get(id).unwrap();
+        assert_eq!((sub.probes(), sub.cache_hits()), (2, 5));
+    }
+
+    #[test]
+    fn a_hull_hit_with_nothing_near_the_query_costs_no_evaluation() {
+        let engine = engine(2);
+        let mut registry: SubscriptionRegistry<PointEngine> = SubscriptionRegistry::new();
+        let id = registry.subscribe(&engine, request_at(500.0, 500.0), 50.0);
+        // Two corners in one batch: the hull is the domain.
+        engine.submit(Update::Depart(ObjectId(0)));
+        engine.submit(Update::Depart(ObjectId(399)));
+        engine.commit();
+        let report = registry.pump(&engine, |_, _, _| panic!("nothing changed"));
+        assert_eq!(
+            report,
+            PumpReport {
+                woken: 1,
+                notified: 0,
+                patched: 1,
+                objects_evaluated: 0,
+            }
+        );
+        // Rebound, so the old epoch's pages are let go.
+        let sub = registry.get(id).unwrap();
+        assert_eq!((sub.epoch(), sub.probes()), (1, 1));
+        assert_matches_fresh(&engine, &registry, id);
+    }
+
+    #[test]
+    fn the_full_path_runs_only_where_a_patch_cannot_have_the_answer() {
+        use crate::serve::{DIRT_HISTORY, TOUCHED_CAP};
+
+        let engine = engine(4);
+        let mut registry: SubscriptionRegistry<PointEngine> = SubscriptionRegistry::new();
+        let exact = registry.subscribe(&engine, request_at(500.0, 500.0), 60.0);
+        let mut sampled = request_at(500.0, 500.0);
+        sampled.integrator = Integrator::MonteCarlo { samples: 50 };
+        let sampled = registry.subscribe(&engine, sampled, 60.0);
+        let mut next_id = 10_000u64;
+        let mut arrive_near = |n: usize| {
+            for _ in 0..n {
+                engine.submit(Update::Arrive(PointObject::new(
+                    next_id,
+                    Point::new(480.0 + (next_id % 40) as f64, 510.0),
+                )));
+                next_id += 1;
+            }
+            engine.commit();
+        };
+
+        // A sampling subscription always re-runs.
+        arrive_near(3);
+        let report = registry.pump(&engine, |_, _, _| {});
+        assert_eq!((report.woken, report.patched, report.notified), (2, 1, 2));
+        assert_eq!(report.objects_evaluated, 3);
+        assert_eq!(registry.get(exact).unwrap().probes(), 1);
+        assert_eq!(registry.get(sampled).unwrap().probes(), 2);
+        assert!(registry.unsubscribe(sampled));
+
+        // An epoch over the cap keeps no touched set.
+        arrive_near(TOUCHED_CAP + 1);
+        let report = registry.pump(&engine, |_, _, _| {});
+        assert_eq!((report.woken, report.patched), (1, 0));
+        assert_eq!(registry.get(exact).unwrap().probes(), 2);
+        assert_matches_fresh(&engine, &registry, exact);
+
+        // One at the cap does.
+        arrive_near(TOUCHED_CAP);
+        let report = registry.pump(&engine, |_, _, _| {});
+        assert_eq!((report.woken, report.patched), (1, 1));
+        assert_eq!(report.objects_evaluated, TOUCHED_CAP);
+        assert_matches_fresh(&engine, &registry, exact);
+
+        // Behind the dirt history everything re-runs.
+        for _ in 0..DIRT_HISTORY + 1 {
+            arrive_near(1);
+        }
+        let report = registry.pump(&engine, |_, _, _| {});
+        assert_eq!((report.woken, report.patched), (1, 0));
+        assert_eq!(registry.get(exact).unwrap().probes(), 3);
+        assert_matches_fresh(&engine, &registry, exact);
     }
 
     #[test]

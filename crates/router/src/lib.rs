@@ -77,7 +77,7 @@ use std::time::{Duration, Instant};
 
 use iloc_core::serve::{shard_of, CommitReport, Update};
 use iloc_core::subscribe::AnswerDelta;
-use iloc_core::{merge_partials_into, sort_matches, QueryAnswer};
+use iloc_core::{merge_partials_into, QueryAnswer};
 use iloc_server::client::{Client, ClientError};
 use iloc_server::conn::{self, ConnId, Core, Handler, Remote};
 use iloc_server::poll::{self, Interest, Poller};
@@ -143,11 +143,14 @@ struct NodeState {
 }
 
 /// One standing query as the router tracks it: the node-assigned ids
-/// (index = node), and the downstream connection that owns it.
+/// (index = node), the downstream connection that owns it, and the
+/// delta the current commit's per-node NOTIFYs merge into (empty
+/// between commits; capacity kept).
 struct SubEntry {
     target: CommitTarget,
     node_ids: Vec<u64>,
     owner_conn: ConnId,
+    delta: AnswerDelta,
 }
 
 /// The serialized write plane: one upstream client per node carrying
@@ -169,7 +172,8 @@ struct WritePlane {
     updates: Vec<WireUpdate>,
     node_batches: Vec<Vec<WireUpdate>>,
     reports: Vec<CommitReport>,
-    deltas: HashMap<u64, AnswerDelta>,
+    /// Router ids of the subscriptions a commit's NOTIFYs reached.
+    notified: Vec<u64>,
     tick_delta: AnswerDelta,
     note: Notification,
     /// One SUB_ACK answer per node, fanned into `sub_merged`.
@@ -356,7 +360,7 @@ impl Router {
                 updates: Vec::new(),
                 node_batches: (0..n).map(|_| Vec::new()).collect(),
                 reports: Vec::new(),
-                deltas: HashMap::new(),
+                notified: Vec::new(),
                 tick_delta: AnswerDelta::default(),
                 note: Notification::default(),
                 sub_partials: (0..n).map(|_| QueryAnswer::default()).collect(),
@@ -829,6 +833,7 @@ impl RouterHandler {
                 target,
                 node_ids: acks,
                 owner_conn,
+                delta: AnswerDelta::new(),
             },
         );
         let epoch = self.shared.epochs[cat].load(Ordering::SeqCst);
@@ -914,8 +919,7 @@ impl RouterHandler {
             wire_error(out, WireError::Malformed("unknown subscription id"));
             return;
         }
-        wp.tick_delta.upserts.clear();
-        wp.tick_delta.removals.clear();
+        wp.tick_delta.clear();
         let n = wp.clients.len();
         let mut fail: Option<(ErrorCode, String)> = None;
         for i in 0..n {
@@ -924,12 +928,7 @@ impl RouterHandler {
             match wp.clients[i].tick_into(target, sid, &pdf, &mut wp.note) {
                 Ok(()) => {
                     self.shared.nodes[i].merged.fetch_add(1, Ordering::Relaxed);
-                    wp.tick_delta
-                        .upserts
-                        .extend_from_slice(&wp.note.delta.upserts);
-                    wp.tick_delta
-                        .removals
-                        .extend_from_slice(&wp.note.delta.removals);
+                    wp.tick_delta.absorb(&wp.note.delta);
                 }
                 Err(e) => {
                     let code = match &e {
@@ -952,8 +951,6 @@ impl RouterHandler {
             protocol::encode_error(out, code, &message);
             return;
         }
-        sort_matches(&mut wp.tick_delta.upserts);
-        wp.tick_delta.removals.sort_unstable();
         let epoch = self.shared.epochs[cat].load(Ordering::SeqCst);
         protocol::encode_notify(out, target, rsub, epoch, NotifyCause::Tick, &wp.tick_delta);
     }
@@ -1035,12 +1032,13 @@ impl RouterHandler {
 }
 
 /// Collects the commit's pushed deltas from every node behind a PING
-/// barrier, merges them per router subscription (disjoint id
-/// partitions: concatenate, sort), stamps the cluster epoch, and
-/// deposits one NOTIFY per touched subscription with the owner's loop
-/// — all *before* the caller writes its COMMIT_DONE, so a
-/// subscriber never observes an acknowledged commit without its delta
-/// en route. Returns an error message if a node could not be drained.
+/// barrier, merges them per router subscription (per-node deltas are
+/// id-sorted runs over disjoint id partitions, merged as they are
+/// drained), stamps the cluster epoch, and deposits one NOTIFY per
+/// touched subscription with the owner's loop — all *before* the
+/// caller writes its COMMIT_DONE, so a subscriber never observes an
+/// acknowledged commit without its delta en route. Returns an error
+/// message if a node could not be drained.
 fn gather_deltas(
     wp: &mut WritePlane,
     shared: &Shared,
@@ -1057,7 +1055,7 @@ fn gather_deltas(
             return Some(format!("collecting deltas from node {i} failed: {e}"));
         }
     }
-    wp.deltas.clear();
+    wp.notified.clear();
     let tag = cat_of(target) as u8;
     for i in 0..n {
         while let Some(note) = wp.clients[i].take_notification() {
@@ -1067,28 +1065,28 @@ fn gather_deltas(
             let Some(&rsub) = wp.by_node.get(&(i, tag, note.sub_id)) else {
                 continue;
             };
-            let slot = wp.deltas.entry(rsub).or_default();
-            slot.upserts.extend_from_slice(&note.delta.upserts);
-            slot.removals.extend_from_slice(&note.delta.removals);
+            let Some(entry) = wp.subs.get_mut(&rsub) else {
+                continue;
+            };
+            entry.delta.absorb(&note.delta);
+            wp.notified.push(rsub);
         }
     }
     // Deterministic delivery order across subscriptions.
-    let mut touched: Vec<u64> = wp.deltas.keys().copied().collect();
-    touched.sort_unstable();
-    for rsub in touched {
-        let mut delta = wp.deltas.remove(&rsub).expect("key listed");
-        sort_matches(&mut delta.upserts);
-        delta.removals.sort_unstable();
-        let entry = &wp.subs[&rsub];
+    wp.notified.sort_unstable();
+    wp.notified.dedup();
+    for rsub in &wp.notified {
+        let entry = wp.subs.get_mut(rsub).expect("listed above");
         let mut push = Vec::new();
         protocol::encode_notify(
             &mut push,
             entry.target,
-            rsub,
+            *rsub,
             epoch,
             NotifyCause::Commit,
-            &delta,
+            &entry.delta,
         );
+        entry.delta.clear();
         remote.deposit(entry.owner_conn, push);
     }
     None
