@@ -16,15 +16,23 @@
 //! The write side's share of the invariant is gated here as well: a
 //! warm [`SubscriptionRegistry::pump`] that patches 64 standing
 //! queries from a 256-update commit's touched set allocates nothing.
+//! So is the router's batched scatter: a warm router serving a 16-deep
+//! pipelined burst allocates nothing anywhere in the process.
+
+use std::io::{Read, Write};
+use std::net::TcpStream;
 
 use iloc_bench::loadgen::{run, Scenario, SCENARIOS};
 use iloc_core::pipeline::PointRequest;
-use iloc_core::serve::{ShardedEngine, Update};
+use iloc_core::serve::{shard_of, ShardedEngine, Update};
 use iloc_core::subscribe::{PumpReport, SubscriptionRegistry};
-use iloc_core::{Issuer, PointEngine, RangeSpec};
+use iloc_core::{CipqStrategy, Issuer, PointEngine, RangeSpec};
 use iloc_geometry::{Point, Rect};
+use iloc_router::{Router, RouterConfig};
 use iloc_server::alloc_count::{self, CountingAllocator};
-use iloc_uncertainty::PointObject;
+use iloc_server::protocol::{self, opcode};
+use iloc_server::server::{QueryServer, ServerConfig};
+use iloc_uncertainty::{ObjectId, PointObject};
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
@@ -84,9 +92,72 @@ fn patched_pump_allocates_nothing() {
     );
 }
 
+/// Two single-shard nodes behind a one-loop router; one connection
+/// writes 16 IPQ / C-IPQ frames at once (one read pass, so one batch:
+/// one upstream write a node) and reads the 16 answers. Once warm, a
+/// burst allocates nothing — router, nodes or this client.
+fn router_batch_allocates_nothing() {
+    const SIDE: u64 = 100;
+    let nodes: Vec<_> = (0..2)
+        .map(|node| {
+            let points = (0..SIDE * SIDE)
+                .filter(|&k| shard_of(ObjectId(k), 2) == node)
+                .map(|k| PointObject::new(k, Point::new((k % SIDE) as f64, (k / SIDE) as f64)))
+                .collect();
+            QueryServer::new(points, Vec::new(), 1)
+                .start(&ServerConfig::loopback())
+                .expect("start node")
+        })
+        .collect();
+    let router = Router::start(&RouterConfig {
+        event_loops: 1,
+        ..RouterConfig::loopback(nodes.iter().map(|n| n.addr()).collect())
+    })
+    .expect("start router");
+    let mut stream = TcpStream::connect(router.addr()).expect("connect router");
+    stream.set_nodelay(true).expect("nodelay");
+    let mut burst = Vec::new();
+    for k in 0..16u64 {
+        let center = Point::new(10.0 + (k % 4) as f64 * 25.0, 10.0 + (k / 4) as f64 * 25.0);
+        let issuer = Issuer::uniform(Rect::centered(center, 4.0, 4.0));
+        let request = if k % 2 == 0 {
+            PointRequest::ipq(issuer, RangeSpec::square(6.0))
+        } else {
+            PointRequest::cipq(issuer, RangeSpec::square(6.0), 0.3, CipqStrategy::PExpanded)
+        };
+        protocol::encode_point_query(&mut burst, &request).expect("encode");
+    }
+    let mut frame = Vec::with_capacity(1 << 16);
+    let mut serve_burst = || -> usize {
+        stream.write_all(&burst).expect("write burst");
+        let mut matches = 0;
+        for _ in 0..16 {
+            let mut len = [0u8; 4];
+            stream.read_exact(&mut len).expect("answer length");
+            frame.resize(u32::from_le_bytes(len) as usize, 0);
+            stream.read_exact(&mut frame).expect("answer");
+            assert_eq!(frame[1], opcode::ANSWER);
+            matches += u32::from_le_bytes(frame[2..6].try_into().unwrap()) as usize;
+        }
+        matches
+    };
+    for _ in 0..50 {
+        serve_burst();
+    }
+    let before = alloc_count::allocations();
+    let matches: usize = (0..20).map(|_| serve_burst()).sum();
+    let allocated = alloc_count::allocations() - before;
+    assert!(matches > 0, "the bursts match something");
+    assert_eq!(allocated, 0, "a warm router burst allocated");
+    println!("zero_alloc router batch: 0 allocations over 20 16-deep bursts, {matches} matches");
+    drop(router);
+    drop(nodes);
+}
+
 fn main() {
     alloc_count::mark_installed();
     patched_pump_allocates_nothing();
+    router_batch_allocates_nothing();
     for name in SCENARIOS {
         let scenario = Scenario::preset(name, true).expect("a preset name");
         let report = run(None, &scenario).unwrap_or_else(|e| panic!("{name}: run failed: {e}"));

@@ -13,15 +13,19 @@
 //! [`iloc_core::serve::ShardedEngine`] with N shards would. The three
 //! mechanisms that buy it:
 //!
-//! * **Queries** scatter to every node (one pipelined burst: all sends
-//!   first, then all receives) and fan in with
+//! * **Queries** scatter to every node **as a batch**: the query frames
+//!   one read pass delivers are held back, and at the end of the pass
+//!   (or before any other frame is served) every node gets the whole
+//!   batch in one write; then, query by query in request order, every
+//!   node's answer is read and fanned in with
 //!   [`iloc_core::merge_partials_into`] — the same k-way merge of
 //!   id-sorted runs the sharded engine's own fan-in uses; each node's
-//!   answer frame is one run, decoded into that node's buffer. Disjoint
-//!   id partitions, each in id order, make the merged answer
-//!   bit-identical. The steady-state path is **allocation-free once
-//!   warm**: the forwarded frame, the per-node partial answers, and
-//!   the merged answer all live in reusable loop-owned buffers.
+//!   answer frame is one run, decoded in place into that node's
+//!   buffer. Disjoint id partitions, each in id order, make the merged
+//!   answer bit-identical, and a node wakes once per batch instead of
+//!   once per query. The steady-state path is **allocation-free once
+//!   warm**: the batch, the per-node partial answers, and the merged
+//!   answer all live in reusable loop-owned buffers.
 //! * **Updates** split by `shard_of(id, nodes)` so node order *is*
 //!   shard order; **commits** fan out to every node, and the router
 //!   publishes its own **cluster epoch** only after every node
@@ -41,7 +45,10 @@
 //! sockets, reassembly, backpressure, push accounting and their
 //! guarantees are that module's, stated there once. The core hands the
 //! handler each whole frame borrowed from the read buffer, which is
-//! what gets forwarded upstream verbatim. A commit's merged NOTIFYs
+//! what gets forwarded upstream verbatim; the router holds query
+//! responses back until the core's [`Handler::release`], which the
+//! core calls before any output of its own, so responses stay in
+//! request order. A commit's merged NOTIFYs
 //! reach their subscribers through [`Remote::deposit`], *before* the
 //! COMMIT_DONE is written — the core's deposit-ordering guarantee then
 //! puts each NOTIFY ahead of anything its subscriber asks for after
@@ -197,8 +204,9 @@ struct Shared {
     /// answers [`ErrorCode::Unavailable`] until the router restarts.
     poison: [AtomicBool; 2],
     write_plane: Mutex<WritePlane>,
-    /// Queries hold this shared; a commit holds it exclusive while the
-    /// epoch turns over, so no query ever observes half a commit.
+    /// A query batch holds this shared from its write to its last
+    /// answer; a commit holds it exclusive while the epoch turns over,
+    /// so no query ever observes half a commit.
     commit_gate: RwLock<()>,
 }
 
@@ -391,6 +399,16 @@ impl Router {
     }
 }
 
+/// A query frame held back until its read pass is drained.
+#[derive(Debug, Clone, Copy)]
+enum Held {
+    /// Forwarded in the batch; its answers are merged at the drain.
+    Scattered,
+    /// Its catalog was poisoned when it arrived: it answers
+    /// `Unavailable` and reaches no node.
+    Poisoned,
+}
+
 /// The router's frame handler, one per event loop: its own upstream
 /// query clients (so loops never contend on reads) and warm scratch
 /// buffers for the allocation-free steady state.
@@ -398,6 +416,11 @@ struct RouterHandler {
     shared: Arc<Shared>,
     remote: Remote,
     upstream: Vec<Client>,
+    /// The query frames this pass held back, verbatim and back to back
+    /// — what every node gets in one write.
+    batch: Vec<u8>,
+    /// One entry per held-back query, in request order.
+    held: Vec<Held>,
     partials: Vec<QueryAnswer>,
     merged: QueryAnswer,
     node_stats: Vec<StatsReport>,
@@ -422,11 +445,16 @@ impl Handler for RouterHandler {
         }
     }
 
+    /// Queries are held back and scattered as one batch when the pass
+    /// ends; anything else answers behind the queries ahead of it.
     fn frame(&mut self, frame: &[u8], id: ConnId, subs: &mut [u32; 2], out: &mut Vec<u8>) {
         let payload = &frame[6..];
         match frame[5] {
-            opcode::POINT_QUERY => self.scatter_query(out, frame, 0),
-            opcode::UNCERTAIN_QUERY => self.scatter_query(out, frame, 1),
+            opcode::POINT_QUERY => return self.hold_query(frame, 0),
+            opcode::UNCERTAIN_QUERY => return self.hold_query(frame, 1),
+            _ => self.drain(out),
+        }
+        match frame[5] {
             opcode::UPDATE_BATCH => self.handle_updates(out, payload),
             opcode::COMMIT => self.handle_commit(out, payload),
             opcode::STATS => self.handle_stats(out),
@@ -436,6 +464,10 @@ impl Handler for RouterHandler {
             opcode::TICK => self.handle_tick(out, payload, id),
             _ => protocol::encode_error(out, ErrorCode::BadOpcode, "unknown request opcode"),
         }
+    }
+
+    fn release(&mut self, out: &mut Vec<u8>) {
+        self.drain(out);
     }
 
     fn closed(&mut self, id: ConnId, subs: [u32; 2]) {
@@ -459,6 +491,8 @@ impl RouterHandler {
             shared,
             remote,
             upstream,
+            batch: Vec::new(),
+            held: Vec::new(),
             partials: (0..n).map(|_| QueryAnswer::default()).collect(),
             merged: QueryAnswer::default(),
             node_stats: (0..n).map(|_| StatsReport::default()).collect(),
@@ -491,76 +525,114 @@ impl RouterHandler {
         }
     }
 
-    /// The hot path: scatter the frame to every node in one pipelined
-    /// burst, gather the answers, merge. Allocation-free once warm —
-    /// error arms are the only place a `format!` lives.
-    fn scatter_query(&mut self, out: &mut Vec<u8>, frame: &[u8], cat: usize) {
+    /// Holds a query frame back for this pass's batch. A poisoned
+    /// catalog is checked now, as the frame arrives, so its query
+    /// reaches no node.
+    fn hold_query(&mut self, frame: &[u8], cat: usize) {
         if self.shared.poison[cat].load(Ordering::SeqCst) {
-            encode_poisoned(out);
+            self.held.push(Held::Poisoned);
+        } else {
+            self.batch.extend_from_slice(frame);
+            self.held.push(Held::Scattered);
+        }
+    }
+
+    /// The hot path: answers the held-back queries in request order.
+    /// One commit-gate read guard covers the batch; under it every node
+    /// gets the whole batch in one write, then each query reads every
+    /// node's answer, merged. Allocation-free once warm — error arms
+    /// are the only place a `format!` lives.
+    fn drain(&mut self, out: &mut Vec<u8>) {
+        if self.held.is_empty() {
             return;
         }
+        // Taken up front, so a panic below cannot forward them twice.
+        let mut batch = std::mem::take(&mut self.batch);
+        let mut held = std::mem::take(&mut self.held);
+        let scattered = held.iter().filter(|h| matches!(h, Held::Scattered)).count();
         let gate = self
             .shared
             .commit_gate
             .read()
             .unwrap_or_else(|e| e.into_inner());
+        // A batch is what one read pass held — one `READ_CHUNK` read or
+        // one whole frame — and every earlier batch was read to its last
+        // answer, so the upstream send buffer is empty and takes the
+        // whole write without the node reading. The write cannot
+        // deadlock against a node that stopped reading because its own
+        // answers back up.
+        debug_assert!(batch.len() <= conn::READ_CHUNK || scattered == 1);
         let mut sent = 0usize;
-        let mut failed: Option<(ErrorCode, String)> = None;
+        let mut unreachable: Option<String> = None;
         for (i, client) in self.upstream.iter_mut().enumerate() {
-            self.shared.nodes[i].routed.fetch_add(1, Ordering::Relaxed);
-            match client.send_raw(frame) {
+            self.shared.nodes[i]
+                .routed
+                .fetch_add(scattered as u64, Ordering::Relaxed);
+            match client.send_raw(&batch) {
                 Ok(()) => sent += 1,
                 Err(e) => {
                     self.shared.nodes[i]
                         .connected
                         .store(false, Ordering::SeqCst);
-                    failed = Some((ErrorCode::Unavailable, format!("node {i} unreachable: {e}")));
+                    unreachable = Some(format!("node {i} unreachable: {e}"));
                     break;
                 }
             }
         }
-        // Every node that got the frame must be read — even after a
-        // failure — or its queued answer would desynchronize the next
-        // request on that upstream connection.
-        for i in 0..sent {
-            let client = &mut self.upstream[i];
-            match client.recv_answer_into(&mut self.partials[i]) {
-                Ok(()) => {
-                    self.shared.nodes[i].merged.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(ClientError::Server { code, message, .. }) => {
-                    // The node rejected the frame (every node decodes
-                    // identically, so all report the same complaint);
-                    // forward the first verbatim.
-                    self.partials[i].results.clear();
-                    if failed.is_none() {
-                        failed = Some((code.unwrap_or(ErrorCode::Internal), message));
+        for h in &held {
+            if let Held::Poisoned = h {
+                encode_poisoned(out);
+                continue;
+            }
+            let mut failed = unreachable
+                .as_ref()
+                .map(|message| (ErrorCode::Unavailable, message.clone()));
+            // Every node that got the batch must be read for every
+            // query — even after a failure — or its queued answer would
+            // desynchronize the next request on that upstream connection.
+            for i in 0..sent {
+                let client = &mut self.upstream[i];
+                match client.recv_answer_into(&mut self.partials[i]) {
+                    Ok(()) => {
+                        self.shared.nodes[i].merged.fetch_add(1, Ordering::Relaxed);
                     }
-                }
-                Err(e) => {
-                    self.partials[i].results.clear();
-                    self.shared.nodes[i]
-                        .connected
-                        .store(false, Ordering::SeqCst);
-                    if failed.is_none() {
-                        failed = Some((
-                            ErrorCode::Unavailable,
-                            format!("node {i} failed mid-query: {e}"),
-                        ));
+                    Err(ClientError::Server { code, message, .. }) => {
+                        // The node rejected the frame (every node decodes
+                        // identically, so all report the same complaint);
+                        // forward the first verbatim.
+                        self.partials[i].results.clear();
+                        if failed.is_none() {
+                            failed = Some((code.unwrap_or(ErrorCode::Internal), message));
+                        }
+                    }
+                    Err(e) => {
+                        self.partials[i].results.clear();
+                        self.shared.nodes[i]
+                            .connected
+                            .store(false, Ordering::SeqCst);
+                        if failed.is_none() {
+                            failed = Some((
+                                ErrorCode::Unavailable,
+                                format!("node {i} failed mid-query: {e}"),
+                            ));
+                        }
                     }
                 }
             }
+            if let Some((code, message)) = failed {
+                protocol::encode_error(out, code, &message);
+                continue;
+            }
+            merge_partials_into(
+                &mut self.merged,
+                self.partials.iter().map(|a| a.results.as_slice()),
+            );
+            protocol::encode_answer(out, &self.merged);
         }
         drop(gate);
-        if let Some((code, message)) = failed {
-            protocol::encode_error(out, code, &message);
-            return;
-        }
-        merge_partials_into(
-            &mut self.merged,
-            self.partials.iter().map(|a| a.results.as_slice()),
-        );
-        protocol::encode_answer(out, &self.merged);
+        batch.clear();
+        held.clear();
+        (self.batch, self.held) = (batch, held);
     }
 
     fn handle_updates(&mut self, out: &mut Vec<u8>, payload: &[u8]) {

@@ -59,7 +59,13 @@
 //!   those answers, and reading on would let one fast, pipelining peer
 //!   keep the loop from every other connection (measured: a commit on
 //!   the writer connection waited 300 ms instead of 4).
-//! * **Push ordering.** A handler's own pushes ([`Handler::pump`]) are
+//! * **Ordering.** Responses leave in request order. A handler may
+//!   hold responses back from [`Handler::frame`] (the router batches a
+//!   pass's queries this way); the core calls [`Handler::release`] at
+//!   the end of every read pass and before it appends any output of its
+//!   own — a HELLO_ACK, a refusal, a caught panic's error frame, a
+//!   [`Handler::pump`] — and the handler then appends everything it
+//!   held, in request order. A handler's own pushes are
 //!   queued *before* the frame that follows them is handled, so a
 //!   NOTIFY always precedes the response to a later request on the
 //!   same connection. Pushes deposited from another thread
@@ -180,8 +186,15 @@ pub trait Handler: Send + 'static {
 
     /// Serves one validated frame: `frame` is the whole frame — length
     /// prefix, version, opcode, payload — and the response (exactly
-    /// one frame; an error frame on failure) is appended to `out`.
+    /// one frame; an error frame on failure) is appended to `out`, now
+    /// or at the next [`Handler::release`].
     fn frame(&mut self, frame: &[u8], id: ConnId, conn: &mut Self::Conn, out: &mut Vec<u8>);
+
+    /// Appends every response held back from [`Handler::frame`] to
+    /// `out`, in request order. The core calls this at the end of every
+    /// read pass and before it appends output of its own, so nothing is
+    /// held from one pass — or one connection — to the next.
+    fn release(&mut self, _out: &mut Vec<u8>) {}
 
     /// The loop is starting a sweep — on its cadence, and at once when
     /// another thread wakes it. For what a handler holds on behalf of
@@ -562,8 +575,9 @@ struct Gone;
 /// indices, which stay far below this.
 const WAKE_TOKEN: u64 = u64::MAX;
 
-/// Granularity of inbound reads before a frame's length is known.
-const READ_CHUNK: usize = 4 * 1024;
+/// Granularity of inbound reads before a frame's length is known. One
+/// read pass holds at most this many bytes, or one whole frame.
+pub const READ_CHUNK: usize = 4 * 1024;
 
 /// Pending output at which a response is written out as soon as its
 /// frame is handled, instead of when the read batch ends: a read of
@@ -608,6 +622,125 @@ fn queue_pushes<S>(
         return Err(Gone);
     }
     Ok(())
+}
+
+/// Appends what the handler held back ([`Handler::release`]); `false`
+/// when that panicked, which is answered like a panicking frame.
+fn release<H: Handler>(handler: &mut H, conn: &mut Conn<H::Conn>) -> bool {
+    let out = &mut conn.out;
+    if catch_unwind(AssertUnwindSafe(|| handler.release(out))).is_ok() {
+        return true;
+    }
+    protocol::encode_error(
+        &mut conn.out,
+        ErrorCode::Internal,
+        "request handler panicked",
+    );
+    conn.close_after_flush = true;
+    handler.quarantine();
+    false
+}
+
+/// Answers a frame the stream cannot go on after, behind whatever the
+/// handler held back: the error drains, then the connection closes.
+fn refuse<H: Handler>(handler: &mut H, conn: &mut Conn<H::Conn>, code: ErrorCode, message: &str) {
+    if release(handler, conn) {
+        protocol::encode_error(&mut conn.out, code, message);
+        conn.close_after_flush = true;
+    }
+}
+
+/// The frame loop of [`EventLoop::serve_parsed`]: every complete frame
+/// buffered on `conn`, until one closes the stream.
+fn serve_frames<H: Handler>(
+    shared: &Shared,
+    handler: &mut H,
+    conn: &mut Conn<H::Conn>,
+    id: ConnId,
+    now: Instant,
+) -> Result<bool, Gone> {
+    let mut flushed = false;
+    while !conn.close_after_flush {
+        // A short write here is left to `flush_and_settle`.
+        if conn.pending_out() >= FLUSH_AT {
+            conn.write_pending(shared.config.push_backlog)?;
+            flushed = true;
+        }
+        let avail = conn.in_len - conn.parsed;
+        if avail < 4 {
+            break;
+        }
+        let start = conn.parsed;
+        let len = u32::from_le_bytes(conn.in_buf[start..start + 4].try_into().expect("4 bytes"));
+        if len < 2 || len > shared.config.max_frame_len {
+            refuse(
+                handler,
+                conn,
+                ErrorCode::TooLarge,
+                "frame length out of bounds",
+            );
+            break;
+        }
+        let end = start + 4 + len as usize;
+        if conn.in_len < end {
+            break; // tail still en route
+        }
+        conn.parsed = end;
+        conn.last_frame = now;
+        shared.requests_served.fetch_add(1, Ordering::Relaxed);
+
+        let (version, op) = (conn.in_buf[start + 4], conn.in_buf[start + 5]);
+        if op == opcode::HELLO {
+            // Answered whatever the header version says, so a
+            // mismatched peer gets a typed error naming both
+            // versions instead of a silent close.
+            let payload = &conn.in_buf[start + 6..end];
+            let peer = protocol::hello_peer_version(payload).unwrap_or(version);
+            if version != PROTOCOL_VERSION || peer != PROTOCOL_VERSION {
+                let message = format!(
+                    "unsupported protocol version {peer}; this peer speaks v{PROTOCOL_VERSION}"
+                );
+                refuse(handler, conn, ErrorCode::BadVersion, &message);
+                break;
+            }
+            if !release(handler, conn) {
+                break;
+            }
+            match protocol::decode_hello(&conn.in_buf[start + 6..end]) {
+                Ok(_) => protocol::encode_hello_ack(&mut conn.out, &handler.hello_ack()),
+                Err(e) => protocol::wire_error(&mut conn.out, e),
+            }
+            continue;
+        }
+        if version != PROTOCOL_VERSION {
+            refuse(
+                handler,
+                conn,
+                ErrorCode::BadVersion,
+                "protocol version mismatch",
+            );
+            break;
+        }
+
+        if handler.needs_pump(&conn.state) {
+            if !release(handler, conn) {
+                break;
+            }
+            queue_pushes(conn, shared, |state, pushes| handler.pump(state, pushes))?;
+        }
+        let frame = &conn.in_buf[start..end];
+        let (state, out) = (&mut conn.state, &mut conn.out);
+        if catch_unwind(AssertUnwindSafe(|| handler.frame(frame, id, state, out))).is_err() {
+            refuse(
+                handler,
+                conn,
+                ErrorCode::Internal,
+                "request handler panicked",
+            );
+            handler.quarantine();
+        }
+    }
+    Ok(flushed)
 }
 
 impl<H: Handler> EventLoop<H> {
@@ -753,6 +886,8 @@ impl<H: Handler> EventLoop<H> {
             // so `in_len` is below the size picked here: one chunk, or
             // the whole frame once its length is known. A wild length
             // is refused by the parse pass; it must not size a buffer.
+            // The read stops there even if an earlier frame grew the
+            // buffer, so a pass never holds more (see `READ_CHUNK`).
             let needed = if conn.in_len >= 4 {
                 let len = u32::from_le_bytes(conn.in_buf[0..4].try_into().expect("4 bytes"));
                 (len.min(max_frame_len) as usize + 4).max(READ_CHUNK)
@@ -762,7 +897,7 @@ impl<H: Handler> EventLoop<H> {
             if conn.in_buf.len() < needed {
                 conn.in_buf.resize(needed, 0);
             }
-            match conn.stream.read(&mut conn.in_buf[conn.in_len..]) {
+            match conn.stream.read(&mut conn.in_buf[conn.in_len..needed]) {
                 Ok(0) => {
                     // EOF. Complete frames were already served, so at
                     // most a partial frame is discarded; a half-closing
@@ -789,8 +924,9 @@ impl<H: Handler> EventLoop<H> {
         }
     }
 
-    /// Serves every complete frame currently buffered on `idx`; `true`
-    /// when some of the output was written out on the way.
+    /// Serves every complete frame currently buffered on `idx`, then
+    /// releases what the handler held back; `true` when some of the
+    /// output was written out on the way.
     fn serve_parsed(&mut self, idx: usize, now: Instant) -> Result<bool, Gone> {
         let id = self.id_of(idx);
         let EventLoop {
@@ -800,74 +936,9 @@ impl<H: Handler> EventLoop<H> {
             ..
         } = self;
         let conn = slots[idx].conn.as_mut().expect("live conn");
-        // Answers a frame the stream cannot go on after: the error
-        // drains, then the connection closes.
-        let refuse = |conn: &mut Conn<H::Conn>, code, message: &str| {
-            protocol::encode_error(&mut conn.out, code, message);
-            conn.close_after_flush = true;
-        };
-        let mut flushed = false;
-        while !conn.close_after_flush {
-            // A short write here is left to `flush_and_settle`.
-            if conn.pending_out() >= FLUSH_AT {
-                conn.write_pending(shared.config.push_backlog)?;
-                flushed = true;
-            }
-            let avail = conn.in_len - conn.parsed;
-            if avail < 4 {
-                break;
-            }
-            let start = conn.parsed;
-            let len =
-                u32::from_le_bytes(conn.in_buf[start..start + 4].try_into().expect("4 bytes"));
-            if len < 2 || len > shared.config.max_frame_len {
-                refuse(conn, ErrorCode::TooLarge, "frame length out of bounds");
-                break;
-            }
-            let end = start + 4 + len as usize;
-            if conn.in_len < end {
-                break; // tail still en route
-            }
-            conn.parsed = end;
-            conn.last_frame = now;
-            shared.requests_served.fetch_add(1, Ordering::Relaxed);
-
-            let (version, op) = (conn.in_buf[start + 4], conn.in_buf[start + 5]);
-            if op == opcode::HELLO {
-                // Answered whatever the header version says, so a
-                // mismatched peer gets a typed error naming both
-                // versions instead of a silent close.
-                let payload = &conn.in_buf[start + 6..end];
-                let peer = protocol::hello_peer_version(payload).unwrap_or(version);
-                if version != PROTOCOL_VERSION || peer != PROTOCOL_VERSION {
-                    let message = format!(
-                        "unsupported protocol version {peer}; this peer speaks v{PROTOCOL_VERSION}"
-                    );
-                    refuse(conn, ErrorCode::BadVersion, &message);
-                    break;
-                }
-                match protocol::decode_hello(payload) {
-                    Ok(_) => protocol::encode_hello_ack(&mut conn.out, &handler.hello_ack()),
-                    Err(e) => protocol::wire_error(&mut conn.out, e),
-                }
-                continue;
-            }
-            if version != PROTOCOL_VERSION {
-                refuse(conn, ErrorCode::BadVersion, "protocol version mismatch");
-                break;
-            }
-
-            if handler.needs_pump(&conn.state) {
-                queue_pushes(conn, shared, |state, pushes| handler.pump(state, pushes))?;
-            }
-            let frame = &conn.in_buf[start..end];
-            let (state, out) = (&mut conn.state, &mut conn.out);
-            if catch_unwind(AssertUnwindSafe(|| handler.frame(frame, id, state, out))).is_err() {
-                refuse(conn, ErrorCode::Internal, "request handler panicked");
-                handler.quarantine();
-            }
-        }
-        Ok(flushed)
+        let served = serve_frames(shared, handler, conn, id, now);
+        release(handler, conn);
+        served
     }
 
     /// Writes as much buffered output as the socket takes, then
@@ -1441,6 +1512,121 @@ mod tests {
             remote.counters().dropped_pushes == 1
         });
         assert_eq!(stream.read(&mut [0u8; 1]).unwrap_or(0), 0, "closed");
+    }
+
+    #[test]
+    fn held_back_responses_keep_request_order_around_the_cores_own_output() {
+        // Every response is held until `release`. Opcode BIG answers
+        // with more than `FLUSH_AT` bytes, so the HELLO after it leaves
+        // enough output for the next frame to flush early; PUSH owes the
+        // connection a NOTIFY, queued before the frame after it.
+        const BIG: u8 = 0x21;
+        const PUSH: u8 = 0x22;
+        struct Deferring {
+            held: Vec<u8>,
+            owe_push: bool,
+            quarantined: Arc<AtomicUsize>,
+        }
+        impl Handler for Deferring {
+            type Conn = ();
+
+            fn hello_ack(&self) -> HelloAck {
+                HelloAck::default()
+            }
+
+            fn frame(&mut self, frame: &[u8], _: ConnId, _: &mut (), _: &mut Vec<u8>) {
+                assert!(frame[5] != BOOM, "boom");
+                if frame[5] == BIG {
+                    let at = protocol::begin_frame(&mut self.held, BIG);
+                    self.held.resize(at + FLUSH_AT + 1024, 0xB1);
+                    protocol::finish_frame(&mut self.held, at);
+                } else {
+                    self.owe_push |= frame[5] == PUSH;
+                    self.held.extend_from_slice(frame);
+                }
+            }
+
+            fn release(&mut self, out: &mut Vec<u8>) {
+                out.append(&mut self.held);
+            }
+
+            fn needs_pump(&self, _: &()) -> bool {
+                self.owe_push
+            }
+
+            fn pump(&mut self, _: &mut (), pushes: &mut PushQueue<'_>) {
+                self.owe_push = false;
+                pushes.queue_push(|out| out.extend_from_slice(&frame(opcode::NOTIFY, b"owed")));
+            }
+
+            fn quarantine(&mut self) {
+                self.quarantined.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+
+        let quarantined = Arc::new(AtomicUsize::new(0));
+        let core = start(&one_loop(), |_, _| {
+            Ok(Deferring {
+                held: Vec::new(),
+                owe_push: false,
+                quarantined: Arc::clone(&quarantined),
+            })
+        })
+        .expect("bind loopback");
+        let open = || {
+            let stream = TcpStream::connect(core.addr()).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("read timeout");
+            stream
+        };
+        let mut hello = Vec::new();
+        protocol::encode_hello(&mut hello, protocol::Role::Client, 0);
+        let (a, b, c) = (frame(0x01, b"a"), frame(0x01, b"b"), frame(0x01, b"c"));
+        let push = frame(PUSH, b"p");
+
+        // All of it in one write: one pass serves it.
+        let mut stream = open();
+        let requests = [
+            &a[..],
+            &frame(BIG, b""),
+            &hello,
+            &b,
+            &push,
+            &c,
+            &frame(BOOM, b""),
+        ];
+        stream.write_all(&requests.concat()).unwrap();
+        assert_eq!(read_frame(&mut stream), a);
+        let big = read_frame(&mut stream);
+        assert_eq!((big[5], big.len()), (BIG, FLUSH_AT + 1024));
+        assert_eq!(read_frame(&mut stream)[5], opcode::HELLO_ACK);
+        assert_eq!(read_frame(&mut stream), b);
+        assert_eq!(read_frame(&mut stream), push);
+        assert_eq!(read_frame(&mut stream), frame(opcode::NOTIFY, b"owed"));
+        assert_eq!(read_frame(&mut stream), c);
+        let reply = read_frame(&mut stream);
+        assert_eq!(
+            (reply[5], reply[6]),
+            (opcode::ERROR, ErrorCode::Internal as u8)
+        );
+        assert_eq!(stream.read(&mut [0u8; 1]).unwrap_or(0), 0, "then EOF");
+        assert_eq!(quarantined.load(Ordering::SeqCst), 1);
+
+        // A refused frame answers after what was held ahead of it.
+        let mut stream = open();
+        let bad_version = [2, 0, 0, 0, 99, opcode::PING];
+        stream
+            .write_all(&[&a[..], &b, &bad_version].concat())
+            .unwrap();
+        assert_eq!(read_frame(&mut stream), a);
+        assert_eq!(read_frame(&mut stream), b);
+        let reply = read_frame(&mut stream);
+        assert_eq!(
+            (reply[5], reply[6]),
+            (opcode::ERROR, ErrorCode::BadVersion as u8)
+        );
+        assert_eq!(stream.read(&mut [0u8; 1]).unwrap_or(0), 0, "then EOF");
     }
 
     #[test]

@@ -7,10 +7,15 @@
 //! counts, dirty rectangles, epochs), and the same subscription delta
 //! streams, under the same interleaved update/commit schedule. Plus:
 //! a node crash mid-commit surfaces as a typed `Unavailable` error and
-//! never as a torn epoch.
+//! never as a torn epoch. The router scatters the queries of one read
+//! pass as a batch, so the burst tests below pin what batching must
+//! not change: request order, bit-identity at every epoch, per-query
+//! errors, and the core's own frames in their place.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use iloc::core::pipeline::{PointRequest, UncertainRequest};
@@ -96,8 +101,12 @@ impl Cluster {
         }
     }
 
+    fn addr(&self) -> SocketAddr {
+        self.router.as_ref().expect("router up").addr()
+    }
+
     fn client(&self) -> Client {
-        Client::connect(self.router.as_ref().expect("router up").addr()).expect("connect router")
+        Client::connect(self.addr()).expect("connect router")
     }
 
     fn crash_node(&mut self, i: usize) {
@@ -486,7 +495,7 @@ fn overflowing_slow_subscriber_is_closed_and_drops_are_counted_by_the_router() {
         config.event_loops = 1;
         config.push_backlog = 128 * 1024;
     });
-    let addr = cluster.router.as_ref().expect("router up").addr();
+    let addr = cluster.addr();
     let mut writer = cluster.client();
     let mut control = cluster.client();
 
@@ -585,4 +594,320 @@ fn overflowing_slow_subscriber_is_closed_and_drops_are_counted_by_the_router() {
         .expect("queries still route after the close");
     let stats = control.stats().expect("stats");
     assert!(stats.nodes.iter().all(|n| n.connected));
+}
+
+// -- Batched scatter ----------------------------------------------------
+
+fn raw_connect(addr: SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connect raw");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    stream
+}
+
+/// Reads one whole frame, length prefix included.
+fn read_frame(stream: &mut TcpStream) -> Vec<u8> {
+    let mut frame = vec![0u8; 4];
+    stream.read_exact(&mut frame).expect("frame length");
+    let len = u32::from_le_bytes(frame[..].try_into().unwrap()) as usize;
+    frame.resize(4 + len, 0);
+    stream.read_exact(&mut frame[4..]).expect("frame body");
+    frame
+}
+
+fn encoded(encode: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut frame = Vec::new();
+    encode(&mut frame);
+    frame
+}
+
+fn point_frame(request: &PointRequest) -> Vec<u8> {
+    encoded(|f| protocol::encode_point_query(f, request).expect("encode query"))
+}
+
+fn is_commit_push(frame: &[u8]) -> bool {
+    let mut note = iloc::server::Notification::default();
+    frame[5] == opcode::NOTIFY
+        && protocol::decode_notify_into(&frame[6..], &mut note).is_ok()
+        && note.cause == NotifyCause::Commit
+}
+
+/// The opcode that answers request opcode `op`.
+fn reply_to(op: u8) -> u8 {
+    match op {
+        opcode::POINT_QUERY | opcode::UNCERTAIN_QUERY => opcode::ANSWER,
+        opcode::UPDATE_BATCH => opcode::UPDATE_ACK,
+        opcode::COMMIT => opcode::COMMIT_DONE,
+        opcode::STATS => opcode::STATS_REPORT,
+        opcode::PING => opcode::PONG,
+        opcode::SUBSCRIBE => opcode::SUB_ACK,
+        opcode::TICK => opcode::NOTIFY,
+        other => panic!("no request opcode {other:#04x} in these bursts"),
+    }
+}
+
+/// `len` pipelined requests for one connection: all four query
+/// classes, with a standing query (id 1 on a fresh front end), its
+/// ticks, update batches, commits of both catalogs, PINGs and STATS
+/// among them.
+fn mixed_burst(len: usize) -> Vec<Vec<u8>> {
+    let points = point_requests(len, 11);
+    let uncertain = uncertain_requests(len, 11);
+    let standing = |k: usize| {
+        PointRequest::ipq(
+            Issuer::uniform(Rect::centered(
+                Point::new(300.0 + k as f64 / 4.0, 300.0),
+                50.0,
+                50.0,
+            )),
+            RangeSpec::square(80.0),
+        )
+    };
+    let mut next_id = 20_000u64;
+    (0..len)
+        .map(|k| {
+            encoded(|f| match (k, k % 100) {
+                (0, _) => protocol::encode_subscribe_point(f, 120.0, &standing(0)).unwrap(),
+                (_, 10) => {
+                    protocol::encode_update_batch(f, &churn(k as u64 / 100, &mut next_id)).unwrap()
+                }
+                (_, 11) => protocol::encode_commit(f, CommitTarget::Point),
+                (_, 12) => protocol::encode_commit(f, CommitTarget::Uncertain),
+                (_, 40) => {
+                    protocol::encode_tick(f, CommitTarget::Point, 1, standing(k).issuer.pdf())
+                        .unwrap()
+                }
+                (_, 25 | 75) => protocol::encode_empty(f, opcode::PING),
+                (_, 50) => protocol::encode_empty(f, opcode::STATS),
+                _ if k % 2 == 0 => protocol::encode_point_query(f, &points[k / 2]).unwrap(),
+                _ => protocol::encode_uncertain_query(f, &uncertain[k / 2]).unwrap(),
+            })
+        })
+        .collect()
+}
+
+/// Writes `requests` back to back from another thread and reads one
+/// response per request, then a PING barrier. Commit pushes are set
+/// apart: a router deposits them and a server pumps them, so they land
+/// between different responses — but all ahead of the barrier's PONG.
+fn burst(addr: SocketAddr, requests: &[Vec<u8>]) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+    let mut stream = raw_connect(addr);
+    let writer = {
+        let (mut stream, bytes) = (stream.try_clone().expect("clone"), requests.concat());
+        std::thread::spawn(move || stream.write_all(&bytes).expect("write burst"))
+    };
+    let (mut responses, mut pushes) = (Vec::new(), Vec::new());
+    while responses.len() < requests.len() {
+        let frame = read_frame(&mut stream);
+        if is_commit_push(&frame) {
+            pushes.push(frame);
+        } else {
+            responses.push(frame);
+        }
+    }
+    writer.join().expect("writer");
+    stream
+        .write_all(&encoded(|f| protocol::encode_empty(f, opcode::PING)))
+        .expect("barrier");
+    loop {
+        let frame = read_frame(&mut stream);
+        if frame[5] == opcode::PONG {
+            return (responses, pushes);
+        }
+        assert!(is_commit_push(&frame), "only pushes ahead of the barrier");
+        pushes.push(frame);
+    }
+}
+
+#[test]
+fn burst_of_every_request_kind_answers_in_order_and_bit_identically() {
+    let cluster = Cluster::start(2);
+    let (_oracle, oracle_handle) = start_oracle(2);
+    let requests = mixed_burst(1_000);
+    let (got, got_pushes) = burst(cluster.addr(), &requests);
+    let (want, want_pushes) = burst(oracle_handle.addr(), &requests);
+
+    let (mut got_stats, mut want_stats) = Default::default();
+    let mut answers = 0;
+    for (k, ((request, got), want)) in requests.iter().zip(&got).zip(&want).enumerate() {
+        assert_eq!(got[5], reply_to(request[5]), "response {k} out of order");
+        answers += usize::from(got[5] == opcode::ANSWER);
+        if got[5] == opcode::STATS_REPORT {
+            // Counters differ between the two front ends; the catalogs
+            // they report at this point of the stream do not.
+            protocol::decode_stats_report_into(&got[6..], &mut got_stats).unwrap();
+            protocol::decode_stats_report_into(&want[6..], &mut want_stats).unwrap();
+            assert_eq!(got_stats.point, want_stats.point, "response {k}");
+            assert_eq!(got_stats.uncertain, want_stats.uncertain, "response {k}");
+        } else {
+            assert_eq!(got, want, "response {k} (request {:#04x})", request[5]);
+        }
+    }
+    assert!(answers > 900, "{answers} answers");
+    assert!(!got_pushes.is_empty(), "the standing query saw commits");
+    assert_eq!(got_pushes, want_pushes, "commit push streams");
+    oracle_handle.shutdown();
+}
+
+#[test]
+fn burst_racing_a_commit_sees_each_answer_wholly_before_or_after_it() {
+    let cluster = Cluster::start(2);
+    let (_oracle, oracle_handle) = start_oracle(2);
+    // Every point moves 13 units east, so every answer changes on both
+    // nodes: one node's half from each epoch matches neither epoch.
+    let shift: Vec<WireUpdate> = scene()
+        .0
+        .into_iter()
+        .map(|p| {
+            let moved = Point::new(p.loc.x + 13.0, p.loc.y);
+            WireUpdate::Point(Update::Move(PointObject::new(p.id.0, moved)))
+        })
+        .collect();
+    let queries = point_requests(12, 5);
+    let round: Vec<u8> = queries.iter().flat_map(point_frame).collect();
+    let mut oracle = Client::connect(oracle_handle.addr()).expect("connect oracle");
+    let answers = |oracle: &mut Client| -> Vec<Vec<u8>> {
+        queries
+            .iter()
+            .map(|q| encoded(|f| protocol::encode_answer(f, &oracle.point_query(q).unwrap())))
+            .collect()
+    };
+    let before = answers(&mut oracle);
+    oracle.submit(&shift).expect("submit oracle");
+    oracle.commit(CommitTarget::Point).expect("commit oracle");
+    let after = answers(&mut oracle);
+    for k in 0..queries.len() {
+        assert_ne!(before[k], after[k], "query {k} must see the commit");
+    }
+
+    // Rounds of the same queries stream in until the commit is
+    // acknowledged on another connection, then two more.
+    let mut writer = cluster.client();
+    writer.submit(&shift).expect("submit cluster");
+    let mut stream = raw_connect(cluster.addr());
+    let committed = Arc::new(AtomicBool::new(false));
+    let written = Arc::new(AtomicUsize::new(0));
+    let streamer = {
+        let mut stream = stream.try_clone().expect("clone");
+        let (committed, written) = (Arc::clone(&committed), Arc::clone(&written));
+        std::thread::spawn(move || {
+            let mut past_commit = 0;
+            while past_commit < 2 {
+                past_commit += usize::from(committed.load(Ordering::SeqCst));
+                stream.write_all(&round).expect("stream a round");
+                written.fetch_add(1, Ordering::SeqCst);
+            }
+        })
+    };
+    let (mut read, mut old, mut new) = (0usize, 0usize, 0usize);
+    loop {
+        if read < written.load(Ordering::SeqCst) {
+            for k in 0..queries.len() {
+                let answer = read_frame(&mut stream);
+                if answer == after[k] {
+                    new += 1;
+                } else {
+                    assert_eq!(answer, before[k], "round {read} query {k}: a torn answer");
+                    assert_eq!(
+                        new, 0,
+                        "round {read} query {k}: the old epoch after the new"
+                    );
+                    old += 1;
+                }
+            }
+            read += 1;
+            if read == 3 {
+                writer.commit(CommitTarget::Point).expect("commit cluster");
+                committed.store(true, Ordering::SeqCst);
+            }
+        } else if streamer.is_finished() && read == written.load(Ordering::SeqCst) {
+            break;
+        } else {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+    streamer.join().expect("streamer");
+    assert!(old >= 3 * queries.len(), "{old} answers before the commit");
+    assert!(new >= 2 * queries.len(), "{new} answers after the commit");
+    oracle_handle.shutdown();
+}
+
+#[test]
+fn burst_losing_a_node_fails_each_query_and_the_connection_lives() {
+    let mut cluster = Cluster::start(2);
+    let mut stream = raw_connect(cluster.addr());
+    let half: Vec<u8> = point_requests(16, 2).iter().flat_map(point_frame).collect();
+    let ping = encoded(|f| protocol::encode_empty(f, opcode::PING));
+
+    // The first half of the burst meets a healthy cluster...
+    stream.write_all(&half).unwrap();
+    for k in 0..16 {
+        assert_eq!(read_frame(&mut stream)[5], opcode::ANSWER, "query {k}");
+    }
+    // ...the second, one pass with a PING behind it, a lost node.
+    cluster.crash_node(1);
+    stream.write_all(&[&half[..], &ping].concat()).unwrap();
+    for k in 16..32 {
+        let reply = read_frame(&mut stream);
+        assert_eq!(
+            (reply[5], reply[6]),
+            (opcode::ERROR, ErrorCode::Unavailable as u8),
+            "query {k}: a typed error, not a hang or a partial answer"
+        );
+    }
+    assert_eq!(
+        read_frame(&mut stream)[5],
+        opcode::PONG,
+        "the connection lives"
+    );
+    let stats = cluster.client().stats().expect("stats");
+    assert!(!stats.nodes[1].connected, "the lost node is reported");
+}
+
+#[test]
+fn burst_answers_the_cores_own_frames_behind_held_queries() {
+    let cluster = Cluster::start(2);
+    let (_oracle, oracle_handle) = start_oracle(2);
+    let queries: Vec<Vec<u8>> = point_requests(5, 3).iter().map(point_frame).collect();
+    let hello = encoded(|f| protocol::encode_hello(f, Role::Client, 0));
+    let undelimitable = 1u32.to_le_bytes().to_vec();
+    let requests: [&[u8]; 7] = [
+        &queries[0],
+        &queries[1],
+        &queries[2],
+        &hello,
+        &queries[3],
+        &queries[4],
+        &undelimitable,
+    ];
+    let expected = [
+        opcode::ANSWER,
+        opcode::ANSWER,
+        opcode::ANSWER,
+        opcode::HELLO_ACK,
+        opcode::ANSWER,
+        opcode::ANSWER,
+        opcode::ERROR,
+    ];
+    let replies = |addr: SocketAddr| {
+        let mut stream = raw_connect(addr);
+        stream.write_all(&requests.concat()).unwrap();
+        let replies: Vec<Vec<u8>> = expected.iter().map(|_| read_frame(&mut stream)).collect();
+        assert!(
+            matches!(stream.read(&mut [0u8; 1]), Ok(0) | Err(_)),
+            "closed after the refusal"
+        );
+        replies
+    };
+    let (got, want) = (replies(cluster.addr()), replies(oracle_handle.addr()));
+    for (k, op) in expected.into_iter().enumerate() {
+        assert_eq!(got[k][5], op, "reply {k}");
+        if op == opcode::ANSWER {
+            assert_eq!(got[k], want[k], "reply {k}");
+        }
+    }
+    assert_eq!(got[6][6], ErrorCode::TooLarge as u8);
+    oracle_handle.shutdown();
 }
