@@ -1,5 +1,5 @@
 //! Reproduces every figure of Chen & Cheng (ICDE 2007) plus the
-//! DESIGN.md ablations.
+//! design-choice ablations (see the README's "Reproducing the paper").
 //!
 //! ```text
 //! reproduce [targets...] [--quick] [--csv DIR]

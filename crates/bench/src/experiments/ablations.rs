@@ -1,4 +1,5 @@
-//! Design-choice ablations beyond the paper's figures (DESIGN.md §4):
+//! Design-choice ablations beyond the paper's figures (the README's
+//! "Reproducing the paper" section):
 //!
 //! * integrator trade-off (exact / grid / Monte-Carlo) for IUQ;
 //! * U-catalog size vs pruning power for C-IPQ;

@@ -1,8 +1,9 @@
 //! # iloc-bench
 //!
 //! Experiment harness reproducing **every figure** of the paper's
-//! evaluation (Section 6) plus the design-choice ablations listed in
-//! DESIGN.md. The `reproduce` binary drives the full suite:
+//! evaluation (Section 6) plus the design-choice ablations of
+//! [`experiments::ablations`] (the README's "Reproducing the paper"
+//! section lists both). The `reproduce` binary drives the full suite:
 //!
 //! ```text
 //! cargo run -p iloc-bench --release --bin reproduce            # all figures
@@ -12,7 +13,7 @@
 //!
 //! Absolute milliseconds differ from the paper's 2007 SunFire numbers;
 //! the *shapes* — who wins, by what factor, where the curves bend — are
-//! what EXPERIMENTS.md records and compares.
+//! what `tests/shapes.rs` asserts.
 //!
 //! Beside the paper harness sits the serving stack's smoke driver: the
 //! [`loadgen`] module and binary (one data-described scenario driven

@@ -1,5 +1,5 @@
-//! Batched query execution: rayon fan-out of request chunks with one
-//! long-lived execution context per worker.
+//! Batched query execution: a scoped-thread fan-out of request chunks
+//! with one long-lived execution context per worker.
 //!
 //! A deployed location service does not answer one query at a time; it
 //! drains a queue of requests from millions of issuers.
@@ -11,8 +11,6 @@
 //! per-query context would be, so parallel answers are bit-identical
 //! to [`execute_batch_sequential`] — determinism is a property of the
 //! plan, not of scheduling.
-
-use rayon::prelude::*;
 
 use crate::integrate::Integrator;
 use crate::query::{CipqStrategy, CiuqStrategy, Issuer, RangeSpec};
@@ -47,48 +45,44 @@ pub trait BatchEngine: Sync {
     }
 }
 
-/// Answers every request in parallel (rayon work distribution across
-/// all cores, one contiguous chunk and one reused context per worker),
-/// preserving request order in the output.
+/// Answers every request in parallel — one contiguous chunk, one scoped
+/// thread and one reused context per available core — preserving
+/// request order in the output.
 pub fn execute_batch<E: BatchEngine>(engine: &E, requests: &[E::Request]) -> Vec<QueryAnswer> {
-    if requests.is_empty() {
-        return Vec::new();
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if workers == 1 || requests.len() < 2 {
+        return execute_batch_sequential(engine, requests);
     }
-    let workers = rayon::current_num_threads().max(1);
-    let chunk_size = requests.len().div_ceil(workers).max(1);
-    let per_chunk: Vec<Vec<QueryAnswer>> = requests
-        .par_chunks(chunk_size)
-        .map(|chunk| {
-            let mut ctx = ExecutionContext::new(Integrator::Auto);
-            // Result vectors must be freshly allocated (they are moved
-            // into the output), but growth-doubling them from empty
-            // costs ~log₂(matches) reallocations per query. Pre-sizing
-            // each answer to the chunk's high-water mark collapses
-            // that to one exact allocation per query after the first.
-            let mut hwm = 0usize;
-            chunk
-                .iter()
-                .map(|request| {
-                    let mut answer = QueryAnswer::default();
-                    answer.results.reserve(hwm);
-                    engine.execute_one_into(request, &mut ctx, &mut answer);
-                    hwm = hwm.max(answer.results.len());
-                    answer
-                })
-                .collect()
-        })
-        .collect();
-    per_chunk.into_iter().flatten().collect()
+    let chunk_size = requests.len().div_ceil(workers);
+    std::thread::scope(|scope| {
+        let chunks: Vec<_> = requests
+            .chunks(chunk_size)
+            .map(|chunk| scope.spawn(move || execute_batch_sequential(engine, chunk)))
+            .collect();
+        chunks
+            .into_iter()
+            .flat_map(|chunk| {
+                chunk
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
 }
 
 /// Answers every request on the calling thread through one reused
-/// context — the reference the parallel path is property-tested
-/// against.
+/// context — one worker's share of [`execute_batch`], and the reference
+/// the parallel path is property-tested against.
 pub fn execute_batch_sequential<E: BatchEngine>(
     engine: &E,
     requests: &[E::Request],
 ) -> Vec<QueryAnswer> {
     let mut ctx = ExecutionContext::new(Integrator::Auto);
+    // Result vectors must be freshly allocated (they are moved into the
+    // output), but growth-doubling them from empty costs
+    // ~log₂(matches) reallocations per query. Pre-sizing each answer to
+    // the high-water mark so far collapses that to one exact allocation
+    // per query after the first.
     let mut hwm = 0usize;
     requests
         .iter()
@@ -321,5 +315,48 @@ mod tests {
     fn empty_batch() {
         let engine = point_engine();
         assert!(execute_batch(&engine, &[]).is_empty());
+    }
+
+    /// Answers request `k` with one match of id `k`, and records which
+    /// threads answered.
+    #[derive(Default)]
+    struct Echo(std::sync::Mutex<std::collections::HashSet<std::thread::ThreadId>>);
+
+    impl BatchEngine for Echo {
+        type Request = u64;
+
+        fn execute_one_into(&self, request: &u64, _: &mut ExecutionContext, out: &mut QueryAnswer) {
+            self.0.lock().unwrap().insert(std::thread::current().id());
+            out.results.clear();
+            out.results.push(crate::result::Match {
+                id: iloc_uncertainty::ObjectId(*request),
+                probability: 1.0,
+            });
+        }
+    }
+
+    fn workers() -> usize {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    }
+
+    #[test]
+    fn output_order_is_request_order_at_every_chunking_edge() {
+        let w = workers();
+        for len in [0, 1, w - 1, w, w + 1, 10 * w + 3] {
+            let requests: Vec<u64> = (0..len as u64).map(|k| k * 7 + 3).collect();
+            let answers = execute_batch(&Echo::default(), &requests);
+            let ids: Vec<u64> = answers.iter().map(|a| a.results[0].id.0).collect();
+            assert_eq!(ids, requests, "length {len}");
+        }
+    }
+
+    #[test]
+    fn chunks_run_on_more_than_one_thread() {
+        let engine = Echo::default();
+        let _ = execute_batch(&engine, &(0..1_000).collect::<Vec<u64>>());
+        if workers() > 1 {
+            let threads = engine.0.lock().unwrap().len();
+            assert!(threads > 1, "{threads} thread(s) on {} CPUs", workers());
+        }
     }
 }

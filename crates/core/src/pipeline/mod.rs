@@ -39,9 +39,9 @@
 //! ## Batching
 //!
 //! [`execute_batch`] runs any slice of requests against a
-//! [`BatchEngine`] on all cores via rayon: requests are chunked per
-//! worker, each worker reuses one long-lived context (reset and
-//! reseeded identically for every query), so answers are
+//! [`BatchEngine`] on all cores over scoped threads: requests are
+//! chunked per worker, each worker reuses one long-lived context
+//! (reset and reseeded identically for every query), so answers are
 //! **bit-identical** to sequential execution (property-tested in
 //! `tests/pipeline.rs`).
 //!

@@ -14,8 +14,8 @@
 //! road-like polylines plus dense urban clusters over a sparse rural
 //! background for the point set; clustered, skew-sized parcels for the
 //! rectangle set. Every generator is deterministic in its seed, so
-//! experiments are exactly repeatable. See DESIGN.md ("Substitutions")
-//! for the full rationale.
+//! experiments are exactly repeatable. The README's "Reproducing the
+//! paper" section says what the figures rest on.
 //!
 //! Beyond the static sets, [`updates`] generates seeded
 //! arrival/departure/move streams over them — the churn workload the

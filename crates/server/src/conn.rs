@@ -7,7 +7,7 @@
 //!        ┌─────────────┼─────────────┐
 //!        ▼             ▼             ▼
 //!   event loop 0  event loop 1 … event loop N-1      one Handler each
-//!   (epoll/poll readiness over MANY non-blocking connections: frame
+//!   (epoll readiness over MANY non-blocking connections: frame
 //!    reassembly, validation, buffered output, push accounting)
 //! ```
 //!

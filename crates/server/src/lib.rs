@@ -13,10 +13,11 @@
 //! `std`** (the build environment has no crates.io access, so no
 //! tokio/mio): one listener thread accepts connections and hands them
 //! to a small pool of event-loop threads, each multiplexing thousands
-//! of non-blocking connections through one readiness wait ([`poll`] —
-//! epoll on Linux, `poll(2)` elsewhere); a single writer thread
-//! applies catalog updates, preserving the [`iloc_core::serve`]
-//! snapshot-consistency invariant end to end.
+//! of non-blocking connections through one epoll wait ([`poll`]); each
+//! loop applies its own connections' updates and commits under the
+//! catalog's lock, preserving the [`iloc_core::serve`]
+//! snapshot-consistency invariant end to end. Linux is the supported
+//! platform.
 //!
 //! ## The five pieces
 //!
@@ -27,8 +28,8 @@
 //!   TICK / UNSUBSCRIBE with pushed NOTIFY delta frames), and explicit
 //!   error frames. See `docs/PROTOCOL.md` for the full byte-level
 //!   spec.
-//! * [`poll`] — the std-only readiness substrate: an epoll/`poll(2)`
-//!   wrapper over `extern "C"` libc symbols (std links libc; no crate
+//! * [`poll`] — the std-only readiness substrate: an epoll wrapper
+//!   over `extern "C"` libc symbols (std links libc; no crate
 //!   needed), plus a `UnixStream`-pair waker and rlimit/sockopt
 //!   helpers. The only module in the crate allowed `unsafe`.
 //! * [`conn`] — the connection core: listener, event loops,
@@ -43,8 +44,8 @@
 //!   so a **steady-state query performs zero heap
 //!   allocations** from the moment the request bytes arrive to the
 //!   moment the answer bytes are written back. Reads run against the
-//!   loop's pinned epoch snapshot; updates and commits route through
-//!   the single writer thread.
+//!   loop's pinned epoch snapshot; updates and commits run on the
+//!   loop too, serialized by the catalog's lock.
 //! * [`client`] — [`client::Client`]: sync, connection-reusing, with a
 //!   windowed **pipelined batch mode**; used by the loopback
 //!   integration tests and by the `loadgen` scenario in `iloc-bench`.
@@ -78,6 +79,9 @@
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("iloc-server supports Linux only: its event loops run on epoll");
 
 pub mod alloc_count;
 pub mod client;

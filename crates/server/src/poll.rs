@@ -3,21 +3,18 @@
 //!
 //! The build environment has no crates.io access (no `mio`, no
 //! `libc`), but Rust's std links the platform C library, so the
-//! handful of symbols this module needs (`epoll_*` on Linux, `poll`
-//! elsewhere, `setsockopt`, `setrlimit`) can be declared `extern "C"`
-//! and resolved at link time — the same technique the `iloc-server`
-//! binary already uses for `signal(2)`. This is the **only** module in
-//! the crate allowed to use `unsafe`; everything it exports is a safe
-//! API over raw fds that the event loop owns for the lifetime of the
-//! registration.
+//! handful of symbols this module needs (`epoll_*`, `setsockopt`,
+//! `setrlimit`) can be declared `extern "C"` and resolved at link
+//! time — the same technique the `iloc-server` binary already uses for
+//! `signal(2)`. This is the **only** module in the crate allowed to use
+//! `unsafe`; everything it exports is a safe API over raw fds that the
+//! event loop owns for the lifetime of the registration.
 //!
-//! Two backends behind one [`Poller`] shape:
-//!
-//! * **Linux**: `epoll` (level-triggered). One `epoll_wait` returns
-//!   only the *ready* connections, so a loop owning 10 000 mostly-idle
-//!   subscribers pays O(ready), not O(registered), per wake.
-//! * **Other Unix**: `poll(2)` over the registration list — O(n) per
-//!   wake, fine for development-scale runs on macOS/BSD.
+//! Linux is the supported platform, and readiness is `epoll`
+//! (level-triggered): one `epoll_wait` returns only the *ready*
+//! connections, so a loop owning 10 000 mostly-idle subscribers pays
+//! O(ready), not O(registered), per wake. The constants below are the
+//! Linux ABI's.
 //!
 //! The poller never allocates in [`Poller::wait`] once its internal
 //! event buffer has grown to the high-water mark, keeping the serving
@@ -28,12 +25,9 @@
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::os::raw::{c_int, c_void};
-use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::io::{AsRawFd, FromRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
-
-#[cfg(target_os = "linux")]
-use std::os::unix::io::FromRawFd;
 
 /// What a registration wants to be woken for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,12 +67,14 @@ pub struct Event {
 }
 
 // ---------------------------------------------------------------------------
-// Shared libc declarations
+// libc declarations
 // ---------------------------------------------------------------------------
 
 extern "C" {
     fn close(fd: c_int) -> c_int;
     fn setsockopt(fd: c_int, level: c_int, name: c_int, value: *const c_void, len: u32) -> c_int;
+    fn getsockopt(fd: c_int, level: c_int, name: c_int, value: *mut c_void, len: *mut u32)
+        -> c_int;
     fn getrlimit(resource: c_int, rlim: *mut Rlimit) -> c_int;
     fn setrlimit(resource: c_int, rlim: *const Rlimit) -> c_int;
 }
@@ -89,25 +85,11 @@ struct Rlimit {
     max: u64,
 }
 
-#[cfg(target_os = "linux")]
 const RLIMIT_NOFILE: c_int = 7;
-#[cfg(not(target_os = "linux"))]
-const RLIMIT_NOFILE: c_int = 8;
-
-#[cfg(target_os = "linux")]
 const SOL_SOCKET: c_int = 1;
-#[cfg(not(target_os = "linux"))]
-const SOL_SOCKET: c_int = 0xffff;
-
-#[cfg(target_os = "linux")]
 const SO_SNDBUF: c_int = 7;
-#[cfg(not(target_os = "linux"))]
-const SO_SNDBUF: c_int = 0x1001;
-
-#[cfg(target_os = "linux")]
 const SO_RCVBUF: c_int = 8;
-#[cfg(not(target_os = "linux"))]
-const SO_RCVBUF: c_int = 0x1002;
+const SO_ERROR: c_int = 4;
 
 /// Raises this process's open-file soft limit toward `want` (capped at
 /// the hard limit); returns the resulting soft limit. A C10K run needs
@@ -184,16 +166,6 @@ pub fn set_recv_buffer(stream: &TcpStream, bytes: usize) -> io::Result<()> {
 // Non-blocking outbound connect
 // ---------------------------------------------------------------------------
 
-#[cfg(target_os = "linux")]
-const SO_ERROR: c_int = 4;
-#[cfg(not(target_os = "linux"))]
-const SO_ERROR: c_int = 0x1007;
-
-extern "C" {
-    fn getsockopt(fd: c_int, level: c_int, name: c_int, value: *mut c_void, len: *mut u32)
-        -> c_int;
-}
-
 /// An outbound TCP connection being established without blocking —
 /// how the cluster router dials all of its upstream nodes in parallel
 /// instead of paying one connect round trip after another.
@@ -249,12 +221,9 @@ impl PendingConnect {
     }
 }
 
-/// Starts a TCP connect to `addr` without blocking (Linux: a raw
-/// `SOCK_NONBLOCK` socket whose `connect(2)` returns `EINPROGRESS`;
-/// other Unix: a plain blocking connect wrapped in the same shape, so
-/// callers stay portable). See [`PendingConnect`] for the completion
-/// protocol.
-#[cfg(target_os = "linux")]
+/// Starts a TCP connect to `addr` without blocking: a raw
+/// `SOCK_NONBLOCK` socket whose `connect(2)` returns `EINPROGRESS`.
+/// See [`PendingConnect`] for the completion protocol.
 pub fn connect_nonblocking(addr: SocketAddr) -> io::Result<PendingConnect> {
     const AF_INET: c_int = 2;
     const AF_INET6: c_int = 10;
@@ -351,308 +320,170 @@ pub fn connect_nonblocking(addr: SocketAddr) -> io::Result<PendingConnect> {
     Err(err)
 }
 
-/// Starts a TCP connect to `addr` without blocking — portable
-/// fallback: a plain blocking connect wrapped in the
-/// [`PendingConnect`] shape.
-#[cfg(not(target_os = "linux"))]
-pub fn connect_nonblocking(addr: SocketAddr) -> io::Result<PendingConnect> {
-    let stream = TcpStream::connect(addr)?;
-    Ok(PendingConnect {
-        stream,
-        pending: false,
-    })
+// ---------------------------------------------------------------------------
+// Readiness: epoll
+// ---------------------------------------------------------------------------
+
+const EPOLL_CLOEXEC: c_int = 0o2000000;
+const EPOLL_CTL_ADD: c_int = 1;
+const EPOLL_CTL_DEL: c_int = 2;
+const EPOLL_CTL_MOD: c_int = 3;
+const EPOLLIN: u32 = 0x001;
+const EPOLLOUT: u32 = 0x004;
+const EPOLLERR: u32 = 0x008;
+const EPOLLHUP: u32 = 0x010;
+const EPOLLRDHUP: u32 = 0x2000;
+
+/// The kernel's `struct epoll_event`; packed on x86-64 (the kernel
+/// ABI has no padding there).
+#[cfg_attr(target_arch = "x86_64", repr(C, packed))]
+#[cfg_attr(not(target_arch = "x86_64"), repr(C))]
+#[derive(Clone, Copy)]
+struct EpollEvent {
+    events: u32,
+    data: u64,
 }
 
-// ---------------------------------------------------------------------------
-// Linux backend: epoll
-// ---------------------------------------------------------------------------
-
-#[cfg(target_os = "linux")]
-mod backend {
-    use super::*;
-
-    const EPOLL_CLOEXEC: c_int = 0o2000000;
-    const EPOLL_CTL_ADD: c_int = 1;
-    const EPOLL_CTL_DEL: c_int = 2;
-    const EPOLL_CTL_MOD: c_int = 3;
-    const EPOLLIN: u32 = 0x001;
-    const EPOLLOUT: u32 = 0x004;
-    const EPOLLERR: u32 = 0x008;
-    const EPOLLHUP: u32 = 0x010;
-    const EPOLLRDHUP: u32 = 0x2000;
-
-    /// The kernel's `struct epoll_event`; packed on x86-64 (the kernel
-    /// ABI has no padding there).
-    #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
-    #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
-    }
-
-    extern "C" {
-        fn epoll_create1(flags: c_int) -> c_int;
-        fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        fn epoll_wait(epfd: c_int, events: *mut EpollEvent, max: c_int, timeout_ms: c_int)
-            -> c_int;
-    }
-
-    fn mask(interest: Interest) -> u32 {
-        let mut m = EPOLLRDHUP;
-        if interest.readable {
-            m |= EPOLLIN;
-        }
-        if interest.writable {
-            m |= EPOLLOUT;
-        }
-        m
-    }
-
-    /// Readiness poller over one epoll instance.
-    #[derive(Debug)]
-    pub struct Poller {
-        epfd: c_int,
-        /// Reused kernel-event buffer; grows to the high-water mark of
-        /// simultaneously ready fds, then never again.
-        buf: Vec<u64>,
-        cap: usize,
-    }
-
-    // 16 bytes per event slot is enough on every layout (the packed
-    // x86-64 event is 12 bytes); the buffer is a u64 vec so it is
-    // always sufficiently aligned for the unpacked layout too.
-    const SLOT_WORDS: usize = 2;
-
-    impl Poller {
-        /// Creates the epoll instance.
-        pub fn new() -> io::Result<Poller> {
-            // SAFETY: plain syscall, checked return.
-            let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if epfd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Poller {
-                epfd,
-                buf: Vec::new(),
-                cap: 256,
-            })
-        }
-
-        fn ctl(&self, op: c_int, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let mut ev = EpollEvent {
-                events: mask(interest),
-                data: token,
-            };
-            // SAFETY: `ev` is a live, correctly-laid-out epoll_event;
-            // the caller guarantees `fd` is open for the registration
-            // lifetime (the event loop owns both).
-            if unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) } != 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-
-        /// Starts watching `fd` under `token`.
-        pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, token, interest)
-        }
-
-        /// Changes an existing registration's interest set.
-        pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, token, interest)
-        }
-
-        /// Stops watching `fd` (must still be open).
-        pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-            let mut ev = EpollEvent { events: 0, data: 0 };
-            // SAFETY: as in `ctl`; DEL ignores the event argument but
-            // pre-2.6.9 kernels demanded a non-null pointer.
-            if unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) } != 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-
-        /// Waits for readiness, appending into `out` (cleared first).
-        /// `None` blocks until an event; a spurious `EINTR` wake
-        /// returns an empty set, like a timeout.
-        pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-            out.clear();
-            self.buf.resize(self.cap * SLOT_WORDS, 0);
-            let timeout_ms: c_int = match timeout {
-                None => -1,
-                Some(t) => t.as_millis().min(i32::MAX as u128) as c_int,
-            };
-            // SAFETY: `buf` provides `cap` correctly-aligned event
-            // slots; the kernel writes at most `cap` of them.
-            let n = unsafe {
-                epoll_wait(
-                    self.epfd,
-                    self.buf.as_mut_ptr().cast::<EpollEvent>(),
-                    self.cap as c_int,
-                    timeout_ms,
-                )
-            };
-            if n < 0 {
-                let e = io::Error::last_os_error();
-                return if e.kind() == io::ErrorKind::Interrupted {
-                    Ok(())
-                } else {
-                    Err(e)
-                };
-            }
-            let n = n as usize;
-            for k in 0..n {
-                // SAFETY: slot `k < n <= cap` was just written by the
-                // kernel; read_unaligned tolerates the packed layout.
-                let ev: EpollEvent = unsafe {
-                    std::ptr::read_unaligned(self.buf.as_ptr().cast::<EpollEvent>().add(k))
-                };
-                out.push(Event {
-                    token: ev.data,
-                    readable: ev.events & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0,
-                    writable: ev.events & EPOLLOUT != 0,
-                    hangup: ev.events & (EPOLLERR | EPOLLHUP) != 0,
-                });
-            }
-            if n == self.cap {
-                // Full buffer: more may be pending; serve bigger
-                // batches next time.
-                self.cap *= 2;
-            }
-            Ok(())
-        }
-    }
-
-    impl Drop for Poller {
-        fn drop(&mut self) {
-            // SAFETY: closing the fd we created; errors are moot.
-            unsafe {
-                close(self.epfd);
-            }
-        }
-    }
+extern "C" {
+    fn epoll_create1(flags: c_int) -> c_int;
+    fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+    fn epoll_wait(epfd: c_int, events: *mut EpollEvent, max: c_int, timeout_ms: c_int) -> c_int;
 }
 
-// ---------------------------------------------------------------------------
-// Portable Unix backend: poll(2)
-// ---------------------------------------------------------------------------
-
-#[cfg(all(unix, not(target_os = "linux")))]
-mod backend {
-    use super::*;
-
-    const POLLIN: i16 = 0x001;
-    const POLLOUT: i16 = 0x004;
-    const POLLERR: i16 = 0x008;
-    const POLLHUP: i16 = 0x010;
-
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: c_int,
-        events: i16,
-        revents: i16,
+fn mask(interest: Interest) -> u32 {
+    let mut m = EPOLLRDHUP;
+    if interest.readable {
+        m |= EPOLLIN;
     }
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: u64, timeout_ms: c_int) -> c_int;
+    if interest.writable {
+        m |= EPOLLOUT;
     }
+    m
+}
 
-    fn mask(interest: Interest) -> i16 {
-        let mut m = 0;
-        if interest.readable {
-            m |= POLLIN;
+/// Readiness poller over one epoll instance.
+#[derive(Debug)]
+pub struct Poller {
+    epfd: c_int,
+    /// Reused kernel-event buffer; grows to the high-water mark of
+    /// simultaneously ready fds, then never again.
+    buf: Vec<u64>,
+    cap: usize,
+}
+
+// 16 bytes per event slot is enough on every layout (the packed
+// x86-64 event is 12 bytes); the buffer is a u64 vec so it is
+// always sufficiently aligned for the unpacked layout too.
+const SLOT_WORDS: usize = 2;
+
+impl Poller {
+    /// Creates the epoll instance.
+    pub fn new() -> io::Result<Poller> {
+        // SAFETY: plain syscall, checked return.
+        let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
+        if epfd < 0 {
+            return Err(io::Error::last_os_error());
         }
-        if interest.writable {
-            m |= POLLOUT;
-        }
-        m
+        Ok(Poller {
+            epfd,
+            buf: Vec::new(),
+            cap: 256,
+        })
     }
 
-    /// Readiness poller over a registration list scanned by `poll(2)`.
-    #[derive(Debug)]
-    pub struct Poller {
-        fds: Vec<PollFd>,
-        tokens: Vec<u64>,
+    fn ctl(&self, op: c_int, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        let mut ev = EpollEvent {
+            events: mask(interest),
+            data: token,
+        };
+        // SAFETY: `ev` is a live, correctly-laid-out epoll_event;
+        // the caller guarantees `fd` is open for the registration
+        // lifetime (the event loop owns both).
+        if unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) } != 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
     }
 
-    impl Poller {
-        /// Creates an empty poller.
-        pub fn new() -> io::Result<Poller> {
-            Ok(Poller {
-                fds: Vec::new(),
-                tokens: Vec::new(),
-            })
-        }
+    /// Starts watching `fd` under `token`.
+    pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_ADD, fd, token, interest)
+    }
 
-        /// Starts watching `fd` under `token`.
-        pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.fds.push(PollFd {
-                fd,
-                events: mask(interest),
-                revents: 0,
+    /// Changes an existing registration's interest set.
+    pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_MOD, fd, token, interest)
+    }
+
+    /// Stops watching `fd` (must still be open).
+    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+        let mut ev = EpollEvent { events: 0, data: 0 };
+        // SAFETY: as in `ctl`; DEL ignores the event argument but
+        // pre-2.6.9 kernels demanded a non-null pointer.
+        if unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) } != 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
+    }
+
+    /// Waits for readiness, appending into `out` (cleared first).
+    /// `None` blocks until an event; a spurious `EINTR` wake
+    /// returns an empty set, like a timeout.
+    pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+        out.clear();
+        self.buf.resize(self.cap * SLOT_WORDS, 0);
+        let timeout_ms: c_int = match timeout {
+            None => -1,
+            Some(t) => t.as_millis().min(i32::MAX as u128) as c_int,
+        };
+        // SAFETY: `buf` provides `cap` correctly-aligned event
+        // slots; the kernel writes at most `cap` of them.
+        let n = unsafe {
+            epoll_wait(
+                self.epfd,
+                self.buf.as_mut_ptr().cast::<EpollEvent>(),
+                self.cap as c_int,
+                timeout_ms,
+            )
+        };
+        if n < 0 {
+            let e = io::Error::last_os_error();
+            return if e.kind() == io::ErrorKind::Interrupted {
+                Ok(())
+            } else {
+                Err(e)
+            };
+        }
+        let n = n as usize;
+        for k in 0..n {
+            // SAFETY: slot `k < n <= cap` was just written by the
+            // kernel; read_unaligned tolerates the packed layout.
+            let ev: EpollEvent =
+                unsafe { std::ptr::read_unaligned(self.buf.as_ptr().cast::<EpollEvent>().add(k)) };
+            out.push(Event {
+                token: ev.data,
+                readable: ev.events & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0,
+                writable: ev.events & EPOLLOUT != 0,
+                hangup: ev.events & (EPOLLERR | EPOLLHUP) != 0,
             });
-            self.tokens.push(token);
-            Ok(())
         }
-
-        /// Changes an existing registration's interest set.
-        pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            for (slot, t) in self.fds.iter_mut().zip(&mut self.tokens) {
-                if slot.fd == fd {
-                    slot.events = mask(interest);
-                    *t = token;
-                    return Ok(());
-                }
-            }
-            Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"))
+        if n == self.cap {
+            // Full buffer: more may be pending; serve bigger
+            // batches next time.
+            self.cap *= 2;
         }
-
-        /// Stops watching `fd`.
-        pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-            if let Some(at) = self.fds.iter().position(|s| s.fd == fd) {
-                self.fds.swap_remove(at);
-                self.tokens.swap_remove(at);
-                return Ok(());
-            }
-            Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"))
-        }
-
-        /// Waits for readiness, appending into `out` (cleared first).
-        pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-            out.clear();
-            let timeout_ms: c_int = match timeout {
-                None => -1,
-                Some(t) => t.as_millis().min(i32::MAX as u128) as c_int,
-            };
-            // SAFETY: `fds` is a live, contiguous pollfd array.
-            let n = unsafe { poll(self.fds.as_mut_ptr(), self.fds.len() as u64, timeout_ms) };
-            if n < 0 {
-                let e = io::Error::last_os_error();
-                return if e.kind() == io::ErrorKind::Interrupted {
-                    Ok(())
-                } else {
-                    Err(e)
-                };
-            }
-            for (slot, &token) in self.fds.iter().zip(&self.tokens) {
-                if slot.revents != 0 {
-                    out.push(Event {
-                        token,
-                        readable: slot.revents & (POLLIN | POLLHUP) != 0,
-                        writable: slot.revents & POLLOUT != 0,
-                        hangup: slot.revents & (POLLERR | POLLHUP) != 0,
-                    });
-                }
-            }
-            Ok(())
-        }
+        Ok(())
     }
 }
 
-pub use backend::Poller;
+impl Drop for Poller {
+    fn drop(&mut self) {
+        // SAFETY: closing the fd we created; errors are moot.
+        unsafe {
+            close(self.epfd);
+        }
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Waker: a pure-std self-pipe

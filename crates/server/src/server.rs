@@ -8,11 +8,11 @@
 //!   per-loop ShardServer ×2 + request/answer slots — the zero-alloc
 //!   hot path; per-connection subscription registries
 //!                  │ reads: pinned epoch snapshot
-//!                  │ writes: WriterMsg over one mpsc channel
+//!                  │ writes: submit / commit on the issuing loop
 //!                  ▼
-//!           writer thread ── submit / commit on the ShardedEngines
-//!                           └─ wakes every loop after a commit, so
-//!                              pushes reach idle subscribers promptly
+//!   DurableCatalog ×2 — the catalog's lock serializes commits across
+//!   loops; a published commit wakes every loop, so pushes reach idle
+//!   subscribers promptly
 //! ```
 //!
 //! Sockets, framing, backpressure and push delivery are the core's
@@ -26,20 +26,19 @@
 //!   epoch), and encodes the answer into the connection's output
 //!   buffer. After warm-up the whole request path performs **zero heap
 //!   allocations**; the CI smoke job gates on this over a real socket.
-//! * **Updates and commits** route through the single writer thread,
-//!   so every mutation of the sharded engines is serialized in one
-//!   place and the [`iloc_core::serve`] snapshot-consistency invariant
-//!   ("no torn epochs, ever") holds across the network boundary
-//!   exactly as it does in process. A client's own update → commit
-//!   order is preserved end to end (same loop, same channel, FIFO).
-//!   The issuing loop waits for the writer's reply, which briefly
-//!   pauses its other connections — commits are rare next to queries,
-//!   and the writer wakes every loop afterwards so the commit's pushes
-//!   go out immediately.
+//! * **Updates and commits** run on the loop that reads them. Each
+//!   catalog's share of an UPDATE_BATCH is submitted under one hold of
+//!   that catalog's lock and commits serialize on it, so a commit from
+//!   any loop takes a batch whole or not at all, and the
+//!   [`iloc_core::serve`] invariant ("no torn epochs, ever") holds
+//!   across the network exactly as in process. A client's update →
+//!   commit order is its connection's frame order. A commit briefly
+//!   pauses the loop's other connections, and a published one wakes
+//!   every loop so its pushes go out immediately.
 //! * **Subscriptions live with their connection**: each connection
 //!   lazily carries a [`SubscriptionRegistry`] per catalog. Before
-//!   every frame — and on every loop sweep — the core asks whether the
-//!   writer published a new epoch
+//!   every frame — and on every loop sweep — the core asks whether a
+//!   commit published a new epoch
 //!   ([`SubscriptionRegistry::needs_pump`], one atomic load) and has
 //!   the handler pump: the commit's dirty region stabs the envelope
 //!   index, only affected subscriptions re-evaluate, and their deltas
@@ -58,7 +57,7 @@ use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
@@ -66,7 +65,7 @@ use iloc_core::durable::{
     CatalogRecovery, DurableCatalog, DurableObject, FsyncPolicy, StoreConfig, StoreError,
 };
 use iloc_core::pipeline::{PointRequest, UncertainRequest};
-use iloc_core::serve::{CommitReport, ServeEngine, ShardServer, ShardedEngine};
+use iloc_core::serve::{ServeEngine, ShardServer, ShardedEngine, Update};
 use iloc_core::stats::REFINE_BATCH_BUCKETS;
 use iloc_core::subscribe::{ContinuousEngine, SubscriptionRegistry};
 use iloc_core::{Issuer, PointEngine, QueryAnswer, QueryStats, RangeSpec, UncertainEngine};
@@ -137,36 +136,6 @@ pub struct RecoveryInfo {
     pub uncertain: CatalogRecovery,
 }
 
-/// What one catalog mutation request asks the writer thread to do;
-/// `from` is the event loop asking, and where the [`WriterReply`]
-/// goes.
-struct WriterMsg {
-    from: usize,
-    ask: WriterAsk,
-}
-
-enum WriterAsk {
-    /// Buffer updates.
-    Submit(Vec<WireUpdate>),
-    /// Commit one catalog.
-    Commit(CommitTarget),
-}
-
-/// The writer's answer to one [`WriterMsg`]. A loop blocks on its
-/// reply before it sends the next message, so each loop has at most
-/// one in flight and one channel per loop — made with the loop, its
-/// sending end owned by the writer — carries them all. Should the
-/// writer die mid-request its senders die with it and the waiting
-/// loops read a hang-up, not silence.
-enum WriterReply {
-    /// How many updates were accepted, plus the drained vector, so the
-    /// loop's decode buffer keeps its capacity across batches.
-    Submitted(u32, Vec<WireUpdate>),
-    /// The commit's report (or the durable store's failure — the epoch
-    /// did not publish).
-    Committed(Result<CommitReport, StoreError>),
-}
-
 /// Process-wide pipeline-stage accounting: every answered query's
 /// per-stage timers and refine-batch histogram are folded in here, so
 /// one STATS probe tells an operator where the fleet's query time goes
@@ -197,7 +166,7 @@ impl StageCounters {
     }
 }
 
-/// What every handler and the writer thread share.
+/// What every handler shares.
 struct Shared {
     engines: Arc<Engines>,
     stage: StageCounters,
@@ -295,10 +264,9 @@ impl QueryServer {
     }
 
     /// Binds `config.addr` and starts the connection core with one
-    /// handler per event loop, plus the writer thread and (for a
-    /// durable server) the checkpointer. The returned handle owns the
-    /// threads; dropping it (or calling [`ServerHandle::shutdown`])
-    /// stops them.
+    /// handler per event loop, plus (for a durable server) the
+    /// checkpointer. The returned handle owns the threads; dropping it
+    /// (or calling [`ServerHandle::shutdown`]) stops them.
     pub fn start(&self, config: &ServerConfig) -> io::Result<ServerHandle> {
         assert!(config.event_loops > 0, "need at least one event loop");
         assert!(config.max_connections > 0, "need at least one connection");
@@ -307,49 +275,31 @@ impl QueryServer {
             stage: StageCounters::default(),
             recovered_epochs: self.recovered_epochs,
         });
-        // The writer exits when the last sender drops: the handlers
-        // hold the only clones that outlive this function.
-        let (writer_tx, writer_rx) = mpsc::channel::<WriterMsg>();
-        let mut reply_txs = Vec::with_capacity(config.event_loops);
-        let core = conn::start(config, |index, remote| {
-            let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-            reply_txs.push(reply_tx);
+        let core = conn::start(config, |_, remote| {
             Ok(ServerHandler {
                 shared: Arc::clone(&shared),
                 remote: remote.clone(),
-                index,
-                writer_tx: writer_tx.clone(),
-                reply_rx,
                 state: LoopState::new(&shared.engines),
             })
         })?;
-        drop(writer_tx);
 
-        let mut threads = Vec::with_capacity(2);
-        {
-            let engines = Arc::clone(&self.engines);
-            let remote = core.remote().clone();
-            threads.push(
-                thread::Builder::new()
-                    .name("iloc-writer".to_string())
-                    .spawn(move || writer_loop(engines, writer_rx, reply_txs, remote))?,
-            );
-        }
-        if self.checkpoint_every > 0 && self.engines.point.is_durable() {
+        let checkpointer = if self.checkpoint_every > 0 && self.engines.point.is_durable() {
             let engines = Arc::clone(&self.engines);
             let remote = core.remote().clone();
             let every = self.checkpoint_every;
             let poll = config.idle_poll;
-            threads.push(
+            Some(
                 thread::Builder::new()
                     .name("iloc-checkpoint".to_string())
                     .spawn(move || checkpoint_loop(engines, remote, every, poll))?,
-            );
-        }
+            )
+        } else {
+            None
+        };
 
         Ok(ServerHandle {
             core,
-            threads,
+            checkpointer,
             engines: Arc::clone(&self.engines),
         })
     }
@@ -359,9 +309,8 @@ impl QueryServer {
 #[derive(Debug)]
 pub struct ServerHandle {
     core: Core,
-    /// The writer and the checkpointer; both end once the core has
-    /// stopped.
-    threads: Vec<thread::JoinHandle<()>>,
+    /// The checkpointer, if any; it ends once the core has stopped.
+    checkpointer: Option<thread::JoinHandle<()>>,
     engines: Arc<Engines>,
 }
 
@@ -378,26 +327,14 @@ impl ServerHandle {
     pub fn shutdown(self) {
         drop(self);
     }
-
-    /// Blocks until the server stops (which, absent a shutdown from
-    /// another handle-less path, is never) — what the standalone
-    /// binary's main thread does.
-    pub fn join(mut self) {
-        self.core.join();
-        self.join_own();
-    }
-
-    fn join_own(&mut self) {
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.core.stop();
-        self.join_own();
+        if let Some(t) = self.checkpointer.take() {
+            let _ = t.join();
+        }
         // Every serving thread is joined: no more commits can happen.
         // Make the final state durable — fsync any unsynced log tail
         // and write a clean checkpoint, so the next start replays
@@ -413,48 +350,6 @@ impl Drop for ServerHandle {
         ] {
             if let Err(e) = written {
                 eprintln!("iloc-server: final checkpoint failed: {e}");
-            }
-        }
-    }
-}
-
-fn writer_loop(
-    engines: Arc<Engines>,
-    rx: mpsc::Receiver<WriterMsg>,
-    replies: Vec<mpsc::SyncSender<WriterReply>>,
-    remote: Remote,
-) {
-    while let Ok(WriterMsg { from, ask }) = rx.recv() {
-        match ask {
-            WriterAsk::Submit(mut updates) => {
-                let n = updates.len() as u32;
-                for update in updates.drain(..) {
-                    match update {
-                        WireUpdate::Point(u) => engines.point.submit(u),
-                        WireUpdate::Uncertain(u) => engines.uncertain.submit(u),
-                    }
-                }
-                // Hand the drained vector back with the ack so the
-                // loop's decode buffer keeps its capacity.
-                let _ = replies[from].send(WriterReply::Submitted(n, updates));
-            }
-            WriterAsk::Commit(target) => {
-                // On a durable catalog the commit appends and fsyncs
-                // the WAL record *before* the epoch publishes; an
-                // append failure leaves the epoch unpublished and is
-                // surfaced to the client as an error frame.
-                let report = match target {
-                    CommitTarget::Point => engines.point.commit(),
-                    CommitTarget::Uncertain => engines.uncertain.commit(),
-                };
-                let _ = replies[from].send(WriterReply::Committed(report));
-                // A published epoch may owe pushes to subscribers on
-                // any loop, and every loop still reads the epoch it
-                // replaced; wake them all so NOTIFY latency is bounded
-                // by scheduling, not by the sweep interval, and the
-                // old epoch's pages are let go whether or not a query
-                // comes.
-                remote.wake_all();
             }
         }
     }
@@ -496,7 +391,10 @@ struct LoopState {
     point_req: PointRequest,
     uncertain_req: UncertainRequest,
     answer: QueryAnswer,
+    /// One UPDATE_BATCH as decoded, then split per catalog.
     updates: Vec<WireUpdate>,
+    point_updates: Vec<Update<PointObject>>,
+    uncertain_updates: Vec<Update<UncertainObject>>,
 }
 
 impl LoopState {
@@ -509,6 +407,8 @@ impl LoopState {
             uncertain_req: UncertainRequest::iuq(placeholder(), RangeSpec::square(1.0)),
             answer: QueryAnswer::default(),
             updates: Vec::new(),
+            point_updates: Vec::new(),
+            uncertain_updates: Vec::new(),
         }
     }
 }
@@ -538,11 +438,6 @@ impl ConnSubs {
 struct ServerHandler {
     shared: Arc<Shared>,
     remote: Remote,
-    /// This loop's index: the `from` of its writer messages.
-    index: usize,
-    writer_tx: mpsc::Sender<WriterMsg>,
-    /// Where the writer answers this loop (see [`WriterReply`]).
-    reply_rx: mpsc::Receiver<WriterReply>,
     state: LoopState,
 }
 
@@ -582,7 +477,7 @@ impl Handler for ServerHandler {
     }
 
     /// A loop that is sent no query must not keep the epoch of its
-    /// last one alive: the writer wakes every loop after a commit, and
+    /// last one alive: a published commit wakes every loop, and
     /// the sweep that wake starts follows both catalogs.
     fn sweeping(&mut self) {
         follow(&mut self.state.point, &self.shared.engines.point);
@@ -701,17 +596,8 @@ impl ServerHandler {
         let ServerHandler {
             shared,
             remote,
-            index,
-            writer_tx,
-            reply_rx,
             state,
         } = self;
-        // The writer outlives the loops by construction; no reply
-        // means the server is tearing down.
-        let ask_writer = |ask| {
-            let sent = writer_tx.send(WriterMsg { from: *index, ask });
-            sent.ok().and_then(|()| reply_rx.recv().ok())
-        };
         let engines = &shared.engines;
         match op {
             opcode::POINT_QUERY => {
@@ -743,34 +629,51 @@ impl ServerHandler {
             opcode::UPDATE_BATCH => {
                 match protocol::decode_update_batch(payload, &mut state.updates) {
                     Ok(()) => {
-                        let updates = std::mem::take(&mut state.updates);
-                        match ask_writer(WriterAsk::Submit(updates)) {
-                            Some(WriterReply::Submitted(accepted, drained)) => {
-                                state.updates = drained;
-                                protocol::encode_update_ack(out, accepted)
+                        let accepted = state.updates.len() as u32;
+                        for update in state.updates.drain(..) {
+                            match update {
+                                WireUpdate::Point(u) => state.point_updates.push(u),
+                                WireUpdate::Uncertain(u) => state.uncertain_updates.push(u),
                             }
-                            _ => protocol::encode_error(
-                                out,
-                                ErrorCode::Internal,
-                                "writer unavailable",
-                            ),
                         }
+                        // One call per catalog: its lock is held over
+                        // the whole share, so a commit from another
+                        // loop takes all of it or none of it.
+                        engines.point.submit_all(state.point_updates.drain(..));
+                        engines
+                            .uncertain
+                            .submit_all(state.uncertain_updates.drain(..));
+                        protocol::encode_update_ack(out, accepted);
                     }
                     Err(e) => wire_error(out, e),
                 }
             }
             opcode::COMMIT => match protocol::decode_commit(payload) {
-                Ok(target) => match ask_writer(WriterAsk::Commit(target)) {
-                    Some(WriterReply::Committed(Ok(report))) => {
-                        protocol::encode_commit_done(out, &report);
+                Ok(target) => {
+                    // A durable commit logs before it publishes; a
+                    // failed append publishes nothing.
+                    let committed = match target {
+                        CommitTarget::Point => engines.point.commit(),
+                        CommitTarget::Uncertain => engines.uncertain.commit(),
+                    };
+                    match committed {
+                        Ok(report) => {
+                            protocol::encode_commit_done(out, &report);
+                            // A published epoch (an empty commit reports
+                            // no shards) may owe pushes on any loop, and
+                            // every loop still pins the epoch it
+                            // replaced: wake them all to pump and let go.
+                            if !report.per_shard.is_empty() {
+                                remote.wake_all();
+                            }
+                        }
+                        Err(_) => protocol::encode_error(
+                            out,
+                            ErrorCode::Internal,
+                            "durable commit failed; epoch not published",
+                        ),
                     }
-                    Some(WriterReply::Committed(Err(_))) => protocol::encode_error(
-                        out,
-                        ErrorCode::Internal,
-                        "durable commit failed; epoch not published",
-                    ),
-                    _ => protocol::encode_error(out, ErrorCode::Internal, "writer unavailable"),
-                },
+                }
                 Err(e) => wire_error(out, e),
             },
             opcode::STATS => {

@@ -1,5 +1,5 @@
 //! Batched query serving: drain a large queue of imprecise queries
-//! through `pipeline::execute_batch` (rayon, all cores) and check the
+//! through `pipeline::execute_batch` (scoped threads, all cores) and check the
 //! answers are bit-identical to sequential execution.
 //!
 //! ```text

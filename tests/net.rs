@@ -258,9 +258,9 @@ fn interleaved_updates_and_commits_stay_bit_identical() {
 
 #[test]
 fn an_idle_loop_lets_go_of_the_epoch_a_commit_replaced() {
-    // Sweeps on cadence are an hour apart, so only the writer's
-    // post-commit wake can start the one that rebinds; and no query is
-    // ever sent, so no query path can.
+    // Sweeps on cadence are an hour apart, so only the committing
+    // loop's post-commit wake can start the one that rebinds; and no
+    // query is ever sent, so no query path can.
     let (points, uncertain) = scene();
     let server = QueryServer::new(points, uncertain, 1);
     let handle = server
@@ -614,4 +614,171 @@ fn snapshot_pinning_never_shows_torn_epochs_over_the_wire() {
     }
     assert_eq!(engines.point.epoch(), 20);
     handle.shutdown();
+}
+
+/// Two writers, one per event loop, race tagged UPDATE_BATCH + COMMIT
+/// cycles on one durable catalog while a third connection reads. The
+/// loops commit under the catalog's own lock, so: every commit that
+/// published has its own epoch and together they run 1..=last; each
+/// batch lands whole in one epoch, no later than its writer's
+/// COMMIT_DONE; every read sees some epoch whole, in order; the catalog
+/// is an in-process replay of the batches in epoch order; and a
+/// restart recovers that epoch and those answers.
+#[test]
+fn concurrent_writers_on_a_durable_server() {
+    use iloc::core::durable::FsyncPolicy;
+    use iloc::core::serve::{CommitReport, ShardedEngine, Snapshot, DIRT_HISTORY};
+    use iloc::core::PointEngine;
+    use iloc::server::server::DurabilityOptions;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    const ROUNDS: u64 = 24;
+    const ARRIVALS: u64 = 6;
+    // Tracing batches to epochs reads every epoch's touched set back.
+    assert!(2 * ROUNDS as usize <= DIRT_HISTORY);
+    // Batch `tag` (writer * ROUNDS + round): ARRIVALS fresh ids and a
+    // move of base object `tag`, which no other batch touches.
+    let batch = |tag: u64| -> Vec<Update<PointObject>> {
+        let at = |id: u64| Point::new((id * 37 % 1000) as f64, (id * 53 % 1000) as f64);
+        let arrivals = (0..ARRIVALS).map(|j| 100_000 + tag * ARRIVALS + j);
+        let mut updates: Vec<_> = arrivals
+            .map(|id| Update::Arrive(PointObject::new(id, at(id))))
+            .collect();
+        updates.push(Update::Move(PointObject::new(tag, at(tag + 7))));
+        updates
+    };
+    let tag_of = |id: u64| id.checked_sub(100_000).map_or(id, |k| k / ARRIVALS);
+    let objects = |snapshot: Snapshot<PointEngine>| -> Vec<Vec<PointObject>> {
+        let shards = snapshot.shards().iter();
+        shards
+            .map(|s| s.objects().iter().copied().collect())
+            .collect()
+    };
+    let everything = PointRequest::ipq(
+        Issuer::uniform(Rect::centered(Point::new(500.0, 500.0), 10.0, 10.0)),
+        RangeSpec::square(2_000.0),
+    );
+
+    let dir = std::env::temp_dir().join(format!("iloc-net-writers-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durability = DurabilityOptions {
+        fsync: FsyncPolicy::Off,
+        checkpoint_every: 8,
+        ..DurabilityOptions::new(&dir)
+    };
+    let (points, uncertain) = scene();
+    let (server, _) =
+        QueryServer::open(points.clone(), uncertain.clone(), 2, &durability).expect("open");
+    let handle = server
+        .start(&ServerConfig {
+            event_loops: 2,
+            ..ServerConfig::loopback()
+        })
+        .expect("bind loopback");
+    let engines = server.engines();
+
+    // Connections are dealt to loops round-robin: one writer per loop.
+    let writers: Vec<_> = (0..2)
+        .map(|_| Client::connect(handle.addr()).expect("connect writer"))
+        .collect();
+    let mut reader = Client::connect(handle.addr()).expect("connect reader");
+    let done = Arc::new(AtomicBool::new(false));
+    let reads = {
+        let (done, everything) = (Arc::clone(&done), everything.clone());
+        std::thread::spawn(move || {
+            let mut reads = Vec::new();
+            while !done.load(Ordering::Acquire) {
+                reads.push(reader.point_query(&everything).expect("read"));
+            }
+            reads
+        })
+    };
+    let writers: Vec<_> = (0..2u64)
+        .zip(writers)
+        .map(|(w, mut client)| {
+            std::thread::spawn(move || {
+                let cycle = |tag| {
+                    let updates: Vec<_> = batch(tag).into_iter().map(WireUpdate::Point).collect();
+                    assert_eq!(
+                        client.submit(&updates).expect("submit") as usize,
+                        updates.len()
+                    );
+                    (tag, client.commit(CommitTarget::Point).expect("commit"))
+                };
+                (w * ROUNDS..(w + 1) * ROUNDS)
+                    .map(cycle)
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let acks: Vec<(u64, CommitReport)> = writers
+        .into_iter()
+        .flat_map(|w| w.join().expect("writer"))
+        .collect();
+    done.store(true, Ordering::Release);
+    let reads = reads.join().expect("reader");
+
+    // The commits that published (an empty one reports no shards) hold
+    // distinct, consecutive epochs.
+    let last = engines.point.epoch();
+    let mut published: Vec<u64> = acks
+        .iter()
+        .filter(|(_, report)| !report.per_shard.is_empty())
+        .map(|(_, report)| report.epoch)
+        .collect();
+    published.sort_unstable();
+    assert_eq!(published, (1..=last).collect::<Vec<_>>());
+
+    // Trace each batch to the one epoch that applied it, in the order
+    // the loops submitted them, and replay them so.
+    let mut dirt = Vec::new();
+    assert!(engines.point.dirt_since(0, &mut dirt), "gapless history");
+    let mut epoch_of = std::collections::HashMap::new();
+    let replay = ShardedEngine::<PointEngine>::build(points.clone(), 2);
+    let mut whole = vec![replay.snapshot().execute_one(&everything)];
+    for d in &dirt {
+        for &(id, _) in d.touched.as_ref().expect("touched set kept").iter() {
+            let tag = tag_of(id.0);
+            let first = *epoch_of.entry(tag).or_insert_with(|| {
+                replay.submit_all(batch(tag));
+                d.epoch
+            });
+            assert_eq!(first, d.epoch, "batch {tag} split across epochs");
+        }
+        assert_eq!(replay.commit().epoch, d.epoch);
+        whole.push(replay.snapshot().execute_one(&everything));
+    }
+    for (tag, report) in &acks {
+        assert!(
+            epoch_of[tag] <= report.epoch,
+            "batch {tag} acknowledged early"
+        );
+    }
+    assert!(objects(engines.point.snapshot()) == objects(replay.snapshot()));
+    let mut at = 0;
+    for (k, read) in reads.iter().enumerate() {
+        while !read.same_matches(&whole[at]) {
+            at += 1;
+            assert!(at < whole.len(), "read {k} saw no epoch whole, in order");
+        }
+    }
+
+    let requests = point_requests(16, 5);
+    let served = engines.point.snapshot();
+    let answers: Vec<_> = requests.iter().map(|r| served.execute_one(r)).collect();
+    drop((served, engines));
+    handle.shutdown();
+    drop(server);
+    let (server, recovery) = QueryServer::open(points, uncertain, 2, &durability).expect("reopen");
+    assert_eq!(recovery.point.epoch, last, "recovered epoch");
+    let recovered = server.engines().point.snapshot();
+    assert!(objects(recovered.clone()) == objects(replay.snapshot()));
+    for (k, (request, answer)) in requests.iter().zip(&answers).enumerate() {
+        assert!(
+            recovered.execute_one(request).same_matches(answer),
+            "request {k}"
+        );
+    }
+    drop((recovered, server));
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,8 +4,8 @@
 //!   evaluators plug into the same pipeline and agree within the
 //!   integrator's discretisation tolerance on random uniform-pdf
 //!   workloads;
-//! * [`execute_batch`] (rayon, all cores, one long-lived context per
-//!   worker) returns **bit-identical** answers to sequential execution
+//! * [`execute_batch`] (scoped threads, all cores, one long-lived
+//!   context per worker) returns **bit-identical** answers to sequential execution
 //!   under the same seed, for random mixed IPQ/C-IPQ/IUQ/C-IUQ request
 //!   batches;
 //! * a **dirty, reused** `ExecutionContext` — scratch buffers and RNG

@@ -202,7 +202,7 @@ fn deltas_compose_to_fresh_reevaluation_under_churn_and_motion() {
 }
 
 /// A commit can land between a pump and a tick (the wire path pumps
-/// before each frame, but the writer thread runs concurrently). The
+/// before each frame, but another event loop may commit concurrently). The
 /// tick must still answer consistently, and the next pump must
 /// reconcile every subscription without emitting a corrupt delta.
 #[test]
