@@ -4,13 +4,19 @@
 //! * integrator trade-off (exact / grid / Monte-Carlo) for IUQ;
 //! * U-catalog size vs pruning power for C-IPQ;
 //! * filter index choice (naive scan / R-tree) for IPQ;
-//! * the three C-IUQ pruning strategies, individually and combined.
+//! * the three C-IUQ pruning strategies, individually and combined;
+//! * safe-envelope slack vs index probes for a standing IPQ;
+//! * Gaussian uncertain objects: exact closed form vs Monte-Carlo, and
+//!   pruning power against uniform objects.
 
 use iloc_core::eval::constrained::{
     strategy1_prunes, strategy2_prunes, strategy3_prunes, PruneContext,
 };
 use iloc_core::expand::{minkowski_query, p_expanded_query};
-use iloc_core::{CipqStrategy, ContinuousIpq, Integrator, Issuer, RangeSpec};
+use iloc_core::{
+    CipqStrategy, Integrator, Issuer, PointEngine, PointRequest, RangeSpec, ShardedEngine,
+    SubscriptionRegistry,
+};
 use iloc_datagen::{california_points, point_objects, WorkloadGen};
 use iloc_geometry::Point;
 use iloc_geometry::Rect;
@@ -222,7 +228,8 @@ pub fn gaussian_pruning(bed: &TestBed) -> Vec<Row> {
 
 /// Continuous-query ablation: safe-envelope slack vs index probes for
 /// a moving issuer re-evaluating an IPQ every tick (an extension
-/// beyond the paper's snapshot model; see `core::continuous`).
+/// beyond the paper's snapshot model), on the serving layer's
+/// subscription registry over the California points as one shard.
 pub fn continuous_slack(bed: &TestBed) -> Vec<Row> {
     let range = RangeSpec::square(DEFAULT_W);
     let ticks = bed.scale.queries.max(100);
@@ -234,13 +241,37 @@ pub fn continuous_slack(bed: &TestBed) -> Vec<Row> {
             Issuer::uniform(iloc_geometry::Rect::centered(c, DEFAULT_U, DEFAULT_U))
         })
         .collect();
+    let engine: ShardedEngine<PointEngine> =
+        ShardedEngine::build(bed.california.objects().iter().copied().collect(), 1);
     let mut rows = Vec::new();
     for slack in [0.0, 100.0, 250.0, 500.0, 1_000.0] {
-        let mut runner = ContinuousIpq::new(&bed.california, range, slack);
-        let s = Summary::collect(ticks, |t| runner.step(&trajectory[t]));
+        let mut registry = SubscriptionRegistry::new();
+        let mut id = 0;
+        let s = Summary::collect(ticks, |t| {
+            let start = std::time::Instant::now();
+            let issuer = &trajectory[t];
+            if t == 0 {
+                id = registry.subscribe(&engine, PointRequest::ipq(issuer.clone(), range), slack);
+            } else {
+                registry
+                    .tick(&engine, id, issuer.pdf().clone())
+                    .expect("live subscription");
+            }
+            let mut answer = iloc_core::QueryAnswer {
+                results: registry
+                    .get(id)
+                    .expect("live subscription")
+                    .last_answer()
+                    .to_vec(),
+                stats: *registry.last_stats(),
+            };
+            answer.stats.elapsed = start.elapsed();
+            answer
+        });
+        let probes = registry.get(id).expect("live subscription").probes();
         rows.push(Row {
             x: slack,
-            series: format!("slack={slack} (probes={})", runner.probes),
+            series: format!("slack={slack} (probes={probes})"),
             summary: s,
         });
     }

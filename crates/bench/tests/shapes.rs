@@ -181,6 +181,30 @@ fn ablation_catalog_finer_is_tighter() {
 }
 
 #[test]
+fn ablation_continuous_slack_changes_cost_not_answers() {
+    let bed = tiny_bed();
+    let rows = ablations::continuous_slack(&bed);
+    // The envelope decides what the index is asked, never what
+    // qualifies: every slack filters to the same candidates and
+    // answers the same.
+    for r in &rows {
+        assert_eq!(r.summary.avg_candidates, rows[0].summary.avg_candidates);
+        assert_eq!(r.summary.avg_results, rows[0].summary.avg_results);
+    }
+    let io = |slack: f64| {
+        rows.iter()
+            .find(|r| r.x == slack)
+            .unwrap()
+            .summary
+            .avg_node_accesses
+    };
+    assert!(
+        io(1_000.0) < io(0.0),
+        "a wide envelope must read fewer nodes"
+    );
+}
+
+#[test]
 fn ablation_index_choices_agree() {
     let bed = tiny_bed();
     let rows = ablations::index_choice(&bed);

@@ -10,8 +10,6 @@
 use iloc_geometry::{Point, Rect};
 use iloc_index::{Pages, RTree, RTreeParams, RangeIndex, TraversalScratch};
 use iloc_uncertainty::{ObjectId, PointObject};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::expand::p_expanded_query;
 use crate::integrate::Integrator;
@@ -20,10 +18,9 @@ use crate::pipeline::{
     PreparedQuery, PruneChain, QueryPipeline, RectFilter,
 };
 use crate::query::{CipqStrategy, Issuer, RangeSpec};
-use crate::result::{Match, QueryAnswer};
+use crate::result::QueryAnswer;
 
 use super::table::ObjectTable;
-use super::DEFAULT_QUERY_SEED;
 
 /// A point-object database with its R-tree, answering IPQ and C-IPQ.
 ///
@@ -162,14 +159,9 @@ impl PointEngine {
     }
 
     /// Raw R-tree filter results — indices into [`Self::objects`] whose
-    /// locations fall inside `filter`. Exposed for pipelines that
-    /// assemble their own refinement (ablations, continuous queries).
-    pub fn raw_candidates(&self, filter: Rect, stats: &mut iloc_index::AccessStats) -> Vec<u32> {
-        self.tree.query_range(filter, stats)
-    }
-
-    /// Allocation-free variant of [`Self::raw_candidates`]: candidates
-    /// are pushed into `out`, the probe's DFS runs on `scratch`.
+    /// locations fall inside `filter`, pushed into `out`; the probe's
+    /// DFS runs on `scratch`. What a standing query's safe envelope
+    /// probes with.
     pub fn raw_candidates_scratch(
         &self,
         filter: Rect,
@@ -265,57 +257,6 @@ impl PointEngine {
             AcceptPolicy::Positive,
             Integrator::Auto,
         )
-    }
-
-    /// **IPNN** — imprecise probabilistic nearest-neighbour query (the
-    /// paper's future-work extension): returns every object that could
-    /// be the nearest neighbour of the issuer's true position, with the
-    /// probability that it is. Probabilities sum to 1.
-    ///
-    /// Candidates are pruned with the MINDIST/MAXDIST bound lifted to
-    /// the issuer *region* (two R-tree probes), then refined with
-    /// `method`.
-    ///
-    /// NN queries are not range queries, so this path stays outside the
-    /// filter→prune→refine [`QueryPipeline`].
-    pub fn ipnn(&self, issuer: &Issuer, method: crate::eval::nn::NnMethod) -> QueryAnswer {
-        let start = std::time::Instant::now();
-        let mut answer = QueryAnswer::default();
-        let mut rng = StdRng::seed_from_u64(DEFAULT_QUERY_SEED);
-        let locs: Vec<Point> = self.objects().iter().map(|o| o.loc).collect();
-        let candidates = crate::eval::nn::nn_candidates(issuer.region(), &locs, |r| {
-            self.tree.query_range(r, &mut answer.stats.access)
-        });
-        answer.stats.prob_evals = candidates.len() as u64;
-        for (idx, p) in crate::eval::nn::nn_probabilities(
-            issuer.pdf(),
-            &locs,
-            &candidates,
-            method,
-            &mut rng,
-            &mut answer.stats,
-        ) {
-            answer.results.push(Match {
-                id: self.objects()[idx as usize].id,
-                probability: p,
-            });
-        }
-        answer.finalize();
-        answer.stats.elapsed = start.elapsed();
-        answer
-    }
-
-    /// Constrained IPNN: only neighbours with `pi ≥ qp`.
-    pub fn cipnn(
-        &self,
-        issuer: &Issuer,
-        qp: f64,
-        method: crate::eval::nn::NnMethod,
-    ) -> QueryAnswer {
-        assert!((0.0..=1.0).contains(&qp), "threshold must be in [0, 1]");
-        let mut answer = self.ipnn(issuer, method);
-        answer.results.retain(|m| m.probability >= qp);
-        answer
     }
 
     /// **C-IPQ** (Definition 5): objects with `pi ≥ qp`, with the
@@ -543,28 +484,6 @@ mod tests {
     }
 
     #[test]
-    fn ipnn_returns_distribution_over_possible_neighbours() {
-        use crate::eval::nn::NnMethod;
-        let engine = PointEngine::build(grid_points());
-        // Issuer centred between four grid points.
-        let iss = Issuer::uniform(Rect::centered(Point::new(475.0, 475.0), 20.0, 20.0));
-        let ans = engine.ipnn(&iss, NnMethod::Grid { per_axis: 96 });
-        let sum: f64 = ans.results.iter().map(|m| m.probability).sum();
-        assert!((sum - 1.0).abs() < 1e-9, "sum {sum}");
-        // By symmetry around (475, 475) the four surrounding grid
-        // points (450/500 each axis) split the mass in quarters.
-        assert_eq!(ans.results.len(), 4);
-        for m in &ans.results {
-            assert!((m.probability - 0.25).abs() < 1e-9, "{m:?}");
-        }
-        // Constrained version keeps only confident neighbours.
-        let c = engine.cipnn(&iss, 0.3, NnMethod::Grid { per_axis: 96 });
-        assert!(c.results.is_empty());
-        let c = engine.cipnn(&iss, 0.2, NnMethod::Grid { per_axis: 96 });
-        assert_eq!(c.results.len(), 4);
-    }
-
-    #[test]
     fn insert_object_upserts_live_ids() {
         let mut engine = PointEngine::build(vec![Point::new(10.0, 10.0), Point::new(20.0, 20.0)]);
         // A duplicate arrival replaces the live object, never
@@ -605,16 +524,5 @@ mod tests {
             assert_eq!(x.id, y.id);
             assert!((x.probability - y.probability).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn ipnn_certain_when_one_point_dominates() {
-        use crate::eval::nn::NnMethod;
-        let engine =
-            PointEngine::build(vec![Point::new(500.0, 500.0), Point::new(5_000.0, 5_000.0)]);
-        let iss = Issuer::uniform(Rect::centered(Point::new(510.0, 505.0), 30.0, 30.0));
-        let ans = engine.ipnn(&iss, NnMethod::MonteCarlo { samples: 500 });
-        assert_eq!(ans.results.len(), 1);
-        assert!((ans.results[0].probability - 1.0).abs() < 1e-12);
     }
 }

@@ -7,15 +7,11 @@
 //!   (Lemmas 2–4) that the enhanced evaluators are built on.
 //! * [`constrained`] — Section 5.2: the three object-level pruning
 //!   strategies for constrained queries.
-
 //! * [`oracle`] — a Monte-Carlo simulation of the probability model
 //!   itself, independent of all evaluation machinery; the differential
 //!   reference the oracle test layer checks every pipeline against.
-//! * [`nn`] — beyond the paper: imprecise probabilistic
-//!   nearest-neighbour queries (the conclusion's future-work item).
 
 pub mod basic;
 pub mod constrained;
 pub mod duality;
-pub mod nn;
 pub mod oracle;

@@ -50,7 +50,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod continuous;
 pub mod durable;
 pub mod engine;
 pub mod eval;
@@ -64,7 +63,6 @@ pub mod serve;
 pub mod stats;
 pub mod subscribe;
 
-pub use continuous::ContinuousIpq;
 pub use durable::{
     CatalogRecovery, DurableCatalog, DurableObject, FsyncPolicy, StoreConfig, StoreError,
 };
@@ -83,7 +81,6 @@ pub use subscribe::{AnswerDelta, ContinuousEngine, SubId, SubscriptionRegistry};
 
 /// Glob-import surface for applications.
 pub mod prelude {
-    pub use crate::continuous::ContinuousIpq;
     pub use crate::durable::{DurableCatalog, FsyncPolicy, StoreConfig};
     pub use crate::engine::{PointEngine, UncertainEngine};
     pub use crate::integrate::Integrator;

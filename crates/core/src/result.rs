@@ -47,12 +47,6 @@ impl QueryAnswer {
                 .zip(&other.results)
                 .all(|(a, b)| a.id == b.id && a.probability.to_bits() == b.probability.to_bits())
     }
-
-    /// Sorts matches by id; used by the non-pipeline paths (e.g. NN
-    /// queries). The pipeline hot path goes through [`sort_matches`].
-    pub(crate) fn finalize(&mut self) {
-        self.results.sort_unstable_by_key(|m| m.id);
-    }
 }
 
 /// Sorts matches by id on the hot path. Unstable sort on purpose: ids
@@ -319,7 +313,7 @@ mod tests {
             id: ObjectId(2),
             probability: 0.25,
         });
-        a.finalize();
+        sort_matches(&mut a.results);
         assert_eq!(a.results[0].id, ObjectId(2));
         assert_eq!(a.probability_of(ObjectId(5)), Some(0.5));
         assert_eq!(a.probability_of(ObjectId(9)), None);

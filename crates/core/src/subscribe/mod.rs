@@ -1,13 +1,12 @@
 //! Standing continuous queries with incremental re-evaluation — the
 //! subscription subsystem.
 //!
-//! The paper's headline workload is *continuous* imprecise
-//! location-dependent queries: an issuer registers a query once and
-//! expects its answer to track both its own motion and the catalog's
-//! churn. [`crate::continuous::ContinuousIpq`] evaluates that workload
-//! in process against a borrowed, static [`crate::PointEngine`]; this
-//! module is the serving-scale form — **snapshot-owning** standing
-//! queries over [`crate::serve::ShardedEngine`] epochs, built so that millions of
+//! The paper evaluates *snapshot* imprecise location-dependent
+//! queries; continuous serving is this crate's extension of them. An
+//! issuer registers a query once and expects its answer to track both
+//! its own motion and the catalog's churn. This module holds such
+//! queries as **snapshot-owning** standing queries over
+//! [`crate::serve::ShardedEngine`] epochs, built so that millions of
 //! subscriptions can be held server-side and only the ones a commit
 //! actually touched ever do work.
 //!
@@ -130,8 +129,7 @@ impl EnvelopeObject for UncertainObject {
 /// re-checked against the *current* filter rectangle — the continuous
 /// query's replacement for an index probe on cache hits. Writes the
 /// surviving slots straight into the pipeline's scratch buffer; no
-/// allocation per tick. Shared by [`crate::continuous::ContinuousIpq`]
-/// and the [`SubscriptionRegistry`].
+/// allocation per tick.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CachedFilter<'a, O> {
     /// Slot-sorted candidates of the current envelope.

@@ -88,20 +88,20 @@ impl<E: ContinuousEngine> Subscription<E> {
     }
 
     /// Rebinds to `snapshot` and re-probes the envelope around the
-    /// current filter rectangle.
-    fn reprobe(&mut self, snapshot: &Snapshot<E>, ctx: &mut ExecutionContext) {
+    /// current filter rectangle, counting the probe's I/O into
+    /// `buffers.probe` for the evaluation that follows.
+    fn reprobe(&mut self, snapshot: &Snapshot<E>, buffers: &mut Buffers) {
         let expanded = E::filter_rect(&self.request);
         self.envelope = expanded.expand(self.slack, self.slack);
         self.snapshot = snapshot.clone();
         let shards = snapshot.shards();
         self.cached.resize_with(shards.len(), Vec::new);
-        let mut stats = AccessStats::new();
         for (shard, cached) in shards.iter().zip(self.cached.iter_mut()) {
             cached.clear();
             shard.envelope_candidates_into(
                 self.envelope,
-                &mut stats,
-                &mut ctx.scratch.traversal,
+                &mut buffers.probe,
+                &mut buffers.ctx.scratch.traversal,
                 cached,
             );
             // Sorted once per probe: every evaluation's filtered
@@ -109,12 +109,16 @@ impl<E: ContinuousEngine> Subscription<E> {
             // candidate sort to its linear pre-check.
             cached.sort_unstable();
         }
+        // The probe's hits are the envelope's candidates, not the
+        // query's; the evaluation's filter stage counts those.
+        buffers.probe.candidates = 0;
         self.stale = false;
         self.probes += 1;
     }
 
     /// The full evaluation: the cached candidates through the pipeline
-    /// on the pinned snapshot, the answer left in `buffers.fresh`.
+    /// on the pinned snapshot, the answer left in `buffers.fresh` and
+    /// the I/O of the probe it follows, if any, added to its stats.
     fn evaluate(&mut self, buffers: &mut Buffers) {
         debug_assert!(!self.stale, "evaluating from candidates of another epoch");
         eval_from_cache(
@@ -125,6 +129,11 @@ impl<E: ContinuousEngine> Subscription<E> {
             &mut buffers.partials,
             &mut buffers.fresh,
         );
+        buffers
+            .fresh
+            .stats
+            .access
+            .absorb(std::mem::take(&mut buffers.probe));
         self.patchable = buffers.fresh.stats.mc_samples == 0;
     }
 
@@ -246,6 +255,8 @@ struct Buffers {
     delta: AnswerDelta,
     /// The touched ids one patch evaluates.
     ids: Vec<ObjectId>,
+    /// Index I/O of the envelope probe the next evaluation follows.
+    probe: AccessStats,
 }
 
 /// A registry of standing continuous queries over one
@@ -290,10 +301,10 @@ fn reprobe_and_restab<E: ContinuousEngine>(
     slot: u32,
     snapshot: &Snapshot<E>,
     envelopes: &mut RTree<u32>,
-    ctx: &mut ExecutionContext,
+    buffers: &mut Buffers,
 ) {
     let old = sub.envelope;
-    sub.reprobe(snapshot, ctx);
+    sub.reprobe(snapshot, buffers);
     if sub.envelope != old {
         let removed = envelopes.remove(old, slot);
         debug_assert!(removed, "stab index out of sync");
@@ -318,6 +329,7 @@ impl<E: ContinuousEngine> SubscriptionRegistry<E> {
                 fresh: QueryAnswer::default(),
                 delta: AnswerDelta::new(),
                 ids: Vec::new(),
+                probe: AccessStats::new(),
             },
             dirt: Vec::new(),
             stab: Vec::new(),
@@ -352,6 +364,15 @@ impl<E: ContinuousEngine> SubscriptionRegistry<E> {
     pub fn get(&self, id: SubId) -> Option<&Subscription<E>> {
         let &slot = self.by_id.get(&id)?;
         self.subs[slot as usize].as_ref()
+    }
+
+    /// The cost counters of the last full evaluation — a subscribe, a
+    /// tick, or a pump that re-ran a query: the pipeline's over the
+    /// cached candidates, plus the node visits and items tested of the
+    /// envelope probe it followed, if any. A pump that patches an
+    /// answer runs no evaluation and leaves these as they were.
+    pub fn last_stats(&self) -> &QueryStats {
+        &self.buffers.fresh.stats
     }
 
     /// Registers a standing query against the engine's current epoch;
@@ -401,7 +422,7 @@ impl<E: ContinuousEngine> SubscriptionRegistry<E> {
             probes: 0,
             cache_hits: 0,
         };
-        sub.reprobe(&snapshot, &mut self.buffers.ctx);
+        sub.reprobe(&snapshot, &mut self.buffers);
         sub.evaluate(&mut self.buffers);
         sub.last.extend_from_slice(&self.buffers.fresh.results);
 
@@ -476,7 +497,7 @@ impl<E: ContinuousEngine> SubscriptionRegistry<E> {
                 slot,
                 &engine.snapshot(),
                 &mut self.envelopes,
-                &mut self.buffers.ctx,
+                &mut self.buffers,
             );
         }
         sub.evaluate(&mut self.buffers);
@@ -596,13 +617,7 @@ impl<E: ContinuousEngine> SubscriptionRegistry<E> {
                     report.objects_evaluated += evaluated;
                 }
                 None => {
-                    reprobe_and_restab(
-                        sub,
-                        slot,
-                        &current,
-                        &mut self.envelopes,
-                        &mut self.buffers.ctx,
-                    );
+                    reprobe_and_restab(sub, slot, &current, &mut self.envelopes, &mut self.buffers);
                     sub.evaluate(&mut self.buffers);
                     sub.deliver(&mut self.buffers);
                 }
@@ -924,10 +939,79 @@ mod tests {
     }
 
     #[test]
+    fn slack_trades_probes_for_cached_filtering() {
+        let engine = engine(2);
+        // Subscribed where a 60-tick straight walk starts: its first
+        // tick stands still, the other 59 move.
+        let walk = |slack: f64| {
+            let mut registry: SubscriptionRegistry<PointEngine> = SubscriptionRegistry::new();
+            let id = registry.subscribe(&engine, request_at(200.0, 300.0), slack);
+            for t in 0..60 {
+                let request = request_at(200.0 + t as f64 * 6.0, 300.0 + t as f64 * 2.5);
+                registry
+                    .tick(&engine, id, request.issuer.pdf().clone())
+                    .unwrap();
+                assert_matches_fresh(&engine, &registry, id);
+            }
+            let sub = registry.get(id).unwrap();
+            assert_eq!(sub.probes() + sub.cache_hits(), 61);
+            sub.probes()
+        };
+        assert_eq!(walk(0.0), 1 + 59, "zero slack probes on every move");
+        let wide = walk(150.0);
+        assert!(wide < 10, "a wide envelope amortises probes, got {wide}");
+    }
+
+    #[test]
+    fn last_stats_count_the_probe_io_of_the_evaluation_it_preceded() {
+        let engine = engine(2);
+        let mut registry: SubscriptionRegistry<PointEngine> = SubscriptionRegistry::new();
+        let id = registry.subscribe(&engine, request_at(500.0, 500.0), 100.0);
+        let fresh = |registry: &SubscriptionRegistry<PointEngine>| {
+            let request = registry.get(id).unwrap().request();
+            engine.snapshot().execute_one(request).stats.access
+        };
+
+        // Inside the envelope: no node is read.
+        let near = request_at(510.0, 500.0);
+        registry
+            .tick(&engine, id, near.issuer.pdf().clone())
+            .unwrap();
+        assert_eq!(registry.get(id).unwrap().cache_hits(), 1);
+        let hit = registry.last_stats().access;
+        assert_eq!(hit.nodes_visited, 0);
+        assert_eq!(hit.candidates, fresh(&registry).candidates);
+
+        // Past it: the probe's node visits are the evaluation's, its
+        // hits are not — the candidates are the query's, as fresh.
+        let far = request_at(800.0, 800.0);
+        registry
+            .tick(&engine, id, far.issuer.pdf().clone())
+            .unwrap();
+        assert_eq!(registry.get(id).unwrap().probes(), 2);
+        let probed = registry.last_stats().access;
+        assert!(probed.nodes_visited > 0);
+        assert_eq!(probed.candidates, fresh(&registry).candidates);
+    }
+
+    #[test]
     #[should_panic(expected = "slack")]
     fn subscribe_rejects_nan_slack() {
         let engine = engine(1);
-        let mut registry: SubscriptionRegistry<PointEngine> = SubscriptionRegistry::new();
-        registry.subscribe(&engine, request_at(0.0, 0.0), f64::NAN);
+        let subscribe = |slack: f64| {
+            SubscriptionRegistry::<PointEngine>::new().subscribe(
+                &engine,
+                request_at(0.0, 0.0),
+                slack,
+            )
+        };
+        // The two other ways out of [0, ∞) are refused too ...
+        for slack in [-1.0, f64::INFINITY] {
+            let refused =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| subscribe(slack)));
+            assert!(refused.is_err(), "subscribed with {slack}");
+        }
+        // ... and NaN, which no comparison with 0 catches, ends the test.
+        subscribe(f64::NAN);
     }
 }

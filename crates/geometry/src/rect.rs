@@ -198,29 +198,6 @@ impl Rect {
         self.hull(other).half_perimeter() - self.half_perimeter()
     }
 
-    /// Minimum distance from `p` to the rectangle (0 when inside).
-    #[inline]
-    pub fn min_distance(self, p: Point) -> f64 {
-        if self.is_empty() {
-            return f64::INFINITY;
-        }
-        let dx = (self.min.x - p.x).max(0.0).max(p.x - self.max.x);
-        let dy = (self.min.y - p.y).max(0.0).max(p.y - self.max.y);
-        dx.hypot(dy)
-    }
-
-    /// Maximum distance from `p` to any point of the rectangle (the
-    /// `MAXDIST` bound of NN search; attained at a corner).
-    #[inline]
-    pub fn max_distance(self, p: Point) -> f64 {
-        if self.is_empty() {
-            return f64::INFINITY;
-        }
-        let dx = (p.x - self.min.x).abs().max((p.x - self.max.x).abs());
-        let dy = (p.y - self.min.y).abs().max((p.y - self.max.y).abs());
-        dx.hypot(dy)
-    }
-
     /// Returns `true` when all four coordinates are finite.
     #[inline]
     pub fn is_finite(self) -> bool {
@@ -311,31 +288,5 @@ mod tests {
         let a = r(0.0, 0.0, 10.0, 10.0);
         assert_eq!(a.enlargement(r(1.0, 1.0, 2.0, 2.0)), 0.0);
         assert!(a.enlargement(r(0.0, 0.0, 12.0, 10.0)) > 0.0);
-    }
-
-    #[test]
-    fn min_distance_cases() {
-        let a = r(0.0, 0.0, 2.0, 2.0);
-        assert_eq!(a.min_distance(Point::new(1.0, 1.0)), 0.0); // inside
-        assert_eq!(a.min_distance(Point::new(5.0, 1.0)), 3.0); // right of
-        assert_eq!(a.min_distance(Point::new(5.0, 6.0)), 5.0); // corner 3-4-5
-    }
-
-    #[test]
-    fn max_distance_cases() {
-        let a = r(0.0, 0.0, 2.0, 2.0);
-        // Centre: farthest corner is √2 away.
-        assert!((a.max_distance(Point::new(1.0, 1.0)) - 2f64.sqrt()).abs() < 1e-12);
-        // Outside on the right: farthest is the opposite corner.
-        assert_eq!(a.max_distance(Point::new(5.0, 2.0)), (25.0f64 + 4.0).sqrt());
-        // min_distance ≤ max_distance always.
-        for p in [
-            Point::new(-3.0, 7.0),
-            Point::new(1.0, 1.0),
-            Point::new(9.0, -2.0),
-        ] {
-            assert!(a.min_distance(p) <= a.max_distance(p));
-        }
-        assert_eq!(Rect::EMPTY.max_distance(Point::ORIGIN), f64::INFINITY);
     }
 }

@@ -34,7 +34,6 @@
 //! stay comparable while keeping splits cheap.
 
 mod bulk;
-mod knn;
 mod node;
 mod remove;
 mod split;
@@ -228,8 +227,8 @@ impl<T: Clone, S: LeafBounds<T>> RTree<T, S> {
         (shared, total)
     }
 
-    /// Arena index of the root (internal; for the probes that live
-    /// outside this module: kNN and the PTI's threshold probe).
+    /// Arena index of the root (internal; for the probe that lives
+    /// outside this module: the PTI's threshold probe).
     pub(crate) fn root_index(&self) -> usize {
         self.root
     }

@@ -667,8 +667,7 @@ pub struct Notification {
 
 /// Validates a subscription's slack margin: finite, non-negative —
 /// the single definition of the slack domain, shared by both encoders
-/// and the decode boundary. The wire-level mirror of the constructor
-/// asserts in [`iloc_core::continuous::ContinuousIpq::new`] and
+/// and the decode boundary. The wire-level mirror of the assert in
 /// [`iloc_core::subscribe::SubscriptionRegistry::subscribe`]:
 /// adversarial subscribe frames become typed error frames, never
 /// panics.

@@ -273,30 +273,45 @@ proptest! {
         }
     }
 
-    /// A continuous runner (owned context + envelope cache, reused
-    /// answer) tracks snapshot evaluation exactly at every tick of a
-    /// random walk — the filter swap and the buffer reuse change cost,
-    /// never answers.
+    /// A standing query (owned context + envelope cache, reused
+    /// buffers) tracks snapshot evaluation exactly at every tick of a
+    /// random walk, over any shard count — the filter swap, the fan-in
+    /// and the buffer reuse change cost, never answers.
     #[test]
     fn continuous_steady_state_equals_snapshots(
         pts in point_db(),
+        shards in 1..=3usize,
         start in (100.0..900.0f64, 100.0..900.0f64),
         steps in proptest::collection::vec((-40.0..40.0f64, -40.0..40.0f64), 1..30),
         u in 20.0..100.0f64,
         w in 30.0..200.0f64,
         slack in 0.0..300.0f64,
     ) {
+        let objects = pts
+            .iter()
+            .enumerate()
+            .map(|(k, &p)| PointObject::new(k as u64, p))
+            .collect();
+        let served: ShardedEngine<PointEngine> = ShardedEngine::build(objects, shards);
         let engine = PointEngine::build(pts);
         let range = RangeSpec::square(w);
-        let mut runner = ContinuousIpq::new(&engine, range, slack);
-        let mut answer = QueryAnswer::default();
+        let mut registry = SubscriptionRegistry::new();
+        let mut id = 0;
         let (mut x, mut y) = start;
-        for (dx, dy) in steps {
+        for (t, (dx, dy)) in steps.into_iter().enumerate() {
             x += dx;
             y += dy;
             let issuer = Issuer::uniform(Rect::centered(Point::new(x, y), u, u));
-            runner.step_into(&issuer, &mut answer);
+            if t == 0 {
+                id = registry.subscribe(&served, PointRequest::ipq(issuer.clone(), range), slack);
+            } else {
+                registry.tick(&served, id, issuer.pdf().clone()).unwrap();
+            }
             let snapshot = engine.ipq(&issuer, range);
+            let answer = QueryAnswer {
+                results: registry.get(id).unwrap().last_answer().to_vec(),
+                ..Default::default()
+            };
             prop_assert!(answer.same_matches(&snapshot));
         }
     }
