@@ -24,6 +24,9 @@
 //!   (What is not shared is mostly tree: an update rewrites the leaves
 //!   it leaves and enters, and the first inserts into STR-packed, full
 //!   leaves split them. 85–88 % is what this batch size reads.)
+//! * after 64 departures alone, the clone shares every object page:
+//!   a departure vacates its slot and writes none (it used to copy
+//!   the page the last object was swapped into).
 //!
 //! `harness = false`: the counting allocator is global, and libtest's
 //! threads would allocate inside the counted windows.
@@ -87,6 +90,26 @@ fn sharing_gate<E: ServeEngine>(
     );
 }
 
+/// Departs 64 ids spread over the whole table from a clone of `engine`
+/// and holds the pair to the departure gate: a departure vacates its
+/// slot and writes no object page, so the clone still shares every
+/// object page with its parent.
+fn departure_gate<E: ServeEngine>(name: &str, engine: &E) {
+    let mut clone = engine.clone();
+    for id in (0..N).step_by(N as usize / 64).take(64) {
+        assert!(clone.remove_object(ObjectId(id)), "{name}: {id} is live");
+    }
+    let (shared, total) = clone.objects().shared_pages_with(engine.objects());
+    assert_eq!(
+        shared,
+        total,
+        "{name}: 64 departures copied {} object pages",
+        total - shared
+    );
+    assert_eq!(clone.len(), N as usize - 64, "{name}: departures");
+    println!("footprint: {name} 64 departures share all {total} object pages");
+}
+
 fn main() {
     assert!(
         std::mem::size_of::<UncertainObject>() <= 96,
@@ -125,6 +148,7 @@ fn main() {
         batch,
         UncertainEngine::shared_pages_with,
     );
+    departure_gate("uncertain", &engine);
     engine.check_invariants();
 
     let (points, mut stream) =
@@ -140,5 +164,6 @@ fn main() {
         })
         .collect();
     sharing_gate("point", &engine, batch, PointEngine::shared_pages_with);
+    departure_gate("point", &engine);
     engine.check_invariants();
 }

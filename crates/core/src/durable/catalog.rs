@@ -275,8 +275,7 @@ where
             }
             st.dir.clone()
         };
-        let shards: Vec<_> = snapshot.shards().iter().map(|s| s.objects()).collect();
-        checkpoint::write_checkpoint(&dir, epoch, &shards)?;
+        checkpoint::write_checkpoint(&dir, epoch, snapshot.shards())?;
         let mut st = d.lock().expect("store lock poisoned");
         if st.last_checkpoint_epoch < epoch || epoch == 0 {
             st.last_checkpoint_epoch = epoch;
@@ -340,13 +339,13 @@ mod tests {
     use iloc_geometry::Point;
     use iloc_uncertainty::PointObject;
 
-    /// Every shard's objects in slot order, in their durable binary
-    /// form: equal bytes are a bit-identical snapshot.
+    /// Every shard's live objects in slot order, in their durable
+    /// binary form: equal bytes are a bit-identical snapshot.
     fn snapshot_bytes(catalog: &DurableCatalog<PointEngine>) -> Vec<u8> {
         let mut bytes = Vec::new();
         for shard in catalog.snapshot().shards() {
-            bytes.extend_from_slice(&(shard.objects().len() as u64).to_le_bytes());
-            for object in shard.objects().iter() {
+            bytes.extend_from_slice(&(shard.len() as u64).to_le_bytes());
+            for object in shard.live_objects() {
                 object.encode(&mut bytes).expect("point objects encode");
             }
         }

@@ -21,8 +21,9 @@
 use std::fs::{self, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-use iloc_index::Pages;
+use crate::serve::ServeEngine;
 
 use super::codec::{put_u32, put_u64, Cursor, DurableObject};
 use super::wal::sync_dir;
@@ -89,14 +90,15 @@ fn write_record(
     Ok(file.write_all(buf)?)
 }
 
-/// Writes a checkpoint of `shards` (per-shard object tables, in shard
-/// order) taken at `epoch`, atomically: temp file, fsync, rename,
-/// directory fsync. Also sweeps any stale temp file a crashed writer
-/// left behind.
-pub(crate) fn write_checkpoint<O: DurableObject>(
+/// Writes a checkpoint of `shards` (in shard order) taken at `epoch`,
+/// atomically: temp file, fsync, rename, directory fsync. Each shard
+/// contributes its live objects in slot order, so the file holds no
+/// vacated slot. Also sweeps any stale temp file a crashed writer left
+/// behind.
+pub(crate) fn write_checkpoint<E: ServeEngine<Object: DurableObject>>(
     dir: &Path,
     epoch: u64,
-    shards: &[&Pages<O>],
+    shards: &[Arc<E>],
 ) -> Result<PathBuf, StoreError> {
     fs::create_dir_all(dir)?;
     let total: u64 = shards.iter().map(|s| s.len() as u64).sum();
@@ -121,7 +123,7 @@ pub(crate) fn write_checkpoint<O: DurableObject>(
             write_record(&mut f, &mut buf, |buf| {
                 put_u32(buf, k as u32);
                 put_u32(buf, shard.len() as u32);
-                for o in shard.iter() {
+                for o in shard.live_objects() {
                     o.encode(buf)?;
                 }
                 Ok(())

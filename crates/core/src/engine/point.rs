@@ -95,26 +95,19 @@ impl PointEngine {
     /// Removes the object with the given id, maintaining the R-tree
     /// incrementally (no rebuild); returns `true` when present.
     ///
-    /// The object table is kept dense: the last object is swapped into
-    /// the vacated slot and its index entry is re-keyed accordingly.
+    /// One tree removal and nothing else: the object's slot is left
+    /// vacated, no other object moves, and no object page is written.
     pub fn remove(&mut self, id: iloc_uncertainty::ObjectId) -> bool {
         let Some((slot, removed)) = self.table.remove(id) else {
             return false;
         };
         let unindexed = self.tree.remove(Rect::from_point(removed.loc), slot);
         assert!(unindexed, "object table and R-tree out of sync");
-        if let Some(moved) = self.table.objects().get(slot as usize) {
-            let key = Rect::from_point(moved.loc);
-            let rekeyed = self.tree.remove(key, self.table.len() as u32);
-            assert!(rekeyed, "object table and R-tree out of sync");
-            self.tree.insert(key, slot);
-        }
         true
     }
 
     /// Validates the engine's invariants (tests): the R-tree's, and
-    /// that the object table and the id map describe the same live
-    /// set.
+    /// that the tree and the id map describe the same live set.
     ///
     /// # Panics
     ///
@@ -136,7 +129,7 @@ impl PointEngine {
         (a.0 + b.0, a.1 + b.1)
     }
 
-    /// Number of stored objects.
+    /// Number of live objects.
     pub fn len(&self) -> usize {
         self.table.len()
     }
@@ -146,9 +139,21 @@ impl PointEngine {
         self.table.len() == 0
     }
 
-    /// The stored objects, by slot.
+    /// Number of object slots, vacated ones included.
+    pub fn slots(&self) -> usize {
+        self.table.slots()
+    }
+
+    /// Every slot's object, by slot — what tree items index. A vacated
+    /// slot still holds the object that departed from it; [`Self::live`]
+    /// skips those.
     pub fn objects(&self) -> &Pages<PointObject> {
         self.table.objects()
+    }
+
+    /// The live objects with their slots, in slot order.
+    pub fn live(&self) -> impl Iterator<Item = (u32, &PointObject)> + '_ {
+        self.table.live()
     }
 
     /// Looks up the live object with this id, if present (the serving

@@ -5,8 +5,19 @@
 //! written: a clone copies two spines (a pointer per 64 objects, a
 //! pointer per sub-map), and an update then copies the one object page
 //! and the one or two sub-maps it touches. The engines add their index
-//! on top; the upsert and the dense swap-remove bookkeeping exist
-//! once, in [`ObjectTable`].
+//! on top; the upsert and the departure bookkeeping exist once, in
+//! [`ObjectTable`].
+//!
+//! **Slots are never reordered.** An arrival takes a new last slot, a
+//! move or a repeated arrival overwrites its object's slot, and a
+//! departure only unmaps the id: the object stays in its page, unread,
+//! and the slot stays vacated until the serving layer rebuilds the
+//! engine from its live objects. So when ids are handed out in
+//! increasing order — the datagen streams, the benchmark's writers —
+//! the live slots stay in id order however much the catalog churns,
+//! and the pipeline's slot-sorted candidates come out as id-sorted
+//! matches with no sort. The id map is the only record of which slots
+//! are live: slot `k` is live iff its object's id maps back to `k`.
 
 use std::cmp::Reverse;
 use std::sync::Arc;
@@ -123,9 +134,10 @@ impl IdMap {
     }
 }
 
-/// A dense object table with its id map: slot `k` holds the `k`-th
-/// object, ids resolve to slots in O(log sub-map), and a removal keeps
-/// the table dense by moving the last object into the vacated slot.
+/// An object table with its id map: slot `k` holds the `k`-th object
+/// stored, ids resolve to slots in O(log sub-map), and a removal
+/// vacates its slot without moving any other object (see the
+/// [module docs](self)).
 #[derive(Debug, Clone)]
 pub(crate) struct ObjectTable<O> {
     objects: Pages<O>,
@@ -150,14 +162,28 @@ impl<O: PipelineObject + Clone> ObjectTable<O> {
         }
     }
 
-    /// Number of stored objects.
+    /// Number of live objects.
     pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Number of slots, vacated ones included.
+    pub fn slots(&self) -> usize {
         self.objects.len()
     }
 
-    /// The stored objects, by slot.
+    /// Every slot's object, by slot: a vacated slot still holds the
+    /// object that departed from it.
     pub fn objects(&self) -> &Pages<O> {
         &self.objects
+    }
+
+    /// The live objects with their slots, in slot order: those whose
+    /// id maps back to the slot they are found in.
+    pub fn live(&self) -> impl Iterator<Item = (u32, &O)> + '_ {
+        (0u32..)
+            .zip(&self.objects)
+            .filter(|&(slot, object)| self.ids.get(object.object_id()) == Some(slot))
     }
 
     /// The live object with this id, if present.
@@ -184,29 +210,16 @@ impl<O: PipelineObject + Clone> ObjectTable<O> {
     }
 
     /// Removes the object with this id, returning its slot and the
-    /// object. The table stays dense: unless that was the last slot,
-    /// the object that was in slot `len()` (as it is after the call)
-    /// now sits in the vacated one, and the caller re-keys its index
-    /// entry.
-    pub fn remove(&mut self, id: ObjectId) -> Option<(u32, O)> {
+    /// departed object. Only the id is unmapped: the object stays in
+    /// its slot, vacated, and no object page is written.
+    pub fn remove(&mut self, id: ObjectId) -> Option<(u32, &O)> {
         let slot = self.ids.remove(id)?;
-        let removed = self.objects.swap_remove(slot as usize);
-        if let Some(moved) = self.objects.get(slot as usize) {
-            self.ids.insert(moved.object_id(), slot);
-        }
-        Some((slot, removed))
+        Some((slot, &self.objects[slot as usize]))
     }
 
-    /// Asserts that the id map and the pages describe the same set.
+    /// Asserts that every mapped id points at a slot holding it.
     pub fn check_invariants(&self) {
-        assert_eq!(self.ids.len(), self.objects.len(), "id map size");
-        for (slot, object) in self.objects.iter().enumerate() {
-            assert_eq!(
-                self.ids.get(object.object_id()),
-                Some(slot as u32),
-                "id map"
-            );
-        }
+        assert_eq!(self.live().count(), self.ids.len(), "id map");
     }
 
     /// `(shared, total)` over object pages and id sub-maps.
@@ -222,9 +235,43 @@ impl<O: PipelineObject + Clone> ObjectTable<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iloc_geometry::Point;
+    use iloc_uncertainty::PointObject;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::HashMap;
+
+    #[test]
+    fn a_departure_vacates_its_slot_and_moves_nothing() {
+        let at = |k: u64| Point::new(k as f64, 0.0);
+        let mut table = ObjectTable::build((0..10).map(|k| PointObject::new(k, at(k))).collect());
+        let live_ids =
+            |t: &ObjectTable<PointObject>| -> Vec<u64> { t.live().map(|(_, o)| o.id.0).collect() };
+        let parent = table.clone();
+        let (slot, departed) = table.remove(ObjectId(3)).expect("live");
+        assert_eq!((slot, departed.id), (3, ObjectId(3)));
+        assert_eq!(table.remove(ObjectId(3)).map(|(s, _)| s), None);
+        assert_eq!((table.len(), table.slots()), (9, 10));
+        assert_eq!(table.find(ObjectId(3)), None);
+        assert_eq!(
+            table.objects()[3].id,
+            ObjectId(3),
+            "vacated, not overwritten"
+        );
+        assert_eq!(live_ids(&table), [0, 1, 2, 4, 5, 6, 7, 8, 9]);
+        let (shared, total) = table.objects.shared_pages_with(&parent.objects);
+        assert_eq!(shared, total, "a departure writes no object page");
+        table.check_invariants();
+
+        // A move keeps its slot; an arrival, even of the departed id,
+        // takes a new last one.
+        assert_eq!(table.upsert(PointObject::new(5u64, at(50))).0, 5);
+        assert_eq!(table.upsert(PointObject::new(3u64, at(30))).0, 10);
+        assert_eq!(live_ids(&table), [0, 1, 2, 4, 5, 6, 7, 8, 9, 3]);
+        assert_eq!(table.find(ObjectId(3)).map(|o| o.loc), Some(at(30)));
+        table.check_invariants();
+        assert_eq!(live_ids(&parent), (0..10).collect::<Vec<_>>());
+    }
 
     #[test]
     fn id_map_matches_a_hash_map() {

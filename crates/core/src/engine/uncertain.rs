@@ -43,7 +43,8 @@ pub struct UncertainEngine {
     /// are slots.
     table: ObjectTable<UncertainObject>,
     pti: Pti<u32>,
-    /// Object slot → row of the PTI's bound table.
+    /// Object slot → row of the PTI's bound table. A vacated slot
+    /// keeps its entry, naming a row the PTI has freed.
     rows: Pages<u32>,
 }
 
@@ -82,13 +83,13 @@ impl UncertainEngine {
     }
 
     /// Inserts one uncertain object dynamically: its p-bounds are
-    /// computed here, straight into a row of the PTI's table.
-    /// **Upsert**: when the id is already live, the object is replaced
-    /// in its slot (every `Update::Move`, and a retried or duplicate
-    /// arrival) — one removal and one insertion in the index, no other
-    /// object re-keyed, and the table keeps its order, so a catalog
-    /// whose slots are in id order keeps answering without a sort
-    /// however much it moves.
+    /// computed here, straight into a row of the PTI's table (a row a
+    /// departure freed, when there is one). A new id takes a new last
+    /// slot. **Upsert**: when the id is already live, the object is
+    /// replaced in its slot (every `Update::Move`, and a retried or
+    /// duplicate arrival) — one removal and one insertion in the index
+    /// and no other object touched, so a catalog whose slots are in id
+    /// order keeps answering without a sort however much it moves.
     pub fn insert(&mut self, object: UncertainObject) {
         let bounds = p_bounds(object.pdf());
         let (slot, replaced) = self.table.upsert(object);
@@ -110,25 +111,18 @@ impl UncertainEngine {
     /// incrementally (Guttman condense-tree, exact per-level repair of
     /// the merged bounds); returns `true` when present.
     ///
-    /// The object table is kept dense: the last object is swapped into
-    /// the vacated slot and its index entry re-keyed — its table row
-    /// stays where it is.
+    /// One [`Pti::remove`], which frees the object's table row, and
+    /// nothing else: the object's slot is left vacated (its `rows`
+    /// entry too), no other object moves, and no object page is
+    /// written.
     pub fn remove(&mut self, id: ObjectId) -> bool {
         let Some((slot, removed)) = self.table.remove(id) else {
             return false;
         };
-        self.rows.swap_remove(slot as usize);
         assert!(
             self.pti.remove(removed.region(), slot),
             "object table and index out of sync"
         );
-        if let Some(moved) = self.table.objects().get(slot as usize) {
-            let last = self.table.len() as u32;
-            assert!(
-                self.pti.rekey(moved.region(), last, slot),
-                "object table and index out of sync"
-            );
-        }
         true
     }
 
@@ -140,12 +134,11 @@ impl UncertainEngine {
     ///
     /// Panics on the first violation.
     pub fn check_invariants(&self) {
-        let n = self.len();
-        assert_eq!(self.pti.check_invariants(), n, "index size");
-        assert_eq!(self.rows.len(), n, "row map size");
+        assert_eq!(self.pti.check_invariants(), self.len(), "index size");
+        assert_eq!(self.rows.len(), self.slots(), "row map size");
         self.table.check_invariants();
-        for (slot, object) in self.objects().iter().enumerate() {
-            assert_eq!(self.bounds(slot as u32).rect(0), object.region(), "row map");
+        for (slot, object) in self.live() {
+            assert_eq!(self.bounds(slot).rect(0), object.region(), "row map");
         }
     }
 
@@ -163,7 +156,7 @@ impl UncertainEngine {
         .fold((0, 0), |acc, c| (acc.0 + c.0, acc.1 + c.1))
     }
 
-    /// Number of stored objects.
+    /// Number of live objects.
     pub fn len(&self) -> usize {
         self.table.len()
     }
@@ -173,9 +166,21 @@ impl UncertainEngine {
         self.table.len() == 0
     }
 
-    /// The stored objects, by slot.
+    /// Number of object slots, vacated ones included.
+    pub fn slots(&self) -> usize {
+        self.table.slots()
+    }
+
+    /// Every slot's object, by slot — what PTI items index. A vacated
+    /// slot still holds the object that departed from it;
+    /// [`Self::live`] skips those.
     pub fn objects(&self) -> &Pages<UncertainObject> {
         self.table.objects()
+    }
+
+    /// The live objects with their slots, in slot order.
+    pub fn live(&self) -> impl Iterator<Item = (u32, &UncertainObject)> + '_ {
+        self.table.live()
     }
 
     /// Looks up the live object with this id, if present (the serving

@@ -128,9 +128,13 @@ pub struct QueryScratch {
 /// comparison sort of the result set costs more than the refinement
 /// itself at paper scale). Counting passes over the *slots* are far
 /// cheaper — `O(passes · n)` with 256-way buckets, no comparisons —
-/// and because the engines assign ids in slot order, the produced
-/// matches then come out already sorted. Allocation-free once `aux`
-/// has grown to workload size.
+/// and the matches then come out already sorted wherever slot order
+/// is id order. The engines keep it so under churn: an arrival takes a
+/// new last slot, a move keeps its slot and a departure vacates its
+/// own without moving another object (`engine::table`), so only an
+/// arrival whose id is below a live one's leaves the match sort
+/// anything to do. Allocation-free once `aux` has grown to workload
+/// size.
 pub(crate) fn sort_candidates(v: &mut Vec<u32>, aux: &mut Vec<u32>) {
     /// One counting pass on the byte at `shift`.
     fn radix_pass(src: &[u32], dst: &mut [u32], shift: u32) {
@@ -354,8 +358,9 @@ impl<O: PipelineObject, F: FilterStage, E: ProbabilityEvaluator<O>> QueryPipelin
             &mut candidates,
         );
         // Refine in slot order: sequential object-table access, and the
-        // matches come out pre-sorted (engines assign ids in slot
-        // order), collapsing the final sort to a linear check.
+        // matches come out pre-sorted (live slots stay in id order
+        // under any churn whose new ids increase), collapsing the
+        // final sort to a linear check.
         sort_candidates(&mut candidates, &mut ctx.scratch.radix);
         let filter_done = Instant::now();
         // Prune pass: collect the whole surviving batch first so the

@@ -37,7 +37,9 @@
 //! page and id sub-maps it changes, one page per bound-table column,
 //! and the tree nodes on the root-to-leaf paths its incremental
 //! maintenance walks (R-tree insert/condense, PTI constrained-rectangle
-//! repair; never a rebuild). Everything else the new epoch shares with
+//! repair). A departure writes no object page at all: it vacates its
+//! slot, and a shard is rebuilt only once its vacated slots outnumber
+//! its live objects. Everything else the new epoch shares with
 //! the old one, which is published by an atomic pointer swap. In-flight
 //! queries keep reading the epoch they started on; new queries pick up
 //! the new epoch with the next [`ShardedEngine::snapshot`] call; a
@@ -151,11 +153,21 @@ pub trait ServeEngine: BatchEngine + Clone + Send {
         self.len() == 0
     }
 
-    /// Every live object in this shard, by slot, in the engine's
-    /// copy-on-write pages. Checkpointing enumerates shard state
-    /// through this; a snapshot held for a checkpoint pins only the
-    /// pages later epochs replace.
+    /// Number of object slots in this shard, vacated ones included: a
+    /// departure vacates its slot and leaves every other object where
+    /// it is. [`ShardedEngine::commit`] rebuilds a shard once its
+    /// vacated slots outnumber its live objects.
+    fn slots(&self) -> usize;
+
+    /// Every slot's object, in the engine's copy-on-write pages — the
+    /// storage the pipeline indexes by slot. A vacated slot still holds
+    /// the object that departed from it.
     fn objects(&self) -> &Pages<Self::Object>;
+
+    /// The live objects of this shard, in slot order. Checkpointing
+    /// and compaction enumerate shard state through this; a snapshot
+    /// held for a checkpoint pins only the pages later epochs replace.
+    fn live_objects(&self) -> impl Iterator<Item = &Self::Object>;
 }
 
 impl ServeEngine for PointEngine {
@@ -189,8 +201,16 @@ impl ServeEngine for PointEngine {
         PointEngine::len(self)
     }
 
+    fn slots(&self) -> usize {
+        PointEngine::slots(self)
+    }
+
     fn objects(&self) -> &Pages<PointObject> {
         PointEngine::objects(self)
+    }
+
+    fn live_objects(&self) -> impl Iterator<Item = &PointObject> {
+        self.live().map(|(_, object)| object)
     }
 }
 
@@ -225,8 +245,16 @@ impl ServeEngine for UncertainEngine {
         UncertainEngine::len(self)
     }
 
+    fn slots(&self) -> usize {
+        UncertainEngine::slots(self)
+    }
+
     fn objects(&self) -> &Pages<UncertainObject> {
         UncertainEngine::objects(self)
+    }
+
+    fn live_objects(&self) -> impl Iterator<Item = &UncertainObject> {
+        self.live().map(|(_, object)| object)
     }
 }
 

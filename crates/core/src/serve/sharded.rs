@@ -382,6 +382,14 @@ impl<E: ServeEngine> ShardedEngine<E> {
     /// own epoch. Commits serialize with each other; queries proceed
     /// throughout.
     ///
+    /// A departure vacates its object's slot instead of moving another
+    /// object into it, so a shard's live slots keep the order they were
+    /// filled in. The commit after which a shard's vacated slots
+    /// outnumber its live objects rebuilds that shard from its live
+    /// objects in slot order ([`ServeEngine::build_from`]) — a fixed
+    /// threshold, not an option, which the serving workloads' balanced
+    /// churn does not reach in a run of minutes.
+    ///
     /// Every extent an update replaces or lands on is looked up here
     /// anyway, for the dirty hull; the commit also keeps them, as the
     /// epoch's touched set ([`EpochDirt::touched`], one allocation),
@@ -463,6 +471,17 @@ impl<E: ServeEngine> ShardedEngine<E> {
                         report.missed_departures += 1;
                     }
                 }
+            }
+        }
+        // Compaction: a shard whose vacated slots now outnumber its live
+        // objects is rebuilt from them, in slot order — a vector's
+        // growth slack, amortised the same way (only a shard this
+        // commit touched can have crossed). Keeping the order keeps
+        // every answer what the shard gave before, Monte-Carlo ones
+        // included, and what a recovery from a checkpoint of it gives.
+        for shard in &mut shards {
+            if shard.slots() - shard.len() > shard.len() {
+                *shard = Arc::new(E::build_from(shard.live_objects().cloned().collect()));
             }
         }
         report.epoch = base.epoch + 1;

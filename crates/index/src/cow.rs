@@ -4,10 +4,10 @@
 //! A [`Pages<T>`] is a `Vec<T>` cut into fixed-length pages, each
 //! behind its own [`Arc`]. Cloning one copies the spine — a reference
 //! count per page, no element — and the two clones then share every
-//! page until one of them writes: [`Pages::get_mut`],
-//! [`Pages::push`] and [`Pages::swap_remove`] copy the page they are
-//! about to change the first time they find it shared
-//! ([`Arc::make_mut`]) and write in place from then on. That is what
+//! page until one of them writes: [`Pages::get_mut`] and
+//! [`Pages::push`] copy the page they are about to change the first
+//! time they find it shared ([`Arc::make_mut`]) and write in place
+//! from then on. That is what
 //! makes an epoch of the serving layer cost what its batch touched: a
 //! clone taken for a commit diverges from its parent by one page per
 //! written element, and whoever still holds the parent — a query in
@@ -141,25 +141,6 @@ impl<T: Clone> Pages<T> {
         }
         self.len += 1;
     }
-
-    /// Removes and returns the element at `index`, moving the last
-    /// element into its place (`Vec::swap_remove`'s order). Writes the
-    /// page of `index` only: the last page is read, and dropped once
-    /// nothing live is left on it.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `index` is out of range.
-    pub fn swap_remove(&mut self, index: usize) -> T {
-        assert!(index < self.len, "swap_remove index out of range");
-        let last = self.len - 1;
-        let tail = self[last].clone();
-        let slot = self.get_mut(index).expect("index is in range");
-        let removed = std::mem::replace(slot, tail);
-        self.len = last;
-        self.pages.truncate(last.div_ceil(PAGE_LEN));
-        removed
-    }
 }
 
 impl<T> Index<usize> for Pages<T> {
@@ -208,30 +189,19 @@ mod tests {
     }
 
     #[test]
-    fn push_and_swap_remove_match_a_vec_across_page_boundaries() {
+    fn push_matches_a_vec_across_page_boundaries() {
         let mut pages = Pages::new();
         let mut vec = Vec::new();
-        // Grow over two boundaries, shrink back over both, regrow.
+        assert!(pages.is_empty());
+        // Grow over two boundaries, writing back into every page.
         for k in 0..2 * PAGE_LEN + 3 {
             pages.push(k);
             vec.push(k);
             assert_eq!(pages.len(), vec.len());
         }
-        assert_eq!(contents(&pages), vec);
-        for step in 0..2 * PAGE_LEN {
-            // Front, back and middle in turn.
-            let at = match step % 3 {
-                0 => 0,
-                1 => vec.len() - 1,
-                _ => vec.len() / 2,
-            };
-            assert_eq!(pages.swap_remove(at), vec.swap_remove(at));
-            assert_eq!(contents(&pages), vec, "after removal {step}");
-        }
-        assert_eq!(pages.len(), 3);
-        for k in 1000..1000 + PAGE_LEN {
-            pages.push(k);
-            vec.push(k);
+        for at in [0, PAGE_LEN - 1, PAGE_LEN, vec.len() - 1] {
+            *pages.get_mut(at).expect("in range") += 1000;
+            vec[at] += 1000;
         }
         assert_eq!(contents(&pages), vec);
         for (k, &want) in vec.iter().enumerate() {
@@ -240,11 +210,6 @@ mod tests {
         }
         assert_eq!(pages.get(vec.len()), None);
         assert_eq!(pages.get_mut(vec.len()), None);
-        while !vec.is_empty() {
-            assert_eq!(pages.swap_remove(0), vec.swap_remove(0));
-        }
-        assert!(pages.is_empty());
-        assert_eq!(contents(&pages), vec);
     }
 
     #[test]
@@ -259,30 +224,18 @@ mod tests {
         // A second write to the same page copies nothing more.
         *child.get_mut(6).expect("in range") = 778;
         assert_eq!(child.shared_pages_with(&parent), (3, 4));
-        // A push lands on the (shared) last page; a removal rewrites
-        // the slot's page and only reads the last one.
+        // A push lands on the (shared) last page, and filling that page
+        // opens a new one of the child's own.
         child.push(999);
         assert_eq!(child.shared_pages_with(&parent), (2, 4));
-        child.swap_remove(PAGE_LEN + 1);
-        assert_eq!(child.shared_pages_with(&parent), (1, 4));
-        // Shrinking below a page boundary and growing again must not
-        // write through to the parent's copy of that page.
-        for _ in 0..12 {
-            child.swap_remove(0);
-        }
-        for k in 0..12 {
+        for k in 0..PAGE_LEN {
             child.push(5000 + k);
         }
+        assert_eq!(child.shared_pages_with(&parent), (2, 5));
 
         assert_eq!(contents(&parent), before, "the parent saw a write");
         assert_eq!(child[6], 778);
-        assert_eq!(child.len(), before.len());
-    }
-
-    #[test]
-    #[should_panic(expected = "swap_remove index out of range")]
-    fn swap_remove_past_the_end_panics() {
-        let mut pages: Pages<usize> = (0..3).collect();
-        pages.swap_remove(3);
+        assert_eq!(child[before.len()], 999);
+        assert_eq!(child.len(), before.len() + 1 + PAGE_LEN);
     }
 }

@@ -331,22 +331,6 @@ impl<T: Copy> Pti<T> {
         true
     }
 
-    /// Replaces the payload of one stored object (found as by
-    /// [`Pti::remove`]) with `new_item`; its table row stays where it
-    /// is. The tree is left exactly as a removal followed by an
-    /// insertion of the same bounds leaves it. Returns `true` when
-    /// found.
-    pub fn rekey(&mut self, region: Rect, item: T, new_item: T) -> bool
-    where
-        T: PartialEq,
-    {
-        let Some((_, row)) = self.tree.remove_where(region, |&(it, _)| it == item) else {
-            return false;
-        };
-        self.tree.insert(region, (new_item, row));
-        true
-    }
-
     /// Validates structural invariants (tests): the R-tree's, with
     /// "cached bound is exact" holding at every catalog level, and the
     /// table's — every stored entry holds a row of its own whose
@@ -935,20 +919,6 @@ mod tests {
         // With no row free the table grows.
         assert_eq!(pti.insert(uniform_bounds(r, &lv), 501), 100);
         assert_eq!(pti.check_invariants(), 101);
-    }
-
-    #[test]
-    fn rekey_changes_the_item_and_keeps_the_row() {
-        let (mut pti, regions) = build(200, 9);
-        assert!(pti.rekey(regions[5], 5, 900));
-        assert!(!pti.rekey(regions[5], 5, 901), "the old item is gone");
-        assert_eq!(pti.row(5).rect(0), regions[5]);
-        assert_eq!(pti.check_invariants(), 200);
-        let mut stats = AccessStats::new();
-        let hits = pti.query_range(regions[5], &mut stats);
-        assert!(hits.contains(&900) && !hits.contains(&5));
-        assert!(pti.remove(regions[5], 900));
-        assert_eq!(pti.check_invariants(), 199);
     }
 
     #[test]

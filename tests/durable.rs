@@ -466,6 +466,136 @@ fn random_bytes_as_a_wal_segment_never_panic() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Recovered vs never crashed, across the commit that compacts a
+/// shard. The store checkpoints at epoch 3, before any compaction, and
+/// the log then carries the catalog past the epoch at which a shard's
+/// vacated slots first outnumber its live objects. Recovery rebuilds
+/// each shard dense from the checkpoint and replays the log, so its
+/// shards compact at other epochs or not at all — yet each enumerates
+/// the never-crashed catalog's live objects in the same order, and
+/// Monte-Carlo answers (disc pdfs) come out bit-identical. A
+/// checkpoint of the recovered catalog reopens to the same again.
+#[test]
+fn recovery_across_compaction_answers_as_the_never_crashed_catalog() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const SHARDS: usize = 2;
+    let mut rng = StdRng::seed_from_u64(0xC0_DE);
+    let object = |id: u64, rng: &mut StdRng| {
+        let c = Point::new(rng.gen_range(100.0..1_900.0), rng.gen_range(100.0..1_900.0));
+        let (w, h) = (rng.gen_range(10.0..60.0), rng.gen_range(10.0..60.0));
+        match id % 3 {
+            0 => UncertainObject::new(id, UniformPdf::new(Rect::centered(c, w, h))),
+            1 => UncertainObject::new(
+                id,
+                TruncatedGaussianPdf::paper_default(Rect::centered(c, w, h)),
+            ),
+            _ => UncertainObject::new(id, DiscPdf::new(c, w)),
+        }
+    };
+    let objects: Vec<UncertainObject> = (0..240).map(|id| object(id, &mut rng)).collect();
+    let (mut live, mut next_id): (Vec<u64>, u64) = ((0..240).collect(), 240);
+    let requests: Vec<UncertainRequest> = (0..10)
+        .map(|k| {
+            let c = Point::new(rng.gen_range(300.0..1_700.0), rng.gen_range(300.0..1_700.0));
+            let issuer = Issuer::uniform(Rect::centered(c, 120.0, 90.0));
+            match k % 2 {
+                0 => UncertainRequest::iuq(issuer, RangeSpec::square(250.0)),
+                _ => UncertainRequest::ciuq(
+                    issuer,
+                    RangeSpec::square(250.0),
+                    0.3,
+                    CiuqStrategy::PtiPExpanded,
+                ),
+            }
+        })
+        .collect();
+
+    let dir = temp_store("compaction");
+    let seed = objects.clone();
+    let (catalog, _) =
+        DurableCatalog::<UncertainEngine>::open(&StoreConfig::new(&dir), SHARDS, move || seed)
+            .expect("open fresh");
+    let never_crashed = ShardedEngine::<UncertainEngine>::build(objects, SHARDS);
+    let slots = |snapshot: &Snapshot<UncertainEngine>| -> Vec<usize> {
+        snapshot.shards().iter().map(|s| s.slots()).collect()
+    };
+    // Departures outpace arrivals; a shard's slot count falls only
+    // when it compacts.
+    let (mut compacted, mut epoch) = (None, 0);
+    while compacted.is_none_or(|at| epoch < at + 3) {
+        let mut batch = Vec::new();
+        for _ in 0..10 {
+            let id = live.swap_remove(rng.gen_range(0..live.len()));
+            batch.push(Update::Depart(ObjectId(id)));
+        }
+        for _ in 0..4 {
+            let id = live[rng.gen_range(0..live.len())];
+            batch.push(Update::Move(object(id, &mut rng)));
+        }
+        for _ in 0..2 {
+            batch.push(Update::Arrive(object(next_id, &mut rng)));
+            live.push(next_id);
+            next_id += 1;
+        }
+        let before = slots(&never_crashed.snapshot());
+        catalog.submit_all(batch.iter().cloned());
+        epoch = catalog.commit().expect("commit").epoch;
+        never_crashed.submit_all(batch);
+        never_crashed.commit();
+        let after = slots(&never_crashed.snapshot());
+        if compacted.is_none() && after.iter().zip(&before).any(|(a, b)| a < b) {
+            compacted = Some(epoch);
+        }
+        if epoch == 3 {
+            catalog.checkpoint().expect("checkpoint before compaction");
+        }
+    }
+    assert!(
+        compacted.is_some_and(|at| at > 3),
+        "compacted at {compacted:?}"
+    );
+    drop(catalog);
+
+    let live_ids = |snapshot: &Snapshot<UncertainEngine>| -> Vec<Vec<ObjectId>> {
+        let shards = snapshot.shards().iter();
+        shards
+            .map(|s| s.live_objects().map(|o| o.id).collect())
+            .collect()
+    };
+    let want = never_crashed.snapshot();
+    let answers: Vec<QueryAnswer> = requests.iter().map(|r| want.execute_one(r)).collect();
+    assert!(
+        answers.iter().any(|a| a.stats.mc_samples > 0),
+        "no Monte-Carlo refinement"
+    );
+    for (pass, base) in [("replayed", 3), ("checkpointed after the replay", epoch)] {
+        let (recovered, recovery) =
+            DurableCatalog::<UncertainEngine>::open(&StoreConfig::new(&dir), SHARDS, || {
+                panic!("must recover from disk")
+            })
+            .expect("recover");
+        assert_eq!(
+            (recovery.checkpoint_epoch, recovery.epoch),
+            (base, epoch),
+            "{pass}"
+        );
+        let got = recovered.snapshot();
+        assert_eq!(live_ids(&got), live_ids(&want), "{pass}: live order");
+        for (k, (request, answer)) in requests.iter().zip(&answers).enumerate() {
+            assert!(
+                got.execute_one(request).same_matches(answer),
+                "{pass}: request {k}"
+            );
+        }
+        recovered
+            .checkpoint()
+            .expect("checkpoint the recovered catalog");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn fsync_policies_off_and_every_n_still_replay_after_a_clean_drop() {
     for (tag, policy) in [

@@ -16,7 +16,10 @@
 //!   1/2/8, committed in batches, vs a rebuilt single engine; and, over
 //!   200 commits, snapshots held across later epochs (which share
 //!   their pages and tree nodes copy-on-write) against what they
-//!   answered when taken;
+//!   answered when taken; under balanced churn every shard's live
+//!   slots stay in id order, so no shard's matches need a sort; and a
+//!   shard rebuilt once its vacated slots outnumber its live objects
+//!   keeps their order, its answers and its old snapshots;
 //! * durability level — a `DurableCatalog` whose process is "killed"
 //!   at arbitrary WAL byte offsets (emulated by truncating the live
 //!   segment) recovers to a bit-identical prefix of the committed
@@ -36,7 +39,10 @@ use iloc::core::pipeline::{
 use iloc::core::pipeline::{PointRequest, UncertainRequest};
 use iloc::core::serve::{ServeEngine, ShardedEngine, Snapshot, Update};
 use iloc::datagen::{PointUpdate, PointUpdateGen, RectUpdate, RectUpdateGen, UpdateMix};
-use iloc::index::{NaiveIndex, Pages, Pti, PtiParams, RTree, RTreeParams, RangeIndex};
+use iloc::index::{
+    AccessStats, NaiveIndex, Pages, Pti, PtiParams, RTree, RTreeParams, RangeIndex,
+    TraversalScratch,
+};
 use iloc::prelude::*;
 use iloc::uncertainty::{
     DiscPdf, ObjectId, PointObject, TruncatedGaussianPdf, UCatalog, UncertainObject, UniformPdf,
@@ -518,13 +524,13 @@ fn mixed_object(id: u64, kind: u64, rng: &mut StdRng) -> UncertainObject {
 
 /// The engine's invariants hold, every live slot's stored bounds are
 /// the catalog of the pdf in that slot, and the engine answers IUQ and
-/// both C-IUQ plans bit-identically to one freshly built over the same
-/// objects.
+/// both C-IUQ plans bit-identically to one freshly built over its live
+/// objects, in slot order.
 fn assert_no_drift(phase: &str, engine: &UncertainEngine, ctx: &mut ExecutionContext) {
     engine.check_invariants();
-    for (slot, object) in engine.objects().iter().enumerate() {
+    for (slot, object) in engine.live() {
         let want = UCatalog::build_default(object.pdf());
-        let got = engine.bounds(slot as u32);
+        let got = engine.bounds(slot);
         assert_eq!(
             got.levels(),
             want.levels().collect::<Vec<_>>(),
@@ -535,7 +541,7 @@ fn assert_no_drift(phase: &str, engine: &UncertainEngine, ctx: &mut ExecutionCon
         }
     }
 
-    let rebuilt = UncertainEngine::build(engine.objects().iter().cloned().collect());
+    let rebuilt = UncertainEngine::build(engine.live().map(|(_, o)| o.clone()).collect());
     let mut rng = StdRng::seed_from_u64(0x20_D21F);
     let mut matched = 0;
     for q in 0..6 {
@@ -598,6 +604,298 @@ fn bound_table_never_drifts_from_the_pdfs() {
         engine.insert(mixed_object(id, id, &mut rng));
     }
     assert_no_drift("refilled", &engine, &mut ctx);
+}
+
+// --- Slot order and compaction ------------------------------------------
+
+/// `true` when `ids` strictly increase.
+fn increasing(ids: &[ObjectId]) -> bool {
+    ids.windows(2).all(|w| w[0] < w[1])
+}
+
+/// The order oracle for one engine type: 200 balanced batches into a
+/// 4-shard engine, and after every 20th commit
+///
+/// * each shard's live objects, in slot order, have strictly
+///   increasing ids;
+/// * each shard's filter candidates for every request of `pool` — in
+///   the slot order the pipeline refines them in and emits its matches
+///   in — are live objects with strictly increasing ids, so the
+///   pipeline's match sort finds its input already sorted;
+/// * the merged answers are bit-identical to a catalog built afresh
+///   over the live set.
+///
+/// `next_batch` yields each batch and the live set after it.
+fn live_slots_stay_in_id_order<E: ContinuousEngine>(
+    base: Vec<E::Object>,
+    pool: &[E::Request],
+    mut next_batch: impl FnMut() -> (Vec<Update<E::Object>>, Vec<E::Object>),
+) {
+    let engine = ShardedEngine::<E>::build(base, 4);
+    let mut scratch = TraversalScratch::new();
+    let mut candidates = Vec::new();
+    for cycle in 1..=200 {
+        let (batch, live) = next_batch();
+        engine.submit_all(batch);
+        engine.commit();
+        if cycle % 20 != 0 {
+            continue;
+        }
+        let snapshot = engine.snapshot();
+        for (k, shard) in snapshot.shards().iter().enumerate() {
+            let ids: Vec<ObjectId> = shard.live_objects().map(E::object_id).collect();
+            assert!(
+                increasing(&ids),
+                "cycle {cycle}: shard {k}'s live slots left id order"
+            );
+            let objects = shard.objects();
+            for (q, request) in pool.iter().enumerate() {
+                candidates.clear();
+                let filter = E::filter_rect(request);
+                shard.envelope_candidates_into(
+                    filter,
+                    &mut AccessStats::new(),
+                    &mut scratch,
+                    &mut candidates,
+                );
+                candidates.sort_unstable();
+                let ids: Vec<ObjectId> = candidates
+                    .iter()
+                    .map(|&slot| E::object_id(&objects[slot as usize]))
+                    .collect();
+                assert!(
+                    increasing(&ids),
+                    "cycle {cycle}: shard {k}, request {q}: the matches need a sort"
+                );
+                for (&slot, &id) in candidates.iter().zip(&ids) {
+                    assert_eq!(
+                        shard.object_bounds(id),
+                        Some(E::bounds_of(&objects[slot as usize])),
+                        "cycle {cycle}: shard {k}: vacated slot {slot} is still indexed"
+                    );
+                }
+            }
+        }
+        let rebuilt = ShardedEngine::<E>::build(live, 4).snapshot();
+        for (q, request) in pool.iter().enumerate() {
+            assert!(
+                snapshot
+                    .execute_one(request)
+                    .same_matches(&rebuilt.execute_one(request)),
+                "cycle {cycle}: request {q}: churned != rebuild"
+            );
+        }
+    }
+}
+
+#[test]
+fn slots_stay_in_id_order_under_churn() {
+    let mut rng = StdRng::seed_from_u64(0x0D3E);
+    let mut issuer = || {
+        let c = Point::new(rng.gen_range(0.0..10_000.0), rng.gen_range(0.0..10_000.0));
+        Issuer::uniform(Rect::centered(c, 250.0, 250.0))
+    };
+    let range = RangeSpec::square(700.0);
+    let points: Vec<PointRequest> = (0..64)
+        .map(|q| match q % 2 {
+            0 => PointRequest::ipq(issuer(), range),
+            _ => PointRequest::cipq(issuer(), range, 0.3, CipqStrategy::PExpanded),
+        })
+        .collect();
+    let regions: Vec<UncertainRequest> = (0..64)
+        .map(|q| match q % 3 {
+            0 => UncertainRequest::iuq(issuer(), range),
+            1 => UncertainRequest::ciuq(issuer(), range, 0.3, CiuqStrategy::PtiPExpanded),
+            _ => UncertainRequest::ciuq(issuer(), range, 0.3, CiuqStrategy::RTreeMinkowski),
+        })
+        .collect();
+
+    let (base, mut gen) = PointUpdateGen::over_california(2_000, 28, UpdateMix::balanced());
+    live_slots_stay_in_id_order::<PointEngine>(
+        (0u64..)
+            .zip(base)
+            .map(|(k, p)| PointObject::new(k, p))
+            .collect(),
+        &points,
+        || {
+            let batch = gen
+                .stream(64)
+                .into_iter()
+                .map(|u| match u {
+                    PointUpdate::Arrive { id, loc } => Update::Arrive(PointObject::new(id, loc)),
+                    PointUpdate::Depart { id } => Update::Depart(ObjectId(id)),
+                    PointUpdate::Move { id, to } => Update::Move(PointObject::new(id, to)),
+                })
+                .collect();
+            let live = gen.live().iter().map(|&(id, p)| PointObject::new(id, p));
+            (batch, live.collect())
+        },
+    );
+
+    let uniform = |id: u64, region: Rect| UncertainObject::new(id, UniformPdf::new(region));
+    let (base, mut gen) = RectUpdateGen::over_long_beach(2_000, 28, UpdateMix::balanced());
+    live_slots_stay_in_id_order::<UncertainEngine>(
+        (0u64..).zip(base).map(|(k, r)| uniform(k, r)).collect(),
+        &regions,
+        || {
+            let batch = gen
+                .stream(64)
+                .into_iter()
+                .map(|u| match u {
+                    RectUpdate::Arrive { id, region } => Update::Arrive(uniform(id, region)),
+                    RectUpdate::Depart { id } => Update::Depart(ObjectId(id)),
+                    RectUpdate::Move { id, to } => Update::Move(uniform(id, to)),
+                })
+                .collect();
+            let live = gen.live().iter().map(|&(id, r)| uniform(id, r));
+            (batch, live.collect())
+        },
+    );
+}
+
+/// Each shard's live ids, in slot order.
+fn live_ids(snapshot: &Snapshot<UncertainEngine>) -> Vec<Vec<ObjectId>> {
+    let shards = snapshot.shards().iter();
+    shards
+        .map(|s| s.live_objects().map(|o| o.id).collect())
+        .collect()
+}
+
+/// Compaction, at the commit a shard's vacated slots first outnumber
+/// its live objects. A control catalog takes the same updates over the
+/// same objects plus far-away padding that no update or query touches,
+/// so its shards never reach the threshold: it reports and answers what
+/// the updates give without compaction. Over mixed pdfs, so the disc
+/// objects refine by Monte-Carlo and candidate order decides the bits.
+/// At that commit:
+///
+/// * the compacted shard has no vacated slot (`slots() == len()`) and
+///   its live id sequence is the control's;
+/// * the answers are bit-identical to the control's and to a catalog
+///   built afresh over the live objects in slot order;
+/// * a snapshot taken before the commit still answers as it did;
+/// * every shard's invariants hold, and the commit reports and the
+///   dirt history are the control's.
+///
+/// Five more commits then run through the compacted shard.
+#[test]
+fn compaction_keeps_live_order_and_old_snapshots() {
+    const N: u64 = 300;
+    const PADDING: u64 = 1 << 40;
+    let mut rng = StdRng::seed_from_u64(0xC0_4AC7);
+    let base: Vec<UncertainObject> = (0..N).map(|id| mixed_object(id, id, &mut rng)).collect();
+    let padding = (0..3 * N).map(|k| {
+        let at = Point::new(50_000.0 + 10.0 * k as f64, 50_000.0);
+        UncertainObject::new(PADDING + k, UniformPdf::new(Rect::centered(at, 2.0, 2.0)))
+    });
+    let engine = ShardedEngine::<UncertainEngine>::build(base.clone(), 2);
+    let control =
+        ShardedEngine::<UncertainEngine>::build(base.into_iter().chain(padding).collect(), 2);
+    let unpadded = |snapshot: &Snapshot<UncertainEngine>| -> Vec<Vec<ObjectId>> {
+        let mut ids = live_ids(snapshot);
+        ids.iter_mut().for_each(|s| s.retain(|id| id.0 < PADDING));
+        ids
+    };
+
+    let mut requests = Vec::new();
+    for _ in 0..8 {
+        let c = Point::new(rng.gen_range(300.0..1_700.0), rng.gen_range(300.0..1_700.0));
+        let issuer = Issuer::uniform(Rect::centered(c, 120.0, 90.0));
+        let range = RangeSpec::square(250.0);
+        requests.push(UncertainRequest::iuq(issuer.clone(), range));
+        for strategy in [CiuqStrategy::RTreeMinkowski, CiuqStrategy::PtiPExpanded] {
+            requests.push(UncertainRequest::ciuq(issuer.clone(), range, 0.3, strategy));
+        }
+    }
+    let answers = |snapshot: &Snapshot<UncertainEngine>| -> Vec<QueryAnswer> {
+        requests.iter().map(|r| snapshot.execute_one(r)).collect()
+    };
+    let same =
+        |a: &[QueryAnswer], b: &[QueryAnswer]| a.iter().zip(b).all(|(a, b)| a.same_matches(b));
+
+    let mut live: Vec<u64> = (0..N).collect();
+    let mut next_id = N;
+    let mut compacted_at = None;
+    let mut after = 0;
+    while after < 5 {
+        let mut batch = Vec::new();
+        for _ in 0..12 {
+            let id = live.swap_remove(rng.gen_range(0..live.len()));
+            batch.push(Update::Depart(ObjectId(id)));
+        }
+        for _ in 0..6 {
+            let id = live[rng.gen_range(0..live.len())];
+            batch.push(Update::Move(mixed_object(
+                id,
+                rng.gen_range(0..3),
+                &mut rng,
+            )));
+        }
+        for _ in 0..3 {
+            batch.push(Update::Arrive(mixed_object(next_id, next_id, &mut rng)));
+            live.push(next_id);
+            next_id += 1;
+        }
+
+        let before = engine.snapshot();
+        let before_answers = answers(&before);
+        // Without compaction, the engine's shards would have the
+        // control's vacated slots.
+        let crossing: Vec<bool> = {
+            control.submit_all(batch.iter().cloned());
+            let report = control.commit();
+            engine.submit_all(batch);
+            assert_eq!(engine.commit(), report, "epoch {}", report.epoch);
+            let (e, c) = (engine.snapshot(), control.snapshot());
+            let pairs = e.shards().iter().zip(c.shards());
+            pairs.map(|(e, c)| c.slots() - c.len() > e.len()).collect()
+        };
+        let (snapshot, reference) = (engine.snapshot(), control.snapshot());
+        let epoch = snapshot.epoch();
+        snapshot.shards().iter().for_each(|s| s.check_invariants());
+        reference.shards().iter().for_each(|s| s.check_invariants());
+        assert!(reference
+            .shards()
+            .iter()
+            .all(|s| s.slots() - s.len() < s.len()));
+        assert_eq!(live_ids(&snapshot), unpadded(&reference), "epoch {epoch}");
+        let got = answers(&snapshot);
+        assert!(
+            same(&got, &answers(&reference)),
+            "epoch {epoch}: != control"
+        );
+        let shards = snapshot.shards().iter();
+        let rebuilt = shards.flat_map(|s| s.live_objects().cloned()).collect();
+        let rebuilt = ShardedEngine::<UncertainEngine>::build(rebuilt, 2).snapshot();
+        assert!(same(&got, &answers(&rebuilt)), "epoch {epoch}: != rebuild");
+        assert!(
+            same(&answers(&before), &before_answers),
+            "epoch {epoch}: old snapshot moved"
+        );
+
+        if compacted_at.is_none() && crossing.contains(&true) {
+            compacted_at = Some(epoch);
+            for (k, shard) in snapshot.shards().iter().enumerate() {
+                if crossing[k] {
+                    assert_eq!(shard.slots(), shard.len(), "shard {k} did not compact");
+                } else {
+                    assert!(shard.slots() > shard.len(), "shard {k} compacted early");
+                }
+            }
+            assert!(
+                got.iter().any(|a| a.stats.mc_samples > 0),
+                "no Monte-Carlo refinement: candidate order untested"
+            );
+        }
+        after += usize::from(compacted_at.is_some());
+    }
+    assert!(
+        compacted_at.is_some_and(|e| e > 5),
+        "compacted at {compacted_at:?}"
+    );
+    let (mut dirt, mut want) = (Vec::new(), Vec::new());
+    assert!(engine.dirt_since(0, &mut dirt) && control.dirt_since(0, &mut want));
+    assert_eq!(dirt, want);
 }
 
 /// A unique scratch directory under the system temp dir.

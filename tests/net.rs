@@ -627,7 +627,7 @@ fn snapshot_pinning_never_shows_torn_epochs_over_the_wire() {
 #[test]
 fn concurrent_writers_on_a_durable_server() {
     use iloc::core::durable::FsyncPolicy;
-    use iloc::core::serve::{CommitReport, ShardedEngine, Snapshot, DIRT_HISTORY};
+    use iloc::core::serve::{CommitReport, ServeEngine, ShardedEngine, Snapshot, DIRT_HISTORY};
     use iloc::core::PointEngine;
     use iloc::server::server::DurabilityOptions;
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -651,7 +651,7 @@ fn concurrent_writers_on_a_durable_server() {
     let objects = |snapshot: Snapshot<PointEngine>| -> Vec<Vec<PointObject>> {
         let shards = snapshot.shards().iter();
         shards
-            .map(|s| s.objects().iter().copied().collect())
+            .map(|s| s.live_objects().copied().collect())
             .collect()
     };
     let everything = PointRequest::ipq(
