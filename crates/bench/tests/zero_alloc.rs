@@ -13,6 +13,10 @@
 //! because the allocator is global: libtest's own threads would
 //! allocate inside the measured window.
 //!
+//! Below the front ends, the index probe is gated on its own: R-tree
+//! and PTI probes, threshold 0 and a Strategy-1 level, through a warm
+//! traversal scratch allocate nothing.
+//!
 //! The write side's share of the invariant is gated here as well: a
 //! warm [`SubscriptionRegistry::pump`] that patches 64 standing
 //! queries from a 256-update commit's touched set allocates nothing.
@@ -28,6 +32,9 @@ use iloc_core::serve::{shard_of, ShardedEngine, Update};
 use iloc_core::subscribe::{PumpReport, SubscriptionRegistry};
 use iloc_core::{CipqStrategy, Issuer, PointEngine, RangeSpec};
 use iloc_geometry::{Point, Rect};
+use iloc_index::{
+    AccessStats, Pti, PtiParams, PtiQuery, RTree, RTreeParams, RangeIndex, TraversalScratch,
+};
 use iloc_router::{Router, RouterConfig};
 use iloc_server::alloc_count::{self, CountingAllocator};
 use iloc_server::protocol::{self, opcode};
@@ -89,6 +96,75 @@ fn patched_pump_allocates_nothing() {
     println!(
         "zero_alloc patched pump: 0 allocations over 4 pumps, {} deltas, {} objects evaluated",
         totals.notified, totals.objects_evaluated
+    );
+}
+
+/// Index probes through a warm [`TraversalScratch`] into a warm output
+/// vector — the R-tree, and the PTI at threshold 0 and at a Strategy-1
+/// level — allocate nothing. A node scan writes up to a node's fanout
+/// past the length it keeps before it truncates, so this is the gate
+/// that warm capacity absorbs that.
+fn probes_allocate_nothing() {
+    const SIDE: u64 = 150;
+    let levels = vec![0.0, 0.1, 0.2, 0.3, 0.4, 0.5];
+    let regions: Vec<(Rect, u32)> = (0..SIDE * SIDE)
+        .map(|k| {
+            let (x, y) = ((k % SIDE) as f64 * 4.0, (k / SIDE) as f64 * 4.0);
+            (Rect::from_coords(x, y, x + 3.0, y + 3.0), k as u32)
+        })
+        .collect();
+    let rtree = RTree::bulk_load(regions.clone(), RTreeParams::default());
+    let pti = Pti::bulk_load(
+        levels.clone(),
+        regions
+            .iter()
+            .map(|&(r, id)| {
+                let bounds = levels
+                    .iter()
+                    .map(|&p| r.expand(-p * r.width(), -p * r.height()))
+                    .collect();
+                (bounds, id)
+            })
+            .collect(),
+        PtiParams::default(),
+    );
+    let windows: Vec<Rect> = (0..64u64)
+        .map(|k| {
+            let center = Point::new((k * 37 % 600) as f64, (k * 91 % 600) as f64);
+            let half = 2.0 + (k % 8) as f64 * 6.0;
+            Rect::centered(center, half, half)
+        })
+        .collect();
+    let mut scratch = TraversalScratch::new();
+    let mut out = Vec::new();
+    let mut pass = |stats: &mut AccessStats| {
+        for &window in &windows {
+            out.clear();
+            rtree.query_range_scratch(window, stats, &mut scratch, &mut out);
+            for (threshold, inset) in [(0.0, 0.0), (0.3, -1.0)] {
+                let q = PtiQuery {
+                    expanded: window,
+                    p_expanded: window.expand(inset, inset),
+                    threshold,
+                };
+                out.clear();
+                pti.query_scratch(&q, stats, &mut scratch, &mut out);
+            }
+        }
+    };
+    pass(&mut AccessStats::new());
+    let mut stats = AccessStats::new();
+    let before = alloc_count::allocations();
+    for _ in 0..4 {
+        pass(&mut stats);
+    }
+    let allocated = alloc_count::allocations() - before;
+    assert!(stats.candidates > 0, "the probes select something");
+    assert_eq!(allocated, 0, "a warm index probe allocated");
+    println!(
+        "zero_alloc probes: 0 allocations over {} probes, {} candidates",
+        4 * 3 * windows.len(),
+        stats.candidates
     );
 }
 
@@ -156,6 +232,7 @@ fn router_batch_allocates_nothing() {
 
 fn main() {
     alloc_count::mark_installed();
+    probes_allocate_nothing();
     patched_pump_allocates_nothing();
     router_batch_allocates_nothing();
     for name in SCENARIOS {

@@ -53,7 +53,7 @@ use std::sync::Arc;
 use iloc_geometry::Rect;
 
 use crate::cow::Pages;
-use crate::rtree::{Bound, LeafBounds, Node, RTree, RTreeParams};
+use crate::rtree::{Bound, LeafBounds, Node, RTree, RTreeParams, Window};
 use crate::stats::AccessStats;
 use crate::traits::{RangeIndex, TraversalScratch};
 
@@ -408,6 +408,20 @@ impl<T: Copy> Pti<T> {
         }
     }
 
+    /// Arena index of the tree's root, for reference walks in tests.
+    #[doc(hidden)]
+    pub fn root_index(&self) -> usize {
+        self.tree.root_index()
+    }
+
+    /// A tree node, for reference walks in tests: leaf entries are
+    /// `(0-bound, (item, row))`; a parent entry's bound exposes its
+    /// `MBR(0)` as the key.
+    #[doc(hidden)]
+    pub fn node(&self, idx: usize) -> &Node<(T, u32), impl Bound> {
+        self.tree.node(idx)
+    }
+
     /// Index of the largest stored level `≤ qp` (always exists because
     /// level 0 is mandatory).
     fn level_floor(&self, qp: f64) -> usize {
@@ -446,64 +460,81 @@ impl<T: Copy> Pti<T> {
         if self.tree.is_empty() {
             return;
         }
+        // Nesting means nothing for a window with a NaN coordinate (it
+        // overlaps nothing), so only finite windows are checked.
         debug_assert!(
-            q.expanded.contains_rect(q.p_expanded),
+            !(q.expanded.is_finite() && q.p_expanded.is_finite())
+                || q.expanded.contains_rect(q.p_expanded),
             "p-expanded query must be inside the expanded query"
         );
         // Strategy 2 on the 0-bound, then Strategy 1 at level `k`: a
         // parent's `MBR(k)` sits in its entry, an object's k-bound in
         // column `k` of the table. At level 0 there is no Strategy 1,
-        // and the walk compiles to the plain R-tree's.
+        // and the walk is the plain R-tree's.
         match self.level_floor(q.threshold) {
-            0 => self.walk(q.p_expanded, |_| false, |_| false, stats, scratch, out),
-            k => {
-                let column = self.column(k);
-                self.walk(
-                    q.p_expanded,
-                    |mbrs| Self::strategy1_prunes(q.expanded, mbrs.upper[k - 1]),
-                    |row| Self::strategy1_prunes(q.expanded, column[row as usize]),
-                    stats,
-                    scratch,
-                    out,
-                )
-            }
+            0 => self.walk(q.p_expanded, None, stats, scratch, out),
+            k => self.walk(q.p_expanded, Some((k, q.expanded)), stats, scratch, out),
         }
     }
 
     /// Depth-first walk pushing the item of every entry whose 0-bound
-    /// overlaps `window` and that neither test prunes — `prunes_parent`
-    /// on a subtree's merged bounds, `prunes_row` on an object's table
-    /// row.
+    /// overlaps `window` and, given `strategy1 = (k, expanded)`, that
+    /// Strategy 1 does not prune at level `k` — on a subtree's
+    /// `MBR(k)`, on an object's row of column `k`.
+    ///
+    /// A node's overlapping entries are selected first (their
+    /// positions, when Strategy 1 runs); Strategy 1 then reads only
+    /// those entries' bounds, in entry order.
     fn walk(
         &self,
         window: Rect,
-        prunes_parent: impl Fn(&LevelMbrs) -> bool,
-        prunes_row: impl Fn(u32) -> bool,
+        strategy1: Option<(usize, Rect)>,
         stats: &mut AccessStats,
         scratch: &mut TraversalScratch,
         out: &mut Vec<T>,
     ) {
-        let stack = &mut scratch.stack;
+        let window = Window::new(window);
+        let TraversalScratch { stack, hits } = scratch;
         stack.clear();
         stack.push(self.tree.root_index());
         while let Some(idx) = stack.pop() {
             stats.nodes_visited += 1;
-            match self.tree.node(idx) {
-                Node::Leaf(entries) => {
-                    for &(key, (item, row)) in entries.iter() {
-                        stats.items_tested += 1;
-                        if key.overlaps(window) && !prunes_row(row) {
-                            stats.candidates += 1;
-                            out.push(item);
-                        }
-                    }
+            match (self.tree.node(idx), strategy1) {
+                (Node::Leaf(entries), None) => {
+                    stats.items_tested += entries.len() as u64;
+                    let items = entries.iter().map(|&(key, (item, _))| (key, item));
+                    stats.candidates += window.select(items, out) as u64;
                 }
-                Node::Internal(children) => {
-                    for (mbrs, child) in children.iter() {
-                        if mbrs.key.overlaps(window) && !prunes_parent(mbrs) {
-                            stack.push(*child);
-                        }
-                    }
+                (Node::Internal(children), None) => {
+                    window.select(children.iter().map(|(mbrs, c)| (mbrs.key, *c)), stack);
+                }
+                (Node::Leaf(entries), Some((k, expanded))) => {
+                    stats.items_tested += entries.len() as u64;
+                    hits.clear();
+                    window.select(entries.iter().enumerate().map(|(i, e)| (e.0, i)), hits);
+                    let column = self.column(k);
+                    let before = out.len();
+                    out.extend(
+                        hits.iter()
+                            .map(|&i| entries[i].1)
+                            .filter(|&(_, row)| {
+                                !Self::strategy1_prunes(expanded, column[row as usize])
+                            })
+                            .map(|(item, _)| item),
+                    );
+                    stats.candidates += (out.len() - before) as u64;
+                }
+                (Node::Internal(children), Some((k, expanded))) => {
+                    hits.clear();
+                    window.select(children.iter().enumerate().map(|(i, e)| (e.0.key, i)), hits);
+                    stack.extend(
+                        hits.iter()
+                            .map(|&i| &children[i])
+                            .filter(|(mbrs, _)| {
+                                !Self::strategy1_prunes(expanded, mbrs.upper[k - 1])
+                            })
+                            .map(|&(_, child)| child),
+                    );
                 }
             }
         }

@@ -36,9 +36,11 @@
 mod bulk;
 mod node;
 mod remove;
+mod select;
 mod split;
 
 pub use node::{Bound, LeafBounds, Node};
+pub(crate) use select::Window;
 
 use std::sync::Arc;
 
@@ -227,14 +229,17 @@ impl<T: Clone, S: LeafBounds<T>> RTree<T, S> {
         (shared, total)
     }
 
-    /// Arena index of the root (internal; for the probe that lives
-    /// outside this module: the PTI's threshold probe).
-    pub(crate) fn root_index(&self) -> usize {
+    /// Arena index of the root, for walks outside this module: the
+    /// PTI's threshold probe, and the reference walks the conformance
+    /// suite holds the probes to.
+    #[doc(hidden)]
+    pub fn root_index(&self) -> usize {
         self.root
     }
 
-    /// Node accessor (internal; see [`RTree::root_index`]).
-    pub(crate) fn node(&self, idx: usize) -> &Node<T, S::Parent> {
+    /// Node accessor (see [`RTree::root_index`]).
+    #[doc(hidden)]
+    pub fn node(&self, idx: usize) -> &Node<T, S::Parent> {
         &self.nodes[idx]
     }
 
@@ -420,6 +425,7 @@ impl<T: Copy> RangeIndex<T> for RTree<T> {
         if self.len == 0 {
             return;
         }
+        let window = Window::new(query);
         let stack = &mut scratch.stack;
         stack.clear();
         stack.push(self.root);
@@ -427,20 +433,11 @@ impl<T: Copy> RangeIndex<T> for RTree<T> {
             stats.nodes_visited += 1;
             match &self.nodes[idx] {
                 Node::Leaf(entries) => {
-                    for &(extent, item) in entries.iter() {
-                        stats.items_tested += 1;
-                        if extent.overlaps(query) {
-                            stats.candidates += 1;
-                            out.push(item);
-                        }
-                    }
+                    stats.items_tested += entries.len() as u64;
+                    stats.candidates += window.select(entries.iter().copied(), out) as u64;
                 }
                 Node::Internal(children) => {
-                    for &(mbr, child) in children.iter() {
-                        if mbr.overlaps(query) {
-                            stack.push(child);
-                        }
-                    }
+                    window.select(children.iter().copied(), stack);
                 }
             }
         }

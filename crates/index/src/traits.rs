@@ -16,6 +16,9 @@ use crate::stats::AccessStats;
 pub struct TraversalScratch {
     /// Pending node arena indices (empty between probes).
     pub(crate) stack: Vec<usize>,
+    /// Positions of the overlapping entries of the node being scanned,
+    /// for a PTI threshold probe to run Strategy 1 on.
+    pub(crate) hits: Vec<usize>,
 }
 
 impl TraversalScratch {
