@@ -346,7 +346,7 @@ mod tests {
         for shard in catalog.snapshot().shards() {
             bytes.extend_from_slice(&(shard.len() as u64).to_le_bytes());
             for object in shard.live_objects() {
-                object.encode(&mut bytes).expect("point objects encode");
+                object.encode(&mut bytes);
             }
         }
         bytes

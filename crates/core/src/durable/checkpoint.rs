@@ -81,11 +81,11 @@ impl<O> CheckpointScan<O> {
 fn write_record(
     file: &mut fs::File,
     buf: &mut Vec<u8>,
-    fill: impl FnOnce(&mut Vec<u8>) -> Result<(), StoreError>,
+    fill: impl FnOnce(&mut Vec<u8>),
 ) -> Result<(), StoreError> {
     buf.clear();
     let at = begin_record(buf);
-    fill(buf)?;
+    fill(buf);
     finish_record(buf, at);
     Ok(file.write_all(buf)?)
 }
@@ -117,22 +117,19 @@ pub(crate) fn write_checkpoint<E: ServeEngine<Object: DurableObject>>(
             put_u64(buf, epoch);
             put_u32(buf, shards.len() as u32);
             put_u64(buf, total);
-            Ok(())
         })?;
         for (k, shard) in shards.iter().enumerate() {
             write_record(&mut f, &mut buf, |buf| {
                 put_u32(buf, k as u32);
                 put_u32(buf, shard.len() as u32);
                 for o in shard.live_objects() {
-                    o.encode(buf)?;
+                    o.encode(buf);
                 }
-                Ok(())
             })?;
         }
         write_record(&mut f, &mut buf, |buf| {
             buf.extend_from_slice(FOOTER_MAGIC);
             put_u64(buf, epoch);
-            Ok(())
         })?;
         f.sync_all()?;
     }

@@ -5,8 +5,9 @@
 //! byte-for-byte one catalog-target byte followed by [`put_update`]'s
 //! output, so neither format can drift from the other.
 //!
-//! Every decoder validates the preconditions of the constructor it is
-//! about to call, so adversarial or corrupt bytes surface as a
+//! Every [`PdfKind`] has a binary form, so encoding cannot fail. Every
+//! decoder validates the preconditions of the constructor it is about
+//! to call, so adversarial or corrupt bytes surface as a
 //! [`CodecError`], never a panic. The two callers map it onto their
 //! own error types: [`StoreError`] here, `WireError` in the server
 //! crate.
@@ -20,22 +21,18 @@ use iloc_uncertainty::{
 use super::StoreError;
 use crate::serve::Update;
 
-/// Why an encode or decode failed.
+/// Why a decode failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CodecError {
     /// Bytes ended early, carried a trailing remainder, or held an
     /// out-of-range value; the message names the offending field.
     Malformed(&'static str),
-    /// The pdf is a [`PdfKind::Shared`] handle, which has no binary
-    /// form.
-    UnsupportedPdf,
 }
 
 impl From<CodecError> for StoreError {
     fn from(e: CodecError) -> StoreError {
         match e {
             CodecError::Malformed(what) => StoreError::Corrupt(what),
-            CodecError::UnsupportedPdf => StoreError::Unsupported("shared pdf handle"),
         }
     }
 }
@@ -176,9 +173,8 @@ const PDF_UNIFORM: u8 = 0;
 const PDF_GAUSSIAN: u8 = 1;
 const PDF_DISC: u8 = 2;
 
-/// Appends one pdf. Only the concrete kinds have a binary form;
-/// `Shared` handles are rejected with [`CodecError::UnsupportedPdf`].
-pub fn put_pdf(buf: &mut Vec<u8>, pdf: &PdfKind) -> Result<(), CodecError> {
+/// Appends one pdf.
+pub fn put_pdf(buf: &mut Vec<u8>, pdf: &PdfKind) {
     match pdf {
         PdfKind::Uniform(u) => {
             buf.push(PDF_UNIFORM);
@@ -199,9 +195,7 @@ pub fn put_pdf(buf: &mut Vec<u8>, pdf: &PdfKind) -> Result<(), CodecError> {
             put_f64(buf, c.center.y);
             put_f64(buf, c.radius);
         }
-        PdfKind::Shared(_) => return Err(CodecError::UnsupportedPdf),
     }
-    Ok(())
 }
 
 /// Reads one pdf, validating every constructor precondition.
@@ -239,6 +233,9 @@ pub fn read_pdf(c: &mut Cursor<'_>) -> Result<PdfKind, CodecError> {
             if radius <= 0.0 {
                 return Err(CodecError::Malformed("disc radius must be positive"));
             }
+            if !DiscPdf::is_representable(center, radius) {
+                return Err(CodecError::Malformed("disc extent or area not finite"));
+            }
             Ok(PdfKind::Disc(DiscPdf::new(center, radius)))
         }
         _ => Err(CodecError::Malformed("unknown pdf tag")),
@@ -250,21 +247,17 @@ pub fn read_pdf(c: &mut Cursor<'_>) -> Result<PdfKind, CodecError> {
 /// types the serving layer catalogs.
 pub trait DurableObject: Clone + Send + Sync {
     /// Appends this object's binary form (including its id).
-    ///
-    /// Fails only for state with no binary form (a
-    /// [`PdfKind::Shared`] handle).
-    fn encode(&self, buf: &mut Vec<u8>) -> Result<(), CodecError>;
+    fn encode(&self, buf: &mut Vec<u8>);
 
     /// Decodes one object, validating every constructor precondition.
     fn decode(c: &mut Cursor<'_>) -> Result<Self, CodecError>;
 }
 
 impl DurableObject for PointObject {
-    fn encode(&self, buf: &mut Vec<u8>) -> Result<(), CodecError> {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_u64(buf, self.id.0);
         put_f64(buf, self.loc.x);
         put_f64(buf, self.loc.y);
-        Ok(())
     }
 
     fn decode(c: &mut Cursor<'_>) -> Result<PointObject, CodecError> {
@@ -276,9 +269,9 @@ impl DurableObject for PointObject {
 }
 
 impl DurableObject for UncertainObject {
-    fn encode(&self, buf: &mut Vec<u8>) -> Result<(), CodecError> {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_u64(buf, self.id.0);
-        put_pdf(buf, self.pdf())
+        put_pdf(buf, self.pdf());
     }
 
     fn decode(c: &mut Cursor<'_>) -> Result<UncertainObject, CodecError> {
@@ -293,23 +286,19 @@ const UPDATE_DEPART: u8 = 1;
 const UPDATE_MOVE: u8 = 2;
 
 /// Appends one update's binary form.
-pub fn put_update<O: DurableObject>(
-    buf: &mut Vec<u8>,
-    update: &Update<O>,
-) -> Result<(), CodecError> {
+pub fn put_update<O: DurableObject>(buf: &mut Vec<u8>, update: &Update<O>) {
     match update {
         Update::Arrive(o) => {
             buf.push(UPDATE_ARRIVE);
-            o.encode(buf)
+            o.encode(buf);
         }
         Update::Depart(id) => {
             buf.push(UPDATE_DEPART);
             put_u64(buf, id.0);
-            Ok(())
         }
         Update::Move(o) => {
             buf.push(UPDATE_MOVE);
-            o.encode(buf)
+            o.encode(buf);
         }
     }
 }
@@ -334,7 +323,7 @@ mod tests {
         // preserve the exact bit pattern, not a reparse.
         let o = PointObject::new(42, Point::new(1.0 + 1e-15, -0.0));
         let mut buf = Vec::new();
-        o.encode(&mut buf).unwrap();
+        o.encode(&mut buf);
         let mut c = Cursor::new(&buf);
         let back = PointObject::decode(&mut c).unwrap();
         c.done().unwrap();
@@ -361,7 +350,7 @@ mod tests {
         ];
         for o in &objects {
             let mut buf = Vec::new();
-            o.encode(&mut buf).unwrap();
+            o.encode(&mut buf);
             let mut c = Cursor::new(&buf);
             let back = UncertainObject::decode(&mut c).unwrap();
             c.done().unwrap();
@@ -379,7 +368,7 @@ mod tests {
         ];
         let mut buf = Vec::new();
         for u in &updates {
-            put_update(&mut buf, u).unwrap();
+            put_update(&mut buf, u);
         }
         let mut c = Cursor::new(&buf);
         for u in &updates {

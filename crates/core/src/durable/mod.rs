@@ -99,9 +99,6 @@ pub enum StoreError {
     /// On-disk bytes that frame correctly (length + checksum) decode
     /// to something no encoder produces — recovery refuses to guess.
     Corrupt(&'static str),
-    /// The in-memory state cannot be encoded (a `Shared` pdf handle
-    /// has no on-disk representation).
-    Unsupported(&'static str),
 }
 
 impl fmt::Display for StoreError {
@@ -109,7 +106,6 @@ impl fmt::Display for StoreError {
         match self {
             StoreError::Io(e) => write!(f, "durable store i/o: {e}"),
             StoreError::Corrupt(what) => write!(f, "durable store corrupt: {what}"),
-            StoreError::Unsupported(what) => write!(f, "durable store unsupported: {what}"),
         }
     }
 }

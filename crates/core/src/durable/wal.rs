@@ -194,7 +194,7 @@ impl Wal {
         put_u64(&mut self.buf, epoch);
         put_u32(&mut self.buf, updates.len() as u32);
         for u in updates {
-            put_update(&mut self.buf, u)?;
+            put_update(&mut self.buf, u);
         }
         finish_record(&mut self.buf, at);
 

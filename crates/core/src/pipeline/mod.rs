@@ -13,7 +13,7 @@
 //! | Stage | Type | Paper |
 //! |-------|------|-------|
 //! | **Filter** | [`FilterStage`]: [`RectFilter`] over any [`iloc_index::RangeIndex`] backend (R-tree, naive scan) probed with the Minkowski sum `R ⊕ U0` (Lemma 1, Section 4.1) or a `p`-expanded query (Definition 7 + Lemma 5); [`PtiFilter`] for the PTI's node-level pruning (Section 5.3) | 4.1, 5.1, 5.3 |
-//! | **Prune** | [`PruneChain`] of trait-object [`PruneStage`]s — the three object-level pruning strategies for constrained queries, each recording its eliminations in [`QueryStats`] (`pruned_s1`/`s2`/`s3`) | 5.2 |
+//! | **Prune** | [`PruneChain`]: the three object-level pruning strategies for constrained queries, each recording its eliminations in [`QueryStats`] (`pruned_s1`/`s2`/`s3`) | 5.2 |
 //! | **Refine** | [`EvaluatorKind`] (static dispatch over the two [`ProbabilityEvaluator`]s): [`DualityEvaluator`] computes qualification probabilities through the query–data duality closed/numeric forms (Lemmas 2–4) via the context's [`Integrator`]; [`BasicEvaluator`] is the Section 3.3 baseline that integrates over the issuer region (Eq. 2 / Eq. 4) | 3.3, 4.2 |
 //!
 //! Execution state (integrator choice, the seeded RNG, the per-query
@@ -71,7 +71,7 @@ pub use batch::{
     UncertainConstraint, UncertainRequest,
 };
 pub use filter::{FilterStage, PtiFilter, RectFilter};
-pub use prune::{PruneChain, PruneStage, StoredBounds};
+pub use prune::{PruneChain, StoredBounds};
 pub use refine::{
     BasicEvaluator, DualityEvaluator, EvaluatorKind, PipelineObject, ProbabilityEvaluator,
 };

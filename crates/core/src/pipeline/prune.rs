@@ -6,9 +6,9 @@
 //! is how the experiments report pruning power per strategy (Figure
 //! 12's discussion). They read a candidate's p-bounds where the engine
 //! keeps them — in the PTI's level table, through [`StoredBounds`].
-//! Custom boxed [`PruneStage`]s can be appended for experimental plans.
 
 use std::fmt;
+use std::marker::PhantomData;
 
 use iloc_index::{LevelRow, Pages, Pti};
 use iloc_uncertainty::UncertainObject;
@@ -17,19 +17,6 @@ use crate::eval::constrained::{try_prune, PruneContext, PruneOutcome};
 use crate::stats::QueryStats;
 
 use super::PreparedQuery;
-
-/// One object-level pruning test.
-///
-/// Returning `true` eliminates the candidate; the stage must record
-/// the elimination in `stats` so per-strategy pruning power stays
-/// observable.
-pub trait PruneStage<O>: fmt::Debug + Sync {
-    /// Short name used in plan debugging output.
-    fn name(&self) -> &'static str;
-
-    /// Applies the test to one candidate.
-    fn try_prune(&self, query: &PreparedQuery<'_>, object: &O, stats: &mut QueryStats) -> bool;
-}
 
 /// The stored p-bounds of an engine's object slots: the PTI's level
 /// table, reached through the engine's slot → row map.
@@ -49,20 +36,17 @@ impl<'a> StoredBounds<'a> {
     }
 }
 
-/// An ordered chain of pruning stages; the first stage that fires
-/// eliminates the candidate (cheapest-first, as in the paper).
+/// The prune stage of a plan: the paper's Section-5.2 stack, or
+/// nothing. The first strategy that fires eliminates the candidate
+/// (cheapest-first, as in the paper).
 ///
-/// The paper's Section-5.2 stack is held **inline** (one copied
-/// [`PruneContext`] and the bounds it reads) rather than as boxed trait
-/// objects, so assembling a constrained plan performs no heap
+/// The stack is held **inline** (one copied [`PruneContext`] and the
+/// bounds it reads), so assembling a constrained plan performs no heap
 /// allocation — part of the query hot path's zero-allocation
-/// invariant. Custom boxed stages can still be appended via
-/// [`PruneChain::new`] for experimental plans.
+/// invariant.
 pub struct PruneChain<'p, O> {
-    /// The built-in Section-5.2 stack, applied first.
     section52: Option<(PruneContext<'p>, StoredBounds<'p>)>,
-    /// Extension point: additional stages applied in order.
-    custom: Vec<Box<dyn PruneStage<O> + 'p>>,
+    object: PhantomData<fn(&O)>,
 }
 
 impl<'p, O> PruneChain<'p, O> {
@@ -71,22 +55,14 @@ impl<'p, O> PruneChain<'p, O> {
     pub fn none() -> Self {
         PruneChain {
             section52: None,
-            custom: Vec::new(),
+            object: PhantomData,
         }
     }
 
-    /// A chain of explicit custom stages, applied in order.
-    pub fn new(stages: Vec<Box<dyn PruneStage<O> + 'p>>) -> Self {
-        PruneChain {
-            section52: None,
-            custom: stages,
-        }
-    }
-
-    /// Number of stages (the built-in Section-5.2 stack counts as its
-    /// three strategies).
+    /// Number of stages (the Section-5.2 stack counts as its three
+    /// strategies).
     pub fn len(&self) -> usize {
-        self.section52.map_or(0, |_| 3) + self.custom.len()
+        self.section52.map_or(0, |_| 3)
     }
 
     /// `true` when no stage is installed.
@@ -95,32 +71,26 @@ impl<'p, O> PruneChain<'p, O> {
     }
 
     /// Runs the chain on the candidate in `slot`; `true` eliminates
-    /// it.
+    /// it. The strategies read only the slot's stored bounds and the
+    /// chain's own context, not `query` or `object`.
     #[inline]
     pub fn try_prune(
         &self,
-        query: &PreparedQuery<'_>,
+        _query: &PreparedQuery<'_>,
         slot: u32,
-        object: &O,
+        _object: &O,
         stats: &mut QueryStats,
     ) -> bool {
-        let builtin = self
-            .section52
-            .as_ref()
-            .map_or(PruneOutcome::Keep, |(ctx, stored)| {
-                try_prune(&stored.of(slot), ctx)
-            });
-        match builtin {
+        let Some((ctx, stored)) = &self.section52 else {
+            return false;
+        };
+        match try_prune(&stored.of(slot), ctx) {
             PruneOutcome::Strategy1 => stats.pruned_s1 += 1,
             PruneOutcome::Strategy2 => stats.pruned_s2 += 1,
             PruneOutcome::Strategy3 => stats.pruned_s3 += 1,
-            PruneOutcome::Keep => {}
+            PruneOutcome::Keep => return false,
         }
-        builtin != PruneOutcome::Keep
-            || self
-                .custom
-                .iter()
-                .any(|stage| stage.try_prune(query, object, stats))
+        true
     }
 }
 
@@ -132,14 +102,14 @@ impl<'p> PruneChain<'p, UncertainObject> {
     pub fn section_5_2(ctx: PruneContext<'p>, bounds: StoredBounds<'p>) -> Self {
         PruneChain {
             section52: Some((ctx, bounds)),
-            custom: Vec::new(),
+            object: PhantomData,
         }
     }
 }
 
 impl<O> fmt::Debug for PruneChain<'_, O> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let builtin = if self.section52.is_some() {
+        let stages = if self.section52.is_some() {
             &[
                 "strategy2-p-expanded",
                 "strategy1-tail",
@@ -148,10 +118,7 @@ impl<O> fmt::Debug for PruneChain<'_, O> {
         } else {
             &[]
         };
-        f.debug_list()
-            .entries(builtin.iter().copied())
-            .entries(self.custom.iter().map(|s| s.name()))
-            .finish()
+        f.debug_list().entries(stages.iter().copied()).finish()
     }
 }
 

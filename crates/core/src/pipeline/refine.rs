@@ -199,7 +199,7 @@ impl ProbabilityEvaluator<UncertainObject> for DualityEvaluator {
                     lanes.uni.push([r.min.x, r.min.y, r.max.x, r.max.y]);
                 }
                 PdfKind::Gaussian(_) => lanes.sep_pos.push(pos as u32),
-                PdfKind::Disc(_) | PdfKind::Shared(_) => lanes.fallback_pos.push(pos as u32),
+                PdfKind::Disc(_) => lanes.fallback_pos.push(pos as u32),
             }
         }
         // Uniform lane: one batched kernel call. A homogeneous batch

@@ -60,9 +60,8 @@ impl Issuer {
     }
 
     /// Issuer with an arbitrary pdf; the default six-level U-catalog is
-    /// computed on construction. Accepts any workspace pdf type, a
-    /// [`PdfKind`] or a shared handle; wrap other [`LocationPdf`]
-    /// implementations with [`PdfKind::shared`].
+    /// computed on construction. Accepts any workspace pdf type or a
+    /// [`PdfKind`].
     pub fn with_pdf(pdf: impl Into<PdfKind>) -> Self {
         let pdf = pdf.into();
         let catalog = UCatalog::build_default(&pdf);

@@ -26,7 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod california;
-pub mod io;
 pub mod longbeach;
 pub mod objects;
 pub mod updates;

@@ -53,8 +53,8 @@
 //! COMMIT_DONE is written — the core's deposit-ordering guarantee then
 //! puts each NOTIFY ahead of anything its subscriber asks for after
 //! seeing the commit acknowledged. The upstream sockets are dialed
-//! concurrently with [`iloc_server::poll::connect_nonblocking`] so
-//! router startup pays one connect round trip, not N.
+//! concurrently, one thread per connection, so router startup pays one
+//! connect round trip, not N.
 //!
 //! ## Known limitations (documented trade-offs)
 //!
@@ -77,17 +77,16 @@
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
-use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::{Duration, Instant};
+use std::thread;
+use std::time::Duration;
 
 use iloc_core::serve::{shard_of, CommitReport, Update};
 use iloc_core::subscribe::AnswerDelta;
 use iloc_core::{merge_partials_into, QueryAnswer};
 use iloc_server::client::{Client, ClientError};
 use iloc_server::conn::{self, ConnId, Core, Handler, Remote};
-use iloc_server::poll::{self, Interest, Poller};
 use iloc_server::protocol::{
     self, opcode, wire_error, CommitTarget, ErrorCode, HelloAck, NodeHealth, Notification,
     NotifyCause, Role, StatsReport, WireError, WireUpdate,
@@ -238,67 +237,29 @@ impl RouterHandle {
     }
 }
 
-/// Dials `copies` connections to every node concurrently: all connects
-/// start non-blocking, one poller waits for the whole fleet, and only
-/// then is each socket finished (surfacing any per-socket `SO_ERROR`).
+/// Dials `copies` connections to every node concurrently: one scoped
+/// thread per connection, each a blocking connect bounded by
+/// `timeout`, so startup pays one connect round trip, not one per
+/// connection. Fails with the first connection's error in dial order.
 fn dial_fleet(
     nodes: &[SocketAddr],
     copies: usize,
     timeout: Duration,
 ) -> io::Result<Vec<Vec<TcpStream>>> {
-    let mut pending = Vec::with_capacity(nodes.len() * copies);
-    for _ in 0..copies {
-        for &addr in nodes {
-            pending.push(poll::connect_nonblocking(addr)?);
-        }
-    }
-    let mut poller = Poller::new()?;
-    let mut waiting = 0usize;
-    let mut ready: Vec<bool> = Vec::with_capacity(pending.len());
-    for (i, p) in pending.iter().enumerate() {
-        ready.push(!p.is_pending());
-        if p.is_pending() {
-            poller.register(
-                p.stream().as_raw_fd(),
-                i as u64,
-                Interest {
-                    readable: false,
-                    writable: true,
-                },
-            )?;
-            waiting += 1;
-        }
-    }
-    let deadline = Instant::now() + timeout;
-    let mut events = Vec::new();
-    while waiting > 0 {
-        let now = Instant::now();
-        if now >= deadline {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "timed out connecting to cluster nodes",
-            ));
-        }
-        poller.wait(&mut events, Some(deadline - now))?;
-        for ev in &events {
-            let i = ev.token as usize;
-            if !ready[i] {
-                ready[i] = true;
-                waiting -= 1;
-                poller.deregister(pending[i].stream().as_raw_fd())?;
-            }
-        }
-    }
-    let mut streams = pending
-        .into_iter()
-        .map(|p| p.finish())
-        .collect::<io::Result<Vec<_>>>()?
-        .into_iter();
-    let mut fleets = Vec::with_capacity(copies);
-    for _ in 0..copies {
-        fleets.push((&mut streams).take(nodes.len()).collect::<Vec<_>>());
-    }
-    Ok(fleets)
+    let mut streams = thread::scope(|s| {
+        let dials: Vec<_> = (0..copies)
+            .flat_map(|_| nodes)
+            .map(|addr| s.spawn(move || TcpStream::connect_timeout(addr, timeout)))
+            .collect();
+        dials
+            .into_iter()
+            .map(|dial| dial.join().expect("dial thread panicked"))
+            .collect::<io::Result<Vec<_>>>()
+    })?
+    .into_iter();
+    Ok((0..copies)
+        .map(|_| (&mut streams).take(nodes.len()).collect())
+        .collect())
 }
 
 impl Router {

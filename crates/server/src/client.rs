@@ -571,7 +571,7 @@ impl Client {
         note: &mut Notification,
     ) -> Result<(), ClientError> {
         self.write_buf.clear();
-        protocol::encode_tick(&mut self.write_buf, target, sub_id, pdf)?;
+        protocol::encode_tick(&mut self.write_buf, target, sub_id, pdf);
         self.send()?;
         loop {
             self.expect_frame(opcode::NOTIFY)?;

@@ -23,9 +23,9 @@
 #![allow(unsafe_code)]
 
 use std::io;
-use std::net::{SocketAddr, TcpStream};
+use std::net::TcpStream;
 use std::os::raw::{c_int, c_void};
-use std::os::unix::io::{AsRawFd, FromRawFd, RawFd};
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
 
@@ -73,8 +73,6 @@ pub struct Event {
 extern "C" {
     fn close(fd: c_int) -> c_int;
     fn setsockopt(fd: c_int, level: c_int, name: c_int, value: *const c_void, len: u32) -> c_int;
-    fn getsockopt(fd: c_int, level: c_int, name: c_int, value: *mut c_void, len: *mut u32)
-        -> c_int;
     fn getrlimit(resource: c_int, rlim: *mut Rlimit) -> c_int;
     fn setrlimit(resource: c_int, rlim: *const Rlimit) -> c_int;
 }
@@ -89,7 +87,6 @@ const RLIMIT_NOFILE: c_int = 7;
 const SOL_SOCKET: c_int = 1;
 const SO_SNDBUF: c_int = 7;
 const SO_RCVBUF: c_int = 8;
-const SO_ERROR: c_int = 4;
 
 /// Raises this process's open-file soft limit toward `want` (capped at
 /// the hard limit); returns the resulting soft limit. A C10K run needs
@@ -160,164 +157,6 @@ pub fn set_recv_buffer(stream: &TcpStream, bytes: usize) -> io::Result<()> {
         return Err(io::Error::last_os_error());
     }
     Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Non-blocking outbound connect
-// ---------------------------------------------------------------------------
-
-/// An outbound TCP connection being established without blocking —
-/// how the cluster router dials all of its upstream nodes in parallel
-/// instead of paying one connect round trip after another.
-///
-/// When [`PendingConnect::is_pending`] is true, register the stream
-/// **writable** with a [`Poller`]; once it wakes writable (or with an
-/// error/hangup), call [`PendingConnect::finish`] to harvest the
-/// result. When false the connect completed inline (common on
-/// loopback) and `finish` can be called immediately.
-#[derive(Debug)]
-pub struct PendingConnect {
-    stream: TcpStream,
-    pending: bool,
-}
-
-impl PendingConnect {
-    /// The in-flight stream, for poller registration.
-    pub fn stream(&self) -> &TcpStream {
-        &self.stream
-    }
-
-    /// Whether the connect is still in flight (`EINPROGRESS`).
-    pub fn is_pending(&self) -> bool {
-        self.pending
-    }
-
-    /// Completes the connect: reads the socket's pending error
-    /// (`SO_ERROR`, the only reliable verdict for an asynchronous
-    /// connect), and on success returns the stream switched back to
-    /// blocking mode.
-    pub fn finish(self) -> io::Result<TcpStream> {
-        let mut err: c_int = 0;
-        let mut len = std::mem::size_of::<c_int>() as u32;
-        // SAFETY: out-parameters point at a live c_int and its length;
-        // the fd is owned by a live TcpStream.
-        let rc = unsafe {
-            getsockopt(
-                self.stream.as_raw_fd(),
-                SOL_SOCKET,
-                SO_ERROR,
-                (&mut err as *mut c_int).cast(),
-                &mut len,
-            )
-        };
-        if rc != 0 {
-            return Err(io::Error::last_os_error());
-        }
-        if err != 0 {
-            return Err(io::Error::from_raw_os_error(err));
-        }
-        self.stream.set_nonblocking(false)?;
-        Ok(self.stream)
-    }
-}
-
-/// Starts a TCP connect to `addr` without blocking: a raw
-/// `SOCK_NONBLOCK` socket whose `connect(2)` returns `EINPROGRESS`.
-/// See [`PendingConnect`] for the completion protocol.
-pub fn connect_nonblocking(addr: SocketAddr) -> io::Result<PendingConnect> {
-    const AF_INET: c_int = 2;
-    const AF_INET6: c_int = 10;
-    const SOCK_STREAM: c_int = 1;
-    const SOCK_NONBLOCK: c_int = 0o4000;
-    const SOCK_CLOEXEC: c_int = 0o2000000;
-    const EINPROGRESS: i32 = 115;
-
-    extern "C" {
-        fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
-        fn connect(fd: c_int, addr: *const c_void, len: u32) -> c_int;
-    }
-
-    /// Linux `struct sockaddr_in`.
-    #[repr(C)]
-    struct SockAddrIn {
-        family: u16,
-        port_be: u16,
-        addr_be: u32,
-        zero: [u8; 8],
-    }
-
-    /// Linux `struct sockaddr_in6`.
-    #[repr(C)]
-    struct SockAddrIn6 {
-        family: u16,
-        port_be: u16,
-        flowinfo: u32,
-        addr: [u8; 16],
-        scope_id: u32,
-    }
-
-    let domain = match addr {
-        SocketAddr::V4(_) => AF_INET,
-        SocketAddr::V6(_) => AF_INET6,
-    };
-    // SAFETY: plain syscall; the returned fd is checked before use.
-    let fd = unsafe { socket(domain, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) };
-    if fd < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    // SAFETY: fd is a fresh, owned socket; TcpStream now owns it (and
-    // closes it on every early-return path below).
-    let stream = unsafe { TcpStream::from_raw_fd(fd) };
-
-    let rc = match addr {
-        SocketAddr::V4(v4) => {
-            let sa = SockAddrIn {
-                family: AF_INET as u16,
-                port_be: v4.port().to_be(),
-                addr_be: u32::from(*v4.ip()).to_be(),
-                zero: [0; 8],
-            };
-            // SAFETY: sa is a live, correctly-sized sockaddr_in.
-            unsafe {
-                connect(
-                    fd,
-                    (&sa as *const SockAddrIn).cast(),
-                    std::mem::size_of::<SockAddrIn>() as u32,
-                )
-            }
-        }
-        SocketAddr::V6(v6) => {
-            let sa = SockAddrIn6 {
-                family: AF_INET6 as u16,
-                port_be: v6.port().to_be(),
-                flowinfo: v6.flowinfo(),
-                addr: v6.ip().octets(),
-                scope_id: v6.scope_id(),
-            };
-            // SAFETY: sa is a live, correctly-sized sockaddr_in6.
-            unsafe {
-                connect(
-                    fd,
-                    (&sa as *const SockAddrIn6).cast(),
-                    std::mem::size_of::<SockAddrIn6>() as u32,
-                )
-            }
-        }
-    };
-    if rc == 0 {
-        return Ok(PendingConnect {
-            stream,
-            pending: false,
-        });
-    }
-    let err = io::Error::last_os_error();
-    if err.raw_os_error() == Some(EINPROGRESS) {
-        return Ok(PendingConnect {
-            stream,
-            pending: true,
-        });
-    }
-    Err(err)
 }
 
 // ---------------------------------------------------------------------------

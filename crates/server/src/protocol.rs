@@ -130,9 +130,7 @@ pub enum ErrorCode {
     /// Payload truncated, trailing bytes, or a value out of range
     /// (non-finite coordinate, zero-area region, bad enum tag …).
     Malformed = 3,
-    /// The request needs a pdf the wire format cannot carry
-    /// (histogram / mixture / user-defined `Shared` pdfs).
-    UnsupportedPdf = 4,
+    // Code 4 is unassigned: every pdf has a wire form.
     /// Frame length exceeds [`MAX_FRAME_LEN`]. Connection closes.
     TooLarge = 5,
     /// The server failed internally while answering.
@@ -154,7 +152,6 @@ impl ErrorCode {
             1 => Some(ErrorCode::BadVersion),
             2 => Some(ErrorCode::BadOpcode),
             3 => Some(ErrorCode::Malformed),
-            4 => Some(ErrorCode::UnsupportedPdf),
             5 => Some(ErrorCode::TooLarge),
             6 => Some(ErrorCode::Internal),
             7 => Some(ErrorCode::TooManySubscriptions),
@@ -164,23 +161,18 @@ impl ErrorCode {
     }
 }
 
-/// Why an encode or decode failed.
+/// Why a decode (or a subscription encode, on a bad slack) failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireError {
     /// Payload ended early, carried trailing bytes, or held an
     /// out-of-range value; the message names the offending field.
     Malformed(&'static str),
-    /// The pdf is a `Shared` handle the wire format cannot encode.
-    UnsupportedPdf,
 }
 
 impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WireError::Malformed(what) => write!(f, "malformed frame: {what}"),
-            WireError::UnsupportedPdf => {
-                write!(f, "pdf kind not encodable on the wire (shared/dynamic)")
-            }
         }
     }
 }
@@ -192,7 +184,6 @@ impl From<CodecError> for WireError {
     fn from(e: CodecError) -> WireError {
         match e {
             CodecError::Malformed(what) => WireError::Malformed(what),
-            CodecError::UnsupportedPdf => WireError::UnsupportedPdf,
         }
     }
 }
@@ -202,7 +193,6 @@ impl From<WireError> for ErrorCode {
     fn from(e: WireError) -> ErrorCode {
         match e {
             WireError::Malformed(_) => ErrorCode::Malformed,
-            WireError::UnsupportedPdf => ErrorCode::UnsupportedPdf,
         }
     }
 }
@@ -488,8 +478,8 @@ fn read_qp(r: &mut Reader<'_>) -> Result<f64, WireError> {
 
 /// Appends the shared query body (pdf, range, integrator, constraint)
 /// of a point request.
-fn put_point_query_body(buf: &mut Vec<u8>, request: &PointRequest) -> Result<(), WireError> {
-    put_pdf(buf, request.issuer.pdf())?;
+fn put_point_query_body(buf: &mut Vec<u8>, request: &PointRequest) {
+    put_pdf(buf, request.issuer.pdf());
     put_range(buf, request.range);
     put_integrator(buf, request.integrator);
     match request.constraint {
@@ -503,7 +493,6 @@ fn put_point_query_body(buf: &mut Vec<u8>, request: &PointRequest) -> Result<(),
             });
         }
     }
-    Ok(())
 }
 
 /// Reads the shared query body into a reusable point-request slot.
@@ -532,11 +521,8 @@ fn read_point_query_body(r: &mut Reader<'_>, request: &mut PointRequest) -> Resu
 }
 
 /// Appends the shared query body of an uncertain request.
-fn put_uncertain_query_body(
-    buf: &mut Vec<u8>,
-    request: &UncertainRequest,
-) -> Result<(), WireError> {
-    put_pdf(buf, request.issuer.pdf())?;
+fn put_uncertain_query_body(buf: &mut Vec<u8>, request: &UncertainRequest) {
+    put_pdf(buf, request.issuer.pdf());
     put_range(buf, request.range);
     put_integrator(buf, request.integrator);
     match request.constraint {
@@ -550,7 +536,6 @@ fn put_uncertain_query_body(
             });
         }
     }
-    Ok(())
 }
 
 /// Reads the shared query body into a reusable uncertain-request slot.
@@ -581,14 +566,12 @@ fn read_uncertain_query_body(
     Ok(())
 }
 
-/// Appends an [`opcode::POINT_QUERY`] frame for `request`.
+/// Appends an [`opcode::POINT_QUERY`] frame for `request`. Never
+/// fails (every pdf has a wire form); the `Result` is kept for callers
+/// that propagate it.
 pub fn encode_point_query(buf: &mut Vec<u8>, request: &PointRequest) -> Result<(), WireError> {
     let at = begin_frame(buf, opcode::POINT_QUERY);
-    let result = put_point_query_body(buf, request);
-    if result.is_err() {
-        buf.truncate(at);
-        return result;
-    }
+    put_point_query_body(buf, request);
     finish_frame(buf, at);
     Ok(())
 }
@@ -605,17 +588,15 @@ pub fn decode_point_query_into(
     Ok(r.done()?)
 }
 
-/// Appends an [`opcode::UNCERTAIN_QUERY`] frame for `request`.
+/// Appends an [`opcode::UNCERTAIN_QUERY`] frame for `request`. Never
+/// fails (every pdf has a wire form); the `Result` is kept for callers
+/// that propagate it.
 pub fn encode_uncertain_query(
     buf: &mut Vec<u8>,
     request: &UncertainRequest,
 ) -> Result<(), WireError> {
     let at = begin_frame(buf, opcode::UNCERTAIN_QUERY);
-    let result = put_uncertain_query_body(buf, request);
-    if result.is_err() {
-        buf.truncate(at);
-        return result;
-    }
+    put_uncertain_query_body(buf, request);
     finish_frame(buf, at);
     Ok(())
 }
@@ -688,6 +669,8 @@ fn read_slack(r: &mut Reader<'_>) -> Result<f64, WireError> {
 }
 
 /// Appends an [`opcode::SUBSCRIBE`] frame for a standing point query.
+/// Fails only on a `slack` outside the wire's domain, before
+/// appending anything.
 pub fn encode_subscribe_point(
     buf: &mut Vec<u8>,
     slack: f64,
@@ -697,17 +680,14 @@ pub fn encode_subscribe_point(
     let at = begin_frame(buf, opcode::SUBSCRIBE);
     put_target(buf, CommitTarget::Point);
     put_f64(buf, slack);
-    let result = put_point_query_body(buf, request);
-    if result.is_err() {
-        buf.truncate(at);
-        return result;
-    }
+    put_point_query_body(buf, request);
     finish_frame(buf, at);
     Ok(())
 }
 
 /// Appends an [`opcode::SUBSCRIBE`] frame for a standing uncertain
-/// query.
+/// query. Fails only on a bad `slack`, like
+/// [`encode_subscribe_point`].
 pub fn encode_subscribe_uncertain(
     buf: &mut Vec<u8>,
     slack: f64,
@@ -717,11 +697,7 @@ pub fn encode_subscribe_uncertain(
     let at = begin_frame(buf, opcode::SUBSCRIBE);
     put_target(buf, CommitTarget::Uncertain);
     put_f64(buf, slack);
-    let result = put_uncertain_query_body(buf, request);
-    if result.is_err() {
-        buf.truncate(at);
-        return result;
-    }
+    put_uncertain_query_body(buf, request);
     finish_frame(buf, at);
     Ok(())
 }
@@ -794,21 +770,12 @@ pub fn decode_unsub_done(payload: &[u8]) -> Result<bool, WireError> {
 /// Appends an [`opcode::TICK`] frame: the subscription's issuer moved
 /// to a new pdf. The standing query's range, integrator and constraint
 /// are fixed at subscribe time — a tick carries only the position.
-pub fn encode_tick(
-    buf: &mut Vec<u8>,
-    target: CommitTarget,
-    sub_id: u64,
-    pdf: &PdfKind,
-) -> Result<(), WireError> {
+pub fn encode_tick(buf: &mut Vec<u8>, target: CommitTarget, sub_id: u64, pdf: &PdfKind) {
     let at = begin_frame(buf, opcode::TICK);
     put_target(buf, target);
     put_u64(buf, sub_id);
-    if let Err(e) = put_pdf(buf, pdf) {
-        buf.truncate(at);
-        return Err(e.into());
-    }
+    put_pdf(buf, pdf);
     finish_frame(buf, at);
-    Ok(())
 }
 
 /// Decodes an [`opcode::TICK`] payload (the pdf is validated exactly
@@ -950,15 +917,13 @@ fn read_target(r: &mut Reader<'_>) -> Result<CommitTarget, WireError> {
 }
 
 /// Appends an [`opcode::UPDATE_BATCH`] frame carrying `updates`.
+/// Never fails (every object has a wire form); the `Result` is kept
+/// for callers that propagate it.
 pub fn encode_update_batch(buf: &mut Vec<u8>, updates: &[WireUpdate]) -> Result<(), WireError> {
     let at = begin_frame(buf, opcode::UPDATE_BATCH);
     put_u32(buf, updates.len() as u32);
     for update in updates {
-        let result = put_update(buf, update);
-        if result.is_err() {
-            buf.truncate(at);
-            return result;
-        }
+        put_update(buf, update);
     }
     finish_frame(buf, at);
     Ok(())
@@ -966,18 +931,17 @@ pub fn encode_update_batch(buf: &mut Vec<u8>, updates: &[WireUpdate]) -> Result<
 
 /// One wire update is its catalog-target byte followed by the object
 /// codec's update encoding — byte-for-byte what the WAL appends.
-fn put_update(buf: &mut Vec<u8>, update: &WireUpdate) -> Result<(), WireError> {
+fn put_update(buf: &mut Vec<u8>, update: &WireUpdate) {
     match update {
         WireUpdate::Point(u) => {
             put_target(buf, CommitTarget::Point);
-            codec::put_update(buf, u)?;
+            codec::put_update(buf, u);
         }
         WireUpdate::Uncertain(u) => {
             put_target(buf, CommitTarget::Uncertain);
-            codec::put_update(buf, u)?;
+            codec::put_update(buf, u);
         }
     }
-    Ok(())
 }
 
 /// Decodes an [`opcode::UPDATE_BATCH`] payload, appending the updates
@@ -1325,10 +1289,7 @@ pub fn encode_error(buf: &mut Vec<u8>, code: ErrorCode, message: &str) {
 /// without allocating (the message is the static string the decoder
 /// produced).
 pub fn wire_error(buf: &mut Vec<u8>, e: WireError) {
-    let message = match e {
-        WireError::Malformed(what) => what,
-        WireError::UnsupportedPdf => "pdf kind not encodable on the wire",
-    };
+    let WireError::Malformed(message) = e;
     encode_error(buf, e.into(), message);
 }
 
@@ -1454,23 +1415,6 @@ mod tests {
             decode_point_query_into(payload, &mut slot).unwrap();
         }
         assert_eq!(slot.issuer.catalog().bounds().as_ptr(), before);
-    }
-
-    #[test]
-    fn shared_pdfs_are_rejected_at_encode_time() {
-        let request = PointRequest::ipq(
-            Issuer::with_pdf(PdfKind::shared(UniformPdf::new(Rect::from_coords(
-                0.0, 0.0, 1.0, 1.0,
-            )))),
-            RangeSpec::square(1.0),
-        );
-        let mut buf = Vec::new();
-        assert_eq!(
-            encode_point_query(&mut buf, &request),
-            Err(WireError::UnsupportedPdf)
-        );
-        // A failed encode leaves no partial frame behind.
-        assert!(buf.is_empty());
     }
 
     #[test]
@@ -1660,7 +1604,7 @@ mod tests {
         // TICK: target + id + pdf.
         buf.clear();
         let pdf = PdfKind::Uniform(UniformPdf::new(Rect::from_coords(5.0, 6.0, 25.0, 26.0)));
-        encode_tick(&mut buf, CommitTarget::Point, 42, &pdf).unwrap();
+        encode_tick(&mut buf, CommitTarget::Point, 42, &pdf);
         let (op, payload) = frame_payload(&buf);
         assert_eq!(op, opcode::TICK);
         let (target, sub_id, got) = decode_tick(payload).unwrap();

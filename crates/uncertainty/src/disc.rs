@@ -31,17 +31,39 @@ impl DiscPdf {
     ///
     /// # Panics
     ///
-    /// Panics when the radius is non-positive or non-finite.
+    /// Panics when the radius is not finite and positive, or when the
+    /// disc fails [`DiscPdf::is_representable`].
     pub fn new(center: Point, radius: f64) -> Self {
         assert!(
             radius.is_finite() && radius > 0.0,
             "disc pdf requires a positive radius"
+        );
+        assert!(
+            DiscPdf::is_representable(center, radius),
+            "disc pdf requires a finite bounding box and a finite, positive area"
         );
         let disc = Circle::new(center, radius);
         DiscPdf {
             disc,
             inv_area: 1.0 / disc.area(),
         }
+    }
+
+    /// Whether the disc has a finite, positive radius, a finite
+    /// bounding box (`center ± radius` on both axes) and a finite,
+    /// positive area `π r²` — the index needs the box, the density the
+    /// area. The binary decoder refuses what this refuses, so a disc
+    /// that decodes is one [`DiscPdf::new`] accepts.
+    pub fn is_representable(center: Point, radius: f64) -> bool {
+        if !(radius.is_finite() && radius > 0.0) {
+            return false;
+        }
+        let area = Circle::new(center, radius).area();
+        [center.x, center.y]
+            .iter()
+            .all(|c| (c - radius).is_finite() && (c + radius).is_finite())
+            && area.is_finite()
+            && area > 0.0
     }
 
     /// The underlying disc.
@@ -187,6 +209,24 @@ mod tests {
         // Uniform over the disc: a half-radius disc holds 25% of mass.
         let frac = inside_half_radius as f64 / N as f64;
         assert!((frac - 0.25).abs() < 0.02, "got {frac}");
+    }
+
+    #[test]
+    fn extent_and_area_must_be_finite() {
+        assert!(DiscPdf::is_representable(Point::new(1e300, 0.0), 1e100));
+        assert!(!DiscPdf::is_representable(Point::new(1e308, 0.0), 1e308));
+        assert!(!DiscPdf::is_representable(Point::new(0.0, -1e308), 1e308));
+        assert!(!DiscPdf::is_representable(Point::new(0.0, 0.0), -1.0));
+        assert!(!DiscPdf::is_representable(Point::new(0.0, 0.0), f64::NAN));
+        // r² overflows, or underflows to a zero area.
+        assert!(!DiscPdf::is_representable(Point::new(0.0, 0.0), 1e200));
+        assert!(!DiscPdf::is_representable(Point::new(0.0, 0.0), 1e-200));
+    }
+
+    #[test]
+    #[should_panic(expected = "finite bounding box")]
+    fn rejects_an_unbounded_extent() {
+        let _ = DiscPdf::new(Point::new(1e308, 0.0), 1e308);
     }
 
     #[test]

@@ -1,34 +1,26 @@
-//! Static dispatch over the workspace's concrete pdfs.
+//! Static dispatch over the workspace's pdfs.
 //!
-//! Objects and issuers used to hold their pdf behind `Arc<dyn
-//! LocationPdf>`, which put **two** virtual calls on every refinement
-//! (`evaluator → pdf`) and kept the closed-form math of
-//! `iloc-core::integrate` from inlining. [`PdfKind`] replaces that with
-//! an enum over the concrete pdfs the query hot path meets — uniform
-//! (the paper's default), truncated Gaussian (Figure 13) and disc —
-//! plus a [`SharedPdf`] escape hatch for everything else (histogram,
-//! mixture, user-defined). All [`LocationPdf`] methods dispatch with an
-//! inlinable `match`, so a pipeline monomorphised over `PdfKind`
-//! compiles the uniform/uniform closed form down to straight-line
-//! arithmetic.
-
-use std::sync::Arc;
+//! [`PdfKind`] is every pdf an object or an issuer can hold: uniform
+//! (the paper's default), truncated Gaussian (Figure 13) and disc. It
+//! is a closed enum, so every value has a binary form on the wire, in
+//! the WAL and in checkpoints, and encoding one cannot fail. All
+//! [`LocationPdf`] methods dispatch with an inlinable `match`, so a
+//! pipeline monomorphised over `PdfKind` compiles the uniform/uniform
+//! closed form down to straight-line arithmetic.
 
 use iloc_geometry::{Interval, Point, Rect};
 use rand::RngCore;
 
 use crate::disc::DiscPdf;
 use crate::gaussian::TruncatedGaussianPdf;
-use crate::histogram::HistogramPdf;
-use crate::mixture::MixturePdf;
-use crate::pdf::{Axis, LocationPdf, SharedPdf};
+use crate::pdf::{Axis, LocationPdf};
 use crate::uniform::UniformPdf;
 
 /// A location pdf with statically-dispatched concrete fast paths.
 ///
-/// Construct via `From`/`Into` from any of the workspace pdf types (or
-/// a [`SharedPdf`]); [`crate::UncertainObject`] and query issuers store
-/// their pdfs this way.
+/// Construct via `From`/`Into` from any of the workspace pdf types;
+/// [`crate::UncertainObject`] and query issuers store their pdfs this
+/// way.
 #[derive(Debug, Clone)]
 pub enum PdfKind {
     /// Uniform density (the paper's default model).
@@ -37,17 +29,9 @@ pub enum PdfKind {
     Gaussian(TruncatedGaussianPdf),
     /// Uniform density over a disc.
     Disc(DiscPdf),
-    /// Any other [`LocationPdf`] behind a shared handle (histogram,
-    /// mixture, user-defined) — dynamic dispatch, exactly as before.
-    Shared(SharedPdf),
 }
 
 impl PdfKind {
-    /// Wraps an arbitrary pdf implementation in the dynamic variant.
-    pub fn shared(pdf: impl LocationPdf + 'static) -> Self {
-        PdfKind::Shared(Arc::new(pdf))
-    }
-
     /// The uniform pdf when this is the uniform variant (the key the
     /// closed-form IUQ evaluator switches on).
     #[inline]
@@ -77,24 +61,6 @@ impl From<DiscPdf> for PdfKind {
     }
 }
 
-impl From<HistogramPdf> for PdfKind {
-    fn from(pdf: HistogramPdf) -> Self {
-        PdfKind::shared(pdf)
-    }
-}
-
-impl From<MixturePdf> for PdfKind {
-    fn from(pdf: MixturePdf) -> Self {
-        PdfKind::shared(pdf)
-    }
-}
-
-impl From<SharedPdf> for PdfKind {
-    fn from(pdf: SharedPdf) -> Self {
-        PdfKind::Shared(pdf)
-    }
-}
-
 /// Expands one delegating method for every variant.
 macro_rules! dispatch {
     ($self:ident, $pdf:ident => $body:expr) => {
@@ -102,7 +68,6 @@ macro_rules! dispatch {
             PdfKind::Uniform($pdf) => $body,
             PdfKind::Gaussian($pdf) => $body,
             PdfKind::Disc($pdf) => $body,
-            PdfKind::Shared($pdf) => $body,
         }
     };
 }
@@ -172,22 +137,18 @@ mod tests {
             Box::new(|p| p.quantile(Axis::Y, 0.25)),
             Box::new(|p| p.marginal_prob(Axis::X, Interval::new(1.0, 6.0))),
         ];
-        let pairs: Vec<(PdfKind, SharedPdf)> = vec![
+        let pairs: Vec<(PdfKind, Box<dyn LocationPdf>)> = vec![
             (
                 UniformPdf::new(region).into(),
-                Arc::new(UniformPdf::new(region)),
+                Box::new(UniformPdf::new(region)),
             ),
             (
                 TruncatedGaussianPdf::paper_default(region).into(),
-                Arc::new(TruncatedGaussianPdf::paper_default(region)),
+                Box::new(TruncatedGaussianPdf::paper_default(region)),
             ),
             (
                 DiscPdf::new(Point::new(5.0, 10.0), 4.0).into(),
-                Arc::new(DiscPdf::new(Point::new(5.0, 10.0), 4.0)),
-            ),
-            (
-                PdfKind::shared(UniformPdf::new(region)),
-                Arc::new(UniformPdf::new(region)),
+                Box::new(DiscPdf::new(Point::new(5.0, 10.0), 4.0)),
             ),
         ];
         for (kind, reference) in &pairs {

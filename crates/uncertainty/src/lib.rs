@@ -11,9 +11,10 @@
 //!
 //! * the [`LocationPdf`] trait plus three implementations — uniform
 //!   (the paper's default, "worst-case" model), truncated Gaussian
-//!   (the paper's non-uniform experiment, Figure 13), and a
-//!   piecewise-constant histogram pdf (exercising the paper's claim
-//!   that the methods work for *any* distribution);
+//!   (the paper's non-uniform experiment, Figure 13), and a uniform
+//!   disc (a non-rectangular region, the paper's future work) — and
+//!   [`PdfKind`], the closed enum over them that objects and issuers
+//!   store, so every pdf has a binary form;
 //! * **p-bounds** ([`pbound`]) and **U-catalogs** ([`catalog`]) — the
 //!   pre-computed pruning metadata of Section 5 and of the PTI index;
 //! * the object types ([`object`]) shared by the index and the query
@@ -25,10 +26,8 @@
 pub mod catalog;
 pub mod disc;
 pub mod gaussian;
-pub mod histogram;
 pub mod kind;
 pub mod math;
-pub mod mixture;
 pub mod object;
 pub mod pbound;
 pub mod pdf;
@@ -37,12 +36,10 @@ pub mod uniform;
 pub use catalog::UCatalog;
 pub use disc::DiscPdf;
 pub use gaussian::TruncatedGaussianPdf;
-pub use histogram::HistogramPdf;
 pub use kind::PdfKind;
-pub use mixture::MixturePdf;
 pub use object::{ObjectId, PointObject, UncertainObject};
 pub use pbound::PBound;
-pub use pdf::{Axis, LocationPdf, SharedPdf};
+pub use pdf::{Axis, LocationPdf};
 pub use uniform::UniformPdf;
 
 /// Glob-import surface.
@@ -50,11 +47,9 @@ pub mod prelude {
     pub use crate::catalog::UCatalog;
     pub use crate::disc::DiscPdf;
     pub use crate::gaussian::TruncatedGaussianPdf;
-    pub use crate::histogram::HistogramPdf;
     pub use crate::kind::PdfKind;
-    pub use crate::mixture::MixturePdf;
     pub use crate::object::{ObjectId, PointObject, UncertainObject};
     pub use crate::pbound::PBound;
-    pub use crate::pdf::{Axis, LocationPdf, SharedPdf};
+    pub use crate::pdf::{Axis, LocationPdf};
     pub use crate::uniform::UniformPdf;
 }

@@ -1,7 +1,7 @@
 //! Database object types: point objects `Si` and uncertain objects `Oi`.
 //!
 //! An [`UncertainObject`] is its id and its pdf — nothing else, and no
-//! heap block of its own (for the concrete pdfs). The Section-5
+//! heap block of its own. The Section-5
 //! U-catalog of a *stored* object is not kept here: the engine computes
 //! the p-bounds once, when the object is inserted, and the PTI's level
 //! table is their only home. [`UncertainObject::catalog`] still answers,
@@ -13,7 +13,7 @@ use iloc_geometry::{Point, Rect};
 
 use crate::catalog::UCatalog;
 use crate::kind::PdfKind;
-use crate::pdf::{LocationPdf, SharedPdf};
+use crate::pdf::LocationPdf;
 
 /// Opaque object identifier (`Si` / `Oi` subscripts in the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -69,19 +69,13 @@ pub struct UncertainObject {
 }
 
 impl UncertainObject {
-    /// Creates an uncertain object. Accepts any workspace pdf type, a
-    /// [`PdfKind`], or a [`SharedPdf`]; wrap other [`LocationPdf`]
-    /// implementations with [`PdfKind::shared`].
+    /// Creates an uncertain object. Accepts any workspace pdf type or
+    /// a [`PdfKind`].
     pub fn new(id: impl Into<ObjectId>, pdf: impl Into<PdfKind>) -> Self {
         UncertainObject {
             id: id.into(),
             pdf: pdf.into(),
         }
-    }
-
-    /// Creates an uncertain object from an already-shared pdf.
-    pub fn from_shared(id: impl Into<ObjectId>, pdf: SharedPdf) -> Self {
-        UncertainObject::new(id, PdfKind::from(pdf))
     }
 
     /// The uncertainty pdf `fi`, statically dispatched over the
@@ -127,13 +121,5 @@ mod tests {
     #[test]
     fn uncertain_object_owns_no_catalog() {
         assert!(std::mem::size_of::<UncertainObject>() <= 96);
-    }
-
-    #[test]
-    fn shared_pdf_is_shared() {
-        use std::sync::Arc;
-        let pdf: SharedPdf = Arc::new(UniformPdf::new(Rect::from_coords(0.0, 0.0, 1.0, 1.0)));
-        let o = UncertainObject::from_shared(5u64, Arc::clone(&pdf));
-        assert_eq!(o.pdf().region(), pdf.region());
     }
 }

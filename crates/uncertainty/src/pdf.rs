@@ -1,7 +1,6 @@
 //! The uncertainty-pdf abstraction (paper Definitions 1–2).
 
 use std::fmt::Debug;
-use std::sync::Arc;
 
 use iloc_geometry::{Interval, Point, Rect};
 use rand::RngCore;
@@ -33,7 +32,8 @@ pub enum Axis {
 /// * [`sample`](LocationPdf::sample) — used by the Monte-Carlo
 ///   integrator for non-uniform pdfs (Section 6, Figure 13).
 ///
-/// The trait is object-safe; objects store a [`SharedPdf`].
+/// The trait is object-safe: the integrators and [`crate::UCatalog`]
+/// take `&dyn LocationPdf`, and objects store a [`crate::PdfKind`].
 pub trait LocationPdf: Debug + Send + Sync {
     /// The uncertainty region `Ui` (support of the density).
     fn region(&self) -> Rect;
@@ -85,8 +85,8 @@ pub trait LocationPdf: Debug + Send + Sync {
     /// (`f(x, y) = fx(x) · fy(y)`): that property is what lets the
     /// Eq. 8 integrand separate, so it is the contract the closed-form
     /// IUQ evaluator relies on. Uniform and truncated-Gaussian pdfs
-    /// qualify; histogram, disc and mixture pdfs do not (they stay on
-    /// the grid / Monte-Carlo paths).
+    /// qualify; the disc does not (it stays on the grid / Monte-Carlo
+    /// paths).
     fn linear_marginal_integral(&self, axis: Axis, i: Interval, c0: f64, c1: f64) -> Option<f64> {
         let _ = (axis, i, c0, c1);
         None
@@ -101,9 +101,6 @@ pub trait LocationPdf: Debug + Send + Sync {
         (self.marginal_cdf(axis, i.hi) - self.marginal_cdf(axis, i.lo)).max(0.0)
     }
 }
-
-/// Shared, dynamically-typed pdf handle stored inside objects.
-pub type SharedPdf = Arc<dyn LocationPdf>;
 
 #[cfg(test)]
 mod tests {

@@ -1,14 +1,11 @@
 //! Property suite run uniformly over **every** `LocationPdf`
 //! implementation: the trait contract the rest of the workspace builds
 //! on (query evaluation, p-bounds, PTI) must hold for uniform,
-//! truncated-Gaussian, histogram, disc and mixture pdfs alike.
-
-use std::sync::Arc;
+//! truncated-Gaussian and disc pdfs alike — every [`PdfKind`].
 
 use iloc_geometry::{Point, Rect};
 use iloc_uncertainty::{
-    Axis, DiscPdf, HistogramPdf, MixturePdf, PBound, SharedPdf, TruncatedGaussianPdf, UCatalog,
-    UniformPdf,
+    Axis, DiscPdf, LocationPdf, PBound, PdfKind, TruncatedGaussianPdf, UCatalog, UniformPdf,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -16,28 +13,15 @@ use rand::SeedableRng;
 
 /// Strategy: parameters for one pdf of each kind over a region near
 /// the origin.
-fn any_pdf() -> impl Strategy<Value = SharedPdf> {
+fn any_pdf() -> impl Strategy<Value = PdfKind> {
     let region = (0.0..500.0f64, 0.0..500.0f64, 10.0..200.0f64, 10.0..200.0f64)
         .prop_map(|(x, y, w, h)| Rect::centered(Point::new(x, y), w, h));
+    let disc = (0.0..500.0f64, 0.0..500.0f64, 10.0..150.0f64)
+        .prop_map(|(x, y, r)| DiscPdf::new(Point::new(x, y), r).into());
     prop_oneof![
-        region
-            .clone()
-            .prop_map(|r| Arc::new(UniformPdf::new(r)) as SharedPdf),
-        region
-            .clone()
-            .prop_map(|r| Arc::new(TruncatedGaussianPdf::paper_default(r)) as SharedPdf),
-        (region.clone(), proptest::collection::vec(0.1..5.0f64, 12))
-            .prop_map(|(r, w)| Arc::new(HistogramPdf::new(r, 4, 3, &w)) as SharedPdf),
-        (0.0..500.0f64, 0.0..500.0f64, 10.0..150.0f64)
-            .prop_map(|(x, y, rad)| Arc::new(DiscPdf::new(Point::new(x, y), rad)) as SharedPdf),
-        (region.clone(), region).prop_map(|(a, b)| {
-            Arc::new(MixturePdf::bimodal(
-                0.6,
-                UniformPdf::new(a),
-                0.4,
-                TruncatedGaussianPdf::paper_default(b),
-            )) as SharedPdf
-        }),
+        region.clone().prop_map(|r| UniformPdf::new(r).into()),
+        region.prop_map(|r| TruncatedGaussianPdf::paper_default(r).into()),
+        disc,
     ]
 }
 
@@ -100,7 +84,7 @@ proptest! {
     /// p-bounds nest and carry exactly the advertised tail masses.
     #[test]
     fn pbounds_nest_and_cut_tails(pdf in any_pdf(), p in 0.05..0.5f64) {
-        let b = PBound::compute(pdf.as_ref(), p);
+        let b = PBound::compute(&pdf, p);
         prop_assert!(pdf.region().contains_rect(b.rect));
         // Tail masses via the marginal CDFs.
         prop_assert!((pdf.marginal_cdf(Axis::X, b.left()) - p).abs() < 1e-6);
@@ -108,14 +92,14 @@ proptest! {
         prop_assert!((pdf.marginal_cdf(Axis::Y, b.bottom()) - p).abs() < 1e-6);
         prop_assert!((1.0 - pdf.marginal_cdf(Axis::Y, b.top()) - p).abs() < 1e-6);
         // Nesting against a smaller p.
-        let smaller = PBound::compute(pdf.as_ref(), p / 2.0);
+        let smaller = PBound::compute(&pdf, p / 2.0);
         prop_assert!(smaller.rect.contains_rect(b.rect));
     }
 
     /// Default catalogs exist, start at the region, and nest.
     #[test]
     fn catalogs_nest(pdf in any_pdf()) {
-        let cat = UCatalog::build_default(pdf.as_ref());
+        let cat = UCatalog::build_default(&pdf);
         prop_assert_eq!(cat.len(), 6);
         prop_assert_eq!(cat.bounds()[0].rect, pdf.region());
         for pair in cat.bounds().windows(2) {

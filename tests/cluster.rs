@@ -485,6 +485,28 @@ fn node_crash_mid_commit_is_a_typed_error_never_a_torn_epoch() {
 }
 
 #[test]
+fn start_against_a_port_nobody_listens_on_fails_without_hanging() {
+    // One live node beside a port whose listener is gone: the parallel
+    // dial surfaces the refused connect as an error, long before the
+    // connect timeout, and the connections that did open are dropped.
+    let (_server, handle) = start_oracle(1);
+    let dead = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|listener| listener.local_addr())
+        .expect("ephemeral port");
+    let started = std::time::Instant::now();
+    match Router::start(&RouterConfig::loopback(vec![handle.addr(), dead])) {
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionRefused),
+        Ok(_) => panic!("a router with an unreachable node started"),
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "dial took {:?}",
+        started.elapsed()
+    );
+    handle.shutdown();
+}
+
+#[test]
 fn overflowing_slow_subscriber_is_closed_and_drops_are_counted_by_the_router() {
     // The router twin of the server's push-backpressure contract: a
     // subscriber that stops reading while commits keep changing its
@@ -677,7 +699,6 @@ fn mixed_burst(len: usize) -> Vec<Vec<u8>> {
                 (_, 12) => protocol::encode_commit(f, CommitTarget::Uncertain),
                 (_, 40) => {
                     protocol::encode_tick(f, CommitTarget::Point, 1, standing(k).issuer.pdf())
-                        .unwrap()
                 }
                 (_, 25 | 75) => protocol::encode_empty(f, opcode::PING),
                 (_, 50) => protocol::encode_empty(f, opcode::STATS),

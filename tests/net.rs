@@ -21,7 +21,7 @@ use iloc::geometry::{Point, Rect};
 use iloc::router::{Router, RouterConfig};
 use iloc::server::protocol::{self, opcode, CommitTarget, ErrorCode, WireUpdate};
 use iloc::server::server::{QueryServer, ServerConfig};
-use iloc::server::{Client, ClientError};
+use iloc::server::Client;
 use iloc::uncertainty::{ObjectId, PointObject, UncertainObject, UniformPdf};
 
 /// A deterministic little scene: a 20×20 point grid and a 6×6 grid of
@@ -528,22 +528,6 @@ fn malformed_payloads_are_rejected_and_the_connection_survives() {
         client.ping().expect("ping");
     }
 
-    // Unencodable request: rejected client-side, nothing sent.
-    {
-        let mut client = Client::connect(addr).unwrap();
-        let request = PointRequest::ipq(
-            Issuer::with_pdf(iloc::uncertainty::PdfKind::shared(UniformPdf::new(
-                Rect::from_coords(0.0, 0.0, 1.0, 1.0),
-            ))),
-            RangeSpec::square(1.0),
-        );
-        match client.point_query(&request) {
-            Err(ClientError::Wire(protocol::WireError::UnsupportedPdf)) => {}
-            other => panic!("expected UnsupportedPdf, got {other:?}"),
-        }
-        client.ping().expect("connection unharmed");
-    }
-
     handle.shutdown();
 }
 
@@ -777,6 +761,106 @@ fn concurrent_writers_on_a_durable_server() {
         assert!(
             recovered.execute_one(request).same_matches(answer),
             "request {k}"
+        );
+    }
+    drop((recovered, server));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_disc_the_index_cannot_hold_is_refused_and_the_durable_store_lives_on() {
+    use iloc::core::durable::FsyncPolicy;
+    use iloc::core::serve::ShardedEngine;
+    use iloc::core::UncertainEngine;
+    use iloc::server::server::DurabilityOptions;
+    use iloc::uncertainty::DiscPdf;
+
+    let dir = std::env::temp_dir().join(format!("iloc-net-disc-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durability = DurabilityOptions {
+        fsync: FsyncPolicy::Off,
+        ..DurabilityOptions::new(&dir)
+    };
+    let (points, uncertain) = scene();
+    let (server, _) =
+        QueryServer::open(points.clone(), uncertain.clone(), 2, &durability).expect("open");
+    let handle = server.start(&ServerConfig::loopback()).expect("bind");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+
+    // A good arrival, then a disc whose fields are all finite but whose
+    // bounding box reaches infinity: centre (1e308, 0), radius 1e308.
+    // No encoder builds it, so patch a valid disc's bytes.
+    let arrivals = [
+        UncertainObject::new(
+            900u64,
+            UniformPdf::new(Rect::from_coords(0.0, 0.0, 9.0, 9.0)),
+        ),
+        UncertainObject::new(901u64, DiscPdf::new(Point::new(1.0, 2.0), 3.0)),
+    ];
+    let updates: Vec<_> = arrivals
+        .iter()
+        .cloned()
+        .map(|o| WireUpdate::Uncertain(Update::Arrive(o)))
+        .collect();
+    let mut bad = Vec::new();
+    protocol::encode_update_batch(&mut bad, &updates).unwrap();
+    // The disc entry is the frame's tail: pdf tag, centre x, y, radius.
+    let disc = bad.len() - 25;
+    assert_eq!(bad[disc], 2, "disc pdf tag");
+    bad[disc + 1..disc + 9].copy_from_slice(&1e308f64.to_le_bytes());
+    bad[disc + 17..].copy_from_slice(&1e308f64.to_le_bytes());
+    let (_, op, payload) = raw_exchange(handle.addr(), &bad);
+    assert_eq!(op, opcode::ERROR);
+    assert_eq!(payload[0], ErrorCode::Malformed as u8);
+
+    // The store still commits, and nothing of the refused batch shows.
+    let good: Vec<Update<UncertainObject>> = vec![
+        Update::Arrive(UncertainObject::new(
+            902u64,
+            DiscPdf::new(Point::new(500.0, 480.0), 40.0),
+        )),
+        Update::Move(UncertainObject::new(
+            7u64,
+            UniformPdf::new(Rect::centered(Point::new(520.0, 500.0), 25.0, 25.0)),
+        )),
+    ];
+    let wire: Vec<_> = good.iter().cloned().map(WireUpdate::Uncertain).collect();
+    assert_eq!(client.submit(&wire).expect("submit"), 2);
+    let report = client.commit(CommitTarget::Uncertain).expect("commit");
+    assert_eq!(report.epoch, 1);
+
+    let reference = ShardedEngine::<UncertainEngine>::build(uncertain.clone(), 2);
+    reference.submit_all(good);
+    reference.commit();
+    let requests = uncertain_requests(16, 11);
+    let expected: Vec<_> = requests
+        .iter()
+        .map(|r| reference.snapshot().execute_one(r))
+        .collect();
+    for id in [7u64, 902] {
+        assert!(
+            expected
+                .iter()
+                .any(|a| a.probability_of(ObjectId(id)).is_some()),
+            "the queries see object {id}"
+        );
+    }
+    for (k, (request, answer)) in requests.iter().zip(&expected).enumerate() {
+        let served = client.uncertain_query(request).expect("query");
+        assert!(served.same_matches(answer), "served request {k}");
+    }
+    drop(client);
+    handle.shutdown();
+    drop(server);
+
+    // The store reopens at the good commit, bit for bit.
+    let (server, recovery) = QueryServer::open(points, uncertain, 2, &durability).expect("reopen");
+    assert_eq!(recovery.uncertain.epoch, 1, "recovered epoch");
+    let recovered = server.engines().uncertain.snapshot();
+    for (k, (request, answer)) in requests.iter().zip(&expected).enumerate() {
+        assert!(
+            recovered.execute_one(request).same_matches(answer),
+            "recovered request {k}"
         );
     }
     drop((recovered, server));

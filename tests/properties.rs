@@ -309,22 +309,4 @@ proptest! {
         );
         prop_assert!((exact - approx).abs() < 0.02, "exact {} vs grid {}", exact, approx);
     }
-
-    /// Mixture masses are the weighted sum of component masses, for
-    /// arbitrary rectangles and weights.
-    #[test]
-    fn mixture_mass_is_weighted_sum(
-        a in rect(),
-        b in rect(),
-        w1 in 0.1..10.0f64,
-        w2 in 0.1..10.0f64,
-        q in rect(),
-    ) {
-        use iloc::uncertainty::{MixturePdf, LocationPdf as _};
-        let pa = UniformPdf::new(a);
-        let pb = UniformPdf::new(b);
-        let expect = (w1 * pa.prob_in_rect(q) + w2 * pb.prob_in_rect(q)) / (w1 + w2);
-        let m = MixturePdf::bimodal(w1, pa, w2, pb);
-        prop_assert!((m.prob_in_rect(q) - expect).abs() < 1e-12);
-    }
 }

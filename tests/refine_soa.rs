@@ -10,8 +10,6 @@
 //! [`PdfKind`] variant, every ragged batch tail, dirty scratch reuse,
 //! and the subscription delta path that rides on top of it.
 
-use std::sync::Arc;
-
 use iloc::core::pipeline::{
     AcceptPolicy, DualityEvaluator, EvaluatorKind, ExecutionContext, PreparedQuery,
     ProbabilityEvaluator, PruneChain, QueryPipeline, RectFilter, UncertainRequest,
@@ -39,11 +37,11 @@ impl ProbabilityEvaluator<UncertainObject> for ScalarRef {
     }
 }
 
-/// `n` objects cycling through all four [`PdfKind`] variants on a grid
-/// overlapping the test queries: plain uniforms (batched closed-form
-/// lane), truncated Gaussians (hoisted separable lane), discs
-/// (Monte-Carlo fallback lane, consumes RNG) and shared-handle
-/// uniforms (fallback lane, closed form through the handle).
+/// `n` objects cycling through four shapes of the three [`PdfKind`]
+/// variants on a grid overlapping the test queries: plain uniforms
+/// (batched closed-form lane), truncated Gaussians (hoisted separable
+/// lane), and discs of two radii (Monte-Carlo fallback lane, consumes
+/// RNG).
 fn mixed_objects(n: usize) -> Vec<UncertainObject> {
     (0..n)
         .map(|k| {
@@ -56,10 +54,7 @@ fn mixed_objects(n: usize) -> Vec<UncertainObject> {
                     TruncatedGaussianPdf::new(Rect::centered(c, 20.0, 20.0), c, 7.0, 9.0),
                 ),
                 2 => UncertainObject::new(id, DiscPdf::new(c, 13.0)),
-                _ => UncertainObject::from_shared(
-                    id,
-                    Arc::new(UniformPdf::new(Rect::centered(c, 11.0, 14.0))),
-                ),
+                _ => UncertainObject::new(id, DiscPdf::new(c, 8.0)),
             }
         })
         .collect()
@@ -395,10 +390,7 @@ fn subscription_deltas_track_fresh_reevaluation_over_mixed_pdfs() {
                     TruncatedGaussianPdf::new(Rect::centered(c, 20.0, 20.0), c, 7.0, 9.0),
                 ),
                 2 => UncertainObject::new(k, DiscPdf::new(c, 13.0)),
-                _ => UncertainObject::from_shared(
-                    k,
-                    Arc::new(UniformPdf::new(Rect::centered(c, 11.0, 14.0))),
-                ),
+                _ => UncertainObject::new(k, DiscPdf::new(c, 8.0)),
             };
             engine.submit(Update::Move(moved));
         }

@@ -330,8 +330,7 @@ fn adversarial_subscription_frames_yield_typed_errors() {
         CommitTarget::Point,
         777,
         request_at(10.0, 10.0).issuer.pdf(),
-    )
-    .unwrap();
+    );
     let (_, op, payload) = raw_exchange(addr, &tick).expect("response");
     assert_eq!(op, opcode::ERROR);
     assert_eq!(payload[0], ErrorCode::Malformed as u8);
