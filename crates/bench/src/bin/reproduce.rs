@@ -5,8 +5,8 @@
 //! reproduce [targets...] [--quick] [--csv DIR]
 //!
 //! targets: fig8 fig9 fig10 fig11 fig12 fig13
-//!          integrators catalog index strategies continuous gaussian
-//!          figures (fig8–fig13)   ablations (the other six)
+//!          integrators index strategies continuous gaussian
+//!          figures (fig8–fig13)   ablations (the other five)
 //!          all (default)
 //! --quick:    ~10× smaller datasets and query counts
 //! --csv DIR:  additionally write one CSV per experiment into DIR
@@ -23,7 +23,7 @@ use iloc_bench::{Scale, TestBed};
 
 /// Every experiment with the group that also selects it — the one
 /// list target validation and dispatch both read.
-const EXPERIMENTS: [(&str, &str); 12] = [
+const EXPERIMENTS: [(&str, &str); 11] = [
     ("fig8", "figures"),
     ("fig9", "figures"),
     ("fig10", "figures"),
@@ -31,7 +31,6 @@ const EXPERIMENTS: [(&str, &str); 12] = [
     ("fig12", "figures"),
     ("fig13", "figures"),
     ("integrators", "ablations"),
-    ("catalog", "ablations"),
     ("index", "ablations"),
     ("strategies", "ablations"),
     ("continuous", "ablations"),
@@ -136,13 +135,6 @@ fn main() {
     }
     if wants("integrators") {
         save("ablation_integrators", "x", &ablations::integrators(&bed));
-    }
-    if wants("catalog") {
-        save(
-            "ablation_catalog",
-            "levels",
-            &ablations::catalog_sizes(&bed),
-        );
     }
     if wants("index") {
         save("ablation_index", "x", &ablations::index_choice(&bed));

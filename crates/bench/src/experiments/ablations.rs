@@ -2,7 +2,6 @@
 //! "Reproducing the paper" section):
 //!
 //! * integrator trade-off (exact / grid / Monte-Carlo) for IUQ;
-//! * U-catalog size vs pruning power for C-IPQ;
 //! * filter index choice (naive scan / R-tree) for IPQ;
 //! * the three C-IUQ pruning strategies, individually and combined;
 //! * safe-envelope slack vs index probes for a standing IPQ;
@@ -12,16 +11,15 @@
 use iloc_core::eval::constrained::{
     strategy1_prunes, strategy2_prunes, strategy3_prunes, PruneContext,
 };
-use iloc_core::expand::{minkowski_query, p_expanded_query};
+use iloc_core::expand::minkowski_query;
 use iloc_core::{
-    CipqStrategy, Integrator, Issuer, PointEngine, PointRequest, RangeSpec, ShardedEngine,
-    SubscriptionRegistry,
+    Integrator, Issuer, PointEngine, PointRequest, RangeSpec, ShardedEngine, SubscriptionRegistry,
 };
 use iloc_datagen::{california_points, point_objects, WorkloadGen};
 use iloc_geometry::Point;
 use iloc_geometry::Rect;
 use iloc_index::{AccessStats, NaiveIndex, RTree, RTreeParams, RangeIndex};
-use iloc_uncertainty::{LocationPdf, UniformPdf};
+use iloc_uncertainty::LocationPdf;
 
 use crate::config::{TestBed, DEFAULT_U, DEFAULT_W};
 use crate::harness::{print_table, Row, Summary};
@@ -52,44 +50,6 @@ pub fn integrators(bed: &TestBed) -> Vec<Row> {
     print_table(
         "Ablation: integrator back-ends (IUQ, Long Beach)",
         "-",
-        &rows,
-    );
-    rows
-}
-
-/// Catalog-size ablation: C-IPQ pruning power as the issuer's
-/// U-catalog stores more levels. `Qp = 0.45` sits between catalog
-/// levels for the coarser catalogs, so finer catalogs give tighter
-/// (smaller) conservative filters.
-pub fn catalog_sizes(bed: &TestBed) -> Vec<Row> {
-    let range = RangeSpec::square(DEFAULT_W);
-    let qp = 0.45;
-    let catalogs: [(&str, Vec<f64>); 4] = [
-        ("2 levels {0,.5}", vec![0.0, 0.5]),
-        ("3 levels {0,.25,.5}", vec![0.0, 0.25, 0.5]),
-        ("6 levels {0,.1..,.5}", vec![0.0, 0.1, 0.2, 0.3, 0.4, 0.5]),
-        (
-            "11 levels {0,.05..,.5}",
-            (0..=10).map(|k| k as f64 * 0.05).collect(),
-        ),
-    ];
-    let mut rows = Vec::new();
-    for (label, levels) in catalogs {
-        let issuers = WorkloadGen::new(1500).issuer_regions(bed.scale.queries, DEFAULT_U);
-        let s = Summary::collect(bed.scale.queries, |q| {
-            let issuer = Issuer::with_pdf_and_levels(UniformPdf::new(issuers[q]), &levels);
-            bed.california
-                .cipq(&issuer, range, qp, CipqStrategy::PExpanded)
-        });
-        rows.push(Row {
-            x: levels.len() as f64,
-            series: label.into(),
-            summary: s,
-        });
-    }
-    print_table(
-        "Ablation: issuer U-catalog size (C-IPQ at Qp=0.45, California)",
-        "stored levels",
         &rows,
     );
     rows
@@ -304,18 +264,10 @@ pub fn pruning_strategies(bed: &TestBed) -> Vec<Row> {
             let issuer = Issuer::uniform(issuers[q]);
             let start = std::time::Instant::now();
             let mut answer = iloc_core::QueryAnswer::default();
-            let expanded = minkowski_query(&issuer, range);
-            let (_, p_expanded) = p_expanded_query(&issuer, range, qp);
-            let ctx = PruneContext {
-                qp,
-                expanded,
-                p_expanded,
-                issuer: &issuer,
-                range,
-            };
+            let ctx = PruneContext::new(&issuer, range, qp);
             let candidates = bed
                 .long_beach
-                .raw_candidates(expanded, &mut answer.stats.access);
+                .raw_candidates(ctx.expanded, &mut answer.stats.access);
             for idx in candidates {
                 let obj = &bed.long_beach.objects()[idx as usize];
                 let bounds = bed.long_beach.bounds(idx);
@@ -338,7 +290,7 @@ pub fn pruning_strategies(bed: &TestBed) -> Vec<Row> {
                     issuer.pdf(),
                     range,
                     obj.pdf(),
-                    expanded,
+                    ctx.expanded,
                     &mut rng,
                     &mut qstats,
                 );

@@ -4,8 +4,9 @@
 //! Paper: the Minkowski curve is flat in `Qp` (the filter ignores the
 //! threshold) while the p-expanded-query curve falls as `Qp` rises —
 //! about 3× better at `Qp = 0.6`. Expected reproduction shape: same
-//! ordering, p-expanded monotonically cheaper with rising `Qp`
-//! (flattening past `Qp = 0.5` where the issuer catalog tops out).
+//! ordering, p-expanded strictly cheaper with every rise in `Qp`: the
+//! issuer's pdf is cut at exactly `Qp`, so past 0.5 its cut lines
+//! cross and the filter shrinks below the range itself.
 
 use iloc_core::{CipqStrategy, Issuer, RangeSpec};
 use iloc_datagen::WorkloadGen;

@@ -5,7 +5,8 @@
 //! `Qp = 0.6`); the gain is smaller than C-IPQ's because uncertainty
 //! regions are harder to prune than points. Expected reproduction
 //! shape: PTI curve at or below the R-tree curve, gap growing with
-//! `Qp` up to the 0.5 catalog ceiling.
+//! `Qp`. Past 0.5 the objects' own catalogs stop at their 0.5 level,
+//! but the issuer's `Qp`-expanded query keeps shrinking.
 
 use iloc_core::{CiuqStrategy, Issuer, RangeSpec};
 use iloc_datagen::WorkloadGen;

@@ -96,6 +96,9 @@ fn fig11_p_expanded_prunes_monotonically() {
             .avg_candidates
     };
     assert!(at(&pexp, 0.5) < 0.8 * at(&mink, 0.5));
+    // The filter is cut at exactly Qp, so it keeps falling past the
+    // catalog's top level (the paper's "falls as Qp rises").
+    assert!(at(&pexp, 0.8) < at(&pexp, 0.5));
     // Identical answer sets at every threshold.
     for (m, p) in mink.iter().zip(&pexp) {
         assert_eq!(m.summary.avg_results, p.summary.avg_results, "qp={}", m.x);
@@ -127,6 +130,7 @@ fn fig12_pti_does_less_refinement_work() {
             .avg_prob_evals
     };
     assert!(at(&pti, 0.5) < 0.8 * at(&rtree, 0.5));
+    assert!(at(&pti, 0.8) <= at(&pti, 0.5));
 }
 
 #[test]
@@ -157,27 +161,6 @@ fn ablation_strategies_compose() {
     assert!(evals("S2 only") <= evals("no pruning"));
     assert!(evals("S1+S2") <= evals("S1 only").min(evals("S2 only")));
     assert!(evals("S1+S2+S3") <= evals("S1+S2"));
-}
-
-#[test]
-fn ablation_catalog_finer_is_tighter() {
-    let bed = tiny_bed();
-    let rows = ablations::catalog_sizes(&bed);
-    // More catalog levels ⇒ conservative filter closer to the exact
-    // Qp-expanded query ⇒ no more candidates.
-    let mut prev = f64::INFINITY;
-    for r in &rows {
-        assert!(
-            r.summary.avg_candidates <= prev + 1e-9,
-            "{}: candidates increased",
-            r.series
-        );
-        prev = r.summary.avg_candidates;
-    }
-    // Identical answers throughout.
-    for r in &rows {
-        assert_eq!(r.summary.avg_results, rows[0].summary.avg_results);
-    }
 }
 
 #[test]

@@ -313,7 +313,7 @@ impl PointEngine {
         let query = PreparedQuery::new(issuer, range);
         let filter = match strategy {
             CipqStrategy::MinkowskiSum => query.expanded,
-            CipqStrategy::PExpanded => p_expanded_query(issuer, range, qp).1,
+            CipqStrategy::PExpanded => p_expanded_query(issuer, range, qp),
         };
         self.run_into(
             query,

@@ -22,7 +22,6 @@ use iloc_uncertainty::catalog::{default_bounds, DEFAULT_LEVELS};
 use iloc_uncertainty::{ObjectId, PdfKind, UncertainObject};
 
 use crate::eval::constrained::PruneContext;
-use crate::expand::p_expanded_query;
 use crate::integrate::Integrator;
 use crate::pipeline::{
     execute_batch, AcceptPolicy, BatchEngine, EvaluatorKind, ExecutionContext, PreparedQuery,
@@ -369,22 +368,15 @@ impl UncertainEngine {
             ),
             // PTI filter + the Section 5.2 object-level pruning chain.
             // At `qp = 0` no object can ever be pruned (every test
-            // bounds `pi` by a positive level), so the chain is empty.
+            // bounds `pi` by a positive level), so the chain is empty,
+            // and the `Qp`-expanded query is `R ⊕ U0` itself.
             CiuqStrategy::PtiPExpanded => {
-                let (_, p_expanded) = p_expanded_query(issuer, range, qp);
-                let prune = if qp > 0.0 {
-                    PruneChain::section_5_2(
-                        PruneContext {
-                            qp,
-                            expanded: query.expanded,
-                            p_expanded,
-                            issuer,
-                            range,
-                        },
-                        self.stored_bounds(),
-                    )
+                let (p_expanded, prune) = if qp > 0.0 {
+                    let prune = PruneContext::new(issuer, range, qp);
+                    let chain = PruneChain::section_5_2(prune, self.stored_bounds());
+                    (prune.p_expanded, chain)
                 } else {
-                    PruneChain::none()
+                    (query.expanded, PruneChain::none())
                 };
                 QueryPipeline {
                     query,

@@ -9,12 +9,14 @@
 //!   `m`-tails (beyond `ri(m)` / `li(m)` / `ti(m)` / `bi(m)`) for the
 //!   largest stored `m ≤ Qp`, then `pi ≤ m ≤ Qp`: prune.
 //! * **Strategy 2** — if `Ui` lies completely outside the issuer's
-//!   `M`-expanded-query (`M ≤ Qp`), every dual point of the object has
-//!   `Q < M`, hence `pi < Qp`: prune.
+//!   `Qp`-expanded query, every dual point of the object has `Q < Qp`,
+//!   hence `pi < Qp`: prune.
 //! * **Strategy 3** — when neither single test fires, combine them:
 //!   find the smallest stored `dmin ≥ Qp` whose tail test passes and
-//!   the smallest stored `qmin ≥ Qp` whose expanded-query test passes;
-//!   then `pi ≤ qmin · dmin`, so if `qmin · dmin < Qp`: prune.
+//!   the smallest catalog level `qmin ≥ Qp` whose expanded-query test
+//!   passes; then `pi ≤ qmin · dmin`, so if `qmin · dmin < Qp`: prune.
+//!   The issuer's side of that search is computed once per query, at
+//!   the [`DEFAULT_LEVELS`] `≥ Qp` ([`PruneContext::new`]).
 //!
 //! The tests read a candidate's p-bounds through [`PBounds`]: for a
 //! stored object that is a row of the PTI's level table
@@ -24,24 +26,54 @@
 
 use iloc_geometry::Rect;
 use iloc_index::LevelRow;
+use iloc_uncertainty::catalog::DEFAULT_LEVELS;
 use iloc_uncertainty::UCatalog;
 
-use crate::expand::p_expanded_from_bound;
+use crate::expand::{minkowski_query, p_expanded_query};
 use crate::query::{Issuer, RangeSpec};
 
 /// Pre-computed per-query pruning context shared by all candidates.
 #[derive(Debug, Clone, Copy)]
-pub struct PruneContext<'a> {
+pub struct PruneContext {
     /// Probability threshold `Qp`.
     pub qp: f64,
     /// `R ⊕ U0`.
     pub expanded: Rect,
-    /// The issuer's conservative `M`-expanded query (`M ≤ Qp`).
+    /// The issuer's `Qp`-expanded query, cut at `Qp`
+    /// ([`p_expanded_query`]).
     pub p_expanded: Rect,
-    /// The issuer (for Strategy 3's `qmin` search).
-    pub issuer: &'a Issuer,
-    /// Query shape (to build `qmin`-expanded queries).
-    pub range: RangeSpec,
+    /// Strategy 3's `qmin` candidates: the issuer's p-expanded queries
+    /// at the [`DEFAULT_LEVELS`] `≥ Qp`, ascending; the first
+    /// `qmin_len` are set.
+    qmin: [(f64, Rect); DEFAULT_LEVELS.len()],
+    qmin_len: usize,
+}
+
+impl PruneContext {
+    /// The context of a constrained query at threshold `qp`: the
+    /// issuer's expanded and `qp`-expanded queries, and its p-expanded
+    /// queries at the catalog levels `≥ qp` that Strategy 3 searches.
+    pub fn new(issuer: &Issuer, range: RangeSpec, qp: f64) -> Self {
+        let mut qmin = [(0.0, Rect::EMPTY); DEFAULT_LEVELS.len()];
+        let mut qmin_len = 0;
+        for p in DEFAULT_LEVELS.into_iter().filter(|&p| p >= qp) {
+            qmin[qmin_len] = (p, p_expanded_query(issuer, range, p));
+            qmin_len += 1;
+        }
+        // At a catalog level the `qp`-expanded query is the first of
+        // them; a cut costs four quantiles, bisected for most pdfs.
+        let p_expanded = match qmin[..qmin_len].first() {
+            Some(&(p, window)) if p == qp => window,
+            _ => p_expanded_query(issuer, range, qp),
+        };
+        PruneContext {
+            qp,
+            expanded: minkowski_query(issuer, range),
+            p_expanded,
+            qmin,
+            qmin_len,
+        }
+    }
 }
 
 /// Which test, if any, eliminated the candidate.
@@ -114,7 +146,7 @@ fn in_tail(region: Rect, bound: Rect) -> bool {
 /// Strategy 1 in isolation: the possible-qualification region
 /// `Ui ∩ (R ⊕ U0)` lies in a `≤ Qp` tail of the object's own pdf
 /// (or is empty, in which case Lemma 1 already rules the object out).
-pub fn strategy1_prunes(bounds: &impl PBounds, ctx: &PruneContext<'_>) -> bool {
+pub fn strategy1_prunes(bounds: &impl PBounds, ctx: &PruneContext) -> bool {
     let overlap = bounds.rect(0).intersect(ctx.expanded);
     if overlap.is_empty() {
         return true;
@@ -127,13 +159,13 @@ pub fn strategy1_prunes(bounds: &impl PBounds, ctx: &PruneContext<'_>) -> bool {
 }
 
 /// Strategy 2 in isolation: `Ui` lies completely outside the issuer's
-/// conservative `M`-expanded query.
-pub fn strategy2_prunes(bounds: &impl PBounds, ctx: &PruneContext<'_>) -> bool {
+/// `Qp`-expanded query.
+pub fn strategy2_prunes(bounds: &impl PBounds, ctx: &PruneContext) -> bool {
     !bounds.rect(0).overlaps(ctx.p_expanded)
 }
 
 /// Strategy 3 in isolation: the `qmin · dmin < Qp` product rule.
-pub fn strategy3_prunes(bounds: &impl PBounds, ctx: &PruneContext<'_>) -> bool {
+pub fn strategy3_prunes(bounds: &impl PBounds, ctx: &PruneContext) -> bool {
     let ui = bounds.rect(0);
     let overlap = ui.intersect(ctx.expanded);
     if overlap.is_empty() {
@@ -143,18 +175,16 @@ pub fn strategy3_prunes(bounds: &impl PBounds, ctx: &PruneContext<'_>) -> bool {
         .skip_while(|&k| bounds.p(k) < ctx.qp)
         .find(|&k| in_tail(overlap, bounds.rect(k)))
         .map(|k| bounds.p(k));
-    let qmin = ctx
-        .issuer
-        .catalog()
-        .at_least(ctx.qp)
-        .find(|b| !ui.overlaps(p_expanded_from_bound(b, ctx.range)))
-        .map(|b| b.p);
+    let qmin = ctx.qmin[..ctx.qmin_len]
+        .iter()
+        .find(|&&(_, window)| !ui.overlaps(window))
+        .map(|&(p, _)| p);
     matches!((dmin, qmin), (Some(d), Some(q)) if q * d < ctx.qp)
 }
 
 /// Applies Strategies 1–3 in the paper's order (cheapest test first)
 /// and reports which one, if any, eliminated the candidate.
-pub fn try_prune(bounds: &impl PBounds, ctx: &PruneContext<'_>) -> PruneOutcome {
+pub fn try_prune(bounds: &impl PBounds, ctx: &PruneContext) -> PruneOutcome {
     if strategy2_prunes(bounds, ctx) {
         return PruneOutcome::Strategy2;
     }
@@ -170,25 +200,12 @@ pub fn try_prune(bounds: &impl PBounds, ctx: &PruneContext<'_>) -> PruneOutcome 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expand::{minkowski_query, p_expanded_query};
     use crate::integrate::Integrator;
     use crate::stats::QueryStats;
     use iloc_geometry::Point;
     use iloc_uncertainty::{UncertainObject, UniformPdf};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    fn ctx<'a>(issuer: &'a Issuer, range: RangeSpec, qp: f64) -> PruneContext<'a> {
-        let expanded = minkowski_query(issuer, range);
-        let (_, p_expanded) = p_expanded_query(issuer, range, qp);
-        PruneContext {
-            qp,
-            expanded,
-            p_expanded,
-            issuer,
-            range,
-        }
-    }
 
     fn obj(region: Rect) -> UncertainObject {
         UncertainObject::new(0u64, UniformPdf::new(region))
@@ -202,7 +219,7 @@ mod tests {
         // point (50,50), so the p-expanded query is [30,70]². An object
         // inside the Minkowski sum but outside that must be pruned by
         // Strategy 2.
-        let c = ctx(&issuer, range, 0.5);
+        let c = PruneContext::new(&issuer, range, 0.5);
         let o = obj(Rect::from_coords(95.0, 95.0, 118.0, 118.0));
         assert!(
             o.region().overlaps(c.expanded),
@@ -215,7 +232,7 @@ mod tests {
     fn strategy1_fires_when_overlap_in_own_tail() {
         let issuer = Issuer::uniform(Rect::from_coords(0.0, 0.0, 100.0, 100.0));
         let range = RangeSpec::square(20.0);
-        let c = ctx(&issuer, range, 0.3);
+        let c = PruneContext::new(&issuer, range, 0.3);
         // Wide object whose left sliver only pokes into the expanded
         // query: the overlap is left of its own l(0.3) line.
         // Object on [80, 380] × [40, 60]: it overlaps the 0.3-expanded
@@ -230,7 +247,7 @@ mod tests {
     fn keep_when_no_test_applies() {
         let issuer = Issuer::uniform(Rect::from_coords(0.0, 0.0, 100.0, 100.0));
         let range = RangeSpec::square(30.0);
-        let c = ctx(&issuer, range, 0.2);
+        let c = PruneContext::new(&issuer, range, 0.2);
         // Object dead-centre on the issuer: certainly not prunable.
         let o = obj(Rect::from_coords(40.0, 40.0, 60.0, 60.0));
         assert_eq!(try_prune(&o.catalog(), &c), PruneOutcome::Keep);
@@ -251,7 +268,7 @@ mod tests {
             ));
             let range = RangeSpec::new(rng.gen_range(10.0..150.0), rng.gen_range(10.0..150.0));
             let qp = rng.gen_range(0.05..0.9);
-            let c = ctx(&issuer, range, qp);
+            let c = PruneContext::new(&issuer, range, qp);
             let o = obj(Rect::centered(
                 Point::new(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0)),
                 rng.gen_range(5.0..200.0),
@@ -290,7 +307,7 @@ mod tests {
         let issuer = Issuer::uniform(Rect::from_coords(0.0, 0.0, 100.0, 100.0));
         let range = RangeSpec::square(10.0);
         let qp = 0.3;
-        let c = ctx(&issuer, range, qp);
+        let c = PruneContext::new(&issuer, range, qp);
         // p-expanded(0.3) = [30,70]+±10 → [20,80]²; p-expanded(0.4) =
         // [40,60]±10 → [30,70]².
         // Expanded = [-10,110]².

@@ -120,6 +120,10 @@ pub struct QueryScratch {
     pub(crate) shard_partials: Vec<crate::result::QueryAnswer>,
 }
 
+/// Candidate lists shorter than this skip the radix passes of
+/// [`sort_candidates`].
+const INSERTION_SORT_BELOW: usize = 32;
+
 /// Sorts candidate slots with an LSD radix sort through a caller-owned
 /// ping-pong buffer.
 ///
@@ -135,6 +139,10 @@ pub struct QueryScratch {
 /// arrival whose id is below a live one's leaves the match sort
 /// anything to do. Allocation-free once `aux` has grown to workload
 /// size.
+///
+/// A pass zeroes and prefix-sums 256 counters whatever the length, so
+/// a list shorter than [`INSERTION_SORT_BELOW`] is insertion-sorted in
+/// place instead.
 pub(crate) fn sort_candidates(v: &mut Vec<u32>, aux: &mut Vec<u32>) {
     /// One counting pass on the byte at `shift`.
     fn radix_pass(src: &[u32], dst: &mut [u32], shift: u32) {
@@ -156,6 +164,18 @@ pub(crate) fn sort_candidates(v: &mut Vec<u32>, aux: &mut Vec<u32>) {
     }
 
     if v.len() < 2 || v.windows(2).all(|w| w[0] <= w[1]) {
+        return;
+    }
+    if v.len() < INSERTION_SORT_BELOW {
+        for i in 1..v.len() {
+            let x = v[i];
+            let mut j = i;
+            while j > 0 && v[j - 1] > x {
+                v[j] = v[j - 1];
+                j -= 1;
+            }
+            v[j] = x;
+        }
         return;
     }
     let max = *v.iter().max().expect("non-empty") as u64;
@@ -253,7 +273,7 @@ impl ExecutionContext {
 /// `R ⊕ U0` of Lemma 1.
 #[derive(Debug, Clone, Copy)]
 pub struct PreparedQuery<'q> {
-    /// The query issuer (pdf + U-catalog).
+    /// The query issuer.
     pub issuer: &'q Issuer,
     /// The range shape.
     pub range: RangeSpec,
@@ -517,5 +537,25 @@ mod tests {
         assert!(!first.results.is_empty());
         assert!(first.same_matches(&second));
         assert!(first.same_matches(&fresh));
+    }
+
+    #[test]
+    fn candidate_sort_matches_sort_unstable_at_every_small_length() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(40);
+        let mut aux = Vec::new();
+        for len in 0..=40 {
+            // Small slots, slots past one radix byte, and duplicates.
+            for max in [8u32, 1 << 12, 1 << 20, u32::MAX] {
+                for _ in 0..8 {
+                    let mut v: Vec<u32> = (0..len).map(|_| rng.gen_range(0..=max)).collect();
+                    let mut want = v.clone();
+                    want.sort_unstable();
+                    sort_candidates(&mut v, &mut aux);
+                    assert_eq!(v, want, "len {len}, max {max}");
+                }
+            }
+        }
     }
 }

@@ -45,7 +45,7 @@ impl<'a> StoredBounds<'a> {
 /// allocation — part of the query hot path's zero-allocation
 /// invariant.
 pub struct PruneChain<'p, O> {
-    section52: Option<(PruneContext<'p>, StoredBounds<'p>)>,
+    section52: Option<(PruneContext, StoredBounds<'p>)>,
     object: PhantomData<fn(&O)>,
 }
 
@@ -99,7 +99,7 @@ impl<'p> PruneChain<'p, UncertainObject> {
     /// Strategy 2 (cheapest), then Strategy 1, then the Strategy 3
     /// product rule — over the candidates' stored `bounds`.
     /// Allocation-free: the chain is the copied context.
-    pub fn section_5_2(ctx: PruneContext<'p>, bounds: StoredBounds<'p>) -> Self {
+    pub fn section_5_2(ctx: PruneContext, bounds: StoredBounds<'p>) -> Self {
         PruneChain {
             section52: Some((ctx, bounds)),
             object: PhantomData,
@@ -125,7 +125,6 @@ impl<O> fmt::Debug for PruneChain<'_, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expand::{minkowski_query, p_expanded_query};
     use crate::query::{Issuer, RangeSpec};
     use iloc_geometry::Rect;
     use iloc_uncertainty::UniformPdf;
@@ -134,16 +133,7 @@ mod tests {
     fn chain_matches_legacy_try_prune_order_and_counters() {
         let issuer = Issuer::uniform(Rect::from_coords(0.0, 0.0, 100.0, 100.0));
         let range = RangeSpec::square(20.0);
-        let qp = 0.5;
-        let expanded = minkowski_query(&issuer, range);
-        let (_, p_expanded) = p_expanded_query(&issuer, range, qp);
-        let ctx = PruneContext {
-            qp,
-            expanded,
-            p_expanded,
-            issuer: &issuer,
-            range,
-        };
+        let ctx = PruneContext::new(&issuer, range, 0.5);
         // Sweep a small object across the space; the chain, reading
         // the engine's stored bounds, must agree with the legacy
         // combined test over each object's own catalog everywhere, with

@@ -2,7 +2,7 @@
 //! the strategy selectors the experiments compare.
 
 use iloc_geometry::{Point, Rect};
-use iloc_uncertainty::{LocationPdf, PdfKind, TruncatedGaussianPdf, UCatalog, UniformPdf};
+use iloc_uncertainty::{LocationPdf, PdfKind, TruncatedGaussianPdf, UniformPdf};
 
 /// The range-query shape: an axis-parallel rectangle of half-width `w`
 /// and half-height `h` centred wherever the issuer happens to be
@@ -40,12 +40,12 @@ impl RangeSpec {
 }
 
 /// The **query issuer** `O0`: an uncertain object whose pdf describes
-/// where the issuer may actually be, together with its pre-computed
-/// U-catalog (used to build `p`-expanded queries).
+/// where the issuer may actually be. Nothing is pre-computed from it:
+/// a constrained query cuts the issuer's pdf at its own threshold
+/// ([`crate::expand::p_expanded_query`]).
 #[derive(Debug, Clone)]
 pub struct Issuer {
     pdf: PdfKind,
-    catalog: UCatalog,
 }
 
 impl Issuer {
@@ -59,32 +59,17 @@ impl Issuer {
         Issuer::with_pdf(TruncatedGaussianPdf::paper_default(region))
     }
 
-    /// Issuer with an arbitrary pdf; the default six-level U-catalog is
-    /// computed on construction. Accepts any workspace pdf type or a
-    /// [`PdfKind`].
+    /// Issuer with an arbitrary pdf. Accepts any workspace pdf type or
+    /// a [`PdfKind`].
     pub fn with_pdf(pdf: impl Into<PdfKind>) -> Self {
-        let pdf = pdf.into();
-        let catalog = UCatalog::build_default(&pdf);
-        Issuer { pdf, catalog }
+        Issuer { pdf: pdf.into() }
     }
 
-    /// Issuer with custom catalog levels.
-    pub fn with_pdf_and_levels(pdf: impl Into<PdfKind>, levels: &[f64]) -> Self {
-        let pdf = pdf.into();
-        let catalog = UCatalog::build(&pdf, levels);
-        Issuer { pdf, catalog }
-    }
-
-    /// Replaces the issuer's pdf in place, recomputing the default
-    /// U-catalog while **reusing its storage**. Equivalent to building
-    /// a fresh [`Issuer::with_pdf`], but allocation-free once the
-    /// catalog table has grown to its six default entries — the network
-    /// serving layer decodes each incoming query into a long-lived
-    /// issuer slot through this, which keeps the steady-state request
-    /// path free of heap allocation end to end.
+    /// Replaces the issuer's pdf in place. The network serving layer
+    /// decodes each incoming query into a long-lived issuer slot
+    /// through this; it never touches the heap.
     pub fn set_pdf(&mut self, pdf: impl Into<PdfKind>) {
         self.pdf = pdf.into();
-        self.catalog.rebuild_default(&self.pdf);
     }
 
     /// The issuer's pdf `f0`, statically dispatched over the concrete
@@ -96,11 +81,6 @@ impl Issuer {
     /// The issuer's uncertainty region `U0`.
     pub fn region(&self) -> Rect {
         self.pdf.region()
-    }
-
-    /// The issuer's U-catalog.
-    pub fn catalog(&self) -> &UCatalog {
-        &self.catalog
     }
 }
 
@@ -131,6 +111,7 @@ pub enum CiuqStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iloc_uncertainty::PBound;
 
     #[test]
     fn range_spec_constructors() {
@@ -150,24 +131,22 @@ mod tests {
     }
 
     #[test]
-    fn issuer_uniform_has_catalog() {
+    fn issuer_uniform() {
         let iss = Issuer::uniform(Rect::from_coords(0.0, 0.0, 100.0, 100.0));
-        assert_eq!(iss.catalog().len(), 6);
         assert_eq!(iss.region(), Rect::from_coords(0.0, 0.0, 100.0, 100.0));
         assert!(iss.pdf().uniform_region().is_some());
     }
 
     #[test]
-    fn set_pdf_rebuilds_the_catalog_in_place() {
+    fn set_pdf_replaces_the_pdf() {
         let mut iss = Issuer::uniform(Rect::from_coords(0.0, 0.0, 100.0, 100.0));
         let target = Rect::from_coords(40.0, 10.0, 90.0, 70.0);
         iss.set_pdf(UniformPdf::new(target));
-        let fresh = Issuer::uniform(target);
         assert_eq!(iss.region(), target);
-        assert_eq!(iss.catalog(), fresh.catalog());
+        assert_eq!(iss.pdf(), Issuer::uniform(target).pdf());
         // Works across pdf kinds too.
         iss.set_pdf(TruncatedGaussianPdf::paper_default(target));
-        assert_eq!(iss.catalog(), Issuer::gaussian(target).catalog());
+        assert_eq!(iss.pdf(), Issuer::gaussian(target).pdf());
     }
 
     #[test]
@@ -175,18 +154,8 @@ mod tests {
         let iss = Issuer::gaussian(Rect::from_coords(0.0, 0.0, 60.0, 60.0));
         assert!(iss.pdf().uniform_region().is_none());
         // Gaussian p-bounds are strictly inside the region for p > 0.
-        let b = iss.catalog().best_at_most(0.3);
+        let b = PBound::compute(iss.pdf(), 0.3);
         assert!(iss.region().contains_rect(b.rect));
         assert!(b.rect.area() < iss.region().area());
-    }
-
-    #[test]
-    fn issuer_custom_levels() {
-        let iss = Issuer::with_pdf_and_levels(
-            UniformPdf::new(Rect::from_coords(0.0, 0.0, 10.0, 10.0)),
-            &[0.25, 0.5],
-        );
-        let levels: Vec<f64> = iss.catalog().levels().collect();
-        assert_eq!(levels, vec![0.0, 0.25, 0.5]);
     }
 }

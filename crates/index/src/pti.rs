@@ -9,15 +9,15 @@
 //!
 //! * **Strategy 2 (p-expanded-query)** — skip an entry whose `MBR(0)`
 //!   (the union of the subtree's uncertainty regions) lies completely
-//!   outside the issuer's `M`-expanded-query.
+//!   outside the issuer's `Qp`-expanded query.
 //! * **Strategy 1 (p-bounds)** — skip an entry when the expanded query
 //!   `R ⊕ U0` lies entirely beyond the subtree's `MBR(m)` on some side,
 //!   for the largest stored `m ≤ Qp`: every object below then has at
 //!   most `m ≤ Qp` probability mass in the intersection.
 //!
 //! Strategy 3 (the `qmin · dmin` product rule) needs the *issuer's*
-//! catalog and is applied per candidate by the query engine, above the
-//! index.
+//! p-bounds and is applied per candidate by the query engine, above
+//! the index.
 //!
 //! **The PTI is the U-catalog store.** The p-bounds of the stored
 //! objects live here and nowhere else, in one level-major table: a
@@ -208,9 +208,10 @@ pub struct PtiQuery {
     /// The expanded query `R ⊕ U0` (Lemma 1 filter and Strategy 1 side
     /// tests).
     pub expanded: Rect,
-    /// The issuer's `M`-expanded-query for the largest stored issuer
-    /// level `M ≤ Qp` (Strategy 2). Must satisfy
-    /// `p_expanded ⊆ expanded`; pass `expanded` itself when `Qp = 0`.
+    /// The issuer's `Qp`-expanded query, cut at `Qp` (Strategy 2); it
+    /// is empty once `Qp` leaves no position that can qualify. Must
+    /// satisfy `p_expanded ⊆ expanded`; pass `expanded` itself when
+    /// `Qp = 0`.
     pub p_expanded: Rect,
     /// The probability threshold `Qp ∈ [0, 1]`.
     pub threshold: f64,

@@ -1,19 +1,24 @@
 //! U-catalogs: small pre-computed tables of p-bounds (paper Section 5).
 //!
-//! Storing a p-bound for *every* `p` is impossible, so each object keeps
-//! a **U-catalog** — a handful of `(p, p-bound)` tuples. Queries with an
+//! Storing a p-bound for *every* `p` is impossible, so each **stored**
+//! object keeps a **U-catalog** — a handful of `(p, p-bound)` tuples,
+//! computed once, when the object is inserted. Queries with an
 //! arbitrary threshold `Qp` then use the best conservative catalog
-//! entry: the largest stored `M ≤ Qp` ("an object pruned by the
-//! M-expanded-query must also be pruned by the Qp-expanded-query"), or
-//! for Strategy 3 the smallest stored value ≥ `Qp` satisfying a
+//! entry: the largest stored `m ≤ Qp` for the object's own tail test,
+//! or for Strategy 3 the smallest stored value ≥ `Qp` satisfying a
 //! geometric test.
 //!
-//! [`UCatalog`] is the catalog of **one** pdf as a value: what a query
-//! issuer carries (rebuilt in place per request), and what
+//! Catalogs belong to stored objects only. A query issuer keeps none:
+//! its pdf is in hand when the query runs, so its `Qp`-expanded query
+//! is cut at exactly `Qp` (`iloc_core::expand::p_expanded_query`), and
+//! Strategy 3 computes the issuer's bounds at the [`DEFAULT_LEVELS`]
+//! `≥ Qp` once per query.
+//!
+//! [`UCatalog`] is the catalog of **one** pdf as a value: what
 //! [`crate::UncertainObject::catalog`] computes on demand for a
-//! free-standing object. The catalogs of *stored* objects are not
-//! `UCatalog`s: the engine computes their [`DEFAULT_LEVELS`] bounds at
-//! insert and keeps them, level-major, in the PTI.
+//! free-standing object. The catalogs the engine keeps are not
+//! `UCatalog`s: it computes their [`DEFAULT_LEVELS`] bounds at insert
+//! and keeps them, level-major, in the PTI.
 
 use crate::pbound::PBound;
 use crate::pdf::LocationPdf;
@@ -62,19 +67,6 @@ impl UCatalog {
     /// Computes the paper's default six-level catalog.
     pub fn build_default(pdf: &dyn LocationPdf) -> Self {
         UCatalog::build(pdf, &DEFAULT_LEVELS)
-    }
-
-    /// Recomputes this catalog in place for a new pdf at the default
-    /// levels, **reusing the bound table's storage**. Equivalent to
-    /// replacing `self` with [`UCatalog::build_default`], but free of
-    /// heap allocation once the table has reached six entries — the
-    /// network serving layer decodes issuers into a long-lived slot on
-    /// its per-request hot path through this.
-    pub fn rebuild_default(&mut self, pdf: &dyn LocationPdf) {
-        self.bounds.clear();
-        // DEFAULT_LEVELS is sorted, deduplicated and anchored at 0, so
-        // the result matches `build_default` entry for entry.
-        self.bounds.extend(default_bounds(pdf));
     }
 
     /// All stored bounds, ascending in `p`.
@@ -135,15 +127,6 @@ mod tests {
         let levels: Vec<f64> = c.levels().collect();
         assert_eq!(levels, vec![0.0, 0.1, 0.2, 0.3, 0.4, 0.5]);
         assert!(!c.is_empty());
-    }
-
-    #[test]
-    fn rebuild_default_matches_build_default() {
-        let old = UniformPdf::new(Rect::from_coords(0.0, 0.0, 10.0, 10.0));
-        let new = UniformPdf::new(Rect::from_coords(5.0, 5.0, 45.0, 25.0));
-        let mut c = UCatalog::build_default(&old);
-        c.rebuild_default(&new);
-        assert_eq!(c, UCatalog::build_default(&new));
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::uniform::UniformPdf;
 /// Construct via `From`/`Into` from any of the workspace pdf types;
 /// [`crate::UncertainObject`] and query issuers store their pdfs this
 /// way.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PdfKind {
     /// Uniform density (the paper's default model).
     Uniform(UniformPdf),

@@ -82,6 +82,11 @@ impl LocationPdf for UniformPdf {
             Axis::X => self.region.x_interval(),
             Axis::Y => self.region.y_interval(),
         };
+        // The top end is exact, as for every pdf: `lo + 1 · len` can
+        // round off `hi`.
+        if p >= 1.0 {
+            return side.hi;
+        }
         side.lo + p.clamp(0.0, 1.0) * side.length()
     }
 

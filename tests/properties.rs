@@ -3,7 +3,7 @@
 //! numerical integration, p-bound semantics, and pruning soundness.
 
 use iloc::core::eval::constrained::{try_prune, PruneContext, PruneOutcome};
-use iloc::core::expand::{minkowski_query, p_expanded_query};
+use iloc::core::expand::p_expanded_query;
 use iloc::core::integrate::{closed, Integrator};
 use iloc::core::QueryStats;
 use iloc::geometry::{Interval, PiecewiseLinear, Point, Rect};
@@ -127,23 +127,22 @@ proptest! {
         prop_assert!(u0.contains_rect(b.rect));
     }
 
-    /// Lemma 5 soundness: a point object outside the p-expanded query
-    /// has qualification probability at most p.
+    /// Lemma 5 soundness: a point object outside the `Qp`-expanded
+    /// query has qualification probability at most `Qp`.
     #[test]
     fn p_expanded_query_soundness(
         u0 in rect(),
         r in range_spec(),
-        qp in 0.0..1.0f64,
+        qp in 0.0..=1.0f64,
         sx in coord(),
         sy in coord(),
     ) {
         let issuer = Issuer::uniform(u0);
-        let (level, pexp) = p_expanded_query(&issuer, r, qp);
-        prop_assert!(level <= qp);
+        let pexp = p_expanded_query(&issuer, r, qp);
         let s = Point::new(sx, sy);
         if !pexp.contains_point(s) {
             let pi = issuer.pdf().prob_in_rect(r.at(s));
-            prop_assert!(pi <= level + 1e-9, "pi={} level={}", pi, level);
+            prop_assert!(pi <= qp + 1e-9, "pi={} qp={}", pi, qp);
         }
     }
 
@@ -158,14 +157,12 @@ proptest! {
     ) {
         let issuer = Issuer::uniform(u0);
         let object = UncertainObject::new(7u64, UniformPdf::new(ui));
-        let expanded = minkowski_query(&issuer, r);
-        let (_, p_expanded) = p_expanded_query(&issuer, r, qp);
-        let ctx = PruneContext { qp, expanded, p_expanded, issuer: &issuer, range: r };
+        let ctx = PruneContext::new(&issuer, r, qp);
         if try_prune(&object.catalog(), &ctx) != PruneOutcome::Keep {
             let mut stats = QueryStats::new();
             let mut rng = StdRng::seed_from_u64(1);
             let pi = Integrator::Exact.object_probability(
-                issuer.pdf(), r, object.pdf(), expanded, &mut rng, &mut stats,
+                issuer.pdf(), r, object.pdf(), ctx.expanded, &mut rng, &mut stats,
             );
             prop_assert!(pi <= qp + 1e-9, "pruned but pi={} > qp={}", pi, qp);
         }
