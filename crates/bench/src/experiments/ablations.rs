@@ -13,7 +13,8 @@ use iloc_core::eval::constrained::{
 };
 use iloc_core::expand::minkowski_query;
 use iloc_core::{
-    Integrator, Issuer, PointEngine, PointRequest, RangeSpec, ShardedEngine, SubscriptionRegistry,
+    BatchEngine, Integrator, Issuer, PointEngine, PointRequest, RangeSpec, ShardedEngine,
+    SubscriptionRegistry, UncertainRequest,
 };
 use iloc_datagen::{california_points, point_objects, WorkloadGen};
 use iloc_geometry::Point;
@@ -30,7 +31,7 @@ pub fn integrators(bed: &TestBed) -> Vec<Row> {
     let range = RangeSpec::square(DEFAULT_W);
     let queries = bed.scale.mc_queries;
     let backends: [(&str, Integrator); 3] = [
-        ("exact closed form", Integrator::Exact),
+        ("exact closed form", Integrator::Auto),
         ("grid 40x40", Integrator::Grid { per_axis: 40 }),
         ("monte-carlo 250", Integrator::MonteCarlo { samples: 250 }),
     ];
@@ -38,8 +39,8 @@ pub fn integrators(bed: &TestBed) -> Vec<Row> {
     for (label, integ) in backends {
         let issuers = WorkloadGen::new(1400).issuer_regions(queries, DEFAULT_U);
         let s = Summary::collect(queries, |q| {
-            bed.long_beach
-                .iuq_with(&Issuer::uniform(issuers[q]), range, integ)
+            let request = UncertainRequest::iuq(Issuer::uniform(issuers[q]), range);
+            bed.long_beach.execute_one(&request.with_integrator(integ))
         });
         rows.push(Row {
             x: 0.0,
@@ -133,7 +134,8 @@ pub fn gaussian_objects(bed: &TestBed) -> Vec<Row> {
     for (label, integ) in backends {
         let issuers = WorkloadGen::new(1800).issuer_regions(queries, DEFAULT_U);
         let s = Summary::collect(queries, |q| {
-            engine.iuq_with(&Issuer::uniform(issuers[q]), range, integ)
+            let request = UncertainRequest::iuq(Issuer::uniform(issuers[q]), range);
+            engine.execute_one(&request.with_integrator(integ))
         });
         rows.push(Row {
             x: 0.0,
@@ -286,7 +288,7 @@ pub fn pruning_strategies(bed: &TestBed) -> Vec<Row> {
                 answer.stats.prob_evals += 1;
                 let mut rng = rand::SeedableRng::seed_from_u64(0);
                 let mut qstats = iloc_core::QueryStats::new();
-                let pi = Integrator::Exact.object_probability(
+                let pi = Integrator::Auto.object_probability(
                     issuer.pdf(),
                     range,
                     obj.pdf(),

@@ -9,7 +9,7 @@
 //! Figure-11 counterparts; p-expanded still wins and falls with `Qp`.
 
 use iloc_core::integrate::PAPER_MC_SAMPLES_POINT;
-use iloc_core::{CipqStrategy, Integrator, Issuer, RangeSpec};
+use iloc_core::{BatchEngine, CipqStrategy, Integrator, Issuer, PointRequest, RangeSpec};
 use iloc_datagen::WorkloadGen;
 
 use crate::config::{TestBed, DEFAULT_U, DEFAULT_W};
@@ -26,13 +26,9 @@ pub fn run(bed: &TestBed) -> Vec<Row> {
     for &qp in &QP_SWEEP {
         let issuers = WorkloadGen::new(1300).issuer_regions(bed.scale.mc_queries, DEFAULT_U);
         let s_mink = Summary::collect(bed.scale.mc_queries, |q| {
-            bed.california.cipq_with(
-                &Issuer::gaussian(issuers[q]),
-                range,
-                qp,
-                CipqStrategy::MinkowskiSum,
-                mc,
-            )
+            let issuer = Issuer::gaussian(issuers[q]);
+            let request = PointRequest::cipq(issuer, range, qp, CipqStrategy::MinkowskiSum);
+            bed.california.execute_one(&request.with_integrator(mc))
         });
         rows.push(Row {
             x: qp,
@@ -40,13 +36,9 @@ pub fn run(bed: &TestBed) -> Vec<Row> {
             summary: s_mink,
         });
         let s_pexp = Summary::collect(bed.scale.mc_queries, |q| {
-            bed.california.cipq_with(
-                &Issuer::gaussian(issuers[q]),
-                range,
-                qp,
-                CipqStrategy::PExpanded,
-                mc,
-            )
+            let issuer = Issuer::gaussian(issuers[q]);
+            let request = PointRequest::cipq(issuer, range, qp, CipqStrategy::PExpanded);
+            bed.california.execute_one(&request.with_integrator(mc))
         });
         rows.push(Row {
             x: qp,

@@ -14,8 +14,7 @@ use iloc_uncertainty::{ObjectId, PointObject};
 use crate::expand::p_expanded_query;
 use crate::integrate::Integrator;
 use crate::pipeline::{
-    execute_batch, AcceptPolicy, BatchEngine, EvaluatorKind, ExecutionContext, PointRequest,
-    PreparedQuery, PruneChain, QueryPipeline, RectFilter,
+    BatchEngine, EvaluatorKind, ExecutionContext, PointRequest, PreparedQuery, QueryPipeline,
 };
 use crate::query::{CipqStrategy, Issuer, RangeSpec};
 use crate::result::QueryAnswer;
@@ -163,11 +162,9 @@ impl PointEngine {
         self.table.find(id)
     }
 
-    /// Raw R-tree filter results — indices into [`Self::objects`] whose
-    /// locations fall inside `filter`, pushed into `out`; the probe's
-    /// DFS runs on `scratch`. What a standing query's safe envelope
-    /// probes with.
-    pub fn raw_candidates_scratch(
+    /// Probes the R-tree with `filter`, pushing the slots of the
+    /// objects inside it into `out`; the DFS runs on `scratch`.
+    pub(crate) fn probe_into(
         &self,
         filter: Rect,
         stats: &mut iloc_index::AccessStats,
@@ -177,76 +174,47 @@ impl PointEngine {
         self.tree.query_range_scratch(filter, stats, scratch, out);
     }
 
-    /// Assembles and runs one pipeline through the caller's context:
-    /// R-tree filter with `filter`, no pruning (point objects carry no
-    /// catalogs), `refine`, and `accept`.
-    fn run_into(
+    /// Assembles and runs the plan of one request by `method`: the
+    /// R-tree probed with the Minkowski sum (Lemma 1), or with the
+    /// `p`-expanded query when a C-IPQ asks for it; no pruning (point
+    /// objects carry no catalogs); the request's accept policy.
+    fn execute_by(
         &self,
-        query: PreparedQuery<'_>,
-        filter: Rect,
-        refine: EvaluatorKind,
-        accept: AcceptPolicy,
+        request: &PointRequest,
+        method: EvaluatorKind,
         ctx: &mut ExecutionContext,
         answer: &mut QueryAnswer,
     ) {
+        ctx.prepare(request.integrator);
+        let query = PreparedQuery::new(&request.issuer, request.range);
+        let filter = match request.constraint {
+            None => query.expanded,
+            Some(c) => {
+                assert!((0.0..=1.0).contains(&c.qp), "threshold must be in [0, 1]");
+                match c.strategy {
+                    CipqStrategy::MinkowskiSum => query.expanded,
+                    CipqStrategy::PExpanded => {
+                        p_expanded_query(&request.issuer, request.range, c.qp)
+                    }
+                }
+            }
+        };
         QueryPipeline {
             query,
             objects: self.objects(),
-            filter: RectFilter {
-                index: &self.tree,
-                query: filter,
-            },
-            prune: PruneChain::none(),
-            refine,
-            accept,
+            prune: None,
+            refine: method,
+            accept: request.accept(),
         }
-        .execute_into(ctx, answer)
-    }
-
-    /// One-shot wrapper over [`Self::run_into`] with a fresh context.
-    fn run(
-        &self,
-        query: PreparedQuery<'_>,
-        filter: Rect,
-        refine: EvaluatorKind,
-        accept: AcceptPolicy,
-        integrator: Integrator,
-    ) -> QueryAnswer {
-        let mut answer = QueryAnswer::default();
-        self.run_into(
-            query,
-            filter,
-            refine,
-            accept,
-            &mut ExecutionContext::new(integrator),
-            &mut answer,
-        );
-        answer
+        .execute_into(ctx, answer, |stats, scratch, out| {
+            self.probe_into(filter, stats, scratch, out)
+        });
     }
 
     /// **IPQ** (Definition 3) via the enhanced pipeline: Minkowski-sum
     /// filter (Lemma 1) + exact duality refinement (Lemma 3).
     pub fn ipq(&self, issuer: &Issuer, range: RangeSpec) -> QueryAnswer {
-        self.ipq_with(issuer, range, Integrator::Auto)
-    }
-
-    /// IPQ with an explicit integrator (the experiments use
-    /// [`Integrator::MonteCarlo`] to reproduce the paper's non-uniform
-    /// timings).
-    pub fn ipq_with(
-        &self,
-        issuer: &Issuer,
-        range: RangeSpec,
-        integrator: Integrator,
-    ) -> QueryAnswer {
-        let query = PreparedQuery::new(issuer, range);
-        self.run(
-            query,
-            query.expanded,
-            EvaluatorKind::Duality,
-            AcceptPolicy::Positive,
-            integrator,
-        )
+        self.execute_one(&PointRequest::ipq(issuer.clone(), range))
     }
 
     /// IPQ via the **basic method** (Section 3.3, Eq. 2): numerical
@@ -254,14 +222,14 @@ impl PointEngine {
     /// `per_axis` controls the sampling grid (the paper's "set of
     /// sampling points").
     pub fn ipq_basic(&self, issuer: &Issuer, range: RangeSpec, per_axis: usize) -> QueryAnswer {
-        let query = PreparedQuery::new(issuer, range);
-        self.run(
-            query,
-            query.expanded,
+        let mut answer = QueryAnswer::default();
+        self.execute_by(
+            &PointRequest::ipq(issuer.clone(), range),
             EvaluatorKind::Basic { per_axis },
-            AcceptPolicy::Positive,
-            Integrator::Auto,
-        )
+            &mut ExecutionContext::new(Integrator::Auto),
+            &mut answer,
+        );
+        answer
     }
 
     /// **C-IPQ** (Definition 5): objects with `pi ≥ qp`, with the
@@ -273,62 +241,7 @@ impl PointEngine {
         qp: f64,
         strategy: CipqStrategy,
     ) -> QueryAnswer {
-        self.cipq_with(issuer, range, qp, strategy, Integrator::Auto)
-    }
-
-    /// C-IPQ with an explicit integrator (Figure 13 uses Monte-Carlo).
-    pub fn cipq_with(
-        &self,
-        issuer: &Issuer,
-        range: RangeSpec,
-        qp: f64,
-        strategy: CipqStrategy,
-        integrator: Integrator,
-    ) -> QueryAnswer {
-        let mut answer = QueryAnswer::default();
-        self.cipq_into(
-            issuer,
-            range,
-            qp,
-            strategy,
-            &mut ExecutionContext::new(integrator),
-            &mut answer,
-        );
-        answer
-    }
-
-    /// C-IPQ through the caller's context — the single place that maps
-    /// a constraint to its filter rectangle, shared by the one-shot
-    /// API and the batch executor.
-    fn cipq_into(
-        &self,
-        issuer: &Issuer,
-        range: RangeSpec,
-        qp: f64,
-        strategy: CipqStrategy,
-        ctx: &mut ExecutionContext,
-        answer: &mut QueryAnswer,
-    ) {
-        assert!((0.0..=1.0).contains(&qp), "threshold must be in [0, 1]");
-        let query = PreparedQuery::new(issuer, range);
-        let filter = match strategy {
-            CipqStrategy::MinkowskiSum => query.expanded,
-            CipqStrategy::PExpanded => p_expanded_query(issuer, range, qp),
-        };
-        self.run_into(
-            query,
-            filter,
-            EvaluatorKind::Duality,
-            AcceptPolicy::AtLeast(qp),
-            ctx,
-            answer,
-        );
-    }
-
-    /// Answers a request slice in parallel on all cores; answers are
-    /// bit-identical to issuing each request sequentially.
-    pub fn execute_batch(&self, requests: &[PointRequest]) -> Vec<QueryAnswer> {
-        execute_batch(self, requests)
+        self.execute_one(&PointRequest::cipq(issuer.clone(), range, qp, strategy))
     }
 }
 
@@ -341,28 +254,7 @@ impl BatchEngine for PointEngine {
         ctx: &mut ExecutionContext,
         answer: &mut QueryAnswer,
     ) {
-        ctx.prepare(request.integrator);
-        match request.constraint {
-            None => {
-                let query = PreparedQuery::new(&request.issuer, request.range);
-                self.run_into(
-                    query,
-                    query.expanded,
-                    EvaluatorKind::Duality,
-                    AcceptPolicy::Positive,
-                    ctx,
-                    answer,
-                );
-            }
-            Some(c) => self.cipq_into(
-                &request.issuer,
-                request.range,
-                c.qp,
-                c.strategy,
-                ctx,
-                answer,
-            ),
-        }
+        self.execute_by(request, EvaluatorKind::Duality, ctx, answer);
     }
 }
 

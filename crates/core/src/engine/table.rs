@@ -25,7 +25,7 @@ use std::sync::Arc;
 use iloc_index::Pages;
 use iloc_uncertainty::ObjectId;
 
-use crate::pipeline::PipelineObject;
+use crate::pipeline::CatalogObject;
 
 /// Sub-maps of an [`IdMap`]. A power of two; at the paper's catalog
 /// sizes a sub-map holds 30–60 ids, half a kilobyte to copy on a
@@ -144,7 +144,7 @@ pub(crate) struct ObjectTable<O> {
     ids: IdMap,
 }
 
-impl<O: PipelineObject + Clone> ObjectTable<O> {
+impl<O: CatalogObject> ObjectTable<O> {
     /// The table holding `objects` in order, object `k` in slot `k`.
     ///
     /// # Panics
@@ -155,7 +155,7 @@ impl<O: PipelineObject + Clone> ObjectTable<O> {
             u32::try_from(objects.len()).is_ok(),
             "object slots are 32-bit"
         );
-        let ids = IdMap::from_ids(objects.iter().map(|o| o.object_id()));
+        let ids = IdMap::from_ids(objects.iter().map(|o| o.id()));
         ObjectTable {
             objects: objects.into_iter().collect(),
             ids,
@@ -183,7 +183,7 @@ impl<O: PipelineObject + Clone> ObjectTable<O> {
     pub fn live(&self) -> impl Iterator<Item = (u32, &O)> + '_ {
         (0u32..)
             .zip(&self.objects)
-            .filter(|&(slot, object)| self.ids.get(object.object_id()) == Some(slot))
+            .filter(|&(slot, object)| self.ids.get(object.id()) == Some(slot))
     }
 
     /// The live object with this id, if present.
@@ -195,7 +195,7 @@ impl<O: PipelineObject + Clone> ObjectTable<O> {
     /// the live object with that id — replaced, and returned too — or
     /// else a new last slot.
     pub fn upsert(&mut self, object: O) -> (u32, Option<O>) {
-        let id = object.object_id();
+        let id = object.id();
         if let Some(slot) = self.ids.get(id) {
             let held = self
                 .objects

@@ -24,8 +24,8 @@ use iloc_uncertainty::{ObjectId, PdfKind, UncertainObject};
 use crate::eval::constrained::PruneContext;
 use crate::integrate::Integrator;
 use crate::pipeline::{
-    execute_batch, AcceptPolicy, BatchEngine, EvaluatorKind, ExecutionContext, PreparedQuery,
-    PruneChain, PtiFilter, QueryPipeline, RectFilter, StoredBounds, UncertainRequest,
+    BatchEngine, EvaluatorKind, ExecutionContext, PreparedQuery, QueryPipeline, StoredBounds,
+    UncertainRequest,
 };
 use crate::query::{CiuqStrategy, Issuer, RangeSpec};
 use crate::result::QueryAnswer;
@@ -189,11 +189,12 @@ impl UncertainEngine {
         self.table.find(id)
     }
 
-    /// Allocation-free variant of [`Self::raw_candidates`]: candidates
-    /// are pushed into `out`, the probe's DFS runs on `scratch`.
-    pub fn raw_candidates_scratch(
+    /// Probes the PTI at threshold 0 — the plain R-tree over the
+    /// uncertainty regions — with `filter`, pushing the slots of the
+    /// objects overlapping it into `out`; the DFS runs on `scratch`.
+    pub(crate) fn probe_into(
         &self,
-        filter: iloc_geometry::Rect,
+        filter: Rect,
         stats: &mut iloc_index::AccessStats,
         scratch: &mut iloc_index::TraversalScratch,
         out: &mut Vec<u32>,
@@ -228,84 +229,73 @@ impl UncertainEngine {
         self.stored_bounds().of(slot)
     }
 
-    /// Runs one Minkowski-filtered pipeline — the PTI probed at
-    /// threshold 0, no pruning — through the caller's context (IUQ and
-    /// the C-IUQ baseline share this; the PTI plan builds its own
-    /// filter + pruning chain in [`Self::ciuq_into`]).
-    fn run_rtree_into(
+    /// Assembles and runs the plan of one request by `method`. IUQ and
+    /// the paper's C-IUQ baseline probe the PTI at threshold 0 with the
+    /// Minkowski sum and refine every candidate; the PTI plan runs the
+    /// threshold probe (Section 5.3) and the Section 5.2 pruning stack.
+    fn execute_by(
         &self,
-        query: PreparedQuery<'_>,
-        refine: EvaluatorKind,
-        accept: AcceptPolicy,
+        request: &UncertainRequest,
+        method: EvaluatorKind,
         ctx: &mut ExecutionContext,
         answer: &mut QueryAnswer,
     ) {
-        QueryPipeline {
+        ctx.prepare(request.integrator);
+        let query = PreparedQuery::new(&request.issuer, request.range);
+        let mut plan = QueryPipeline {
             query,
             objects: self.objects(),
-            filter: RectFilter {
-                index: &self.pti,
-                query: query.expanded,
-            },
-            prune: PruneChain::none(),
-            refine,
-            accept,
+            prune: None,
+            refine: method,
+            accept: request.accept(),
+        };
+        if let Some(c) = request.constraint {
+            assert!((0.0..=1.0).contains(&c.qp), "threshold must be in [0, 1]");
         }
-        .execute_into(ctx, answer)
-    }
-
-    /// One-shot wrapper over [`Self::run_rtree_into`].
-    fn run_rtree(
-        &self,
-        query: PreparedQuery<'_>,
-        refine: EvaluatorKind,
-        accept: AcceptPolicy,
-        integrator: Integrator,
-    ) -> QueryAnswer {
-        let mut answer = QueryAnswer::default();
-        self.run_rtree_into(
-            query,
-            refine,
-            accept,
-            &mut ExecutionContext::new(integrator),
-            &mut answer,
-        );
-        answer
+        match request.constraint {
+            // At `qp = 0` no object can ever be pruned (every test
+            // bounds `pi` by a positive level), so the plan prunes
+            // nothing, and the `Qp`-expanded query is `R ⊕ U0` itself.
+            Some(c) if c.strategy == CiuqStrategy::PtiPExpanded => {
+                let mut p_expanded = query.expanded;
+                if c.qp > 0.0 {
+                    let prune = PruneContext::new(&request.issuer, request.range, c.qp);
+                    p_expanded = prune.p_expanded;
+                    plan.prune = Some((prune, self.stored_bounds()));
+                }
+                let probe = PtiQuery {
+                    expanded: query.expanded,
+                    p_expanded,
+                    threshold: c.qp,
+                };
+                plan.execute_into(ctx, answer, |stats, scratch, out| {
+                    self.pti.query_scratch(&probe, stats, scratch, out)
+                })
+            }
+            _ => plan.execute_into(ctx, answer, |stats, scratch, out| {
+                self.probe_into(query.expanded, stats, scratch, out)
+            }),
+        }
     }
 
     /// **IUQ** (Definition 4) via the enhanced pipeline: Minkowski
     /// filter + Lemma 4 refinement with the best available integrator.
     pub fn iuq(&self, issuer: &Issuer, range: RangeSpec) -> QueryAnswer {
-        self.iuq_with(issuer, range, Integrator::Auto)
-    }
-
-    /// IUQ with an explicit integrator.
-    pub fn iuq_with(
-        &self,
-        issuer: &Issuer,
-        range: RangeSpec,
-        integrator: Integrator,
-    ) -> QueryAnswer {
-        let query = PreparedQuery::new(issuer, range);
-        self.run_rtree(
-            query,
-            EvaluatorKind::Duality,
-            AcceptPolicy::Positive,
-            integrator,
-        )
+        self.execute_one(&UncertainRequest::iuq(issuer.clone(), range))
     }
 
     /// IUQ via the **basic method** (Section 3.3, Eq. 4): numerical
     /// integration over the issuer region for every candidate — the
     /// slow baseline of Figure 8.
     pub fn iuq_basic(&self, issuer: &Issuer, range: RangeSpec, per_axis: usize) -> QueryAnswer {
-        let query = PreparedQuery::new(issuer, range);
-        self.run_rtree(
-            query,
+        let mut answer = QueryAnswer::default();
+        self.execute_by(
+            &UncertainRequest::iuq(issuer.clone(), range),
             EvaluatorKind::Basic { per_axis },
-            AcceptPolicy::Positive,
-            Integrator::Auto,
-        )
+            &mut ExecutionContext::new(Integrator::Auto),
+            &mut answer,
+        );
+        answer
     }
 
     /// **C-IUQ** (Definition 6): objects with `pi ≥ qp`, with the index
@@ -318,90 +308,7 @@ impl UncertainEngine {
         qp: f64,
         strategy: CiuqStrategy,
     ) -> QueryAnswer {
-        self.ciuq_with(issuer, range, qp, strategy, Integrator::Auto)
-    }
-
-    /// C-IUQ with an explicit integrator.
-    pub fn ciuq_with(
-        &self,
-        issuer: &Issuer,
-        range: RangeSpec,
-        qp: f64,
-        strategy: CiuqStrategy,
-        integrator: Integrator,
-    ) -> QueryAnswer {
-        let mut answer = QueryAnswer::default();
-        self.ciuq_into(
-            issuer,
-            range,
-            qp,
-            strategy,
-            &mut ExecutionContext::new(integrator),
-            &mut answer,
-        );
-        answer
-    }
-
-    /// C-IUQ through the caller's context (prepared by the caller; the
-    /// pipeline resets it per execution).
-    fn ciuq_into(
-        &self,
-        issuer: &Issuer,
-        range: RangeSpec,
-        qp: f64,
-        strategy: CiuqStrategy,
-        ctx: &mut ExecutionContext,
-        answer: &mut QueryAnswer,
-    ) {
-        assert!((0.0..=1.0).contains(&qp), "threshold must be in [0, 1]");
-        let query = PreparedQuery::new(issuer, range);
-        match strategy {
-            // The paper's baseline: Minkowski filter on the plain
-            // R-tree (the PTI at threshold 0), no pruning — every
-            // candidate is refined.
-            CiuqStrategy::RTreeMinkowski => self.run_rtree_into(
-                query,
-                EvaluatorKind::Duality,
-                AcceptPolicy::AtLeast(qp),
-                ctx,
-                answer,
-            ),
-            // PTI filter + the Section 5.2 object-level pruning chain.
-            // At `qp = 0` no object can ever be pruned (every test
-            // bounds `pi` by a positive level), so the chain is empty,
-            // and the `Qp`-expanded query is `R ⊕ U0` itself.
-            CiuqStrategy::PtiPExpanded => {
-                let (p_expanded, prune) = if qp > 0.0 {
-                    let prune = PruneContext::new(issuer, range, qp);
-                    let chain = PruneChain::section_5_2(prune, self.stored_bounds());
-                    (prune.p_expanded, chain)
-                } else {
-                    (query.expanded, PruneChain::none())
-                };
-                QueryPipeline {
-                    query,
-                    objects: self.objects(),
-                    filter: PtiFilter {
-                        index: &self.pti,
-                        query: PtiQuery {
-                            expanded: query.expanded,
-                            p_expanded,
-                            threshold: qp,
-                        },
-                    },
-                    prune,
-                    refine: EvaluatorKind::Duality,
-                    accept: AcceptPolicy::AtLeast(qp),
-                }
-                .execute_into(ctx, answer)
-            }
-        }
-    }
-
-    /// Answers a request slice in parallel on all cores; answers are
-    /// bit-identical to issuing each request sequentially.
-    pub fn execute_batch(&self, requests: &[UncertainRequest]) -> Vec<QueryAnswer> {
-        execute_batch(self, requests)
+        self.execute_one(&UncertainRequest::ciuq(issuer.clone(), range, qp, strategy))
     }
 }
 
@@ -414,27 +321,7 @@ impl BatchEngine for UncertainEngine {
         ctx: &mut ExecutionContext,
         answer: &mut QueryAnswer,
     ) {
-        ctx.prepare(request.integrator);
-        match request.constraint {
-            None => {
-                let query = PreparedQuery::new(&request.issuer, request.range);
-                self.run_rtree_into(
-                    query,
-                    EvaluatorKind::Duality,
-                    AcceptPolicy::Positive,
-                    ctx,
-                    answer,
-                )
-            }
-            Some(c) => self.ciuq_into(
-                &request.issuer,
-                request.range,
-                c.qp,
-                c.strategy,
-                ctx,
-                answer,
-            ),
-        }
+        self.execute_by(request, EvaluatorKind::Duality, ctx, answer);
     }
 }
 

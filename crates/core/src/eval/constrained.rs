@@ -279,7 +279,7 @@ mod tests {
                 pruned += 1;
                 let mut stats = QueryStats::new();
                 let mut r = StdRng::seed_from_u64(trial);
-                let pi = Integrator::Exact.object_probability(
+                let pi = Integrator::Auto.object_probability(
                     issuer.pdf(),
                     range,
                     o.pdf(),
@@ -320,7 +320,7 @@ mod tests {
         // object: x ∈ [72, 300]: l(0.4) = 72+91.2=163.2, overlap =
         // [72, 110] ≤ 163.2 → inside left 0.4-tail ✓; l(0.3) =
         // 72+68.4 = 140.4 → also inside 0.3 tail... that would fire S1.
-        // S1 uses best_at_most(0.3) = level 0.3: overlap [72,110] is
+        // S1 uses the stored level 0.3: overlap [72,110] is
         // left of l(0.3)=140.4 → S1 fires first. To *demonstrate* S3 we
         // need the S1 level-0.3 test to fail: overlap must cross
         // l(0.3) but stay under l(0.4). l(0.3)=72+0.3·W,

@@ -15,52 +15,32 @@
 //! legitimately clipped to the expanded query because `Q` vanishes
 //! outside it (Lemma 1).
 //!
-//! The functions here are the lemma-level API; the [`crate::integrate`]
-//! module supplies the interchangeable numerical backends.
-
-use iloc_geometry::{Point, Rect};
-use iloc_uncertainty::LocationPdf;
-
-use crate::query::RangeSpec;
-
-/// Lemma 2 predicate: does the point at `object` satisfy a range query
-/// of shape `range` centred at `issuer_pos`?
-///
-/// Exposed so tests (and the property suite) can check the duality
-/// symmetry directly.
-#[inline]
-pub fn satisfies(issuer_pos: Point, object: Point, range: RangeSpec) -> bool {
-    range.at(issuer_pos).contains_point(object)
-}
-
-/// Lemma 3: exact IPQ qualification probability of the point object at
-/// `loc`, for **any** issuer pdf, as the issuer-pdf mass of the dual
-/// query rectangle `R(loc)`.
-#[inline]
-pub fn point_probability(issuer_pdf: &dyn LocationPdf, range: RangeSpec, loc: Point) -> f64 {
-    issuer_pdf.prob_in_rect(range.at(loc))
-}
-
-/// `Q(x, y)` of Lemma 4: the qualification probability of the *point*
-/// `(x, y)` — the inner factor of the IUQ integral.
-#[inline]
-pub fn q_factor(issuer_pdf: &dyn LocationPdf, range: RangeSpec, p: Point) -> f64 {
-    issuer_pdf.prob_in_rect(range.at(p))
-}
-
-/// Lemma 1 corollary used by Lemma 4: `Q` vanishes outside `R ⊕ U0`.
-#[inline]
-pub fn q_vanishes_outside(expanded: Rect, p: Point) -> bool {
-    !expanded.contains_point(p)
-}
+//! The engines evaluate both lemmas through [`crate::integrate::Integrator`]
+//! (`point_probability` for Lemma 3, `object_probability` for Lemma 4),
+//! with the dual rectangle [`RangeSpec::at`](crate::query::RangeSpec::at);
+//! the tests here hold that arithmetic to the lemmas.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::integrate::Integrator;
+    use crate::query::RangeSpec;
+    use crate::stats::QueryStats;
     use iloc_geometry::minkowski::expand_query;
-    use iloc_uncertainty::UniformPdf;
+    use iloc_geometry::{Point, Rect};
+    use iloc_uncertainty::{LocationPdf, PdfKind, UniformPdf};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Lemma 3 as the engines compute it.
+    fn point_probability(issuer: &PdfKind, range: RangeSpec, loc: Point) -> f64 {
+        Integrator::Auto.point_probability(
+            issuer,
+            range,
+            loc,
+            &mut StdRng::seed_from_u64(0),
+            &mut QueryStats::new(),
+        )
+    }
 
     #[test]
     fn lemma2_symmetry_on_random_pairs() {
@@ -70,8 +50,8 @@ mod tests {
             let b = Point::new(rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0));
             let range = RangeSpec::new(rng.gen_range(0.0..30.0), rng.gen_range(0.0..30.0));
             assert_eq!(
-                satisfies(a, b, range),
-                satisfies(b, a, range),
+                range.at(a).contains_point(b),
+                range.at(b).contains_point(a),
                 "duality violated for {a} / {b}"
             );
         }
@@ -84,7 +64,7 @@ mod tests {
         let issuer = UniformPdf::new(Rect::from_coords(10.0, 10.0, 60.0, 40.0));
         let range = RangeSpec::new(12.0, 8.0);
         let loc = Point::new(65.0, 25.0);
-        let dual = point_probability(&issuer, range, loc);
+        let dual = point_probability(&issuer.clone().into(), range, loc);
 
         let n = 600;
         let u0 = issuer.region();
@@ -96,7 +76,8 @@ mod tests {
                     u0.min.x + (i as f64 + 0.5) * dx,
                     u0.min.y + (j as f64 + 0.5) * dy,
                 );
-                if satisfies(c, loc, range) {
+                // Eq. 2: the query centred at the issuer's position c.
+                if range.at(c).contains_point(loc) {
                     acc += issuer.density(c) * dx * dy;
                 }
             }
@@ -111,7 +92,7 @@ mod tests {
         let issuer = UniformPdf::new(u0);
         let range = RangeSpec::square(10.0);
         let loc = Point::new(25.0, 10.0);
-        let p = point_probability(&issuer, range, loc);
+        let p = point_probability(&issuer.into(), range, loc);
         let expect = range.at(loc).intersection_area(u0) / u0.area();
         assert!((p - expect).abs() < 1e-12);
         // This particular geometry: R(loc) = [15,35]×[0,20] → overlap
@@ -121,15 +102,16 @@ mod tests {
 
     #[test]
     fn q_vanishes_outside_expanded_query() {
+        // Lemma 4's Q(x, y) is Lemma 3 at the point (x, y).
         let issuer = UniformPdf::new(Rect::from_coords(0.0, 0.0, 10.0, 10.0));
         let range = RangeSpec::square(5.0);
         let expanded = expand_query(issuer.region(), range.w, range.h);
         let mut rng = StdRng::seed_from_u64(22);
         for _ in 0..2_000 {
             let p = Point::new(rng.gen_range(-40.0..50.0), rng.gen_range(-40.0..50.0));
-            if q_vanishes_outside(expanded, p) {
+            if !expanded.contains_point(p) {
                 assert_eq!(
-                    q_factor(&issuer, range, p),
+                    issuer.prob_in_rect(range.at(p)),
                     0.0,
                     "Q must vanish outside R ⊕ U0 at {p}"
                 );

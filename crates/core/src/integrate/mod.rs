@@ -40,13 +40,6 @@ pub enum Integrator {
     /// objects via its closed rectangle mass); Monte-Carlo with the
     /// paper's sample counts otherwise.
     Auto,
-    /// Closed forms only.
-    ///
-    /// Point objects accept any issuer pdf (Lemma 3 needs one
-    /// rectangle-mass lookup, exact for every pdf in this workspace);
-    /// uncertain objects require **both** pdfs uniform (Eq. 8
-    /// separability). Panics otherwise — ask for `Auto` instead.
-    Exact,
     /// Midpoint-rule quadrature with `per_axis`² cells over the
     /// integration domain.
     Grid {
@@ -78,7 +71,7 @@ impl Integrator {
     ) -> f64 {
         stats.prob_evals += 1;
         match *self {
-            Integrator::Auto | Integrator::Exact => issuer_pdf.prob_in_rect(range.at(loc)),
+            Integrator::Auto => issuer_pdf.prob_in_rect(range.at(loc)),
             Integrator::Grid { per_axis } => {
                 grid::point_probability(issuer_pdf, range, loc, per_axis, stats)
             }
@@ -134,15 +127,6 @@ impl Integrator {
                     ),
                 }
             }
-            Integrator::Exact => {
-                let u0 = issuer_pdf
-                    .uniform_region()
-                    .expect("Integrator::Exact requires a uniform issuer pdf for IUQ");
-                let ui = object_pdf
-                    .uniform_region()
-                    .expect("Integrator::Exact requires uniform object pdfs for IUQ");
-                closed::uniform_uniform(u0, ui, range, expanded)
-            }
             Integrator::Grid { per_axis } => {
                 grid::object_probability(issuer_pdf, range, object_pdf, expanded, per_axis, stats)
             }
@@ -173,14 +157,7 @@ mod tests {
         let expanded = expand_query(issuer.region(), range.w, range.h);
 
         let mut stats = QueryStats::new();
-        let exact = Integrator::Exact.object_probability(
-            &issuer,
-            range,
-            &object,
-            expanded,
-            &mut rng(),
-            &mut stats,
-        );
+        let exact = closed::uniform_uniform(issuer.region(), object.region(), range, expanded);
         let gridv = Integrator::Grid { per_axis: 200 }.object_probability(
             &issuer,
             range,
@@ -224,8 +201,7 @@ mod tests {
         let range = RangeSpec::square(40.0);
         let loc = Point::new(100.0, 60.0);
         let mut stats = QueryStats::new();
-        let exact =
-            Integrator::Exact.point_probability(&issuer, range, loc, &mut rng(), &mut stats);
+        let exact = Integrator::Auto.point_probability(&issuer, range, loc, &mut rng(), &mut stats);
         let gridv = Integrator::Grid { per_axis: 300 }.point_probability(
             &issuer,
             range,
@@ -246,26 +222,6 @@ mod tests {
             "grid {gridv} vs exact {exact}"
         );
         assert!((mcv - exact).abs() < 0.01, "mc {mcv} vs exact {exact}");
-    }
-
-    #[test]
-    #[should_panic(expected = "uniform")]
-    fn exact_rejects_gaussian_object() {
-        let issuer = PdfKind::from(UniformPdf::new(Rect::from_coords(0.0, 0.0, 10.0, 10.0)));
-        let object = PdfKind::from(TruncatedGaussianPdf::paper_default(Rect::from_coords(
-            5.0, 5.0, 15.0, 15.0,
-        )));
-        let range = RangeSpec::square(2.0);
-        let expanded = expand_query(issuer.region(), 2.0, 2.0);
-        let mut stats = QueryStats::new();
-        let _ = Integrator::Exact.object_probability(
-            &issuer,
-            range,
-            &object,
-            expanded,
-            &mut rng(),
-            &mut stats,
-        );
     }
 
     #[test]

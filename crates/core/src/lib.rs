@@ -20,15 +20,15 @@
 //!   integration over the issuer region (Eq. 2 / Eq. 4).
 //! * [`expand`] — query expansion: the Minkowski sum `R ⊕ U0`
 //!   (Lemma 1) and the `p`-expanded-query (Definition 7 + Lemma 5).
-//! * [`eval::duality`] — the query–data duality theorem (Lemmas 2–4),
+//! * the query–data duality theorem (Lemmas 2–4, [`eval::duality`]),
 //!   which collapses IPQ to one rectangle-mass lookup and IUQ to a
 //!   single integral over `Ui ∩ (R ⊕ U0)` — exactly separable for
-//!   uniform pdfs (Eq. 6 / Eq. 8).
+//!   uniform pdfs (Eq. 6 / Eq. 8) — evaluated by the [`integrate`]
+//!   back-ends.
 //! * [`eval::constrained`] — the three C-IUQ pruning strategies of
 //!   Section 5.2 built on p-bounds and U-catalogs.
 //! * [`pipeline`] — the **unified query-execution pipeline**: every
-//!   query type runs the same explicit filter → prune → refine plan,
-//!   batchable across all cores with [`pipeline::execute_batch`].
+//!   query type runs the same explicit filter → prune → refine plan.
 //! * [`engine`] — [`engine::PointEngine`] and
 //!   [`engine::UncertainEngine`], thin facades that tie the pipeline to
 //!   the spatial indexes (R-tree, PTI) of `iloc-index`, maintained
@@ -69,28 +69,24 @@ pub use durable::{
 pub use engine::{PointEngine, UncertainEngine};
 pub use expand::{minkowski_query, p_expanded_query};
 pub use integrate::Integrator;
-pub use pipeline::{
-    execute_batch, BatchEngine, ExecutionContext, PointRequest, QueryPipeline, UncertainRequest,
-};
+pub use pipeline::{BatchEngine, ExecutionContext, PointRequest, QueryPipeline, UncertainRequest};
 pub use quality::{assess, QualityReport};
 pub use query::{CipqStrategy, CiuqStrategy, Issuer, RangeSpec};
 pub use result::{merge_partials_into, sort_matches, Match, QueryAnswer};
 pub use serve::{ServeEngine, ShardServer, ShardedEngine, Snapshot, Update};
 pub use stats::QueryStats;
-pub use subscribe::{AnswerDelta, ContinuousEngine, SubId, SubscriptionRegistry};
+pub use subscribe::{AnswerDelta, SubId, SubscriptionRegistry};
 
 /// Glob-import surface for applications.
 pub mod prelude {
     pub use crate::durable::{DurableCatalog, FsyncPolicy, StoreConfig};
     pub use crate::engine::{PointEngine, UncertainEngine};
     pub use crate::integrate::Integrator;
-    pub use crate::pipeline::{
-        execute_batch, BatchEngine, ExecutionContext, PointRequest, UncertainRequest,
-    };
+    pub use crate::pipeline::{BatchEngine, ExecutionContext, PointRequest, UncertainRequest};
     pub use crate::quality::{assess, QualityReport};
     pub use crate::query::{CipqStrategy, CiuqStrategy, Issuer, RangeSpec};
     pub use crate::result::{Match, QueryAnswer};
     pub use crate::serve::{ServeEngine, ShardServer, ShardedEngine, Snapshot, Update};
     pub use crate::stats::QueryStats;
-    pub use crate::subscribe::{AnswerDelta, ContinuousEngine, SubId, SubscriptionRegistry};
+    pub use crate::subscribe::{AnswerDelta, SubId, SubscriptionRegistry};
 }

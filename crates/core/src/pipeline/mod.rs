@@ -1,89 +1,77 @@
 //! The unified query-execution pipeline.
 //!
 //! Both of the paper's engines answer every query with the same shape
-//! of plan — **filter → prune → refine** — which earlier versions of
-//! this workspace had duplicated (with small variations) inside
-//! `PointEngine` and `UncertainEngine`. This module makes the plan an
-//! explicit, composable object so the two engines become thin facades
-//! and later scaling work (sharding, caching, async serving) has one
-//! seam to plug into.
+//! of plan — **filter → prune → refine**. Each engine assembles it in
+//! one place (`execute_one_into`); the paper-named methods (`ipq`,
+//! `cipq`, `iuq`, `ciuq`) are shells over that, and so is the basic
+//! method of Section 3.3 (`ipq_basic`, `iuq_basic`).
 //!
 //! ## Stages ↔ paper sections
 //!
-//! | Stage | Type | Paper |
+//! | Stage | In a [`QueryPipeline`] | Paper |
 //! |-------|------|-------|
-//! | **Filter** | [`FilterStage`]: [`RectFilter`] over any [`iloc_index::RangeIndex`] backend (R-tree, naive scan) probed with the Minkowski sum `R ⊕ U0` (Lemma 1, Section 4.1) or a `p`-expanded query (Definition 7 + Lemma 5); [`PtiFilter`] for the PTI's node-level pruning (Section 5.3) | 4.1, 5.1, 5.3 |
-//! | **Prune** | [`PruneChain`]: the three object-level pruning strategies for constrained queries, each recording its eliminations in [`QueryStats`] (`pruned_s1`/`s2`/`s3`) | 5.2 |
-//! | **Refine** | [`EvaluatorKind`] (static dispatch over the two [`ProbabilityEvaluator`]s): [`DualityEvaluator`] computes qualification probabilities through the query–data duality closed/numeric forms (Lemmas 2–4) via the context's [`Integrator`]; [`BasicEvaluator`] is the Section 3.3 baseline that integrates over the issuer region (Eq. 2 / Eq. 4) | 3.3, 4.2 |
+//! | **Filter** | the engine's index probe, handed to [`QueryPipeline::execute_into`] as a closure: the R-tree or the PTI at threshold 0 probed with the Minkowski sum `R ⊕ U0` (Lemma 1, Section 4.1) or a `p`-expanded query (Definition 7 + Lemma 5), the PTI's threshold probe with node-level pruning (Section 5.3), or a standing query's cached safe envelope re-checked against `R ⊕ U0` | 4.1, 5.1, 5.3 |
+//! | **Prune** | `prune`: the three object-level pruning strategies for constrained queries over the PTI's [`StoredBounds`], each recording its eliminations in [`QueryStats`] (`pruned_s1`/`s2`/`s3`) | 5.2 |
+//! | **Refine** | `refine`, an [`EvaluatorKind`] dispatched on the object type through [`CatalogObject`]: qualification probabilities through the query–data duality closed/numeric forms (Lemmas 2–4) via the context's [`Integrator`], or the Section 3.3 baseline integrating over the issuer region (Eq. 2 / Eq. 4) | 3.3, 4.2 |
 //!
 //! Execution state (integrator choice, the seeded RNG, the per-query
 //! cost counters and the reusable [`QueryScratch`] buffers) travels in
-//! an [`ExecutionContext`], so a pipeline value itself is immutable
-//! and shareable.
+//! an [`ExecutionContext`], so a pipeline value itself is immutable.
 //!
 //! ## The zero-allocation invariant
 //!
 //! A steady-state query — [`QueryPipeline::execute_into`] through a
 //! warm, reused context into a reused answer — performs **no heap
-//! allocation**: the filter stage writes candidates into the context's
+//! allocation**: the probe writes candidates into the context's
 //! scratch, index probes run on the scratch traversal stack, the
-//! built-in prune chain is held inline, and both refine evaluators are
-//! statically dispatched (`EvaluatorKind` over the concrete
-//! [`iloc_uncertainty::PdfKind`] pdfs). The batched refine stage's SoA
+//! prune stage is held inline, and the refine stage is statically
+//! dispatched over the concrete object and
+//! [`iloc_uncertainty::PdfKind`] types. The batched refine stage's SoA
 //! lane buffers (survivors, probabilities, per-`PdfKind` lanes) live in
 //! the same scratch under the same cleared-never-shrunk discipline.
 //! `loadgen --check-allocs` (the CI smoke jobs, over a real socket) and
 //! `crates/bench/tests/zero_alloc.rs` (under `cargo test`) hold this at
 //! exactly zero; treat an allocation on this path as a regression.
 //!
-//! ## Batching
-//!
-//! [`execute_batch`] runs any slice of requests against a
-//! [`BatchEngine`] on all cores over scoped threads: requests are
-//! chunked per worker, each worker reuses one long-lived context
-//! (reset and reseeded identically for every query), so answers are
-//! **bit-identical** to sequential execution (property-tested in
-//! `tests/pipeline.rs`).
-//!
 //! ```
-//! use iloc_core::pipeline::{execute_batch, PointRequest};
-//! use iloc_core::{Issuer, PointEngine, RangeSpec};
+//! use iloc_core::pipeline::{BatchEngine, ExecutionContext, PointRequest};
+//! use iloc_core::{Integrator, Issuer, PointEngine, QueryAnswer, RangeSpec};
 //! use iloc_geometry::{Point, Rect};
 //!
 //! let engine = PointEngine::build(vec![Point::new(5.0, 5.0)]);
-//! let requests: Vec<PointRequest> = (0..64)
-//!     .map(|k| {
-//!         let c = Point::new(k as f64, 5.0);
-//!         PointRequest::ipq(Issuer::uniform(Rect::centered(c, 2.0, 2.0)), RangeSpec::square(4.0))
-//!     })
-//!     .collect();
-//! let answers = execute_batch(&engine, &requests);
-//! assert_eq!(answers.len(), 64);
+//! // One context and one answer, reused across requests.
+//! let mut ctx = ExecutionContext::new(Integrator::Auto);
+//! let mut answer = QueryAnswer::default();
+//! for k in 0..64 {
+//!     let c = Point::new(k as f64, 5.0);
+//!     let request =
+//!         PointRequest::ipq(Issuer::uniform(Rect::centered(c, 2.0, 2.0)), RangeSpec::square(4.0));
+//!     engine.execute_one_into(&request, &mut ctx, &mut answer);
+//!     // R(5, 5) meets U0 in positive area while k < 11.
+//!     assert_eq!(answer.results.len(), usize::from(k < 11));
+//! }
 //! ```
 
 mod batch;
-mod filter;
 mod prune;
 mod refine;
 
 pub use batch::{
-    execute_batch, execute_batch_sequential, BatchEngine, PointConstraint, PointRequest,
-    UncertainConstraint, UncertainRequest,
+    BatchEngine, Constraint, PointConstraint, PointRequest, QueryRequest, UncertainConstraint,
+    UncertainRequest,
 };
-pub use filter::{FilterStage, PtiFilter, RectFilter};
-pub use prune::{PruneChain, StoredBounds};
-pub use refine::{
-    BasicEvaluator, DualityEvaluator, EvaluatorKind, PipelineObject, ProbabilityEvaluator,
-};
+pub use prune::StoredBounds;
+pub use refine::{CatalogObject, EvaluatorKind};
 
 use std::time::Instant;
 
 use iloc_geometry::Rect;
-use iloc_index::{Pages, TraversalScratch};
+use iloc_index::{AccessStats, Pages, TraversalScratch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::engine::DEFAULT_QUERY_SEED;
+use crate::eval::constrained::PruneContext;
 use crate::expand::minkowski_query;
 use crate::integrate::Integrator;
 use crate::query::{Issuer, RangeSpec};
@@ -216,8 +204,8 @@ impl QueryScratch {
 /// to be **reused**: every execution starts by resetting the
 /// context (zeroed stats, reseeded RNG), so answers through a reused
 /// context are bit-identical to answers through a fresh one, while the
-/// scratch buffers keep their capacity. Batch execution keeps one
-/// long-lived context per worker.
+/// scratch buffers keep their capacity. A serving loop keeps one
+/// long-lived context.
 #[derive(Debug, Clone)]
 pub struct ExecutionContext {
     /// Strategy for the refine stage's probability integrals.
@@ -249,9 +237,8 @@ impl ExecutionContext {
         }
     }
 
-    /// Reconfigures the integrator ahead of the next execution (the
-    /// per-request batch path reuses one context across requests with
-    /// differing integrators).
+    /// Reconfigures the integrator ahead of the next execution (a
+    /// reused context serves requests with differing integrators).
     #[inline]
     pub fn prepare(&mut self, integrator: Integrator) {
         self.integrator = integrator;
@@ -315,44 +302,38 @@ impl AcceptPolicy {
     }
 }
 
-/// One fully-planned query execution: the object table, the three
-/// stages, and the acceptance policy.
+/// One fully-planned query execution over an object table of `O`:
+/// the prepared query, the prune and refine stages, and the acceptance
+/// policy. The filter stage is the probe handed to
+/// [`QueryPipeline::execute_into`].
 ///
-/// Generic over the object type `O` (point or uncertain), the filter
-/// backend `F` (in turn generic over any [`iloc_index::RangeIndex`]
-/// via [`RectFilter`]) and the refine evaluator `E` — by default the
-/// statically-dispatched [`EvaluatorKind`], so the whole per-candidate
-/// loop monomorphises without virtual calls. The plan is immutable;
-/// all mutable state lives in the [`ExecutionContext`].
-pub struct QueryPipeline<'p, O, F, E = EvaluatorKind> {
+/// Everything is monomorphised — the object type, the probe closure —
+/// so the per-candidate loop runs without virtual calls. The plan is
+/// immutable; all mutable state lives in the [`ExecutionContext`].
+pub struct QueryPipeline<'p, O> {
     /// The prepared query shared by every stage.
     pub query: PreparedQuery<'p>,
-    /// The engine's object table; filter output indexes into it.
+    /// The engine's object table; the probe's slots index into it.
     /// Candidates are refined in slot order, so the pages are read in
     /// order too.
     pub objects: &'p Pages<O>,
-    /// Filter stage: index probe producing candidate slots.
-    pub filter: F,
-    /// Prune stage: object-level elimination before any integral.
-    pub prune: PruneChain<'p, O>,
-    /// Refine stage: qualification-probability evaluation.
-    pub refine: E,
+    /// Prune stage: the Section 5.2 strategies (Strategy 2, then 1,
+    /// then 3; the first that fires eliminates the candidate) over the
+    /// candidates' stored bounds, or none — unconstrained queries and
+    /// the paper's R-tree baseline refine every candidate.
+    pub prune: Option<(PruneContext, StoredBounds<'p>)>,
+    /// Refine stage: the qualification-probability method.
+    pub refine: EvaluatorKind,
     /// Acceptance policy applied to refined probabilities.
     pub accept: AcceptPolicy,
 }
 
-impl<O: PipelineObject, F: FilterStage, E: ProbabilityEvaluator<O>> QueryPipeline<'_, O, F, E> {
-    /// Runs filter → prune → refine, returning the answer with its
-    /// cost accounting. Convenience wrapper over
-    /// [`QueryPipeline::execute_into`] that allocates a fresh answer.
-    pub fn execute(&self, ctx: &mut ExecutionContext) -> QueryAnswer {
-        let mut answer = QueryAnswer::default();
-        self.execute_into(ctx, &mut answer);
-        answer
-    }
-
+impl<O: CatalogObject> QueryPipeline<'_, O> {
     /// Runs filter → prune → refine, overwriting `answer` with the
-    /// result and its cost accounting.
+    /// result and its cost accounting. `probe` is the filter stage: it
+    /// pushes candidate slots into the vector it is handed (cleared),
+    /// recording its logical I/O in the stats and walking trees on the
+    /// traversal stack.
     ///
     /// The context is reset first (zeroed stats, reseeded RNG), so
     /// executing through a reused context gives the same answer as
@@ -363,7 +344,12 @@ impl<O: PipelineObject, F: FilterStage, E: ProbabilityEvaluator<O>> QueryPipelin
     /// the scratch traversal stack, and matches stage directly into
     /// the reused `answer.results`. `loadgen --check-allocs` and
     /// `crates/bench/tests/zero_alloc.rs` pin this invariant.
-    pub fn execute_into(&self, ctx: &mut ExecutionContext, answer: &mut QueryAnswer) {
+    pub fn execute_into(
+        &self,
+        ctx: &mut ExecutionContext,
+        answer: &mut QueryAnswer,
+        probe: impl FnOnce(&mut AccessStats, &mut TraversalScratch, &mut Vec<u32>),
+    ) {
         let start = Instant::now();
         ctx.reset();
         answer.results.clear();
@@ -372,7 +358,7 @@ impl<O: PipelineObject, F: FilterStage, E: ProbabilityEvaluator<O>> QueryPipelin
         // refine stage; their capacity survives round trips.
         let mut candidates = std::mem::take(&mut ctx.scratch.candidates);
         candidates.clear();
-        self.filter.candidates_into(
+        probe(
             &mut ctx.stats.access,
             &mut ctx.scratch.traversal,
             &mut candidates,
@@ -391,27 +377,30 @@ impl<O: PipelineObject, F: FilterStage, E: ProbabilityEvaluator<O>> QueryPipelin
         // without pruning (IPQ, IUQ, the Minkowski baselines) refines
         // the candidates as they are.
         let mut kept = std::mem::take(&mut ctx.scratch.survivors);
-        let survivors: &[u32] = if self.prune.is_empty() {
-            &candidates
-        } else {
-            kept.clear();
-            for &slot in &candidates {
-                let object = &self.objects[slot as usize];
-                if !self
-                    .prune
-                    .try_prune(&self.query, slot, object, &mut ctx.stats)
-                {
-                    kept.push(slot);
+        let survivors: &[u32] = match &self.prune {
+            None => &candidates,
+            Some((prune, bounds)) => {
+                kept.clear();
+                for &slot in &candidates {
+                    if !prune::prunes(prune, bounds, slot, &mut ctx.stats) {
+                        kept.push(slot);
+                    }
                 }
+                &kept
             }
-            &kept
         };
         let prune_done = Instant::now();
         ctx.stats.refine_batches[crate::stats::refine_batch_bucket(survivors.len())] += 1;
         // Refine pass: one batched call over the survivors.
         let mut probs = std::mem::take(&mut ctx.scratch.probs);
-        self.refine
-            .probabilities(&self.query, self.objects, survivors, ctx, &mut probs);
+        O::probabilities(
+            self.refine,
+            &self.query,
+            self.objects,
+            survivors,
+            ctx,
+            &mut probs,
+        );
         let refine_done = Instant::now();
         // One up-front growth instead of geometric doubling while the
         // accept loop stages (first batch through a cold answer would
@@ -420,7 +409,7 @@ impl<O: PipelineObject, F: FilterStage, E: ProbabilityEvaluator<O>> QueryPipelin
         for (&slot, &pi) in survivors.iter().zip(&probs) {
             if self.accept.accepts(pi) {
                 answer.results.push(Match {
-                    id: self.objects[slot as usize].object_id(),
+                    id: self.objects[slot as usize].id(),
                     probability: pi,
                 });
             } else {
@@ -443,7 +432,7 @@ impl<O: PipelineObject, F: FilterStage, E: ProbabilityEvaluator<O>> QueryPipelin
 mod tests {
     use super::*;
     use iloc_geometry::Point;
-    use iloc_index::NaiveIndex;
+    use iloc_index::{NaiveIndex, RangeIndex};
     use iloc_uncertainty::PointObject;
 
     fn objects() -> Pages<PointObject> {
@@ -452,36 +441,36 @@ mod tests {
             .collect()
     }
 
-    fn naive_index(objs: &Pages<PointObject>) -> NaiveIndex<u32> {
-        NaiveIndex::new(
+    /// A plan over `objs` and the answer of `execute_into` with a
+    /// probe over a naive scan.
+    fn execute_naive(objs: &Pages<PointObject>, ctx: &mut ExecutionContext) -> QueryAnswer {
+        let index = NaiveIndex::new(
             objs.iter()
                 .enumerate()
                 .map(|(k, o)| (Rect::from_point(o.loc), k as u32))
                 .collect(),
-        )
+        );
+        let issuer = Issuer::uniform(Rect::from_coords(40.0, 40.0, 60.0, 60.0));
+        let query = PreparedQuery::new(&issuer, RangeSpec::square(15.0));
+        let pipeline = QueryPipeline {
+            query,
+            objects: objs,
+            prune: None,
+            refine: EvaluatorKind::Duality,
+            accept: AcceptPolicy::Positive,
+        };
+        let mut answer = QueryAnswer::default();
+        pipeline.execute_into(ctx, &mut answer, |stats, traversal, out| {
+            index.query_range_scratch(query.expanded, stats, traversal, out)
+        });
+        answer
     }
 
     #[test]
     fn pipeline_runs_over_any_range_index_backend() {
         // The same plan executes against a backend the engines never
-        // use — the point of the `RangeIndex`-generic filter stage.
-        let objs = objects();
-        let index = naive_index(&objs);
-        let issuer = Issuer::uniform(Rect::from_coords(40.0, 40.0, 60.0, 60.0));
-        let query = PreparedQuery::new(&issuer, RangeSpec::square(15.0));
-        let pipeline = QueryPipeline {
-            query,
-            objects: &objs,
-            filter: RectFilter {
-                index: &index,
-                query: query.expanded,
-            },
-            prune: PruneChain::none(),
-            refine: EvaluatorKind::Duality,
-            accept: AcceptPolicy::Positive,
-        };
-        let mut ctx = ExecutionContext::new(Integrator::Auto);
-        let answer = pipeline.execute(&mut ctx);
+        // use — the probe is whatever the caller hands over.
+        let answer = execute_naive(&objects(), &mut ExecutionContext::new(Integrator::Auto));
         assert!(!answer.results.is_empty());
         for m in &answer.results {
             assert!(m.probability > 0.0);
@@ -514,26 +503,11 @@ mod tests {
         // through the same context must reseed and reproduce the
         // first answer exactly.
         let objs = objects();
-        let index = naive_index(&objs);
-        let issuer = Issuer::uniform(Rect::from_coords(40.0, 40.0, 60.0, 60.0));
-        let query = PreparedQuery::new(&issuer, RangeSpec::square(15.0));
-        let pipeline = QueryPipeline {
-            query,
-            objects: &objs,
-            filter: RectFilter {
-                index: &index,
-                query: query.expanded,
-            },
-            prune: PruneChain::none(),
-            refine: EvaluatorKind::Duality,
-            accept: AcceptPolicy::Positive,
-        };
-        let mut shared = ExecutionContext::new(Integrator::MonteCarlo { samples: 200 });
-        let first = pipeline.execute(&mut shared);
-        let second = pipeline.execute(&mut shared);
-        let fresh = pipeline.execute(&mut ExecutionContext::new(Integrator::MonteCarlo {
-            samples: 200,
-        }));
+        let mc = || ExecutionContext::new(Integrator::MonteCarlo { samples: 200 });
+        let mut shared = mc();
+        let first = execute_naive(&objs, &mut shared);
+        let second = execute_naive(&objs, &mut shared);
+        let fresh = execute_naive(&objs, &mut mc());
         assert!(!first.results.is_empty());
         assert!(first.same_matches(&second));
         assert!(first.same_matches(&fresh));

@@ -91,11 +91,12 @@ pub use sharded::{
 };
 
 use iloc_geometry::Rect;
-use iloc_index::Pages;
+use iloc_index::{AccessStats, Pages, TraversalScratch};
 use iloc_uncertainty::{ObjectId, PointObject, UncertainObject};
 
 use crate::engine::{PointEngine, UncertainEngine};
-use crate::pipeline::BatchEngine;
+use crate::pipeline::{BatchEngine, CatalogObject, QueryRequest};
+use crate::query::{CipqStrategy, CiuqStrategy};
 
 /// One catalog mutation, routed to the shard owning its object id.
 #[derive(Debug, Clone)]
@@ -111,20 +112,29 @@ pub enum Update<O> {
     Move(O),
 }
 
-/// A single-node engine the sharded serving layer can partition:
-/// buildable from an object list, batch-queryable, and **dynamically
-/// maintainable** through incremental index updates. (`Send` on top
-/// of `BatchEngine`'s `Sync` because snapshots share shard `Arc`s
-/// across serving threads.)
-pub trait ServeEngine: BatchEngine + Clone + Send {
+/// A single-node engine the sharded serving layer can partition and
+/// hold standing queries over: buildable from an object list,
+/// queryable request by request, **dynamically maintainable** through
+/// incremental index updates, and probeable with a bare rectangle (a
+/// standing query's safe envelope). (`Send` on top of `BatchEngine`'s
+/// `Sync` because snapshots share shard `Arc`s across serving
+/// threads.)
+pub trait ServeEngine:
+    BatchEngine<Request = QueryRequest<<Self as ServeEngine>::Strategy>> + Clone + Send
+{
     /// The catalog object type (point or uncertain).
-    type Object: Clone + Send + Sync;
+    type Object: CatalogObject;
+
+    /// The catalog's constrained-query strategy.
+    type Strategy: Copy + Send + Sync;
+
+    /// The strategy that filters with the Minkowski sum `R ⊕ U0`: what
+    /// a standing query's cached envelope reproduces (see
+    /// [`crate::subscribe`]).
+    const MINKOWSKI: Self::Strategy;
 
     /// Builds one shard engine over a partition of the catalog.
     fn build_from(objects: Vec<Self::Object>) -> Self;
-
-    /// The id an object is routed by.
-    fn object_id(object: &Self::Object) -> ObjectId;
 
     /// Inserts one object, maintaining every index incrementally.
     /// **Must upsert**: when the object's id is already live, the
@@ -136,14 +146,9 @@ pub trait ServeEngine: BatchEngine + Clone + Send {
     /// was present.
     fn remove_object(&mut self, id: ObjectId) -> bool;
 
-    /// The spatial extent of one object (a point object is a
-    /// degenerate rectangle). [`ShardedEngine::commit`] merges these
-    /// into the epoch's dirty rectangle.
-    fn bounds_of(object: &Self::Object) -> Rect;
-
-    /// The extent of the live object with this id, if present — the
+    /// The live object with this id, if present — whose extent is the
     /// *pre-update* footprint a departure or move dirties.
-    fn object_bounds(&self, id: ObjectId) -> Option<Rect>;
+    fn find(&self, id: ObjectId) -> Option<&Self::Object>;
 
     /// Number of live objects in this shard.
     fn len(&self) -> usize;
@@ -168,20 +173,29 @@ pub trait ServeEngine: BatchEngine + Clone + Send {
     /// and compaction enumerate shard state through this; a snapshot
     /// held for a checkpoint pins only the pages later epochs replace.
     fn live_objects(&self) -> impl Iterator<Item = &Self::Object>;
+
+    /// Probes this shard's index with `filter`, appending the slots of
+    /// the objects [`CatalogObject::within`] it to `out`
+    /// (allocation-free once `scratch`/`out` are warm).
+    fn probe_into(
+        &self,
+        filter: Rect,
+        stats: &mut AccessStats,
+        scratch: &mut TraversalScratch,
+        out: &mut Vec<u32>,
+    );
 }
 
 impl ServeEngine for PointEngine {
     type Object = PointObject;
+    type Strategy = CipqStrategy;
+    const MINKOWSKI: CipqStrategy = CipqStrategy::MinkowskiSum;
 
-    fn build_from(objects: Vec<PointObject>) -> Self {
+    fn build_from(objects: Vec<Self::Object>) -> Self {
         PointEngine::from_objects(objects)
     }
 
-    fn object_id(object: &PointObject) -> ObjectId {
-        object.id
-    }
-
-    fn insert_object(&mut self, object: PointObject) {
+    fn insert_object(&mut self, object: Self::Object) {
         PointEngine::insert_object(self, object);
     }
 
@@ -189,12 +203,8 @@ impl ServeEngine for PointEngine {
         PointEngine::remove(self, id)
     }
 
-    fn bounds_of(object: &PointObject) -> Rect {
-        Rect::from_point(object.loc)
-    }
-
-    fn object_bounds(&self, id: ObjectId) -> Option<Rect> {
-        self.find(id).map(|o| Rect::from_point(o.loc))
+    fn find(&self, id: ObjectId) -> Option<&Self::Object> {
+        PointEngine::find(self, id)
     }
 
     fn len(&self) -> usize {
@@ -205,27 +215,35 @@ impl ServeEngine for PointEngine {
         PointEngine::slots(self)
     }
 
-    fn objects(&self) -> &Pages<PointObject> {
+    fn objects(&self) -> &Pages<Self::Object> {
         PointEngine::objects(self)
     }
 
-    fn live_objects(&self) -> impl Iterator<Item = &PointObject> {
+    fn live_objects(&self) -> impl Iterator<Item = &Self::Object> {
         self.live().map(|(_, object)| object)
+    }
+
+    fn probe_into(
+        &self,
+        filter: Rect,
+        stats: &mut AccessStats,
+        scratch: &mut TraversalScratch,
+        out: &mut Vec<u32>,
+    ) {
+        PointEngine::probe_into(self, filter, stats, scratch, out);
     }
 }
 
 impl ServeEngine for UncertainEngine {
     type Object = UncertainObject;
+    type Strategy = CiuqStrategy;
+    const MINKOWSKI: CiuqStrategy = CiuqStrategy::RTreeMinkowski;
 
-    fn build_from(objects: Vec<UncertainObject>) -> Self {
+    fn build_from(objects: Vec<Self::Object>) -> Self {
         UncertainEngine::build(objects)
     }
 
-    fn object_id(object: &UncertainObject) -> ObjectId {
-        object.id
-    }
-
-    fn insert_object(&mut self, object: UncertainObject) {
+    fn insert_object(&mut self, object: Self::Object) {
         UncertainEngine::insert(self, object);
     }
 
@@ -233,12 +251,8 @@ impl ServeEngine for UncertainEngine {
         UncertainEngine::remove(self, id)
     }
 
-    fn bounds_of(object: &UncertainObject) -> Rect {
-        object.region()
-    }
-
-    fn object_bounds(&self, id: ObjectId) -> Option<Rect> {
-        self.find(id).map(|o| o.region())
+    fn find(&self, id: ObjectId) -> Option<&Self::Object> {
+        UncertainEngine::find(self, id)
     }
 
     fn len(&self) -> usize {
@@ -249,12 +263,22 @@ impl ServeEngine for UncertainEngine {
         UncertainEngine::slots(self)
     }
 
-    fn objects(&self) -> &Pages<UncertainObject> {
+    fn objects(&self) -> &Pages<Self::Object> {
         UncertainEngine::objects(self)
     }
 
-    fn live_objects(&self) -> impl Iterator<Item = &UncertainObject> {
+    fn live_objects(&self) -> impl Iterator<Item = &Self::Object> {
         self.live().map(|(_, object)| object)
+    }
+
+    fn probe_into(
+        &self,
+        filter: Rect,
+        stats: &mut AccessStats,
+        scratch: &mut TraversalScratch,
+        out: &mut Vec<u32>,
+    ) {
+        UncertainEngine::probe_into(self, filter, stats, scratch, out);
     }
 }
 

@@ -11,7 +11,7 @@ use iloc_geometry::Rect;
 use iloc_uncertainty::ObjectId;
 
 use crate::integrate::Integrator;
-use crate::pipeline::{execute_batch, BatchEngine, ExecutionContext};
+use crate::pipeline::{BatchEngine, CatalogObject, ExecutionContext};
 use crate::result::{merge_partials_into, QueryAnswer};
 use crate::stats::QueryStats;
 
@@ -82,33 +82,28 @@ impl<E: ServeEngine> Snapshot<E> {
         BatchEngine::execute_one(self, request)
     }
 
-    /// Answers a request slice in parallel on all cores; answers are
-    /// bit-identical to issuing each request sequentially.
-    pub fn execute_batch(&self, requests: &[E::Request]) -> Vec<QueryAnswer> {
-        execute_batch(self, requests)
-    }
-
-    /// The shared fan-out/fan-in: runs `request` on every shard
-    /// through `ctx`, each shard writing its matches (disjoint id sets,
-    /// each in id order) into its own warm buffer of `partials`, then
-    /// merges those runs into `answer` in global id order with
-    /// [`merge_partials_into`] — the same fan-in the cluster router
-    /// applies to per-node answers, so remote scatter-gather stays
-    /// bit-identical to this in-process path — and sums the cost
-    /// counters. `partials` is the caller's reusable per-shard answer
-    /// buffers (resized to the shard count here).
-    fn fan_out_into(
+    /// The one fan-out/fan-in: `each` answers shard `k` through `ctx`
+    /// into its own warm buffer of `partials` — the shard's disjoint
+    /// id set, in id order — and the runs are merged into `answer` in
+    /// global id order with [`merge_partials_into`] (the same fan-in
+    /// the cluster router applies to per-node answers, so remote
+    /// scatter-gather stays bit-identical to this in-process path),
+    /// the cost counters summed. A request runs each shard's own plan;
+    /// a standing query refines each shard's cached candidates.
+    /// `partials` is the caller's reusable per-shard answer buffers
+    /// (resized to the shard count here).
+    pub(crate) fn fan_out_into(
         &self,
-        request: &E::Request,
         ctx: &mut ExecutionContext,
         partials: &mut Vec<QueryAnswer>,
         answer: &mut QueryAnswer,
+        mut each: impl FnMut(usize, &E, &mut ExecutionContext, &mut QueryAnswer),
     ) {
         let start = Instant::now();
         partials.resize_with(self.shards.len(), QueryAnswer::default);
         let mut stats = QueryStats::new();
-        for (shard, partial) in self.shards.iter().zip(partials.iter_mut()) {
-            shard.execute_one_into(request, ctx, partial);
+        for (k, (shard, partial)) in self.shards.iter().zip(partials.iter_mut()).enumerate() {
+            each(k, shard, ctx, partial);
             stats.absorb(&partial.stats);
         }
         merge_partials_into(answer, partials.iter().map(|p| p.results.as_slice()));
@@ -127,11 +122,13 @@ impl<E: ServeEngine> BatchEngine for Snapshot<E> {
         answer: &mut QueryAnswer,
     ) {
         // The per-shard partials live in the context's scratch so a
-        // warm worker reuses them across its whole chunk; they are
-        // taken out for the duration of the fan-out because the
-        // per-shard executions need the context mutably.
+        // reused context reuses them; they are taken out for the
+        // duration of the fan-out because the per-shard executions
+        // need the context mutably.
         let mut partials = std::mem::take(&mut ctx.scratch.shard_partials);
-        self.fan_out_into(request, ctx, &mut partials, answer);
+        self.fan_out_into(ctx, &mut partials, answer, |_, shard, ctx, partial| {
+            shard.execute_one_into(request, ctx, partial)
+        });
         ctx.scratch.shard_partials = partials;
     }
 }
@@ -172,8 +169,12 @@ impl<E: ServeEngine> ShardServer<E> {
     /// Answers one request into `answer` (cleared first);
     /// allocation-free once buffers have grown to workload size.
     pub fn execute_into(&mut self, request: &E::Request, answer: &mut QueryAnswer) {
-        self.snapshot
-            .fan_out_into(request, &mut self.ctx, &mut self.partials, answer);
+        self.snapshot.fan_out_into(
+            &mut self.ctx,
+            &mut self.partials,
+            answer,
+            |_, shard, ctx, partial| shard.execute_one_into(request, ctx, partial),
+        );
     }
 }
 
@@ -307,7 +308,7 @@ impl<E: ServeEngine> ShardedEngine<E> {
         assert!(shard_count > 0, "shard count must be positive");
         let mut partitions: Vec<Vec<E::Object>> = (0..shard_count).map(|_| Vec::new()).collect();
         for object in objects {
-            partitions[shard_of(E::object_id(&object), shard_count)].push(object);
+            partitions[shard_of(object.id(), shard_count)].push(object);
         }
         let shards: Vec<Arc<E>> = partitions
             .into_iter()
@@ -438,17 +439,17 @@ impl<E: ServeEngine> ShardedEngine<E> {
             let arrival = matches!(update, Update::Arrive(_));
             match update {
                 Update::Arrive(object) | Update::Move(object) => {
-                    let id = E::object_id(&object);
+                    let id = object.id();
                     let s = shard_of(id, shard_count);
                     let shard = Arc::make_mut(&mut shards[s]);
                     // insert_object upserts, so a move replaces the
                     // live object, a move of an unknown id arrives and
                     // a retried arrival moves: all three dirty where
                     // the object was, if it was, and where it lands.
-                    if let Some(old) = shard.object_bounds(id) {
-                        touch(&mut report, id, old);
+                    if let Some(old) = shard.find(id) {
+                        touch(&mut report, id, old.extent());
                     }
-                    touch(&mut report, id, E::bounds_of(&object));
+                    touch(&mut report, id, object.extent());
                     shard.insert_object(object);
                     if arrival {
                         report.arrivals += 1;
@@ -460,7 +461,7 @@ impl<E: ServeEngine> ShardedEngine<E> {
                 Update::Depart(id) => {
                     let s = shard_of(id, shard_count);
                     let shard = Arc::make_mut(&mut shards[s]);
-                    let old = shard.object_bounds(id);
+                    let old = shard.find(id).map(|o| o.extent());
                     if shard.remove_object(id) {
                         if let Some(old) = old {
                             touch(&mut report, id, old);

@@ -20,8 +20,8 @@
 //!    outside the envelope can qualify while the query stays inside
 //!    it — performing **zero index probes and zero heap allocations**
 //!    in steady state.
-//! 2. **Pinned snapshots.** A subscription owns the [`Snapshot`] it
-//!    last evaluated against. Commits never invalidate it: the epoch
+//! 2. **Pinned snapshots.** A subscription owns the
+//!    [`Snapshot`](crate::serve::Snapshot) it last evaluated against. Commits never invalidate it: the epoch
 //!    machinery keeps the old shard engines alive, so an unaffected
 //!    subscription keeps answering from its pinned epoch, bit-identical
 //!    to fresh evaluation there (and — because nothing inside its
@@ -55,12 +55,12 @@
 //! ## When an answer may be patched
 //!
 //! Every emitted state is bit-identical to
-//! [`Snapshot::execute_one`] of the subscription's request against the
-//! snapshot it is bound to. A patch gets there without running the
-//! query because, for the deterministic integrators (`Auto`'s closed
-//! forms, `Exact`, `Grid`), a probability is a function of the query
-//! and its one object: not of the other candidates, their order, or
-//! the epoch. For the same reason an unaffected subscription's answer
+//! [`Snapshot::execute_one`](crate::serve::Snapshot::execute_one) of
+//! the subscription's request against the snapshot it is bound to. A
+//! patch gets there without running the query because, for the
+//! deterministic integrators (`Auto`'s closed forms, `Grid`), a
+//! probability is a function of the query and its one object: not of
+//! the other candidates, their order, or the epoch. For the same reason an unaffected subscription's answer
 //! is also bit-identical to evaluation at the *current* epoch.
 //!
 //! Monte-Carlo refinement (`MonteCarlo`, or `Auto` on a pdf pair with
@@ -88,333 +88,82 @@ mod registry;
 pub use registry::{PumpReport, SubId, Subscription, SubscriptionRegistry};
 
 use iloc_geometry::Rect;
-use iloc_index::{AccessStats, Pages, TraversalScratch};
-use iloc_uncertainty::{ObjectId, PdfKind, PointObject, UncertainObject};
+use iloc_uncertainty::ObjectId;
 
-use crate::engine::{PointEngine, UncertainEngine};
 use crate::expand::minkowski_query;
 use crate::pipeline::{
-    AcceptPolicy, EvaluatorKind, ExecutionContext, FilterStage, PointRequest, PreparedQuery,
-    PruneChain, QueryPipeline, UncertainRequest,
+    CatalogObject, EvaluatorKind, ExecutionContext, PreparedQuery, QueryPipeline, QueryRequest,
 };
-use crate::query::{CipqStrategy, CiuqStrategy};
-use crate::result::{merge_partials_into, Match, QueryAnswer};
-use crate::serve::{ServeEngine, Snapshot};
+use crate::result::{Match, QueryAnswer};
+use crate::serve::ServeEngine;
 
-/// An object a cached safe envelope can re-filter: its membership in a
-/// filter rectangle is decidable from the object alone.
-pub(crate) trait EnvelopeObject {
-    /// `true` when the object can qualify for a query whose filter
-    /// rectangle is `filter` (point containment for point objects,
-    /// region overlap for uncertain ones — matching what an index
-    /// probe with `filter` would report).
-    fn within(&self, filter: Rect) -> bool;
+/// The rectangle fresh filtering would probe the index with — the
+/// Minkowski sum `R ⊕ U0` of Lemma 1. The safe envelope is this grown
+/// by the slack margin, and a tick is a cache hit while this stays
+/// inside the envelope.
+fn filter_rect<S>(request: &QueryRequest<S>) -> Rect {
+    minkowski_query(&request.issuer, request.range)
 }
 
-impl EnvelopeObject for PointObject {
-    #[inline]
-    fn within(&self, filter: Rect) -> bool {
-        filter.contains_point(self.loc)
-    }
-}
-
-impl EnvelopeObject for UncertainObject {
-    #[inline]
-    fn within(&self, filter: Rect) -> bool {
-        filter.overlaps(self.region())
-    }
-}
-
-/// Filter stage serving candidates from a cached safe envelope,
-/// re-checked against the *current* filter rectangle — the continuous
-/// query's replacement for an index probe on cache hits. Writes the
-/// surviving slots straight into the pipeline's scratch buffer; no
+/// Answers a (normalized) standing request over one shard from its
+/// cached candidates, exactly as the shard's own plan would from an
+/// index probe — same candidate set, same order, bit-identical
+/// probabilities: the cache re-checked against the Minkowski filter,
+/// no pruning, duality refinement, the request's accept policy. No
 /// allocation per tick.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CachedFilter<'a, O> {
-    /// Slot-sorted candidates of the current envelope.
-    pub cached: &'a [u32],
-    /// The engine's object table the slots index into.
-    pub objects: &'a Pages<O>,
-    /// The current query's filter rectangle (`⊆` the envelope).
-    pub filter: Rect,
-}
-
-impl<O: EnvelopeObject> FilterStage for CachedFilter<'_, O> {
-    fn candidates_into(
-        &self,
-        stats: &mut AccessStats,
-        _traversal: &mut TraversalScratch,
-        out: &mut Vec<u32>,
-    ) {
-        for &idx in self.cached {
-            if self.objects[idx as usize].within(self.filter) {
-                out.push(idx);
-            }
-        }
-        stats.items_tested += self.cached.len() as u64;
-        stats.candidates += out.len() as u64;
-    }
-}
-
-/// The request fields the normalized continuous plan runs on —
-/// identical for both catalogs, extracted once per evaluation.
-struct CachedPlan<'a> {
-    issuer: &'a crate::query::Issuer,
-    range: crate::query::RangeSpec,
-    integrator: crate::integrate::Integrator,
-    /// `Some` for constrained standing queries (C-IPQ / C-IUQ).
-    qp: Option<f64>,
-}
-
-impl<'a> CachedPlan<'a> {
-    fn of_point(request: &'a PointRequest) -> Self {
-        CachedPlan {
-            issuer: &request.issuer,
-            range: request.range,
-            integrator: request.integrator,
-            qp: request.constraint.map(|c| c.qp),
-        }
-    }
-
-    fn of_uncertain(request: &'a UncertainRequest) -> Self {
-        CachedPlan {
-            issuer: &request.issuer,
-            range: request.range,
-            integrator: request.integrator,
-            qp: request.constraint.map(|c| c.qp),
-        }
-    }
-
-    fn accept(&self) -> AcceptPolicy {
-        match self.qp {
-            None => AcceptPolicy::Positive,
-            Some(qp) => AcceptPolicy::AtLeast(qp),
-        }
-    }
-}
-
-/// Runs the normalized continuous plan over one shard's cached
-/// candidates: Minkowski filter re-check from the cache, no pruning,
-/// duality refinement, accept by the optional threshold — the one
-/// definition both catalogs' [`ContinuousEngine::evaluate_cached_into`]
-/// impls share, so the point and uncertain subscription paths can
-/// never diverge.
-fn run_cached_pipeline<O>(
-    objects: &Pages<O>,
-    plan: CachedPlan<'_>,
+fn evaluate_cached_into<E: ServeEngine>(
+    shard: &E,
+    request: &E::Request,
     cached: &[u32],
     ctx: &mut ExecutionContext,
     answer: &mut QueryAnswer,
-) where
-    O: crate::pipeline::PipelineObject + EnvelopeObject,
-    EvaluatorKind: crate::pipeline::ProbabilityEvaluator<O>,
-{
-    ctx.prepare(plan.integrator);
-    let query = PreparedQuery::new(plan.issuer, plan.range);
+) {
+    ctx.prepare(request.integrator);
+    let query = PreparedQuery::new(&request.issuer, request.range);
+    let objects = shard.objects();
     QueryPipeline {
         query,
         objects,
-        filter: CachedFilter {
-            cached,
-            objects,
-            filter: query.expanded,
-        },
-        prune: PruneChain::none(),
+        prune: None,
         refine: EvaluatorKind::Duality,
-        accept: plan.accept(),
+        accept: request.accept(),
     }
-    .execute_into(ctx, answer);
+    .execute_into(ctx, answer, |stats, _, out| {
+        for &slot in cached {
+            if objects[slot as usize].within(query.expanded) {
+                out.push(slot);
+            }
+        }
+        stats.items_tested += cached.len() as u64;
+        stats.candidates += out.len() as u64;
+    });
 }
 
-/// What [`run_cached_pipeline`] makes of one object on its own: the
-/// filter's membership test, the duality refinement, the plan's accept
-/// policy — `Some` exactly when the object is in the plan's answer.
-/// The probability has the pipeline's bits as long as the evaluation
-/// draws no randomness (the caller checks `ctx.stats.mc_samples`,
-/// which this only ever adds to): a closed-form or grid integral is a
+/// What [`evaluate_cached_into`] makes of the one object `id` of
+/// `shard` on its own: the filter's membership test, the duality
+/// refinement, the request's accept policy — `Some` exactly when the
+/// object is live and in the answer. Adds to `ctx.stats` without
+/// resetting it; the probability has the pipeline's bits as long as
+/// the evaluation draws no randomness (the caller checks
+/// `ctx.stats.mc_samples`): a closed-form or grid integral is a
 /// function of the query and the object alone.
-fn run_cached_object<O>(
-    object: Option<&O>,
-    plan: CachedPlan<'_>,
+fn evaluate_object<E: ServeEngine>(
+    shard: &E,
+    request: &E::Request,
+    id: ObjectId,
     ctx: &mut ExecutionContext,
-) -> Option<Match>
-where
-    O: crate::pipeline::PipelineObject + EnvelopeObject,
-    EvaluatorKind: crate::pipeline::ProbabilityEvaluator<O>,
-{
-    use crate::pipeline::ProbabilityEvaluator;
-
-    let object = object?;
-    ctx.prepare(plan.integrator);
-    let query = PreparedQuery::new(plan.issuer, plan.range);
+) -> Option<Match> {
+    let object = shard.find(id)?;
+    ctx.prepare(request.integrator);
+    let query = PreparedQuery::new(&request.issuer, request.range);
     if !object.within(query.expanded) {
         return None;
     }
-    let probability = EvaluatorKind::Duality.probability(&query, object, ctx);
-    plan.accept().accepts(probability).then(|| Match {
-        id: object.object_id(),
-        probability,
-    })
-}
-
-/// A shard engine the subscription layer can hold standing queries
-/// over: its requests expose the geometry the safe envelope needs, and
-/// the engine can both probe an envelope and refine from a cached
-/// candidate list.
-pub trait ContinuousEngine: ServeEngine {
-    /// Normalizes a request to the filtering plan cached envelopes
-    /// reproduce (Minkowski-sum; see the module docs).
-    fn normalize_request(request: &mut Self::Request);
-
-    /// The rectangle fresh filtering would probe the index with — the
-    /// Minkowski sum `R ⊕ U0` of Lemma 1. The safe envelope is this
-    /// grown by the slack margin, and a tick is a cache hit while this
-    /// stays inside the envelope.
-    fn filter_rect(request: &Self::Request) -> Rect;
-
-    /// Replaces the request's issuer pdf in place (storage-reusing;
-    /// what a TICK decodes into).
-    fn set_issuer_pdf(request: &mut Self::Request, pdf: PdfKind);
-
-    /// Probes this shard's index with the envelope, appending matching
-    /// slots to `out` (allocation-free once `scratch`/`out` are warm).
-    fn envelope_candidates_into(
-        &self,
-        envelope: Rect,
-        stats: &mut AccessStats,
-        scratch: &mut TraversalScratch,
-        out: &mut Vec<u32>,
-    );
-
-    /// Answers the request over this shard from a cached candidate
-    /// list, exactly as the engine's own (normalized) plan would from
-    /// an index probe — same candidate set, same order, bit-identical
-    /// probabilities.
-    fn evaluate_cached_into(
-        &self,
-        request: &Self::Request,
-        cached: &[u32],
-        ctx: &mut ExecutionContext,
-        answer: &mut QueryAnswer,
-    );
-
-    /// The request's match for the one object `id` of this shard, as
-    /// [`ContinuousEngine::evaluate_cached_into`] would report it with
-    /// the object among its candidates: `None` when the id is not
-    /// live here, lies outside the filter rectangle, or fails the
-    /// request's threshold. Adds to `ctx.stats` without resetting it,
-    /// so a caller can tell from `mc_samples` whether the evaluation
-    /// sampled — only one that did not is bit-identical to the cached
-    /// pipeline's.
-    fn evaluate_object(
-        &self,
-        request: &Self::Request,
-        id: ObjectId,
-        ctx: &mut ExecutionContext,
-    ) -> Option<Match>;
-}
-
-impl ContinuousEngine for PointEngine {
-    fn normalize_request(request: &mut PointRequest) {
-        if let Some(c) = &mut request.constraint {
-            c.strategy = CipqStrategy::MinkowskiSum;
-        }
-    }
-
-    fn filter_rect(request: &PointRequest) -> Rect {
-        minkowski_query(&request.issuer, request.range)
-    }
-
-    fn set_issuer_pdf(request: &mut PointRequest, pdf: PdfKind) {
-        request.issuer.set_pdf(pdf);
-    }
-
-    fn envelope_candidates_into(
-        &self,
-        envelope: Rect,
-        stats: &mut AccessStats,
-        scratch: &mut TraversalScratch,
-        out: &mut Vec<u32>,
-    ) {
-        self.raw_candidates_scratch(envelope, stats, scratch, out);
-    }
-
-    fn evaluate_cached_into(
-        &self,
-        request: &PointRequest,
-        cached: &[u32],
-        ctx: &mut ExecutionContext,
-        answer: &mut QueryAnswer,
-    ) {
-        run_cached_pipeline(
-            self.objects(),
-            CachedPlan::of_point(request),
-            cached,
-            ctx,
-            answer,
-        );
-    }
-
-    fn evaluate_object(
-        &self,
-        request: &PointRequest,
-        id: ObjectId,
-        ctx: &mut ExecutionContext,
-    ) -> Option<Match> {
-        run_cached_object(self.find(id), CachedPlan::of_point(request), ctx)
-    }
-}
-
-impl ContinuousEngine for UncertainEngine {
-    fn normalize_request(request: &mut UncertainRequest) {
-        if let Some(c) = &mut request.constraint {
-            c.strategy = CiuqStrategy::RTreeMinkowski;
-        }
-    }
-
-    fn filter_rect(request: &UncertainRequest) -> Rect {
-        minkowski_query(&request.issuer, request.range)
-    }
-
-    fn set_issuer_pdf(request: &mut UncertainRequest, pdf: PdfKind) {
-        request.issuer.set_pdf(pdf);
-    }
-
-    fn envelope_candidates_into(
-        &self,
-        envelope: Rect,
-        stats: &mut AccessStats,
-        scratch: &mut TraversalScratch,
-        out: &mut Vec<u32>,
-    ) {
-        self.raw_candidates_scratch(envelope, stats, scratch, out);
-    }
-
-    fn evaluate_cached_into(
-        &self,
-        request: &UncertainRequest,
-        cached: &[u32],
-        ctx: &mut ExecutionContext,
-        answer: &mut QueryAnswer,
-    ) {
-        run_cached_pipeline(
-            self.objects(),
-            CachedPlan::of_uncertain(request),
-            cached,
-            ctx,
-            answer,
-        );
-    }
-
-    fn evaluate_object(
-        &self,
-        request: &UncertainRequest,
-        id: ObjectId,
-        ctx: &mut ExecutionContext,
-    ) -> Option<Match> {
-        run_cached_object(self.find(id), CachedPlan::of_uncertain(request), ctx)
-    }
+    let probability = object.probability(&query, ctx);
+    request
+        .accept()
+        .accepts(probability)
+        .then_some(Match { id, probability })
 }
 
 /// The change between two answers of one standing query: matches that
@@ -541,33 +290,6 @@ fn merge_sorted_into<T: Copy, K: Ord>(into: &mut Vec<T>, run: &[T], key: impl Fn
     }
 }
 
-/// Re-evaluates one subscription's cached candidates over its pinned
-/// snapshot: per-shard pipeline execution with the cached filter, each
-/// shard into its own buffer of `partials`, fan-in merged in id order
-/// — the cache-hit twin of [`Snapshot::execute_one`].
-pub(crate) fn eval_from_cache<E: ContinuousEngine>(
-    snapshot: &Snapshot<E>,
-    request: &E::Request,
-    cached: &[Vec<u32>],
-    ctx: &mut ExecutionContext,
-    partials: &mut Vec<QueryAnswer>,
-    answer: &mut QueryAnswer,
-) {
-    partials.resize_with(cached.len(), QueryAnswer::default);
-    let mut stats = crate::stats::QueryStats::new();
-    for ((shard, cached), partial) in snapshot
-        .shards()
-        .iter()
-        .zip(cached)
-        .zip(partials.iter_mut())
-    {
-        shard.evaluate_cached_into(request, cached, ctx, partial);
-        stats.absorb(&partial.stats);
-    }
-    merge_partials_into(answer, partials.iter().map(|p| p.results.as_slice()));
-    answer.stats = stats;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -646,6 +368,8 @@ mod tests {
 
     #[test]
     fn cached_filter_matches_membership_semantics() {
+        use iloc_uncertainty::{PointObject, UncertainObject};
+
         let pts = [
             PointObject::new(0u64, Point::new(5.0, 5.0)),
             PointObject::new(1u64, Point::new(50.0, 50.0)),

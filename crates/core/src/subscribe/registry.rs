@@ -10,10 +10,10 @@ use iloc_uncertainty::{ObjectId, PdfKind};
 use crate::integrate::Integrator;
 use crate::pipeline::ExecutionContext;
 use crate::result::{Match, QueryAnswer};
-use crate::serve::{shard_of, EpochDirt, ShardedEngine, Snapshot};
+use crate::serve::{shard_of, EpochDirt, ServeEngine, ShardedEngine, Snapshot};
 use crate::stats::QueryStats;
 
-use super::{eval_from_cache, AnswerDelta, ContinuousEngine};
+use super::{evaluate_cached_into, evaluate_object, filter_rect, AnswerDelta};
 
 /// Identifier of one standing query within a registry. Ids are never
 /// reused, so a late NOTIFY can never be misattributed to a newer
@@ -24,7 +24,7 @@ pub type SubId = u64;
 /// envelope with its per-shard cached candidates, the pinned snapshot
 /// those candidates index into, and the last answer the subscriber
 /// saw.
-pub struct Subscription<E: ContinuousEngine> {
+pub struct Subscription<E: ServeEngine> {
     id: SubId,
     request: E::Request,
     slack: f64,
@@ -53,7 +53,7 @@ pub struct Subscription<E: ContinuousEngine> {
     cache_hits: u64,
 }
 
-impl<E: ContinuousEngine> Subscription<E> {
+impl<E: ServeEngine> Subscription<E> {
     /// The (normalized) standing request.
     pub fn request(&self) -> &E::Request {
         &self.request
@@ -91,14 +91,14 @@ impl<E: ContinuousEngine> Subscription<E> {
     /// current filter rectangle, counting the probe's I/O into
     /// `buffers.probe` for the evaluation that follows.
     fn reprobe(&mut self, snapshot: &Snapshot<E>, buffers: &mut Buffers) {
-        let expanded = E::filter_rect(&self.request);
+        let expanded = filter_rect(&self.request);
         self.envelope = expanded.expand(self.slack, self.slack);
         self.snapshot = snapshot.clone();
         let shards = snapshot.shards();
         self.cached.resize_with(shards.len(), Vec::new);
         for (shard, cached) in shards.iter().zip(self.cached.iter_mut()) {
             cached.clear();
-            shard.envelope_candidates_into(
+            shard.probe_into(
                 self.envelope,
                 &mut buffers.probe,
                 &mut buffers.ctx.scratch.traversal,
@@ -121,13 +121,13 @@ impl<E: ContinuousEngine> Subscription<E> {
     /// the I/O of the probe it follows, if any, added to its stats.
     fn evaluate(&mut self, buffers: &mut Buffers) {
         debug_assert!(!self.stale, "evaluating from candidates of another epoch");
-        eval_from_cache(
-            &self.snapshot,
-            &self.request,
-            &self.cached,
+        self.snapshot.fan_out_into(
             &mut buffers.ctx,
             &mut buffers.partials,
             &mut buffers.fresh,
+            |k, shard, ctx, partial| {
+                evaluate_cached_into(shard, &self.request, &self.cached[k], ctx, partial)
+            },
         );
         buffers
             .fresh
@@ -180,7 +180,7 @@ impl<E: ContinuousEngine> Subscription<E> {
         } = buffers;
         delta.clear();
         ids.clear();
-        let filter = E::filter_rect(&self.request);
+        let filter = filter_rect(&self.request);
         for epoch in dirt.iter().filter(|d| d.epoch > self.snapshot.epoch()) {
             for &(id, extent) in epoch.touched.as_deref()? {
                 if filter.overlaps(extent) {
@@ -203,7 +203,7 @@ impl<E: ContinuousEngine> Subscription<E> {
             next.extend_from_slice(before);
             let was = from.first().filter(|m| m.id == id);
             rest = &from[was.is_some() as usize..];
-            let now = shards[shard_of(id, shards.len())].evaluate_object(&self.request, id, ctx);
+            let now = evaluate_object(&*shards[shard_of(id, shards.len())], &self.request, id, ctx);
             match (was, now) {
                 (_, Some(now)) => {
                     next.push(now);
@@ -273,7 +273,7 @@ struct Buffers {
 ///
 /// A registry serves one consumer (the network layer keeps one per
 /// connection); it is `Send` but not shared.
-pub struct SubscriptionRegistry<E: ContinuousEngine> {
+pub struct SubscriptionRegistry<E: ServeEngine> {
     subs: Vec<Option<Subscription<E>>>,
     free: Vec<u32>,
     by_id: HashMap<SubId, u32>,
@@ -288,7 +288,7 @@ pub struct SubscriptionRegistry<E: ContinuousEngine> {
     stab: Vec<u32>,
 }
 
-impl<E: ContinuousEngine> Default for SubscriptionRegistry<E> {
+impl<E: ServeEngine> Default for SubscriptionRegistry<E> {
     fn default() -> Self {
         SubscriptionRegistry::new()
     }
@@ -296,7 +296,7 @@ impl<E: ContinuousEngine> Default for SubscriptionRegistry<E> {
 
 /// Re-probes `sub` on `snapshot`; the envelope re-centers on wherever
 /// the issuer has drifted to, and the stab index follows.
-fn reprobe_and_restab<E: ContinuousEngine>(
+fn reprobe_and_restab<E: ServeEngine>(
     sub: &mut Subscription<E>,
     slot: u32,
     snapshot: &Snapshot<E>,
@@ -312,7 +312,7 @@ fn reprobe_and_restab<E: ContinuousEngine>(
     }
 }
 
-impl<E: ContinuousEngine> SubscriptionRegistry<E> {
+impl<E: ServeEngine> SubscriptionRegistry<E> {
     /// An empty registry with cold buffers.
     pub fn new() -> Self {
         SubscriptionRegistry {
@@ -400,7 +400,9 @@ impl<E: ContinuousEngine> SubscriptionRegistry<E> {
             slack >= 0.0 && slack.is_finite(),
             "subscription slack must be finite and ≥ 0"
         );
-        E::normalize_request(&mut request);
+        if let Some(c) = &mut request.constraint {
+            c.strategy = E::MINKOWSKI;
+        }
         let snapshot = engine.snapshot();
         if self.live == 0 {
             // Nothing stands yet: older epochs' dirt concerns nobody.
@@ -487,8 +489,8 @@ impl<E: ContinuousEngine> SubscriptionRegistry<E> {
     ) -> Option<(u64, &AnswerDelta)> {
         let &slot = self.by_id.get(&id)?;
         let sub = self.subs[slot as usize].as_mut().expect("live slot");
-        E::set_issuer_pdf(&mut sub.request, pdf);
-        let expanded = E::filter_rect(&sub.request);
+        sub.request.issuer.set_pdf(pdf);
+        let expanded = filter_rect(&sub.request);
         if !sub.stale && sub.envelope.contains_rect(expanded) {
             sub.cache_hits += 1;
         } else {

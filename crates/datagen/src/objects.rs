@@ -60,8 +60,11 @@ mod tests {
         let rs = vec![Rect::from_coords(0.0, 0.0, 60.0, 60.0)];
         let gauss = gaussian_objects(&rs);
         let unif = uniform_objects(&rs);
-        let bg = gauss[0].catalog().best_at_most(0.3).rect;
-        let bu = unif[0].catalog().best_at_most(0.3).rect;
+        // The 0.3 level: the fourth of the default six.
+        let bg = gauss[0].catalog().bounds()[3];
+        let bu = unif[0].catalog().bounds()[3];
+        assert_eq!((bg.p, bu.p), (0.3, 0.3));
+        let (bg, bu) = (bg.rect, bu.rect);
         assert!(bg.area() < bu.area());
     }
 }

@@ -12,10 +12,10 @@
 //! All integers are little-endian; `f64`s travel as their IEEE-754 bit
 //! patterns (`to_bits`/`from_bits`), so probabilities round-trip
 //! **bit-identically** — the loopback tests compare network answers to
-//! in-process answers with [`QueryAnswer::same_matches`], the same
-//! contract the batch executor is tested against. The full byte-level
-//! spec (opcodes, payload layouts, error codes, versioning rules)
-//! lives in `docs/PROTOCOL.md`; this module is its executable form.
+//! in-process answers with [`QueryAnswer::same_matches`]. The full
+//! byte-level spec (opcodes, payload layouts, error codes, versioning
+//! rules) lives in `docs/PROTOCOL.md`; this module is its executable
+//! form.
 //!
 //! ## Design constraints
 //!
@@ -404,15 +404,15 @@ pub fn finish_frame(buf: &mut [u8], at: usize) {
 // Integrators, ranges, constraints
 // ---------------------------------------------------------------------------
 
+// Tag 1 is unassigned (it named a closed-form-only integrator whose
+// every answer `Auto` gives) and refused like any unknown tag.
 const INTEGRATOR_AUTO: u8 = 0;
-const INTEGRATOR_EXACT: u8 = 1;
 const INTEGRATOR_GRID: u8 = 2;
 const INTEGRATOR_MC: u8 = 3;
 
 fn put_integrator(buf: &mut Vec<u8>, integrator: Integrator) {
     match integrator {
         Integrator::Auto => buf.push(INTEGRATOR_AUTO),
-        Integrator::Exact => buf.push(INTEGRATOR_EXACT),
         Integrator::Grid { per_axis } => {
             buf.push(INTEGRATOR_GRID);
             put_u32(buf, per_axis as u32);
@@ -427,7 +427,6 @@ fn put_integrator(buf: &mut Vec<u8>, integrator: Integrator) {
 fn read_integrator(r: &mut Reader<'_>) -> Result<Integrator, WireError> {
     match r.u8()? {
         INTEGRATOR_AUTO => Ok(Integrator::Auto),
-        INTEGRATOR_EXACT => Ok(Integrator::Exact),
         INTEGRATOR_GRID => {
             let per_axis = r.u32()?;
             if per_axis == 0 || per_axis > MAX_GRID_PER_AXIS {
@@ -1723,6 +1722,13 @@ mod tests {
         bytes.extend_from_slice(&0u32.to_le_bytes());
         let mut r = Reader::new(&bytes);
         assert!(read_integrator(&mut r).is_err());
+
+        // Tag 1 is unassigned.
+        let mut r = Reader::new(&[1]);
+        assert!(matches!(
+            read_integrator(&mut r),
+            Err(WireError::Malformed("unknown integrator tag"))
+        ));
     }
 
     #[test]

@@ -67,7 +67,7 @@ use iloc_core::durable::{
 use iloc_core::pipeline::{PointRequest, UncertainRequest};
 use iloc_core::serve::{ServeEngine, ShardServer, ShardedEngine, Update};
 use iloc_core::stats::REFINE_BATCH_BUCKETS;
-use iloc_core::subscribe::{ContinuousEngine, SubscriptionRegistry};
+use iloc_core::subscribe::SubscriptionRegistry;
 use iloc_core::{Issuer, PointEngine, QueryAnswer, QueryStats, RangeSpec, UncertainEngine};
 use iloc_geometry::Rect;
 use iloc_uncertainty::{PdfKind, PointObject, UncertainObject};
@@ -515,7 +515,7 @@ impl Handler for ServerHandler {
 
 /// Queues one NOTIFY push per subscription of `registry` whose answer
 /// the commits since its last pump changed.
-fn pump<E: ContinuousEngine>(
+fn pump<E: ServeEngine>(
     registry: &mut SubscriptionRegistry<E>,
     engine: &ShardedEngine<E>,
     target: CommitTarget,
@@ -530,7 +530,7 @@ fn pump<E: ContinuousEngine>(
 
 /// Registers `request` as a standing query on `registry` and appends
 /// its SUB_ACK (or the limit error).
-fn subscribe<E: ContinuousEngine>(
+fn subscribe<E: ServeEngine>(
     registry: &mut SubscriptionRegistry<E>,
     engine: &ShardedEngine<E>,
     target: CommitTarget,
@@ -563,7 +563,7 @@ fn subscribe<E: ContinuousEngine>(
 
 /// Moves subscription `id`'s issuer and appends the NOTIFY that
 /// answers the tick; `false` when `registry` has no such id.
-fn tick<E: ContinuousEngine>(
+fn tick<E: ServeEngine>(
     registry: &mut SubscriptionRegistry<E>,
     engine: &ShardedEngine<E>,
     target: CommitTarget,

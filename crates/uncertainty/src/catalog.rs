@@ -89,24 +89,6 @@ impl UCatalog {
     pub fn levels(&self) -> impl Iterator<Item = f64> + '_ {
         self.bounds.iter().map(|b| b.p)
     }
-
-    /// The largest stored entry with `p ≤ qp` — the conservative choice
-    /// when a `qp`-bound is needed but not stored (Sections 5.1–5.2).
-    ///
-    /// Always succeeds because level 0 is always stored; `qp` may exceed
-    /// 0.5, in which case the 0.5-entry (if stored) is returned.
-    pub fn best_at_most(&self, qp: f64) -> &PBound {
-        debug_assert!(qp >= 0.0);
-        let idx = self.bounds.partition_point(|b| b.p <= qp);
-        &self.bounds[idx.saturating_sub(1).min(self.bounds.len() - 1)]
-    }
-
-    /// Stored entries with `p ≥ qp`, ascending — the candidates examined
-    /// by pruning Strategy 3 when it looks for `dmin`/`qmin`.
-    pub fn at_least(&self, qp: f64) -> impl Iterator<Item = &PBound> + '_ {
-        let idx = self.bounds.partition_point(|b| b.p < qp);
-        self.bounds[idx..].iter()
-    }
 }
 
 #[cfg(test)]
@@ -143,24 +125,6 @@ mod tests {
         let c = UCatalog::build(&pdf, &[0.2, 0.2, 0.0, 0.4]);
         let levels: Vec<f64> = c.levels().collect();
         assert_eq!(levels, vec![0.0, 0.2, 0.4]);
-    }
-
-    #[test]
-    fn best_at_most_picks_floor_entry() {
-        let c = catalog();
-        assert_eq!(c.best_at_most(0.0).p, 0.0);
-        assert_eq!(c.best_at_most(0.15).p, 0.1);
-        assert_eq!(c.best_at_most(0.3).p, 0.3);
-        assert_eq!(c.best_at_most(0.99).p, 0.5);
-    }
-
-    #[test]
-    fn at_least_iterates_ceiling_entries() {
-        let c = catalog();
-        let ps: Vec<f64> = c.at_least(0.25).map(|b| b.p).collect();
-        assert_eq!(ps, vec![0.3, 0.4, 0.5]);
-        assert_eq!(c.at_least(0.6).count(), 0);
-        assert_eq!(c.at_least(0.0).count(), 6);
     }
 
     #[test]

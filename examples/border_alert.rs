@@ -47,15 +47,10 @@ fn main() {
 
     // The paper's Monte-Carlo path (200 samples per candidate), as a
     // system without closed-form Gaussian masses would run it.
-    let mc = engine.cipq_with(
-        &drone,
-        range,
-        0.6,
-        CipqStrategy::PExpanded,
-        Integrator::MonteCarlo {
-            samples: PAPER_MC_SAMPLES_POINT,
-        },
-    );
+    let request = PointRequest::cipq(drone.clone(), range, 0.6, CipqStrategy::PExpanded);
+    let mc = engine.execute_one(&request.with_integrator(Integrator::MonteCarlo {
+        samples: PAPER_MC_SAMPLES_POINT,
+    }));
     println!(
         "monte-carlo evaluation: {} sensor(s) ({:.3} ms, {} samples drawn)",
         mc.results.len(),

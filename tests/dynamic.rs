@@ -32,9 +32,9 @@
 //! over uniform pdfs), which is what makes bit-identity — not mere
 //! approximate equality — the right assertion.
 
+use iloc::core::minkowski_query;
 use iloc::core::pipeline::{
-    AcceptPolicy, EvaluatorKind, ExecutionContext, PreparedQuery, PruneChain, QueryPipeline,
-    RectFilter,
+    AcceptPolicy, CatalogObject, EvaluatorKind, ExecutionContext, PreparedQuery, QueryPipeline,
 };
 use iloc::core::pipeline::{PointRequest, UncertainRequest};
 use iloc::core::serve::{ServeEngine, ShardedEngine, Snapshot, Update};
@@ -60,18 +60,18 @@ fn pipeline_answer<I: RangeIndex<u32>>(
     ctx: &mut ExecutionContext,
 ) -> QueryAnswer {
     let query = PreparedQuery::new(issuer, range);
+    let mut answer = QueryAnswer::default();
     QueryPipeline {
         query,
         objects,
-        filter: RectFilter {
-            index,
-            query: query.expanded,
-        },
-        prune: PruneChain::none(),
+        prune: None,
         refine: EvaluatorKind::Duality,
         accept: AcceptPolicy::Positive,
     }
-    .execute(ctx)
+    .execute_into(ctx, &mut answer, |stats, traversal, out| {
+        index.query_range_scratch(query.expanded, stats, traversal, out)
+    });
+    answer
 }
 
 /// The index-level property for one backend: interleaved
@@ -626,7 +626,7 @@ fn increasing(ids: &[ObjectId]) -> bool {
 ///   over the live set.
 ///
 /// `next_batch` yields each batch and the live set after it.
-fn live_slots_stay_in_id_order<E: ContinuousEngine>(
+fn live_slots_stay_in_id_order<E: ServeEngine>(
     base: Vec<E::Object>,
     pool: &[E::Request],
     mut next_batch: impl FnMut() -> (Vec<Update<E::Object>>, Vec<E::Object>),
@@ -643,7 +643,7 @@ fn live_slots_stay_in_id_order<E: ContinuousEngine>(
         }
         let snapshot = engine.snapshot();
         for (k, shard) in snapshot.shards().iter().enumerate() {
-            let ids: Vec<ObjectId> = shard.live_objects().map(E::object_id).collect();
+            let ids: Vec<ObjectId> = shard.live_objects().map(|o| o.id()).collect();
             assert!(
                 increasing(&ids),
                 "cycle {cycle}: shard {k}'s live slots left id order"
@@ -651,8 +651,8 @@ fn live_slots_stay_in_id_order<E: ContinuousEngine>(
             let objects = shard.objects();
             for (q, request) in pool.iter().enumerate() {
                 candidates.clear();
-                let filter = E::filter_rect(request);
-                shard.envelope_candidates_into(
+                let filter = minkowski_query(&request.issuer, request.range);
+                shard.probe_into(
                     filter,
                     &mut AccessStats::new(),
                     &mut scratch,
@@ -661,7 +661,7 @@ fn live_slots_stay_in_id_order<E: ContinuousEngine>(
                 candidates.sort_unstable();
                 let ids: Vec<ObjectId> = candidates
                     .iter()
-                    .map(|&slot| E::object_id(&objects[slot as usize]))
+                    .map(|&slot| objects[slot as usize].id())
                     .collect();
                 assert!(
                     increasing(&ids),
@@ -669,8 +669,8 @@ fn live_slots_stay_in_id_order<E: ContinuousEngine>(
                 );
                 for (&slot, &id) in candidates.iter().zip(&ids) {
                     assert_eq!(
-                        shard.object_bounds(id),
-                        Some(E::bounds_of(&objects[slot as usize])),
+                        shard.find(id).map(|o| o.extent()),
+                        Some(objects[slot as usize].extent()),
                         "cycle {cycle}: shard {k}: vacated slot {slot} is still indexed"
                     );
                 }

@@ -120,7 +120,9 @@ fn gaussian_issuer_exact_and_mc_agree_modulo_noise() {
     let issuer = Issuer::gaussian(Rect::centered(Point::new(5_000.0, 5_000.0), 250.0, 250.0));
     let range = RangeSpec::square(500.0);
     let exact = engine.ipq(&issuer, range);
-    let mc = engine.ipq_with(&issuer, range, Integrator::MonteCarlo { samples: 2_000 });
+    let request = PointRequest::ipq(issuer.clone(), range);
+    let mc =
+        engine.execute_one(&request.with_integrator(Integrator::MonteCarlo { samples: 2_000 }));
     // Every confident exact answer must appear in the MC answer and
     // vice versa for probabilities well away from zero.
     for m in &exact.results {
@@ -215,7 +217,9 @@ fn gaussian_object_database_uses_exact_path() {
     let range = RangeSpec::square(500.0);
     let exact = engine.iuq(&issuer, range); // Auto → separable closed form
     assert_eq!(exact.stats.mc_samples, 0, "exact path must not sample");
-    let mc = engine.iuq_with(&issuer, range, Integrator::MonteCarlo { samples: 4_000 });
+    let request = UncertainRequest::iuq(issuer.clone(), range);
+    let mc =
+        engine.execute_one(&request.with_integrator(Integrator::MonteCarlo { samples: 4_000 }));
     for m in &exact.results {
         if m.probability > 0.05 {
             let got = mc.probability_of(m.id).expect("present in MC answer");

@@ -531,6 +531,56 @@ fn malformed_payloads_are_rejected_and_the_connection_survives() {
     handle.shutdown();
 }
 
+/// Integrator tag 1 is unassigned: a query or a subscription carrying
+/// it is refused as `Malformed`, and the same connection goes on
+/// answering — with a Gaussian issuer, a pdf pair no closed form
+/// covers.
+#[test]
+fn an_unassigned_integrator_tag_is_refused_and_the_connection_survives() {
+    use iloc::core::serve::ShardedEngine;
+    use iloc::core::{QueryAnswer, UncertainEngine};
+
+    let (_server, handle) = start_server(2, 2);
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let request = UncertainRequest::iuq(
+        Issuer::gaussian(Rect::centered(Point::new(500.0, 500.0), 60.0, 60.0)),
+        RangeSpec::square(120.0),
+    );
+    let mut query = Vec::new();
+    protocol::encode_uncertain_query(&mut query, &request).unwrap();
+    let mut subscribe = Vec::new();
+    protocol::encode_subscribe_uncertain(&mut subscribe, 30.0, &request).unwrap();
+    let (_, uncertain) = scene();
+    let want = ShardedEngine::<UncertainEngine>::build(uncertain, 2)
+        .snapshot()
+        .execute_one(&request);
+    assert!(!want.results.is_empty());
+
+    for (what, frame) in [("query", &query), ("subscribe", &subscribe)] {
+        // A plain query body ends in the integrator tag and the
+        // unconstrained byte.
+        let mut bad = frame.clone();
+        let at = bad.len() - 2;
+        assert_eq!(bad[at], 0, "{what}: Auto's tag");
+        bad[at] = 1;
+        stream.write_all(&bad).unwrap();
+        let (_, op, payload) = read_frame(&mut stream);
+        assert_eq!(op, opcode::ERROR, "{what}");
+        assert_eq!(payload[0], ErrorCode::Malformed as u8, "{what}");
+
+        stream.write_all(&query).unwrap();
+        let (_, op, payload) = read_frame(&mut stream);
+        assert_eq!(op, opcode::ANSWER, "{what}: the connection survived");
+        let mut answer = QueryAnswer::default();
+        protocol::decode_answer_into(&payload, &mut answer).unwrap();
+        assert!(answer.same_matches(&want), "{what}");
+    }
+    handle.shutdown();
+}
+
 #[test]
 fn snapshot_pinning_never_shows_torn_epochs_over_the_wire() {
     // One query's result set is flipped between "all present" and "all

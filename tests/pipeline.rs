@@ -4,10 +4,10 @@
 //!   evaluators plug into the same pipeline and agree within the
 //!   integrator's discretisation tolerance on random uniform-pdf
 //!   workloads;
-//! * [`execute_batch`] (scoped threads, all cores, one long-lived
-//!   context per worker) returns **bit-identical** answers to sequential execution
-//!   under the same seed, for random mixed IPQ/C-IPQ/IUQ/C-IUQ request
-//!   batches;
+//! * the request path (`execute_one`) answers **bit-identically** to
+//!   the paper-named engine methods (`ipq`/`cipq`/`iuq`/`ciuq`) for
+//!   all four query classes under the closed-form, grid and
+//!   Monte-Carlo integrators;
 //! * a **dirty, reused** `ExecutionContext` — scratch buffers and RNG
 //!   state left over from arbitrary earlier queries — yields
 //!   bit-identical answers *and* identical deterministic cost counters
@@ -15,9 +15,11 @@
 //!   (the correctness half of the zero-allocation hot path).
 
 use iloc::core::pipeline::{
-    execute_batch, execute_batch_sequential, BatchEngine, ExecutionContext, PointRequest,
+    BatchEngine, CatalogObject, ExecutionContext, PointRequest, PreparedQuery, QueryRequest,
     UncertainRequest,
 };
+use iloc::core::{minkowski_query, p_expanded_query};
+use iloc::index::Pages;
 use iloc::prelude::*;
 use proptest::prelude::*;
 
@@ -61,11 +63,47 @@ fn uncertain_db() -> impl Strategy<Value = Vec<UncertainObject>> {
     })
 }
 
-fn assert_bit_identical(parallel: &[QueryAnswer], sequential: &[QueryAnswer]) {
-    assert_eq!(parallel.len(), sequential.len());
-    for (k, (a, b)) in parallel.iter().zip(sequential).enumerate() {
+fn assert_bit_identical(batch: &[QueryAnswer], singles: &[QueryAnswer]) {
+    assert_eq!(batch.len(), singles.len());
+    for (k, (a, b)) in batch.iter().zip(singles).enumerate() {
         assert!(a.same_matches(b), "answer {k} diverged: {a:?} vs {b:?}");
     }
+}
+
+/// A plan rebuilt from the public API: every object `within` `filter`,
+/// in slot order, refined one at a time through a fresh context of the
+/// request's integrator, kept by the request's accept policy.
+fn by_hand<O: CatalogObject, S>(
+    objects: &Pages<O>,
+    filter: Rect,
+    request: &QueryRequest<S>,
+) -> QueryAnswer {
+    let query = PreparedQuery::new(&request.issuer, request.range);
+    let mut ctx = ExecutionContext::new(request.integrator);
+    let accept = request.accept();
+    let mut answer = QueryAnswer::default();
+    for object in objects.iter().filter(|o| o.within(filter)) {
+        let probability = object.probability(&query, &mut ctx);
+        if accept.accepts(probability) {
+            answer.results.push(Match {
+                id: object.id(),
+                probability,
+            });
+        }
+    }
+    answer.stats = ctx.stats;
+    answer
+}
+
+/// Same matches, bit for bit, from the same number of integrals and
+/// samples.
+fn assert_same_work(got: &QueryAnswer, want: &QueryAnswer) {
+    assert!(got.same_matches(want), "{got:?} vs {want:?}");
+    let (g, w) = (&got.stats, &want.stats);
+    assert_eq!(
+        (g.prob_evals, g.mc_samples, g.grid_cells),
+        (w.prob_evals, w.mc_samples, w.grid_cells)
+    );
 }
 
 proptest! {
@@ -127,68 +165,6 @@ proptest! {
                 "basic found {} that duality scores zero", m.id
             );
         }
-    }
-
-    /// Rayon batches of mixed IPQ / C-IPQ requests are bit-identical
-    /// to sequential execution.
-    #[test]
-    fn point_batches_deterministic(
-        pts in point_db(),
-        issuers in proptest::collection::vec(
-            (100.0..900.0f64, 100.0..900.0f64, 20.0..120.0f64), 1..32),
-        w in 30.0..250.0f64,
-        qp in 0.0..0.9f64,
-    ) {
-        let engine = PointEngine::build(pts);
-        let range = RangeSpec::square(w);
-        let requests: Vec<PointRequest> = issuers
-            .into_iter()
-            .enumerate()
-            .map(|(k, (x, y, u))| {
-                let iss = Issuer::uniform(Rect::centered(Point::new(x, y), u, u));
-                match k % 3 {
-                    0 => PointRequest::ipq(iss, range),
-                    1 => PointRequest::cipq(iss, range, qp, CipqStrategy::MinkowskiSum),
-                    _ => PointRequest::cipq(iss, range, qp, CipqStrategy::PExpanded),
-                }
-            })
-            .collect();
-        let par = execute_batch(&engine, &requests);
-        let seq = execute_batch_sequential(&engine, &requests);
-        assert_bit_identical(&par, &seq);
-        // And the engine-level convenience API is the same executor.
-        let via_engine = engine.execute_batch(&requests);
-        assert_bit_identical(&via_engine, &seq);
-    }
-
-    /// Rayon batches of mixed IUQ / C-IUQ requests (both index
-    /// strategies, pruning chain included) are bit-identical to
-    /// sequential execution.
-    #[test]
-    fn uncertain_batches_deterministic(
-        objs in uncertain_db(),
-        issuers in proptest::collection::vec(
-            (100.0..900.0f64, 100.0..900.0f64, 20.0..120.0f64), 1..24),
-        w in 30.0..250.0f64,
-        qp in 0.0..0.9f64,
-    ) {
-        let engine = UncertainEngine::build(objs);
-        let range = RangeSpec::square(w);
-        let requests: Vec<UncertainRequest> = issuers
-            .into_iter()
-            .enumerate()
-            .map(|(k, (x, y, u))| {
-                let iss = Issuer::uniform(Rect::centered(Point::new(x, y), u, u));
-                match k % 3 {
-                    0 => UncertainRequest::iuq(iss, range),
-                    1 => UncertainRequest::ciuq(iss, range, qp, CiuqStrategy::RTreeMinkowski),
-                    _ => UncertainRequest::ciuq(iss, range, qp, CiuqStrategy::PtiPExpanded),
-                }
-            })
-            .collect();
-        let par = execute_batch(&engine, &requests);
-        let seq = execute_batch_sequential(&engine, &requests);
-        assert_bit_identical(&par, &seq);
     }
 
     /// A context dirtied by arbitrary earlier point queries (warm
@@ -316,26 +292,83 @@ proptest! {
         }
     }
 
-    /// Batch answers equal the answers from the one-query engine
-    /// methods — batching changes scheduling, never semantics.
+    /// The request path (`execute_one`) answers every query class under
+    /// every integrator — the request's own — exactly as the plan a
+    /// caller can rebuild by hand, and the paper-named engine methods
+    /// are that path under `Auto`.
     #[test]
     fn batch_equals_single_query_api(
+        pts in point_db(),
         objs in uncertain_db(),
         iss in issuer(),
         w in 30.0..250.0f64,
         qp in 0.0..0.9f64,
     ) {
-        let engine = UncertainEngine::build(objs);
+        let points = PointEngine::build(pts);
+        let uncertain = UncertainEngine::build(objs);
         let range = RangeSpec::square(w);
-        let requests = vec![
+        let expanded = minkowski_query(&iss, range);
+        let p_expanded = p_expanded_query(&iss, range, qp);
+        for integrator in [
+            Integrator::Auto,
+            Integrator::Grid { per_axis: 24 },
+            Integrator::MonteCarlo { samples: 64 },
+        ] {
+            for (request, filter) in [
+                (PointRequest::ipq(iss.clone(), range), expanded),
+                (PointRequest::cipq(iss.clone(), range, qp, CipqStrategy::MinkowskiSum), expanded),
+                (PointRequest::cipq(iss.clone(), range, qp, CipqStrategy::PExpanded), p_expanded),
+            ] {
+                let request = request.with_integrator(integrator);
+                let want = by_hand(points.objects(), filter, &request);
+                assert_same_work(&points.execute_one(&request), &want);
+            }
+            let baseline =
+                UncertainRequest::ciuq(iss.clone(), range, qp, CiuqStrategy::RTreeMinkowski);
+            for request in [UncertainRequest::iuq(iss.clone(), range), baseline.clone()] {
+                let request = request.with_integrator(integrator);
+                let want = by_hand(uncertain.objects(), expanded, &request);
+                assert_same_work(&uncertain.execute_one(&request), &want);
+            }
+            // The PTI plan prunes by exact bounds: under a deterministic
+            // integrator it keeps the baseline's matches, bit for bit,
+            // but for ones it pruned (none at all under `Auto`).
+            if integrator != (Integrator::MonteCarlo { samples: 64 }) {
+                let pti = UncertainRequest::ciuq(iss.clone(), range, qp, CiuqStrategy::PtiPExpanded);
+                let pti = uncertain.execute_one(&pti.with_integrator(integrator));
+                let base = uncertain.execute_one(&baseline.with_integrator(integrator));
+                for m in &pti.results {
+                    let b = base.probability_of(m.id).map(f64::to_bits);
+                    prop_assert_eq!(b, Some(m.probability.to_bits()));
+                }
+                if integrator == Integrator::Auto {
+                    prop_assert!(pti.same_matches(&base));
+                }
+            }
+        }
+        let requests = [
+            PointRequest::ipq(iss.clone(), range),
+            PointRequest::cipq(iss.clone(), range, qp, CipqStrategy::MinkowskiSum),
+            PointRequest::cipq(iss.clone(), range, qp, CipqStrategy::PExpanded),
+        ];
+        let singles = [
+            points.ipq(&iss, range),
+            points.cipq(&iss, range, qp, CipqStrategy::MinkowskiSum),
+            points.cipq(&iss, range, qp, CipqStrategy::PExpanded),
+        ];
+        let batch: Vec<_> = requests.iter().map(|r| points.execute_one(r)).collect();
+        assert_bit_identical(&batch, &singles);
+        let requests = [
             UncertainRequest::iuq(iss.clone(), range),
+            UncertainRequest::ciuq(iss.clone(), range, qp, CiuqStrategy::RTreeMinkowski),
             UncertainRequest::ciuq(iss.clone(), range, qp, CiuqStrategy::PtiPExpanded),
         ];
-        let batch = engine.execute_batch(&requests);
         let singles = [
-            engine.iuq(&iss, range),
-            engine.ciuq(&iss, range, qp, CiuqStrategy::PtiPExpanded),
+            uncertain.iuq(&iss, range),
+            uncertain.ciuq(&iss, range, qp, CiuqStrategy::RTreeMinkowski),
+            uncertain.ciuq(&iss, range, qp, CiuqStrategy::PtiPExpanded),
         ];
+        let batch: Vec<_> = requests.iter().map(|r| uncertain.execute_one(r)).collect();
         assert_bit_identical(&batch, &singles);
     }
 }

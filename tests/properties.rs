@@ -161,7 +161,7 @@ proptest! {
         if try_prune(&object.catalog(), &ctx) != PruneOutcome::Keep {
             let mut stats = QueryStats::new();
             let mut rng = StdRng::seed_from_u64(1);
-            let pi = Integrator::Exact.object_probability(
+            let pi = Integrator::Auto.object_probability(
                 issuer.pdf(), r, object.pdf(), ctx.expanded, &mut rng, &mut stats,
             );
             prop_assert!(pi <= qp + 1e-9, "pruned but pi={} > qp={}", pi, qp);

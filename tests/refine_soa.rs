@@ -1,40 +1,52 @@
 //! Equivalence suite for the SoA refine batches.
 //!
-//! [`DualityEvaluator`] overrides `ProbabilityEvaluator::probabilities`
-//! with a structure-of-arrays gather that sends uniform candidates to
-//! the batched closed form, separable Gaussians to the hoisted axis
+//! An uncertain object's duality batch
+//! (`CatalogObject::probabilities` with `EvaluatorKind::Duality`) is a
+//! structure-of-arrays gather that sends uniform candidates to the
+//! batched closed form, separable Gaussians to the hoisted axis
 //! profile, and everything else through the per-candidate integrator.
-//! The contract under test here: the override is **observably
-//! identical** to the default scalar loop — same probability bits,
-//! same cost counters, same RNG consumption — across every
-//! [`PdfKind`] variant, every ragged batch tail, dirty scratch reuse,
+//! The contract under test here: the batch is **observably
+//! identical** to a plain loop over the scalar per-object probability
+//! (`CatalogObject::probability`) — same probability bits, same cost
+//! counters, same RNG consumption — across every [`PdfKind`] variant,
+//! every ragged batch tail, dirty scratch reuse, the full pipeline,
 //! and the subscription delta path that rides on top of it.
 
 use iloc::core::pipeline::{
-    AcceptPolicy, DualityEvaluator, EvaluatorKind, ExecutionContext, PreparedQuery,
-    ProbabilityEvaluator, PruneChain, QueryPipeline, RectFilter, UncertainRequest,
+    AcceptPolicy, CatalogObject, EvaluatorKind, ExecutionContext, PreparedQuery, QueryPipeline,
+    UncertainRequest,
 };
 use iloc::core::serve::{ShardedEngine, Update};
 use iloc::core::subscribe::SubscriptionRegistry;
 use iloc::core::{Integrator, Issuer, RangeSpec, UncertainEngine};
-use iloc::index::{NaiveIndex, Pages};
+use iloc::index::{AccessStats, NaiveIndex, Pages, RangeIndex, TraversalScratch};
 use iloc::prelude::*;
 use rand::RngCore;
 
-/// The reference implementation: delegates per-candidate probability
-/// to [`DualityEvaluator`] but inherits the trait's default scalar
-/// `probabilities` loop, so any divergence is the SoA override's.
-struct ScalarRef;
-
-impl ProbabilityEvaluator<UncertainObject> for ScalarRef {
-    fn probability(
-        &self,
-        query: &PreparedQuery<'_>,
-        object: &UncertainObject,
-        ctx: &mut ExecutionContext,
-    ) -> f64 {
-        DualityEvaluator.probability(query, object, ctx)
+/// The reference: the scalar per-object probability, survivor by
+/// survivor, into `out` — so any divergence is the batch's.
+fn scalar_ref(
+    query: &PreparedQuery<'_>,
+    objects: &Pages<UncertainObject>,
+    survivors: &[u32],
+    ctx: &mut ExecutionContext,
+    out: &mut Vec<f64>,
+) {
+    out.clear();
+    for &slot in survivors {
+        out.push(objects[slot as usize].probability(query, ctx));
     }
+}
+
+/// The batch under test.
+fn soa(
+    query: &PreparedQuery<'_>,
+    objects: &Pages<UncertainObject>,
+    survivors: &[u32],
+    ctx: &mut ExecutionContext,
+    out: &mut Vec<f64>,
+) {
+    UncertainObject::probabilities(EvaluatorKind::Duality, query, objects, survivors, ctx, out);
 }
 
 /// `n` objects cycling through four shapes of the three [`PdfKind`]
@@ -87,8 +99,8 @@ fn assert_batch_matches_scalar(objects: &[UncertainObject], issuer: &Issuer, ran
     let mut scalar_ctx = ExecutionContext::new(Integrator::Auto);
     let mut soa = Vec::new();
     let mut scalar = Vec::new();
-    DualityEvaluator.probabilities(&query, objects, &survivors, &mut soa_ctx, &mut soa);
-    ScalarRef.probabilities(&query, objects, &survivors, &mut scalar_ctx, &mut scalar);
+    self::soa(&query, objects, &survivors, &mut soa_ctx, &mut soa);
+    scalar_ref(&query, objects, &survivors, &mut scalar_ctx, &mut scalar);
 
     assert_eq!(soa.len(), survivors.len());
     assert_eq!(scalar.len(), survivors.len());
@@ -171,7 +183,7 @@ fn objects_outside_the_expanded_query_refine_to_zero_in_every_lane() {
             let query = PreparedQuery::new(&issuer, range);
             let survivors: Vec<u32> = (0..n as u32).collect();
             let mut out = Vec::new();
-            DualityEvaluator.probabilities(
+            soa(
                 &query,
                 &paged(&objects),
                 &survivors,
@@ -216,8 +228,8 @@ fn non_auto_integrator_falls_back_to_scalar_identically() {
     let mut a_ctx = ExecutionContext::new(Integrator::Grid { per_axis: 40 });
     let mut b_ctx = ExecutionContext::new(Integrator::Grid { per_axis: 40 });
     let (mut a, mut b) = (Vec::new(), Vec::new());
-    DualityEvaluator.probabilities(&query, &objects, &survivors, &mut a_ctx, &mut a);
-    ScalarRef.probabilities(&query, &objects, &survivors, &mut b_ctx, &mut b);
+    soa(&query, &objects, &survivors, &mut a_ctx, &mut a);
+    scalar_ref(&query, &objects, &survivors, &mut b_ctx, &mut b);
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.to_bits(), y.to_bits());
     }
@@ -242,8 +254,8 @@ fn dirty_scratch_reuse_is_bit_identical() {
     let small_survivors: Vec<u32> = (0..small.len() as u32).collect();
     let (mut soa, mut scalar) = (Vec::new(), Vec::new());
 
-    DualityEvaluator.probabilities(&query_big, &big, &big_survivors, &mut soa_ctx, &mut soa);
-    ScalarRef.probabilities(
+    self::soa(&query_big, &big, &big_survivors, &mut soa_ctx, &mut soa);
+    scalar_ref(
         &query_big,
         &big,
         &big_survivors,
@@ -255,14 +267,14 @@ fn dirty_scratch_reuse_is_bit_identical() {
     }
 
     // Reuse both contexts — and both output buffers — without clearing.
-    DualityEvaluator.probabilities(
+    self::soa(
         &query_small,
         &small,
         &small_survivors,
         &mut soa_ctx,
         &mut soa,
     );
-    ScalarRef.probabilities(
+    scalar_ref(
         &query_small,
         &small,
         &small_survivors,
@@ -278,7 +290,7 @@ fn dirty_scratch_reuse_is_bit_identical() {
     // must reproduce the dirty-context answer exactly.
     let mut fresh_ctx = ExecutionContext::new(Integrator::Auto);
     let mut fresh = Vec::new();
-    DualityEvaluator.probabilities(
+    self::soa(
         &query_small,
         &small,
         &small_survivors,
@@ -304,47 +316,58 @@ fn full_pipeline_answers_identical_under_both_evaluators() {
     let objects = paged(&objects);
     let prepared = PreparedQuery::new(&issuer, range);
 
+    let probe = |stats: &mut AccessStats, traversal: &mut TraversalScratch, out: &mut Vec<u32>| {
+        index.query_range_scratch(prepared.expanded, stats, traversal, out)
+    };
     let duality = QueryPipeline {
         query: prepared,
         objects: &objects,
-        filter: RectFilter {
-            index: &index,
-            query: prepared.expanded,
-        },
-        prune: PruneChain::none(),
+        prune: None,
         refine: EvaluatorKind::Duality,
         accept: AcceptPolicy::Positive,
     };
-    let scalar = QueryPipeline {
-        query: prepared,
-        objects: &objects,
-        filter: RectFilter {
-            index: &index,
-            query: prepared.expanded,
-        },
-        prune: PruneChain::none(),
-        refine: ScalarRef,
-        accept: AcceptPolicy::Positive,
-    };
-
     let mut ctx_a = ExecutionContext::new(Integrator::Auto);
+    let mut a = QueryAnswer::default();
+    duality.execute_into(&mut ctx_a, &mut a, probe);
+
+    // The scalar pipeline: the same probe, its candidates in slot
+    // order, the scalar loop, the positive probabilities kept.
+    let mut access = AccessStats::new();
+    let mut candidates = Vec::new();
+    probe(&mut access, &mut TraversalScratch::new(), &mut candidates);
+    candidates.sort_unstable();
     let mut ctx_b = ExecutionContext::new(Integrator::Auto);
-    let a = duality.execute(&mut ctx_a);
-    let b = scalar.execute(&mut ctx_b);
+    let mut probs = Vec::new();
+    scalar_ref(&prepared, &objects, &candidates, &mut ctx_b, &mut probs);
+    let b = QueryAnswer {
+        results: candidates
+            .iter()
+            .zip(&probs)
+            .filter(|&(_, &probability)| probability > 0.0)
+            .map(|(&slot, &probability)| Match {
+                id: objects[slot as usize].id,
+                probability,
+            })
+            .collect(),
+        ..QueryAnswer::default()
+    };
     assert!(
         !a.results.is_empty(),
         "degenerate scenario: nothing matched"
     );
     assert!(a.same_matches(&b), "pipeline answers diverged");
-    assert!(
-        a.stats.same_counters(&b.stats),
-        "pipeline counters diverged:\nSoA    {:?}\nscalar {:?}",
-        a.stats,
-        b.stats
+    let (sa, sb) = (&a.stats, &ctx_b.stats);
+    assert_eq!(
+        (sa.access, sa.prob_evals, sa.mc_samples, sa.grid_cells),
+        (access, sb.prob_evals, sb.mc_samples, sb.grid_cells),
+        "pipeline counters diverged"
     );
+    assert_eq!(sa.refined_out as usize, candidates.len() - b.results.len());
+    assert_eq!(sa.refine_batches.iter().sum::<u64>(), 1, "one batch");
 
-    // Re-running through the now-dirty contexts reproduces the answer.
-    let again = duality.execute(&mut ctx_a);
+    // Re-running through the now-dirty context reproduces the answer.
+    let mut again = QueryAnswer::default();
+    duality.execute_into(&mut ctx_a, &mut again, probe);
     assert!(again.same_matches(&a));
 }
 

@@ -18,12 +18,11 @@
 
 use std::collections::HashMap;
 
-use iloc::core::pipeline::{PointRequest, UncertainRequest};
-use iloc::core::serve::{ShardedEngine, Snapshot, Update, DIRT_HISTORY};
+use iloc::core::pipeline::{BatchEngine, PointRequest, UncertainRequest};
+use iloc::core::serve::{ServeEngine, ShardedEngine, Snapshot, Update, DIRT_HISTORY};
 use iloc::core::subscribe::{AnswerDelta, SubId, SubscriptionRegistry};
 use iloc::core::{
-    CipqStrategy, CiuqStrategy, ContinuousEngine, Integrator, Issuer, Match, PointEngine,
-    RangeSpec, UncertainEngine,
+    CipqStrategy, CiuqStrategy, Integrator, Issuer, Match, PointEngine, RangeSpec, UncertainEngine,
 };
 use iloc::geometry::{Point, Rect};
 use iloc::uncertainty::{
@@ -427,17 +426,19 @@ enum Kind {
     Sampled,
 }
 
+/// The request type of a bed's engine.
+type Req<B> = <<B as Bed>::Engine as BatchEngine>::Request;
+
 /// What the patch schedule needs of a catalog: objects to put at a
 /// place, requests of each kind, and a way to move a request.
 trait Bed {
-    type Engine: ContinuousEngine<Request = Self::Request, Object = Self::Object>;
-    type Request: Clone;
+    type Engine: ServeEngine<Object = Self::Object>;
     type Object: Clone;
 
     fn engine(shards: usize) -> ShardedEngine<Self::Engine>;
     fn object(id: u64, at: Point, rng: &mut Rng) -> Self::Object;
-    fn request(kind: Kind, at: Point) -> Self::Request;
-    fn issuer(request: &mut Self::Request) -> &mut Issuer;
+    fn request(kind: Kind, at: Point) -> Req<Self>;
+    fn issuer(request: &mut Req<Self>) -> &mut Issuer;
 }
 
 fn issuer_at(at: Point) -> Issuer {
@@ -448,7 +449,6 @@ struct Points;
 
 impl Bed for Points {
     type Engine = PointEngine;
-    type Request = PointRequest;
     type Object = PointObject;
 
     fn engine(shards: usize) -> ShardedEngine<PointEngine> {
@@ -478,7 +478,6 @@ struct Regions;
 
 impl Bed for Regions {
     type Engine = UncertainEngine;
-    type Request = UncertainRequest;
     type Object = UncertainObject;
 
     fn engine(shards: usize) -> ShardedEngine<UncertainEngine> {
@@ -556,7 +555,7 @@ fn check_against_oracle<B: Bed>(
     what: &str,
     registry: &SubscriptionRegistry<B::Engine>,
     snapshots: &[Snapshot<B::Engine>],
-    standing: &mut Standing<B::Request>,
+    standing: &mut Standing<Req<B>>,
     delta: Option<&AnswerDelta>,
 ) {
     let sub = registry.get(standing.id).expect("live sub");
@@ -612,7 +611,7 @@ fn run_patch_schedule<B: Bed>(shards: usize, seed: u64) -> (usize, [usize; 4]) {
         (Kind::Plain, 760.0, 740.0, 0.0),
         (Kind::Constrained, 480.0, 520.0, 120.0),
     ];
-    let mut standing: Vec<Standing<B::Request>> = centers
+    let mut standing: Vec<Standing<Req<B>>> = centers
         .iter()
         .map(|&(kind, x, y, slack)| {
             let request = B::request(kind, Point::new(x, y));
@@ -830,7 +829,7 @@ fn tick_and_check<B: Bed>(
     engine: &ShardedEngine<B::Engine>,
     registry: &mut SubscriptionRegistry<B::Engine>,
     snapshots: &[Snapshot<B::Engine>],
-    standing: &mut Standing<B::Request>,
+    standing: &mut Standing<Req<B>>,
     rng: &mut Rng,
 ) {
     let center = B::issuer(&mut standing.request).region().center();
