@@ -51,11 +51,11 @@ use std::path::PathBuf;
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, SystemTime};
 
-use iloc_bench::args::Args;
 use iloc_bench::loadgen::{catalogs, point_pool, to_wire, uncertain_pool};
 use iloc_bench::ResilientClient;
 use iloc_core::QueryAnswer;
 use iloc_datagen::{PointUpdate, PointUpdateGen, UpdateMix};
+use iloc_server::args::Args;
 use iloc_server::client::Client;
 use iloc_server::protocol::CommitTarget;
 use iloc_server::server::{QueryServer, ServerConfig};
@@ -308,10 +308,9 @@ fn main() {
     let mut mismatches = 0usize;
     let mut compared = 0usize;
     for req in &point_pool(cfg.seed + 7) {
-        live.point_query_into(req, &mut got)
-            .expect("recovered query");
+        live.query_into(req, &mut got).expect("recovered query");
         ref_client
-            .point_query_into(req, &mut want)
+            .query_into(req, &mut want)
             .expect("reference query");
         compared += 1;
         if !same_answer(&got, &want) {
@@ -324,10 +323,9 @@ fn main() {
         }
     }
     for req in &uncertain_pool(cfg.seed + 13)[..UNCERTAIN_COMPARED] {
-        live.uncertain_query_into(req, &mut got)
-            .expect("recovered query");
+        live.query_into(req, &mut got).expect("recovered query");
         ref_client
-            .uncertain_query_into(req, &mut want)
+            .query_into(req, &mut want)
             .expect("reference query");
         compared += 1;
         if !same_answer(&got, &want) {

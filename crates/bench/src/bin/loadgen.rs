@@ -52,9 +52,9 @@
 
 use std::net::SocketAddr;
 
-use iloc_bench::args::{die, Args};
 use iloc_bench::loadgen::{run, FrontEnd, Op, Report, Scenario, SCENARIOS};
 use iloc_server::alloc_count::{self, CountingAllocator};
+use iloc_server::args::{die, Args};
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;

@@ -17,9 +17,9 @@
 
 use std::time::Instant;
 
-use iloc_bench::args::{die, Args};
 use iloc_bench::experiments::{ablations, fig08, fig09, fig10, fig11, fig12, fig13};
 use iloc_bench::{Scale, TestBed};
+use iloc_server::args::{die, Args};
 
 /// Every experiment with the group that also selects it — the one
 /// list target validation and dispatch both read.

@@ -27,7 +27,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod args;
 pub mod config;
 pub mod experiments;
 pub mod harness;

@@ -568,8 +568,8 @@ fn query_actor(
     let warmed = (|| {
         let mut client = Client::connect(addr)?;
         for k in 0..sc.warmup {
-            client.point_query_into(&points[k % POOL], &mut answer)?;
-            client.uncertain_query_into(&uncertains[k % POOL], &mut answer)?;
+            client.query_into(&points[k % POOL], &mut answer)?;
+            client.query_into(&uncertains[k % POOL], &mut answer)?;
         }
         Ok(client)
     })();
@@ -581,9 +581,9 @@ fn query_actor(
     for k in 0..sc.ops_per_client {
         let t0 = Instant::now();
         if k % 5 == 4 {
-            client.uncertain_query_into(&uncertains[k % POOL], &mut answer)?;
+            client.query_into(&uncertains[k % POOL], &mut answer)?;
         } else {
-            client.point_query_into(&points[k % POOL], &mut answer)?;
+            client.query_into(&points[k % POOL], &mut answer)?;
         }
         tally.latencies.push(t0.elapsed());
         tally.results += answer.results.len();
@@ -613,7 +613,7 @@ impl Ticker {
         let mut walk = Walk::new(seed, step);
         let (x, y) = walk.advance();
         let request = PointRequest::ipq(issuer_at(x, y, U), RangeSpec::square(W));
-        let (ack, answer) = client.subscribe_point(&request, slack)?;
+        let (ack, answer) = client.subscribe(&request, slack)?;
         Ok(Ticker {
             client,
             walk,
@@ -758,7 +758,7 @@ fn connect_herd(addr: SocketAddr, seed: u64, herd: usize) -> Result<Vec<Client>,
             let y = 500.0 + unit(&mut scatter) * 9_000.0;
             let request = PointRequest::ipq(issuer_at(x, y, HERD_EXTENT), range);
             let mut client = Client::connect(addr)?;
-            client.subscribe_point(&request, HERD_EXTENT)?;
+            client.subscribe(&request, HERD_EXTENT)?;
             Ok(client)
         })
         .collect()
@@ -843,7 +843,7 @@ fn steady_window(
             let pool = point_pool(sc.seed + 9);
             let mut answer = QueryAnswer::default();
             bracketed(control, warm, sc.steady_ops, |c, k| {
-                c.point_query_into(&pool[k % POOL], &mut answer)
+                c.query_into(&pool[k % POOL], &mut answer)
             })
         }
         // One fresh standing query ticked at a fixed position: after
@@ -851,7 +851,7 @@ fn steady_window(
         // probe-free as well as allocation-free.
         Op::Tick { slack, .. } => {
             let request = PointRequest::ipq(issuer_at(5_000.0, 5_000.0, U), RangeSpec::square(W));
-            let (ack, _) = control.subscribe_point(&request, slack)?;
+            let (ack, _) = control.subscribe(&request, slack)?;
             let pdf = request.issuer.pdf().clone();
             let mut note = Notification::default();
             let frames = bracketed(control, warm, sc.steady_ops, |c, _| {

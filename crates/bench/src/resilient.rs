@@ -142,7 +142,7 @@ impl ResilientClient {
                 // the restarted server assigns fresh ids.
                 let mut ok = true;
                 for standing in &mut self.standing {
-                    match client.subscribe_point(&standing.request, standing.slack) {
+                    match client.subscribe(&standing.request, standing.slack) {
                         Ok((ack, _)) => {
                             standing.sub_id = ack.sub_id;
                             self.last_recovered_epoch = ack.recovered_epoch;
@@ -194,7 +194,7 @@ impl ResilientClient {
 
     /// IPQ / C-IPQ with transparent reconnect.
     pub fn point_query(&mut self, request: &PointRequest) -> Result<QueryAnswer, ClientError> {
-        self.with_retry(|c| c.point_query(request))
+        self.with_retry(|c| c.query(request))
     }
 
     /// Liveness probe with transparent reconnect.
@@ -212,7 +212,7 @@ impl ResilientClient {
         slack: f64,
     ) -> Result<(SubAck, QueryAnswer), ClientError> {
         let request_clone = request.clone();
-        let (ack, answer) = self.with_retry(|c| c.subscribe_point(&request_clone, slack))?;
+        let (ack, answer) = self.with_retry(|c| c.subscribe(&request_clone, slack))?;
         self.last_recovered_epoch = ack.recovered_epoch;
         self.standing.push(Standing {
             request: request.clone(),

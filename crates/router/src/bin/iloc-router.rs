@@ -20,6 +20,8 @@
 //!                    startup, in seconds (default 10)
 //! ```
 //!
+//! Any other argument is refused with exit status 2.
+//!
 //! The router registers the counting global allocator, so its STATS
 //! frames report real allocation counts — the CI cluster-smoke job
 //! gates on "zero steady-state allocations per routed query" exactly
@@ -31,6 +33,7 @@ use std::time::Duration;
 
 use iloc_router::{Router, RouterConfig};
 use iloc_server::alloc_count::{self, CountingAllocator};
+use iloc_server::args::{die, Args};
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
@@ -53,35 +56,30 @@ const SIGTERM: i32 = 15;
 
 fn main() {
     alloc_count::mark_installed();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let number = |name: &str, default: usize| -> usize {
-        value(name)
-            .map(|v| v.parse().unwrap_or_else(|_| die(name)))
-            .unwrap_or(default)
-    };
+    let args = Args::from_env(
+        &[],
+        &[
+            "--addr",
+            "--node",
+            "--event-loops",
+            "--max-connections",
+            "--push-backlog",
+            "--upstream-timeout",
+            "--connect-timeout",
+        ],
+    );
+    let number = |name: &str, default: usize| -> usize { args.parsed(name, default) };
 
-    let addr = value("--addr").unwrap_or_else(|| "127.0.0.1:7307".to_string());
-    let mut nodes: Vec<SocketAddr> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--node" {
-            let Some(spec) = args.get(i + 1) else {
-                die("--node");
-            };
-            nodes.push(spec.parse().unwrap_or_else(|_| die("--node")));
-            i += 1;
-        }
-        i += 1;
-    }
+    let addr = args.value("--addr").unwrap_or("127.0.0.1:7307").to_string();
+    let nodes: Vec<SocketAddr> = args
+        .values("--node")
+        .map(|spec| {
+            spec.parse()
+                .unwrap_or_else(|_| die(&format!("invalid value for --node: {spec}")))
+        })
+        .collect();
     if nodes.is_empty() {
-        eprintln!("at least one --node HOST:PORT is required");
-        std::process::exit(2);
+        die("at least one --node HOST:PORT is required");
     }
     let event_loops = number("--event-loops", 2);
     let max_connections = number("--max-connections", 16_384);
@@ -134,9 +132,4 @@ fn main() {
     eprintln!("signal received: shutting down");
     handle.shutdown();
     eprintln!("clean shutdown");
-}
-
-fn die(name: &str) -> ! {
-    eprintln!("invalid value for {name}");
-    std::process::exit(2);
 }

@@ -82,7 +82,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread;
 use std::time::Duration;
 
-use iloc_core::serve::{shard_of, CommitReport, Update};
+use iloc_core::serve::{shard_of, CommitReport};
 use iloc_core::subscribe::AnswerDelta;
 use iloc_core::{merge_partials_into, QueryAnswer};
 use iloc_server::client::{Client, ClientError};
@@ -92,7 +92,6 @@ use iloc_server::protocol::{
     NotifyCause, Role, StatsReport, WireError, WireUpdate,
 };
 use iloc_server::{alloc_count, MAX_SUBSCRIPTIONS};
-use iloc_uncertainty::ObjectId;
 
 /// How a [`Router`] listens and reaches its nodes.
 #[derive(Debug, Clone)]
@@ -107,8 +106,6 @@ pub struct RouterConfig {
     pub event_loops: usize,
     /// Concurrent downstream connection capacity.
     pub max_connections: usize,
-    /// Largest accepted frame.
-    pub max_frame_len: u32,
     /// Poll timeout — bounds shutdown latency.
     pub idle_poll: Duration,
     /// Buffered output above which a connection stops being read, and
@@ -130,7 +127,6 @@ impl RouterConfig {
             nodes,
             event_loops: 2,
             max_connections: 256,
-            max_frame_len: protocol::MAX_FRAME_LEN,
             idle_poll: Duration::from_millis(25),
             push_backlog: 1 << 20,
             upstream_timeout: Duration::from_secs(5),
@@ -142,10 +138,40 @@ impl RouterConfig {
 /// Per-node health, mirrored into STATS_REPORT node sections.
 struct NodeState {
     connected: AtomicBool,
-    point_epoch: AtomicU64,
-    uncertain_epoch: AtomicU64,
+    /// The node's catalog epochs at the last exchange, indexed by
+    /// [`CommitTarget`].
+    epochs: [AtomicU64; 2],
     routed: AtomicU64,
     merged: AtomicU64,
+}
+
+impl NodeState {
+    /// Makes one call to this node and keeps its books: the call is
+    /// `routed`, a success `merged`, and a failure other than the
+    /// node's own error frame marks the node disconnected. What a
+    /// failure means for the request is the caller's to decide.
+    fn call<T>(&self, call: impl FnOnce() -> Result<T, ClientError>) -> Result<T, ClientError> {
+        self.routed.fetch_add(1, Ordering::Relaxed);
+        let result = call();
+        match &result {
+            Ok(_) => {
+                self.merged.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(ClientError::Server { .. }) => {}
+            Err(_) => self.connected.store(false, Ordering::SeqCst),
+        }
+        result
+    }
+
+    fn health(&self) -> NodeHealth {
+        NodeHealth {
+            connected: self.connected.load(Ordering::SeqCst),
+            point_epoch: self.epochs[0].load(Ordering::Relaxed),
+            uncertain_epoch: self.epochs[1].load(Ordering::Relaxed),
+            routed: self.routed.load(Ordering::Relaxed),
+            merged: self.merged.load(Ordering::Relaxed),
+        }
+    }
 }
 
 /// One standing query as the router tracks it: the node-assigned ids
@@ -189,11 +215,11 @@ struct WritePlane {
 
 struct Shared {
     nodes: Vec<NodeState>,
-    /// Per-node `(point, uncertain)` shard counts from the HELLO
-    /// handshake — sizes the zero-fill for untouched nodes in merged
-    /// commit reports.
-    node_shards: Vec<(u32, u32)>,
-    shard_totals: (u32, u32),
+    /// Per-node shard counts from the HELLO handshake, indexed by
+    /// [`CommitTarget`] — sizes the zero-fill for untouched nodes in
+    /// merged commit reports.
+    node_shards: Vec<[u32; 2]>,
+    shard_totals: [u32; 2],
     /// The cluster epochs `[point, uncertain]`, published only after
     /// every node acknowledged a commit.
     epochs: [AtomicU64; 2],
@@ -294,21 +320,23 @@ impl Router {
 
         let mut nodes = Vec::with_capacity(n);
         let mut node_shards = Vec::with_capacity(n);
-        let mut shard_totals = (0u32, 0u32);
+        let mut shard_totals = [0u32; 2];
         let mut epochs = (0u64, 0u64);
         for client in &write_clients {
             let ack = *client.hello().expect("handshake stores the ack");
-            node_shards.push((ack.point_shards, ack.uncertain_shards));
-            shard_totals.0 += ack.point_shards;
-            shard_totals.1 += ack.uncertain_shards;
+            node_shards.push([ack.point_shards, ack.uncertain_shards]);
+            shard_totals[0] += ack.point_shards;
+            shard_totals[1] += ack.uncertain_shards;
             // A restarted durable cluster resumes from the highest
             // epoch any node recovered to.
             epochs.0 = epochs.0.max(ack.point_epoch);
             epochs.1 = epochs.1.max(ack.uncertain_epoch);
             nodes.push(NodeState {
                 connected: AtomicBool::new(true),
-                point_epoch: AtomicU64::new(ack.point_epoch),
-                uncertain_epoch: AtomicU64::new(ack.uncertain_epoch),
+                epochs: [
+                    AtomicU64::new(ack.point_epoch),
+                    AtomicU64::new(ack.uncertain_epoch),
+                ],
                 routed: AtomicU64::new(0),
                 merged: AtomicU64::new(0),
             });
@@ -342,7 +370,6 @@ impl Router {
             addr: config.addr.clone(),
             event_loops: loops,
             max_connections: config.max_connections,
-            max_frame_len: config.max_frame_len,
             idle_poll: config.idle_poll,
             idle_timeout: None,
             push_backlog: config.push_backlog,
@@ -401,8 +428,8 @@ impl Handler for RouterHandler {
             uncertain_epoch: self.shared.epochs[1].load(Ordering::SeqCst),
             point_recovered: 0,
             uncertain_recovered: 0,
-            point_shards: self.shared.shard_totals.0,
-            uncertain_shards: self.shared.shard_totals.1,
+            point_shards: self.shared.shard_totals[0],
+            uncertain_shards: self.shared.shard_totals[1],
         }
     }
 
@@ -411,8 +438,8 @@ impl Handler for RouterHandler {
     fn frame(&mut self, frame: &[u8], id: ConnId, subs: &mut [u32; 2], out: &mut Vec<u8>) {
         let payload = &frame[6..];
         match frame[5] {
-            opcode::POINT_QUERY => return self.hold_query(frame, 0),
-            opcode::UNCERTAIN_QUERY => return self.hold_query(frame, 1),
+            opcode::POINT_QUERY => return self.hold_query(frame, CommitTarget::Point),
+            opcode::UNCERTAIN_QUERY => return self.hold_query(frame, CommitTarget::Uncertain),
             _ => self.drain(out),
         }
         match frame[5] {
@@ -478,7 +505,7 @@ impl RouterHandler {
             .collect();
         for rsub in dead {
             let entry = wp.subs.remove(&rsub).expect("listed above");
-            let tag = cat_of(entry.target) as u8;
+            let tag = entry.target as u8;
             for (i, &sid) in entry.node_ids.iter().enumerate() {
                 wp.by_node.remove(&(i, tag, sid));
                 let _ = wp.clients[i].unsubscribe(entry.target, sid);
@@ -489,8 +516,8 @@ impl RouterHandler {
     /// Holds a query frame back for this pass's batch. A poisoned
     /// catalog is checked now, as the frame arrives, so its query
     /// reaches no node.
-    fn hold_query(&mut self, frame: &[u8], cat: usize) {
-        if self.shared.poison[cat].load(Ordering::SeqCst) {
+    fn hold_query(&mut self, frame: &[u8], target: CommitTarget) {
+        if self.shared.poison[target as usize].load(Ordering::SeqCst) {
             self.held.push(Held::Poisoned);
         } else {
             self.batch.extend_from_slice(frame);
@@ -610,7 +637,7 @@ impl RouterHandler {
         }
         let mut touched = [false, false];
         for u in &wp.updates {
-            touched[catalog_of(u)] = true;
+            touched[u.target() as usize] = true;
         }
         if (touched[0] && self.shared.poison[0].load(Ordering::SeqCst))
             || (touched[1] && self.shared.poison[1].load(Ordering::SeqCst))
@@ -623,27 +650,19 @@ impl RouterHandler {
             batch.clear();
         }
         for u in wp.updates.drain(..) {
-            let node = shard_of(update_id(&u), n);
+            let node = shard_of(u.id(), n);
             wp.node_batches[node].push(u);
         }
         let mut accepted: u64 = 0;
         let mut fail: Option<String> = None;
         for i in 0..n {
-            if wp.node_batches[i].is_empty() {
+            let batch = &wp.node_batches[i];
+            if batch.is_empty() {
                 continue;
             }
-            self.shared.nodes[i].routed.fetch_add(1, Ordering::Relaxed);
-            match wp.clients[i].submit(&wp.node_batches[i]) {
-                Ok(a) => {
-                    accepted += a as u64;
-                    self.shared.nodes[i].merged.fetch_add(1, Ordering::Relaxed);
-                }
+            match self.shared.nodes[i].call(|| wp.clients[i].submit(batch)) {
+                Ok(a) => accepted += a as u64,
                 Err(e) => {
-                    if !matches!(e, ClientError::Server { .. }) {
-                        self.shared.nodes[i]
-                            .connected
-                            .store(false, Ordering::SeqCst);
-                    }
                     fail = Some(format!("routing updates to node {i} failed: {e}"));
                     break;
                 }
@@ -676,7 +695,7 @@ impl RouterHandler {
                 return;
             }
         };
-        let cat = cat_of(target);
+        let cat = target as usize;
         let mut wp = self
             .shared
             .write_plane
@@ -702,30 +721,15 @@ impl RouterHandler {
             protocol::encode_commit_done(out, &report);
             return;
         }
-        let n = wp.clients.len();
         wp.reports.clear();
         let mut fail: Option<String> = None;
-        for i in 0..n {
-            self.shared.nodes[i].routed.fetch_add(1, Ordering::Relaxed);
-            match wp.clients[i].commit(target) {
+        for (i, node) in self.shared.nodes.iter().enumerate() {
+            match node.call(|| wp.clients[i].commit(target)) {
                 Ok(report) => {
-                    self.shared.nodes[i].merged.fetch_add(1, Ordering::Relaxed);
-                    match target {
-                        CommitTarget::Point => self.shared.nodes[i]
-                            .point_epoch
-                            .store(report.epoch, Ordering::Relaxed),
-                        CommitTarget::Uncertain => self.shared.nodes[i]
-                            .uncertain_epoch
-                            .store(report.epoch, Ordering::Relaxed),
-                    }
+                    node.epochs[cat].store(report.epoch, Ordering::Relaxed);
                     wp.reports.push(report);
                 }
                 Err(e) => {
-                    if !matches!(e, ClientError::Server { .. }) {
-                        self.shared.nodes[i]
-                            .connected
-                            .store(false, Ordering::SeqCst);
-                    }
                     fail = Some(format!("commit on node {i} failed: {e}"));
                     break;
                 }
@@ -755,10 +759,7 @@ impl RouterHandler {
                     Some(d) => d.hull(dirty),
                 });
             }
-            let shards = match target {
-                CommitTarget::Point => self.shared.node_shards[i].0,
-                CommitTarget::Uncertain => self.shared.node_shards[i].1,
-            } as usize;
+            let shards = self.shared.node_shards[i][cat] as usize;
             if report.per_shard.is_empty() {
                 // The node had nothing pending (its commit early-outed)
                 // — its shards applied zero updates.
@@ -796,7 +797,7 @@ impl RouterHandler {
                 return;
             }
         };
-        let cat = cat_of(target);
+        let cat = target as usize;
         if self.shared.poison[cat].load(Ordering::SeqCst) {
             encode_poisoned(out);
             return;
@@ -819,24 +820,15 @@ impl RouterHandler {
         let mut acks: Vec<u64> = Vec::with_capacity(n);
         let mut fail: Option<(ErrorCode, String)> = None;
         for i in 0..n {
-            self.shared.nodes[i].routed.fetch_add(1, Ordering::Relaxed);
-            match wp.clients[i].forward_subscribe_into(frame, &mut wp.sub_partials[i]) {
+            let partial = &mut wp.sub_partials[i];
+            match self.shared.nodes[i].call(|| wp.clients[i].forward_subscribe_into(frame, partial))
+            {
                 Ok((ack_target, node_sub, _epoch, _recovered)) => {
                     debug_assert_eq!(ack_target, target);
-                    self.shared.nodes[i].merged.fetch_add(1, Ordering::Relaxed);
                     acks.push(node_sub);
                 }
                 Err(e) => {
-                    let code = match &e {
-                        ClientError::Server { code, .. } => code.unwrap_or(ErrorCode::Internal),
-                        _ => {
-                            self.shared.nodes[i]
-                                .connected
-                                .store(false, Ordering::SeqCst);
-                            ErrorCode::Unavailable
-                        }
-                    };
-                    fail = Some((code, format!("subscribe on node {i} failed: {e}")));
+                    fail = Some((error_code(&e), format!("subscribe on node {i} failed: {e}")));
                     break;
                 }
             }
@@ -856,9 +848,8 @@ impl RouterHandler {
         );
         let rsub = wp.next_sub_id;
         wp.next_sub_id += 1;
-        let tag = cat as u8;
         for (i, &sid) in acks.iter().enumerate() {
-            wp.by_node.insert((i, tag, sid), rsub);
+            wp.by_node.insert((i, target as u8, sid), rsub);
         }
         wp.subs.insert(
             rsub,
@@ -888,7 +879,6 @@ impl RouterHandler {
                 return;
             }
         };
-        let cat = cat_of(target);
         let mut wp = self
             .shared
             .write_plane
@@ -904,24 +894,14 @@ impl RouterHandler {
             return;
         }
         let entry = wp.subs.remove(&rsub).expect("checked above");
-        let tag = cat as u8;
         for (i, &sid) in entry.node_ids.iter().enumerate() {
-            wp.by_node.remove(&(i, tag, sid));
-            self.shared.nodes[i].routed.fetch_add(1, Ordering::Relaxed);
-            match wp.clients[i].unsubscribe(target, sid) {
-                Ok(_) => {
-                    self.shared.nodes[i].merged.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(e) => {
-                    if !matches!(e, ClientError::Server { .. }) {
-                        self.shared.nodes[i]
-                            .connected
-                            .store(false, Ordering::SeqCst);
-                    }
-                }
-            }
+            wp.by_node.remove(&(i, target as u8, sid));
+            // The router forgets the subscription whatever the node
+            // answers; a failure only shows in the node's health.
+            let _ = self.shared.nodes[i].call(|| wp.clients[i].unsubscribe(target, sid));
         }
         protocol::encode_unsub_done(out, true);
+        let cat = target as usize;
         subs[cat] = subs[cat].saturating_sub(1);
     }
 
@@ -933,7 +913,7 @@ impl RouterHandler {
                 return;
             }
         };
-        let cat = cat_of(target);
+        let cat = target as usize;
         if self.shared.poison[cat].load(Ordering::SeqCst) {
             encode_poisoned(out);
             return;
@@ -957,23 +937,11 @@ impl RouterHandler {
         let mut fail: Option<(ErrorCode, String)> = None;
         for i in 0..n {
             let sid = wp.subs[&rsub].node_ids[i];
-            self.shared.nodes[i].routed.fetch_add(1, Ordering::Relaxed);
-            match wp.clients[i].tick_into(target, sid, &pdf, &mut wp.note) {
-                Ok(()) => {
-                    self.shared.nodes[i].merged.fetch_add(1, Ordering::Relaxed);
-                    wp.tick_delta.absorb(&wp.note.delta);
-                }
+            let note = &mut wp.note;
+            match self.shared.nodes[i].call(|| wp.clients[i].tick_into(target, sid, &pdf, note)) {
+                Ok(()) => wp.tick_delta.absorb(&wp.note.delta),
                 Err(e) => {
-                    let code = match &e {
-                        ClientError::Server { code, .. } => code.unwrap_or(ErrorCode::Internal),
-                        _ => {
-                            self.shared.nodes[i]
-                                .connected
-                                .store(false, Ordering::SeqCst);
-                            ErrorCode::Unavailable
-                        }
-                    };
-                    fail = Some((code, format!("tick on node {i} failed: {e}")));
+                    fail = Some((error_code(&e), format!("tick on node {i} failed: {e}")));
                     break;
                 }
             }
@@ -1006,59 +974,41 @@ impl RouterHandler {
         m.event_loops = core.event_loops;
         m.connections = core.connections;
         m.dropped_pushes = core.dropped_pushes;
-        m.point.epoch = self.shared.epochs[0].load(Ordering::SeqCst);
-        m.point.len = 0;
-        m.point.pending = 0;
-        m.point.shard_sizes.clear();
-        m.uncertain.epoch = self.shared.epochs[1].load(Ordering::SeqCst);
-        m.uncertain.len = 0;
-        m.uncertain.pending = 0;
-        m.uncertain.shard_sizes.clear();
+        for (cat, epoch) in [&mut m.point, &mut m.uncertain]
+            .into_iter()
+            .zip(&self.shared.epochs)
+        {
+            cat.epoch = epoch.load(Ordering::SeqCst);
+            cat.len = 0;
+            cat.pending = 0;
+            cat.shard_sizes.clear();
+        }
         m.filter_nanos = 0;
         m.prune_nanos = 0;
         m.refine_nanos = 0;
         m.refine_batches.fill(0);
         m.nodes.clear();
-        for i in 0..self.upstream.len() {
-            self.shared.nodes[i].routed.fetch_add(1, Ordering::Relaxed);
-            match self.upstream[i].stats_into(&mut self.node_stats[i]) {
-                Ok(()) => {
-                    self.shared.nodes[i].merged.fetch_add(1, Ordering::Relaxed);
-                    let ns = &self.node_stats[i];
-                    self.shared.nodes[i]
-                        .point_epoch
-                        .store(ns.point.epoch, Ordering::Relaxed);
-                    self.shared.nodes[i]
-                        .uncertain_epoch
-                        .store(ns.uncertain.epoch, Ordering::Relaxed);
-                    m.point.len += ns.point.len;
-                    m.point.pending += ns.point.pending;
-                    m.point.shard_sizes.extend_from_slice(&ns.point.shard_sizes);
-                    m.uncertain.len += ns.uncertain.len;
-                    m.uncertain.pending += ns.uncertain.pending;
-                    m.uncertain
-                        .shard_sizes
-                        .extend_from_slice(&ns.uncertain.shard_sizes);
-                    m.filter_nanos += ns.filter_nanos;
-                    m.prune_nanos += ns.prune_nanos;
-                    m.refine_nanos += ns.refine_nanos;
-                    for (acc, v) in m.refine_batches.iter_mut().zip(ns.refine_batches.iter()) {
-                        *acc += v;
-                    }
+        for (i, node) in self.shared.nodes.iter().enumerate() {
+            let (client, ns) = (&mut self.upstream[i], &mut self.node_stats[i]);
+            if node.call(|| client.stats_into(ns)).is_ok() {
+                for ((cat, from), epoch) in [&mut m.point, &mut m.uncertain]
+                    .into_iter()
+                    .zip([&ns.point, &ns.uncertain])
+                    .zip(&node.epochs)
+                {
+                    epoch.store(from.epoch, Ordering::Relaxed);
+                    cat.len += from.len;
+                    cat.pending += from.pending;
+                    cat.shard_sizes.extend_from_slice(&from.shard_sizes);
                 }
-                Err(_) => {
-                    self.shared.nodes[i]
-                        .connected
-                        .store(false, Ordering::SeqCst);
+                m.filter_nanos += ns.filter_nanos;
+                m.prune_nanos += ns.prune_nanos;
+                m.refine_nanos += ns.refine_nanos;
+                for (acc, v) in m.refine_batches.iter_mut().zip(ns.refine_batches.iter()) {
+                    *acc += v;
                 }
             }
-            m.nodes.push(NodeHealth {
-                connected: self.shared.nodes[i].connected.load(Ordering::SeqCst),
-                point_epoch: self.shared.nodes[i].point_epoch.load(Ordering::Relaxed),
-                uncertain_epoch: self.shared.nodes[i].uncertain_epoch.load(Ordering::Relaxed),
-                routed: self.shared.nodes[i].routed.load(Ordering::Relaxed),
-                merged: self.shared.nodes[i].merged.load(Ordering::Relaxed),
-            });
+            m.nodes.push(node.health());
         }
         protocol::encode_stats_report_from(out, m);
     }
@@ -1089,7 +1039,7 @@ fn gather_deltas(
         }
     }
     wp.notified.clear();
-    let tag = cat_of(target) as u8;
+    let tag = target as u8;
     for i in 0..n {
         while let Some(note) = wp.clients[i].take_notification() {
             if note.cause != NotifyCause::Commit || note.target != target {
@@ -1125,28 +1075,13 @@ fn gather_deltas(
     None
 }
 
-fn cat_of(target: CommitTarget) -> usize {
-    match target {
-        CommitTarget::Point => 0,
-        CommitTarget::Uncertain => 1,
-    }
-}
-
-fn catalog_of(update: &WireUpdate) -> usize {
-    match update {
-        WireUpdate::Point(_) => 0,
-        WireUpdate::Uncertain(_) => 1,
-    }
-}
-
-/// The id that decides which node owns an update — the same id the
-/// sharded engine hashes, so node order is shard order.
-fn update_id(update: &WireUpdate) -> ObjectId {
-    match update {
-        WireUpdate::Point(Update::Arrive(o)) | WireUpdate::Point(Update::Move(o)) => o.id,
-        WireUpdate::Point(Update::Depart(id)) => *id,
-        WireUpdate::Uncertain(Update::Arrive(o)) | WireUpdate::Uncertain(Update::Move(o)) => o.id,
-        WireUpdate::Uncertain(Update::Depart(id)) => *id,
+/// The error code a failed node call forwards: the node's own code
+/// when it answered with an error frame, `Unavailable` when it could
+/// not answer at all.
+fn error_code(e: &ClientError) -> ErrorCode {
+    match e {
+        ClientError::Server { code, .. } => code.unwrap_or(ErrorCode::Internal),
+        _ => ErrorCode::Unavailable,
     }
 }
 

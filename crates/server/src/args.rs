@@ -1,13 +1,16 @@
-//! The argument parser `loadgen` and `crash_recovery` share: bare
-//! `--switch`es and `--name VALUE` pairs, every one declared up front.
+//! The argument parser every binary of the workspace shares
+//! (`iloc-server`, `iloc-router`, and the bench crate's `loadgen`,
+//! `crash_recovery` and `reproduce`): bare `--switch`es and
+//! `--name VALUE` pairs, every one declared up front.
 //!
 //! A flag nobody declared is an error, not something to skip over: a
 //! typo such as `--check-alloc` would otherwise switch a CI gate off
-//! and leave the job green.
+//! and leave the job green, and `iloc-server --data-dri DIR` would
+//! serve a store with no write-ahead log.
 
 use std::str::FromStr;
 
-/// The parsed command line of one bench binary.
+/// The parsed command line of one binary.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     /// Every flag given, in order, with its value when it takes one.
@@ -54,12 +57,18 @@ impl Args {
         self.given.iter().any(|(n, _)| n == name)
     }
 
-    /// The value given for `name`, if any.
+    /// The value given for `name`, if any (the first, when it was
+    /// given more than once).
     pub fn value(&self, name: &str) -> Option<&str> {
+        self.values(name).next()
+    }
+
+    /// Every value given for a repeatable `name`, in order.
+    pub fn values<'a, 'n>(&'a self, name: &'n str) -> impl Iterator<Item = &'a str> + use<'a, 'n> {
         self.given
             .iter()
-            .find(|(n, _)| n == name)
-            .and_then(|(_, v)| v.as_deref())
+            .filter(move |(n, _)| n == name)
+            .filter_map(|(_, v)| v.as_deref())
     }
 
     /// The value given for `name`, if any, parsed as `T`; a value that
@@ -91,7 +100,7 @@ mod tests {
         Args::parse(
             line.split_whitespace().map(String::from),
             &["--quick", "--check-allocs"],
-            &["--addr", "--clients"],
+            &["--addr", "--clients", "--node"],
         )
     }
 
@@ -104,6 +113,12 @@ mod tests {
         assert_eq!(args.parsed("--clients", 4usize), 8);
         assert_eq!(args.parsed("--addr", 7usize), 7);
         assert_eq!(args.optional::<usize>("--addr"), None);
+
+        // A repeated flag keeps every value, in order.
+        let args = parse("--node a --quick --node b").expect("repeats");
+        assert_eq!(args.values("--node").collect::<Vec<_>>(), ["a", "b"]);
+        assert_eq!(args.value("--node"), Some("a"));
+        assert_eq!(args.values("--addr").count(), 0);
 
         // The typo that used to turn the allocation gate off silently.
         let typo = parse("--quick --check-alloc").expect_err("typo");

@@ -38,6 +38,9 @@
 //!                    docs/CLUSTER.md)
 //! ```
 //!
+//! Any other argument is refused with exit status 2: a misspelt flag
+//! must not quietly serve without the store or policy it asked for.
+//!
 //! With `--data-dir`, SIGTERM / SIGINT shut down gracefully: stop
 //! accepting, drain in-flight frames, fsync the log tail, write a
 //! clean checkpoint, exit 0.
@@ -54,6 +57,7 @@ use iloc_core::durable::FsyncPolicy;
 use iloc_core::serve::shard_of;
 use iloc_datagen::{california_points, long_beach_rects, uniform_objects};
 use iloc_server::alloc_count::{self, CountingAllocator};
+use iloc_server::args::{die, Args};
 use iloc_server::server::{DurabilityOptions, QueryServer, RecoveryInfo, ServerConfig};
 use iloc_uncertainty::PointObject;
 
@@ -79,22 +83,28 @@ const SIGTERM: i32 = 15;
 
 fn main() {
     alloc_count::mark_installed();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let number = |name: &str, default: usize| -> usize {
-        value(name)
-            .map(|v| v.parse().unwrap_or_else(|_| die(name)))
-            .unwrap_or(default)
-    };
+    let args = Args::from_env(
+        &["--quick"],
+        &[
+            "--addr",
+            "--points",
+            "--uncertain",
+            "--shards",
+            "--event-loops",
+            "--max-connections",
+            "--push-backlog",
+            "--seed",
+            "--idle-timeout",
+            "--data-dir",
+            "--fsync",
+            "--checkpoint-every",
+            "--cluster-node",
+        ],
+    );
+    let number = |name: &str, default: usize| -> usize { args.parsed(name, default) };
 
-    let quick = flag("--quick");
-    let addr = value("--addr").unwrap_or_else(|| "127.0.0.1:7207".to_string());
+    let quick = args.given("--quick");
+    let addr = args.value("--addr").unwrap_or("127.0.0.1:7207").to_string();
     let points = number(
         "--points",
         if quick {
@@ -120,17 +130,20 @@ fn main() {
         0 => None,
         secs => Some(Duration::from_secs(secs as u64)),
     };
-    let cluster_node = value("--cluster-node").map(|v| {
+    let cluster_node = args.value("--cluster-node").map(|v| {
         let parse = || -> Option<(usize, usize)> {
             let (k, n) = v.split_once('/')?;
             let (k, n) = (k.parse().ok()?, n.parse().ok()?);
             (k < n).then_some((k, n))
         };
-        parse().unwrap_or_else(|| die("--cluster-node"))
+        parse().unwrap_or_else(|| die(&format!("invalid value for --cluster-node: {v}")))
     });
-    let data_dir = value("--data-dir");
-    let fsync = value("--fsync")
-        .map(|v| FsyncPolicy::parse(&v).unwrap_or_else(|| die("--fsync")))
+    let data_dir = args.value("--data-dir").map(String::from);
+    let fsync = args
+        .value("--fsync")
+        .map(|v| {
+            FsyncPolicy::parse(v).unwrap_or_else(|| die(&format!("invalid value for --fsync: {v}")))
+        })
         .unwrap_or(FsyncPolicy::Always);
     let checkpoint_every = number("--checkpoint-every", 256) as u64;
 
@@ -248,9 +261,4 @@ fn report_recovery(dir: &str, fsync: FsyncPolicy, recovery: &RecoveryInfo) {
             );
         }
     }
-}
-
-fn die(name: &str) -> ! {
-    eprintln!("invalid value for {name}");
-    std::process::exit(2);
 }

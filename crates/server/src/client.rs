@@ -24,14 +24,14 @@ use std::io::{self, Read as _, Write as _};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use iloc_core::pipeline::{PointRequest, UncertainRequest};
+use iloc_core::pipeline::QueryRequest;
 use iloc_core::serve::CommitReport;
 use iloc_core::QueryAnswer;
 use iloc_uncertainty::PdfKind;
 
 use crate::protocol::{
     self, opcode, CommitTarget, ErrorCode, HelloAck, Notification, NotifyCause, Role, StatsReport,
-    WireError, WireUpdate, PROTOCOL_VERSION,
+    WireError, WireStrategy, WireUpdate, PROTOCOL_VERSION,
 };
 
 /// Default pipeline window for the batch methods: deep enough to hide
@@ -152,9 +152,9 @@ impl Client {
     }
 
     /// Wraps an already-connected stream (the router dials its nodes
-    /// with the non-blocking connect in [`crate::poll`] and hands the
-    /// finished sockets here) and performs the v6 HELLO handshake.
-    /// The stream must be in blocking mode.
+    /// with [`TcpStream::connect_timeout`], one thread per connection,
+    /// and hands the sockets here) and performs the v6 HELLO
+    /// handshake. The stream must be in blocking mode.
     pub fn from_stream(stream: TcpStream, role: Role) -> io::Result<Client> {
         stream.set_nodelay(true)?;
         let mut client = Client {
@@ -361,48 +361,27 @@ impl Client {
         self.stream.set_read_timeout(timeout)
     }
 
-    /// IPQ / C-IPQ into a reusable answer (allocation-free once warm).
-    pub fn point_query_into(
+    /// One query — IPQ / C-IPQ on a point request, IUQ / C-IUQ on an
+    /// uncertain one — into a reusable answer (allocation-free once
+    /// warm).
+    pub fn query_into<S: WireStrategy>(
         &mut self,
-        request: &PointRequest,
+        request: &QueryRequest<S>,
         answer: &mut QueryAnswer,
     ) -> Result<(), ClientError> {
         self.write_buf.clear();
-        protocol::encode_point_query(&mut self.write_buf, request)?;
+        protocol::encode_query(&mut self.write_buf, request);
         self.send()?;
-        self.expect_frame(opcode::ANSWER)?;
-        protocol::decode_answer_into(self.payload(), answer)?;
-        Ok(())
+        self.recv_answer_into(answer)
     }
 
-    /// IPQ / C-IPQ, allocating the answer.
-    pub fn point_query(&mut self, request: &PointRequest) -> Result<QueryAnswer, ClientError> {
-        let mut answer = QueryAnswer::default();
-        self.point_query_into(request, &mut answer)?;
-        Ok(answer)
-    }
-
-    /// IUQ / C-IUQ into a reusable answer (allocation-free once warm).
-    pub fn uncertain_query_into(
+    /// [`Client::query_into`], allocating the answer.
+    pub fn query<S: WireStrategy>(
         &mut self,
-        request: &UncertainRequest,
-        answer: &mut QueryAnswer,
-    ) -> Result<(), ClientError> {
-        self.write_buf.clear();
-        protocol::encode_uncertain_query(&mut self.write_buf, request)?;
-        self.send()?;
-        self.expect_frame(opcode::ANSWER)?;
-        protocol::decode_answer_into(self.payload(), answer)?;
-        Ok(())
-    }
-
-    /// IUQ / C-IUQ, allocating the answer.
-    pub fn uncertain_query(
-        &mut self,
-        request: &UncertainRequest,
+        request: &QueryRequest<S>,
     ) -> Result<QueryAnswer, ClientError> {
         let mut answer = QueryAnswer::default();
-        self.uncertain_query_into(request, &mut answer)?;
+        self.query_into(request, &mut answer)?;
         Ok(answer)
     }
 
@@ -413,9 +392,9 @@ impl Client {
     ///
     /// On a mid-batch error the remaining in-flight responses are
     /// drained so the connection stays usable, then the error returns.
-    pub fn point_query_batch_into(
+    pub fn query_batch_into<S: WireStrategy>(
         &mut self,
-        requests: &[PointRequest],
+        requests: &[QueryRequest<S>],
         answers: &mut Vec<QueryAnswer>,
         window: usize,
     ) -> Result<(), ClientError> {
@@ -425,16 +404,11 @@ impl Client {
         for chunk in requests.chunks(window) {
             self.write_buf.clear();
             for request in chunk {
-                protocol::encode_point_query(&mut self.write_buf, request)?;
+                protocol::encode_query(&mut self.write_buf, request);
             }
             self.send()?;
             for k in 0..chunk.len() {
-                if let Err(e) = self.expect_frame(opcode::ANSWER).and_then(|()| {
-                    Ok(protocol::decode_answer_into(
-                        self.payload(),
-                        &mut answers[done + k],
-                    )?)
-                }) {
+                if let Err(e) = self.recv_answer_into(&mut answers[done + k]) {
                     for _ in k + 1..chunk.len() {
                         let _ = self.recv();
                     }
@@ -496,40 +470,17 @@ impl Client {
 
     // -- Subscriptions ------------------------------------------------
 
-    /// Registers a standing continuous query on the point catalog;
+    /// Registers a standing continuous query on `request`'s catalog;
     /// returns the acknowledgement (id, epochs) and the initial full
     /// answer (the base every subsequent delta composes on). `slack`
     /// is the safe-envelope margin in space units.
-    pub fn subscribe_point(
+    pub fn subscribe<S: WireStrategy>(
         &mut self,
-        request: &PointRequest,
+        request: &QueryRequest<S>,
         slack: f64,
     ) -> Result<(SubAck, QueryAnswer), ClientError> {
         self.write_buf.clear();
-        protocol::encode_subscribe_point(&mut self.write_buf, slack, request)?;
-        self.send()?;
-        self.expect_frame(opcode::SUB_ACK)?;
-        let mut answer = QueryAnswer::default();
-        let (_, sub_id, epoch, recovered_epoch) =
-            protocol::decode_sub_ack_into(self.payload(), &mut answer)?;
-        Ok((
-            SubAck {
-                sub_id,
-                epoch,
-                recovered_epoch,
-            },
-            answer,
-        ))
-    }
-
-    /// Registers a standing continuous query on the uncertain catalog.
-    pub fn subscribe_uncertain(
-        &mut self,
-        request: &UncertainRequest,
-        slack: f64,
-    ) -> Result<(SubAck, QueryAnswer), ClientError> {
-        self.write_buf.clear();
-        protocol::encode_subscribe_uncertain(&mut self.write_buf, slack, request)?;
+        protocol::encode_subscribe(&mut self.write_buf, slack, request)?;
         self.send()?;
         self.expect_frame(opcode::SUB_ACK)?;
         let mut answer = QueryAnswer::default();

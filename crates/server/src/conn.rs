@@ -29,7 +29,7 @@
 //!   length prefix included, borrowed from the read buffer, and appends
 //!   its response to the connection's output buffer.
 //! * **A frame that cannot be delimited poisons its connection**: a
-//!   length below 2 or above [`Config::max_frame_len`], or a foreign
+//!   length below 2 or above [`protocol::MAX_FRAME_LEN`], or a foreign
 //!   version byte, is answered with an error frame, reading stops, and
 //!   the connection closes once the error has drained. HELLO is
 //!   answered here too — a foreign version earns a typed `BadVersion`
@@ -115,8 +115,6 @@ pub struct Config {
     /// accepted beyond it are closed immediately. (Also raise the
     /// process's open-file limit: [`poll::raise_nofile_limit`].)
     pub max_connections: usize,
-    /// Frames longer than this are rejected and the connection closed.
-    pub max_frame_len: u32,
     /// Cadence of the loop sweep: pending pushes reach idle
     /// subscribers and idle deadlines are checked at least this often.
     /// Also bounds shutdown latency.
@@ -148,7 +146,6 @@ impl Config {
             addr: "127.0.0.1:0".to_string(),
             event_loops: 2,
             max_connections: 16_384,
-            max_frame_len: protocol::MAX_FRAME_LEN,
             idle_poll: Duration::from_millis(50),
             idle_timeout: None,
             push_backlog: 1 << 20,
@@ -672,7 +669,7 @@ fn serve_frames<H: Handler>(
         }
         let start = conn.parsed;
         let len = u32::from_le_bytes(conn.in_buf[start..start + 4].try_into().expect("4 bytes"));
-        if len < 2 || len > shared.config.max_frame_len {
+        if !(2..=protocol::MAX_FRAME_LEN).contains(&len) {
             refuse(
                 handler,
                 conn,
@@ -868,8 +865,7 @@ impl<H: Handler> EventLoop<H> {
 
     /// Reads whatever the socket has, serving every complete frame.
     fn read_and_serve(&mut self, idx: usize, now: Instant) -> Result<(), Gone> {
-        let config = &self.shared.config;
-        let (max_frame_len, backlog) = (config.max_frame_len, config.push_backlog);
+        let backlog = self.shared.config.push_backlog;
         loop {
             let conn = self.slots[idx].conn.as_mut().expect("live conn");
             // Draining a final frame; or the peer owes us a flush
@@ -890,7 +886,7 @@ impl<H: Handler> EventLoop<H> {
             // buffer, so a pass never holds more (see `READ_CHUNK`).
             let needed = if conn.in_len >= 4 {
                 let len = u32::from_le_bytes(conn.in_buf[0..4].try_into().expect("4 bytes"));
-                (len.min(max_frame_len) as usize + 4).max(READ_CHUNK)
+                (len.min(protocol::MAX_FRAME_LEN) as usize + 4).max(READ_CHUNK)
             } else {
                 READ_CHUNK
             };
@@ -1191,14 +1187,14 @@ mod tests {
 
     #[test]
     fn undelimitable_frames_are_refused_then_closed() {
-        let rig = rig(Config {
-            max_frame_len: 1024,
-            ..one_loop()
-        });
+        let rig = rig(one_loop());
         let refusals: [(&[u8], ErrorCode); 4] = [
             (&0u32.to_le_bytes(), ErrorCode::TooLarge),
             (&1u32.to_le_bytes(), ErrorCode::TooLarge),
-            (&1025u32.to_le_bytes(), ErrorCode::TooLarge),
+            (
+                &(protocol::MAX_FRAME_LEN + 1).to_le_bytes(),
+                ErrorCode::TooLarge,
+            ),
             (&[2, 0, 0, 0, 99, opcode::PING], ErrorCode::BadVersion),
         ];
         for (bytes, code) in refusals {

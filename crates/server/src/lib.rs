@@ -50,6 +50,10 @@
 //!   windowed **pipelined batch mode**; used by the loopback
 //!   integration tests and by the `loadgen` scenario in `iloc-bench`.
 //!
+//! Beside them, [`args`] is the command-line parser every binary of
+//! the workspace uses: a flag it was not told about exits with status
+//! 2 instead of being skipped.
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -69,7 +73,7 @@
 //! let mut client = Client::connect(handle.addr()).unwrap();
 //! let issuer = Issuer::uniform(Rect::centered(Point::new(500.0, 500.0), 50.0, 50.0));
 //! let answer = client
-//!     .point_query(&PointRequest::ipq(issuer, RangeSpec::square(80.0)))
+//!     .query(&PointRequest::ipq(issuer, RangeSpec::square(80.0)))
 //!     .unwrap();
 //! assert!(!answer.results.is_empty());
 //!
@@ -84,6 +88,7 @@
 compile_error!("iloc-server supports Linux only: its event loops run on epoll");
 
 pub mod alloc_count;
+pub mod args;
 pub mod client;
 pub mod conn;
 pub mod poll;

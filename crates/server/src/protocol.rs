@@ -21,7 +21,7 @@
 //!
 //! * **Allocation-free on the query path.** Encoders append to a
 //!   caller-owned `Vec<u8>` and decoders overwrite caller-owned
-//!   values in place ([`decode_point_query_into`] overwrites the
+//!   values in place ([`decode_query_into`] overwrites the
 //!   issuer's pdf through [`iloc_core::Issuer::set_pdf`]), so a warm
 //!   client or server worker touches no heap.
 //! * **Malformed input is an error frame, never a panic.** Every
@@ -38,11 +38,11 @@
 use iloc_core::durable::codec::{
     self, put_f64, put_pdf, put_rect, put_u16, put_u32, put_u64, read_pdf, read_rect, CodecError,
 };
-use iloc_core::pipeline::{PointConstraint, PointRequest, UncertainConstraint, UncertainRequest};
-use iloc_core::serve::{CommitReport, ServeEngine, Snapshot, Update};
+use iloc_core::pipeline::{Constraint, PointRequest, QueryRequest, UncertainRequest};
+use iloc_core::serve::{CommitReport, Update};
 use iloc_core::stats::REFINE_BATCH_BUCKETS;
 use iloc_core::subscribe::AnswerDelta;
-use iloc_core::{CipqStrategy, CiuqStrategy, Integrator, QueryAnswer, RangeSpec};
+use iloc_core::{CipqStrategy, CiuqStrategy, Integrator, Match, QueryAnswer, RangeSpec};
 use iloc_uncertainty::{ObjectId, PdfKind, PointObject, UncertainObject};
 
 /// A bounds-checked cursor over one frame's payload — the object
@@ -197,14 +197,17 @@ impl From<WireError> for ErrorCode {
     }
 }
 
-/// Which catalog an update, commit or subscription addresses.
+/// Which catalog an update, commit or subscription addresses. The
+/// discriminant is the wire's target byte, and the index both front
+/// ends keep their per-catalog pairs by.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[repr(u8)]
 pub enum CommitTarget {
     /// The point-object catalog (IPQ / C-IPQ data).
     #[default]
-    Point,
+    Point = 0,
     /// The uncertain-object catalog (IUQ / C-IUQ data).
-    Uncertain,
+    Uncertain = 1,
 }
 
 /// One catalog mutation as it travels on the wire, tagged with the
@@ -215,6 +218,89 @@ pub enum WireUpdate {
     Point(Update<PointObject>),
     /// An update to the uncertain catalog.
     Uncertain(Update<UncertainObject>),
+}
+
+impl WireUpdate {
+    /// The catalog this update applies to.
+    pub fn target(&self) -> CommitTarget {
+        match self {
+            WireUpdate::Point(_) => CommitTarget::Point,
+            WireUpdate::Uncertain(_) => CommitTarget::Uncertain,
+        }
+    }
+
+    /// The id of the object it arrives, moves or departs — the id the
+    /// sharded engine hashes, so a cluster's node order is its shard
+    /// order.
+    pub fn id(&self) -> ObjectId {
+        match self {
+            WireUpdate::Point(Update::Arrive(o) | Update::Move(o)) => o.id,
+            WireUpdate::Uncertain(Update::Arrive(o) | Update::Move(o)) => o.id,
+            WireUpdate::Point(Update::Depart(id)) | WireUpdate::Uncertain(Update::Depart(id)) => {
+                *id
+            }
+        }
+    }
+}
+
+/// A catalog's constrained-query strategy as the wire carries it: what
+/// lets one query body, one SUBSCRIBE body and one decoder serve both
+/// catalogs.
+pub trait WireStrategy: Copy {
+    /// The catalog a request with this strategy addresses.
+    const TARGET: CommitTarget;
+    /// The catalog's query opcode.
+    const QUERY_OP: u8;
+    /// The decode error for a strategy tag the catalog does not know.
+    const UNKNOWN: &'static str;
+
+    /// The strategy's wire tag.
+    fn tag(self) -> u8;
+
+    /// The strategy a wire tag names, if any.
+    fn from_tag(tag: u8) -> Option<Self>;
+}
+
+impl WireStrategy for CipqStrategy {
+    const TARGET: CommitTarget = CommitTarget::Point;
+    const QUERY_OP: u8 = opcode::POINT_QUERY;
+    const UNKNOWN: &'static str = "unknown C-IPQ strategy";
+
+    fn tag(self) -> u8 {
+        match self {
+            CipqStrategy::MinkowskiSum => 0,
+            CipqStrategy::PExpanded => 1,
+        }
+    }
+
+    fn from_tag(tag: u8) -> Option<Self> {
+        match tag {
+            0 => Some(CipqStrategy::MinkowskiSum),
+            1 => Some(CipqStrategy::PExpanded),
+            _ => None,
+        }
+    }
+}
+
+impl WireStrategy for CiuqStrategy {
+    const TARGET: CommitTarget = CommitTarget::Uncertain;
+    const QUERY_OP: u8 = opcode::UNCERTAIN_QUERY;
+    const UNKNOWN: &'static str = "unknown C-IUQ strategy";
+
+    fn tag(self) -> u8 {
+        match self {
+            CiuqStrategy::RTreeMinkowski => 0,
+            CiuqStrategy::PtiPExpanded => 1,
+        }
+    }
+
+    fn from_tag(tag: u8) -> Option<Self> {
+        match tag {
+            0 => Some(CiuqStrategy::RTreeMinkowski),
+            1 => Some(CiuqStrategy::PtiPExpanded),
+            _ => None,
+        }
+    }
 }
 
 /// Per-catalog slice of a [`StatsReport`].
@@ -350,35 +436,6 @@ pub struct HelloAck {
     pub uncertain_shards: u32,
 }
 
-/// Process-wide counters the stats frame reports alongside the
-/// catalogs (see [`crate::alloc_count`]).
-#[derive(Debug, Clone, Copy)]
-pub struct CountersView {
-    /// Whether the process counts allocations.
-    pub alloc_counting: bool,
-    /// Allocations so far.
-    pub allocations: u64,
-    /// Frames handled so far.
-    pub requests_served: u64,
-    /// Concurrent-connection capacity.
-    pub capacity: u32,
-    /// Event-loop threads.
-    pub event_loops: u32,
-    /// Live connections right now.
-    pub connections: u64,
-    /// Pushes lost to backpressure closes, server-wide.
-    pub dropped_pushes: u64,
-    /// Summed filter-stage nanoseconds across all answered queries.
-    pub filter_nanos: u64,
-    /// Summed prune-stage nanoseconds.
-    pub prune_nanos: u64,
-    /// Summed refine-stage nanoseconds.
-    pub refine_nanos: u64,
-    /// Refine-batch size histogram
-    /// ([`iloc_core::stats::refine_batch_bucket`] buckets).
-    pub refine_batches: [u64; REFINE_BATCH_BUCKETS],
-}
-
 // ---------------------------------------------------------------------------
 // Frame scaffolding
 // ---------------------------------------------------------------------------
@@ -475,9 +532,9 @@ fn read_qp(r: &mut Reader<'_>) -> Result<f64, WireError> {
 // Queries
 // ---------------------------------------------------------------------------
 
-/// Appends the shared query body (pdf, range, integrator, constraint)
-/// of a point request.
-fn put_point_query_body(buf: &mut Vec<u8>, request: &PointRequest) {
+/// Appends the query body a QUERY and a SUBSCRIBE frame share: pdf,
+/// range, integrator, constraint.
+fn put_query_body<S: WireStrategy>(buf: &mut Vec<u8>, request: &QueryRequest<S>) {
     put_pdf(buf, request.issuer.pdf());
     put_range(buf, request.range);
     put_integrator(buf, request.integrator);
@@ -486,61 +543,16 @@ fn put_point_query_body(buf: &mut Vec<u8>, request: &PointRequest) {
         Some(c) => {
             buf.push(1);
             put_f64(buf, c.qp);
-            buf.push(match c.strategy {
-                CipqStrategy::MinkowskiSum => 0,
-                CipqStrategy::PExpanded => 1,
-            });
+            buf.push(c.strategy.tag());
         }
     }
 }
 
-/// Reads the shared query body into a reusable point-request slot.
-fn read_point_query_body(r: &mut Reader<'_>, request: &mut PointRequest) -> Result<(), WireError> {
-    let pdf = read_pdf(r)?;
-    let range = read_range(r)?;
-    let integrator = read_integrator(r)?;
-    let constraint = match r.u8()? {
-        0 => None,
-        1 => {
-            let qp = read_qp(r)?;
-            let strategy = match r.u8()? {
-                0 => CipqStrategy::MinkowskiSum,
-                1 => CipqStrategy::PExpanded,
-                _ => return Err(WireError::Malformed("unknown C-IPQ strategy")),
-            };
-            Some(PointConstraint { qp, strategy })
-        }
-        _ => return Err(WireError::Malformed("bad constraint flag")),
-    };
-    request.issuer.set_pdf(pdf);
-    request.range = range;
-    request.integrator = integrator;
-    request.constraint = constraint;
-    Ok(())
-}
-
-/// Appends the shared query body of an uncertain request.
-fn put_uncertain_query_body(buf: &mut Vec<u8>, request: &UncertainRequest) {
-    put_pdf(buf, request.issuer.pdf());
-    put_range(buf, request.range);
-    put_integrator(buf, request.integrator);
-    match request.constraint {
-        None => buf.push(0),
-        Some(c) => {
-            buf.push(1);
-            put_f64(buf, c.qp);
-            buf.push(match c.strategy {
-                CiuqStrategy::RTreeMinkowski => 0,
-                CiuqStrategy::PtiPExpanded => 1,
-            });
-        }
-    }
-}
-
-/// Reads the shared query body into a reusable uncertain-request slot.
-fn read_uncertain_query_body(
+/// Reads a query body into a reusable request slot. The slot is only
+/// written once the whole body has decoded.
+fn read_query_body<S: WireStrategy>(
     r: &mut Reader<'_>,
-    request: &mut UncertainRequest,
+    request: &mut QueryRequest<S>,
 ) -> Result<(), WireError> {
     let pdf = read_pdf(r)?;
     let range = read_range(r)?;
@@ -549,12 +561,8 @@ fn read_uncertain_query_body(
         0 => None,
         1 => {
             let qp = read_qp(r)?;
-            let strategy = match r.u8()? {
-                0 => CiuqStrategy::RTreeMinkowski,
-                1 => CiuqStrategy::PtiPExpanded,
-                _ => return Err(WireError::Malformed("unknown C-IUQ strategy")),
-            };
-            Some(UncertainConstraint { qp, strategy })
+            let strategy = S::from_tag(r.u8()?).ok_or(WireError::Malformed(S::UNKNOWN))?;
+            Some(Constraint { qp, strategy })
         }
         _ => return Err(WireError::Malformed("bad constraint flag")),
     };
@@ -565,50 +573,57 @@ fn read_uncertain_query_body(
     Ok(())
 }
 
-/// Appends an [`opcode::POINT_QUERY`] frame for `request`. Never
-/// fails (every pdf has a wire form); the `Result` is kept for callers
-/// that propagate it.
-pub fn encode_point_query(buf: &mut Vec<u8>, request: &PointRequest) -> Result<(), WireError> {
-    let at = begin_frame(buf, opcode::POINT_QUERY);
-    put_point_query_body(buf, request);
+/// Appends the query frame of `request`'s catalog
+/// ([`opcode::POINT_QUERY`] or [`opcode::UNCERTAIN_QUERY`]).
+pub fn encode_query<S: WireStrategy>(buf: &mut Vec<u8>, request: &QueryRequest<S>) {
+    let at = begin_frame(buf, S::QUERY_OP);
+    put_query_body(buf, request);
     finish_frame(buf, at);
+}
+
+/// Decodes a query payload **into** a reusable request slot: the
+/// issuer's pdf is replaced in place, so a warm slot makes this
+/// allocation-free.
+pub fn decode_query_into<S: WireStrategy>(
+    payload: &[u8],
+    request: &mut QueryRequest<S>,
+) -> Result<(), WireError> {
+    let mut r = Reader::new(payload);
+    read_query_body(&mut r, request)?;
+    Ok(r.done()?)
+}
+
+/// [`encode_query`] for a point request. Never fails (every pdf has a
+/// wire form); the `Result` is kept for callers that propagate it.
+pub fn encode_point_query(buf: &mut Vec<u8>, request: &PointRequest) -> Result<(), WireError> {
+    encode_query(buf, request);
     Ok(())
 }
 
-/// Decodes an [`opcode::POINT_QUERY`] payload **into** a reusable
-/// request slot: the issuer's pdf is replaced in place, so a warm slot
-/// makes this allocation-free.
+/// [`decode_query_into`] for an [`opcode::POINT_QUERY`] payload.
 pub fn decode_point_query_into(
     payload: &[u8],
     request: &mut PointRequest,
 ) -> Result<(), WireError> {
-    let mut r = Reader::new(payload);
-    read_point_query_body(&mut r, request)?;
-    Ok(r.done()?)
+    decode_query_into(payload, request)
 }
 
-/// Appends an [`opcode::UNCERTAIN_QUERY`] frame for `request`. Never
-/// fails (every pdf has a wire form); the `Result` is kept for callers
-/// that propagate it.
+/// [`encode_query`] for an uncertain request. Never fails; the
+/// `Result` is kept for callers that propagate it.
 pub fn encode_uncertain_query(
     buf: &mut Vec<u8>,
     request: &UncertainRequest,
 ) -> Result<(), WireError> {
-    let at = begin_frame(buf, opcode::UNCERTAIN_QUERY);
-    put_uncertain_query_body(buf, request);
-    finish_frame(buf, at);
+    encode_query(buf, request);
     Ok(())
 }
 
-/// Decodes an [`opcode::UNCERTAIN_QUERY`] payload into a reusable
-/// request slot (allocation-free once warm, like the point variant).
+/// [`decode_query_into`] for an [`opcode::UNCERTAIN_QUERY`] payload.
 pub fn decode_uncertain_query_into(
     payload: &[u8],
     request: &mut UncertainRequest,
 ) -> Result<(), WireError> {
-    let mut r = Reader::new(payload);
-    read_uncertain_query_body(&mut r, request)?;
-    Ok(r.done()?)
+    decode_query_into(payload, request)
 }
 
 // ---------------------------------------------------------------------------
@@ -667,66 +682,48 @@ fn read_slack(r: &mut Reader<'_>) -> Result<f64, WireError> {
     Ok(slack)
 }
 
-/// Appends an [`opcode::SUBSCRIBE`] frame for a standing point query.
-/// Fails only on a `slack` outside the wire's domain, before
-/// appending anything.
+/// Appends an [`opcode::SUBSCRIBE`] frame for a standing query on
+/// `request`'s catalog. Fails only on a `slack` outside the wire's
+/// domain, before appending anything.
+pub fn encode_subscribe<S: WireStrategy>(
+    buf: &mut Vec<u8>,
+    slack: f64,
+    request: &QueryRequest<S>,
+) -> Result<(), WireError> {
+    validate_slack(slack)?;
+    let at = begin_frame(buf, opcode::SUBSCRIBE);
+    put_target(buf, S::TARGET);
+    put_f64(buf, slack);
+    put_query_body(buf, request);
+    finish_frame(buf, at);
+    Ok(())
+}
+
+/// [`encode_subscribe`] for a standing point query.
 pub fn encode_subscribe_point(
     buf: &mut Vec<u8>,
     slack: f64,
     request: &PointRequest,
 ) -> Result<(), WireError> {
-    validate_slack(slack)?;
-    let at = begin_frame(buf, opcode::SUBSCRIBE);
-    put_target(buf, CommitTarget::Point);
-    put_f64(buf, slack);
-    put_point_query_body(buf, request);
-    finish_frame(buf, at);
-    Ok(())
-}
-
-/// Appends an [`opcode::SUBSCRIBE`] frame for a standing uncertain
-/// query. Fails only on a bad `slack`, like
-/// [`encode_subscribe_point`].
-pub fn encode_subscribe_uncertain(
-    buf: &mut Vec<u8>,
-    slack: f64,
-    request: &UncertainRequest,
-) -> Result<(), WireError> {
-    validate_slack(slack)?;
-    let at = begin_frame(buf, opcode::SUBSCRIBE);
-    put_target(buf, CommitTarget::Uncertain);
-    put_f64(buf, slack);
-    put_uncertain_query_body(buf, request);
-    finish_frame(buf, at);
-    Ok(())
+    encode_subscribe(buf, slack, request)
 }
 
 /// Reads a [`opcode::SUBSCRIBE`] payload's header, leaving the reader
-/// at the query body (decode it with the target-appropriate
-/// `decode_subscribe_*_body`).
+/// at the query body (decode it with [`decode_subscribe_body`] into
+/// the target catalog's request slot).
 pub fn decode_subscribe_header(r: &mut Reader<'_>) -> Result<(CommitTarget, f64), WireError> {
     let target = read_target(r)?;
     let slack = read_slack(r)?;
     Ok((target, slack))
 }
 
-/// Decodes the point-query body of a [`opcode::SUBSCRIBE`] payload
-/// into a reusable slot (allocation-free once warm).
-pub fn decode_subscribe_point_body(
+/// Decodes the query body of a [`opcode::SUBSCRIBE`] payload into a
+/// reusable slot (allocation-free once warm).
+pub fn decode_subscribe_body<S: WireStrategy>(
     r: &mut Reader<'_>,
-    request: &mut PointRequest,
+    request: &mut QueryRequest<S>,
 ) -> Result<(), WireError> {
-    read_point_query_body(r, request)?;
-    Ok(r.done()?)
-}
-
-/// Decodes the uncertain-query body of a [`opcode::SUBSCRIBE`] payload
-/// into a reusable slot.
-pub fn decode_subscribe_uncertain_body(
-    r: &mut Reader<'_>,
-    request: &mut UncertainRequest,
-) -> Result<(), WireError> {
-    read_uncertain_query_body(r, request)?;
+    read_query_body(r, request)?;
     Ok(r.done()?)
 }
 
@@ -799,18 +796,14 @@ pub fn encode_sub_ack(
     sub_id: u64,
     epoch: u64,
     recovered_epoch: u64,
-    initial: &[iloc_core::Match],
+    initial: &[Match],
 ) {
     let at = begin_frame(buf, opcode::SUB_ACK);
     put_target(buf, target);
     put_u64(buf, sub_id);
     put_u64(buf, epoch);
     put_u64(buf, recovered_epoch);
-    put_u32(buf, initial.len() as u32);
-    for m in initial {
-        put_u64(buf, m.id.0);
-        put_u64(buf, m.probability.to_bits());
-    }
+    put_matches(buf, initial);
     finish_frame(buf, at);
 }
 
@@ -826,14 +819,8 @@ pub fn decode_sub_ack_into(
     let sub_id = r.u64()?;
     let epoch = r.u64()?;
     let recovered_epoch = r.u64()?;
-    answer.results.clear();
     answer.stats = Default::default();
-    let count = r.u32()?;
-    for _ in 0..count {
-        let id = ObjectId(r.u64()?);
-        let probability = f64::from_bits(r.u64()?);
-        answer.results.push(iloc_core::Match { id, probability });
-    }
+    read_matches_into(&mut r, &mut answer.results)?;
     r.done()?;
     Ok((target, sub_id, epoch, recovered_epoch))
 }
@@ -855,11 +842,7 @@ pub fn encode_notify(
     put_u64(buf, sub_id);
     put_u64(buf, epoch);
     buf.push(cause as u8);
-    put_u32(buf, delta.upserts.len() as u32);
-    for m in &delta.upserts {
-        put_u64(buf, m.id.0);
-        put_u64(buf, m.probability.to_bits());
-    }
+    put_matches(buf, &delta.upserts);
     put_u32(buf, delta.removals.len() as u32);
     for id in &delta.removals {
         put_u64(buf, id.0);
@@ -880,12 +863,7 @@ pub fn decode_notify_into(payload: &[u8], out: &mut Notification) -> Result<(), 
         _ => return Err(WireError::Malformed("unknown notify cause")),
     };
     out.delta.clear();
-    let upserts = r.u32()?;
-    for _ in 0..upserts {
-        let id = ObjectId(r.u64()?);
-        let probability = f64::from_bits(r.u64()?);
-        out.delta.upserts.push(iloc_core::Match { id, probability });
-    }
+    read_matches_into(&mut r, &mut out.delta.upserts)?;
     let removals = r.u32()?;
     for _ in 0..removals {
         out.delta.removals.push(ObjectId(r.u64()?));
@@ -897,22 +875,24 @@ pub fn decode_notify_into(payload: &[u8], out: &mut Notification) -> Result<(), 
 // Updates and commits
 // ---------------------------------------------------------------------------
 
-const TARGET_POINT: u8 = 0;
-const TARGET_UNCERTAIN: u8 = 1;
-
 fn put_target(buf: &mut Vec<u8>, target: CommitTarget) {
-    buf.push(match target {
-        CommitTarget::Point => TARGET_POINT,
-        CommitTarget::Uncertain => TARGET_UNCERTAIN,
-    });
+    buf.push(target as u8);
 }
 
 fn read_target(r: &mut Reader<'_>) -> Result<CommitTarget, WireError> {
     match r.u8()? {
-        TARGET_POINT => Ok(CommitTarget::Point),
-        TARGET_UNCERTAIN => Ok(CommitTarget::Uncertain),
+        0 => Ok(CommitTarget::Point),
+        1 => Ok(CommitTarget::Uncertain),
         _ => Err(WireError::Malformed("unknown catalog target")),
     }
+}
+
+/// The catalog a SUBSCRIBE, UNSUBSCRIBE, TICK or COMMIT payload
+/// addresses — its first byte, read with the error its full decoder
+/// would report — so a front end can dispatch on the catalog before
+/// decoding the rest.
+pub(crate) fn peek_target(payload: &[u8]) -> Result<CommitTarget, WireError> {
+    read_target(&mut Reader::new(payload))
 }
 
 /// Appends an [`opcode::UPDATE_BATCH`] frame carrying `updates`.
@@ -931,23 +911,18 @@ pub fn encode_update_batch(buf: &mut Vec<u8>, updates: &[WireUpdate]) -> Result<
 /// One wire update is its catalog-target byte followed by the object
 /// codec's update encoding — byte-for-byte what the WAL appends.
 fn put_update(buf: &mut Vec<u8>, update: &WireUpdate) {
+    put_target(buf, update.target());
     match update {
-        WireUpdate::Point(u) => {
-            put_target(buf, CommitTarget::Point);
-            codec::put_update(buf, u);
-        }
-        WireUpdate::Uncertain(u) => {
-            put_target(buf, CommitTarget::Uncertain);
-            codec::put_update(buf, u);
-        }
+        WireUpdate::Point(u) => codec::put_update(buf, u),
+        WireUpdate::Uncertain(u) => codec::put_update(buf, u),
     }
 }
 
 /// Decodes an [`opcode::UPDATE_BATCH`] payload, appending the updates
-/// to `out` (cleared first). Uncertain arrivals rebuild their
-/// U-catalog server-side — updates are the ingestion path, which the
-/// paper's cost model (and the zero-allocation invariant) excludes
-/// from query execution.
+/// to `out` (cleared first). An object decodes as its id and pdf, as
+/// the WAL stores it; nothing is derived from it here. Updates are the
+/// ingestion path, which the paper's cost model (and the
+/// zero-allocation invariant) excludes from query execution.
 pub fn decode_update_batch(payload: &[u8], out: &mut Vec<WireUpdate>) -> Result<(), WireError> {
     out.clear();
     let mut r = Reader::new(payload);
@@ -1056,16 +1031,35 @@ pub fn decode_hello_ack(payload: &[u8]) -> Result<HelloAck, WireError> {
 // Responses
 // ---------------------------------------------------------------------------
 
+/// Appends a match list — a count, then each match's id and
+/// probability bit pattern — as ANSWER, SUB_ACK and NOTIFY carry it.
+fn put_matches(buf: &mut Vec<u8>, matches: &[Match]) {
+    put_u32(buf, matches.len() as u32);
+    for m in matches {
+        put_u64(buf, m.id.0);
+        put_u64(buf, m.probability.to_bits());
+    }
+}
+
+/// Reads a match list into `out`, cleared first (its capacity is
+/// kept, so a warm buffer reads without allocating).
+fn read_matches_into(r: &mut Reader<'_>, out: &mut Vec<Match>) -> Result<(), WireError> {
+    out.clear();
+    let count = r.u32()?;
+    for _ in 0..count {
+        let id = ObjectId(r.u64()?);
+        let probability = f64::from_bits(r.u64()?);
+        out.push(Match { id, probability });
+    }
+    Ok(())
+}
+
 /// Appends an [`opcode::ANSWER`] frame: the matches (ids + probability
 /// bit patterns) of `answer`. Stats stay server-side; probe them with
 /// [`opcode::STATS`].
 pub fn encode_answer(buf: &mut Vec<u8>, answer: &QueryAnswer) {
     let at = begin_frame(buf, opcode::ANSWER);
-    put_u32(buf, answer.results.len() as u32);
-    for m in &answer.results {
-        put_u64(buf, m.id.0);
-        put_u64(buf, m.probability.to_bits());
-    }
+    put_matches(buf, &answer.results);
     finish_frame(buf, at);
 }
 
@@ -1073,15 +1067,9 @@ pub fn encode_answer(buf: &mut Vec<u8>, answer: &QueryAnswer) {
 /// (results overwritten, stats zeroed; allocation-free once the match
 /// buffer has grown to workload size).
 pub fn decode_answer_into(payload: &[u8], answer: &mut QueryAnswer) -> Result<(), WireError> {
-    answer.results.clear();
     answer.stats = Default::default();
     let mut r = Reader::new(payload);
-    let count = r.u32()?;
-    for _ in 0..count {
-        let id = ObjectId(r.u64()?);
-        let probability = f64::from_bits(r.u64()?);
-        answer.results.push(iloc_core::Match { id, probability });
-    }
+    read_matches_into(&mut r, &mut answer.results)?;
     Ok(r.done()?)
 }
 
@@ -1149,50 +1137,10 @@ pub fn decode_commit_done(payload: &[u8]) -> Result<CommitReport, WireError> {
     Ok(report)
 }
 
-fn put_catalog<E: ServeEngine>(buf: &mut Vec<u8>, snapshot: &Snapshot<E>, pending: u64) {
-    put_u64(buf, snapshot.epoch());
-    put_u64(buf, snapshot.len() as u64);
-    put_u64(buf, pending);
-    put_u32(buf, snapshot.shard_count() as u32);
-    for n in snapshot.shard_sizes() {
-        put_u64(buf, n as u64);
-    }
-}
-
-/// Appends an [`opcode::STATS_REPORT`] frame directly from engine
-/// snapshots (no intermediate allocation — the stats path stays on the
-/// server's allocation-free budget).
-pub fn encode_stats_report<P: ServeEngine, U: ServeEngine>(
-    buf: &mut Vec<u8>,
-    counters: CountersView,
-    point: (&Snapshot<P>, u64),
-    uncertain: (&Snapshot<U>, u64),
-) {
-    let at = begin_frame(buf, opcode::STATS_REPORT);
-    buf.push(counters.alloc_counting as u8);
-    put_u64(buf, counters.allocations);
-    put_u64(buf, counters.requests_served);
-    put_u32(buf, counters.capacity);
-    put_u32(buf, counters.event_loops);
-    put_u64(buf, counters.connections);
-    put_u64(buf, counters.dropped_pushes);
-    put_catalog(buf, point.0, point.1);
-    put_catalog(buf, uncertain.0, uncertain.1);
-    put_u64(buf, counters.filter_nanos);
-    put_u64(buf, counters.prune_nanos);
-    put_u64(buf, counters.refine_nanos);
-    for &n in &counters.refine_batches {
-        put_u64(buf, n);
-    }
-    put_u32(buf, 0); // node section (v6): a plain server has no upstream nodes
-    finish_frame(buf, at);
-}
-
-/// Appends an [`opcode::STATS_REPORT`] frame from an already-filled
-/// report — the router's path: it has no engine snapshots of its own,
-/// it aggregates node reports into a [`StatsReport`] (warm buffers,
-/// allocation-free) and serializes that, including the per-node health
-/// section.
+/// Appends an [`opcode::STATS_REPORT`] frame for `report`. Both front
+/// ends fill a warm per-loop [`StatsReport`] and send it through here
+/// (allocation-free): the server from its catalogs, the router by
+/// aggregating its nodes' reports, with one health entry per node.
 pub fn encode_stats_report_from(buf: &mut Vec<u8>, report: &StatsReport) {
     let at = begin_frame(buf, opcode::STATS_REPORT);
     buf.push(report.alloc_counting as u8);
@@ -1560,7 +1508,7 @@ mod tests {
         assert_eq!(target, CommitTarget::Point);
         assert_eq!(slack, 75.0);
         let mut slot = slot_point_request();
-        decode_subscribe_point_body(&mut r, &mut slot).unwrap();
+        decode_subscribe_body(&mut r, &mut slot).unwrap();
         assert_eq!(slot.issuer.region(), request.issuer.region());
         assert_eq!(slot.constraint.unwrap().qp, 0.25);
 
@@ -1570,13 +1518,13 @@ mod tests {
             Issuer::uniform(Rect::from_coords(0.0, 0.0, 50.0, 50.0)),
             RangeSpec::square(30.0),
         );
-        encode_subscribe_uncertain(&mut buf, 0.0, &urequest).unwrap();
+        encode_subscribe(&mut buf, 0.0, &urequest).unwrap();
         let (_, payload) = frame_payload(&buf);
         let mut r = Reader::new(payload);
         let (target, slack) = decode_subscribe_header(&mut r).unwrap();
         assert_eq!((target, slack), (CommitTarget::Uncertain, 0.0));
         let mut slot = slot_uncertain_request();
-        decode_subscribe_uncertain_body(&mut r, &mut slot).unwrap();
+        decode_subscribe_body(&mut r, &mut slot).unwrap();
         assert_eq!(slot.issuer.region(), urequest.issuer.region());
 
         // TICK: target + id + pdf.
@@ -1690,9 +1638,90 @@ mod tests {
         for n in 0..payload.len() {
             let mut r = Reader::new(&payload[..n]);
             let truncated = decode_subscribe_header(&mut r)
-                .and_then(|_| decode_subscribe_point_body(&mut r, &mut slot_point_request()));
+                .and_then(|_| decode_subscribe_body(&mut r, &mut slot_point_request()));
             assert!(truncated.is_err(), "prefix {n} should be malformed");
         }
+    }
+
+    /// Decodes a QUERY (`subscribe == false`) or SUBSCRIBE payload
+    /// through the one generic body decoder, into a fresh copy of
+    /// `slot`.
+    fn decode_body<S: WireStrategy>(
+        subscribe: bool,
+        payload: &[u8],
+        slot: &QueryRequest<S>,
+    ) -> Result<(), WireError> {
+        let mut slot = slot.clone();
+        if !subscribe {
+            return decode_query_into(payload, &mut slot);
+        }
+        let mut r = Reader::new(payload);
+        decode_subscribe_header(&mut r)?;
+        decode_subscribe_body(&mut r, &mut slot)
+    }
+
+    /// Every refusal of the shared body, on one catalog, for both
+    /// frames that carry it.
+    fn refusals_hold<S: WireStrategy>(request: &QueryRequest<S>, unknown_strategy: &'static str) {
+        let slot = QueryRequest {
+            constraint: None,
+            ..request.clone()
+        };
+        for (subscribe, op) in [(false, S::QUERY_OP), (true, opcode::SUBSCRIBE)] {
+            let mut buf = Vec::new();
+            if subscribe {
+                encode_subscribe(&mut buf, 5.0, request).unwrap();
+            } else {
+                encode_query(&mut buf, request);
+            }
+            let (got_op, payload) = frame_payload(&buf);
+            assert_eq!(got_op, op);
+            assert_eq!(decode_body(subscribe, payload, &slot), Ok(()));
+            for n in 0..payload.len() {
+                assert!(
+                    decode_body(subscribe, &payload[..n], &slot).is_err(),
+                    "op {op:#04x}: prefix {n} should be malformed"
+                );
+            }
+            // The body ends with flag, qp (8 bytes), strategy tag.
+            let flag_at = payload.len() - 10;
+            assert_eq!(payload[flag_at], 1);
+            let mut forged = payload.to_vec();
+            forged[flag_at] = 2;
+            assert_eq!(
+                decode_body(subscribe, &forged, &slot),
+                Err(WireError::Malformed("bad constraint flag"))
+            );
+            let mut forged = payload.to_vec();
+            *forged.last_mut().unwrap() = 2;
+            assert_eq!(
+                decode_body(subscribe, &forged, &slot),
+                Err(WireError::Malformed(unknown_strategy))
+            );
+        }
+    }
+
+    #[test]
+    fn the_query_body_decoder_refuses_alike_on_both_catalogs_and_frames() {
+        let region = Rect::from_coords(0.0, 0.0, 10.0, 10.0);
+        refusals_hold(
+            &PointRequest::cipq(
+                Issuer::uniform(region),
+                RangeSpec::square(5.0),
+                0.5,
+                CipqStrategy::PExpanded,
+            ),
+            "unknown C-IPQ strategy",
+        );
+        refusals_hold(
+            &UncertainRequest::ciuq(
+                Issuer::uniform(region),
+                RangeSpec::square(5.0),
+                0.5,
+                CiuqStrategy::PtiPExpanded,
+            ),
+            "unknown C-IUQ strategy",
+        );
     }
 
     #[test]
@@ -1702,7 +1731,7 @@ mod tests {
         let mut buf = Vec::new();
         let at = begin_frame(&mut buf, opcode::UPDATE_BATCH);
         put_u32(&mut buf, 100);
-        buf.push(TARGET_POINT);
+        buf.push(CommitTarget::Point as u8);
         buf.push(1); // the object codec's depart tag
         put_u64(&mut buf, 1);
         finish_frame(&mut buf, at);

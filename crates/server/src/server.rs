@@ -64,19 +64,21 @@ use std::time::Duration;
 use iloc_core::durable::{
     CatalogRecovery, DurableCatalog, DurableObject, FsyncPolicy, StoreConfig, StoreError,
 };
-use iloc_core::pipeline::{PointRequest, UncertainRequest};
-use iloc_core::serve::{ServeEngine, ShardServer, ShardedEngine, Update};
+use iloc_core::pipeline::QueryRequest;
+use iloc_core::serve::{ServeEngine, ShardServer, Update};
 use iloc_core::stats::REFINE_BATCH_BUCKETS;
 use iloc_core::subscribe::SubscriptionRegistry;
-use iloc_core::{Issuer, PointEngine, QueryAnswer, QueryStats, RangeSpec, UncertainEngine};
+use iloc_core::{
+    Integrator, Issuer, PointEngine, QueryAnswer, QueryStats, RangeSpec, UncertainEngine,
+};
 use iloc_geometry::Rect;
-use iloc_uncertainty::{PdfKind, PointObject, UncertainObject};
+use iloc_uncertainty::{PointObject, UncertainObject};
 
 use crate::alloc_count;
 use crate::conn::{self, ConnId, Core, Handler, PushQueue, Remote};
 use crate::protocol::{
-    self, opcode, wire_error, CommitTarget, CountersView, ErrorCode, HelloAck, NotifyCause, Role,
-    WireError, WireUpdate,
+    self, opcode, wire_error, CatalogStats, CommitTarget, ErrorCode, HelloAck, NotifyCause, Role,
+    StatsReport, WireError, WireStrategy, WireUpdate,
 };
 
 /// Tunables for one listening server — the connection core's, as the
@@ -170,9 +172,10 @@ impl StageCounters {
 struct Shared {
     engines: Arc<Engines>,
     stage: StageCounters,
-    /// Engine epochs this process started at (per catalog) — carried
-    /// in every SUB_ACK so reconnecting subscribers detect restarts.
-    recovered_epochs: (u64, u64),
+    /// Engine epochs this process started at, indexed by
+    /// [`CommitTarget`] — carried in every SUB_ACK so reconnecting
+    /// subscribers detect restarts.
+    recovered_epochs: [u64; 2],
 }
 
 /// A query server over one pair of sharded catalogs.
@@ -187,9 +190,10 @@ pub struct QueryServer {
     engines: Arc<Engines>,
     /// Background-checkpoint cadence in commits (0 = no checkpointer).
     checkpoint_every: u64,
-    /// Engine epochs at construction — what SUB_ACK reports so a
-    /// reconnecting subscriber can detect a restart.
-    recovered_epochs: (u64, u64),
+    /// Engine epochs at construction, indexed by [`CommitTarget`] —
+    /// what SUB_ACK reports so a reconnecting subscriber can detect a
+    /// restart.
+    recovered_epochs: [u64; 2],
 }
 
 impl QueryServer {
@@ -210,7 +214,7 @@ impl QueryServer {
                 uncertain: DurableCatalog::transient(uncertain, shards),
             }),
             checkpoint_every: 0,
-            recovered_epochs: (0, 0),
+            recovered_epochs: [0, 0],
         }
     }
 
@@ -240,7 +244,7 @@ impl QueryServer {
         let (point, point_rec) = DurableCatalog::open(&point_cfg, shards, move || points)?;
         let (uncertain_cat, uncertain_rec) =
             DurableCatalog::open(&uncertain_cfg, shards, move || uncertain)?;
-        let recovered_epochs = (point_rec.epoch, uncertain_rec.epoch);
+        let recovered_epochs = [point_rec.epoch, uncertain_rec.epoch];
         Ok((
             QueryServer {
                 engines: Arc::new(Engines {
@@ -362,23 +366,88 @@ impl Drop for ServerHandle {
 fn checkpoint_loop(engines: Arc<Engines>, remote: Remote, every: u64, poll: Duration) {
     while !remote.stopping() {
         thread::sleep(poll);
-        let due_point = engines
-            .point
-            .last_checkpoint_epoch()
-            .is_some_and(|last| engines.point.epoch() >= last + every);
-        if due_point {
-            if let Err(e) = engines.point.checkpoint() {
-                eprintln!("iloc-server: point checkpoint failed: {e}");
-            }
+        checkpoint_if_due(&engines.point, every, "point");
+        checkpoint_if_due(&engines.uncertain, every, "uncertain");
+    }
+}
+
+/// Checkpoints `catalog` once its epoch is `every` commits past its
+/// last checkpoint.
+fn checkpoint_if_due<E: Catalog>(catalog: &DurableCatalog<E>, every: u64, name: &str) {
+    let due = catalog
+        .last_checkpoint_epoch()
+        .is_some_and(|last| catalog.epoch() >= last + every);
+    if due {
+        if let Err(e) = catalog.checkpoint() {
+            eprintln!("iloc-server: {name} checkpoint failed: {e}");
         }
-        let due_uncertain = engines
-            .uncertain
-            .last_checkpoint_epoch()
-            .is_some_and(|last| engines.uncertain.epoch() >= last + every);
-        if due_uncertain {
-            if let Err(e) = engines.uncertain.checkpoint() {
-                eprintln!("iloc-server: uncertain checkpoint failed: {e}");
-            }
+    }
+}
+
+/// One catalog as the server keeps it: picks that catalog's half out
+/// of every per-catalog pair — the engines, a loop's lanes, a
+/// connection's registries — so QUERY, COMMIT, SUBSCRIBE, UNSUBSCRIBE
+/// and TICK each run one generic path for both catalogs.
+trait Catalog: ServeEngine<Strategy: WireStrategy, Object: DurableObject> {
+    fn catalog(engines: &Engines) -> &DurableCatalog<Self>;
+    fn lane(state: &mut LoopState) -> (&mut Lane<Self>, &mut QueryAnswer);
+    fn registry(subs: &mut ConnSubs) -> &mut SubscriptionRegistry<Self>;
+}
+
+impl Catalog for PointEngine {
+    fn catalog(engines: &Engines) -> &DurableCatalog<Self> {
+        &engines.point
+    }
+    fn lane(state: &mut LoopState) -> (&mut Lane<Self>, &mut QueryAnswer) {
+        (&mut state.point, &mut state.answer)
+    }
+    fn registry(subs: &mut ConnSubs) -> &mut SubscriptionRegistry<Self> {
+        &mut subs.point
+    }
+}
+
+impl Catalog for UncertainEngine {
+    fn catalog(engines: &Engines) -> &DurableCatalog<Self> {
+        &engines.uncertain
+    }
+    fn lane(state: &mut LoopState) -> (&mut Lane<Self>, &mut QueryAnswer) {
+        (&mut state.uncertain, &mut state.answer)
+    }
+    fn registry(subs: &mut ConnSubs) -> &mut SubscriptionRegistry<Self> {
+        &mut subs.uncertain
+    }
+}
+
+/// One catalog's share of a loop's scratch: the warm shard server, the
+/// request slot the catalog's QUERY and SUBSCRIBE frames decode into,
+/// and the catalog's share of one UPDATE_BATCH.
+struct Lane<E: ServeEngine> {
+    server: ShardServer<E>,
+    request: QueryRequest<E::Strategy>,
+    updates: Vec<Update<E::Object>>,
+}
+
+impl<E: Catalog> Lane<E> {
+    fn new(engines: &Engines) -> Lane<E> {
+        Lane {
+            server: ShardServer::new(E::catalog(engines).snapshot()),
+            request: QueryRequest {
+                issuer: Issuer::uniform(Rect::from_coords(0.0, 0.0, 1.0, 1.0)),
+                range: RangeSpec::square(1.0),
+                integrator: Integrator::Auto,
+                constraint: None,
+            },
+            updates: Vec::new(),
+        }
+    }
+
+    /// Rebinds the shard server when the catalog has published a newer
+    /// epoch than the one it reads: two atomic increments, no
+    /// allocation — and the last reader to leave an epoch frees the
+    /// pages only it still held.
+    fn follow(&mut self, catalog: &DurableCatalog<E>) {
+        if catalog.epoch() != self.server.snapshot().epoch() {
+            self.server.rebind(catalog.snapshot());
         }
     }
 }
@@ -386,31 +455,42 @@ fn checkpoint_loop(engines: Arc<Engines>, remote: Remote, every: u64, poll: Dura
 /// Everything one event loop reuses across requests and connections —
 /// the reason the steady-state path allocates nothing.
 struct LoopState {
-    point: ShardServer<PointEngine>,
-    uncertain: ShardServer<UncertainEngine>,
-    point_req: PointRequest,
-    uncertain_req: UncertainRequest,
+    point: Lane<PointEngine>,
+    uncertain: Lane<UncertainEngine>,
     answer: QueryAnswer,
     /// One UPDATE_BATCH as decoded, then split per catalog.
     updates: Vec<WireUpdate>,
-    point_updates: Vec<Update<PointObject>>,
-    uncertain_updates: Vec<Update<UncertainObject>>,
+    /// The STATS_REPORT this loop fills and sends; its shard-size
+    /// buffers are sized at construction, so a probe allocates nothing.
+    stats: StatsReport,
 }
 
 impl LoopState {
     fn new(engines: &Engines) -> LoopState {
-        let placeholder = || Issuer::uniform(Rect::from_coords(0.0, 0.0, 1.0, 1.0));
+        let mut stats = StatsReport::default();
+        fill_catalog_stats(&mut stats.point, &engines.point);
+        fill_catalog_stats(&mut stats.uncertain, &engines.uncertain);
         LoopState {
-            point: ShardServer::new(engines.point.snapshot()),
-            uncertain: ShardServer::new(engines.uncertain.snapshot()),
-            point_req: PointRequest::ipq(placeholder(), RangeSpec::square(1.0)),
-            uncertain_req: UncertainRequest::iuq(placeholder(), RangeSpec::square(1.0)),
+            point: Lane::new(engines),
+            uncertain: Lane::new(engines),
             answer: QueryAnswer::default(),
             updates: Vec::new(),
-            point_updates: Vec::new(),
-            uncertain_updates: Vec::new(),
+            stats,
         }
     }
+}
+
+/// Overwrites one catalog's slice of a stats report with its current
+/// epoch, sizes and pending updates (allocation-free once `out` has
+/// held the shard count — fixed for the catalog's lifetime).
+fn fill_catalog_stats<E: Catalog>(out: &mut CatalogStats, catalog: &DurableCatalog<E>) {
+    let snapshot = catalog.snapshot();
+    out.epoch = snapshot.epoch();
+    out.len = snapshot.len() as u64;
+    out.pending = catalog.pending_len() as u64;
+    out.shard_sizes.clear();
+    out.shard_sizes
+        .extend(snapshot.shard_sizes().map(|n| n as u64));
 }
 
 /// A connection's standing queries, allocated on first SUBSCRIBE so
@@ -441,18 +521,6 @@ struct ServerHandler {
     state: LoopState,
 }
 
-/// Rebinds `server` when `catalog` has published a newer epoch than
-/// the one it reads: two atomic increments, no allocation — and the
-/// last reader to leave an epoch frees the pages only it still held.
-fn follow<E: ServeEngine>(server: &mut ShardServer<E>, catalog: &DurableCatalog<E>)
-where
-    E::Object: DurableObject,
-{
-    if catalog.epoch() != server.snapshot().epoch() {
-        server.rebind(catalog.snapshot());
-    }
-}
-
 impl Handler for ServerHandler {
     /// Lazily created on first SUBSCRIBE.
     type Conn = Option<Box<ConnSubs>>;
@@ -460,13 +528,14 @@ impl Handler for ServerHandler {
     fn hello_ack(&self) -> HelloAck {
         let point = self.shared.engines.point.snapshot();
         let uncertain = self.shared.engines.uncertain.snapshot();
+        let [point_recovered, uncertain_recovered] = self.shared.recovered_epochs;
         HelloAck {
             role: Role::Server,
             flags: 0,
             point_epoch: point.epoch(),
             uncertain_epoch: uncertain.epoch(),
-            point_recovered: self.shared.recovered_epochs.0,
-            uncertain_recovered: self.shared.recovered_epochs.1,
+            point_recovered,
+            uncertain_recovered,
             point_shards: point.shard_count() as u32,
             uncertain_shards: uncertain.shard_count() as u32,
         }
@@ -480,8 +549,8 @@ impl Handler for ServerHandler {
     /// last one alive: a published commit wakes every loop, and
     /// the sweep that wake starts follows both catalogs.
     fn sweeping(&mut self) {
-        follow(&mut self.state.point, &self.shared.engines.point);
-        follow(&mut self.state.uncertain, &self.shared.engines.uncertain);
+        self.state.point.follow(&self.shared.engines.point);
+        self.state.uncertain.follow(&self.shared.engines.uncertain);
     }
 
     fn needs_pump(&self, subs: &Self::Conn) -> bool {
@@ -492,18 +561,8 @@ impl Handler for ServerHandler {
     fn pump(&mut self, subs: &mut Self::Conn, pushes: &mut PushQueue<'_>) {
         let Some(subs) = subs else { return };
         let engines = &self.shared.engines;
-        pump(
-            &mut subs.point,
-            engines.point.engine(),
-            CommitTarget::Point,
-            pushes,
-        );
-        pump(
-            &mut subs.uncertain,
-            engines.uncertain.engine(),
-            CommitTarget::Uncertain,
-            pushes,
-        );
+        pump::<PointEngine>(subs, engines, pushes);
+        pump::<UncertainEngine>(subs, engines, pushes);
     }
 
     /// A caught panic may have left the loop scratch mid-flight;
@@ -513,80 +572,55 @@ impl Handler for ServerHandler {
     }
 }
 
-/// Queues one NOTIFY push per subscription of `registry` whose answer
-/// the commits since its last pump changed.
-fn pump<E: ServeEngine>(
-    registry: &mut SubscriptionRegistry<E>,
-    engine: &ShardedEngine<E>,
-    target: CommitTarget,
-    pushes: &mut PushQueue<'_>,
-) {
-    registry.pump(engine, |id, epoch, delta| {
+/// Queues one NOTIFY push per subscription of `E`'s registry whose
+/// answer the commits since its last pump changed.
+fn pump<E: Catalog>(subs: &mut ConnSubs, engines: &Engines, pushes: &mut PushQueue<'_>) {
+    let target = E::Strategy::TARGET;
+    E::registry(subs).pump(E::catalog(engines).engine(), |id, epoch, delta| {
         pushes.queue_push(|out| {
             protocol::encode_notify(out, target, id, epoch, NotifyCause::Commit, delta)
         })
     });
 }
 
-/// Registers `request` as a standing query on `registry` and appends
-/// its SUB_ACK (or the limit error).
-fn subscribe<E: ServeEngine>(
-    registry: &mut SubscriptionRegistry<E>,
-    engine: &ShardedEngine<E>,
-    target: CommitTarget,
-    request: &E::Request,
-    slack: f64,
-    recovered_epoch: u64,
-    out: &mut Vec<u8>,
-) where
-    E::Request: Clone,
-{
-    if registry.len() >= MAX_SUBSCRIPTIONS {
-        protocol::encode_error(
-            out,
-            ErrorCode::TooManySubscriptions,
-            "subscription limit reached",
-        );
-        return;
-    }
-    let id = registry.subscribe(engine, request.clone(), slack);
-    let sub = registry.get(id).expect("just subscribed");
-    protocol::encode_sub_ack(
-        out,
-        target,
-        id,
-        sub.epoch(),
-        recovered_epoch,
-        sub.last_answer(),
-    );
-}
-
-/// Moves subscription `id`'s issuer and appends the NOTIFY that
-/// answers the tick; `false` when `registry` has no such id.
-fn tick<E: ServeEngine>(
-    registry: &mut SubscriptionRegistry<E>,
-    engine: &ShardedEngine<E>,
-    target: CommitTarget,
-    id: u64,
-    pdf: PdfKind,
-    out: &mut Vec<u8>,
-) -> bool {
-    // The core pumped before dispatch, so this tick's delta composes
-    // on top of every commit already delivered; a steady tick inside
-    // the envelope runs probe-free and allocation-free.
-    registry
-        .tick(engine, id, pdf)
-        .map(|(epoch, delta)| {
-            protocol::encode_notify(out, target, id, epoch, NotifyCause::Tick, delta)
-        })
-        .is_some()
-}
-
 impl ServerHandler {
     /// Serves one frame: decodes the payload, executes, and appends
     /// the response to `out`. Every failure mode becomes an error
-    /// frame.
+    /// frame. A frame that addresses one catalog is dispatched on it
+    /// once, into [`ServerHandler::catalog_frame`].
     fn handle_frame(
+        &mut self,
+        op: u8,
+        payload: &[u8],
+        subs: &mut Option<Box<ConnSubs>>,
+        out: &mut Vec<u8>,
+    ) {
+        let target = match op {
+            opcode::POINT_QUERY => Ok(CommitTarget::Point),
+            opcode::UNCERTAIN_QUERY => Ok(CommitTarget::Uncertain),
+            opcode::COMMIT | opcode::SUBSCRIBE | opcode::UNSUBSCRIBE | opcode::TICK => {
+                protocol::peek_target(payload)
+            }
+            opcode::UPDATE_BATCH => return self.handle_updates(payload, out),
+            opcode::STATS => return self.handle_stats(payload, out),
+            opcode::PING if payload.is_empty() => return protocol::encode_empty(out, opcode::PONG),
+            opcode::PING => return wire_error(out, WireError::Malformed("ping payload")),
+            _ => {
+                return protocol::encode_error(out, ErrorCode::BadOpcode, "unknown request opcode")
+            }
+        };
+        match target {
+            Ok(CommitTarget::Point) => self.catalog_frame::<PointEngine>(op, payload, subs, out),
+            Ok(CommitTarget::Uncertain) => {
+                self.catalog_frame::<UncertainEngine>(op, payload, subs, out)
+            }
+            Err(e) => wire_error(out, e),
+        }
+    }
+
+    /// Serves a QUERY, COMMIT, SUBSCRIBE, UNSUBSCRIBE or TICK frame
+    /// that addresses catalog `E`.
+    fn catalog_frame<E: Catalog>(
         &mut self,
         op: u8,
         payload: &[u8],
@@ -598,198 +632,157 @@ impl ServerHandler {
             remote,
             state,
         } = self;
-        let engines = &shared.engines;
+        let catalog = E::catalog(&shared.engines);
+        let target = E::Strategy::TARGET;
+        let (lane, answer) = E::lane(state);
         match op {
-            opcode::POINT_QUERY => {
-                match protocol::decode_point_query_into(payload, &mut state.point_req) {
-                    Ok(()) => {
-                        follow(&mut state.point, &engines.point);
-                        state
-                            .point
-                            .execute_into(&state.point_req, &mut state.answer);
-                        shared.stage.absorb(&state.answer.stats);
-                        protocol::encode_answer(out, &state.answer);
-                    }
-                    Err(e) => wire_error(out, e),
-                }
-            }
-            opcode::UNCERTAIN_QUERY => {
-                match protocol::decode_uncertain_query_into(payload, &mut state.uncertain_req) {
-                    Ok(()) => {
-                        follow(&mut state.uncertain, &engines.uncertain);
-                        state
-                            .uncertain
-                            .execute_into(&state.uncertain_req, &mut state.answer);
-                        shared.stage.absorb(&state.answer.stats);
-                        protocol::encode_answer(out, &state.answer);
-                    }
-                    Err(e) => wire_error(out, e),
-                }
-            }
-            opcode::UPDATE_BATCH => {
-                match protocol::decode_update_batch(payload, &mut state.updates) {
-                    Ok(()) => {
-                        let accepted = state.updates.len() as u32;
-                        for update in state.updates.drain(..) {
-                            match update {
-                                WireUpdate::Point(u) => state.point_updates.push(u),
-                                WireUpdate::Uncertain(u) => state.uncertain_updates.push(u),
-                            }
-                        }
-                        // One call per catalog: its lock is held over
-                        // the whole share, so a commit from another
-                        // loop takes all of it or none of it.
-                        engines.point.submit_all(state.point_updates.drain(..));
-                        engines
-                            .uncertain
-                            .submit_all(state.uncertain_updates.drain(..));
-                        protocol::encode_update_ack(out, accepted);
-                    }
-                    Err(e) => wire_error(out, e),
-                }
-            }
             opcode::COMMIT => match protocol::decode_commit(payload) {
-                Ok(target) => {
-                    // A durable commit logs before it publishes; a
-                    // failed append publishes nothing.
-                    let committed = match target {
-                        CommitTarget::Point => engines.point.commit(),
-                        CommitTarget::Uncertain => engines.uncertain.commit(),
-                    };
-                    match committed {
-                        Ok(report) => {
-                            protocol::encode_commit_done(out, &report);
-                            // A published epoch (an empty commit reports
-                            // no shards) may owe pushes on any loop, and
-                            // every loop still pins the epoch it
-                            // replaced: wake them all to pump and let go.
-                            if !report.per_shard.is_empty() {
-                                remote.wake_all();
-                            }
+                // A durable commit logs before it publishes; a failed
+                // append publishes nothing.
+                Ok(_) => match catalog.commit() {
+                    Ok(report) => {
+                        protocol::encode_commit_done(out, &report);
+                        // A published epoch (an empty commit reports no
+                        // shards) may owe pushes on any loop, and every
+                        // loop still pins the epoch it replaced: wake
+                        // them all to pump and let go.
+                        if !report.per_shard.is_empty() {
+                            remote.wake_all();
                         }
-                        Err(_) => protocol::encode_error(
-                            out,
-                            ErrorCode::Internal,
-                            "durable commit failed; epoch not published",
-                        ),
                     }
-                }
+                    Err(_) => protocol::encode_error(
+                        out,
+                        ErrorCode::Internal,
+                        "durable commit failed; epoch not published",
+                    ),
+                },
                 Err(e) => wire_error(out, e),
             },
-            opcode::STATS => {
-                if !payload.is_empty() {
-                    wire_error(out, WireError::Malformed("stats payload"));
-                    return;
-                }
-                // Read the counter before encoding so the probe excludes
-                // its own response from the reported total.
-                let mut refine_batches = [0u64; REFINE_BATCH_BUCKETS];
-                for (slot, counter) in refine_batches.iter_mut().zip(&shared.stage.refine_batches) {
-                    *slot = counter.load(Ordering::Relaxed);
-                }
-                let core = remote.counters();
-                let counters = CountersView {
-                    alloc_counting: alloc_count::counting_installed(),
-                    allocations: alloc_count::allocations(),
-                    requests_served: core.requests_served,
-                    capacity: core.capacity,
-                    event_loops: core.event_loops,
-                    connections: core.connections,
-                    dropped_pushes: core.dropped_pushes,
-                    filter_nanos: shared.stage.filter_nanos.load(Ordering::Relaxed),
-                    prune_nanos: shared.stage.prune_nanos.load(Ordering::Relaxed),
-                    refine_nanos: shared.stage.refine_nanos.load(Ordering::Relaxed),
-                    refine_batches,
-                };
-                let point = shared.engines.point.snapshot();
-                let uncertain = shared.engines.uncertain.snapshot();
-                protocol::encode_stats_report(
-                    out,
-                    counters,
-                    (&point, shared.engines.point.pending_len() as u64),
-                    (&uncertain, shared.engines.uncertain.pending_len() as u64),
-                );
-            }
-            opcode::PING => {
-                if payload.is_empty() {
-                    protocol::encode_empty(out, opcode::PONG);
-                } else {
-                    wire_error(out, WireError::Malformed("ping payload"));
-                }
-            }
             opcode::SUBSCRIBE => {
                 let mut r = protocol::Reader::new(payload);
-                let decoded =
-                    protocol::decode_subscribe_header(&mut r).and_then(|(target, slack)| {
-                        match target {
-                            CommitTarget::Point => {
-                                protocol::decode_subscribe_point_body(&mut r, &mut state.point_req)
-                            }
-                            CommitTarget::Uncertain => protocol::decode_subscribe_uncertain_body(
-                                &mut r,
-                                &mut state.uncertain_req,
-                            ),
-                        }?;
-                        Ok((target, slack))
-                    });
-                match decoded {
-                    Ok((target, slack)) => {
-                        let subs = subs.get_or_insert_with(|| Box::new(ConnSubs::new()));
-                        match target {
-                            CommitTarget::Point => subscribe(
-                                &mut subs.point,
-                                engines.point.engine(),
-                                target,
-                                &state.point_req,
-                                slack,
-                                shared.recovered_epochs.0,
-                                out,
-                            ),
-                            CommitTarget::Uncertain => subscribe(
-                                &mut subs.uncertain,
-                                engines.uncertain.engine(),
-                                target,
-                                &state.uncertain_req,
-                                slack,
-                                shared.recovered_epochs.1,
-                                out,
-                            ),
-                        }
-                    }
-                    Err(e) => wire_error(out, e),
+                let decoded = protocol::decode_subscribe_header(&mut r).and_then(|(_, slack)| {
+                    protocol::decode_subscribe_body(&mut r, &mut lane.request)?;
+                    Ok(slack)
+                });
+                let slack = match decoded {
+                    Ok(slack) => slack,
+                    Err(e) => return wire_error(out, e),
+                };
+                let registry = E::registry(subs.get_or_insert_with(|| Box::new(ConnSubs::new())));
+                if registry.len() >= MAX_SUBSCRIPTIONS {
+                    return protocol::encode_error(
+                        out,
+                        ErrorCode::TooManySubscriptions,
+                        "subscription limit reached",
+                    );
                 }
+                let id = registry.subscribe(catalog.engine(), lane.request.clone(), slack);
+                let sub = registry.get(id).expect("just subscribed");
+                protocol::encode_sub_ack(
+                    out,
+                    target,
+                    id,
+                    sub.epoch(),
+                    shared.recovered_epochs[target as usize],
+                    sub.last_answer(),
+                );
             }
             opcode::UNSUBSCRIBE => match protocol::decode_unsubscribe(payload) {
-                Ok((target, id)) => {
-                    let existed = match (target, subs.as_mut()) {
-                        (CommitTarget::Point, Some(subs)) => subs.point.unsubscribe(id),
-                        (CommitTarget::Uncertain, Some(subs)) => subs.uncertain.unsubscribe(id),
-                        (_, None) => false,
-                    };
+                Ok((_, id)) => {
+                    let existed = subs
+                        .as_deref_mut()
+                        .is_some_and(|subs| E::registry(subs).unsubscribe(id));
                     protocol::encode_unsub_done(out, existed);
                 }
                 Err(e) => wire_error(out, e),
             },
+            // The core pumped before dispatch, so this tick's delta
+            // composes on top of every commit already delivered; a
+            // steady tick inside the envelope runs probe-free and
+            // allocation-free.
             opcode::TICK => match protocol::decode_tick(payload) {
-                Ok((target, id, pdf)) => {
-                    let ticked = match (target, subs.as_mut()) {
-                        (CommitTarget::Point, Some(subs)) => {
-                            let engine = engines.point.engine();
-                            tick(&mut subs.point, engine, target, id, pdf, out)
-                        }
-                        (CommitTarget::Uncertain, Some(subs)) => {
-                            let engine = engines.uncertain.engine();
-                            tick(&mut subs.uncertain, engine, target, id, pdf, out)
-                        }
-                        (_, None) => false,
-                    };
-                    if !ticked {
-                        wire_error(out, WireError::Malformed("unknown subscription id"));
+                Ok((_, id, pdf)) => {
+                    let delta = subs
+                        .as_deref_mut()
+                        .and_then(|subs| E::registry(subs).tick(catalog.engine(), id, pdf));
+                    match delta {
+                        Some((epoch, delta)) => protocol::encode_notify(
+                            out,
+                            target,
+                            id,
+                            epoch,
+                            NotifyCause::Tick,
+                            delta,
+                        ),
+                        None => wire_error(out, WireError::Malformed("unknown subscription id")),
                     }
                 }
                 Err(e) => wire_error(out, e),
             },
-            _ => protocol::encode_error(out, ErrorCode::BadOpcode, "unknown request opcode"),
+            // The catalog's QUERY: `handle_frame` sends nothing else here.
+            _ => match protocol::decode_query_into(payload, &mut lane.request) {
+                Ok(()) => {
+                    lane.follow(catalog);
+                    lane.server.execute_into(&lane.request, answer);
+                    shared.stage.absorb(&answer.stats);
+                    protocol::encode_answer(out, answer);
+                }
+                Err(e) => wire_error(out, e),
+            },
         }
+    }
+
+    fn handle_updates(&mut self, payload: &[u8], out: &mut Vec<u8>) {
+        let engines = &self.shared.engines;
+        let state = &mut self.state;
+        if let Err(e) = protocol::decode_update_batch(payload, &mut state.updates) {
+            return wire_error(out, e);
+        }
+        let accepted = state.updates.len() as u32;
+        for update in state.updates.drain(..) {
+            match update {
+                WireUpdate::Point(u) => state.point.updates.push(u),
+                WireUpdate::Uncertain(u) => state.uncertain.updates.push(u),
+            }
+        }
+        // One call per catalog: its lock is held over the whole share,
+        // so a commit from another loop takes all of it or none of it.
+        engines.point.submit_all(state.point.updates.drain(..));
+        engines
+            .uncertain
+            .submit_all(state.uncertain.updates.drain(..));
+        protocol::encode_update_ack(out, accepted);
+    }
+
+    fn handle_stats(&mut self, payload: &[u8], out: &mut Vec<u8>) {
+        if !payload.is_empty() {
+            return wire_error(out, WireError::Malformed("stats payload"));
+        }
+        // Read the counter before filling the report, so the probe
+        // excludes its own response from the reported total.
+        let allocations = alloc_count::allocations();
+        let shared = &self.shared;
+        let report = &mut self.state.stats;
+        let core = self.remote.counters();
+        report.alloc_counting = alloc_count::counting_installed();
+        report.allocations = allocations;
+        report.requests_served = core.requests_served;
+        report.capacity = core.capacity;
+        report.event_loops = core.event_loops;
+        report.connections = core.connections;
+        report.dropped_pushes = core.dropped_pushes;
+        fill_catalog_stats(&mut report.point, &shared.engines.point);
+        fill_catalog_stats(&mut report.uncertain, &shared.engines.uncertain);
+        report.filter_nanos = shared.stage.filter_nanos.load(Ordering::Relaxed);
+        report.prune_nanos = shared.stage.prune_nanos.load(Ordering::Relaxed);
+        report.refine_nanos = shared.stage.refine_nanos.load(Ordering::Relaxed);
+        for (slot, counter) in report
+            .refine_batches
+            .iter_mut()
+            .zip(&shared.stage.refine_batches)
+        {
+            *slot = counter.load(Ordering::Relaxed);
+        }
+        protocol::encode_stats_report_from(out, report);
     }
 }

@@ -247,17 +247,13 @@ fn cluster_answers_bit_identical_to_sharded_oracle() {
 
             // Every query class answers bit-identically.
             for (k, request) in point_requests(12, round).iter().enumerate() {
-                let got = via_router.point_query(request).expect("router point query");
-                let want = via_oracle.point_query(request).expect("oracle point query");
+                let got = via_router.query(request).expect("router point query");
+                let want = via_oracle.query(request).expect("oracle point query");
                 assert!(got.same_matches(&want), "round {round} point request {k}");
             }
             for (k, request) in uncertain_requests(6, round).iter().enumerate() {
-                let got = via_router
-                    .uncertain_query(request)
-                    .expect("router uncertain query");
-                let want = via_oracle
-                    .uncertain_query(request)
-                    .expect("oracle uncertain query");
+                let got = via_router.query(request).expect("router uncertain query");
+                let want = via_oracle.query(request).expect("oracle uncertain query");
                 assert!(
                     got.same_matches(&want),
                     "round {round} uncertain request {k}"
@@ -326,12 +322,8 @@ fn subscription_delta_streams_compose_identically() {
 
     // The initial answers (the base every delta composes on) match.
     let mut request = request_at(260.0, 260.0);
-    let (ack_r, base_r) = sub_router
-        .subscribe_point(&request, 120.0)
-        .expect("subscribe");
-    let (ack_o, base_o) = sub_oracle
-        .subscribe_point(&request, 120.0)
-        .expect("subscribe");
+    let (ack_r, base_r) = sub_router.subscribe(&request, 120.0).expect("subscribe");
+    let (ack_o, base_o) = sub_oracle.subscribe(&request, 120.0).expect("subscribe");
     assert!(base_r.same_matches(&base_o), "initial subscription answer");
     assert!(!base_r.results.is_empty());
     assert_eq!(ack_r.epoch, ack_o.epoch);
@@ -477,7 +469,7 @@ fn node_crash_mid_commit_is_a_typed_error_never_a_torn_epoch() {
         Err(ClientError::Server { code, .. }) => assert_eq!(code, Some(ErrorCode::Unavailable)),
         other => panic!("expected Unavailable, got {other:?}"),
     }
-    match client.point_query(&point_requests(1, 0)[0]) {
+    match client.query(&point_requests(1, 0)[0]) {
         Err(ClientError::Server { code, .. }) => assert_eq!(code, Some(ErrorCode::Unavailable)),
         other => panic!("expected Unavailable, got {other:?}"),
     }
@@ -612,7 +604,7 @@ fn overflowing_slow_subscriber_is_closed_and_drops_are_counted_by_the_router() {
     // the dead subscriber's standing query was released upstream.
     control.ping().expect("router healthy after the close");
     writer
-        .point_query(&request)
+        .query(&request)
         .expect("queries still route after the close");
     let stats = control.stats().expect("stats");
     assert!(stats.nodes.iter().all(|n| n.connected));
@@ -792,7 +784,7 @@ fn burst_racing_a_commit_sees_each_answer_wholly_before_or_after_it() {
     let answers = |oracle: &mut Client| -> Vec<Vec<u8>> {
         queries
             .iter()
-            .map(|q| encoded(|f| protocol::encode_answer(f, &oracle.point_query(q).unwrap())))
+            .map(|q| encoded(|f| protocol::encode_answer(f, &oracle.query(q).unwrap())))
             .collect()
     };
     let before = answers(&mut oracle);

@@ -110,12 +110,12 @@ fn concurrent_clients_match_in_process_execution() {
                 let point_snapshot = engines.point.snapshot();
                 let uncertain_snapshot = engines.uncertain.snapshot();
                 for (k, request) in point_requests(24, c).iter().enumerate() {
-                    let got = client.point_query(request).expect("point query");
+                    let got = client.query(request).expect("point query");
                     let want = point_snapshot.execute_one(request);
                     assert!(got.same_matches(&want), "client {c} point request {k}");
                 }
                 for (k, request) in uncertain_requests(12, c).iter().enumerate() {
-                    let got = client.uncertain_query(request).expect("uncertain query");
+                    let got = client.query(request).expect("uncertain query");
                     let want = uncertain_snapshot.execute_one(request);
                     assert!(got.same_matches(&want), "client {c} uncertain request {k}");
                 }
@@ -146,7 +146,7 @@ fn many_multiplexed_connections_match_in_process_execution() {
                 let mut client = Client::connect(addr).expect("connect");
                 let snapshot = engines.point.snapshot();
                 for (k, request) in point_requests(8, c).iter().enumerate() {
-                    let got = client.point_query(request).expect("point query");
+                    let got = client.query(request).expect("point query");
                     let want = snapshot.execute_one(request);
                     assert!(got.same_matches(&want), "client {c} request {k}");
                 }
@@ -168,7 +168,7 @@ fn pipelined_batch_matches_sequential_calls() {
     let requests = point_requests(100, 9);
     let mut batched = Vec::new();
     client
-        .point_query_batch_into(&requests, &mut batched, 16)
+        .query_batch_into(&requests, &mut batched, 16)
         .expect("batch");
     assert_eq!(batched.len(), requests.len());
     let snapshot = engines.point.snapshot();
@@ -178,7 +178,7 @@ fn pipelined_batch_matches_sequential_calls() {
             "request {k}"
         );
         assert!(
-            got.same_matches(&client.point_query(request).unwrap()),
+            got.same_matches(&client.query(request).unwrap()),
             "request {k} vs one-shot"
         );
     }
@@ -238,7 +238,7 @@ fn interleaved_updates_and_commits_stay_bit_identical() {
         let point_snapshot = engines.point.snapshot();
         assert_eq!(point_snapshot.epoch(), round + 1);
         for (k, request) in requests.iter().enumerate() {
-            let got = reader.point_query(request).expect("read-after-commit");
+            let got = reader.query(request).expect("read-after-commit");
             assert!(
                 got.same_matches(&point_snapshot.execute_one(request)),
                 "round {round} request {k}"
@@ -246,7 +246,7 @@ fn interleaved_updates_and_commits_stay_bit_identical() {
         }
         let uncertain_snapshot = engines.uncertain.snapshot();
         for (k, request) in uncertain_requests(6, round).iter().enumerate() {
-            let got = reader.uncertain_query(request).expect("uncertain");
+            let got = reader.query(request).expect("uncertain");
             assert!(
                 got.same_matches(&uncertain_snapshot.execute_one(request)),
                 "round {round} uncertain {k}"
@@ -552,7 +552,7 @@ fn an_unassigned_integrator_tag_is_refused_and_the_connection_survives() {
     let mut query = Vec::new();
     protocol::encode_uncertain_query(&mut query, &request).unwrap();
     let mut subscribe = Vec::new();
-    protocol::encode_subscribe_uncertain(&mut subscribe, 30.0, &request).unwrap();
+    protocol::encode_subscribe(&mut subscribe, 30.0, &request).unwrap();
     let (_, uncertain) = scene();
     let want = ShardedEngine::<UncertainEngine>::build(uncertain, 2)
         .snapshot()
@@ -606,9 +606,7 @@ fn snapshot_pinning_never_shows_torn_epochs_over_the_wire() {
                 let mut client = Client::connect(addr).expect("connect reader");
                 let mut answer = Default::default();
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    client
-                        .point_query_into(&request, &mut answer)
-                        .expect("query");
+                    client.query_into(&request, &mut answer).expect("query");
                     let n = answer.results.len();
                     assert!(
                         n == want || n == 0,
@@ -722,7 +720,7 @@ fn concurrent_writers_on_a_durable_server() {
         std::thread::spawn(move || {
             let mut reads = Vec::new();
             while !done.load(Ordering::Acquire) {
-                reads.push(reader.point_query(&everything).expect("read"));
+                reads.push(reader.query(&everything).expect("read"));
             }
             reads
         })
@@ -896,7 +894,7 @@ fn a_disc_the_index_cannot_hold_is_refused_and_the_durable_store_lives_on() {
         );
     }
     for (k, (request, answer)) in requests.iter().zip(&expected).enumerate() {
-        let served = client.uncertain_query(request).expect("query");
+        let served = client.query(request).expect("query");
         assert!(served.same_matches(answer), "served request {k}");
     }
     drop(client);

@@ -78,9 +78,7 @@ fn subscription_lifecycle_tracks_fresh_evaluation_over_the_wire() {
     // SUB_ACK carries the initial answer, bit-identical to in-process
     // evaluation of the same standing query.
     let mut request = request_at(260.0, 260.0);
-    let (ack, mut answer) = subscriber
-        .subscribe_point(&request, 120.0)
-        .expect("subscribe");
+    let (ack, mut answer) = subscriber.subscribe(&request, 120.0).expect("subscribe");
     let sub_id = ack.sub_id;
     // A fresh in-memory server recovered nothing.
     assert_eq!(ack.recovered_epoch, 0);
@@ -192,9 +190,7 @@ fn unaffected_subscriptions_receive_no_pushes() {
     // stabs this envelope, so nothing is pushed — the subscription did
     // zero work server-side.
     let request = request_at(900.0, 900.0);
-    let (_, answer) = subscriber
-        .subscribe_point(&request, 60.0)
-        .expect("subscribe");
+    let (_, answer) = subscriber.subscribe(&request, 60.0).expect("subscribe");
     assert!(!answer.results.is_empty());
 
     for k in 0..5u64 {
@@ -227,9 +223,7 @@ fn uncertain_subscriptions_work_over_the_wire() {
         Issuer::uniform(Rect::centered(Point::new(240.0, 240.0), 60.0, 60.0)),
         RangeSpec::square(120.0),
     );
-    let (ack, mut answer) = subscriber
-        .subscribe_uncertain(&request, 100.0)
-        .expect("subscribe");
+    let (ack, mut answer) = subscriber.subscribe(&request, 100.0).expect("subscribe");
     let sub_id = ack.sub_id;
     assert_bits_equal(
         &answer.results,
@@ -432,9 +426,7 @@ fn stalled_subscriber_receives_every_push_intact_after_draining() {
     let mut writer = Client::connect(handle.addr()).expect("connect writer");
 
     let request = request_at(260.0, 260.0);
-    let (ack, mut answer) = subscriber
-        .subscribe_point(&request, 120.0)
-        .expect("subscribe");
+    let (ack, mut answer) = subscriber.subscribe(&request, 120.0).expect("subscribe");
     let sub_id = ack.sub_id;
 
     // 24 answer-changing commits while the subscriber reads NOTHING.
