@@ -1,7 +1,7 @@
 //! Design-choice ablations beyond the paper's figures (the README's
 //! "Reproducing the paper" section):
 //!
-//! * integrator trade-off (exact / grid / Monte-Carlo) for IUQ;
+//! * integrator trade-off (exact / Monte-Carlo) for IUQ;
 //! * filter index choice (naive scan / R-tree) for IPQ;
 //! * the three C-IUQ pruning strategies, individually and combined;
 //! * safe-envelope slack vs index probes for a standing IPQ;
@@ -25,14 +25,13 @@ use iloc_uncertainty::LocationPdf;
 use crate::config::{TestBed, DEFAULT_U, DEFAULT_W};
 use crate::harness::{print_table, Row, Summary};
 
-/// Integrator ablation: same IUQ workload under the three numerical
+/// Integrator ablation: same IUQ workload under the two numerical
 /// backends. Returns rows labelled by backend.
 pub fn integrators(bed: &TestBed) -> Vec<Row> {
     let range = RangeSpec::square(DEFAULT_W);
     let queries = bed.scale.mc_queries;
-    let backends: [(&str, Integrator); 3] = [
+    let backends: [(&str, Integrator); 2] = [
         ("exact closed form", Integrator::Auto),
-        ("grid 40x40", Integrator::Grid { per_axis: 40 }),
         ("monte-carlo 250", Integrator::MonteCarlo { samples: 250 }),
     ];
     let mut rows = Vec::new();
@@ -286,14 +285,13 @@ pub fn pruning_strategies(bed: &TestBed) -> Vec<Row> {
                     continue;
                 }
                 answer.stats.prob_evals += 1;
-                let mut rng = rand::SeedableRng::seed_from_u64(0);
                 let mut qstats = iloc_core::QueryStats::new();
                 let pi = Integrator::Auto.object_probability(
                     issuer.pdf(),
                     range,
                     obj.pdf(),
                     ctx.expanded,
-                    &mut rng,
+                    0,
                     &mut qstats,
                 );
                 if pi >= qp && pi > 0.0 {

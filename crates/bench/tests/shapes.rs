@@ -3,7 +3,7 @@
 //! each figure must hold at any scale. These tests run the experiment
 //! code at a reduced scale and assert the claims.
 
-use iloc_bench::experiments::{ablations, fig08, fig09, fig11, fig12};
+use iloc_bench::experiments::{ablations, fig08, fig09, fig11, fig12, fig13};
 use iloc_bench::{Row, Scale, TestBed};
 
 fn tiny_bed() -> TestBed {
@@ -131,6 +131,38 @@ fn fig12_pti_does_less_refinement_work() {
     };
     assert!(at(&pti, 0.5) < 0.8 * at(&rtree, 0.5));
     assert!(at(&pti, 0.8) <= at(&pti, 0.5));
+}
+
+#[test]
+fn fig13_p_expanded_stays_at_or_below_the_minkowski_sum() {
+    let bed = tiny_bed();
+    let rows = fig13::run(&bed);
+    let mink = series(&rows, "Minkowski");
+    let pexp = series(&rows, "p-expanded");
+    assert_eq!(mink.len(), 11);
+    assert_eq!(pexp.len(), 11);
+    for (m, p) in mink.iter().zip(&pexp) {
+        assert_eq!(m.x, p.x);
+        // The p-expanded query is inside the Minkowski sum ...
+        assert!(
+            p.summary.avg_candidates <= m.summary.avg_candidates,
+            "qp={}: p-expanded cand {} vs Minkowski {}",
+            p.x,
+            p.summary.avg_candidates,
+            m.summary.avg_candidates
+        );
+        // ... and every estimate is the object's own, so its matches
+        // are a subset of the Minkowski sum's.
+        assert!(
+            p.summary.avg_results <= m.summary.avg_results,
+            "qp={}: p-expanded results {} vs Minkowski {}",
+            p.x,
+            p.summary.avg_results,
+            m.summary.avg_results
+        );
+    }
+    // The cut prunes: fewer candidates by Qp = 0.5 than at Qp = 0.
+    assert!(pexp[5].summary.avg_candidates < pexp[0].summary.avg_candidates);
 }
 
 #[test]

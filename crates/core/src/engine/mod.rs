@@ -9,6 +9,7 @@ pub use point::PointEngine;
 pub(crate) use table::mix_id;
 pub use uncertain::UncertainEngine;
 
-/// Seed used to derive the per-query RNG when the caller does not
-/// supply one; query answers are deterministic for a given engine.
+/// Seed each object's Monte-Carlo stream is derived from when the
+/// caller does not supply one; query answers are deterministic for a
+/// given engine.
 pub(crate) const DEFAULT_QUERY_SEED: u64 = 0x110C_5EED;

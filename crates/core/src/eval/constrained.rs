@@ -278,13 +278,12 @@ mod tests {
             if outcome != PruneOutcome::Keep {
                 pruned += 1;
                 let mut stats = QueryStats::new();
-                let mut r = StdRng::seed_from_u64(trial);
                 let pi = Integrator::Auto.object_probability(
                     issuer.pdf(),
                     range,
                     o.pdf(),
                     c.expanded,
-                    &mut r,
+                    trial,
                     &mut stats,
                 );
                 assert!(

@@ -33,13 +33,7 @@ mod tests {
 
     /// Lemma 3 as the engines compute it.
     fn point_probability(issuer: &PdfKind, range: RangeSpec, loc: Point) -> f64 {
-        Integrator::Auto.point_probability(
-            issuer,
-            range,
-            loc,
-            &mut StdRng::seed_from_u64(0),
-            &mut QueryStats::new(),
-        )
+        Integrator::Auto.point_probability(issuer, range, loc, 0, &mut QueryStats::new())
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! scenes against it under a binomial tolerance.
 //!
 //! Estimates are deterministic in the seed and **independent** of the
-//! pipeline's own RNG and integrators.
+//! pipeline's own sample streams and integrators.
 
 use iloc_geometry::Point;
 use iloc_uncertainty::{LocationPdf, UncertainObject};

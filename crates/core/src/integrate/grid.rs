@@ -1,10 +1,13 @@
-//! Midpoint-rule quadrature over the integration domain.
+//! Midpoint-rule quadrature over the integration domain — the
+//! deterministic reference the served integrators are tested against.
 //!
-//! Deterministic alternative to Monte-Carlo for non-uniform pdfs: cut
-//! the domain into `per_axis²` cells, evaluate the integrand at cell
-//! centres. Exact rectangle masses (`prob_in_rect`) are still used for
-//! the inner `Q(x, y)` factor, so only the outer integral is
-//! approximated.
+//! No query refines through it: [`super::Integrator`] is the closed
+//! form or Monte-Carlo. The closed forms' and the estimators' tests,
+//! and the property suite, compare against these functions at a fine
+//! resolution: cut the domain into `per_axis²` cells and evaluate the
+//! integrand at cell centres. Exact rectangle masses (`prob_in_rect`)
+//! are still used for the inner `Q(x, y)` factor, so only the outer
+//! integral is approximated.
 
 use iloc_geometry::{Point, Rect};
 use iloc_uncertainty::LocationPdf;

@@ -14,9 +14,10 @@
 //! | **Prune** | `prune`: the three object-level pruning strategies for constrained queries over the PTI's [`StoredBounds`], each recording its eliminations in [`QueryStats`] (`pruned_s1`/`s2`/`s3`) | 5.2 |
 //! | **Refine** | `refine`, an [`EvaluatorKind`] dispatched on the object type through [`CatalogObject`]: qualification probabilities through the query–data duality closed/numeric forms (Lemmas 2–4) via the context's [`Integrator`], or the Section 3.3 baseline integrating over the issuer region (Eq. 2 / Eq. 4) | 3.3, 4.2 |
 //!
-//! Execution state (integrator choice, the seeded RNG, the per-query
-//! cost counters and the reusable [`QueryScratch`] buffers) travels in
-//! an [`ExecutionContext`], so a pipeline value itself is immutable.
+//! Execution state (integrator choice, the seed of the sampling
+//! integrators, the per-query cost counters and the reusable
+//! [`QueryScratch`] buffers) travels in an [`ExecutionContext`], so a
+//! pipeline value itself is immutable.
 //!
 //! ## The zero-allocation invariant
 //!
@@ -67,8 +68,6 @@ use std::time::Instant;
 
 use iloc_geometry::Rect;
 use iloc_index::{AccessStats, Pages, TraversalScratch};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::engine::DEFAULT_QUERY_SEED;
 use crate::eval::constrained::PruneContext;
@@ -196,22 +195,21 @@ impl QueryScratch {
 }
 
 /// Mutable per-execution state threaded through the stages: the
-/// integrator the refine stage uses, the seeded RNG feeding its
-/// Monte-Carlo paths, the cost counters every stage records into, and
-/// the reusable [`QueryScratch`] buffers.
+/// integrator the refine stage uses, the seed its Monte-Carlo paths
+/// derive each object's sample stream from
+/// ([`crate::integrate::mc::object_seed`]), the cost counters every
+/// stage records into, and the reusable [`QueryScratch`] buffers.
 ///
 /// One context serves one query execution *at a time* and is designed
-/// to be **reused**: every execution starts by resetting the
-/// context (zeroed stats, reseeded RNG), so answers through a reused
-/// context are bit-identical to answers through a fresh one, while the
-/// scratch buffers keep their capacity. A serving loop keeps one
-/// long-lived context.
+/// to be **reused**: every execution starts by zeroing the stats, and
+/// nothing else in the context carries information from one query to
+/// the next, so answers through a reused context are bit-identical to
+/// answers through a fresh one, while the scratch buffers keep their
+/// capacity. A serving loop keeps one long-lived context.
 #[derive(Debug, Clone)]
 pub struct ExecutionContext {
     /// Strategy for the refine stage's probability integrals.
     pub integrator: Integrator,
-    /// Deterministic RNG for sampling integrators.
-    pub rng: StdRng,
     /// Cost counters; moved into the [`QueryAnswer`] on completion.
     pub stats: QueryStats,
     /// Reusable buffers (candidates, traversal stack).
@@ -220,17 +218,16 @@ pub struct ExecutionContext {
 }
 
 impl ExecutionContext {
-    /// Context with the engine-default RNG seed; query answers are
+    /// Context with the engine-default seed; query answers are
     /// deterministic for a given database and query.
     pub fn new(integrator: Integrator) -> Self {
         ExecutionContext::seeded(integrator, DEFAULT_QUERY_SEED)
     }
 
-    /// Context with an explicit RNG seed.
+    /// Context with an explicit seed for the sampling integrators.
     pub fn seeded(integrator: Integrator, seed: u64) -> Self {
         ExecutionContext {
             integrator,
-            rng: StdRng::seed_from_u64(seed),
             stats: QueryStats::new(),
             scratch: QueryScratch::new(),
             seed,
@@ -244,14 +241,10 @@ impl ExecutionContext {
         self.integrator = integrator;
     }
 
-    /// Returns the context to its post-construction state: zeroed
-    /// stats and a freshly reseeded RNG (scratch buffers keep their
-    /// capacity). Called at the start of every
-    /// [`QueryPipeline::execute_into`] so a reused context yields the
-    /// same answers as a fresh one.
+    /// Zeroes the stats (scratch buffers keep their capacity). Called
+    /// at the start of every [`QueryPipeline::execute_into`].
     fn reset(&mut self) {
         self.stats = QueryStats::new();
-        self.rng = StdRng::seed_from_u64(self.seed);
     }
 }
 
@@ -335,11 +328,11 @@ impl<O: CatalogObject> QueryPipeline<'_, O> {
     /// recording its logical I/O in the stats and walking trees on the
     /// traversal stack.
     ///
-    /// The context is reset first (zeroed stats, reseeded RNG), so
-    /// executing through a reused context gives the same answer as
-    /// through a fresh one. A *steady-state* execution — warm context
-    /// scratch, an `answer` whose buffers have already grown to
-    /// workload size — performs **zero heap allocations**: candidates
+    /// The context's stats are zeroed first, so executing through a
+    /// reused context gives the same answer as through a fresh one. A
+    /// *steady-state* execution — warm context scratch, an `answer`
+    /// whose buffers have already grown to workload size — performs
+    /// **zero heap allocations**: candidates
     /// land in the context's [`QueryScratch`], the index probe runs on
     /// the scratch traversal stack, and matches stage directly into
     /// the reused `answer.results`. `loadgen --check-allocs` and
@@ -371,11 +364,8 @@ impl<O: CatalogObject> QueryPipeline<'_, O> {
         let filter_done = Instant::now();
         // Prune pass: collect the whole surviving batch first so the
         // refine stage sees it at once (SoA lanes, hoisted per-query
-        // invariants). Pruning draws no randomness, so the two-pass
-        // order leaves the RNG stream — and hence every Monte-Carlo
-        // refinement — bit-identical to the interleaved loop. A plan
-        // without pruning (IPQ, IUQ, the Minkowski baselines) refines
-        // the candidates as they are.
+        // invariants). A plan without pruning (IPQ, IUQ, the Minkowski
+        // baselines) refines the candidates as they are.
         let mut kept = std::mem::take(&mut ctx.scratch.survivors);
         let survivors: &[u32] = match &self.prune {
             None => &candidates,
@@ -491,17 +481,22 @@ mod tests {
 
     #[test]
     fn context_reseeds_deterministically() {
-        let mut a = ExecutionContext::new(Integrator::Auto);
-        let mut b = ExecutionContext::new(Integrator::Auto);
-        use rand::RngCore;
-        assert_eq!(a.rng.next_u64(), b.rng.next_u64());
+        // A sampled answer is a function of the context's seed: two
+        // fresh contexts agree bit for bit, another seed moves the
+        // estimates.
+        let objs = objects();
+        let mc = Integrator::MonteCarlo { samples: 200 };
+        let a = execute_naive(&objs, &mut ExecutionContext::new(mc));
+        let b = execute_naive(&objs, &mut ExecutionContext::new(mc));
+        let other = execute_naive(&objs, &mut ExecutionContext::seeded(mc, 1));
+        assert!(a.same_matches(&b));
+        assert!(!a.same_matches(&other));
     }
 
     #[test]
     fn reused_context_gives_bit_identical_answers() {
-        // Monte-Carlo refinement consumes the RNG; a second execute
-        // through the same context must reseed and reproduce the
-        // first answer exactly.
+        // A second execute through the same context reproduces the
+        // first Monte-Carlo answer exactly, and so does a fresh one.
         let objs = objects();
         let mc = || ExecutionContext::new(Integrator::MonteCarlo { samples: 200 });
         let mut shared = mc();

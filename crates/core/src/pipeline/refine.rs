@@ -7,7 +7,7 @@
 //! * **duality** — the Section 4.2 enhanced method: Lemma 3 for point
 //!   objects, Lemma 4 / Eq. 8 for uncertain objects, both computed
 //!   through the context's [`crate::integrate::Integrator`] (closed
-//!   form, grid, or Monte-Carlo);
+//!   form or Monte-Carlo);
 //! * **basic** — the Section 3.3 baseline integrating over the issuer
 //!   region (Eq. 2 / Eq. 4) on a midpoint grid.
 
@@ -16,7 +16,7 @@ use iloc_index::Pages;
 use iloc_uncertainty::{LocationPdf, ObjectId, PdfKind, PointObject, UncertainObject};
 
 use crate::eval::basic;
-use crate::integrate::{closed, Integrator};
+use crate::integrate::{closed, mc, Integrator};
 use crate::stats::QueryStats;
 
 use super::{ExecutionContext, PreparedQuery};
@@ -25,11 +25,10 @@ use super::{ExecutionContext, PreparedQuery};
 /// [`super::QueryScratch`] so a warm context refines whole batches
 /// without allocating.
 ///
-/// The duality path gathers surviving candidates into
-/// `PdfKind`-homogeneous lanes (uniform geometry as packed corner
-/// quadruples, separable and fallback candidates as position lists);
-/// the basic
-/// path reuses `grid` for its hoisted issuer-sample plan. Buffers are
+/// The duality path gathers surviving candidates into two lanes
+/// (uniform geometry as packed corner quadruples, every other
+/// candidate as a position list); the basic path reuses `grid` for its
+/// hoisted issuer-sample plan. Buffers are
 /// cleared — never shrunk — between queries and carry no information
 /// across them.
 #[derive(Debug, Clone, Default)]
@@ -43,12 +42,9 @@ pub(crate) struct RefineLanes {
     /// Kernel output per uniform candidate (mixed batches only; a
     /// homogeneous batch writes straight into the caller's output).
     uni_out: Vec<f64>,
-    /// Output positions of the axis-separable (Gaussian) lane.
-    sep_pos: Vec<u32>,
-    /// Output positions of everything else, refined through the full
-    /// integrator in survivor order (so Monte-Carlo fallbacks consume
-    /// the RNG exactly as the scalar loop would).
-    fallback_pos: Vec<u32>,
+    /// Output positions of every non-uniform candidate, refined one by
+    /// one.
+    rest_pos: Vec<u32>,
     /// Hoisted midpoint-grid plan of the basic evaluator: issuer
     /// sample point and density per cell.
     grid: Vec<(Point, f64)>,
@@ -58,8 +54,7 @@ impl RefineLanes {
     fn clear(&mut self) {
         self.uni.clear();
         self.uni_out.clear();
-        self.sep_pos.clear();
-        self.fallback_pos.clear();
+        self.rest_pos.clear();
     }
 }
 
@@ -81,9 +76,10 @@ pub trait CatalogObject: Clone + Send + Sync {
     fn within(&self, filter: Rect) -> bool;
 
     /// The duality probability of this one object (Lemma 3 / Lemma
-    /// 4), through the context's integrator and RNG. The reference
-    /// every batch is held to, and what a standing query's patch
-    /// evaluates.
+    /// 4), through the context's integrator; a sampled one draws from
+    /// the object's own stream, seeded from the context's seed and the
+    /// object's id. The reference every batch is held to, and what a
+    /// standing query's patch evaluates.
     fn probability(&self, query: &PreparedQuery<'_>, ctx: &mut ExecutionContext) -> f64;
 
     /// Refines a batch of surviving candidates by `method`, writing one
@@ -91,8 +87,7 @@ pub trait CatalogObject: Clone + Send + Sync {
     ///
     /// A duality batch is *observably identical* to calling
     /// [`CatalogObject::probability`] on each survivor in turn: same
-    /// probabilities (bit for bit), same stats counters, same RNG
-    /// consumption.
+    /// probabilities (bit for bit), same stats counters.
     fn probabilities(
         method: EvaluatorKind,
         query: &PreparedQuery<'_>,
@@ -175,7 +170,7 @@ impl CatalogObject for PointObject {
             query.issuer.pdf(),
             query.range,
             self.loc,
-            &mut ctx.rng,
+            mc::object_seed(ctx.seed, self.id),
             &mut ctx.stats,
         )
     }
@@ -226,7 +221,7 @@ impl CatalogObject for UncertainObject {
             query.range,
             self.pdf(),
             query.expanded,
-            &mut ctx.rng,
+            mc::object_seed(ctx.seed, self.id),
             &mut ctx.stats,
         )
     }
@@ -257,18 +252,16 @@ impl CatalogObject for UncertainObject {
 }
 
 /// The SoA duality batch (IUQ's hot loop): with `Integrator::Auto`
-/// and a uniform issuer, survivors are gathered into
-/// `PdfKind`-homogeneous lanes and the closed forms evaluate over
-/// slices with all per-query invariants hoisted into a
-/// [`closed::UniformHeader`]; otherwise the scalar loop.
+/// and a uniform issuer, uniform survivors are gathered into one lane
+/// and the closed form evaluates over it with all per-query invariants
+/// hoisted into a [`closed::UniformHeader`]; otherwise the scalar
+/// loop.
 ///
 /// Results are bit-identical to the scalar loop: the uniform lane
 /// runs [`closed::uniform_uniform_batch`] (same arithmetic,
-/// reassociation-free), the Gaussian lane runs the hoisted separable
-/// form, and every other pdf goes through the full integrator **in
-/// survivor order**, so Monte-Carlo fallbacks see the exact RNG stream
-/// of the scalar loop (closed-form candidates never consume
-/// randomness).
+/// reassociation-free), a Gaussian runs the hoisted separable form,
+/// and a disc goes through the full integrator, whose Monte-Carlo
+/// draws from the object's own stream.
 fn duality_batch(
     query: &PreparedQuery<'_>,
     objects: &Pages<UncertainObject>,
@@ -285,7 +278,7 @@ fn duality_batch(
     let u0 = query.issuer.pdf().uniform_region().expect("checked above");
     let header = closed::UniformHeader::new(u0, query.range, query.expanded);
     // The lanes are taken out of the scratch so the context stays
-    // borrowable by the fallback integrator; capacity survives.
+    // borrowable by the integrator; capacity survives.
     let mut lanes = std::mem::take(&mut ctx.scratch.lanes);
     lanes.clear();
     out.resize(survivors.len(), 0.0);
@@ -295,25 +288,22 @@ fn duality_batch(
                 let r = u.region();
                 lanes.uni.push([r.min.x, r.min.y, r.max.x, r.max.y]);
             }
-            PdfKind::Gaussian(_) => lanes.sep_pos.push(pos as u32),
-            PdfKind::Disc(_) => lanes.fallback_pos.push(pos as u32),
+            PdfKind::Gaussian(_) | PdfKind::Disc(_) => lanes.rest_pos.push(pos as u32),
         }
     }
     // Uniform lane: one batched kernel call. A homogeneous batch
     // (the IUQ hot case) writes straight into `out`; a mixed batch
     // goes through `uni_out` and scatters by walking positions in
-    // step with the (ascending) sep/fallback position lists.
-    if lanes.sep_pos.is_empty() && lanes.fallback_pos.is_empty() {
+    // step with the (ascending) list of the others.
+    if lanes.rest_pos.is_empty() {
         closed::uniform_uniform_batch(&header, &lanes.uni, out);
     } else if !lanes.uni.is_empty() {
         lanes.uni_out.resize(lanes.uni.len(), 0.0);
         closed::uniform_uniform_batch(&header, &lanes.uni, &mut lanes.uni_out);
-        let (mut k, mut s, mut f) = (0usize, 0usize, 0usize);
+        let (mut k, mut r) = (0usize, 0usize);
         for (pos, pi) in out.iter_mut().enumerate() {
-            if lanes.sep_pos.get(s) == Some(&(pos as u32)) {
-                s += 1;
-            } else if lanes.fallback_pos.get(f) == Some(&(pos as u32)) {
-                f += 1;
+            if lanes.rest_pos.get(r) == Some(&(pos as u32)) {
+                r += 1;
             } else {
                 *pi = lanes.uni_out[k];
                 k += 1;
@@ -321,21 +311,21 @@ fn duality_batch(
         }
         debug_assert_eq!(k, lanes.uni.len());
     }
-    // Separable lane: hoisted closed form, still per candidate
-    // (erf dominates) but without rebuilding the profiles.
-    for &pos in &lanes.sep_pos {
+    // The uniform lane bypassed the integrator's accounting.
+    ctx.stats.prob_evals += lanes.uni.len() as u64;
+    // The others one by one: a Gaussian through the hoisted closed
+    // form (erf dominates, but the profiles are not rebuilt), a disc
+    // through the full integrator.
+    for &pos in &lanes.rest_pos {
         let object = &objects[survivors[pos as usize] as usize];
-        let PdfKind::Gaussian(g) = object.pdf() else {
-            unreachable!("separable lane only holds Gaussians");
+        out[pos as usize] = match object.pdf() {
+            PdfKind::Gaussian(g) => {
+                ctx.stats.prob_evals += 1;
+                closed::uniform_separable_hoisted(&header, g)
+                    .expect("gaussian marginals are closed-form")
+            }
+            _ => object.probability(query, ctx),
         };
-        out[pos as usize] = closed::uniform_separable_hoisted(&header, g)
-            .expect("gaussian marginals are closed-form");
-    }
-    // The closed-form lanes bypassed the integrator's accounting.
-    ctx.stats.prob_evals += (lanes.uni.len() + lanes.sep_pos.len()) as u64;
-    // Fallback lane: the full integrator, in survivor order.
-    for &pos in &lanes.fallback_pos {
-        out[pos as usize] = objects[survivors[pos as usize] as usize].probability(query, ctx);
     }
     ctx.scratch.lanes = lanes;
 }

@@ -39,7 +39,8 @@ pub struct QueryStats {
     pub prob_evals: u64,
     /// Monte-Carlo samples drawn across all refinements.
     pub mc_samples: u64,
-    /// Grid-integrator cells evaluated across all refinements.
+    /// Midpoint-grid cells evaluated across all refinements (the
+    /// basic method's, and the quadrature reference's).
     pub grid_cells: u64,
     /// Candidates discarded by pruning Strategy 1 (object-level
     /// p-bound tail test).

@@ -57,23 +57,18 @@
 //! Every emitted state is bit-identical to
 //! [`Snapshot::execute_one`](crate::serve::Snapshot::execute_one) of
 //! the subscription's request against the snapshot it is bound to. A
-//! patch gets there without running the query because, for the
-//! deterministic integrators (`Auto`'s closed forms, `Grid`), a
-//! probability is a function of the query and its one object: not of
-//! the other candidates, their order, or the epoch. For the same reason an unaffected subscription's answer
-//! is also bit-identical to evaluation at the *current* epoch.
+//! patch gets there without running the query because, under every
+//! integrator, a probability is a function of the query and its one
+//! object: not of the other candidates, their order, the shard count
+//! or the epoch. The closed forms are; a Monte-Carlo estimate draws
+//! from the object's own stream, seeded from the execution's seed and
+//! the object's id ([`crate::integrate::mc::object_seed`]). For the
+//! same reason an unaffected subscription's answer is also
+//! bit-identical to evaluation at the *current* epoch.
 //!
-//! Monte-Carlo refinement (`MonteCarlo`, or `Auto` on a pdf pair with
-//! no closed form) consumes the per-query RNG in candidate order, and
-//! object slots are renumbered across epochs; there the only bit-exact
-//! reference is the full evaluation on the bound epoch. The registry
-//! decides by the evaluation's own counter, not by a flag: a
-//! subscription is patchable while its last full evaluation read
-//! `stats.mc_samples == 0`, and a patch in which a single object's
-//! evaluation draws a sample is abandoned — the subscription
-//! re-probes and re-runs in full, as every woken one did before
-//! touched sets. So do the ones woken by an epoch too large to keep a
-//! touched set, and all of them when the registry falls behind the
+//! A woken subscription re-probes and re-runs in full only where the
+//! touched objects are not known: an epoch too large to keep a touched
+//! set, and every subscription when the registry falls behind the
 //! engine's dirt history.
 //!
 //! Constrained subscriptions are **normalized to Minkowski-sum
@@ -143,9 +138,7 @@ fn evaluate_cached_into<E: ServeEngine>(
 /// `shard` on its own: the filter's membership test, the duality
 /// refinement, the request's accept policy — `Some` exactly when the
 /// object is live and in the answer. Adds to `ctx.stats` without
-/// resetting it; the probability has the pipeline's bits as long as
-/// the evaluation draws no randomness (the caller checks
-/// `ctx.stats.mc_samples`): a closed-form or grid integral is a
+/// resetting it. The probability has the pipeline's bits: it is a
 /// function of the query and the object alone.
 fn evaluate_object<E: ServeEngine>(
     shard: &E,

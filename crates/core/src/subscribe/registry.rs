@@ -39,11 +39,6 @@ pub struct Subscription<E: ServeEngine> {
     /// an epoch older than `snapshot`, and the next evaluation that
     /// needs candidates probes for them first.
     stale: bool,
-    /// Whether the last full evaluation drew no Monte-Carlo sample —
-    /// the condition under which every probability in `last` is a
-    /// function of the request and its object alone, so the pump may
-    /// patch the answer object by object (see the module docs).
-    patchable: bool,
     /// The last answer delivered (id-sorted): the base every delta is
     /// computed against.
     last: Vec<Match>,
@@ -134,7 +129,6 @@ impl<E: ServeEngine> Subscription<E> {
             .stats
             .access
             .absorb(std::mem::take(&mut buffers.probe));
-        self.patchable = buffers.fresh.stats.mc_samples == 0;
     }
 
     /// Replaces the delivered answer with `buffers.fresh`, leaving the
@@ -156,8 +150,7 @@ impl<E: ServeEngine> Subscription<E> {
     /// the subscription is rebound to `current` — which is all that
     /// happens when no footprint meets the rectangle. Returns how
     /// many objects were evaluated, or `None` with the subscription as
-    /// it was when the answer cannot be had this way: an epoch kept no
-    /// touched set, or an evaluation sampled.
+    /// it was when an epoch kept no touched set.
     ///
     /// The candidates are not looked at and come out stale. (When
     /// nothing touched the envelope they would still be right, for the
@@ -192,10 +185,9 @@ impl<E: ServeEngine> Subscription<E> {
         ids.dedup();
 
         // One merge of `last` with the evaluated ids into the scratch
-        // answer; `last` is overwritten only once nothing has sampled.
+        // answer, copied back to `last` when anything changed.
         let next = &mut fresh.results;
         next.clear();
-        ctx.stats = QueryStats::new();
         let shards = current.shards();
         let mut rest = self.last.as_slice();
         for &id in ids.iter() {
@@ -214,9 +206,6 @@ impl<E: ServeEngine> Subscription<E> {
                 (Some(_), None) => delta.removals.push(id),
                 (None, None) => {}
             }
-        }
-        if ctx.stats.mc_samples != 0 {
-            return None;
         }
         if !delta.is_empty() {
             next.extend_from_slice(rest);
@@ -419,7 +408,6 @@ impl<E: ServeEngine> SubscriptionRegistry<E> {
             envelope: Rect::EMPTY,
             cached: Vec::new(),
             stale: true,
-            patchable: false,
             last: Vec::new(),
             probes: 0,
             cache_hits: 0,
@@ -522,10 +510,9 @@ impl<E: ServeEngine> SubscriptionRegistry<E> {
     /// The delta and the delivered answer are bit for bit those of the
     /// full re-evaluation, which is what runs instead — re-probe,
     /// pipeline, diff, the code `tick` runs — where a patch cannot
-    /// have them: a subscription whose last full evaluation drew
-    /// Monte-Carlo samples, a patch in which a single evaluation does,
-    /// an epoch over [`TOUCHED_CAP`](crate::serve::TOUCHED_CAP), and a
-    /// pump racing a commit whose dirt is not logged yet.
+    /// have them: an epoch over
+    /// [`TOUCHED_CAP`](crate::serve::TOUCHED_CAP), and a pump racing a
+    /// commit whose dirt is not logged yet.
     ///
     /// Falling more than the engine's dirt history behind degrades
     /// gracefully: every subscription is re-evaluated in full.
@@ -608,7 +595,7 @@ impl<E: ServeEngine> SubscriptionRegistry<E> {
                 continue;
             }
             report.woken += 1;
-            let patched = if dirt_complete && sub.patchable {
+            let patched = if dirt_complete {
                 sub.patch(&current, &self.dirt, &mut self.buffers)
             } else {
                 None
@@ -907,13 +894,15 @@ mod tests {
             engine.commit();
         };
 
-        // A sampling subscription always re-runs.
+        // A sampling subscription is patched like any other: each
+        // object's estimate draws from its own stream.
         arrive_near(3);
         let report = registry.pump(&engine, |_, _, _| {});
-        assert_eq!((report.woken, report.patched, report.notified), (2, 1, 2));
-        assert_eq!(report.objects_evaluated, 3);
+        assert_eq!((report.woken, report.patched, report.notified), (2, 2, 2));
+        assert_eq!(report.objects_evaluated, 6);
         assert_eq!(registry.get(exact).unwrap().probes(), 1);
-        assert_eq!(registry.get(sampled).unwrap().probes(), 2);
+        assert_eq!(registry.get(sampled).unwrap().probes(), 1);
+        assert_matches_fresh(&engine, &registry, sampled);
         assert!(registry.unsubscribe(sampled));
 
         // An epoch over the cap keeps no touched set.

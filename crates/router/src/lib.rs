@@ -508,7 +508,7 @@ impl RouterHandler {
             let tag = entry.target as u8;
             for (i, &sid) in entry.node_ids.iter().enumerate() {
                 wp.by_node.remove(&(i, tag, sid));
-                let _ = wp.clients[i].unsubscribe(entry.target, sid);
+                let _ = self.shared.nodes[i].call(|| wp.clients[i].unsubscribe(entry.target, sid));
             }
         }
     }

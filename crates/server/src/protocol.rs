@@ -62,9 +62,6 @@ pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 /// sample count would otherwise let one frame buy minutes of CPU).
 pub const MAX_MC_SAMPLES: u32 = 1_000_000;
 
-/// Ceiling on grid-integrator cells per axis, for the same reason.
-pub const MAX_GRID_PER_AXIS: u32 = 4_096;
-
 /// Frame opcodes (requests `0x01..=0x7F`, responses `0x81..=0xFF`).
 pub mod opcode {
     /// IPQ / C-IPQ against the point catalog → [`ANSWER`].
@@ -461,19 +458,15 @@ pub fn finish_frame(buf: &mut [u8], at: usize) {
 // Integrators, ranges, constraints
 // ---------------------------------------------------------------------------
 
-// Tag 1 is unassigned (it named a closed-form-only integrator whose
-// every answer `Auto` gives) and refused like any unknown tag.
+// Tags 1 and 2 are unassigned and refused like any unknown tag. Tag 1
+// named a closed-form-only integrator whose every answer `Auto` gives;
+// tag 2 named midpoint-grid quadrature, which no query refines by.
 const INTEGRATOR_AUTO: u8 = 0;
-const INTEGRATOR_GRID: u8 = 2;
 const INTEGRATOR_MC: u8 = 3;
 
 fn put_integrator(buf: &mut Vec<u8>, integrator: Integrator) {
     match integrator {
         Integrator::Auto => buf.push(INTEGRATOR_AUTO),
-        Integrator::Grid { per_axis } => {
-            buf.push(INTEGRATOR_GRID);
-            put_u32(buf, per_axis as u32);
-        }
         Integrator::MonteCarlo { samples } => {
             buf.push(INTEGRATOR_MC);
             put_u32(buf, samples as u32);
@@ -484,15 +477,6 @@ fn put_integrator(buf: &mut Vec<u8>, integrator: Integrator) {
 fn read_integrator(r: &mut Reader<'_>) -> Result<Integrator, WireError> {
     match r.u8()? {
         INTEGRATOR_AUTO => Ok(Integrator::Auto),
-        INTEGRATOR_GRID => {
-            let per_axis = r.u32()?;
-            if per_axis == 0 || per_axis > MAX_GRID_PER_AXIS {
-                return Err(WireError::Malformed("grid per_axis out of range"));
-            }
-            Ok(Integrator::Grid {
-                per_axis: per_axis as usize,
-            })
-        }
         INTEGRATOR_MC => {
             let samples = r.u32()?;
             if samples == 0 || samples > MAX_MC_SAMPLES {
@@ -1298,7 +1282,7 @@ mod tests {
                 0.5,
                 CipqStrategy::MinkowskiSum,
             )
-            .with_integrator(Integrator::Grid { per_axis: 32 }),
+            .with_integrator(Integrator::MonteCarlo { samples: 32 }),
         ];
         for request in cases {
             let mut buf = Vec::new();
@@ -1747,17 +1731,19 @@ mod tests {
         let mut r = Reader::new(&bytes);
         assert!(read_integrator(&mut r).is_err());
 
-        let mut bytes = vec![INTEGRATOR_GRID];
+        let mut bytes = vec![INTEGRATOR_MC];
         bytes.extend_from_slice(&0u32.to_le_bytes());
         let mut r = Reader::new(&bytes);
         assert!(read_integrator(&mut r).is_err());
 
-        // Tag 1 is unassigned.
-        let mut r = Reader::new(&[1]);
-        assert!(matches!(
-            read_integrator(&mut r),
-            Err(WireError::Malformed("unknown integrator tag"))
-        ));
+        // Tags 1 and 2 are unassigned, with or without a payload after.
+        for bytes in [&[1u8][..], &[2, 32, 0, 0, 0]] {
+            let mut r = Reader::new(bytes);
+            assert!(matches!(
+                read_integrator(&mut r),
+                Err(WireError::Malformed("unknown integrator tag"))
+            ));
+        }
     }
 
     #[test]

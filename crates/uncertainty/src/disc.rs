@@ -6,7 +6,7 @@
 //! closed-form circle–rectangle intersection area
 //! ([`iloc_geometry::Circle::intersection_area`]), so a disc issuer
 //! evaluates IPQ/C-IPQ exactly through the ordinary duality path; disc
-//! *objects* integrate through the grid / Monte-Carlo backends.
+//! *objects* integrate by Monte-Carlo.
 //!
 //! [`LocationPdf::region`] returns the disc's **bounding box** — every
 //! box-based structure (Minkowski filter, p-bounds, PTI) stays sound

@@ -85,8 +85,7 @@ pub trait LocationPdf: Debug + Send + Sync {
     /// (`f(x, y) = fx(x) · fy(y)`): that property is what lets the
     /// Eq. 8 integrand separate, so it is the contract the closed-form
     /// IUQ evaluator relies on. Uniform and truncated-Gaussian pdfs
-    /// qualify; the disc does not (it stays on the grid / Monte-Carlo
-    /// paths).
+    /// qualify; the disc does not (it stays on the Monte-Carlo path).
     fn linear_marginal_integral(&self, axis: Axis, i: Interval, c0: f64, c1: f64) -> Option<f64> {
         let _ = (axis, i, c0, c1);
         None

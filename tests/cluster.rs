@@ -20,7 +20,7 @@ use std::time::Duration;
 
 use iloc::core::pipeline::{PointRequest, UncertainRequest};
 use iloc::core::serve::{shard_of, Update};
-use iloc::core::{CipqStrategy, CiuqStrategy, Issuer, RangeSpec};
+use iloc::core::{CipqStrategy, CiuqStrategy, Integrator, Issuer, RangeSpec};
 use iloc::geometry::{Point, Rect};
 use iloc::router::{Router, RouterConfig, RouterHandle};
 use iloc::server::protocol::{
@@ -474,6 +474,67 @@ fn node_crash_mid_commit_is_a_typed_error_never_a_torn_epoch() {
         other => panic!("expected Unavailable, got {other:?}"),
     }
     client.ping().expect("connection still alive at the end");
+}
+
+/// A subscriber's connection closing after a node died unsubscribes on
+/// every node through the same books as an UNSUBSCRIBE frame: the dead
+/// node's call is counted `routed` and marks it disconnected. Every
+/// STATS probe calls each node once too, so after `polls` probes the
+/// dead node's `routed` has grown by `polls` plus the cleanup's one.
+#[test]
+fn a_closing_subscriber_unsubscribes_through_the_node_books() {
+    let mut cluster = Cluster::start(2);
+    let mut control = cluster.client();
+    let mut subscriber = cluster.client();
+    let request = point_requests(1, 3).remove(0);
+    subscriber.subscribe(&request, 60.0).expect("subscribe");
+    let before = control.stats().expect("stats").nodes[1].routed;
+
+    cluster.crash_node(1);
+    drop(subscriber);
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let mut polls = 0u64;
+    let stats = loop {
+        let stats = control.stats().expect("stats after the crash");
+        polls += 1;
+        let routed = stats.nodes[1].routed - before;
+        if routed == polls + 1 {
+            break stats;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the closed subscriber's unsubscribe never reached node 1's books: \
+             routed +{routed} over {polls} probes"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(!stats.nodes[1].connected, "dead node reported");
+    assert!(stats.nodes[0].connected);
+    control.ping().expect("router serves on");
+}
+
+/// A sampled IUQ — Gaussian issuer, Monte-Carlo — through the router
+/// over two nodes answers bit-identically to one single-shard server:
+/// each object's estimate draws from its own stream, whichever node
+/// holds it.
+#[test]
+fn a_sampled_iuq_through_the_router_equals_one_single_shard_server() {
+    let cluster = Cluster::start(2);
+    let (_oracle, oracle_handle) = start_oracle(1);
+    let mut via_router = cluster.client();
+    let mut via_oracle = Client::connect(oracle_handle.addr()).expect("connect oracle");
+    let mut matched = 0;
+    for (k, request) in uncertain_requests(8, 5).into_iter().enumerate() {
+        let issuer = Issuer::gaussian(request.issuer.region());
+        let request = UncertainRequest { issuer, ..request }
+            .with_integrator(Integrator::MonteCarlo { samples: 64 });
+        let got = via_router.query(&request).expect("router query");
+        let want = via_oracle.query(&request).expect("oracle query");
+        assert!(got.same_matches(&want), "request {k}: {got:?} vs {want:?}");
+        matched += want.results.len();
+    }
+    assert!(matched > 8, "degenerate scenario: {matched} matches");
+    oracle_handle.shutdown();
 }
 
 #[test]

@@ -28,9 +28,12 @@
 //! All queries also run through **one dirty, reused
 //! `ExecutionContext`** (its `QueryScratch` is never cleared between
 //! layers), so scratch reuse is covered by the same bit-identity bar.
-//! Probabilities use the closed-form integrators (`Integrator::Auto`
-//! over uniform pdfs), which is what makes bit-identity — not mere
-//! approximate equality — the right assertion.
+//! Probabilities are the closed forms (`Integrator::Auto` over
+//! uniform pdfs) or, for the mixed-pdf catalogs under Gaussian
+//! issuers, Monte-Carlo estimates drawn from each object's own stream:
+//! either is a function of the query and its one object, which is
+//! what makes bit-identity — not mere approximate equality — the
+//! right assertion.
 
 use iloc::core::minkowski_query;
 use iloc::core::pipeline::{
@@ -604,6 +607,77 @@ fn bound_table_never_drifts_from_the_pdfs() {
         engine.insert(mixed_object(id, id, &mut rng));
     }
     assert_no_drift("refilled", &engine, &mut ctx);
+}
+
+/// A sampled estimate is a function of the query and its one object:
+/// a mixed uniform/Gaussian/disc catalog under Gaussian issuers, where
+/// every uncertain object is sampled, answers IUQ and both C-IUQ plans
+/// bit-identically on 1, 2 and 4 shards, under `Auto` and under
+/// explicit Monte-Carlo; and after one matching object departs, every
+/// other match keeps its probability bits.
+#[test]
+fn sampled_answers_are_identical_across_shard_counts_and_departures() {
+    let mut rng = StdRng::seed_from_u64(0x5A_3D1E);
+    let objects: Vec<UncertainObject> = (0..600).map(|id| mixed_object(id, id, &mut rng)).collect();
+    let engines: Vec<ShardedEngine<UncertainEngine>> = [1, 2, 4]
+        .into_iter()
+        .map(|shards| ShardedEngine::build(objects.clone(), shards))
+        .collect();
+    let range = RangeSpec::square(120.0);
+    let mut requests = Vec::new();
+    for _ in 0..6 {
+        let c = Point::new(rng.gen_range(300.0..1_700.0), rng.gen_range(300.0..1_700.0));
+        let issuer = Issuer::gaussian(Rect::centered(c, 60.0, 45.0));
+        for integrator in [Integrator::Auto, Integrator::MonteCarlo { samples: 64 }] {
+            requests.push(UncertainRequest::iuq(issuer.clone(), range).with_integrator(integrator));
+            for strategy in [CiuqStrategy::RTreeMinkowski, CiuqStrategy::PtiPExpanded] {
+                let request = UncertainRequest::ciuq(issuer.clone(), range, 0.3, strategy);
+                requests.push(request.with_integrator(integrator));
+            }
+        }
+    }
+
+    let mut matched = 0;
+    for (k, request) in requests.iter().enumerate() {
+        let want = engines[0].snapshot().execute_one(request);
+        assert!(want.stats.mc_samples > 0, "request {k} does not sample");
+        for engine in &engines[1..] {
+            let got = engine.snapshot().execute_one(request);
+            assert!(
+                got.same_matches(&want),
+                "request {k}: {} shards != 1 shard",
+                engine.snapshot().shards().len()
+            );
+        }
+        matched += want.results.len();
+    }
+    assert!(matched > 60, "degenerate scenario: {matched} matches");
+
+    // Depart the first match of each IUQ, one at a time: the answer
+    // loses that match and keeps every other one's bits.
+    for (k, request) in requests.iter().enumerate().step_by(3) {
+        let before: Vec<QueryAnswer> = engines
+            .iter()
+            .map(|e| e.snapshot().execute_one(request))
+            .collect();
+        let Some(gone) = before[0].results.first().map(|m| m.id) else {
+            continue;
+        };
+        for engine in &engines {
+            engine.submit(Update::Depart(gone));
+            engine.commit();
+        }
+        for (engine, before) in engines.iter().zip(&before) {
+            let mut want = before.clone();
+            want.results.retain(|m| m.id != gone);
+            let snapshot = engine.snapshot();
+            assert!(
+                snapshot.execute_one(request).same_matches(&want),
+                "request {k}, {} shards: {gone:?} departed",
+                snapshot.shards().len()
+            );
+        }
+    }
 }
 
 // --- Slot order and compaction ------------------------------------------

@@ -559,24 +559,29 @@ fn an_unassigned_integrator_tag_is_refused_and_the_connection_survives() {
         .execute_one(&request);
     assert!(!want.results.is_empty());
 
-    for (what, frame) in [("query", &query), ("subscribe", &subscribe)] {
-        // A plain query body ends in the integrator tag and the
-        // unconstrained byte.
-        let mut bad = frame.clone();
-        let at = bad.len() - 2;
-        assert_eq!(bad[at], 0, "{what}: Auto's tag");
-        bad[at] = 1;
-        stream.write_all(&bad).unwrap();
-        let (_, op, payload) = read_frame(&mut stream);
-        assert_eq!(op, opcode::ERROR, "{what}");
-        assert_eq!(payload[0], ErrorCode::Malformed as u8, "{what}");
+    // Tag 1 alone; tag 2 with the `per_axis` it used to carry.
+    for retired in [&[1u8][..], &[2, 32, 0, 0, 0]] {
+        for (what, frame) in [("query", &query), ("subscribe", &subscribe)] {
+            // A plain query body ends in the integrator tag and the
+            // unconstrained byte.
+            let mut bad = frame.clone();
+            let at = bad.len() - 2;
+            assert_eq!(bad[at], 0, "{what}: Auto's tag");
+            bad.splice(at..=at, retired.iter().copied());
+            let len = (bad.len() - 4) as u32;
+            bad[..4].copy_from_slice(&len.to_le_bytes());
+            stream.write_all(&bad).unwrap();
+            let (_, op, payload) = read_frame(&mut stream);
+            assert_eq!(op, opcode::ERROR, "{what}: tag {}", retired[0]);
+            assert_eq!(payload[0], ErrorCode::Malformed as u8, "{what}");
 
-        stream.write_all(&query).unwrap();
-        let (_, op, payload) = read_frame(&mut stream);
-        assert_eq!(op, opcode::ANSWER, "{what}: the connection survived");
-        let mut answer = QueryAnswer::default();
-        protocol::decode_answer_into(&payload, &mut answer).unwrap();
-        assert!(answer.same_matches(&want), "{what}");
+            stream.write_all(&query).unwrap();
+            let (_, op, payload) = read_frame(&mut stream);
+            assert_eq!(op, opcode::ANSWER, "{what}: the connection survived");
+            let mut answer = QueryAnswer::default();
+            protocol::decode_answer_into(&payload, &mut answer).unwrap();
+            assert!(answer.same_matches(&want), "{what}");
+        }
     }
     handle.shutdown();
 }

@@ -160,9 +160,8 @@ proptest! {
         let ctx = PruneContext::new(&issuer, r, qp);
         if try_prune(&object.catalog(), &ctx) != PruneOutcome::Keep {
             let mut stats = QueryStats::new();
-            let mut rng = StdRng::seed_from_u64(1);
             let pi = Integrator::Auto.object_probability(
-                issuer.pdf(), r, object.pdf(), ctx.expanded, &mut rng, &mut stats,
+                issuer.pdf(), r, object.pdf(), ctx.expanded, 1, &mut stats,
             );
             prop_assert!(pi <= qp + 1e-9, "pruned but pi={} > qp={}", pi, qp);
         }

@@ -8,7 +8,7 @@
 //! The contract under test here: the batch is **observably
 //! identical** to a plain loop over the scalar per-object probability
 //! (`CatalogObject::probability`) — same probability bits, same cost
-//! counters, same RNG consumption — across every [`PdfKind`] variant,
+//! counters — across every [`PdfKind`] variant,
 //! every ragged batch tail, dirty scratch reuse, the full pipeline,
 //! and the subscription delta path that rides on top of it.
 
@@ -21,7 +21,6 @@ use iloc::core::subscribe::SubscriptionRegistry;
 use iloc::core::{Integrator, Issuer, RangeSpec, UncertainEngine};
 use iloc::index::{AccessStats, NaiveIndex, Pages, RangeIndex, TraversalScratch};
 use iloc::prelude::*;
-use rand::RngCore;
 
 /// The reference: the scalar per-object probability, survivor by
 /// survivor, into `out` — so any divergence is the batch's.
@@ -52,8 +51,8 @@ fn soa(
 /// `n` objects cycling through four shapes of the three [`PdfKind`]
 /// variants on a grid overlapping the test queries: plain uniforms
 /// (batched closed-form lane), truncated Gaussians (hoisted separable
-/// lane), and discs of two radii (Monte-Carlo fallback lane, consumes
-/// RNG).
+/// lane), and discs of two radii (Monte-Carlo fallback lane, draws
+/// samples).
 fn mixed_objects(n: usize) -> Vec<UncertainObject> {
     (0..n)
         .map(|k| {
@@ -87,9 +86,9 @@ fn paged(objects: &[UncertainObject]) -> Pages<UncertainObject> {
 }
 
 /// Runs the SoA override and the scalar reference over the same
-/// survivor set through freshly seeded contexts and asserts bitwise
-/// probability equality, counter equality, and — via follow-up draws —
-/// identical RNG stream positions.
+/// survivor set through fresh contexts and asserts bitwise probability
+/// equality and counter equality — and that each survivor's
+/// probability is the one its object gets refined alone.
 fn assert_batch_matches_scalar(objects: &[UncertainObject], issuer: &Issuer, range: RangeSpec) {
     let query = PreparedQuery::new(issuer, range);
     let survivors: Vec<u32> = (0..objects.len() as u32).collect();
@@ -117,12 +116,11 @@ fn assert_batch_matches_scalar(objects: &[UncertainObject], issuer: &Issuer, ran
         soa_ctx.stats,
         scalar_ctx.stats
     );
-    for _ in 0..3 {
-        assert_eq!(
-            soa_ctx.rng.next_u64(),
-            scalar_ctx.rng.next_u64(),
-            "RNG streams out of sync after the batch"
-        );
+    let mut alone = Vec::new();
+    for (k, &slot) in survivors.iter().enumerate() {
+        let ctx = &mut ExecutionContext::new(Integrator::Auto);
+        self::soa(&query, objects, &[slot], ctx, &mut alone);
+        assert_eq!(alone[0].to_bits(), soa[k].to_bits(), "survivor {k} alone");
     }
 }
 
@@ -220,13 +218,13 @@ fn gaussian_issuer_falls_back_to_scalar_identically() {
 
 #[test]
 fn non_auto_integrator_falls_back_to_scalar_identically() {
-    // Explicit quadrature also opts out of the SoA lanes.
+    // Explicit Monte-Carlo also opts out of the SoA lanes.
     let issuer = test_issuer();
     let query = PreparedQuery::new(&issuer, RangeSpec::square(70.0));
     let objects = paged(&uniform_objects(7));
     let survivors: Vec<u32> = (0..objects.len() as u32).collect();
-    let mut a_ctx = ExecutionContext::new(Integrator::Grid { per_axis: 40 });
-    let mut b_ctx = ExecutionContext::new(Integrator::Grid { per_axis: 40 });
+    let mut a_ctx = ExecutionContext::new(Integrator::MonteCarlo { samples: 40 });
+    let mut b_ctx = ExecutionContext::new(Integrator::MonteCarlo { samples: 40 });
     let (mut a, mut b) = (Vec::new(), Vec::new());
     soa(&query, &objects, &survivors, &mut a_ctx, &mut a);
     scalar_ref(&query, &objects, &survivors, &mut b_ctx, &mut b);
@@ -238,10 +236,10 @@ fn non_auto_integrator_falls_back_to_scalar_identically() {
 
 #[test]
 fn dirty_scratch_reuse_is_bit_identical() {
-    // A large mixed batch leaves the gather lanes, probability buffer
-    // and RNG in a well-used state; the small batch that follows must
+    // A large mixed batch leaves the gather lanes and probability
+    // buffer in a well-used state; the small batch that follows must
     // still agree with the scalar reference driven through the same
-    // history, and — RNG-free workload — with a fresh context.
+    // history, and with a fresh context.
     let issuer = test_issuer();
     let big = paged(&mixed_objects(48));
     let small = paged(&uniform_objects(3));
@@ -286,7 +284,7 @@ fn dirty_scratch_reuse_is_bit_identical() {
         assert_eq!(a.to_bits(), b.to_bits());
     }
 
-    // Uniform-only closed forms draw no randomness, so a fresh context
+    // Only the scratch's capacity outlives a batch, so a fresh context
     // must reproduce the dirty-context answer exactly.
     let mut fresh_ctx = ExecutionContext::new(Integrator::Auto);
     let mut fresh = Vec::new();

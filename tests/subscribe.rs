@@ -417,12 +417,11 @@ fn p_expanded_requests_normalize_to_minkowski() {
     }
 }
 
-/// The four kinds of standing query a catalog is tested with.
+/// The three kinds of standing query a catalog is tested with.
 #[derive(Clone, Copy, PartialEq)]
 enum Kind {
     Plain,
     Constrained,
-    Grid,
     Sampled,
 }
 
@@ -462,7 +461,6 @@ impl Bed for Points {
     fn request(kind: Kind, at: Point) -> PointRequest {
         let mut request = request_at(at.x, at.y, kind == Kind::Constrained);
         match kind {
-            Kind::Grid => request.integrator = Integrator::Grid { per_axis: 6 },
             Kind::Sampled => request.integrator = Integrator::MonteCarlo { samples: 24 },
             Kind::Plain | Kind::Constrained => {}
         }
@@ -492,8 +490,8 @@ impl Bed for Regions {
     }
 
     /// Uniform and Gaussian regions, both closed-form under `Auto`
-    /// beside a uniform issuer; one in 600 is a disc, which is not,
-    /// so subscriptions drift in and out of being patchable.
+    /// beside a uniform issuer; one in 600 is a disc, which is not, so
+    /// `Auto` subscriptions sample now and then.
     fn object(id: u64, at: Point, rng: &mut Rng) -> UncertainObject {
         let (w, h) = (6.0 + rng.below(20) as f64, 6.0 + rng.below(20) as f64);
         match rng.below(600) {
@@ -514,7 +512,6 @@ impl Bed for Regions {
             UncertainRequest::iuq(issuer_at(at), range)
         };
         match kind {
-            Kind::Grid => request.integrator = Integrator::Grid { per_axis: 4 },
             Kind::Sampled => request.integrator = Integrator::MonteCarlo { samples: 24 },
             Kind::Plain | Kind::Constrained => {}
         }
@@ -537,20 +534,19 @@ fn same_delta(a: &AnswerDelta, b: &AnswerDelta) -> bool {
     same_matches(&a.upserts, &b.upserts) && a.removals == b.removals
 }
 
-/// The subscriber's side of one standing query, and what the test
-/// knows of the registry's: whether the last full evaluation sampled.
+/// The subscriber's side of one standing query.
 struct Standing<R> {
     id: SubId,
+    kind: Kind,
     request: R,
     state: Vec<Match>,
-    sampled: bool,
 }
 
 /// Holds one subscription to the oracle: the answer it has delivered
-/// is `execute_one` on the epoch it says it reflects (after a pump,
-/// for one that does not sample, on the engine's current epoch as
-/// well), and `delta` — what was emitted for it, if anything — is the
-/// `diff_into` of the subscriber's copy and that answer, bit for bit.
+/// is `execute_one` on the epoch it says it reflects (after a pump, on
+/// the engine's current epoch as well), and `delta` — what was emitted
+/// for it, if anything — is the `diff_into` of the subscriber's copy
+/// and that answer, bit for bit.
 fn check_against_oracle<B: Bed>(
     what: &str,
     registry: &SubscriptionRegistry<B::Engine>,
@@ -560,9 +556,8 @@ fn check_against_oracle<B: Bed>(
 ) {
     let sub = registry.get(standing.id).expect("live sub");
     let want = snapshots[sub.epoch() as usize].execute_one(&standing.request);
-    let sampled = want.stats.mc_samples > 0;
     let pumped = registry.seen_epoch() as usize + 1 == snapshots.len();
-    if pumped && !sampled && sub.epoch() < registry.seen_epoch() {
+    if pumped && sub.epoch() < registry.seen_epoch() {
         let now = snapshots.last().unwrap().execute_one(&standing.request);
         assert!(
             same_matches(&want.results, &now.results),
@@ -591,7 +586,6 @@ fn check_against_oracle<B: Bed>(
         standing.id
     );
     standing.state = want.results;
-    standing.sampled = sampled;
 }
 
 /// One seeded schedule of commits, pumps and ticks over one catalog at
@@ -606,7 +600,7 @@ fn run_patch_schedule<B: Bed>(shards: usize, seed: u64) -> (usize, [usize; 4]) {
     let centers = [
         (Kind::Plain, 250.0, 250.0, 60.0),
         (Kind::Constrained, 740.0, 260.0, 40.0),
-        (Kind::Grid, 260.0, 740.0, 80.0),
+        (Kind::Sampled, 260.0, 740.0, 80.0),
         (Kind::Sampled, 500.0, 500.0, 60.0),
         (Kind::Plain, 760.0, 740.0, 0.0),
         (Kind::Constrained, 480.0, 520.0, 120.0),
@@ -619,9 +613,9 @@ fn run_patch_schedule<B: Bed>(shards: usize, seed: u64) -> (usize, [usize; 4]) {
             let state = registry.get(id).unwrap().last_answer().to_vec();
             Standing {
                 id,
+                kind,
                 request,
                 state,
-                sampled: false,
             }
         })
         .collect();
@@ -629,7 +623,11 @@ fn run_patch_schedule<B: Bed>(shards: usize, seed: u64) -> (usize, [usize; 4]) {
         check_against_oracle::<B>("subscribe", &registry, &snapshots, standing, None);
     }
     assert!(
-        standing[3].sampled,
+        snapshots[0]
+            .execute_one(&standing[3].request)
+            .stats
+            .mc_samples
+            > 0,
         "the sampling subscription must have candidates to sample"
     );
 
@@ -756,11 +754,11 @@ fn run_patch_schedule<B: Bed>(shards: usize, seed: u64) -> (usize, [usize; 4]) {
         } else {
             engine.epoch()
         };
-        let before: Vec<(u64, Rect, bool)> = standing
+        let before: Vec<(u64, Rect)> = standing
             .iter()
             .map(|s| {
                 let sub = registry.get(s.id).unwrap();
-                (sub.epoch(), sub.envelope(), s.sampled)
+                (sub.epoch(), sub.envelope())
             })
             .collect();
 
@@ -781,7 +779,7 @@ fn run_patch_schedule<B: Bed>(shards: usize, seed: u64) -> (usize, [usize; 4]) {
         // The full path ran where a patch could not have the answer,
         // and nowhere else.
         let (mut woken, mut full) = (0, 0);
-        for (standing, &(epoch, envelope, sampled)) in standing.iter().zip(&before) {
+        for &(epoch, envelope) in &before {
             let reached = !gapless
                 || dirt
                     .iter()
@@ -791,9 +789,7 @@ fn run_patch_schedule<B: Bed>(shards: usize, seed: u64) -> (usize, [usize; 4]) {
             }
             woken += 1;
             let no_touched_set = dirt.iter().any(|d| d.epoch > epoch && d.touched.is_none());
-            // `standing.sampled` is the state after: a patch that met
-            // an object it had to sample was abandoned.
-            if !gapless || no_touched_set || sampled || standing.sampled {
+            if !gapless || no_touched_set {
                 full += 1;
             }
         }
@@ -823,8 +819,9 @@ fn run_patch_schedule<B: Bed>(shards: usize, seed: u64) -> (usize, [usize; 4]) {
 }
 
 /// Ticks one subscription — a small drift two times in three, a jump
-/// otherwise, never far for the one that must keep sampling — and
-/// holds the returned delta to the oracle at the epoch it names.
+/// otherwise, never far for a sampling one, which is to keep
+/// candidates to sample — and holds the returned delta to the oracle
+/// at the epoch it names.
 fn tick_and_check<B: Bed>(
     engine: &ShardedEngine<B::Engine>,
     registry: &mut SubscriptionRegistry<B::Engine>,
@@ -833,7 +830,7 @@ fn tick_and_check<B: Bed>(
     rng: &mut Rng,
 ) {
     let center = B::issuer(&mut standing.request).region().center();
-    let to = if rng.below(3) < 2 || standing.sampled {
+    let to = if rng.below(3) < 2 || standing.kind == Kind::Sampled {
         let to = Point::new(
             center.x - 6.0 + rng.below(13) as f64,
             center.y - 6.0 + rng.below(13) as f64,
@@ -875,12 +872,12 @@ fn patched_pumps_equal_full_reevaluation() {
     }
 }
 
-/// A disc is not closed-form beside a uniform issuer: the patch that
-/// meets one is abandoned for the full path, which stays in charge
-/// until the disc has left; and a patched subscription's next tick
-/// probes exactly once.
+/// A disc is not closed-form beside a uniform issuer, so it is
+/// sampled, from a stream of its own: a pump patches its arrival and
+/// its departure like any other update; and a patched subscription's
+/// next tick probes exactly once.
 #[test]
-fn a_patch_that_would_sample_is_abandoned() {
+fn a_sampling_subscription_is_patched() {
     let objects: Vec<UncertainObject> = (0..144u64)
         .map(|k| {
             let c = Point::new((k % 12) as f64 * 80.0 + 40.0, (k / 12) as f64 * 80.0 + 40.0);
@@ -895,9 +892,9 @@ fn a_patch_that_would_sample_is_abandoned() {
     let id = registry.subscribe(&engine, request.clone(), 100.0);
     let mut standing = Standing {
         id,
+        kind: Kind::Plain,
         request,
         state: registry.get(id).unwrap().last_answer().to_vec(),
-        sampled: false,
     };
 
     let uniform_at = |id: u64, x: f64| {
@@ -912,18 +909,19 @@ fn a_patch_that_would_sample_is_abandoned() {
         // Uniform objects move through the query: patched.
         (Update::Move(uniform_at(0, 390.0)), 1, 1),
         (Update::Move(uniform_at(1, 420.0)), 1, 1),
-        // A disc arrives inside the filter rectangle: abandoned.
-        (Update::Arrive(disc(405.0)), 0, 2),
-        // While it is a candidate, every wake-up is a full run...
-        (Update::Move(uniform_at(0, 380.0)), 0, 3),
+        // A disc arrives inside the filter rectangle: patched.
+        (Update::Arrive(disc(405.0)), 1, 1),
+        // While it is a candidate, wake-ups are patched...
+        (Update::Move(uniform_at(0, 380.0)), 1, 1),
         // ...its own departure included...
-        (Update::Depart(ObjectId(9_000)), 0, 4),
-        // ...after which nothing samples and patches resume.
-        (Update::Move(uniform_at(1, 410.0)), 1, 4),
+        (Update::Depart(ObjectId(9_000)), 1, 1),
+        // ...and after it has left.
+        (Update::Move(uniform_at(1, 410.0)), 1, 1),
         // A disc inside the envelope but outside the filter rectangle
-        // is not evaluated, so nothing is abandoned.
-        (Update::Arrive(disc(590.0)), 1, 4),
+        // is not evaluated.
+        (Update::Arrive(disc(590.0)), 1, 1),
     ];
+    let mut sampled = 0;
     for (k, (update, patched, probes)) in steps.into_iter().enumerate() {
         engine.submit(update);
         engine.commit();
@@ -940,7 +938,11 @@ fn a_patch_that_would_sample_is_abandoned() {
             &mut standing,
             emitted.as_ref(),
         );
+        let full = snapshots.last().unwrap().execute_one(&standing.request);
+        sampled += usize::from(full.stats.mc_samples > 0);
     }
+    // The disc was a candidate for the full evaluation at two epochs.
+    assert_eq!(sampled, 2);
 
     // The candidates are stale now. A tick probes once — and finds the
     // disc when the query moves over it — then ticks are probe-free.
@@ -954,6 +956,6 @@ fn a_patch_that_would_sample_is_abandoned() {
         }
         check_against_oracle::<Regions>("tick", &registry, &snapshots, &mut standing, Some(&delta));
         let sub = registry.get(id).unwrap();
-        assert_eq!((sub.probes(), sub.cache_hits()), (5, k as u64), "tick {k}");
+        assert_eq!((sub.probes(), sub.cache_hits()), (2, k as u64), "tick {k}");
     }
 }
