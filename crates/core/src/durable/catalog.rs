@@ -62,11 +62,9 @@ pub struct CatalogRecovery {
 }
 
 #[derive(Debug)]
-struct DurableState<O> {
+struct DurableState {
     wal: Wal,
     dir: PathBuf,
-    staged: Vec<Update<O>>,
-    staged_spare: Vec<Update<O>>,
     last_checkpoint_epoch: u64,
 }
 
@@ -74,20 +72,21 @@ struct DurableState<O> {
 ///
 /// In **transient** mode ([`DurableCatalog::transient`]) this is a
 /// plain [`ShardedEngine`] behind passthrough methods. In **durable**
-/// mode ([`DurableCatalog::open`]) every submitted update is also
-/// staged for the log, and [`DurableCatalog::commit`] appends the
-/// staged batch — keyed by the epoch it is about to commit as, fsync'd
-/// per policy — **before** the engine publishes the new snapshot. The
-/// read path ([`DurableCatalog::snapshot`] and everything downstream)
-/// is untouched: queries never see the store.
+/// mode ([`DurableCatalog::open`]) [`DurableCatalog::commit`] appends
+/// the batch the engine drains from its pending queue — keyed by the
+/// epoch it is about to commit as, fsync'd per policy — **before** the
+/// engine applies it and publishes the new snapshot
+/// ([`ShardedEngine::commit_logged`]): the engine's queue is the one
+/// record of what an epoch holds. The read path
+/// ([`DurableCatalog::snapshot`] and everything downstream) is
+/// untouched: queries never see the store.
 ///
-/// All mutations must go through the catalog (`submit` / `submit_all`
-/// / `commit`); submitting to the inner engine directly would desync
-/// the log from the published state.
+/// Commits must go through the catalog: committing through the inner
+/// engine would publish an epoch the log never saw.
 #[derive(Debug)]
 pub struct DurableCatalog<E: ServeEngine> {
     engine: ShardedEngine<E>,
-    durable: Option<Mutex<DurableState<E::Object>>>,
+    durable: Option<Mutex<DurableState>>,
 }
 
 impl<E: ServeEngine> DurableCatalog<E>
@@ -166,8 +165,6 @@ where
             durable: Some(Mutex::new(DurableState {
                 wal,
                 dir: config.dir.clone(),
-                staged: Vec::new(),
-                staged_spare: Vec::new(),
                 last_checkpoint_epoch: base_epoch,
             })),
         };
@@ -182,8 +179,8 @@ where
     }
 
     /// The inner engine, for read paths that want it directly
-    /// (subscription pumps, snapshot comparisons). Do **not** submit
-    /// or commit through it on a durable catalog.
+    /// (subscription pumps, snapshot comparisons). Do **not** commit
+    /// through it on a durable catalog.
     pub fn engine(&self) -> &ShardedEngine<E> {
         &self.engine
     }
@@ -201,59 +198,32 @@ where
             .map(|d| d.lock().expect("store lock poisoned").last_checkpoint_epoch)
     }
 
-    /// Buffers one update for the next epoch (and stages it for the
-    /// log when durable).
+    /// Buffers one update for the next epoch.
     pub fn submit(&self, update: Update<E::Object>) {
         self.submit_all(std::iter::once(update));
     }
 
-    /// Buffers a batch of updates for the next epoch. A durable
-    /// catalog stages and submits them under one hold of its store
-    /// lock (a transient one, of the engine's pending lock), so a
-    /// concurrent commit takes the whole batch or none of it, and logs
-    /// every update in the epoch that applies it.
+    /// Buffers a batch of updates for the next epoch, under one hold of
+    /// the engine's pending lock, so a concurrent commit takes the
+    /// whole batch or none of it.
     pub fn submit_all(&self, updates: impl IntoIterator<Item = Update<E::Object>>) {
-        match &self.durable {
-            Some(d) => {
-                let mut st = d.lock().expect("store lock poisoned");
-                for update in updates {
-                    st.staged.push(update.clone());
-                    self.engine.submit(update);
-                }
-            }
-            None => self.engine.submit_all(updates),
-        }
+        self.engine.submit_all(updates);
     }
 
-    /// Applies every buffered update and publishes the next epoch —
-    /// after the staged batch has been appended to the log and fsync'd
-    /// per policy, so an acknowledged commit is durable before it is
-    /// visible. Transient catalogs just commit.
+    /// Applies every buffered update and publishes the next epoch. A
+    /// durable catalog first appends the batch to the log, fsync'd per
+    /// policy, so an acknowledged commit is durable before it is
+    /// visible. A failed append publishes nothing and leaves the batch
+    /// pending, to be logged and applied by the next commit that
+    /// succeeds. Transient catalogs just commit.
     pub fn commit(&self) -> Result<CommitReport, StoreError> {
         let Some(d) = &self.durable else {
             return Ok(self.engine.commit());
         };
+        // The store lock serializes commits with checkpoint rotation.
         let mut st = d.lock().expect("store lock poisoned");
-        // Drain the staged batch against the spare buffer so steady
-        // submit/commit cycles reuse one allocation (the same idiom as
-        // the engine's pending buffer).
-        let mut staged = std::mem::take(&mut st.staged_spare);
-        std::mem::swap(&mut staged, &mut st.staged);
-        if staged.is_empty() {
-            st.staged_spare = staged;
-            return Ok(self.engine.commit());
-        }
-        let epoch = self.engine.epoch() + 1;
-        let appended = st.wal.append(epoch, &staged);
-        staged.clear();
-        st.staged_spare = staged;
-        appended?;
-        // The log record is on disk (per policy); only now may the
-        // epoch become visible. Still under the store lock, so commits
-        // serialize with each other and with checkpoint rotation.
-        let report = self.engine.commit();
-        debug_assert_eq!(report.epoch, epoch, "commit must publish the logged epoch");
-        Ok(report)
+        self.engine
+            .commit_logged(|epoch, batch| st.wal.append(epoch, batch))
     }
 
     /// Writes a checkpoint of the current snapshot, then rotates the
@@ -337,7 +307,7 @@ mod tests {
     use super::*;
     use crate::PointEngine;
     use iloc_geometry::Point;
-    use iloc_uncertainty::PointObject;
+    use iloc_uncertainty::{ObjectId, PointObject};
 
     /// Every shard's live objects in slot order, in their durable
     /// binary form: equal bytes are a bit-identical snapshot.
@@ -350,6 +320,57 @@ mod tests {
             }
         }
         bytes
+    }
+
+    /// An append that fails before writing a byte (the segment's
+    /// handle is read-only) publishes nothing and keeps its batch
+    /// pending; once the handle is writable again the next commit logs
+    /// and publishes that batch, and a reopen recovers it bit for bit.
+    #[test]
+    fn failed_append_keeps_the_batch_for_the_next_commit() {
+        let dir = std::env::temp_dir().join(format!("iloc-failed-append-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = StoreConfig::new(&dir);
+        let (catalog, _) = DurableCatalog::<PointEngine>::open(&config, 2, Vec::new).expect("open");
+        let arrivals = |from: u64| {
+            (from..from + 50)
+                .map(|id| Update::Arrive(PointObject::new(id, Point::new(id as f64, 1.0))))
+        };
+        let read_only = |on: bool| {
+            let store = catalog.durable.as_ref().expect("durable");
+            let mut st = store.lock().expect("store lock");
+            st.wal.reopen_read_only(on).expect("reopen the segment");
+        };
+        catalog.submit_all(arrivals(0));
+        assert_eq!(catalog.commit().expect("commit").epoch, 1);
+
+        read_only(true);
+        catalog.submit_all(arrivals(100));
+        assert!(catalog.commit().is_err(), "append to a read-only segment");
+        assert_eq!(catalog.epoch(), 1, "nothing published");
+        assert_eq!(catalog.pending_len(), 50, "the batch is still pending");
+        assert_eq!(catalog.len(), 50);
+
+        read_only(false);
+        catalog.submit(Update::Depart(ObjectId(100)));
+        let report = catalog.commit().expect("commit once writable");
+        assert_eq!(
+            (report.epoch, report.arrivals, report.departures),
+            (2, 50, 1)
+        );
+        let before = snapshot_bytes(&catalog);
+        drop(catalog);
+
+        let (reopened, recovery) =
+            DurableCatalog::<PointEngine>::open(&config, 2, Vec::new).expect("reopen");
+        assert_eq!(recovery.epoch, 2, "recovered epoch");
+        assert!(!recovery.wal_truncated, "no torn record left behind");
+        assert!(
+            snapshot_bytes(&reopened) == before,
+            "recovered snapshot differs"
+        );
+        drop(reopened);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Single-update submits racing commits from another thread: each

@@ -99,6 +99,10 @@ pub enum StoreError {
     /// On-disk bytes that frame correctly (length + checksum) decode
     /// to something no encoder produces — recovery refuses to guess.
     Corrupt(&'static str),
+    /// A failed append could not cut the log back to its last whole
+    /// record, so the log refuses every later append until a restart's
+    /// recovery has cut the torn tail.
+    TornTail,
 }
 
 impl fmt::Display for StoreError {
@@ -106,6 +110,12 @@ impl fmt::Display for StoreError {
         match self {
             StoreError::Io(e) => write!(f, "durable store i/o: {e}"),
             StoreError::Corrupt(what) => write!(f, "durable store corrupt: {what}"),
+            StoreError::TornTail => {
+                write!(
+                    f,
+                    "durable store: log tail torn by a failed append; restart to recover"
+                )
+            }
         }
     }
 }

@@ -82,6 +82,13 @@ pub(crate) struct Wal {
     /// a fresh log defers creating its first segment so the segment
     /// name can carry the first epoch it holds).
     file: Option<File>,
+    /// Byte length of the append segment's whole records: where the
+    /// next record starts. A failed append cuts the segment back to it.
+    end: u64,
+    /// A failed append could not cut its segment back to `end`, so the
+    /// segment may end in torn bytes no record may follow: every later
+    /// append is refused, and recovery cuts the tail on restart.
+    torn: bool,
     fsync: FsyncPolicy,
     /// Appends since the last fsync (drives [`FsyncPolicy::EveryN`]).
     unsynced: u64,
@@ -167,11 +174,17 @@ impl Wal {
             Some((_, path)) => Some(OpenOptions::new().append(true).open(path)?),
             None => None,
         };
+        let end = match &file {
+            Some(f) => f.metadata()?.len(),
+            None => 0,
+        };
         Ok((
             Wal {
                 dir: dir.to_path_buf(),
                 segments,
                 file,
+                end,
+                torn: false,
                 fsync,
                 unsynced: 0,
                 buf: Vec::new(),
@@ -184,11 +197,20 @@ impl Wal {
     /// Appends the record for the batch committing as `epoch` and
     /// fsyncs per policy. Must be called **before** the engine
     /// publishes that epoch.
+    ///
+    /// A failed append — a short write, or a write whose fsync failed
+    /// — cuts the segment back to its last whole record, so the log
+    /// holds no part of this record and a retry lands where it began.
+    /// If even that cut fails, the log refuses every later append
+    /// ([`StoreError::TornTail`]).
     pub(crate) fn append<O: DurableObject>(
         &mut self,
         epoch: u64,
         updates: &[Update<O>],
     ) -> Result<(), StoreError> {
+        if self.torn {
+            return Err(StoreError::TornTail);
+        }
         self.buf.clear();
         let at = begin_record(&mut self.buf);
         put_u64(&mut self.buf, epoch);
@@ -202,21 +224,24 @@ impl Wal {
             self.create_segment(epoch)?;
         }
         let file = self.file.as_mut().expect("segment just ensured");
-        file.write_all(&self.buf)?;
-        self.unsynced += 1;
-        match self.fsync {
-            FsyncPolicy::Always => {
-                file.sync_data()?;
-                self.unsynced = 0;
-            }
-            FsyncPolicy::EveryN(n) => {
-                if self.unsynced >= n {
-                    file.sync_data()?;
-                    self.unsynced = 0;
-                }
-            }
-            FsyncPolicy::Off => {}
+        let sync = match self.fsync {
+            FsyncPolicy::Always => true,
+            FsyncPolicy::EveryN(n) => self.unsynced + 1 >= n,
+            FsyncPolicy::Off => false,
+        };
+        let written =
+            file.write_all(&self.buf)
+                .and_then(|()| if sync { file.sync_data() } else { Ok(()) });
+        if let Err(e) = written {
+            // A segment still ending at its last whole record needs no
+            // cut (a write that failed before its first byte).
+            let whole = file.metadata().is_ok_and(|m| m.len() == self.end)
+                || file.set_len(self.end).is_ok();
+            self.torn = !whole;
+            return Err(e.into());
         }
+        self.end += self.buf.len() as u64;
+        self.unsynced = if sync { 0 } else { self.unsynced + 1 };
         Ok(())
     }
 
@@ -244,6 +269,7 @@ impl Wal {
         let path = self.dir.join(segment_name(start_epoch));
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         sync_dir(&self.dir);
+        self.end = file.metadata()?.len();
         self.segments.push((start_epoch, path));
         self.file = Some(file);
         Ok(())
@@ -285,7 +311,21 @@ impl Wal {
         f.set_len(offset)?;
         f.sync_all()?;
         self.file = Some(OpenOptions::new().append(true).open(path)?);
+        self.end = offset;
         sync_dir(&self.dir);
+        Ok(())
+    }
+
+    /// Reopens the append segment read-only, so that appends fail
+    /// before writing a byte, or (`false`) for appending again.
+    #[cfg(test)]
+    pub(crate) fn reopen_read_only(&mut self, read_only: bool) -> std::io::Result<()> {
+        let (_, path) = self.segments.last().expect("an append segment");
+        self.file = Some(if read_only {
+            File::open(path)?
+        } else {
+            OpenOptions::new().append(true).open(path)?
+        });
         Ok(())
     }
 }

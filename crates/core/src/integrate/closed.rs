@@ -12,7 +12,7 @@
 //! ```
 //!
 //! where `D = Ui ∩ (R ⊕ U0)`. Both factors are exact integrals of
-//! trapezoid functions (`iloc_geometry::piecewise`); evaluation is
+//! trapezoid functions (`iloc_geometry::OverlapProfile`); evaluation is
 //! O(1), independent of region sizes — this is what Figure 8 measures
 //! against the sampling baseline.
 

@@ -221,16 +221,11 @@ impl ExecutionContext {
     /// Context with the engine-default seed; query answers are
     /// deterministic for a given database and query.
     pub fn new(integrator: Integrator) -> Self {
-        ExecutionContext::seeded(integrator, DEFAULT_QUERY_SEED)
-    }
-
-    /// Context with an explicit seed for the sampling integrators.
-    pub fn seeded(integrator: Integrator, seed: u64) -> Self {
         ExecutionContext {
             integrator,
             stats: QueryStats::new(),
             scratch: QueryScratch::new(),
-            seed,
+            seed: DEFAULT_QUERY_SEED,
         }
     }
 
@@ -488,7 +483,9 @@ mod tests {
         let mc = Integrator::MonteCarlo { samples: 200 };
         let a = execute_naive(&objs, &mut ExecutionContext::new(mc));
         let b = execute_naive(&objs, &mut ExecutionContext::new(mc));
-        let other = execute_naive(&objs, &mut ExecutionContext::seeded(mc, 1));
+        let mut reseeded = ExecutionContext::new(mc);
+        reseeded.seed = 1;
+        let other = execute_naive(&objs, &mut reseeded);
         assert!(a.same_matches(&b));
         assert!(!a.same_matches(&other));
     }

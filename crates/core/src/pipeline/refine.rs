@@ -61,7 +61,7 @@ impl RefineLanes {
 /// What the pipeline, the engines and the serving layer need of a
 /// catalog object: its id, its extent, its filter membership, and its
 /// qualification probability — for one object, and for a batch.
-pub trait CatalogObject: Clone + Send + Sync {
+pub trait CatalogObject: Clone + Send + Sync + std::fmt::Debug {
     /// The object's identifier, as reported in
     /// [`crate::result::Match`] and routed by.
     fn id(&self) -> ObjectId;

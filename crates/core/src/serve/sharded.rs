@@ -3,6 +3,7 @@
 //! snapshot-consistency invariant.
 
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
@@ -397,6 +398,25 @@ impl<E: ServeEngine> ShardedEngine<E> {
     /// so that what the epoch costs a standing query is the updates
     /// inside its expanded query, not a re-evaluation.
     pub fn commit(&self) -> CommitReport {
+        match self.commit_logged(|_, _| Ok::<(), Infallible>(())) {
+            Ok(report) => report,
+            Err(never) => match never {},
+        }
+    }
+
+    /// [`ShardedEngine::commit`] with a log step: the drained batch is
+    /// handed to `log` with the epoch it is about to publish as, before
+    /// anything is applied. The batch `log` sees is exactly the batch
+    /// the engine applies as that epoch, so a write-ahead log written
+    /// here cannot disagree with the published state. If `log` fails,
+    /// the batch goes back to the head of the pending queue, ahead of
+    /// anything submitted meanwhile, nothing is published, and the
+    /// error is returned; the next commit offers the same updates
+    /// again. An empty commit does not call `log`.
+    pub fn commit_logged<X>(
+        &self,
+        log: impl FnOnce(u64, &[Update<E::Object>]) -> Result<(), X>,
+    ) -> Result<CommitReport, X> {
         let mut touched = self.commit_lock.lock().expect("commit lock poisoned");
         // Swap the pending buffer out against the spare (empty, but
         // capacity-retaining) one instead of `mem::take`-ing it, so
@@ -412,13 +432,23 @@ impl<E: ServeEngine> ShardedEngine<E> {
             // costs two lock round-trips and no epoch (serving loops
             // commit on a timer, which often fires with nothing
             // pending).
-            return CommitReport {
+            return Ok(CommitReport {
                 epoch: self.epoch(),
                 ..CommitReport::default()
-            };
+            });
+        }
+        let base = self.snapshot();
+        if let Err(e) = log(base.epoch + 1, &updates) {
+            // Put the batch back in front of whatever was submitted
+            // while `log` ran, keeping the queue in submission order.
+            let mut pending = self.pending.lock().expect("pending lock poisoned");
+            updates.append(&mut pending);
+            std::mem::swap(&mut updates, &mut *pending);
+            drop(pending);
+            *self.pending_spare.lock().expect("spare poisoned") = updates;
+            return Err(e);
         }
         touched.clear();
-        let base = self.snapshot();
         let mut report = CommitReport {
             epoch: base.epoch,
             ..CommitReport::default()
@@ -505,7 +535,7 @@ impl<E: ServeEngine> ShardedEngine<E> {
             recent.push_back(dirt);
         }
         *self.pending_spare.lock().expect("spare poisoned") = updates;
-        report
+        Ok(report)
     }
 
     /// Appends the spatial footprints of every *retained* commit after
@@ -828,6 +858,40 @@ mod tests {
         let report = sharded.commit();
         assert_eq!(report.applied(), 3);
         assert_eq!(report.missed_departures, 1);
+    }
+
+    /// A log step that fails publishes nothing and puts its batch back
+    /// ahead of what was submitted while it ran; the next commit logs
+    /// and applies the whole queue, in submission order.
+    #[test]
+    fn a_failed_append_returns_the_batch_ahead_of_later_submits() {
+        let sharded: ShardedEngine<PointEngine> = ShardedEngine::build(Vec::new(), 2);
+        for id in [1u64, 2] {
+            sharded.submit(Update::Arrive(PointObject::new(id, Point::new(1.0, 1.0))));
+        }
+        let failed = sharded.commit_logged(|epoch, batch| {
+            assert_eq!((epoch, batch.len()), (1, 2));
+            sharded.submit(Update::Depart(ObjectId(1)));
+            Err("disk full")
+        });
+        assert_eq!(failed, Err("disk full"));
+        assert_eq!((sharded.epoch(), sharded.pending_len()), (0, 3));
+        let mut logged = Vec::new();
+        let report = sharded
+            .commit_logged(|epoch, batch| {
+                logged.push((epoch, batch.len()));
+                Ok::<(), ()>(())
+            })
+            .expect("commit");
+        assert_eq!(logged, [(1, 3)]);
+        assert_eq!(
+            (report.epoch, report.arrivals, report.departures),
+            (1, 2, 1)
+        );
+        assert_eq!(sharded.len(), 1, "the departure applied after the arrivals");
+        // An empty commit does not call its log step.
+        let empty = sharded.commit_logged(|_, _| Err("logged an empty batch"));
+        assert_eq!(empty.map(|r| r.epoch), Ok(1));
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! `p`-expanded queries are all axis-parallel boxes. This crate provides
 //! those primitives plus the one non-obvious piece of machinery the
 //! "enhanced" evaluation method needs: **piecewise-linear overlap
-//! profiles** and their exact integrals (see [`piecewise`] and
-//! [`profile`]), which turn the doubly-nested integral of the paper's
-//! Equation 8 into a closed form when both pdfs are uniform.
+//! profiles** and their exact integrals (see [`profile`]), which turn
+//! the doubly-nested integral of the paper's Equation 8 into a closed
+//! form when both pdfs are uniform.
 //!
 //! All coordinates are `f64`. The crate is `#![forbid(unsafe_code)]` and
 //! has no dependencies.
@@ -23,7 +23,6 @@ pub mod circle;
 pub mod interval;
 pub mod minkowski;
 pub mod num;
-pub mod piecewise;
 pub mod point;
 pub mod profile;
 pub mod rect;
@@ -31,7 +30,6 @@ pub mod rect;
 pub use circle::Circle;
 pub use interval::Interval;
 pub use minkowski::minkowski_sum;
-pub use piecewise::PiecewiseLinear;
 pub use point::Point;
-pub use profile::{overlap_profile, OverlapProfile};
+pub use profile::OverlapProfile;
 pub use rect::Rect;

@@ -19,12 +19,10 @@
 //! "enhanced method" measured in Figure 8.
 
 use crate::interval::Interval;
-use crate::piecewise::PiecewiseLinear;
 
 /// An overlap profile held entirely on the stack: a trapezoid needs at
 /// most four knots, so the query hot path can build and integrate one
-/// per candidate without touching the heap (the heap-backed
-/// [`PiecewiseLinear`] view is available via [`overlap_profile`]).
+/// per candidate without touching the heap.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverlapProfile {
     knots: [(f64, f64); 4],
@@ -40,8 +38,7 @@ impl OverlapProfile {
     /// dictates.
     #[inline]
     pub fn new(w: f64, side: Interval) -> Self {
-        // Hard asserts, matching `overlap_profile`: both branches are
-        // perfectly predicted in the hot loop, and an inverted side or
+        // Hard asserts: both branches are perfectly predicted in the hot loop, and an inverted side or
         // negative half-extent must surface as a caller bug rather
         // than a silently-clamped probability.
         assert!(w >= 0.0, "query half-extent must be non-negative");
@@ -90,9 +87,8 @@ impl OverlapProfile {
     }
 
     /// Exact integral `∫_I f(x) dx` over an arbitrary interval `I`
-    /// (portions outside the support contribute zero). Identical
-    /// segment arithmetic to [`PiecewiseLinear::integral_over`], so the
-    /// two representations agree bit for bit.
+    /// (portions outside the support contribute zero): each segment
+    /// the interval meets contributes its exact trapezoid area.
     #[inline]
     pub fn integral_over(&self, i: Interval) -> f64 {
         if self.len < 2 {
@@ -120,30 +116,32 @@ impl OverlapProfile {
     }
 }
 
-/// Builds the overlap profile `x ↦ |[x−w, x+w] ∩ side|` as a
-/// heap-backed piecewise-linear function (see [`OverlapProfile`] for
-/// the allocation-free representation the hot path uses).
-///
-/// `w` must be non-negative and `side` non-empty. Degenerate inputs
-/// (`w == 0` or a zero-length side) yield the zero function on the
-/// correct support, which makes downstream probabilities vanish exactly
-/// as measure theory dictates.
-pub fn overlap_profile(w: f64, side: Interval) -> PiecewiseLinear {
-    assert!(w >= 0.0, "query half-extent must be non-negative");
-    assert!(!side.is_empty(), "issuer side interval must be non-empty");
-    let p = OverlapProfile::new(w, side);
-    if p.knots().len() < 2 {
-        return PiecewiseLinear::zero();
-    }
-    PiecewiseLinear::new(p.knots().to_vec())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn brute(w: f64, side: Interval, x: f64) -> f64 {
         Interval::centered(x, w).overlap_length(side)
+    }
+
+    /// The profile's value at `x`: linear between knots, zero outside.
+    fn eval(p: &OverlapProfile, x: f64) -> f64 {
+        p.knots()
+            .windows(2)
+            .find(|pair| pair[0].0 <= x && x <= pair[1].0)
+            .map_or(0.0, |pair| {
+                let ((x0, y0), (x1, y1)) = (pair[0], pair[1]);
+                y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+            })
+    }
+
+    fn support(p: &OverlapProfile) -> Interval {
+        let knots = p.knots();
+        Interval::new(knots[0].0, knots[knots.len() - 1].0)
+    }
+
+    fn max_value(p: &OverlapProfile) -> f64 {
+        p.knots().iter().map(|k| k.1).fold(0.0, f64::max)
     }
 
     #[test]
@@ -155,18 +153,18 @@ mod tests {
             (2.0, Interval::new(0.0, 4.0)),  // exactly 2w == |side|
         ];
         for (w, side) in cases {
-            let f = overlap_profile(w, side);
-            let sup = f.support();
+            let f = OverlapProfile::new(w, side);
+            let sup = support(&f);
             let n = 1000;
             for k in 0..=n {
                 let x = sup.lo - 1.0 + (sup.length() + 2.0) * k as f64 / n as f64;
                 let expect = brute(w, side, x);
                 assert!(
-                    (f.eval(x) - expect).abs() < 1e-9,
+                    (eval(&f, x) - expect).abs() < 1e-9,
                     "w={w} side=[{},{}] x={x}: got {} want {expect}",
                     side.lo,
                     side.hi,
-                    f.eval(x)
+                    eval(&f, x)
                 );
             }
         }
@@ -174,16 +172,16 @@ mod tests {
 
     #[test]
     fn plateau_height_is_min_of_widths() {
-        let f = overlap_profile(2.0, Interval::new(0.0, 10.0));
-        assert_eq!(f.max_value(), 4.0); // 2w
-        let g = overlap_profile(10.0, Interval::new(0.0, 4.0));
-        assert_eq!(g.max_value(), 4.0); // side length
+        let f = OverlapProfile::new(2.0, Interval::new(0.0, 10.0));
+        assert_eq!(max_value(&f), 4.0); // 2w
+        let g = OverlapProfile::new(10.0, Interval::new(0.0, 4.0));
+        assert_eq!(max_value(&g), 4.0); // side length
     }
 
     #[test]
     fn support_is_side_expanded_by_w() {
-        let f = overlap_profile(3.0, Interval::new(1.0, 5.0));
-        assert_eq!(f.support(), Interval::new(-2.0, 8.0));
+        let f = OverlapProfile::new(3.0, Interval::new(1.0, 5.0));
+        assert_eq!(support(&f), Interval::new(-2.0, 8.0));
     }
 
     #[test]
@@ -191,23 +189,39 @@ mod tests {
         // ∫ |[x−w,x+w] ∩ side| dx = 2w · |side| (Fubini on the indicator).
         let w = 2.5;
         let side = Interval::new(1.0, 7.0);
-        let f = overlap_profile(w, side);
-        assert!((f.integral() - 2.0 * w * side.length()).abs() < 1e-9);
+        let f = OverlapProfile::new(w, side);
+        let total = f.integral_over(Interval::new(-100.0, 100.0));
+        assert!((total - 2.0 * w * side.length()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn integral_over_matches_numeric_quadrature() {
+        // The midpoint rule with many slices, against the profile's
+        // own interpolation, over an interval cutting every segment.
+        let f = OverlapProfile::new(2.0, Interval::new(0.0, 7.0));
+        let i = Interval::new(-1.3, 8.1);
+        let n = 200_000;
+        let dx = i.length() / n as f64;
+        let acc: f64 = (0..n)
+            .map(|k| eval(&f, i.lo + (k as f64 + 0.5) * dx) * dx)
+            .sum();
+        assert!((f.integral_over(i) - acc).abs() < 1e-6);
+        assert_eq!(f.integral_over(Interval::new(20.0, 30.0)), 0.0);
     }
 
     #[test]
     fn degenerate_w_zero_gives_zero_function() {
-        let f = overlap_profile(0.0, Interval::new(0.0, 5.0));
-        assert_eq!(f.eval(2.0), 0.0);
-        assert_eq!(f.integral(), 0.0);
+        let f = OverlapProfile::new(0.0, Interval::new(0.0, 5.0));
+        assert_eq!(eval(&f, 2.0), 0.0);
+        assert_eq!(f.integral_over(Interval::new(-10.0, 10.0)), 0.0);
     }
 
     #[test]
     fn degenerate_point_side() {
         // A point issuer region: overlap length is 0 almost everywhere …
-        let f = overlap_profile(2.0, Interval::new(3.0, 3.0));
-        assert_eq!(f.integral(), 0.0);
+        let f = OverlapProfile::new(2.0, Interval::new(3.0, 3.0));
+        assert_eq!(f.integral_over(Interval::new(-10.0, 10.0)), 0.0);
         // … and the profile is identically zero.
-        assert_eq!(f.max_value(), 0.0);
+        assert_eq!(max_value(&f), 0.0);
     }
 }

@@ -837,7 +837,7 @@ impl RouterHandler {
             // Roll back the nodes that did accept, so a failed
             // subscribe leaves no orphan standing queries.
             for (j, &sid) in acks.iter().enumerate() {
-                let _ = wp.clients[j].unsubscribe(target, sid);
+                let _ = self.shared.nodes[j].call(|| wp.clients[j].unsubscribe(target, sid));
             }
             protocol::encode_error(out, code, &message);
             return;

@@ -15,7 +15,7 @@
 //! to a small pool of event-loop threads, each multiplexing thousands
 //! of non-blocking connections through one epoll wait ([`poll`]); each
 //! loop applies its own connections' updates and commits under the
-//! catalog's lock, preserving the [`iloc_core::serve`]
+//! catalog engine's locks, preserving the [`iloc_core::serve`]
 //! snapshot-consistency invariant end to end. Linux is the supported
 //! platform.
 //!
@@ -45,7 +45,7 @@
 //!   allocations** from the moment the request bytes arrive to the
 //!   moment the answer bytes are written back. Reads run against the
 //!   loop's pinned epoch snapshot; updates and commits run on the
-//!   loop too, serialized by the catalog's lock.
+//!   loop too, serialized by the catalog engine's commit lock.
 //! * [`client`] — [`client::Client`]: sync, connection-reusing, with a
 //!   windowed **pipelined batch mode**; used by the loopback
 //!   integration tests and by the `loadgen` scenario in `iloc-bench`.

@@ -10,9 +10,9 @@
 //!                  │ reads: pinned epoch snapshot
 //!                  │ writes: submit / commit on the issuing loop
 //!                  ▼
-//!   DurableCatalog ×2 — the catalog's lock serializes commits across
-//!   loops; a published commit wakes every loop, so pushes reach idle
-//!   subscribers promptly
+//!   DurableCatalog ×2 — the engine's commit lock serializes commits
+//!   across loops; a published commit wakes every loop, so pushes
+//!   reach idle subscribers promptly
 //! ```
 //!
 //! Sockets, framing, backpressure and push delivery are the core's
@@ -28,8 +28,9 @@
 //!   allocations**; the CI smoke job gates on this over a real socket.
 //! * **Updates and commits** run on the loop that reads them. Each
 //!   catalog's share of an UPDATE_BATCH is submitted under one hold of
-//!   that catalog's lock and commits serialize on it, so a commit from
-//!   any loop takes a batch whole or not at all, and the
+//!   that catalog engine's pending lock, and a commit drains the queue
+//!   whole under the engine's commit lock, so a commit from any loop
+//!   takes a batch whole or not at all, and the
 //!   [`iloc_core::serve`] invariant ("no torn epochs, ever") holds
 //!   across the network exactly as in process. A client's update →
 //!   commit order is its connection's frame order. A commit briefly
@@ -745,8 +746,9 @@ impl ServerHandler {
                 WireUpdate::Uncertain(u) => state.uncertain.updates.push(u),
             }
         }
-        // One call per catalog: its lock is held over the whole share,
-        // so a commit from another loop takes all of it or none of it.
+        // One call per catalog: its engine's pending lock is held over
+        // the whole share, so a commit from another loop takes all of
+        // it or none of it.
         engines.point.submit_all(state.point.updates.drain(..));
         engines
             .uncertain

@@ -513,6 +513,35 @@ fn a_closing_subscriber_unsubscribes_through_the_node_books() {
     control.ping().expect("router serves on");
 }
 
+/// A subscribe that fails on one node rolls back the nodes that
+/// accepted it through the same books as an UNSUBSCRIBE frame: node 0
+/// counts the subscribe and its rollback, each `routed` and `merged`.
+/// A STATS probe calls every node too, so the probe's own share is
+/// measured first, from two probes with nothing between them.
+#[test]
+fn a_failed_subscribe_rolls_back_through_the_node_books() {
+    let mut cluster = Cluster::start(2);
+    let mut control = cluster.client();
+    cluster.crash_node(1);
+    let books = |stats: &protocol::StatsReport| (stats.nodes[0].routed, stats.nodes[0].merged);
+    let s0 = books(&control.stats().expect("stats"));
+    let s1 = books(&control.stats().expect("stats"));
+    let request = point_requests(1, 5).remove(0);
+    match cluster.client().subscribe(&request, 60.0) {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, Some(ErrorCode::Unavailable)),
+        other => panic!("subscribe with node 1 down: {other:?}"),
+    }
+    let s2 = books(&control.stats().expect("stats after the subscribe"));
+    let routed = (s2.0 - s1.0) - (s1.0 - s0.0);
+    let merged = (s2.1 - s1.1) - (s1.1 - s0.1);
+    assert_eq!(
+        (routed, merged),
+        (2, 2),
+        "node 0 books the subscribe and its rollback"
+    );
+    control.ping().expect("router serves on");
+}
+
 /// A sampled IUQ — Gaussian issuer, Monte-Carlo — through the router
 /// over two nodes answers bit-identically to one single-shard server:
 /// each object's estimate draws from its own stream, whichever node

@@ -627,3 +627,108 @@ fn fsync_policies_off_and_every_n_still_replay_after_a_clean_drop() {
         std::fs::remove_dir_all(&dir).ok();
     }
 }
+
+/// Set, to its store directory, only in the child process of
+/// `failed_append_under_a_file_size_limit_recovers_the_acknowledged_epoch`.
+const LIMITED_CHILD_STORE: &str = "ILOC_TEST_LIMITED_CHILD_STORE";
+
+/// Every shard's live objects in slot order, in their durable binary
+/// form: equal bytes are a bit-identical snapshot.
+fn snapshot_bytes(catalog: &DurableCatalog<PointEngine>) -> Vec<u8> {
+    use iloc::core::durable::DurableObject;
+    let mut bytes = Vec::new();
+    for shard in catalog.snapshot().shards() {
+        bytes.extend_from_slice(&(shard.len() as u64).to_le_bytes());
+        for object in shard.live_objects() {
+            object.encode(&mut bytes);
+        }
+    }
+    bytes
+}
+
+/// An append cut short by the file-size limit (EFBIG, with SIGXFSZ
+/// ignored) publishes nothing, then or later, and leaves the log
+/// ending at its last whole record. The test re-runs itself as a
+/// child under `ulimit -f 64`, which limits that child only: it
+/// commits 100-arrival batches until an append fails, retries the
+/// commit once, and prints the epoch it last acknowledged with that
+/// epoch's snapshot bytes. This process then reopens the store without
+/// the limit and must recover exactly that state, cutting nothing.
+#[test]
+fn failed_append_under_a_file_size_limit_recovers_the_acknowledged_epoch() {
+    if let Some(dir) = std::env::var_os(LIMITED_CHILD_STORE) {
+        return limited_child(std::path::Path::new(&dir));
+    }
+    let dir = temp_store("fsize");
+    let output = std::process::Command::new("bash")
+        .arg("-c")
+        .arg(
+            "trap '' XFSZ; ulimit -f 64; exec \"$0\" --exact --nocapture --test-threads 1 \
+             failed_append_under_a_file_size_limit_recovers_the_acknowledged_epoch",
+        )
+        .arg(std::env::current_exe().expect("this test binary"))
+        .env(LIMITED_CHILD_STORE, &dir)
+        .output()
+        .expect("run the limited child");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        output.status.success(),
+        "limited child failed:\n{stdout}\n{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let line = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("acknowledged "))
+        .expect("the child reports its acknowledged state");
+    let (epoch, hex) = line.split_once(' ').expect("epoch and bytes");
+    let acknowledged: u64 = epoch.parse().expect("epoch");
+    let bytes: Vec<u8> = (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex"))
+        .collect();
+
+    let (recovered, recovery) =
+        DurableCatalog::<PointEngine>::open(&StoreConfig::new(&dir), 2, || {
+            panic!("must not reseed")
+        })
+        .expect("reopen without the limit");
+    assert_eq!(recovery.epoch, acknowledged, "recovered epoch");
+    assert!(
+        !recovery.wal_truncated,
+        "the failed append left a torn tail"
+    );
+    assert!(
+        snapshot_bytes(&recovered) == bytes,
+        "recovered snapshot differs"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+fn limited_child(dir: &std::path::Path) {
+    let (catalog, _) = DurableCatalog::<PointEngine>::open(&StoreConfig::new(dir), 2, Vec::new)
+        .expect("open fresh");
+    let mut next = 0u64;
+    let error = loop {
+        catalog.submit_all((next..next + 100).map(|id| {
+            let at = Point::new((id % 997) as f64, (id % 991) as f64);
+            Update::Arrive(PointObject::new(id, at))
+        }));
+        next += 100;
+        match catalog.commit() {
+            Ok(report) => assert!(report.epoch < 1_000, "the file-size limit never bit"),
+            Err(e) => break e,
+        }
+    };
+    let epoch = catalog.epoch();
+    assert_eq!(epoch, next / 100 - 1, "a failed append publishes nothing");
+    assert_eq!(catalog.pending_len(), 100, "its batch stays pending");
+    // Nothing new is submitted: the retry offers the same batch, which
+    // the limit refuses again.
+    let acknowledged = catalog.commit().map_or(epoch, |report| report.epoch);
+    let hex: String = snapshot_bytes(&catalog)
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect();
+    println!("failed append: {error}");
+    println!("acknowledged {acknowledged} {hex}");
+}

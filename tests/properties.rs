@@ -6,7 +6,7 @@ use iloc::core::eval::constrained::{try_prune, PruneContext, PruneOutcome};
 use iloc::core::expand::p_expanded_query;
 use iloc::core::integrate::{closed, Integrator};
 use iloc::core::QueryStats;
-use iloc::geometry::{Interval, PiecewiseLinear, Point, Rect};
+use iloc::geometry::{Interval, OverlapProfile, Point, Rect};
 use iloc::prelude::*;
 use iloc::uncertainty::{Axis, LocationPdf, PBound};
 use proptest::prelude::*;
@@ -65,24 +65,22 @@ proptest! {
         prop_assert!((s.height() - (a.height() + b.height())).abs() < 1e-9);
     }
 
-    /// Piecewise-linear integrals are additive over adjacent intervals.
+    /// Piecewise-linear (overlap-profile) integrals are additive over
+    /// adjacent intervals.
     #[test]
     fn piecewise_integral_additive(
-        knots in proptest::collection::vec((0.0..100.0f64, 0.0..10.0f64), 2..8),
+        w in 0.0..100.0f64,
+        lo in -100.0..100.0f64,
+        len in 0.0..200.0f64,
         split in 0.0..1.0f64,
     ) {
-        let mut xs: Vec<f64> = knots.iter().map(|k| k.0).collect();
-        xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        xs.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
-        prop_assume!(xs.len() >= 2);
-        let pl = PiecewiseLinear::new(
-            xs.iter().zip(&knots).map(|(&x, k)| (x, k.1)).collect(),
-        );
-        let sup = pl.support();
+        let side = Interval::new(lo, lo + len);
+        let profile = OverlapProfile::new(w, side);
+        let sup = Interval::new(side.lo - w, side.hi + w);
         let mid = sup.lo + split * sup.length();
-        let total = pl.integral_over(sup);
-        let left = pl.integral_over(Interval::new(sup.lo, mid));
-        let right = pl.integral_over(Interval::new(mid, sup.hi));
+        let total = profile.integral_over(sup);
+        let left = profile.integral_over(Interval::new(sup.lo, mid));
+        let right = profile.integral_over(Interval::new(mid, sup.hi));
         prop_assert!((left + right - total).abs() < 1e-9 * (1.0 + total.abs()));
     }
 
