@@ -222,12 +222,6 @@ impl ResilientClient {
         Ok((ack, answer))
     }
 
-    /// Current server-side ids of the standing queries, in
-    /// subscription order (refreshed on every reconnect).
-    pub fn standing_ids(&self) -> Vec<u64> {
-        self.standing.iter().map(|s| s.sub_id).collect()
-    }
-
     /// The live inner client for non-retried calls (mutations, stats).
     /// Errors there leave reconnection to the next retried call.
     pub fn raw(&mut self) -> Result<&mut Client, ClientError> {

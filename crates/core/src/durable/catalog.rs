@@ -7,11 +7,12 @@ use std::sync::Mutex;
 use super::checkpoint;
 use super::wal::Wal;
 use super::{DurableObject, FsyncPolicy, StoreError};
-use crate::serve::{CommitReport, EpochDirt, ServeEngine, ShardedEngine, Snapshot, Update};
+use crate::serve::{CommitReport, ServeEngine, ShardedEngine, Snapshot, Update};
 
-/// How many checkpoint files to retain (the newest is the recovery
-/// base; one older survives as a fallback should the newest be found
-/// corrupt).
+/// How many checkpoints to retain (the newest is the recovery base; one
+/// older survives as a fallback should the newest be found corrupt, and
+/// the log is kept from it on, so the fallback has its records to
+/// replay).
 const KEEP_CHECKPOINTS: usize = 2;
 
 /// Where and how a [`DurableCatalog`] persists.
@@ -65,7 +66,9 @@ pub struct CatalogRecovery {
 struct DurableState {
     wal: Wal,
     dir: PathBuf,
-    last_checkpoint_epoch: u64,
+    /// The epochs of the retained checkpoints, ascending: each was
+    /// written by this store or validated at open.
+    checkpoints: Vec<u64>,
 }
 
 /// A sharded catalog whose commit path is (optionally) durable.
@@ -123,6 +126,7 @@ where
         let mut recovery = CatalogRecovery::default();
         let ckpt_scan = checkpoint::load_latest::<E::Object>(&config.dir)?;
         recovery.invalid_checkpoints = ckpt_scan.invalid;
+        let checkpoints = ckpt_scan.loaded.iter().map(|c| c.epoch).collect();
         let (mut wal, batches, wal_scan) = Wal::recover::<E::Object>(&config.dir, config.fsync)?;
         recovery.wal_truncated = wal_scan.truncated;
 
@@ -165,7 +169,7 @@ where
             durable: Some(Mutex::new(DurableState {
                 wal,
                 dir: config.dir.clone(),
-                last_checkpoint_epoch: base_epoch,
+                checkpoints,
             })),
         };
         if fresh {
@@ -190,12 +194,14 @@ where
         self.durable.is_some()
     }
 
-    /// The epoch of the most recent completed checkpoint (`None` when
-    /// transient).
+    /// The epoch of the most recent completed checkpoint — 0 while
+    /// there is none, as the seed at epoch 0 is then the recovery base
+    /// (`None` when transient).
     pub fn last_checkpoint_epoch(&self) -> Option<u64> {
-        self.durable
-            .as_ref()
-            .map(|d| d.lock().expect("store lock poisoned").last_checkpoint_epoch)
+        self.durable.as_ref().map(|d| {
+            let st = d.lock().expect("store lock poisoned");
+            st.checkpoints.last().copied().unwrap_or(0)
+        })
     }
 
     /// Buffers one update for the next epoch.
@@ -227,7 +233,8 @@ where
     }
 
     /// Writes a checkpoint of the current snapshot, then rotates the
-    /// log and prunes segments and checkpoints it superseded. The
+    /// log and prunes the checkpoints past the two it retains and the
+    /// segments every retained checkpoint covers. The
     /// snapshot serialization runs **without** the store lock —
     /// commits proceed concurrently; only the final rotation takes the
     /// lock briefly. Returns the checkpointed epoch, or `None` when
@@ -240,21 +247,26 @@ where
         let epoch = snapshot.epoch();
         let dir = {
             let st = d.lock().expect("store lock poisoned");
-            if st.last_checkpoint_epoch >= epoch && epoch != 0 {
+            if st.checkpoints.last().is_some_and(|&last| last >= epoch) {
                 return Ok(None);
             }
             st.dir.clone()
         };
         checkpoint::write_checkpoint(&dir, epoch, snapshot.shards())?;
         let mut st = d.lock().expect("store lock poisoned");
-        if st.last_checkpoint_epoch < epoch || epoch == 0 {
-            st.last_checkpoint_epoch = epoch;
-            // Future records land in a fresh segment; everything the
-            // checkpoint covers becomes prunable.
+        if st.checkpoints.last().is_none_or(|&last| last < epoch) {
+            st.checkpoints.push(epoch);
+            if st.checkpoints.len() > KEEP_CHECKPOINTS {
+                st.checkpoints.remove(0);
+            }
+            // Future records land in a fresh segment; what the oldest
+            // retained checkpoint covers becomes prunable, so a
+            // fallback to it still finds every later record.
             let next = self.engine.epoch() + 1;
             st.wal.rotate(next)?;
-            st.wal.prune_covered(epoch)?;
-            checkpoint::prune(&st.dir, KEEP_CHECKPOINTS)?;
+            let oldest = st.checkpoints[0];
+            st.wal.prune_covered(oldest)?;
+            checkpoint::prune(&st.dir, &st.checkpoints)?;
         }
         Ok(Some(epoch))
     }
@@ -294,11 +306,6 @@ where
     /// Updates buffered but not yet committed.
     pub fn pending_len(&self) -> usize {
         self.engine.pending_len()
-    }
-
-    /// See [`ShardedEngine::dirt_since`].
-    pub fn dirt_since(&self, epoch: u64, out: &mut Vec<EpochDirt>) -> bool {
-        self.engine.dirt_since(epoch, out)
     }
 }
 

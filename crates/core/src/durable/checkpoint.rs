@@ -174,18 +174,15 @@ pub(crate) fn load_latest<O: DurableObject>(dir: &Path) -> Result<CheckpointScan
     Ok(scan)
 }
 
-/// Deletes all but the newest `keep` checkpoint files.
-pub(crate) fn prune(dir: &Path, keep: usize) -> Result<(), StoreError> {
-    let mut files: Vec<(u64, PathBuf)> = Vec::new();
+/// Deletes every checkpoint file whose epoch `keep` does not list —
+/// superseded ones, and any that failed validation.
+pub(crate) fn prune(dir: &Path, keep: &[u64]) -> Result<(), StoreError> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
-        if let Some(epoch) = entry.file_name().to_str().and_then(parse_checkpoint_name) {
-            files.push((epoch, entry.path()));
+        let epoch = entry.file_name().to_str().and_then(parse_checkpoint_name);
+        if epoch.is_some_and(|epoch| !keep.contains(&epoch)) {
+            fs::remove_file(entry.path())?;
         }
-    }
-    files.sort_unstable_by_key(|(epoch, _)| std::cmp::Reverse(*epoch));
-    for (_, path) in files.into_iter().skip(keep) {
-        fs::remove_file(path)?;
     }
     Ok(())
 }

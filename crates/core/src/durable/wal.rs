@@ -10,8 +10,8 @@
 //! ```
 //!
 //! Segments rotate when a checkpoint completes, so the log's tail
-//! stays short: a segment whose every epoch is covered by the latest
-//! checkpoint is deleted. Within one segment epochs are strictly
+//! stays short: a segment whose every epoch is covered by the oldest
+//! retained checkpoint is deleted. Within one segment epochs are strictly
 //! ascending; recovery enforces this and truncates the log at the
 //! first record that breaks it (torn, corrupt, duplicate-backwards or
 //! gapped) — replaying a prefix is always safe, guessing past damage
@@ -256,8 +256,17 @@ impl Wal {
 
     /// Starts a fresh segment for records from `start_epoch` on (the
     /// checkpointer calls this after a checkpoint lands, so covered
-    /// segments become prunable).
+    /// segments become prunable). A no-op when the append segment
+    /// already starts there: listing its file twice would let pruning
+    /// delete the file appends go to.
     pub(crate) fn rotate(&mut self, start_epoch: u64) -> Result<(), StoreError> {
+        if self
+            .segments
+            .last()
+            .is_some_and(|&(start, _)| start == start_epoch)
+        {
+            return Ok(());
+        }
         if let Some(f) = &mut self.file {
             f.sync_data()?;
         }

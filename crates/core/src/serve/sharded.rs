@@ -55,15 +55,6 @@ impl<E: ServeEngine> Snapshot<E> {
         self.shards.iter().all(|s| s.is_empty())
     }
 
-    /// Live objects in one shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shard` is out of range.
-    pub fn shard_len(&self, shard: usize) -> usize {
-        self.shards[shard].len()
-    }
-
     /// Per-shard live-object counts in shard order (what the serving
     /// layer's stats frame reports; also handy for eyeballing the hash
     /// partitioning balance).
@@ -243,8 +234,6 @@ pub struct EpochDirt {
     pub epoch: u64,
     /// Its merged dirty rectangle (see [`CommitReport::dirty`]).
     pub dirty: Option<Rect>,
-    /// Updates it applied.
-    pub applied: usize,
     /// The epoch's **touched set**: every footprint `dirty` is the hull
     /// of, with the id it belongs to, in update order — the extent an
     /// arrival or move lands on, and the extent a departure, a move or
@@ -263,9 +252,12 @@ pub struct EpochDirt {
 /// invariant.
 #[derive(Debug)]
 pub struct ShardedEngine<E: ServeEngine> {
-    /// The current epoch, swapped wholesale at commit (the lock guards
-    /// only the pointer swap / clone, never query execution).
-    current: RwLock<Snapshot<E>>,
+    /// The current epoch, swapped wholesale at commit, and the bounded
+    /// history of the last [`DIRT_HISTORY`] commits' spatial footprints
+    /// that subscription wake-up consumes, ending at that epoch. A
+    /// commit publishes both in one write; the lock guards only that
+    /// and the clone, never query execution.
+    current: RwLock<(Snapshot<E>, VecDeque<EpochDirt>)>,
     /// `current`'s epoch, stored (Release) after each snapshot swap so
     /// [`ShardedEngine::epoch`] is one Acquire load: a reader that sees
     /// epoch `e` here gets a snapshot of epoch `>= e` from
@@ -281,9 +273,6 @@ pub struct ShardedEngine<E: ServeEngine> {
     /// guards is the buffer a commit collects its touched set in, kept
     /// so that only the shared copy is allocated per commit.
     commit_lock: Mutex<Vec<(ObjectId, Rect)>>,
-    /// Bounded history of the last [`DIRT_HISTORY`] commits' spatial
-    /// footprints, consumed by subscription wake-up.
-    recent_dirt: Mutex<VecDeque<EpochDirt>>,
 }
 
 impl<E: ServeEngine> ShardedEngine<E> {
@@ -316,22 +305,25 @@ impl<E: ServeEngine> ShardedEngine<E> {
             .map(|p| Arc::new(E::build_from(p)))
             .collect();
         ShardedEngine {
-            current: RwLock::new(Snapshot {
-                epoch,
-                shards: Arc::new(shards),
-            }),
+            current: RwLock::new((
+                Snapshot {
+                    epoch,
+                    shards: Arc::new(shards),
+                },
+                VecDeque::with_capacity(DIRT_HISTORY),
+            )),
             epoch: AtomicU64::new(epoch),
             pending: Mutex::new(Vec::new()),
             pending_spare: Mutex::new(Vec::new()),
             commit_lock: Mutex::new(Vec::new()),
-            recent_dirt: Mutex::new(VecDeque::with_capacity(DIRT_HISTORY)),
         }
     }
 
     /// The current epoch's snapshot (two atomic increments; never
     /// blocks on a running commit's apply phase).
     pub fn snapshot(&self) -> Snapshot<E> {
-        self.current.read().expect("snapshot lock poisoned").clone()
+        let (snapshot, _) = &*self.current.read().expect("snapshot lock poisoned");
+        snapshot.clone()
     }
 
     /// The current epoch number: one atomic load, cheap enough to poll
@@ -516,48 +508,44 @@ impl<E: ServeEngine> ShardedEngine<E> {
             }
         }
         report.epoch = base.epoch + 1;
-        *self.current.write().expect("snapshot lock poisoned") = Snapshot {
-            epoch: report.epoch,
-            shards: Arc::new(shards),
-        };
-        self.epoch.store(report.epoch, Ordering::Release);
         let dirt = EpochDirt {
             epoch: report.epoch,
             dirty: report.dirty,
-            applied: report.applied(),
             touched: (touched.len() <= TOUCHED_CAP).then(|| Arc::from(touched.as_slice())),
         };
         {
-            let mut recent = self.recent_dirt.lock().expect("dirt lock poisoned");
+            let (current, recent) = &mut *self.current.write().expect("snapshot lock poisoned");
+            *current = Snapshot {
+                epoch: report.epoch,
+                shards: Arc::new(shards),
+            };
             if recent.len() == DIRT_HISTORY {
                 recent.pop_front();
             }
             recent.push_back(dirt);
         }
+        self.epoch.store(report.epoch, Ordering::Release);
         *self.pending_spare.lock().expect("spare poisoned") = updates;
         Ok(report)
     }
 
     /// Appends the spatial footprints of every *retained* commit after
-    /// `epoch` (ascending) to `out`. Returns `true` when the appended
-    /// entries are a gapless record starting at `epoch + 1` — the
-    /// caller may then advance its watermark to the last entry's epoch
-    /// (a commit that has published its snapshot but not yet logged its
-    /// dirt is simply not returned; the next poll picks it up).
-    /// `false` means the caller fell more than [`DIRT_HISTORY`]
-    /// commits behind and must treat **everything** as dirty. Each
-    /// entry shares its epoch's touched set with the history (a
-    /// reference count, no copy).
-    pub fn dirt_since(&self, epoch: u64, out: &mut Vec<EpochDirt>) -> bool {
-        let recent = self.recent_dirt.lock().expect("dirt lock poisoned");
-        let Some(first) = recent.front() else {
-            // Nothing logged yet: trivially gapless, nothing returned.
-            return true;
-        };
+    /// `epoch` (ascending) to `out`, and returns the snapshot they end
+    /// at — both read under one lock, so the entries are exactly the
+    /// commits between `epoch` and that snapshot when the flag is
+    /// `true`: a gapless record from `epoch + 1` on. `false` means the
+    /// caller fell more than [`DIRT_HISTORY`] commits behind (or is
+    /// behind the epoch the engine was built at) and must treat
+    /// **everything** as dirty. Each entry shares its epoch's touched
+    /// set with the history (a reference count, no copy).
+    pub fn dirt_since(&self, epoch: u64, out: &mut Vec<EpochDirt>) -> (Snapshot<E>, bool) {
+        let current = self.current.read().expect("snapshot lock poisoned");
+        let (snapshot, recent) = &*current;
         out.extend(recent.iter().filter(|d| d.epoch > epoch).cloned());
-        // Gapless iff the caller's watermark reaches into (or past)
-        // the retained window.
-        epoch + 1 >= first.epoch
+        let gapless = recent
+            .front()
+            .map_or(snapshot.epoch <= epoch, |first| epoch + 1 >= first.epoch);
+        (snapshot.clone(), gapless)
     }
 }
 
@@ -697,9 +685,6 @@ mod tests {
         let sizes: Vec<usize> = snapshot.shard_sizes().collect();
         assert_eq!(sizes.len(), 4);
         assert_eq!(sizes.iter().sum::<usize>(), snapshot.len());
-        for (k, &n) in sizes.iter().enumerate() {
-            assert_eq!(snapshot.shard_len(k), n);
-        }
     }
 
     #[test]
@@ -778,7 +763,7 @@ mod tests {
         sharded.commit();
 
         let mut dirt = Vec::new();
-        assert!(sharded.dirt_since(0, &mut dirt));
+        assert!(sharded.dirt_since(0, &mut dirt).1);
         assert_eq!(dirt.len(), 4);
         let want = [
             (777u64, at(800.0, 20.0)),
@@ -830,19 +815,47 @@ mod tests {
         let total = DIRT_HISTORY as u64 + 10;
         // Within the retained window: gapless, ascending, complete.
         let mut out = Vec::new();
-        assert!(sharded.dirt_since(total - 5, &mut out));
+        let (snapshot, gapless) = sharded.dirt_since(total - 5, &mut out);
+        assert!(gapless);
         assert_eq!(out.len(), 5);
         assert!(out.windows(2).all(|w| w[0].epoch + 1 == w[1].epoch));
         assert_eq!(out.last().unwrap().epoch, total);
-        assert!(out.iter().all(|d| d.dirty.is_some() && d.applied == 1));
+        assert_eq!(snapshot.epoch(), total);
+        assert!(out.iter().all(|d| d.dirty.is_some()));
         // Fallen behind the window: truncated.
         out.clear();
-        assert!(!sharded.dirt_since(0, &mut out));
+        assert!(!sharded.dirt_since(0, &mut out).1);
         assert_eq!(out.len(), DIRT_HISTORY);
         // Fully caught up: gapless and empty.
         out.clear();
-        assert!(sharded.dirt_since(total, &mut out));
+        assert!(sharded.dirt_since(total, &mut out).1);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn a_gapless_dirt_record_ends_at_the_snapshot_it_comes_with() {
+        const COMMITS: u64 = 2_000;
+        let sharded: ShardedEngine<PointEngine> = ShardedEngine::build(grid_objects(4), 2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for k in 0..COMMITS {
+                    let moved = PointObject::new(0u64, Point::new(k as f64, 0.0));
+                    sharded.submit(Update::Move(moved));
+                    sharded.commit();
+                }
+            });
+            let (mut seen, mut out) = (0, Vec::new());
+            while seen < COMMITS {
+                out.clear();
+                let (snapshot, gapless) = sharded.dirt_since(seen, &mut out);
+                if gapless {
+                    let epochs: Vec<u64> = out.iter().map(|d| d.epoch).collect();
+                    let want: Vec<u64> = (seen + 1..=snapshot.epoch()).collect();
+                    assert_eq!(epochs, want, "the record from {seen} on");
+                }
+                seen = snapshot.epoch();
+            }
+        });
     }
 
     #[test]

@@ -511,8 +511,9 @@ impl<E: ServeEngine> SubscriptionRegistry<E> {
     /// full re-evaluation, which is what runs instead — re-probe,
     /// pipeline, diff, the code `tick` runs — where a patch cannot
     /// have them: an epoch over
-    /// [`TOUCHED_CAP`](crate::serve::TOUCHED_CAP), and a pump racing a
-    /// commit whose dirt is not logged yet.
+    /// [`TOUCHED_CAP`](crate::serve::TOUCHED_CAP). The engine publishes
+    /// an epoch and its dirt together, so the dirt a pump reads always
+    /// ends at the snapshot it patches against.
     ///
     /// Falling more than the engine's dirt history behind degrades
     /// gracefully: every subscription is re-evaluated in full.
@@ -530,26 +531,11 @@ impl<E: ServeEngine> SubscriptionRegistry<E> {
             return report;
         }
         self.dirt.clear();
-        let gapless = engine.dirt_since(self.seen_epoch, &mut self.dirt);
-        // Taken AFTER reading the dirt log: an epoch's dirt is only
-        // logged once its snapshot has published, so `current` is
-        // guaranteed to cover every entry processed below. (The other
-        // order would let a commit land in between — subscriptions
-        // would re-evaluate against the older snapshot while
-        // `seen_epoch` advanced past the new epoch, silently dropping
-        // its notification.)
-        let current = engine.snapshot();
+        let (current, gapless) = engine.dirt_since(self.seen_epoch, &mut self.dirt);
 
         let mut stab = std::mem::take(&mut self.stab);
         stab.clear();
-        let covered = if gapless {
-            let Some(last) = self.dirt.last() else {
-                // The commit has published its epoch but not yet
-                // logged its dirt; the next pump picks it up.
-                self.stab = stab;
-                return report;
-            };
-            debug_assert!(last.epoch <= current.epoch(), "dirt logged before publish");
+        if gapless {
             // One stab per epoch, deduped — never a cross-epoch hull:
             // two small commits at opposite corners of the domain must
             // not wake every subscription standing in the rectangle
@@ -567,7 +553,6 @@ impl<E: ServeEngine> SubscriptionRegistry<E> {
             }
             stab.sort_unstable();
             stab.dedup();
-            last.epoch
         } else {
             // Behind the bounded history: conservatively wake all.
             stab.extend(
@@ -577,25 +562,19 @@ impl<E: ServeEngine> SubscriptionRegistry<E> {
                     .filter(|(_, s)| s.is_some())
                     .map(|(k, _)| k as u32),
             );
-            current.epoch()
-        };
-        // A patch reads objects from `current` and what changed from
-        // the dirt, so the two must end at the same epoch: one that
-        // has published but not logged its dirt yet would leave the
-        // subscription bound to an epoch only partly applied to it.
-        let dirt_complete = gapless && current.epoch() == covered;
+        }
 
         for &slot in &stab {
             let Some(sub) = self.subs[slot as usize].as_mut() else {
                 continue;
             };
-            if sub.snapshot.epoch() >= covered {
+            if sub.snapshot.epoch() >= current.epoch() {
                 // Already rebound past everything processed here (a
                 // tick re-probed mid-span).
                 continue;
             }
             report.woken += 1;
-            let patched = if dirt_complete {
+            let patched = if gapless {
                 sub.patch(&current, &self.dirt, &mut self.buffers)
             } else {
                 None
@@ -619,7 +598,7 @@ impl<E: ServeEngine> SubscriptionRegistry<E> {
         self.stab = stab;
         // The touched sets are the engine's; keep none past its history.
         self.dirt.clear();
-        self.seen_epoch = covered;
+        self.seen_epoch = current.epoch();
         report
     }
 }

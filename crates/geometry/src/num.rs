@@ -18,12 +18,6 @@ pub fn approx_eq_tol(a: f64, b: f64, tol: f64) -> bool {
     (a - b).abs() <= tol
 }
 
-/// Returns `true` when `a` and `b` differ by at most [`EPS`].
-#[inline]
-pub fn approx_eq(a: f64, b: f64) -> bool {
-    approx_eq_tol(a, b, EPS)
-}
-
 /// Clamps `v` into `[lo, hi]`.
 ///
 /// Unlike `f64::clamp` this tolerates `lo > hi` by collapsing to `lo`,
@@ -40,12 +34,6 @@ pub fn clamp(v: f64, lo: f64, hi: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn approx_eq_within_eps() {
-        assert!(approx_eq(1.0, 1.0 + 1e-12));
-        assert!(!approx_eq(1.0, 1.0 + 1e-6));
-    }
 
     #[test]
     fn approx_eq_tol_symmetric() {

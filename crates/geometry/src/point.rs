@@ -46,14 +46,6 @@ impl Point {
         dx * dx + dy * dy
     }
 
-    /// Chebyshev (L∞) distance to `other`; a point satisfies a square
-    /// range query of half-width `w` iff its Chebyshev distance to the
-    /// query centre is at most `w`.
-    #[inline]
-    pub fn chebyshev_distance(self, other: Point) -> f64 {
-        (self.x - other.x).abs().max((self.y - other.y).abs())
-    }
-
     /// Returns `true` when both coordinates are finite.
     #[inline]
     pub fn is_finite(self) -> bool {
@@ -89,13 +81,6 @@ mod tests {
         let b = Point::new(3.0, 4.0);
         assert_eq!(a.distance(b), 5.0);
         assert_eq!(a.distance_sq(b), 25.0);
-    }
-
-    #[test]
-    fn chebyshev_takes_max_axis() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(3.0, -7.0);
-        assert_eq!(a.chebyshev_distance(b), 7.0);
     }
 
     #[test]

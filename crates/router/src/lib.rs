@@ -48,11 +48,15 @@
 //! what gets forwarded upstream verbatim; the router holds query
 //! responses back until the core's [`Handler::release`], which the
 //! core calls before any output of its own, so responses stay in
-//! request order. A commit's merged NOTIFYs
-//! reach their subscribers through [`Remote::deposit`], *before* the
-//! COMMIT_DONE is written — the core's deposit-ordering guarantee then
-//! puts each NOTIFY ahead of anything its subscriber asks for after
-//! seeing the commit acknowledged. The upstream sockets are dialed
+//! request order. A commit's merged NOTIFYs go into their owners'
+//! mailboxes, one per subscribing connection, and every loop is woken
+//! *before* the COMMIT_DONE is written; each owner's loop then queues
+//! them through [`Handler::pump`], the server's push path, before the
+//! next frame it handles. So a router and a server place a commit's
+//! NOTIFY at the same point of a subscriber's stream: ahead of
+//! anything it asks for after seeing the commit acknowledged, with the
+//! same push budget and the same all-or-nothing close. The upstream
+//! sockets are dialed
 //! concurrently, one thread per connection, so router startup pays one
 //! connect round trip, not N.
 //!
@@ -86,7 +90,7 @@ use iloc_core::serve::{shard_of, CommitReport};
 use iloc_core::subscribe::AnswerDelta;
 use iloc_core::{merge_partials_into, QueryAnswer};
 use iloc_server::client::{Client, ClientError};
-use iloc_server::conn::{self, ConnId, Core, Handler, Remote};
+use iloc_server::conn::{self, ConnId, Core, Handler, PushQueue, Remote};
 use iloc_server::protocol::{
     self, opcode, wire_error, CommitTarget, ErrorCode, HelloAck, NodeHealth, Notification,
     NotifyCause, Role, StatsReport, WireError, WireUpdate,
@@ -175,14 +179,39 @@ impl NodeState {
 }
 
 /// One standing query as the router tracks it: the node-assigned ids
-/// (index = node), the downstream connection that owns it, and the
-/// delta the current commit's per-node NOTIFYs merge into (empty
-/// between commits; capacity kept).
+/// (index = node), the downstream connection that owns it and that
+/// connection's mailbox, and the delta the current commit's per-node
+/// NOTIFYs merge into (empty between commits; capacity kept).
 struct SubEntry {
     target: CommitTarget,
     node_ids: Vec<u64>,
     owner_conn: ConnId,
+    mailbox: Arc<Mailbox>,
     delta: AnswerDelta,
+}
+
+/// The commit NOTIFYs owed to one downstream connection: encoded back
+/// to back by the committing loop, queued by the owner's loop at its
+/// next [`Handler::pump`]. The buffer keeps its capacity.
+#[derive(Default)]
+struct Mailbox {
+    /// The owner's `needs_pump`: stored `true` (Release) after a push
+    /// is appended to `frames`, loaded (Acquire) before every frame the
+    /// owner handles; cleared by the pump under the `frames` lock, so
+    /// a push appended meanwhile waits for the next pump.
+    owed: AtomicBool,
+    frames: Mutex<Vec<u8>>,
+}
+
+/// A downstream connection's router state.
+#[derive(Default)]
+struct RouterConn {
+    /// Standing-query counts per catalog (the router-side cap, and a
+    /// fast "does close need upstream cleanup" check).
+    subs: [u32; 2],
+    /// Created at the first SUBSCRIBE; each of its [`SubEntry`]s holds
+    /// a clone.
+    mailbox: Option<Arc<Mailbox>>,
 }
 
 /// The serialized write plane: one upstream client per node carrying
@@ -416,9 +445,7 @@ struct RouterHandler {
 }
 
 impl Handler for RouterHandler {
-    /// Standing-query counts per catalog (the router-side cap, and a
-    /// fast "does close need upstream cleanup" check).
-    type Conn = [u32; 2];
+    type Conn = RouterConn;
 
     fn hello_ack(&self) -> HelloAck {
         HelloAck {
@@ -435,7 +462,7 @@ impl Handler for RouterHandler {
 
     /// Queries are held back and scattered as one batch when the pass
     /// ends; anything else answers behind the queries ahead of it.
-    fn frame(&mut self, frame: &[u8], id: ConnId, subs: &mut [u32; 2], out: &mut Vec<u8>) {
+    fn frame(&mut self, frame: &[u8], id: ConnId, conn: &mut RouterConn, out: &mut Vec<u8>) {
         let payload = &frame[6..];
         match frame[5] {
             opcode::POINT_QUERY => return self.hold_query(frame, CommitTarget::Point),
@@ -447,8 +474,8 @@ impl Handler for RouterHandler {
             opcode::COMMIT => self.handle_commit(out, payload),
             opcode::STATS => self.handle_stats(out),
             opcode::PING => protocol::encode_empty(out, opcode::PONG),
-            opcode::SUBSCRIBE => self.handle_subscribe(out, frame, id, subs),
-            opcode::UNSUBSCRIBE => self.handle_unsubscribe(out, payload, id, subs),
+            opcode::SUBSCRIBE => self.handle_subscribe(out, frame, id, conn),
+            opcode::UNSUBSCRIBE => self.handle_unsubscribe(out, payload, id, &mut conn.subs),
             opcode::TICK => self.handle_tick(out, payload, id),
             _ => protocol::encode_error(out, ErrorCode::BadOpcode, "unknown request opcode"),
         }
@@ -458,8 +485,29 @@ impl Handler for RouterHandler {
         self.drain(out);
     }
 
-    fn closed(&mut self, id: ConnId, subs: [u32; 2]) {
-        if subs != [0, 0] {
+    fn needs_pump(&self, conn: &RouterConn) -> bool {
+        conn.mailbox
+            .as_ref()
+            .is_some_and(|mailbox| mailbox.owed.load(Ordering::Acquire))
+    }
+
+    /// Queues the mailbox's NOTIFYs, each as one push.
+    fn pump(&mut self, conn: &mut RouterConn, pushes: &mut PushQueue<'_>) {
+        let Some(mailbox) = &conn.mailbox else { return };
+        let mut frames = mailbox.frames.lock().expect("mailbox lock poisoned");
+        mailbox.owed.store(false, Ordering::Relaxed);
+        let mut rest = frames.as_slice();
+        while let Some(len) = rest.get(..4) {
+            let len = 4 + u32::from_le_bytes(len.try_into().expect("4 bytes")) as usize;
+            let (frame, tail) = rest.split_at(len);
+            pushes.queue_push(|out| out.extend_from_slice(frame));
+            rest = tail;
+        }
+        frames.clear();
+    }
+
+    fn closed(&mut self, id: ConnId, conn: RouterConn) {
+        if conn.subs != [0, 0] {
             self.cleanup_subs(id);
         }
     }
@@ -786,7 +834,7 @@ impl RouterHandler {
         out: &mut Vec<u8>,
         frame: &[u8],
         owner_conn: ConnId,
-        subs: &mut [u32; 2],
+        conn: &mut RouterConn,
     ) {
         let payload = &frame[6..];
         let mut r = protocol::Reader::new(payload);
@@ -802,7 +850,7 @@ impl RouterHandler {
             encode_poisoned(out);
             return;
         }
-        if subs[cat] as usize >= MAX_SUBSCRIPTIONS {
+        if conn.subs[cat] as usize >= MAX_SUBSCRIPTIONS {
             protocol::encode_error(
                 out,
                 ErrorCode::TooManySubscriptions,
@@ -857,12 +905,13 @@ impl RouterHandler {
                 target,
                 node_ids: acks,
                 owner_conn,
+                mailbox: Arc::clone(conn.mailbox.get_or_insert_with(Default::default)),
                 delta: AnswerDelta::new(),
             },
         );
         let epoch = self.shared.epochs[cat].load(Ordering::SeqCst);
         protocol::encode_sub_ack(out, target, rsub, epoch, 0, &wp.sub_merged.results);
-        subs[cat] += 1;
+        conn.subs[cat] += 1;
     }
 
     fn handle_unsubscribe(
@@ -1017,11 +1066,11 @@ impl RouterHandler {
 /// Collects the commit's pushed deltas from every node behind a PING
 /// barrier, merges them per router subscription (per-node deltas are
 /// id-sorted runs over disjoint id partitions, merged as they are
-/// drained), stamps the cluster epoch, and deposits one NOTIFY per
-/// touched subscription with the owner's loop — all *before* the
-/// caller writes its COMMIT_DONE, so a subscriber never observes an
-/// acknowledged commit without its delta en route. Returns an error
-/// message if a node could not be drained.
+/// drained), stamps the cluster epoch, encodes one NOTIFY per touched
+/// subscription into its owner's mailbox and wakes every loop — all
+/// *before* the caller writes its COMMIT_DONE, so a subscriber never
+/// observes an acknowledged commit without its delta owed. Returns an
+/// error message if a node could not be drained.
 fn gather_deltas(
     wp: &mut WritePlane,
     shared: &Shared,
@@ -1060,17 +1109,21 @@ fn gather_deltas(
     wp.notified.dedup();
     for rsub in &wp.notified {
         let entry = wp.subs.get_mut(rsub).expect("listed above");
-        let mut push = Vec::new();
+        let mailbox = &entry.mailbox;
+        let mut frames = mailbox.frames.lock().expect("mailbox lock poisoned");
         protocol::encode_notify(
-            &mut push,
+            &mut frames,
             entry.target,
             *rsub,
             epoch,
             NotifyCause::Commit,
             &entry.delta,
         );
+        mailbox.owed.store(true, Ordering::Release);
         entry.delta.clear();
-        remote.deposit(entry.owner_conn, push);
+    }
+    if !wp.notified.is_empty() {
+        remote.wake_all();
     }
     None
 }

@@ -65,15 +65,14 @@
 //!   the end of every read pass and before it appends any output of its
 //!   own — a HELLO_ACK, a refusal, a caught panic's error frame, a
 //!   [`Handler::pump`] — and the handler then appends everything it
-//!   held, in request order. A handler's own pushes are
-//!   queued *before* the frame that follows them is handled, so a
-//!   NOTIFY always precedes the response to a later request on the
-//!   same connection. Pushes deposited from another thread
-//!   ([`Remote::deposit`]) are drained at the top of every loop
-//!   iteration, before any frame of that iteration — so whoever
-//!   deposits *before* acknowledging a commit guarantees that a client
-//!   which saw the acknowledgement and then pings a subscriber
-//!   connection finds the NOTIFY ahead of the PONG.
+//!   held, in request order. Pushes enter a connection one way, through
+//!   [`Handler::pump`], and the pushes a handler owes are queued
+//!   before the next frame it handles: [`Handler::needs_pump`] is
+//!   asked before every frame, and on the sweep a [`Remote::wake_all`]
+//!   starts. So a front end whose `needs_pump` turns true before it
+//!   acknowledges a commit puts the NOTIFY ahead of anything the
+//!   subscriber asks afterwards — on the committing connection, or on
+//!   any other once the client has seen the acknowledgement.
 //! * **Idle connections are reaped on a monotonic deadline**: with
 //!   [`Config::idle_timeout`] set, a connection whose last *complete*
 //!   frame is older than the timeout is closed. Only whole frames
@@ -94,7 +93,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -265,12 +264,6 @@ pub struct Counters {
     pub dropped_pushes: u64,
 }
 
-/// One loop's cross-thread inbox.
-struct LoopPort {
-    waker: Waker,
-    deposits: Mutex<Vec<(ConnId, Vec<u8>)>>,
-}
-
 struct Shared {
     config: Config,
     shutdown: AtomicBool,
@@ -280,7 +273,8 @@ struct Shared {
     /// the connection cap needs only the atomicity of `fetch_add`.
     connections: AtomicU64,
     dropped_pushes: AtomicU64,
-    loops: Vec<LoopPort>,
+    /// One waker per event loop.
+    loops: Vec<Waker>,
 }
 
 /// A handle on the running core for threads other than its loops.
@@ -292,22 +286,9 @@ impl Remote {
     /// owes subscribers a push calls this, and push latency is bounded
     /// by scheduling instead of by [`Config::idle_poll`].
     pub fn wake_all(&self) {
-        for port in &self.0.loops {
-            port.waker.wake();
+        for waker in &self.0.loops {
+            waker.wake();
         }
-    }
-
-    /// Hands one encoded NOTIFY frame to the loop that owns `to` and
-    /// wakes it. The frame is queued like any push (same budget, same
-    /// accounting); if `to` is gone by then, it counts as one dropped
-    /// push.
-    pub fn deposit(&self, to: ConnId, frame: Vec<u8>) {
-        let port = &self.0.loops[to.event_loop as usize];
-        port.deposits
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push((to, frame));
-        port.waker.wake();
     }
 
     /// Whether [`Core::stop`] has begun.
@@ -348,10 +329,7 @@ pub fn start<H: Handler>(
     let mut wake_rxs = Vec::with_capacity(config.event_loops);
     for _ in 0..config.event_loops {
         let (waker, wake_rx) = poll::waker()?;
-        loops.push(LoopPort {
-            waker,
-            deposits: Mutex::new(Vec::new()),
-        });
+        loops.push(waker);
         wake_rxs.push(wake_rx);
     }
     let shared = Arc::new(Shared {
@@ -393,7 +371,6 @@ pub fn start<H: Handler>(
                 poller,
                 slots: Vec::new(),
                 free: Vec::new(),
-                deposits: Vec::new(),
             };
             event_loop.run(conn_rx, wake_rx)
         };
@@ -483,7 +460,7 @@ fn listener_loop(
                 let k = next % conn_txs.len();
                 next = next.wrapping_add(1);
                 if stream.set_nonblocking(true).is_ok() && conn_txs[k].send(stream).is_ok() {
-                    shared.loops[k].waker.wake();
+                    shared.loops[k].wake();
                 } else {
                     shared.connections.fetch_sub(1, Ordering::Relaxed);
                 }
@@ -589,9 +566,6 @@ struct EventLoop<H: Handler> {
     poller: Poller,
     slots: Vec<Slot<H::Conn>>,
     free: Vec<usize>,
-    /// Scratch the inbox is swapped into, so draining holds the lock
-    /// for one pointer swap.
-    deposits: Vec<(ConnId, Vec<u8>)>,
 }
 
 /// Runs one push source against `conn`'s queue, then settles the
@@ -755,7 +729,6 @@ impl<H: Handler> EventLoop<H> {
                 continue;
             }
             let now = Instant::now();
-            self.drain_deposits();
             let mut woken = false;
             for ev in events.iter().copied() {
                 if ev.token == WAKE_TOKEN {
@@ -978,40 +951,6 @@ impl<H: Handler> EventLoop<H> {
         }
     }
 
-    /// Delivers the pushes other threads deposited for this loop's
-    /// connections (see the module docs for why this runs first).
-    fn drain_deposits(&mut self) {
-        {
-            let mut inbox = self.shared.loops[self.index as usize]
-                .deposits
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            if inbox.is_empty() {
-                return;
-            }
-            std::mem::swap(&mut *inbox, &mut self.deposits);
-        }
-        let mut deposits = std::mem::take(&mut self.deposits);
-        for (to, frame) in deposits.drain(..) {
-            let idx = to.slot as usize;
-            let live = self
-                .slots
-                .get_mut(idx)
-                .filter(|slot| slot.generation == to.generation)
-                .and_then(|slot| slot.conn.as_mut())
-                .filter(|conn| !conn.close_after_flush);
-            let Some(conn) = live else {
-                self.shared.dropped_pushes.fetch_add(1, Ordering::Relaxed);
-                continue;
-            };
-            let queued = queue_pushes(conn, &self.shared, |_, pushes| {
-                pushes.queue_push(|out| out.extend_from_slice(&frame))
-            });
-            self.flush_and_settle(idx, queued);
-        }
-        self.deposits = deposits;
-    }
-
     /// The periodic pass over every connection: queue the pushes the
     /// handler owes, enforce the idle deadline.
     fn sweep(&mut self, now: Instant) {
@@ -1046,15 +985,18 @@ impl<H: Handler> EventLoop<H> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::Mutex;
 
     /// Opcode the echo handler panics on.
     const BOOM: u8 = 0x7E;
 
     /// Echoes every frame verbatim and reports the connection it came
-    /// from — the core with nothing behind it.
+    /// from — the core with nothing behind it — and pumps the pushes
+    /// the test owes to whichever connection it serves next.
     struct Echo {
         seen: mpsc::Sender<ConnId>,
         quarantined: Arc<AtomicUsize>,
+        owed: Arc<Mutex<Vec<Vec<u8>>>>,
     }
 
     impl Handler for Echo {
@@ -1070,6 +1012,16 @@ mod tests {
             out.extend_from_slice(frame);
         }
 
+        fn needs_pump(&self, _: &()) -> bool {
+            !self.owed.lock().unwrap().is_empty()
+        }
+
+        fn pump(&mut self, _: &mut (), pushes: &mut PushQueue<'_>) {
+            for push in self.owed.lock().unwrap().drain(..) {
+                pushes.queue_push(|out| out.extend_from_slice(&push));
+            }
+        }
+
         fn quarantine(&mut self) {
             self.quarantined.fetch_add(1, Ordering::SeqCst);
         }
@@ -1079,15 +1031,26 @@ mod tests {
         core: Core,
         seen: mpsc::Receiver<ConnId>,
         quarantined: Arc<AtomicUsize>,
+        owed: Arc<Mutex<Vec<Vec<u8>>>>,
+    }
+
+    impl Rig {
+        /// Owes `push` to the next connection served, without waking
+        /// the loop.
+        fn owe(&self, push: Vec<u8>) {
+            self.owed.lock().unwrap().push(push);
+        }
     }
 
     fn rig(config: Config) -> Rig {
         let (seen_tx, seen) = mpsc::channel();
         let quarantined = Arc::new(AtomicUsize::new(0));
+        let owed = Arc::new(Mutex::new(Vec::new()));
         let core = start(&config, |_, _| {
             Ok(Echo {
                 seen: seen_tx.clone(),
                 quarantined: Arc::clone(&quarantined),
+                owed: Arc::clone(&owed),
             })
         })
         .expect("bind loopback");
@@ -1095,6 +1058,7 @@ mod tests {
             core,
             seen,
             quarantined,
+            owed,
         }
     }
 
@@ -1441,8 +1405,13 @@ mod tests {
     }
 
     #[test]
-    fn deposits_precede_the_next_response_and_stale_ids_count_as_drops() {
-        let rig = rig(one_loop());
+    fn owed_pushes_precede_the_next_response_and_an_id_names_one_connection() {
+        // No sweep after the first: the push can only be queued by the
+        // check before a frame.
+        let rig = rig(Config {
+            idle_poll: Duration::from_secs(3600),
+            ..one_loop()
+        });
         let remote = rig.core.remote().clone();
         let mut stream = connect(&rig);
         let hello = frame(0x01, b"who am i");
@@ -1450,10 +1419,10 @@ mod tests {
         assert_eq!(read_frame(&mut stream), hello);
         let id = rig.seen.recv().unwrap();
 
-        // Deposited before the request is written, so drained before
-        // the request is handled.
+        // Owed before the request is written, so queued before the
+        // request is handled.
         let push = frame(opcode::NOTIFY, b"pushed");
-        remote.deposit(id, push.clone());
+        rig.owe(push.clone());
         stream.write_all(&hello).unwrap();
         assert_eq!(read_frame(&mut stream), push);
         assert_eq!(read_frame(&mut stream), hello);
@@ -1469,26 +1438,12 @@ mod tests {
         eventually("the connection to close", || {
             remote.counters().connections == 0
         });
-        remote.deposit(id, push.clone());
-        eventually("the stale deposit to be counted", || {
-            remote.counters().dropped_pushes == 1
-        });
         let mut next = connect(&rig);
         next.write_all(&hello).unwrap();
         assert_eq!(read_frame(&mut next), hello);
         let reused = rig.seen.recv().unwrap();
         assert_eq!((reused.event_loop, reused.slot), (id.event_loop, id.slot));
         assert_ne!(reused, id);
-        remote.deposit(id, push);
-        eventually("the second stale deposit to be counted", || {
-            remote.counters().dropped_pushes == 2
-        });
-        next.write_all(&hello).unwrap();
-        assert_eq!(
-            read_frame(&mut next),
-            hello,
-            "no stray push on the new owner"
-        );
     }
 
     #[test]
@@ -1502,8 +1457,8 @@ mod tests {
         let hello = frame(0x01, b"");
         stream.write_all(&hello).unwrap();
         assert_eq!(read_frame(&mut stream), hello);
-        let id = rig.seen.recv().unwrap();
-        remote.deposit(id, frame(opcode::NOTIFY, &[0; 100]));
+        rig.owe(frame(opcode::NOTIFY, &[0; 100]));
+        remote.wake_all();
         eventually("the refused push to be counted", || {
             remote.counters().dropped_pushes == 1
         });

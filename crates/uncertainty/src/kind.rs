@@ -31,18 +31,6 @@ pub enum PdfKind {
     Disc(DiscPdf),
 }
 
-impl PdfKind {
-    /// The uniform pdf when this is the uniform variant (the key the
-    /// closed-form IUQ evaluator switches on).
-    #[inline]
-    pub fn as_uniform(&self) -> Option<&UniformPdf> {
-        match self {
-            PdfKind::Uniform(u) => Some(u),
-            _ => None,
-        }
-    }
-}
-
 impl From<UniformPdf> for PdfKind {
     fn from(pdf: UniformPdf) -> Self {
         PdfKind::Uniform(pdf)
@@ -169,10 +157,9 @@ mod tests {
     fn uniform_fast_path_accessor() {
         let region = Rect::from_coords(0.0, 0.0, 4.0, 4.0);
         let kind = PdfKind::from(UniformPdf::new(region));
-        assert!(kind.as_uniform().is_some());
         assert_eq!(kind.uniform_region(), Some(region));
         let gaussian = PdfKind::from(TruncatedGaussianPdf::paper_default(region));
-        assert!(gaussian.as_uniform().is_none());
+        assert_eq!(gaussian.uniform_region(), None);
     }
 
     #[test]

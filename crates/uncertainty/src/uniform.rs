@@ -37,12 +37,6 @@ impl UniformPdf {
             inv_area: 1.0 / region.area(),
         }
     }
-
-    /// The constant density value `1 / Area(U)`.
-    #[inline]
-    pub fn density_value(&self) -> f64 {
-        self.inv_area
-    }
 }
 
 impl LocationPdf for UniformPdf {

@@ -628,6 +628,73 @@ fn fsync_policies_off_and_every_n_still_replay_after_a_clean_drop() {
     }
 }
 
+/// 50 seed objects on a line, and the arrival epoch `k` commits.
+fn line_seed() -> Vec<PointObject> {
+    (0..50u64)
+        .map(|k| PointObject::new(k, Point::new(k as f64, 1.0)))
+        .collect()
+}
+
+fn arrival(k: u64) -> Update<PointObject> {
+    Update::Arrive(PointObject::new(49 + k, Point::new(49.0 + k as f64, 2.0)))
+}
+
+#[test]
+fn store_survives_a_second_checkpoint_at_epoch_zero() {
+    let dir = temp_store("ckpt0twice");
+    let (catalog, _) = DurableCatalog::<PointEngine>::open(&StoreConfig::new(&dir), 2, line_seed)
+        .expect("open fresh");
+    // The base checkpoint is already there: this one must change nothing.
+    catalog.checkpoint().expect("checkpoint at epoch 0");
+    catalog.submit(arrival(1));
+    assert_eq!(catalog.commit().expect("commit").epoch, 1);
+    let bytes = snapshot_bytes(&catalog);
+    drop(catalog);
+
+    let (recovered, recovery) = reopen(&dir, 2);
+    assert_eq!(recovery.epoch, 1, "the acknowledged epoch");
+    assert_eq!(recovered.len(), 51);
+    assert!(
+        snapshot_bytes(&recovered) == bytes,
+        "recovered snapshot differs"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn store_survives_a_damaged_newest_checkpoint() {
+    let dir = temp_store("ckptfallback");
+    let (catalog, _) = DurableCatalog::<PointEngine>::open(&StoreConfig::new(&dir), 2, line_seed)
+        .expect("open fresh");
+    for k in 1..=15 {
+        catalog.submit(arrival(k));
+        catalog.commit().expect("commit");
+        if k == 5 || k == 10 {
+            assert_eq!(catalog.checkpoint().expect("checkpoint"), Some(k));
+        }
+    }
+    assert_eq!(catalog.len(), 65);
+    let bytes = snapshot_bytes(&catalog);
+    drop(catalog);
+
+    let newest = dir.join(format!("ckpt-{:020}.bin", 10));
+    let mut damaged = std::fs::read(&newest).expect("read the newest checkpoint");
+    let mid = damaged.len() / 2;
+    damaged[mid] ^= 0x01;
+    std::fs::write(&newest, &damaged).expect("damage it");
+
+    let (recovered, recovery) = reopen(&dir, 2);
+    assert_eq!(recovery.invalid_checkpoints, 1);
+    assert_eq!(recovery.checkpoint_epoch, 5, "the fallback");
+    assert_eq!(recovery.epoch, 15, "every acknowledged epoch");
+    assert!(!recovery.wal_truncated, "the log has no gap");
+    assert!(
+        snapshot_bytes(&recovered) == bytes,
+        "recovered snapshot differs"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Set, to its store directory, only in the child process of
 /// `failed_append_under_a_file_size_limit_recovers_the_acknowledged_epoch`.
 const LIMITED_CHILD_STORE: &str = "ILOC_TEST_LIMITED_CHILD_STORE";

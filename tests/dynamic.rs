@@ -968,7 +968,7 @@ fn compaction_keeps_live_order_and_old_snapshots() {
         "compacted at {compacted_at:?}"
     );
     let (mut dirt, mut want) = (Vec::new(), Vec::new());
-    assert!(engine.dirt_since(0, &mut dirt) && control.dirt_since(0, &mut want));
+    assert!(engine.dirt_since(0, &mut dirt).1 && control.dirt_since(0, &mut want).1);
     assert_eq!(dirt, want);
 }
 

@@ -769,7 +769,8 @@ fn concurrent_writers_on_a_durable_server() {
     // Trace each batch to the one epoch that applied it, in the order
     // the loops submitted them, and replay them so.
     let mut dirt = Vec::new();
-    assert!(engines.point.dirt_since(0, &mut dirt), "gapless history");
+    let gapless = engines.point.engine().dirt_since(0, &mut dirt).1;
+    assert!(gapless, "gapless history");
     let mut epoch_of = std::collections::HashMap::new();
     let replay = ShardedEngine::<PointEngine>::build(points.clone(), 2);
     let mut whole = vec![replay.snapshot().execute_one(&everything)];

@@ -748,12 +748,8 @@ fn run_patch_schedule<B: Bed>(shards: usize, seed: u64) -> (usize, [usize; 4]) {
 
         // What the pump may do, worked out before it runs.
         let mut dirt = Vec::new();
-        let gapless = engine.dirt_since(registry.seen_epoch(), &mut dirt);
-        let covered = if gapless {
-            dirt.last().unwrap().epoch
-        } else {
-            engine.epoch()
-        };
+        let (current, gapless) = engine.dirt_since(registry.seen_epoch(), &mut dirt);
+        let covered = current.epoch();
         let before: Vec<(u64, Rect)> = standing
             .iter()
             .map(|s| {
