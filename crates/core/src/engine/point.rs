@@ -78,8 +78,7 @@ impl PointEngine {
     /// is already live, the object is replaced in its slot (every
     /// `Update::Move`, and a retried or duplicate arrival) — one index
     /// removal and one insertion, no other object re-keyed, and the
-    /// table keeps its order, so a catalog whose slots are in id order
-    /// keeps answering without a sort however much it moves.
+    /// table keeps its order.
     pub fn insert_object(&mut self, object: PointObject) {
         self.next_id = self.next_id.max(object.id.0 + 1);
         let extent = Rect::from_point(object.loc);
@@ -177,8 +176,9 @@ impl PointEngine {
     /// Assembles and runs the plan of one request by `method`: the
     /// R-tree probed with the Minkowski sum (Lemma 1), or with the
     /// `p`-expanded query when a C-IPQ asks for it; no pruning (point
-    /// objects carry no catalogs); the request's accept policy.
-    fn execute_by(
+    /// objects carry no catalogs); the request's accept policy. The
+    /// matches come out in probe order, not by id.
+    pub(crate) fn execute_by(
         &self,
         request: &PointRequest,
         method: EvaluatorKind,
@@ -206,7 +206,7 @@ impl PointEngine {
             refine: method,
             accept: request.accept(),
         }
-        .execute_into(ctx, answer, |stats, scratch, out| {
+        .run_into(ctx, answer, |stats, scratch, out| {
             self.probe_into(filter, stats, scratch, out)
         });
     }
@@ -222,13 +222,11 @@ impl PointEngine {
     /// `per_axis` controls the sampling grid (the paper's "set of
     /// sampling points").
     pub fn ipq_basic(&self, issuer: &Issuer, range: RangeSpec, per_axis: usize) -> QueryAnswer {
+        let request = PointRequest::ipq(issuer.clone(), range);
         let mut answer = QueryAnswer::default();
-        self.execute_by(
-            &PointRequest::ipq(issuer.clone(), range),
-            EvaluatorKind::Basic { per_axis },
-            &mut ExecutionContext::new(Integrator::Auto),
-            &mut answer,
-        );
+        ExecutionContext::new(Integrator::Auto).gather_into(1, &mut answer, |_, ctx, part| {
+            self.execute_by(&request, EvaluatorKind::Basic { per_axis }, ctx, part)
+        });
         answer
     }
 
@@ -242,19 +240,6 @@ impl PointEngine {
         strategy: CipqStrategy,
     ) -> QueryAnswer {
         self.execute_one(&PointRequest::cipq(issuer.clone(), range, qp, strategy))
-    }
-}
-
-impl BatchEngine for PointEngine {
-    type Request = PointRequest;
-
-    fn execute_one_into(
-        &self,
-        request: &PointRequest,
-        ctx: &mut ExecutionContext,
-        answer: &mut QueryAnswer,
-    ) {
-        self.execute_by(request, EvaluatorKind::Duality, ctx, answer);
     }
 }
 

@@ -14,10 +14,9 @@
 //! and the slot stays vacated until the serving layer rebuilds the
 //! engine from its live objects. So when ids are handed out in
 //! increasing order — the datagen streams, the benchmark's writers —
-//! the live slots stay in id order however much the catalog churns,
-//! and the pipeline's slot-sorted candidates come out as id-sorted
-//! matches with no sort. The id map is the only record of which slots
-//! are live: slot `k` is live iff its object's id maps back to `k`.
+//! the live slots stay in id order however much the catalog churns.
+//! The id map is the only record of which slots are live: slot `k` is
+//! live iff its object's id maps back to `k`.
 
 use std::cmp::Reverse;
 use std::sync::Arc;

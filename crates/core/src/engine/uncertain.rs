@@ -87,8 +87,7 @@ impl UncertainEngine {
     /// slot. **Upsert**: when the id is already live, the object is
     /// replaced in its slot (every `Update::Move`, and a retried or
     /// duplicate arrival) — one removal and one insertion in the index
-    /// and no other object touched, so a catalog whose slots are in id
-    /// order keeps answering without a sort however much it moves.
+    /// and no other object touched.
     pub fn insert(&mut self, object: UncertainObject) {
         let bounds = p_bounds(object.pdf());
         let (slot, replaced) = self.table.upsert(object);
@@ -233,7 +232,8 @@ impl UncertainEngine {
     /// the paper's C-IUQ baseline probe the PTI at threshold 0 with the
     /// Minkowski sum and refine every candidate; the PTI plan runs the
     /// threshold probe (Section 5.3) and the Section 5.2 pruning stack.
-    fn execute_by(
+    /// The matches come out in probe order, not by id.
+    pub(crate) fn execute_by(
         &self,
         request: &UncertainRequest,
         method: EvaluatorKind,
@@ -268,11 +268,11 @@ impl UncertainEngine {
                     p_expanded,
                     threshold: c.qp,
                 };
-                plan.execute_into(ctx, answer, |stats, scratch, out| {
+                plan.run_into(ctx, answer, |stats, scratch, out| {
                     self.pti.query_scratch(&probe, stats, scratch, out)
                 })
             }
-            _ => plan.execute_into(ctx, answer, |stats, scratch, out| {
+            _ => plan.run_into(ctx, answer, |stats, scratch, out| {
                 self.probe_into(query.expanded, stats, scratch, out)
             }),
         }
@@ -288,13 +288,11 @@ impl UncertainEngine {
     /// integration over the issuer region for every candidate — the
     /// slow baseline of Figure 8.
     pub fn iuq_basic(&self, issuer: &Issuer, range: RangeSpec, per_axis: usize) -> QueryAnswer {
+        let request = UncertainRequest::iuq(issuer.clone(), range);
         let mut answer = QueryAnswer::default();
-        self.execute_by(
-            &UncertainRequest::iuq(issuer.clone(), range),
-            EvaluatorKind::Basic { per_axis },
-            &mut ExecutionContext::new(Integrator::Auto),
-            &mut answer,
-        );
+        ExecutionContext::new(Integrator::Auto).gather_into(1, &mut answer, |_, ctx, part| {
+            self.execute_by(&request, EvaluatorKind::Basic { per_axis }, ctx, part)
+        });
         answer
     }
 
@@ -309,19 +307,6 @@ impl UncertainEngine {
         strategy: CiuqStrategy,
     ) -> QueryAnswer {
         self.execute_one(&UncertainRequest::ciuq(issuer.clone(), range, qp, strategy))
-    }
-}
-
-impl BatchEngine for UncertainEngine {
-    type Request = UncertainRequest;
-
-    fn execute_one_into(
-        &self,
-        request: &UncertainRequest,
-        ctx: &mut ExecutionContext,
-        answer: &mut QueryAnswer,
-    ) {
-        self.execute_by(request, EvaluatorKind::Duality, ctx, answer);
     }
 }
 

@@ -72,7 +72,7 @@ pub use integrate::Integrator;
 pub use pipeline::{BatchEngine, ExecutionContext, PointRequest, QueryPipeline, UncertainRequest};
 pub use quality::{assess, QualityReport};
 pub use query::{CipqStrategy, CiuqStrategy, Issuer, RangeSpec};
-pub use result::{merge_partials_into, sort_matches, Match, QueryAnswer};
+pub use result::{merge_partials_into, sort_matches_into, Match, QueryAnswer};
 pub use serve::{ServeEngine, ShardServer, ShardedEngine, Snapshot, Update};
 pub use stats::QueryStats;
 pub use subscribe::{AnswerDelta, SubId, SubscriptionRegistry};

@@ -29,7 +29,9 @@
 //! dispatched over the concrete object and
 //! [`iloc_uncertainty::PdfKind`] types. The batched refine stage's SoA
 //! lane buffers (survivors, probabilities, per-`PdfKind` lanes) live in
-//! the same scratch under the same cleared-never-shrunk discipline.
+//! the same scratch under the same cleared-never-shrunk discipline, and
+//! so do the partial answers and the buffer of the one id sort that
+//! finishes each answer (`ExecutionContext::gather_into`).
 //! `loadgen --check-allocs` (the CI smoke jobs, over a real socket) and
 //! `crates/bench/tests/zero_alloc.rs` (under `cargo test`) hold this at
 //! exactly zero; treat an allocation on this path as a regression.
@@ -74,7 +76,7 @@ use crate::eval::constrained::PruneContext;
 use crate::expand::minkowski_query;
 use crate::integrate::Integrator;
 use crate::query::{Issuer, RangeSpec};
-use crate::result::{Match, QueryAnswer};
+use crate::result::{sort_matches_into, Match, QueryAnswer};
 use crate::stats::QueryStats;
 
 /// Reusable buffers of one query execution: the candidate list the
@@ -92,99 +94,20 @@ pub struct QueryScratch {
     pub(crate) candidates: Vec<u32>,
     /// DFS stack for R-tree / PTI probes.
     pub(crate) traversal: TraversalScratch,
-    /// Ping-pong buffer for the candidate radix sort.
-    pub(crate) radix: Vec<u32>,
-    /// Candidates surviving the prune pass, in slot order — the refine
-    /// stage's batch input.
+    /// Candidates surviving the prune pass, in probe order — the
+    /// refine stage's batch input.
     pub(crate) survivors: Vec<u32>,
     /// One refined probability per survivor.
     pub(crate) probs: Vec<f64>,
     /// SoA lane buffers of the batched refine stage.
     pub(crate) lanes: refine::RefineLanes,
-    /// Per-shard partial answers reused by the sharded fan-out (taken
-    /// out of the scratch for the duration of the fan-out so the
-    /// per-shard executions can borrow the context mutably).
-    pub(crate) shard_partials: Vec<crate::result::QueryAnswer>,
-}
-
-/// Candidate lists shorter than this skip the radix passes of
-/// [`sort_candidates`].
-const INSERTION_SORT_BELOW: usize = 32;
-
-/// Sorts candidate slots with an LSD radix sort through a caller-owned
-/// ping-pong buffer.
-///
-/// Index probes emit candidates in DFS order; refining them that way
-/// means the final by-id match sort dominates the whole query (a
-/// comparison sort of the result set costs more than the refinement
-/// itself at paper scale). Counting passes over the *slots* are far
-/// cheaper — `O(passes · n)` with 256-way buckets, no comparisons —
-/// and the matches then come out already sorted wherever slot order
-/// is id order. The engines keep it so under churn: an arrival takes a
-/// new last slot, a move keeps its slot and a departure vacates its
-/// own without moving another object (`engine::table`), so only an
-/// arrival whose id is below a live one's leaves the match sort
-/// anything to do. Allocation-free once `aux` has grown to workload
-/// size.
-///
-/// A pass zeroes and prefix-sums 256 counters whatever the length, so
-/// a list shorter than [`INSERTION_SORT_BELOW`] is insertion-sorted in
-/// place instead.
-pub(crate) fn sort_candidates(v: &mut Vec<u32>, aux: &mut Vec<u32>) {
-    /// One counting pass on the byte at `shift`.
-    fn radix_pass(src: &[u32], dst: &mut [u32], shift: u32) {
-        let mut pos = [0usize; 256];
-        for &x in src {
-            pos[((x >> shift) & 0xff) as usize] += 1;
-        }
-        let mut acc = 0usize;
-        for p in pos.iter_mut() {
-            let count = *p;
-            *p = acc;
-            acc += count;
-        }
-        for &x in src {
-            let bucket = ((x >> shift) & 0xff) as usize;
-            dst[pos[bucket]] = x;
-            pos[bucket] += 1;
-        }
-    }
-
-    if v.len() < 2 || v.windows(2).all(|w| w[0] <= w[1]) {
-        return;
-    }
-    if v.len() < INSERTION_SORT_BELOW {
-        for i in 1..v.len() {
-            let x = v[i];
-            let mut j = i;
-            while j > 0 && v[j - 1] > x {
-                v[j] = v[j - 1];
-                j -= 1;
-            }
-            v[j] = x;
-        }
-        return;
-    }
-    let max = *v.iter().max().expect("non-empty") as u64;
-    aux.clear();
-    aux.resize(v.len(), 0);
-    let mut data_in_v = true;
-    let mut shift = 0u32;
-    loop {
-        if data_in_v {
-            radix_pass(v, aux, shift);
-        } else {
-            radix_pass(aux, v, shift);
-        }
-        data_in_v = !data_in_v;
-        shift += 8;
-        if (max >> shift) == 0 {
-            break;
-        }
-    }
-    if !data_in_v {
-        std::mem::swap(v, aux);
-    }
+    /// The unordered partial answers [`ExecutionContext::gather_into`]
+    /// sorts into one (taken out of the scratch for the duration of a
+    /// gather so the partial executions can borrow the context
+    /// mutably).
+    partials: Vec<QueryAnswer>,
+    /// The id sort's ping-pong buffer.
+    id_sort: Vec<Match>,
 }
 
 impl QueryScratch {
@@ -237,9 +160,39 @@ impl ExecutionContext {
     }
 
     /// Zeroes the stats (scratch buffers keep their capacity). Called
-    /// at the start of every [`QueryPipeline::execute_into`].
+    /// at the start of every pipeline run.
     fn reset(&mut self) {
         self.stats = QueryStats::new();
+    }
+
+    /// Finishes an answer: `each` runs `parts` executions, the `k`-th
+    /// into partial answer `k` with its matches in any order, and
+    /// `answer` is left with the union of their matches sorted by id
+    /// and their cost counters summed. A single engine gathers one
+    /// part, a sharded snapshot one per shard. Both the partials and
+    /// the sort's buffer live in the scratch, so a warm context
+    /// gathers without allocating.
+    pub(crate) fn gather_into(
+        &mut self,
+        parts: usize,
+        answer: &mut QueryAnswer,
+        mut each: impl FnMut(usize, &mut ExecutionContext, &mut QueryAnswer),
+    ) {
+        let start = Instant::now();
+        let mut partials = std::mem::take(&mut self.scratch.partials);
+        partials.resize_with(parts.max(partials.len()), QueryAnswer::default);
+        answer.stats = QueryStats::new();
+        for (k, partial) in partials[..parts].iter_mut().enumerate() {
+            each(k, self, partial);
+            answer.stats.absorb(&partial.stats);
+        }
+        sort_matches_into(
+            &mut answer.results,
+            partials[..parts].iter().map(|p| p.results.as_slice()),
+            &mut self.scratch.id_sort,
+        );
+        self.scratch.partials = partials;
+        answer.stats.elapsed = start.elapsed();
     }
 }
 
@@ -302,8 +255,7 @@ pub struct QueryPipeline<'p, O> {
     /// The prepared query shared by every stage.
     pub query: PreparedQuery<'p>,
     /// The engine's object table; the probe's slots index into it.
-    /// Candidates are refined in slot order, so the pages are read in
-    /// order too.
+    /// Candidates are refined in the order the probe emits them.
     pub objects: &'p Pages<O>,
     /// Prune stage: the Section 5.2 strategies (Strategy 2, then 1,
     /// then 3; the first that fires eliminates the candidate) over the
@@ -318,21 +270,36 @@ pub struct QueryPipeline<'p, O> {
 
 impl<O: CatalogObject> QueryPipeline<'_, O> {
     /// Runs filter → prune → refine, overwriting `answer` with the
-    /// result and its cost accounting. `probe` is the filter stage: it
-    /// pushes candidate slots into the vector it is handed (cleared),
-    /// recording its logical I/O in the stats and walking trees on the
-    /// traversal stack.
+    /// result, sorted by id, and its cost accounting. `probe` is the
+    /// filter stage: it pushes candidate slots into the vector it is
+    /// handed (cleared), recording its logical I/O in the stats and
+    /// walking trees on the traversal stack.
     ///
     /// The context's stats are zeroed first, so executing through a
     /// reused context gives the same answer as through a fresh one. A
     /// *steady-state* execution — warm context scratch, an `answer`
     /// whose buffers have already grown to workload size — performs
-    /// **zero heap allocations**: candidates
-    /// land in the context's [`QueryScratch`], the index probe runs on
-    /// the scratch traversal stack, and matches stage directly into
+    /// **zero heap allocations**: candidates land in the context's
+    /// [`QueryScratch`], the index probe runs on the scratch traversal
+    /// stack, and the matches stage in the scratch and are sorted into
     /// the reused `answer.results`. `loadgen --check-allocs` and
     /// `crates/bench/tests/zero_alloc.rs` pin this invariant.
     pub fn execute_into(
+        &self,
+        ctx: &mut ExecutionContext,
+        answer: &mut QueryAnswer,
+        mut probe: impl FnMut(&mut AccessStats, &mut TraversalScratch, &mut Vec<u32>),
+    ) {
+        ctx.gather_into(1, answer, |_, ctx, part| {
+            self.run_into(ctx, part, &mut probe)
+        });
+    }
+
+    /// [`QueryPipeline::execute_into`] without the sort: the matches
+    /// come out in the order the probe emitted their candidates.
+    /// Whoever finishes the answer sorts it once
+    /// ([`ExecutionContext::gather_into`]).
+    pub(crate) fn run_into(
         &self,
         ctx: &mut ExecutionContext,
         answer: &mut QueryAnswer,
@@ -351,11 +318,6 @@ impl<O: CatalogObject> QueryPipeline<'_, O> {
             &mut ctx.scratch.traversal,
             &mut candidates,
         );
-        // Refine in slot order: sequential object-table access, and the
-        // matches come out pre-sorted (live slots stay in id order
-        // under any churn whose new ids increase), collapsing the
-        // final sort to a linear check.
-        sort_candidates(&mut candidates, &mut ctx.scratch.radix);
         let filter_done = Instant::now();
         // Prune pass: collect the whole surviving batch first so the
         // refine stage sees it at once (SoA lanes, hoisted per-query
@@ -408,7 +370,6 @@ impl<O: CatalogObject> QueryPipeline<'_, O> {
         ctx.scratch.survivors = kept;
         ctx.scratch.probs = probs;
         answer.stats = std::mem::take(&mut ctx.stats);
-        crate::result::sort_matches(&mut answer.results);
         answer.stats.elapsed = start.elapsed();
     }
 }
@@ -503,25 +464,5 @@ mod tests {
         assert!(!first.results.is_empty());
         assert!(first.same_matches(&second));
         assert!(first.same_matches(&fresh));
-    }
-
-    #[test]
-    fn candidate_sort_matches_sort_unstable_at_every_small_length() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(40);
-        let mut aux = Vec::new();
-        for len in 0..=40 {
-            // Small slots, slots past one radix byte, and duplicates.
-            for max in [8u32, 1 << 12, 1 << 20, u32::MAX] {
-                for _ in 0..8 {
-                    let mut v: Vec<u32> = (0..len).map(|_| rng.gen_range(0..=max)).collect();
-                    let mut want = v.clone();
-                    want.sort_unstable();
-                    sort_candidates(&mut v, &mut aux);
-                    assert_eq!(v, want, "len {len}, max {max}");
-                }
-            }
-        }
     }
 }

@@ -49,21 +49,87 @@ impl QueryAnswer {
     }
 }
 
-/// Sorts matches by id on the hot path. Unstable sort on purpose: ids
-/// are unique (one match per object), so the order is fully determined
-/// — and the standard library's *stable* sort would heap-allocate its
-/// merge buffer on the otherwise allocation-free steady-state path.
-/// The pre-check skips the sort entirely for the common case of an
-/// index filter that emitted candidates in id order.
+/// Answers shorter than this skip the radix passes: each zeroes and
+/// prefix-sums 256 counters whatever the length.
+const INSERTION_SORT_BELOW: usize = 32;
+
+/// Sorts the union of `runs` by id into `out`, whose contents it
+/// replaces: the one place an answer is put in id order.
 ///
-/// This orders **one** evaluation's matches (a pipeline run, a merged
-/// delta). Answers of several partitions are never re-sorted: each is
-/// already in id order, and [`merge_partials_into`] merges them.
-pub fn sort_matches(v: &mut [Match]) {
-    if v.windows(2).all(|w| w[0].id <= w[1].id) {
+/// The runs may come in any order, each in any order of its own — a
+/// pipeline run's matches in the order its probe found the candidates,
+/// the runs of every shard of a fan-out. Ids are unique (one match per
+/// object), so the order is fully determined: the result is bit for
+/// bit what sorting the concatenation by id gives.
+///
+/// An LSD radix sort on the id's bytes. A first scan finds the bytes
+/// in which the ids differ (the ids of one catalog share their high
+/// bytes); each of those then costs one `radix_pass`, the first
+/// reading the runs where they lie. The passes alternate between
+/// `out` and `aux`, starting on the side that makes the last one land
+/// in `out`. Fewer than 32 matches are copied to `out` and sorted
+/// there by the standard library's unstable sort, which sorts a slice
+/// that short in place. Capacity is kept, so the sort is
+/// allocation-free once `out` and `aux` have grown to workload size.
+pub fn sort_matches_into<'a, I>(out: &mut Vec<Match>, runs: I, aux: &mut Vec<Match>)
+where
+    I: IntoIterator<Item = &'a [Match]>,
+    I::IntoIter: Clone,
+{
+    let runs = runs.into_iter();
+    let (mut n, mut any, mut all) = (0, 0u64, !0u64);
+    for run in runs.clone() {
+        n += run.len();
+        for m in run {
+            (any, all) = (any | m.id.0, all & m.id.0);
+        }
+    }
+    let varying = any ^ all;
+    let mut shifts = (0..64).step_by(8).filter(|s| (varying >> s) & 0xff != 0);
+    let passes = shifts.clone().count();
+    if n < INSERTION_SORT_BELOW || passes == 0 {
+        out.clear();
+        runs.for_each(|run| out.extend_from_slice(run));
+        out.sort_unstable_by_key(|m| m.id);
         return;
     }
-    v.sort_unstable_by_key(|m| m.id);
+    // Every pass writes all `n` slots of its side, so only growth is
+    // filled.
+    out.resize(n, FILLER);
+    aux.resize(n, FILLER);
+    let (mut dst, mut src) = (&mut out[..], &mut aux[..]);
+    if passes.is_multiple_of(2) {
+        std::mem::swap(&mut dst, &mut src);
+    }
+    radix_pass(runs, dst, shifts.next().expect("a varying byte"));
+    for shift in shifts {
+        std::mem::swap(&mut dst, &mut src);
+        radix_pass([&*src].into_iter(), dst, shift);
+    }
+}
+
+/// One counting-sort pass of [`sort_matches_into`]: the matches of
+/// `runs` into `dst` (of their total length) by the id byte at
+/// `shift`, ties kept in input order.
+fn radix_pass<'a>(runs: impl Iterator<Item = &'a [Match]> + Clone, dst: &mut [Match], shift: u32) {
+    let digit = |m: &Match| ((m.id.0 >> shift) & 0xff) as usize;
+    let mut at = [0usize; 256];
+    for run in runs.clone() {
+        for m in run {
+            at[digit(m)] += 1;
+        }
+    }
+    let mut sum = 0;
+    for slot in &mut at {
+        (*slot, sum) = (sum, sum + *slot);
+    }
+    for run in runs {
+        for m in run {
+            let to = &mut at[digit(m)];
+            dst[*to] = *m;
+            *to += 1;
+        }
+    }
 }
 
 /// Independent compare→advance chains a two-run merge is split into.
@@ -79,8 +145,8 @@ const SINGLE_CHAIN_BELOW: usize = 8 * MERGE_LANES;
 /// Runs a fan-in holds without touching the heap.
 const INLINE_RUNS: usize = 16;
 
-/// What newly grown merge scratch is filled with (always overwritten
-/// before it is read).
+/// What newly grown sort and merge scratch is filled with (always
+/// overwritten before it is read).
 const FILLER: Match = Match {
     id: ObjectId(0),
     probability: 0.0,
@@ -231,28 +297,26 @@ fn total_len(runs: &[&[Match]]) -> usize {
 
 /// Fans partial answers from disjoint id partitions into `out`: a
 /// k-way merge of the partials, each of which must already be in id
-/// order (a pipeline answer, a node's answer frame). The result is
-/// what concatenating and sorting by id would give, bit for bit, and
-/// `out.stats` is reset.
+/// order (a node's answer frame). The result is what concatenating
+/// and sorting by id would give, bit for bit, and `out.stats` is
+/// reset.
 ///
-/// This is the **fan-in discipline** of every layer that scatters a
-/// query across disjoint id partitions — in-process shards
-/// ([`serve::ShardedEngine`](crate::serve::ShardedEngine)), a
-/// subscription's cached per-shard candidates, remote cluster nodes
-/// behind a router — so a merged answer is bit-identical to a
-/// single-partition evaluation. Nothing is compared twice: the runs
-/// merge pairwise, level by level (`merge_two`), the first level
-/// reading the partials where they lie and the last writing
-/// `out.results`; the levels in between alternate between the vector's
-/// first `n` slots and `n` slots of scratch behind them, cut off
-/// again before returning.
+/// This is the cluster router's fan-in: every node answers in id
+/// order, so its answer frames are merged, never sorted again. (An
+/// in-process [`serve::ShardedEngine`](crate::serve::ShardedEngine)
+/// sorts the union of its shards' unordered matches once instead,
+/// with [`sort_matches_into`]; both give the same list.) Nothing is
+/// compared twice: the runs merge pairwise, level by level
+/// (`merge_two`), the first level reading the partials where they lie
+/// and the last writing `out.results`; the levels in between alternate
+/// between the vector's first `n` slots and `n` slots of scratch
+/// behind them, cut off again before returning.
 ///
 /// Capacity is retained, so a warm `out` makes the merge
 /// allocation-free once it has grown to workload size (twice the
-/// answer, for three runs or more) — the property both the sharded
-/// engine and the cluster router's scatter-gather hot path are gated
-/// on. A fan-in of more than `INLINE_RUNS` runs keeps its run table
-/// on the heap.
+/// answer, for three runs or more) — the property the router's
+/// scatter-gather hot path is gated on. A fan-in of more than
+/// `INLINE_RUNS` runs keeps its run table on the heap.
 pub fn merge_partials_into<'a, I>(out: &mut QueryAnswer, partials: I)
 where
     I: IntoIterator<Item = &'a [Match]>,
@@ -304,16 +368,18 @@ mod tests {
 
     #[test]
     fn probability_lookup() {
+        let found = [
+            Match {
+                id: ObjectId(5),
+                probability: 0.5,
+            },
+            Match {
+                id: ObjectId(2),
+                probability: 0.25,
+            },
+        ];
         let mut a = QueryAnswer::default();
-        a.results.push(Match {
-            id: ObjectId(5),
-            probability: 0.5,
-        });
-        a.results.push(Match {
-            id: ObjectId(2),
-            probability: 0.25,
-        });
-        sort_matches(&mut a.results);
+        sort_matches_into(&mut a.results, [found.as_slice()], &mut Vec::new());
         assert_eq!(a.results[0].id, ObjectId(2));
         assert_eq!(a.probability_of(ObjectId(5)), Some(0.5));
         assert_eq!(a.probability_of(ObjectId(9)), None);
@@ -321,8 +387,8 @@ mod tests {
 
     #[test]
     fn scratch_sort_matches_standard_sort() {
-        // Deterministic pseudo-random id streams with runs, duplicates
-        // of nothing (unique ids), sorted, reversed, tiny, and empty.
+        // Deterministic pseudo-random id streams with runs, duplicate
+        // ids, sorted, reversed, tiny, and empty.
         let cases: Vec<Vec<u64>> = vec![
             vec![],
             vec![7],
@@ -332,7 +398,7 @@ mod tests {
             (0..500).map(|k: u64| (k * 7919) % 1231).collect(),
         ];
         for ids in cases {
-            let mut v: Vec<Match> = ids
+            let v: Vec<Match> = ids
                 .iter()
                 .map(|&id| Match {
                     id: ObjectId(id),
@@ -341,11 +407,66 @@ mod tests {
                 .collect();
             let mut expect = v.clone();
             expect.sort_by_key(|m| m.id);
-            sort_matches(&mut v);
-            assert_eq!(
-                v.iter().map(|m| m.id).collect::<Vec<_>>(),
-                expect.iter().map(|m| m.id).collect::<Vec<_>>()
-            );
+            let mut got = Vec::new();
+            sort_matches_into(&mut got, [v.as_slice()], &mut Vec::new());
+            assert_eq!(got, expect);
+        }
+    }
+
+    #[test]
+    fn id_sort_equals_sort_unstable_by_key() {
+        // Every length to 80 and a few thousand, dealt out into one to
+        // five unordered runs, over id spaces that leave different
+        // bytes to sort: one byte, past 2^16, past 2^32, near
+        // u64::MAX, a shared middle, shared high bytes, all of them.
+        // `out` and `aux` carry stale matches from case to case.
+        let spaces: [fn(u64) -> u64; 7] = [
+            |x| x & 0xff,
+            |x| (1 << 16) + x % (1 << 20),
+            |x| (1 << 32) + x % (1 << 36),
+            |x| u64::MAX - x % (1 << 24),
+            |x| x & 0xff00_0000_0000_00ff,
+            |x| 0xabcd_ef00_0000_0000 | (x & 0xffff),
+            |x| x,
+        ];
+        let mut state = 0x45_u64;
+        let (mut out, mut aux) = (Vec::new(), Vec::new());
+        for space in spaces {
+            for len in (0..=80).chain([1_000, 2_345, 5_760]) {
+                let mut ids: Vec<u64> = (0..len).map(|_| space(xorshift(&mut state))).collect();
+                ids.sort_unstable();
+                ids.dedup();
+                for k in (1..ids.len()).rev() {
+                    ids.swap(k, (xorshift(&mut state) % (k as u64 + 1)) as usize);
+                }
+                let matches: Vec<Match> = ids
+                    .iter()
+                    .map(|&id| Match {
+                        id: ObjectId(id),
+                        probability: f64::from_bits(xorshift(&mut state)),
+                    })
+                    .collect();
+                let mut cuts: Vec<usize> = (0..xorshift(&mut state) % 5)
+                    .map(|_| (xorshift(&mut state) % (matches.len() as u64 + 1)) as usize)
+                    .collect();
+                cuts.push(matches.len());
+                cuts.sort_unstable();
+                let mut runs = Vec::new();
+                let mut from = 0;
+                for cut in cuts {
+                    runs.push(&matches[from..cut]);
+                    from = cut;
+                }
+
+                let mut want = matches.clone();
+                want.sort_unstable_by_key(|m| m.id);
+                sort_matches_into(&mut out, runs.iter().copied(), &mut aux);
+                assert_eq!(out.len(), want.len(), "{} ids", ids.len());
+                for (got, want) in out.iter().zip(&want) {
+                    assert_eq!(got.id, want.id, "{} ids", ids.len());
+                    assert_eq!(got.probability.to_bits(), want.probability.to_bits());
+                }
+            }
         }
     }
 

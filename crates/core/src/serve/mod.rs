@@ -8,10 +8,10 @@
 //! `n` shards, each shard a complete single-node engine
 //! ([`PointEngine`] or [`UncertainEngine`]) answering the full
 //! filter → prune → refine pipeline over its partition, and a query
-//! fans out to every shard and **fan-in merges the per-shard answers
-//! in id order**, so a sharded answer is indistinguishable from a
-//! single-engine answer over the union (property-tested across shard
-//! counts).
+//! fans out to every shard and the **fan-in sorts the union of the
+//! per-shard matches by id once**, so a sharded answer is
+//! indistinguishable from a single-engine answer over the union
+//! (property-tested across shard counts).
 //!
 //! ## The snapshot-consistency invariant
 //!
@@ -95,8 +95,9 @@ use iloc_index::{AccessStats, Pages, TraversalScratch};
 use iloc_uncertainty::{ObjectId, PointObject, UncertainObject};
 
 use crate::engine::{PointEngine, UncertainEngine};
-use crate::pipeline::{BatchEngine, CatalogObject, QueryRequest};
+use crate::pipeline::{BatchEngine, CatalogObject, EvaluatorKind, ExecutionContext, QueryRequest};
 use crate::query::{CipqStrategy, CiuqStrategy};
+use crate::result::QueryAnswer;
 
 /// One catalog mutation, routed to the shard owning its object id.
 #[derive(Debug, Clone)]
@@ -184,6 +185,17 @@ pub trait ServeEngine:
         scratch: &mut TraversalScratch,
         out: &mut Vec<u32>,
     );
+
+    /// Answers one request like [`BatchEngine::execute_one_into`] but
+    /// leaves the matches in the order the index probe found them: the
+    /// shard's part of a fan-out, which sorts the union of every
+    /// shard's matches once.
+    fn execute_unordered_into(
+        &self,
+        request: &Self::Request,
+        ctx: &mut ExecutionContext,
+        answer: &mut QueryAnswer,
+    );
 }
 
 impl ServeEngine for PointEngine {
@@ -232,6 +244,15 @@ impl ServeEngine for PointEngine {
     ) {
         PointEngine::probe_into(self, filter, stats, scratch, out);
     }
+
+    fn execute_unordered_into(
+        &self,
+        request: &Self::Request,
+        ctx: &mut ExecutionContext,
+        answer: &mut QueryAnswer,
+    ) {
+        self.execute_by(request, EvaluatorKind::Duality, ctx, answer);
+    }
 }
 
 impl ServeEngine for UncertainEngine {
@@ -279,6 +300,32 @@ impl ServeEngine for UncertainEngine {
         out: &mut Vec<u32>,
     ) {
         UncertainEngine::probe_into(self, filter, stats, scratch, out);
+    }
+
+    fn execute_unordered_into(
+        &self,
+        request: &Self::Request,
+        ctx: &mut ExecutionContext,
+        answer: &mut QueryAnswer,
+    ) {
+        self.execute_by(request, EvaluatorKind::Duality, ctx, answer);
+    }
+}
+
+/// A shard engine answers a request on its own by sorting its one
+/// unordered run.
+impl<E: ServeEngine> BatchEngine for E {
+    type Request = QueryRequest<E::Strategy>;
+
+    fn execute_one_into(
+        &self,
+        request: &Self::Request,
+        ctx: &mut ExecutionContext,
+        answer: &mut QueryAnswer,
+    ) {
+        ctx.gather_into(1, answer, |_, ctx, part| {
+            self.execute_unordered_into(request, ctx, part)
+        });
     }
 }
 

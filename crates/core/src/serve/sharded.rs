@@ -6,15 +6,13 @@ use std::collections::VecDeque;
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Instant;
 
 use iloc_geometry::Rect;
 use iloc_uncertainty::ObjectId;
 
 use crate::integrate::Integrator;
 use crate::pipeline::{BatchEngine, CatalogObject, ExecutionContext};
-use crate::result::{merge_partials_into, QueryAnswer};
-use crate::stats::QueryStats;
+use crate::result::QueryAnswer;
 
 use super::{shard_of, ServeEngine, Update};
 
@@ -69,73 +67,46 @@ impl<E: ServeEngine> Snapshot<E> {
     }
 
     /// Answers one request with a fresh context: fan-out to every
-    /// shard, fan-in merged in id order.
+    /// shard, fan-in sorted by id.
     pub fn execute_one(&self, request: &E::Request) -> QueryAnswer {
         BatchEngine::execute_one(self, request)
-    }
-
-    /// The one fan-out/fan-in: `each` answers shard `k` through `ctx`
-    /// into its own warm buffer of `partials` — the shard's disjoint
-    /// id set, in id order — and the runs are merged into `answer` in
-    /// global id order with [`merge_partials_into`] (the same fan-in
-    /// the cluster router applies to per-node answers, so remote
-    /// scatter-gather stays bit-identical to this in-process path),
-    /// the cost counters summed. A request runs each shard's own plan;
-    /// a standing query refines each shard's cached candidates.
-    /// `partials` is the caller's reusable per-shard answer buffers
-    /// (resized to the shard count here).
-    pub(crate) fn fan_out_into(
-        &self,
-        ctx: &mut ExecutionContext,
-        partials: &mut Vec<QueryAnswer>,
-        answer: &mut QueryAnswer,
-        mut each: impl FnMut(usize, &E, &mut ExecutionContext, &mut QueryAnswer),
-    ) {
-        let start = Instant::now();
-        partials.resize_with(self.shards.len(), QueryAnswer::default);
-        let mut stats = QueryStats::new();
-        for (k, (shard, partial)) in self.shards.iter().zip(partials.iter_mut()).enumerate() {
-            each(k, shard, ctx, partial);
-            stats.absorb(&partial.stats);
-        }
-        merge_partials_into(answer, partials.iter().map(|p| p.results.as_slice()));
-        answer.stats = stats;
-        answer.stats.elapsed = start.elapsed();
     }
 }
 
 impl<E: ServeEngine> BatchEngine for Snapshot<E> {
     type Request = E::Request;
 
+    /// The one fan-out/fan-in: every shard answers through `ctx` into
+    /// its own partial answer in the context's scratch — the shard's
+    /// disjoint id set, in probe order — and the union of the partials
+    /// is sorted into `answer` by id with one radix sort
+    /// ([`crate::sort_matches_into`]), the cost counters summed. The
+    /// cluster router merges its nodes' id-sorted answers instead
+    /// ([`crate::merge_partials_into`]); both give the list a single
+    /// engine over the whole catalog gives.
     fn execute_one_into(
         &self,
         request: &E::Request,
         ctx: &mut ExecutionContext,
         answer: &mut QueryAnswer,
     ) {
-        // The per-shard partials live in the context's scratch so a
-        // reused context reuses them; they are taken out for the
-        // duration of the fan-out because the per-shard executions
-        // need the context mutably.
-        let mut partials = std::mem::take(&mut ctx.scratch.shard_partials);
-        self.fan_out_into(ctx, &mut partials, answer, |_, shard, ctx, partial| {
-            shard.execute_one_into(request, ctx, partial)
+        ctx.gather_into(self.shards.len(), answer, |k, ctx, partial| {
+            self.shards[k].execute_unordered_into(request, ctx, partial)
         });
-        ctx.scratch.shard_partials = partials;
     }
 }
 
 /// A per-worker serving loop bound to one snapshot: owns a long-lived
-/// context and per-shard answer buffers, so a steady-state query
-/// through a warm server performs **no heap allocation** (the same
-/// invariant the single-engine hot path has; every server event loop
-/// answers queries through one of these, which is where
-/// `loadgen --check-allocs` and `tests/zero_alloc.rs` measure it).
+/// context, whose scratch holds the per-shard answer buffers, so a
+/// steady-state query through a warm server performs **no heap
+/// allocation** (the same invariant the single-engine hot path has;
+/// every server event loop answers queries through one of these,
+/// which is where `loadgen --check-allocs` and `tests/zero_alloc.rs`
+/// measure it).
 #[derive(Debug)]
 pub struct ShardServer<E: ServeEngine> {
     snapshot: Snapshot<E>,
     ctx: ExecutionContext,
-    partials: Vec<QueryAnswer>,
 }
 
 impl<E: ServeEngine> ShardServer<E> {
@@ -144,7 +115,6 @@ impl<E: ServeEngine> ShardServer<E> {
         ShardServer {
             snapshot,
             ctx: ExecutionContext::new(Integrator::Auto),
-            partials: Vec::new(),
         }
     }
 
@@ -161,12 +131,8 @@ impl<E: ServeEngine> ShardServer<E> {
     /// Answers one request into `answer` (cleared first);
     /// allocation-free once buffers have grown to workload size.
     pub fn execute_into(&mut self, request: &E::Request, answer: &mut QueryAnswer) {
-        self.snapshot.fan_out_into(
-            &mut self.ctx,
-            &mut self.partials,
-            answer,
-            |_, shard, ctx, partial| shard.execute_one_into(request, ctx, partial),
-        );
+        self.snapshot
+            .execute_one_into(request, &mut self.ctx, answer);
     }
 }
 

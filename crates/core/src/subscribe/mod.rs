@@ -14,8 +14,8 @@
 //!
 //! 1. **Safe envelope as the per-subscription cache.** Each
 //!    subscription probes the index once with its expanded query grown
-//!    by a `slack` margin and keeps the candidate list (per shard,
-//!    slot-sorted). Every tick whose expanded query still fits inside
+//!    by a `slack` margin and keeps the candidate list (per shard, in
+//!    probe order). Every tick whose expanded query still fits inside
 //!    the envelope refines from that list — by Lemma 1 no object
 //!    outside the envelope can qualify while the query stays inside
 //!    it — performing **zero index probes and zero heap allocations**
@@ -101,11 +101,13 @@ fn filter_rect<S>(request: &QueryRequest<S>) -> Rect {
 }
 
 /// Answers a (normalized) standing request over one shard from its
-/// cached candidates, exactly as the shard's own plan would from an
-/// index probe — same candidate set, same order, bit-identical
-/// probabilities: the cache re-checked against the Minkowski filter,
-/// no pruning, duality refinement, the request's accept policy. No
-/// allocation per tick.
+/// cached candidates, as the shard's own plan would from an index
+/// probe — the same candidate set and bit-identical probabilities,
+/// each a function of the query and the object alone: the cache
+/// re-checked against the Minkowski filter, no pruning, duality
+/// refinement, the request's accept policy. The matches come out in
+/// the cache's order, like the plan's in its probe's; the fan-out
+/// sorts the union once. No allocation per tick.
 fn evaluate_cached_into<E: ServeEngine>(
     shard: &E,
     request: &E::Request,
@@ -123,7 +125,7 @@ fn evaluate_cached_into<E: ServeEngine>(
         refine: EvaluatorKind::Duality,
         accept: request.accept(),
     }
-    .execute_into(ctx, answer, |stats, _, out| {
+    .run_into(ctx, answer, |stats, _, out| {
         for &slot in cached {
             if objects[slot as usize].within(query.expanded) {
                 out.push(slot);

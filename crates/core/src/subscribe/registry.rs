@@ -30,7 +30,7 @@ pub struct Subscription<E: ServeEngine> {
     slack: f64,
     snapshot: Snapshot<E>,
     envelope: Rect,
-    /// Slot-sorted envelope candidates, one list per shard of the
+    /// Envelope candidates in probe order, one list per shard of the
     /// snapshot they were probed from (inner buffers reused across
     /// re-probes).
     cached: Vec<Vec<u32>>,
@@ -99,10 +99,6 @@ impl<E: ServeEngine> Subscription<E> {
                 &mut buffers.ctx.scratch.traversal,
                 cached,
             );
-            // Sorted once per probe: every evaluation's filtered
-            // subset then stays slot-sorted, collapsing the pipeline's
-            // candidate sort to its linear pre-check.
-            cached.sort_unstable();
         }
         // The probe's hits are the envelope's candidates, not the
         // query's; the evaluation's filter stage counts those.
@@ -116,14 +112,12 @@ impl<E: ServeEngine> Subscription<E> {
     /// the I/O of the probe it follows, if any, added to its stats.
     fn evaluate(&mut self, buffers: &mut Buffers) {
         debug_assert!(!self.stale, "evaluating from candidates of another epoch");
-        self.snapshot.fan_out_into(
-            &mut buffers.ctx,
-            &mut buffers.partials,
-            &mut buffers.fresh,
-            |k, shard, ctx, partial| {
-                evaluate_cached_into(shard, &self.request, &self.cached[k], ctx, partial)
-            },
-        );
+        let shards = self.snapshot.shards();
+        buffers
+            .ctx
+            .gather_into(shards.len(), &mut buffers.fresh, |k, ctx, partial| {
+                evaluate_cached_into(&*shards[k], &self.request, &self.cached[k], ctx, partial)
+            });
         buffers
             .fresh
             .stats
@@ -239,7 +233,6 @@ pub struct PumpReport {
 /// subscriptions so that one of those can be borrowed beside it.
 struct Buffers {
     ctx: ExecutionContext,
-    partials: Vec<QueryAnswer>,
     fresh: QueryAnswer,
     delta: AnswerDelta,
     /// The touched ids one patch evaluates.
@@ -314,7 +307,6 @@ impl<E: ServeEngine> SubscriptionRegistry<E> {
             live: 0,
             buffers: Buffers {
                 ctx: ExecutionContext::new(Integrator::Auto),
-                partials: Vec::new(),
                 fresh: QueryAnswer::default(),
                 delta: AnswerDelta::new(),
                 ids: Vec::new(),

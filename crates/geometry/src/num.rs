@@ -1,22 +1,7 @@
-//! Floating-point helpers shared across the workspace.
+//! Floating-point helpers.
 //!
-//! Query evaluation composes many exact-arithmetic-in-principle steps
-//! (interval clipping, area ratios, piecewise integrals) whose results
-//! are compared against probability thresholds. A single, documented
-//! tolerance keeps those comparisons consistent everywhere.
-
-/// Default absolute tolerance for probability / area comparisons.
-///
-/// Probabilities live in `[0, 1]` and areas in this workspace are ratios
-/// of coordinates bounded by the 10 000 × 10 000 data space, so an
-/// absolute epsilon is appropriate.
-pub const EPS: f64 = 1e-9;
-
-/// Returns `true` when `a` and `b` differ by at most `tol`.
-#[inline]
-pub fn approx_eq_tol(a: f64, b: f64, tol: f64) -> bool {
-    (a - b).abs() <= tol
-}
+//! Only [`clamp`] is left: interval clipping uses it so that clipping
+//! an empty interval stays empty instead of panicking.
 
 /// Clamps `v` into `[lo, hi]`.
 ///
@@ -34,13 +19,6 @@ pub fn clamp(v: f64, lo: f64, hi: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn approx_eq_tol_symmetric() {
-        assert!(approx_eq_tol(2.0, 2.5, 0.5));
-        assert!(approx_eq_tol(2.5, 2.0, 0.5));
-        assert!(!approx_eq_tol(2.0, 2.6, 0.5));
-    }
 
     #[test]
     fn clamp_basic() {

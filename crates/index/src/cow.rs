@@ -16,8 +16,7 @@
 //!
 //! Reading costs one pointer more than a slice: the spine entry, then
 //! the page. The spine is an eight-byte pointer per [`PAGE_LEN`]
-//! elements and stays cached; slot-sorted access (what the query
-//! pipeline does) walks the pages in order. (Caching the current page
+//! elements and stays cached. (Caching the current page
 //! across a sorted index list was tried and lost to this plain lookup
 //! in the loops that matter: the spine read is an L1 hit, the cache a
 //! compare and a branch more per element.)

@@ -18,14 +18,15 @@
 //!   (or before any other frame is served) every node gets the whole
 //!   batch in one write; then, query by query in request order, every
 //!   node's answer is read and fanned in with
-//!   [`iloc_core::merge_partials_into`] — the same k-way merge of
-//!   id-sorted runs the sharded engine's own fan-in uses; each node's
-//!   answer frame is one run, decoded in place into that node's
-//!   buffer. Disjoint id partitions, each in id order, make the merged
-//!   answer bit-identical, and a node wakes once per batch instead of
-//!   once per query. The steady-state path is **allocation-free once
-//!   warm**: the batch, the per-node partial answers, and the merged
-//!   answer all live in reusable loop-owned buffers.
+//!   [`iloc_core::merge_partials_into`], a k-way merge of id-sorted
+//!   runs; each node's answer frame is one run, decoded in place into
+//!   that node's buffer. Disjoint id partitions, each in id order, make
+//!   the merged answer bit-identical to the sharded engine's, which
+//!   sorts the union of its shards' matches once, and a node wakes
+//!   once per batch instead of once per query. The steady-state path
+//!   is **allocation-free once warm**: the batch, the per-node partial
+//!   answers, and the merged answer all live in reusable loop-owned
+//!   buffers.
 //! * **Updates** split by `shard_of(id, nodes)` so node order *is*
 //!   shard order; **commits** fan out to every node, and the router
 //!   publishes its own **cluster epoch** only after every node

@@ -1015,26 +1015,34 @@ pub fn decode_hello_ack(payload: &[u8]) -> Result<HelloAck, WireError> {
 // Responses
 // ---------------------------------------------------------------------------
 
-/// Appends a match list — a count, then each match's id and
-/// probability bit pattern — as ANSWER, SUB_ACK and NOTIFY carry it.
+/// Bytes of one match on the wire: the id, then the probability's bit
+/// pattern, both little-endian.
+const MATCH_BYTES: usize = 16;
+
+/// Appends a match list — a count, then one [`MATCH_BYTES`] record per
+/// match — as ANSWER, SUB_ACK and NOTIFY carry it.
 fn put_matches(buf: &mut Vec<u8>, matches: &[Match]) {
     put_u32(buf, matches.len() as u32);
-    for m in matches {
-        put_u64(buf, m.id.0);
-        put_u64(buf, m.probability.to_bits());
+    let at = buf.len();
+    buf.resize(at + matches.len() * MATCH_BYTES, 0);
+    for (record, m) in buf[at..].chunks_exact_mut(MATCH_BYTES).zip(matches) {
+        record[..8].copy_from_slice(&m.id.0.to_le_bytes());
+        record[8..].copy_from_slice(&m.probability.to_bits().to_le_bytes());
     }
 }
 
 /// Reads a match list into `out`, cleared first (its capacity is
-/// kept, so a warm buffer reads without allocating).
+/// kept, so a warm buffer reads without allocating). A count the
+/// payload does not carry fails before `out` grows.
 fn read_matches_into(r: &mut Reader<'_>, out: &mut Vec<Match>) -> Result<(), WireError> {
     out.clear();
-    let count = r.u32()?;
-    for _ in 0..count {
-        let id = ObjectId(r.u64()?);
-        let probability = f64::from_bits(r.u64()?);
-        out.push(Match { id, probability });
-    }
+    let count = r.u32()? as usize;
+    let records = r.bytes(count.saturating_mul(MATCH_BYTES))?;
+    let word = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().expect("8-byte word"));
+    out.extend(records.chunks_exact(MATCH_BYTES).map(|record| Match {
+        id: ObjectId(word(&record[..8])),
+        probability: f64::from_bits(word(&record[8..])),
+    }));
     Ok(())
 }
 
@@ -1396,6 +1404,19 @@ mod tests {
         }); // dirty slot
         decode_answer_into(payload, &mut back).unwrap();
         assert!(back.same_matches(&answer));
+
+        // A count past the records carried fails before the list grows.
+        let mut claims_more = payload.to_vec();
+        claims_more[..4].copy_from_slice(&4u32.to_le_bytes());
+        let mut cold = QueryAnswer::default();
+        assert_eq!(
+            decode_answer_into(&claims_more, &mut cold),
+            Err(WireError::Malformed("payload truncated"))
+        );
+        assert_eq!(cold.results.capacity(), 0);
+        claims_more[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_answer_into(&claims_more, &mut cold).is_err());
+        assert_eq!(cold.results.capacity(), 0);
     }
 
     #[test]

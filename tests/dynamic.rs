@@ -16,10 +16,11 @@
 //!   1/2/8, committed in batches, vs a rebuilt single engine; and, over
 //!   200 commits, snapshots held across later epochs (which share
 //!   their pages and tree nodes copy-on-write) against what they
-//!   answered when taken; under balanced churn every shard's live
-//!   slots stay in id order, so no shard's matches need a sort; and a
-//!   shard rebuilt once its vacated slots outnumber its live objects
-//!   keeps their order, its answers and its old snapshots;
+//!   answered when taken; arrivals below live ids and past 2^32
+//!   answered as one engine does; under balanced churn every shard's
+//!   live slots stay in id order (a departure moves no other object);
+//!   and a shard rebuilt once its vacated slots outnumber its live
+//!   objects keeps their order, its answers and its old snapshots;
 //! * durability level — a `DurableCatalog` whose process is "killed"
 //!   at arbitrary WAL byte offsets (emulated by truncating the live
 //!   segment) recovers to a bit-identical prefix of the committed
@@ -40,7 +41,7 @@ use iloc::core::pipeline::{
     AcceptPolicy, CatalogObject, EvaluatorKind, ExecutionContext, PreparedQuery, QueryPipeline,
 };
 use iloc::core::pipeline::{PointRequest, UncertainRequest};
-use iloc::core::serve::{ServeEngine, ShardedEngine, Snapshot, Update};
+use iloc::core::serve::{ServeEngine, ShardServer, ShardedEngine, Snapshot, Update};
 use iloc::datagen::{PointUpdate, PointUpdateGen, RectUpdate, RectUpdateGen, UpdateMix};
 use iloc::index::{
     AccessStats, NaiveIndex, Pages, Pti, PtiParams, RTree, RTreeParams, RangeIndex,
@@ -682,6 +683,87 @@ fn sampled_answers_are_identical_across_shard_counts_and_departures() {
 
 // --- Slot order and compaction ------------------------------------------
 
+/// Arrivals whose ids sort below every live one (so a shard's slots
+/// leave id order) or lie past 2^32 and 2^56 (so the id sort has high
+/// bytes to sort): after every commit, 1, 2 and 8 shards — through
+/// `execute_one` and through a warm `ShardServer` — and a dynamic
+/// single engine answer IPQs and C-IPQs bit-identically to one engine
+/// built afresh over the live set.
+#[test]
+fn arrivals_below_live_ids_and_past_2_32_answer_as_one_engine() {
+    let mut rng = StdRng::seed_from_u64(0x1D50);
+    let mut place = |id: u64| {
+        let loc = Point::new(rng.gen_range(0.0..2_000.0), rng.gen_range(0.0..2_000.0));
+        PointObject::new(id, loc)
+    };
+    let mut live: Vec<PointObject> = (10_000..11_500).map(&mut place).collect();
+    let mut single = PointEngine::from_objects(live.clone());
+    let sharded = [1usize, 2, 8].map(|n| ShardedEngine::<PointEngine>::build(live.clone(), n));
+    let mut servers = sharded.each_ref().map(|s| ShardServer::new(s.snapshot()));
+    let requests: Vec<PointRequest> = (0..12)
+        .map(|q| {
+            let c = Point::new(200.0 + 140.0 * q as f64, 1_000.0);
+            let issuer = Issuer::uniform(Rect::centered(c, 120.0, 120.0));
+            match q % 3 {
+                0 => PointRequest::cipq(
+                    issuer,
+                    RangeSpec::square(300.0),
+                    0.3,
+                    CipqStrategy::PExpanded,
+                ),
+                _ => PointRequest::ipq(issuer, RangeSpec::square(300.0)),
+            }
+        })
+        .collect();
+    let mut ctx = ExecutionContext::new(Integrator::Auto);
+    let (mut got, mut served) = (QueryAnswer::default(), QueryAnswer::default());
+    for round in 0..4u64 {
+        let ids = (round * 100..round * 100 + 100)
+            .chain((1 << 32) + round * 100..(1 << 32) + round * 100 + 100)
+            .chain((1 << 56) + round * 100..(1 << 56) + round * 100 + 100);
+        for object in ids.map(&mut place) {
+            single.insert_object(object);
+            for s in &sharded {
+                s.submit(Update::Arrive(object));
+            }
+            live.push(object);
+        }
+        for s in &sharded {
+            s.commit();
+        }
+        for (server, s) in servers.iter_mut().zip(&sharded) {
+            server.rebind(s.snapshot());
+        }
+        let rebuilt = PointEngine::from_objects(live.clone());
+        for (q, request) in requests.iter().enumerate() {
+            let want = rebuilt.execute_one(request);
+            assert!(
+                want.results.len() > 32,
+                "query {q}: too few matches to radix-sort"
+            );
+            single.execute_one_into(request, &mut ctx, &mut got);
+            assert!(
+                got.same_matches(&want),
+                "round {round}, query {q}: single != rebuild"
+            );
+            for (server, s) in servers.iter_mut().zip(&sharded) {
+                let snapshot = s.snapshot();
+                let n = snapshot.shard_count();
+                let sharded_answer = snapshot.execute_one(request);
+                assert!(
+                    sharded_answer.same_matches(&want),
+                    "round {round}, query {q}: {n} shards != rebuild"
+                );
+                server.execute_into(request, &mut served);
+                assert!(
+                    served.same_matches(&want),
+                    "round {round}, query {q}: {n}-shard server != rebuild"
+                );
+            }
+        }
+    }
+}
+
 /// `true` when `ids` strictly increase.
 fn increasing(ids: &[ObjectId]) -> bool {
     ids.windows(2).all(|w| w[0] < w[1])
@@ -692,10 +774,8 @@ fn increasing(ids: &[ObjectId]) -> bool {
 ///
 /// * each shard's live objects, in slot order, have strictly
 ///   increasing ids;
-/// * each shard's filter candidates for every request of `pool` — in
-///   the slot order the pipeline refines them in and emits its matches
-///   in — are live objects with strictly increasing ids, so the
-///   pipeline's match sort finds its input already sorted;
+/// * each shard's filter candidates for every request of `pool`, in
+///   slot order, are live objects with strictly increasing ids;
 /// * the merged answers are bit-identical to a catalog built afresh
 ///   over the live set.
 ///
@@ -739,7 +819,7 @@ fn live_slots_stay_in_id_order<E: ServeEngine>(
                     .collect();
                 assert!(
                     increasing(&ids),
-                    "cycle {cycle}: shard {k}, request {q}: the matches need a sort"
+                    "cycle {cycle}: shard {k}, request {q}: candidate slots left id order"
                 );
                 for (&slot, &id) in candidates.iter().zip(&ids) {
                     assert_eq!(
